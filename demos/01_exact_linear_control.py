@@ -1,8 +1,9 @@
 """Exact control of the linear Schrodinger equation from one window.
 
-Builds the control Gramian for a smooth cutoff supported on (0, 0.2),
-solves for the control datum steering a random state to zero over T = 1,
-and verifies the result by driving the closed discrete loop.
+Builds the exact-time control Gramian for a smooth cutoff supported on
+(0, 0.2), solves for the control datum steering a random state to zero
+over T = 1 by one Cholesky factorization, and verifies the result by
+driving the closed loop, again exactly in time.
 """
 
 import numpy as np
@@ -18,8 +19,8 @@ u0 = random_state(g, np.random.default_rng(42), norm=1.0)
 print(f"initial state: N = {g.modes_per_axis}, ||u0|| = {u0.norm_l2():.6f}")
 
 sol = solve_hum(spec, u0, tol=1e-10)
-print(f"Gramian solve: {sol.iterations} CG iterations, "
-      f"||phi0|| = {sol.phi0.norm_l2():.4f}")
+print(f"Gramian solve (Cholesky): ||phi0|| = {sol.phi0.norm_l2():.4f}, "
+      f"residual {sol.residual_l2:.3e}")
 
 record, final_norm = drive_linear(u0, spec, sol.phi0)
 print(f"closed-loop residual ||u(T)|| = {final_norm:.3e} "

@@ -13,7 +13,6 @@ import numpy as np
 from torus_control import (GramianSpec, StripWindow, decompose_modes,
                            make_grid, make_window, random_state,
                            strip_observability_constant)
-from torus_control.hum import resolved_n_quad
 from torus_control.tensor import compose_modes, observed_energy_1d
 
 n = 8
@@ -36,8 +35,7 @@ e_slices = sum(observed_energy_1d(spec1, s) for s in slices)
 print(f"sum of per-slice 1D observed energies: {e_slices:.10f}")
 
 # ---- the constants match ----------------------------------------------
-n2 = resolved_n_quad(make_grid(2, n), spec1.T)
-c2d, c1d = strip_observability_constant(spec1, n_quad_2d=n2)
+c2d, c1d = strip_observability_constant(spec1)
 print(f"\nC_T on the strip (2D, N = {n} per axis): {c2d:.10f}")
 print(f"C_T for the base window (1D):            {c1d:.10f}")
 print(f"relative gap: {abs(c2d - c1d) / c1d:.2e}")

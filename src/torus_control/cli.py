@@ -18,9 +18,9 @@ import numpy as np
 
 from . import __version__
 from .grid import FourierState, make_grid, random_state
-from .hum import (GramianSpec, GramianSingularError, HUMConvergenceError,
-                  lambda_min_dense, observability_constant, solve_hum,
-                  drive_linear)
+from .hum import (DenseSizeError, GramianSpec, GramianSingularError,
+                  HUMConvergenceError, drive_linear, observability_constant,
+                  solve_hum)
 from .io import (state_from_json, state_to_json, write_decay_csv, write_json,
                  write_sweep_csv, write_trajectory_csv)
 from .nls import (NLSParams, PicardDivergenceError, StabilizationStallError,
@@ -125,8 +125,7 @@ def _cmd_control(args, cfg, rng, out_dir):
     window = _build_window(cfg, grid)
     spec = _build_gramian_spec(cfg, window)
     u0 = _initial_state(cfg, grid, rng)
-    sol = solve_hum(spec, u0, tol=float(_get(cfg, "solver.tol", 1e-8)),
-                    max_iter=int(_get(cfg, "solver.max_iter", 5000)))
+    sol = solve_hum(spec, u0, tol=float(_get(cfg, "solver.tol", 1e-8)))
     record, residual = drive_linear(u0, spec, sol.phi0)
     if args.format in ("csv", "both"):
         write_trajectory_csv(out_dir / "control_trajectory.csv",
@@ -142,8 +141,8 @@ def _cmd_observability(args, cfg, rng, out_dir):
     window = _build_window(cfg, grid)
     spec = _build_gramian_spec(cfg, window)
     c_t = observability_constant(spec)
-    results = {"C_T": c_t, "lambda_min": 1.0 / c_t, "n_quad": spec.n_quad,
-               "T": spec.T, "N": grid.modes_per_axis}
+    results = {"C_T": c_t, "lambda_min": 1.0 / c_t, "T": spec.T,
+               "N": grid.modes_per_axis}
     _report(args, cfg, results, out_dir, "observability")
     return 0
 
@@ -187,8 +186,7 @@ def _cmd_tensor_check(args, cfg, rng, out_dir):
         raise ConfigError("grid.dim: tensor-check expects the 1D base grid")
     window = _build_window(cfg, grid)
     spec = _build_gramian_spec(cfg, window)
-    c_2d, c_1d = strip_observability_constant(
-        spec, n_quad_2d=_get(cfg, "quadrature.n_quad_2d"))
+    c_2d, c_1d = strip_observability_constant(spec)
     results = {"C_1d": c_1d, "C_2d": c_2d,
                "relative_gap": abs(c_2d - c_1d) / c_1d,
                "N_per_axis": grid.modes_per_axis, "T": spec.T}
@@ -282,6 +280,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.subcommand](args, cfg, rng, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DenseSizeError as exc:
+        print(f"config error: grid.N: {exc}", file=sys.stderr)
         return 2
     except (GramianSingularError, HUMConvergenceError, InfeasibleResolventError,
             PicardDivergenceError, StabilizationStallError) as exc:

@@ -8,29 +8,43 @@ a self-adjoint nonnegative operator; it is positive (and invertible)
 exactly when the window observes every truncated mode.  The smallest
 eigenvalue gives the observability constant C_T = 1 / lambda_min(S).
 
-Two evaluation paths are provided and cross-checked:
-  * a matrix-free quadrature path (Gauss-Legendre / trapezoid / midpoint
-    nodes in time, exact propagation between nodes), used by the CG solver;
-  * a dense path whose time integral is done in closed form per matrix
-    element (the integrand is a pure phase), exact in time -- the
-    brute-force oracle for all iterative computations (1D, moderate N).
+The production path is exact in time, in 1D and 2D: the dense Gramian
+S_ab = W_ab * int_0^T exp(i*(mu_a - mu_b)*t) dt, with W the
+(block-)circulant mode matrix of chi^2 and the pure-phase time integral
+done in closed form.  C_T, the HUM solve (one Cholesky factorization) and
+the closed-loop trajectory of `drive_linear` all use it.
+
+The matrix-free time quadrature (Gauss-Legendre / trapezoid / midpoint
+nodes, exact propagation between nodes) is kept as an independent
+oracle: `dense_gramian(..., exact_time=False)`, `apply_gramian`, and the
+shift-invert Lanczos of `lambda_min_iterative`.  Its CG solve
+`solve_gramian_system` also serves `local_control_nls`, whose Gramian
+must match the stepper's own midpoint rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import circulant, eigh, lu_factor, lu_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.sparse.linalg import LinearOperator, cg, eigsh
 from scipy.special import roots_legendre
 
-from .grid import FourierState, GridSpec, zero_state
+from .grid import FourierState, GridSpec, state_from_physical, zero_state
 from .windows import CutoffWindow
 
 #: Smallest Gramian eigenvalue considered numerically observable.
 CONDITIONING_FLOOR = 1e-14
+
+#: Largest mode count (N**dim) the dense Gramian is assembled for: one
+#: complex matrix then takes 64 MB.
+MAX_DENSE_POINTS = 2048
+
+# complex entries of the node-by-basis block the quadrature oracle
+# transforms at once (4 MB; at least one node, 64 MB at the dense cap)
+_ORACLE_BLOCK = 1 << 18
 
 
 class GramianSingularError(RuntimeError):
@@ -39,8 +53,13 @@ class GramianSingularError(RuntimeError):
 
 
 class HUMConvergenceError(RuntimeError):
-    """The Krylov solve for S phi0 = rhs did not reach tolerance; the
+    """The solve of S phi0 = rhs did not reach tolerance (the Krylov
+    residual, or the closed-loop residual of the direct solve); the
     window is effectively too small for this truncation and horizon."""
+
+
+class DenseSizeError(ValueError):
+    """The grid has more modes than the dense Gramian is assembled for."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +93,6 @@ class ControlSolution:
     phi0: FourierState
     residual_l2: float
     iterations: int
-    observability_estimate: float | None = None
 
 
 @dataclass
@@ -162,11 +180,6 @@ class _GramianApplier:
         return np.tensordot(self.weights, v, axes=(0, 0))
 
 
-def _apply_batch(spec: GramianSpec, batch: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Apply the quadrature Gramian to a batch of coefficient arrays."""
-    return _GramianApplier(spec).apply_batch(batch, chunk=chunk)
-
-
 def apply_gramian(spec: GramianSpec, phi0: FourierState) -> FourierState:
     """Quadrature approximation of S phi0."""
     if phi0.grid != spec.grid:
@@ -187,36 +200,63 @@ def gramian_operator(spec: GramianSpec) -> LinearOperator:
     return LinearOperator((n, n), matvec=matvec, dtype=complex)
 
 
+def check_dense_size(grid: GridSpec) -> None:
+    """Refuse grids whose dense mode-space matrices exceed MAX_DENSE_POINTS."""
+    if grid.n_points > MAX_DENSE_POINTS:
+        raise DenseSizeError(
+            f"N = {grid.modes_per_axis} in {grid.dim}D gives {grid.n_points} "
+            f"modes; dense Gramians are limited to {MAX_DENSE_POINTS}")
+
+
 def window_mode_matrix(window: CutoffWindow) -> np.ndarray:
-    """Mode-space matrix of multiplication by chi^2 (1D): a circulant built
-    from the DFT of the squared samples."""
-    if window.grid.dim != 1:
-        raise ValueError("window_mode_matrix supports 1D windows")
-    c = np.fft.fft(window.samples.astype(complex) ** 2) / window.grid.modes_per_axis
-    return circulant(c)
+    """Mode-space matrix of multiplication by chi^2: the (block-)circulant
+    W_ab = (chi^2)^(k_a - k_b), indexed by the per-axis mode difference
+    (aliased onto the grid), on flattened FFT-order coefficients."""
+    grid = window.grid
+    check_dense_size(grid)
+    c = np.fft.fftn(window.samples ** 2) / grid.n_points
+    n = grid.modes_per_axis
+    diff = np.subtract.outer(np.arange(n), np.arange(n)) % n
+    if grid.dim == 1:
+        w = c[diff]
+    else:
+        w = c[diff[:, None, :, None], diff[None, :, None, :]]
+    return w.reshape(grid.n_points, grid.n_points)
+
+
+def _mode_energies(grid: GridSpec) -> np.ndarray:
+    """mu = -Lap symbol = |2 pi k|^2 on flattened FFT-order coefficients."""
+    return -grid.laplacian_symbol().ravel()
+
+
+def _quadrature_gramian(spec: GramianSpec) -> np.ndarray:
+    """Quadrature Gramian assembled column by column from the matrix-free
+    applier, a few nodes at a time so each transformed block stays small."""
+    n = spec.grid.n_points
+    basis = np.eye(n, dtype=complex).reshape((n,) + spec.grid.shape)
+    chunk = max(1, _ORACLE_BLOCK // (n * n))
+    cols = _GramianApplier(spec).apply_batch(basis, chunk=chunk)
+    return cols.reshape(n, n).T
 
 
 def dense_gramian(spec: GramianSpec, exact_time: bool = True) -> np.ndarray:
-    """Dense Gramian matrix in mode space (1D).
+    """Dense Gramian matrix in mode space, on flattened coefficients (1D or 2D).
 
     With exact_time=True each entry's time integral is evaluated in closed
-    form: S_ab = W_ab * int_0^T exp(i*(mu_a - mu_b)*t) dt with mu = (2*pi*k)^2.
-    Otherwise the configured quadrature rule is used (for convergence checks).
+    form: S_ab = W_ab * int_0^T exp(i*(mu_a - mu_b)*t) dt with mu = |2*pi*k|^2.
+    Otherwise the matrix-free quadrature operator is applied to every basis
+    vector (the oracle for convergence checks).  Grids with more than
+    MAX_DENSE_POINTS modes raise DenseSizeError before any allocation.
     """
-    grid = spec.grid
-    if grid.dim != 1:
-        raise ValueError("dense_gramian supports 1D grids; use the tensor module in 2D")
-    w_mat = window_mode_matrix(spec.window)
-    mu = -grid.laplacian_symbol()  # (2*pi*k)^2
+    check_dense_size(spec.grid)
     if exact_time:
-        delta = mu[:, None] - mu[None, :]
-        x = delta * spec.T / 2.0
-        e_int = spec.T * np.exp(1j * x) * np.sinc(x / np.pi)
-        s = w_mat * e_int
+        mu = _mode_energies(spec.grid)
+        x = np.subtract.outer(mu, mu) * (spec.T / 2.0)
+        s = window_mode_matrix(spec.window)
+        s *= np.exp(1j * x)
+        s *= spec.T * np.sinc(x / np.pi)
     else:
-        t, w = quadrature_nodes(spec.T, spec.n_quad, spec.quad_rule)
-        ph = np.exp(-1j * np.outer(t, mu))
-        s = np.einsum("q,qa,ab,qb->ab", w, ph.conj(), w_mat, ph, optimize=True)
+        s = _quadrature_gramian(spec)
     return 0.5 * (s + s.conj().T)
 
 
@@ -248,17 +288,14 @@ def lambda_min_iterative(spec: GramianSpec, tol: float = 1e-10) -> float:
     return 1.0 / top
 
 
-def observability_constant(spec: GramianSpec, method: str = "auto",
-                           dense_cutoff: int = 128) -> float:
+def observability_constant(spec: GramianSpec, method: str = "dense") -> float:
     """Observability constant C_T = 1 / lambda_min(S) at this truncation.
 
-    method 'dense' uses the exact-time dense assembly (1D, moderate N);
-    'iterative' uses shift-invert Lanczos on the quadrature operator;
-    'auto' picks dense when available.
+    method 'dense' uses the exact-time dense Gramian (1D or 2D, up to
+    MAX_DENSE_POINTS modes); 'iterative' runs shift-invert Lanczos on the
+    quadrature operator, as a cross-check.  Every lambda_min below
+    CONDITIONING_FLOOR raises GramianSingularError.
     """
-    grid = spec.grid
-    if method == "auto":
-        method = "dense" if (grid.dim == 1 and grid.modes_per_axis <= dense_cutoff) else "iterative"
     if method == "dense":
         lam_min = lambda_min_dense(spec)
     elif method == "iterative":
@@ -266,9 +303,10 @@ def observability_constant(spec: GramianSpec, method: str = "auto",
     else:
         raise ValueError(f"unknown method {method!r}")
     if lam_min < CONDITIONING_FLOOR:
+        grid = spec.grid
         raise GramianSingularError(
             f"lambda_min = {lam_min:.3e} below conditioning floor; observability "
-            f"numerically void at N={grid.modes_per_axis}, T={spec.T}"
+            f"numerically void at N={grid.modes_per_axis} ({grid.dim}D), T={spec.T}"
         )
     return 1.0 / lam_min
 
@@ -297,22 +335,42 @@ def solve_gramian_system(spec: GramianSpec, rhs: FourierState, tol: float,
     return FourierState(spec.grid, x.reshape(spec.grid.shape)), iters
 
 
-def solve_hum(spec: GramianSpec, target: FourierState, tol: float = 1e-8,
-              max_iter: int = 5000) -> ControlSolution:
+def _cholesky(s_mat: np.ndarray, spec: GramianSpec):
+    try:
+        return cho_factor(s_mat)
+    except LinAlgError as exc:
+        raise GramianSingularError(
+            f"Gramian not numerically positive definite at "
+            f"N={spec.grid.modes_per_axis} ({spec.grid.dim}D), T={spec.T}: {exc}"
+        ) from exc
+
+
+def solve_hum(spec: GramianSpec, target: FourierState,
+              tol: float = 1e-8) -> ControlSolution:
     """HUM minimizer phi0 driving `target` to zero at time T.
 
-    Solves S phi0 = -i * target; with the control source chi^2 exp(i*t*Lap) phi0
-    the Duhamel formula gives u(T) = exp(i*T*Lap) (u0 - i S phi0), so the
-    closed-loop final mass equals the solver residual exactly.
+    Solves S phi0 = -i * target with one Cholesky factorization of the
+    exact-time Gramian.  With the control source chi^2 exp(i*t*Lap) phi0 the
+    Duhamel formula gives u(T) = exp(i*T*Lap) (u0 - i S phi0), so the
+    closed-loop final mass is ||target - i S phi0||; a residual above
+    tol * ||target|| raises HUMConvergenceError.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if target.grid != spec.grid:
         raise ValueError("grid mismatch between target and Gramian spec")
-    rhs = FourierState(spec.grid, -1j * target.coeffs)
-    phi0, iters = solve_gramian_system(spec, rhs, tol, max_iter)
-    _, residual = drive_linear(target, spec, phi0)
-    return ControlSolution(phi0=phi0, residual_l2=residual, iterations=iters)
+    s_mat = dense_gramian(spec)
+    u0 = target.coeffs.ravel()
+    phi = cho_solve(_cholesky(s_mat, spec), -1j * u0)
+    residual = float(np.linalg.norm(u0 - 1j * (s_mat @ phi)))
+    if residual > tol * target.norm_l2():
+        raise HUMConvergenceError(
+            f"closed-loop residual {residual:.3e} above tol * ||target|| = "
+            f"{tol * target.norm_l2():.3e}; the Gramian is effectively "
+            f"ill-conditioned for this window/truncation"
+        )
+    phi0 = FourierState(spec.grid, phi.reshape(spec.grid.shape))
+    return ControlSolution(phi0=phi0, residual_l2=residual, iterations=0)
 
 
 def synthesize_control(spec: GramianSpec, phi0: FourierState, t: float) -> FourierState:
@@ -320,63 +378,57 @@ def synthesize_control(spec: GramianSpec, phi0: FourierState, t: float) -> Fouri
     if not (0.0 <= t <= spec.T):
         raise ValueError(f"t = {t} outside the control horizon [0, {spec.T}]")
     from .operators import free_propagate
-    from .windows import multiply_window
 
     propagated = free_propagate(phi0, t)
-    squared = CutoffWindow(grid=spec.grid, samples=spec.window.samples ** 2,
-                           omega=spec.window.omega,
-                           transition_width=spec.window.transition_width,
-                           kind=spec.window.kind)
-    return multiply_window(propagated, squared)
+    return state_from_physical(spec.grid,
+                               propagated.physical() * spec.window.samples ** 2)
 
 
 def drive_linear(u0: FourierState, spec: GramianSpec,
                  phi0: FourierState) -> tuple[TrajectoryRecord, float]:
-    """Integrate i u_t + Lap u = chi^2 exp(i t Lap) phi0 from u0 over [0, T].
+    """Integrate i u_t + Lap u = chi^2 exp(i t Lap) phi0 from u0 over [0, T],
+    exactly in time.
 
-    Propagation between quadrature nodes is exact; the source enters
-    through the Duhamel integral evaluated on the spec's quadrature rule,
-    so the result is consistent with solve_hum's discrete Gramian.
-    Returns the sampled trajectory and the final mass ||u(T)||_L2.
+    Duhamel gives u(t) = exp(i t Lap) (u0 - i S(t) phi0), with S(t) the
+    Gramian over [0, t].  With d_ab = mu_a - mu_b, A = W / (i d) off the
+    degenerate set d = 0 and B = W on it,
+
+        S(t) phi = exp(i mu t) * A (exp(-i mu t) * phi) - A phi + t B phi,
+
+    so every sample comes from one matrix product.  The samples sit at 0,
+    the spec's quadrature nodes and T; the nodes only place them.  Returns
+    the sampled trajectory and ||u(T)||_L2, the root of the last mass sample.
     """
     if u0.grid != spec.grid or phi0.grid != spec.grid:
         raise ValueError("grid mismatch")
     grid = spec.grid
-    lam = grid.laplacian_symbol()
-    chi2 = spec.window.samples ** 2
-    t_nodes, w_nodes = quadrature_nodes(spec.T, spec.n_quad, spec.quad_rule)
-    fft_axes = tuple(range(-grid.dim, 0))
-
-    # Interaction-picture increments: -i * w_j * exp(-i t_j Lap) chi^2 exp(i t_j Lap) phi0
-    ph = np.exp(1j * t_nodes.reshape((-1,) + (1,) * grid.dim) * lam)
-    v = ph * phi0.coeffs[None, ...]
-    v = np.fft.ifftn(v, axes=fft_axes)
-    v *= chi2
-    v = np.fft.fftn(v, axes=fft_axes)
-    v *= np.conj(ph)
-    increments = -1j * w_nodes.reshape((-1,) + (1,) * grid.dim) * v
-
+    t_nodes, _ = quadrature_nodes(spec.T, spec.n_quad, spec.quad_rule)
     times = np.concatenate(([0.0], t_nodes, [spec.T]))
-    mass = np.empty(len(times))
-    observed = np.empty(len(times))
-    acc = u0.coeffs.copy()  # interaction-picture running Duhamel sum
-    node_idx = 0
-    for i, t in enumerate(times):
-        while node_idx < len(t_nodes) and t_nodes[node_idx] <= t:
-            acc = acc + increments[node_idx]
-            node_idx += 1
-        state_coeffs = np.exp(1j * lam * t) * acc
-        phys = np.fft.ifftn(state_coeffs, axes=fft_axes) * grid.n_points
-        mass[i] = np.sum(np.abs(state_coeffs) ** 2)
-        observed[i] = np.sum(spec.window.samples ** 2 * np.abs(phys) ** 2) / grid.n_points
-    final = FourierState(grid, np.exp(1j * lam * spec.T) * acc)
+    mu = _mode_energies(grid)
+    d = np.subtract.outer(mu, mu)
+    degenerate = d == 0.0
+    w_mat = window_mode_matrix(spec.window)
+    b = np.where(degenerate, w_mat, 0.0)
+    a = np.where(degenerate, 0.0, w_mat / (1j * np.where(degenerate, 1.0, d)))
+
+    phi = phi0.coeffs.ravel()
+    free = np.exp(-1j * np.outer(mu, times))  # exp(i t Lap), one column per t
+    s_phi = (free.conj() * (a @ (free * phi[:, None]))
+             - (a @ phi)[:, None] + np.outer(b @ phi, times))
+    states = (free * (u0.coeffs.ravel()[:, None] - 1j * s_phi)).T
+    states = states.reshape((len(times),) + grid.shape)
+
+    axes = tuple(range(1, grid.dim + 1))
+    phys = np.fft.ifftn(states, axes=axes) * grid.n_points
+    mass = np.sum(np.abs(states) ** 2, axis=axes)
+    observed = np.sum(spec.window.samples ** 2 * np.abs(phys) ** 2,
+                      axis=axes) / grid.n_points
     record = TrajectoryRecord(times=times, mass=mass, observed_mass=observed)
-    return record, final.norm_l2()
+    return record, float(np.sqrt(mass[-1]))
 
 
 def hum_regularity_ratio(spec: GramianSpec, s: float, n_samples: int,
-                         rng: np.random.Generator, tol: float = 1e-10,
-                         max_iter: int = 20000) -> dict:
+                         rng: np.random.Generator) -> dict:
     """H^s amplification statistics of S^{-1} over random unit-H^s data.
 
     Draws n_samples states with H^s norm 1, solves S phi0 = psi0, and
@@ -385,7 +437,6 @@ def hum_regularity_ratio(spec: GramianSpec, s: float, n_samples: int,
     """
     if s < 0.0:
         raise ValueError("s must be >= 0")
-    from .grid import FourierState
     from .operators import sobolev_norm, sobolev_weights
 
     if spec.grid.dim != 1:
@@ -395,15 +446,14 @@ def hum_regularity_ratio(spec: GramianSpec, s: float, n_samples: int,
     # makes the tail summable, so refining the grid only appends
     # negligible modes and the statistic can converge in N.
     decay = sobolev_weights(spec.grid, -(s + 1.0))
-    s_mat = dense_gramian(spec, exact_time=True)
-    lu = lu_factor(s_mat)
+    factor = _cholesky(dense_gramian(spec), spec)
     ratios = []
     for _ in range(n_samples):
         g = rng.standard_normal(spec.grid.shape) + 1j * rng.standard_normal(
             spec.grid.shape)
         psi0 = FourierState(spec.grid, g * decay)
         psi0 = psi0 * (1.0 / sobolev_norm(psi0, s))
-        phi0 = FourierState(spec.grid, lu_solve(lu, psi0.coeffs))
+        phi0 = FourierState(spec.grid, cho_solve(factor, psi0.coeffs))
         ratios.append(sobolev_norm(phi0, s))
     ratios = np.array(ratios)
     return {"max": float(ratios.max()), "mean": float(ratios.mean()),

@@ -6,8 +6,10 @@ evolves under the 1D flow times a unimodular phase, and the windowed norm
 is x2-independent, so the observability constant transfers exactly:
 lambda_min(S_2d) = lambda_min(S_1d) at truncation.
 
-The 2D constant is still computed from a genuinely 2D Gramian (2D
-transforms and time quadrature) so the identity is verified, not assumed.
+The 2D constant is still computed from a genuinely 2D Gramian (the
+exact-time dense Gramian on the 2D grid, whose block-circulant window
+matrix couples all N^2 modes), so the identity is verified, not assumed.
+The time quadrature survives only as the oracle in `hum`.
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
-from .grid import FourierState, GridSpec, make_grid
-from .hum import GramianSpec, _apply_batch, lambda_min_dense, CONDITIONING_FLOOR, \
-    GramianSingularError
+from .grid import FourierState, make_grid
+from .hum import GramianSpec, dense_gramian, observability_constant
 from .windows import CutoffWindow
 
 
@@ -62,45 +62,21 @@ def compose_modes(slices: list[FourierState]) -> FourierState:
     return FourierState(grid2, coeffs)
 
 
-def dense_gramian_2d(spec2d: GramianSpec) -> np.ndarray:
-    """Dense 2D Gramian assembled by applying the quadrature operator to
-    every Fourier basis vector.  Brute force; meant for small N per axis."""
-    grid = spec2d.grid
-    if grid.dim != 2:
-        raise ValueError("dense_gramian_2d expects a 2D Gramian spec")
-    n_tot = grid.n_points
-    basis = np.eye(n_tot, dtype=complex).reshape((n_tot,) + grid.shape)
-    cols = _apply_batch(spec2d, basis, chunk=64)
-    s = cols.reshape(n_tot, n_tot).T
-    return 0.5 * (s + s.conj().T)
-
-
-def strip_observability_constant(base_spec: GramianSpec,
-                                 n_quad_2d: int | None = None) -> tuple[float, float]:
+def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     """(C_2d, C_1d) for the strip omega_1 x T versus its 1D base window.
 
-    C_1d comes from the exact-time dense 1D Gramian; C_2d from a dense 2D
-    assembly over the quadrature operator.  The contract is
-    |C_2d - C_1d| / C_1d small (exact transfer at truncation).
+    Both come from exact-time dense Gramians, C_2d from the one on the 2D
+    grid, and both go through the conditioning floor of
+    `observability_constant`.  The contract is |C_2d - C_1d| / C_1d at
+    roundoff (exact transfer at truncation).
     """
     if base_spec.grid.dim != 1:
         raise ValueError("base_spec must be a 1D Gramian spec")
-    strip = StripWindow(base_spec.window)
-    window2d = strip.to_2d()
-    spec2d = GramianSpec(T=base_spec.T, window=window2d,
-                         n_quad=n_quad_2d or base_spec.n_quad,
-                         quad_rule=base_spec.quad_rule)
-    s2 = dense_gramian_2d(spec2d)
-    lam_min_2d = float(eigh(s2, eigvals_only=True, subset_by_index=[0, 0])[0])
-    if lam_min_2d < CONDITIONING_FLOOR:
-        raise GramianSingularError("2D Gramian numerically singular")
-    c_2d = 1.0 / lam_min_2d
-    c_1d = 1.0 / lambda_min_dense(base_spec)
-    return c_2d, c_1d
+    spec2d = GramianSpec(T=base_spec.T, window=StripWindow(base_spec.window).to_2d())
+    return observability_constant(spec2d), observability_constant(base_spec)
 
 
 def observed_energy_1d(spec: GramianSpec, c: FourierState) -> float:
-    """int_0^T ||chi exp(i t Lap) c||^2 dt via the spec's quadrature
-    (equals <S c, c>)."""
-    out = _apply_batch(spec, c.coeffs[None, ...])[0]
-    return float(np.real(np.vdot(c.coeffs, out)))
+    """int_0^T ||chi exp(i t Lap) c||^2 dt = <S c, c>, exact in time."""
+    out = dense_gramian(spec) @ c.coeffs.ravel()
+    return float(np.real(np.vdot(c.coeffs.ravel(), out)))

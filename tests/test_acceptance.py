@@ -145,8 +145,7 @@ def test_07_tensor_transfer_strip():
     g = make_grid(1, 16)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     spec = GramianSpec(T=1.0, window=w)
-    c_2d, c_1d = strip_observability_constant(
-        spec, n_quad_2d=resolved_n_quad(make_grid(2, 16), 1.0))
+    c_2d, c_1d = strip_observability_constant(spec)
     gap = abs(c_2d - c_1d) / c_1d
     elapsed = time.time() - t0
     ok = gap <= 1e-6 and elapsed < 60.0

@@ -3,9 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from torus_control import GramianSpec, make_grid, make_window
 from torus_control.cli import main
+from torus_control.hum import lambda_min_dense
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -78,12 +81,56 @@ def test_resolvent_sweep_artifacts(tmp_path, base_cfg):
 def test_tensor_check(tmp_path, base_cfg):
     base_cfg["grid"]["N"] = 8
     base_cfg["window"] = {"omega": [[0.0, 0.4]]}
-    base_cfg["quadrature"] = {"n_quad_2d": 800}
     cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
     out = tmp_path / "out"
     assert main(["tensor-check", "--config", cfg, "--out", str(out)]) == 0
     report = json.load(open(out / "tensor_check.json"))
     assert report["results"]["relative_gap"] < 1e-6
+
+
+def test_tensor_check_exact_transfer(tmp_path, base_cfg):
+    base_cfg["grid"]["N"] = 16
+    base_cfg["window"] = {"omega": [[0.0, 0.2]], "transition_width": 0.05}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["tensor-check", "--config", cfg, "--out", str(out)]) == 0
+    report = json.load(open(out / "tensor_check.json"))
+    assert report["results"]["relative_gap"] <= 1e-10
+
+
+def test_observability_is_exact_dense(tmp_path, base_cfg):
+    base_cfg["grid"]["N"] = 256
+    base_cfg["window"] = {"omega": [[0.0, 0.2]], "transition_width": 0.05}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["observability", "--config", cfg, "--out", str(out)]) == 0
+    lam = json.load(open(out / "observability.json"))["results"]["lambda_min"]
+    g = make_grid(1, 256)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.2), 0.05))
+    assert lam == pytest.approx(lambda_min_dense(spec), rel=1e-12)
+
+
+def test_dense_size_guard_exit_2(tmp_path, base_cfg, capsys):
+    base_cfg["grid"]["N"] = 4096
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["observability", "--config", cfg, "--out", str(out)]) == 2
+    assert "grid.N" in capsys.readouterr().err
+    assert not (out / "error.json").exists()
+
+
+def test_control_trajectory_ends_at_residual(tmp_path, base_cfg):
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["control", "--config", cfg, "--out", str(out)]) == 0
+    results = json.load(open(out / "control.json"))["results"]
+    assert results["iterations"] == 0
+    assert {"residual", "n_quad", "phi0"} <= results.keys()
+    traj = np.loadtxt(out / "control_trajectory.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert len(traj) == results["n_quad"] + 2
+    assert np.sqrt(traj[-1, 1]) == pytest.approx(results["residual"], rel=1e-9)
+    assert results["residual"] < 1e-13
 
 
 def test_global_control_to_zero(tmp_path, base_cfg):

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from torus_control import (GramianSpec, GramianSingularError, apply_gramian,
-                           dense_gramian, drive_linear, free_propagate,
+from torus_control import (FourierState, GramianSpec, GramianSingularError,
+                           apply_gramian, dense_gramian, drive_linear,
+                           free_propagate,
                            full_window, make_grid, make_window,
                            observability_constant, random_state, solve_hum,
                            synthesize_control)
-from torus_control.hum import (HUMConvergenceError, hum_regularity_ratio,
+from torus_control.hum import (MAX_DENSE_POINTS, HUMConvergenceError,
+                               check_dense_size, hum_regularity_ratio,
                                lambda_min_dense, lambda_min_iterative,
                                quadrature_nodes, resolved_n_quad,
                                solve_gramian_system, window_mode_matrix)
@@ -82,6 +84,25 @@ def test_window_mode_matrix_is_convolution(small_setup):
     assert np.allclose(mat @ u.coeffs, direct)
 
 
+def test_window_mode_matrix_2d_is_convolution():
+    g = make_grid(2, 8)
+    w = make_window(g, (0.1, 0.6), 0.05, "smooth")
+    u = random_state(g, np.random.default_rng(7))
+    direct = np.fft.fftn(w.samples ** 2 * u.physical()) / g.n_points
+    assert np.allclose(window_mode_matrix(w) @ u.coeffs.ravel(), direct.ravel())
+
+
+def test_dense_size_guard():
+    # refused before any n_points x n_points allocation
+    huge = GramianSpec(T=1.0, window=full_window(make_grid(1, 2 * MAX_DENSE_POINTS)))
+    with pytest.raises(ValueError, match="2048"):
+        dense_gramian(huge)
+    with pytest.raises(ValueError):
+        observability_constant(GramianSpec(T=1.0, window=full_window(make_grid(2, 46))))
+    check_dense_size(make_grid(1, MAX_DENSE_POINTS))
+    check_dense_size(make_grid(2, 44))
+
+
 def test_lambda_min_dense_vs_iterative(small_setup):
     g, w, _ = small_setup
     spec = GramianSpec(T=1.0, window=w, n_quad=resolved_n_quad(g, 1.0))
@@ -128,6 +149,51 @@ def test_solve_hum_certified_closed_loop(small_setup):
     assert record.times[0] == 0.0
     assert record.times[-1] == pytest.approx(1.0)
     assert record.mass[0] == pytest.approx(u0.norm_l2() ** 2)
+    # the direct solve still enforces its residual bound
+    with pytest.raises(HUMConvergenceError):
+        solve_hum(spec, u0, tol=1e-20)
+
+
+def test_solve_hum_exact_against_quadrature_oracle(small_setup):
+    # the control leaves u(T) at roundoff when the Duhamel integral is
+    # evaluated by the independent, resolved time quadrature
+    g, w, _ = small_setup
+    spec = GramianSpec(T=1.0, window=w)
+    oracle = dense_gramian(GramianSpec(T=1.0, window=w,
+                                       n_quad=resolved_n_quad(g, 1.0)),
+                           exact_time=False)
+    for seed in range(3):
+        u0 = random_state(g, np.random.default_rng(10 + seed))
+        sol = solve_hum(spec, u0, tol=1e-9)
+        assert sol.iterations == 0
+        final = u0.coeffs - 1j * (oracle @ sol.phi0.coeffs)
+        assert np.linalg.norm(final) <= 1e-10 * u0.norm_l2()
+
+
+def test_drive_linear_is_exact_in_time(small_setup):
+    g, w, spec = small_setup
+    rng = np.random.default_rng(11)
+    u0, phi0 = random_state(g, rng), random_state(g, rng)
+    record, final_norm = drive_linear(u0, spec, phi0)
+    assert len(record.times) == spec.n_quad + 2
+    assert final_norm == np.sqrt(record.mass[-1])
+    # u(t) = exp(i t Lap)(u0 - i S(t) phi0), S(t) the Gramian over [0, t]
+    for j in (0, 1, spec.n_quad // 2, len(record.times) - 1):
+        t = record.times[j]
+        v = u0.coeffs.copy()
+        if t > 0:
+            v -= 1j * (dense_gramian(GramianSpec(T=t, window=w)) @ phi0.coeffs)
+        assert record.mass[j] == pytest.approx(np.sum(np.abs(v) ** 2), rel=1e-12)
+        phys = free_propagate(FourierState(g, v), t).physical()
+        expect = np.mean(w.samples ** 2 * np.abs(phys) ** 2)
+        assert record.observed_mass[j] == pytest.approx(expect, rel=1e-10)
+
+
+def test_solve_hum_singular_gramian_raises():
+    g = make_grid(1, 32)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.41, 0.42), kind="sharp"))
+    with pytest.raises(GramianSingularError):
+        solve_hum(spec, random_state(g, np.random.default_rng(12)))
 
 
 def test_solve_hum_zero_target(small_setup):

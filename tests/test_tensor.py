@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from torus_control import (GramianSpec, StripWindow, decompose_modes,
-                           make_grid, make_window, random_state,
+from torus_control import (GramianSingularError, GramianSpec, StripWindow,
+                           decompose_modes, dense_gramian, make_grid,
+                           make_window, random_state,
                            strip_observability_constant)
 from torus_control.hum import lambda_min_dense, resolved_n_quad
-from torus_control.tensor import compose_modes, dense_gramian_2d
+from torus_control.tensor import compose_modes
 
 
 def test_strip_window_repeats_base_profile():
@@ -38,11 +39,8 @@ def test_dense_gramian_2d_block_structure():
     base = make_window(g1, (0.0, 0.4), 0.05, "smooth")
     n_quad = resolved_n_quad(make_grid(2, 8), 1.0)
     spec = GramianSpec(T=1.0, window=base, n_quad=n_quad)
-    from torus_control.tensor import StripWindow as _SW
-    spec2d = GramianSpec(T=1.0, window=_SW(base).to_2d(), n_quad=n_quad)
-    s2 = dense_gramian_2d(spec2d)
-    from torus_control.hum import dense_gramian
-
+    spec2d = GramianSpec(T=1.0, window=StripWindow(base).to_2d(), n_quad=n_quad)
+    s2 = dense_gramian(spec2d)
     s1 = dense_gramian(spec, exact_time=True)
     n = 8
     # block for second-axis mode q couples (k, q) only to (k', q)
@@ -58,7 +56,27 @@ def test_strip_observability_matches_1d():
     g1 = make_grid(1, 8)
     base = make_window(g1, (0.0, 0.4), 0.05, "smooth")
     spec = GramianSpec(T=1.0, window=base)
-    c2, c1 = strip_observability_constant(
-        spec, n_quad_2d=resolved_n_quad(make_grid(2, 8), 1.0))
+    c2, c1 = strip_observability_constant(spec)
     assert abs(c2 - c1) / c1 < 1e-8
     assert c1 == pytest.approx(1.0 / lambda_min_dense(spec), rel=1e-10)
+
+
+def test_strip_quadrature_oracle_matches_exact_2d():
+    # the 2D quadrature Gramian at a resolving node count converges to the
+    # exact-time closed form on the genuinely 2D grid
+    base = make_window(make_grid(1, 8), (0.0, 0.4), 0.05, "smooth")
+    window2d = StripWindow(base).to_2d()
+    spec2d = GramianSpec(T=1.0, window=window2d,
+                         n_quad=resolved_n_quad(window2d.grid, 1.0))
+    s_quad = dense_gramian(spec2d, exact_time=False)
+    s_exact = dense_gramian(spec2d)
+    assert np.max(np.abs(s_quad - s_exact)) < 1e-10 * np.max(np.abs(s_exact))
+
+
+def test_strip_single_sample_window_is_singular():
+    # on N = 8 the window (0, 0.2) of width 0.05 keeps one nonzero sample
+    # (x = 1/8), so chi^2 has rank one and S is genuinely singular
+    base = make_window(make_grid(1, 8), (0.0, 0.2), 0.05, "smooth")
+    assert np.count_nonzero(base.samples) == 1
+    with pytest.raises(GramianSingularError):
+        strip_observability_constant(GramianSpec(T=1.0, window=base))
