@@ -83,6 +83,16 @@ def _build_gramian_spec(cfg, window):
         raise ConfigError(f"quadrature/horizon: {exc}") from exc
 
 
+def _build_nls_params(cfg, damping=None):
+    try:
+        return NLSParams(sigma=int(_get(cfg, "nls.sigma", -1)),
+                         dt=float(_get(cfg, "nls.dt", 1e-3)),
+                         damping=damping,
+                         dealias=bool(_get(cfg, "nls.dealias", True)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"nls: {exc}") from exc
+
+
 def _initial_state(cfg, grid, rng):
     ucfg = _get(cfg, "initial_state")
     if isinstance(ucfg, dict) and "coeffs" in ucfg:
@@ -104,11 +114,8 @@ def _report(args, cfg, results: dict, out_dir: Path, name: str) -> None:
 def _cmd_simulate(args, cfg, rng, out_dir):
     grid = _build_grid(cfg)
     window = _build_window(cfg, grid)
-    damping = window if _get(cfg, "nls.damped", False) else None
-    params = NLSParams(sigma=int(_get(cfg, "nls.sigma", -1)),
-                       dt=float(_get(cfg, "nls.dt", 1e-3)),
-                       damping=damping,
-                       dealias=bool(_get(cfg, "nls.dealias", True)))
+    params = _build_nls_params(
+        cfg, damping=window if _get(cfg, "nls.damped", False) else None)
     u0 = _initial_state(cfg, grid, rng)
     T = float(_get(cfg, "horizon.T", 1.0))
     final, record = evolve(u0, T, params)
@@ -197,10 +204,7 @@ def _cmd_tensor_check(args, cfg, rng, out_dir):
 def _cmd_stabilize(args, cfg, rng, out_dir):
     grid = _build_grid(cfg)
     window = _build_window(cfg, grid)
-    params = NLSParams(sigma=int(_get(cfg, "nls.sigma", -1)),
-                       dt=float(_get(cfg, "nls.dt", 1e-3)),
-                       damping=window,
-                       dealias=bool(_get(cfg, "nls.dealias", True)))
+    params = _build_nls_params(cfg, damping=window)
     u0 = _initial_state(cfg, grid, rng)
     T = float(_get(cfg, "horizon.T", 10.0))
     final, record = evolve(u0, T, params, record_stride=10)
@@ -218,6 +222,7 @@ def _cmd_global_control(args, cfg, rng, out_dir):
     grid = _build_grid(cfg)
     window = _build_window(cfg, grid)
     spec = _build_gramian_spec(cfg, window)
+    params = _build_nls_params(cfg)
     u0 = _initial_state(cfg, grid, rng)
     t_norm = float(_get(cfg, "target.norm", 0.0))
     if t_norm > 0.0:
@@ -226,10 +231,9 @@ def _cmd_global_control(args, cfg, rng, out_dir):
     else:
         u1 = FourierState(grid, np.zeros(grid.shape, dtype=complex))
     schedule = global_control(
-        u0, u1, spec, sigma=int(_get(cfg, "nls.sigma", -1)),
+        u0, u1, spec, sigma=params.sigma,
         mass_threshold=float(_get(cfg, "nls.mass_threshold", 0.05)),
-        tol=float(_get(cfg, "solver.tol", 1e-8)),
-        dt=float(_get(cfg, "nls.dt", 1e-3)))
+        tol=float(_get(cfg, "solver.tol", 1e-8)), dt=params.dt)
     phases = [{"phase": i, "type": ph.kind, "t_start": ph.t_start,
                "t_end": ph.t_end,
                "phi0": state_to_json(ph.phi0) if ph.phi0 is not None else None,

@@ -14,12 +14,14 @@ S_ab = W_ab * int_0^T exp(i*(mu_a - mu_b)*t) dt, with W the
 done in closed form.  C_T, the HUM solve (one Cholesky factorization) and
 the closed-loop trajectory of `drive_linear` all use it.
 
+The same closed form with the midpoint sum in place of the time integral
+is the Gramian of the NLS stepper's own midpoint source;
+`local_control_nls` assembles and Cholesky-factors it once.
+
 The matrix-free time quadrature (Gauss-Legendre / trapezoid / midpoint
-nodes, exact propagation between nodes) is kept as an independent
+nodes, exact propagation between nodes) is kept only as an independent
 oracle: `dense_gramian(..., exact_time=False)`, `apply_gramian`, and the
-shift-invert Lanczos of `lambda_min_iterative`.  Its CG solve
-`solve_gramian_system` also serves `local_control_nls`, whose Gramian
-must match the stepper's own midpoint rule.
+shift-invert Lanczos of `lambda_min_iterative`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.sparse.linalg import LinearOperator, cg, eigsh
 from scipy.special import roots_legendre
 
-from .grid import FourierState, GridSpec, state_from_physical, zero_state
+from .grid import FourierState, GridSpec, state_from_physical
 from .windows import CutoffWindow
 
 #: Smallest Gramian eigenvalue considered numerically observable.
@@ -53,9 +55,9 @@ class GramianSingularError(RuntimeError):
 
 
 class HUMConvergenceError(RuntimeError):
-    """The solve of S phi0 = rhs did not reach tolerance (the Krylov
-    residual, or the closed-loop residual of the direct solve); the
-    window is effectively too small for this truncation and horizon."""
+    """The closed-loop residual of the direct HUM solve exceeded its
+    tolerance; the window is effectively too small for this truncation
+    and horizon."""
 
 
 class DenseSizeError(ValueError):
@@ -188,18 +190,6 @@ def apply_gramian(spec: GramianSpec, phi0: FourierState) -> FourierState:
     return FourierState(spec.grid, out)
 
 
-def gramian_operator(spec: GramianSpec) -> LinearOperator:
-    """Matrix-free Gramian on flattened coefficient vectors."""
-    n = spec.grid.n_points
-    shape = spec.grid.shape
-    applier = _GramianApplier(spec)
-
-    def matvec(x):
-        return applier.apply_one(x.reshape(shape)).ravel()
-
-    return LinearOperator((n, n), matvec=matvec, dtype=complex)
-
-
 def check_dense_size(grid: GridSpec) -> None:
     """Refuse grids whose dense mode-space matrices exceed MAX_DENSE_POINTS."""
     if grid.n_points > MAX_DENSE_POINTS:
@@ -239,6 +229,35 @@ def _quadrature_gramian(spec: GramianSpec) -> np.ndarray:
     return cols.reshape(n, n).T
 
 
+def _closed_form_gramian(spec: GramianSpec,
+                         n_steps: int | None = None) -> np.ndarray:
+    """S = W * K, Hermitian-symmetrized, with the time kernel K in closed
+    form; the size guard runs before any n_points x n_points allocation.
+
+    With d = mu_a - mu_b and x = d*T/2, the exact integral is
+    K = int_0^T exp(i*d*t) dt = exp(i*x) * T * sinc(x), sinc(y) = sin(y)/y.
+    Given n_steps, K is the midpoint sum h * sum_j exp(i*d*t_j),
+    t_j = (j + 1/2)*h, h = T/n: exp(i*x) * h * sin(n*th)/sin(th), th = x/n,
+    the linear part of the NLS stepper's controlled solve.  Reducing
+    th = m*pi + r, |r| <= pi/2, gives (-1)^(m*(n-1)) * n * sinc(n*r)/sinc(r),
+    finite where th is a nonzero multiple of pi.
+    """
+    check_dense_size(spec.grid)
+    mu = _mode_energies(spec.grid)
+    x = np.subtract.outer(mu, mu) * (spec.T / 2.0)
+    s = window_mode_matrix(spec.window)
+    s *= np.exp(1j * x)
+    if n_steps is None:
+        s *= spec.T * np.sinc(x / np.pi)
+    else:
+        x /= n_steps
+        m = np.rint(x / np.pi)
+        x -= m * np.pi
+        s *= np.where(m * (n_steps - 1) % 2, -spec.T, spec.T)
+        s *= np.sinc(n_steps * x / np.pi) / np.sinc(x / np.pi)
+    return 0.5 * (s + s.conj().T)
+
+
 def dense_gramian(spec: GramianSpec, exact_time: bool = True) -> np.ndarray:
     """Dense Gramian matrix in mode space, on flattened coefficients (1D or 2D).
 
@@ -248,15 +267,10 @@ def dense_gramian(spec: GramianSpec, exact_time: bool = True) -> np.ndarray:
     vector (the oracle for convergence checks).  Grids with more than
     MAX_DENSE_POINTS modes raise DenseSizeError before any allocation.
     """
-    check_dense_size(spec.grid)
     if exact_time:
-        mu = _mode_energies(spec.grid)
-        x = np.subtract.outer(mu, mu) * (spec.T / 2.0)
-        s = window_mode_matrix(spec.window)
-        s *= np.exp(1j * x)
-        s *= spec.T * np.sinc(x / np.pi)
-    else:
-        s = _quadrature_gramian(spec)
+        return _closed_form_gramian(spec)
+    check_dense_size(spec.grid)
+    s = _quadrature_gramian(spec)
     return 0.5 * (s + s.conj().T)
 
 
@@ -269,8 +283,11 @@ def lambda_min_dense(spec: GramianSpec, exact_time: bool = True) -> float:
 def lambda_min_iterative(spec: GramianSpec, tol: float = 1e-10) -> float:
     """Smallest Gramian eigenvalue via Lanczos on S^{-1} applied
     matrix-free (inner solves by CG on the quadrature operator)."""
-    op = gramian_operator(spec)
-    n = op.shape[0]
+    n = spec.grid.n_points
+    shape = spec.grid.shape
+    applier = _GramianApplier(spec)
+    op = LinearOperator((n, n), dtype=complex,
+                        matvec=lambda x: applier.apply_one(x.reshape(shape)).ravel())
     inner_iters = max(200, 10 * n)
 
     def inv_matvec(b):
@@ -288,20 +305,13 @@ def lambda_min_iterative(spec: GramianSpec, tol: float = 1e-10) -> float:
     return 1.0 / top
 
 
-def observability_constant(spec: GramianSpec, method: str = "dense") -> float:
-    """Observability constant C_T = 1 / lambda_min(S) at this truncation.
-
-    method 'dense' uses the exact-time dense Gramian (1D or 2D, up to
-    MAX_DENSE_POINTS modes); 'iterative' runs shift-invert Lanczos on the
-    quadrature operator, as a cross-check.  Every lambda_min below
-    CONDITIONING_FLOOR raises GramianSingularError.
+def observability_constant(spec: GramianSpec) -> float:
+    """Observability constant C_T = 1 / lambda_min(S) at this truncation,
+    from the exact-time dense Gramian (1D or 2D, up to MAX_DENSE_POINTS
+    modes).  A lambda_min below CONDITIONING_FLOOR raises
+    GramianSingularError.
     """
-    if method == "dense":
-        lam_min = lambda_min_dense(spec)
-    elif method == "iterative":
-        lam_min = lambda_min_iterative(spec)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    lam_min = lambda_min_dense(spec)
     if lam_min < CONDITIONING_FLOOR:
         grid = spec.grid
         raise GramianSingularError(
@@ -309,30 +319,6 @@ def observability_constant(spec: GramianSpec, method: str = "dense") -> float:
             f"numerically void at N={grid.modes_per_axis} ({grid.dim}D), T={spec.T}"
         )
     return 1.0 / lam_min
-
-
-def solve_gramian_system(spec: GramianSpec, rhs: FourierState, tol: float,
-                         max_iter: int) -> tuple[FourierState, int]:
-    """CG solve of S x = rhs on the quadrature operator (S is Hermitian PSD)."""
-    b = rhs.coeffs.ravel()
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return zero_state(spec.grid), 0
-    op = gramian_operator(spec)
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    x, info = cg(op, b, rtol=tol, atol=0.0, maxiter=max_iter, callback=count)
-    if info > 0:
-        raise HUMConvergenceError(
-            f"CG did not converge in {max_iter} iterations (relative residual "
-            f"{np.linalg.norm(b - op @ x) / nb:.3e}); the Gramian is effectively "
-            f"ill-conditioned for this window/truncation"
-        )
-    return FourierState(spec.grid, x.reshape(spec.grid.shape)), iters
 
 
 def _cholesky(s_mat: np.ndarray, spec: GramianSpec):

@@ -5,30 +5,38 @@ The equation is i u_t + Lap u + i chi^2 u = sigma |u|^2 u (the damping
 term present only when a damping window is configured).  One Strang step
 composes exact sub-flows:
 
-    damp(dt/2) . linear(dt/2) . phase-rotation(dt) . linear(dt/2) . damp(dt/2)
+    linear(dt/2) . damp(dt/2) . phase-rotation(dt) . damp(dt/2) . linear(dt/2)
 
 where the nonlinear sub-flow is the exact pointwise rotation
 u -> u * exp(-i*sigma*|u|^2*dt) and the damping sub-flow the pointwise
 factor exp(-chi^2 * dt/2).  Without damping every sub-step is an
 isometry, so mass is conserved to roundoff; energy drifts at O(dt^2).
+`nls_step`, `evolve` and the controlled solve all run this one step,
+built once per (grid, dt, sigma, damping, dealias); the controlled solve
+adds its source, integrated over the step at the midpoint, after the
+nonlinear sub-flow.
 
 With damping the mass obeys d/dt ||u||^2 = -2 ||chi u||^2, checked
 against the trapezoid integral of the recorded observed series.
 
 Local exact control near zero follows the fixed-point construction
-phi0 <- S^{-1}(rhs(u0) - nonlinear drift(phi0)): the linear part of the
-discrete stepper is exact, so at the fixed point the discrete final
-state vanishes up to the solver tolerances.
+phi0 <- S^{-1}(rhs(u0) - nonlinear drift(phi0)), with S the Gramian of
+the stepper's own midpoint source, assembled in closed form and
+Cholesky-factored once: the linear part of the discrete stepper is then
+inverted exactly, so at the fixed point the discrete final state
+vanishes up to roundoff and the Picard tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .grid import FourierState, GridSpec, zero_state
-from .hum import GramianSpec, quadrature_nodes, solve_gramian_system
+from .hum import (GramianSpec, _cholesky, _closed_form_gramian, check_dense_size,
+                  quadrature_nodes)
 from .windows import CutoffWindow
 
 
@@ -92,23 +100,41 @@ def energy(u: FourierState, sigma: int) -> float:
     return grad + 0.5 * sigma * quartic
 
 
+class _StrangStep:
+    """The Strang step of `NLSParams` on one grid, with its half-step
+    phases, damping factors and dealias mask computed once."""
+
+    def __init__(self, grid: GridSpec, params: NLSParams):
+        self.rotation = -params.sigma * params.dt
+        self.half = np.exp(1j * grid.laplacian_symbol() * (params.dt / 2.0))
+        self.damp = (None if params.damping is None
+                     else np.exp(-params.damping.samples ** 2 * (params.dt / 2.0)))
+        self.mask = _dealias_mask(grid) if params.dealias else None
+
+    def __call__(self, c: np.ndarray, source: np.ndarray | None = None) -> np.ndarray:
+        """Advance coefficients c by one step; `source` (Fourier space) is
+        added after the nonlinear sub-flow."""
+        c = c * self.half
+        if self.damp is not None or self.rotation != 0.0:
+            phys = np.fft.ifftn(c, norm="forward")
+            if self.damp is not None:
+                phys *= self.damp
+            if self.rotation != 0.0:
+                phys *= np.exp(1j * self.rotation * np.abs(phys) ** 2)
+            if self.damp is not None:
+                phys *= self.damp
+            c = np.fft.fftn(phys, norm="forward")
+        if self.mask is not None:
+            c *= self.mask
+        if source is not None:
+            c += source
+        c *= self.half
+        return c
+
+
 def nls_step(u: FourierState, params: NLSParams) -> FourierState:
     """One Strang split step of the (damped) cubic NLS."""
-    grid = u.grid
-    lam = grid.laplacian_symbol()
-    half_linear = np.exp(1j * lam * (params.dt / 2.0))
-    c = u.coeffs * half_linear
-    phys = np.fft.ifftn(c) * grid.n_points
-    if params.damping is not None:
-        phys = phys * np.exp(-params.damping.samples ** 2 * (params.dt / 2.0))
-    if params.sigma != 0:
-        phys = phys * np.exp(-1j * params.sigma * np.abs(phys) ** 2 * params.dt)
-    if params.damping is not None:
-        phys = phys * np.exp(-params.damping.samples ** 2 * (params.dt / 2.0))
-    c = np.fft.fftn(phys) / grid.n_points
-    if params.dealias:
-        c = np.where(_dealias_mask(grid), c, 0.0)
-    return FourierState(grid, c * half_linear)
+    return FourierState(u.grid, _StrangStep(u.grid, params)(u.coeffs))
 
 
 def evolve(u0: FourierState, T: float, params: NLSParams,
@@ -132,11 +158,14 @@ def evolve(u0: FourierState, T: float, params: NLSParams,
         else:
             obs.append(0.0)
 
+    step = _StrangStep(u0.grid, params)
     u = u0
     sample(0.0, u)
+    c = u0.coeffs
     for i in range(n_steps):
-        u = nls_step(u, params)
+        c = step(c)
         if (i + 1) % record_stride == 0 or i == n_steps - 1:
+            u = FourierState(u0.grid, c)
             sample((i + 1) * params.dt, u)
     record = DecayRecord(times=np.array(times), mass=np.array(mass),
                          energy=np.array(en), observed=np.array(obs))
@@ -168,57 +197,48 @@ def mass_decay_residual(record: DecayRecord) -> float:
 
 
 def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
-                        sigma: int, n_steps: int, dealias: bool = True):
+                        sigma: int, n_steps: int):
     """Integrate i u_t + Lap u = sigma|u|^2 u + chi^2 exp(i t Lap) phi0.
 
-    Split-step with the source injected at midpoints.  Returns the final
-    state, the accumulated interaction-picture nonlinear drift (the
-    discrete K phi0 of the fixed-point construction), and the trajectory
-    states at step boundaries.
+    Strang steps without dealiasing (the truncation mask acts linearly on
+    the state, which would leak an amplitude-independent term into the
+    drift and stall the Picard iteration), the source taken at each step's
+    midpoint t_j and integrated over the step.  Returns the final state
+    and the interaction-picture nonlinear drift, the discrete K phi0 of the
+    fixed point: sum_j exp(-i Lap t_j) * (nonlinear increment of step j).
     """
     grid = spec.grid
-    lam = grid.laplacian_symbol()
     dt = spec.T / n_steps
-    chi2 = spec.window.samples ** 2
-    mask = _dealias_mask(grid)
-    half = np.exp(1j * lam * (dt / 2.0))
+    step = _StrangStep(grid, NLSParams(sigma=sigma, dt=dt, dealias=False))
+    axes = tuple(range(1, grid.dim + 1))
+    t_mid, _ = quadrature_nodes(spec.T, n_steps, "midpoint")
+    # exp(i t_j Lap) for every midpoint, shape (n_steps, *grid.shape)
+    phases = np.exp(1j * t_mid.reshape((-1,) + (1,) * grid.dim)
+                    * grid.laplacian_symbol())
+    sources = np.fft.ifftn(phases * phi0.coeffs, axes=axes, norm="forward")
+    sources *= -1j * dt * spec.window.samples ** 2
+    sources = np.fft.fftn(sources, axes=axes, norm="forward")
 
-    c = u0.coeffs.copy()
-    drift = np.zeros_like(c)  # sum of interaction-picture nonlinear increments
-    states = [u0.coeffs.copy()]
-    for nstep in range(n_steps):
-        t_mid = (nstep + 0.5) * dt
-        w = c * half
-        if sigma != 0:
-            phys = np.fft.ifftn(w) * grid.n_points
-            rotated = phys * np.exp(-1j * sigma * np.abs(phys) ** 2 * dt)
-            w_new = np.fft.fftn(rotated) / grid.n_points
-            if dealias:
-                w_new = np.where(mask, w_new, 0.0)
-            delta = w_new - w
-            drift += np.exp(-1j * lam * t_mid) * delta
-            w = w_new
-        # control source at the midpoint, integrated over the step
-        g_modes = np.exp(1j * lam * t_mid) * phi0.coeffs
-        g_phys = np.fft.ifftn(g_modes) * grid.n_points
-        src = np.fft.fftn(chi2 * g_phys) / grid.n_points
-        w = w - 1j * dt * src
-        c = w * half
-        states.append(c.copy())
-    return FourierState(grid, c), FourierState(grid, drift), states
+    c = u0.coeffs
+    drift = np.zeros(grid.shape, dtype=complex)
+    for j in range(n_steps):
+        c_new = step(c, sources[j])
+        drift += phases[j].conj() * (c_new / step.half - sources[j] - step.half * c)
+        c = c_new
+    return FourierState(grid, c), FourierState(grid, drift)
 
 
 def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
                       tol: float = 1e-8, max_iter: int = 30,
-                      n_steps: int | None = None,
-                      cg_tol: float = 1e-10) -> tuple[FourierState, float, dict]:
+                      n_steps: int | None = None) -> tuple[FourierState, float, dict]:
     """Exact control of the cubic NLS to zero by Picard iteration.
 
     Iterates phi0 <- S^{-1}(-i*(u0 + drift(phi0))) where drift collects the
     interaction-picture nonlinear increments of the controlled forward
-    solve; S is the midpoint-rule Gramian on the stepper's own midpoints,
-    so the linear problem closes exactly and the certified forward
-    residual reduces to the solver tolerances.
+    solve.  S is the Gramian of the stepper's own midpoint source, in
+    closed form; it is Cholesky-factored once, and each iteration is one
+    triangular solve.  The linear problem thus closes exactly and the
+    certified forward residual reduces to roundoff and the Picard tol.
 
     Returns (phi0, forward residual, history dict).
     """
@@ -228,24 +248,19 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
         raise ValueError("grid mismatch")
     if n_steps is None:
         n_steps = max(256, spec.n_quad)
-    mid_spec = GramianSpec(T=spec.T, window=spec.window, n_quad=n_steps,
-                           quad_rule="midpoint")
+    grid = spec.grid
     u0_norm = u0.norm_l2()
     history = {"update_norms": [], "contraction_ratios": [], "iterations": 0}
     if u0_norm == 0.0:
-        return zero_state(spec.grid), 0.0, history
+        return zero_state(grid), 0.0, history
 
-    phi0 = zero_state(spec.grid)
+    factor = _cholesky(_closed_form_gramian(spec, n_steps), spec)
+    phi0 = zero_state(grid)
     prev_update = None
     for it in range(1, max_iter + 1):
-        # no dealiasing here: the truncation mask acts linearly on the
-        # state, which would leak an amplitude-independent term into the
-        # drift and stall the iteration; the data is small and smooth, so
-        # the exact splitting is the consistent choice.
-        _, drift, _ = _controlled_forward(u0, mid_spec, phi0, sigma, n_steps,
-                                          dealias=False)
-        rhs = FourierState(spec.grid, -1j * (u0.coeffs + drift.coeffs))
-        phi_new, _ = solve_gramian_system(mid_spec, rhs, cg_tol, 20000)
+        _, drift = _controlled_forward(u0, spec, phi0, sigma, n_steps)
+        rhs = -1j * (u0.coeffs + drift.coeffs).ravel()
+        phi_new = FourierState(grid, cho_solve(factor, rhs).reshape(grid.shape))
         update = (phi_new - phi0).norm_l2()
         history["update_norms"].append(update)
         if prev_update is not None and prev_update > 0:
@@ -266,8 +281,7 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
             f"no convergence in {max_iter} Picard iterations "
             f"(last update {history['update_norms'][-1]:.3e})"
         )
-    final, _, _ = _controlled_forward(u0, mid_spec, phi0, sigma, n_steps,
-                                      dealias=False)
+    final, _ = _controlled_forward(u0, spec, phi0, sigma, n_steps)
     residual = final.norm_l2()
     return phi0, residual, history
 
@@ -372,8 +386,10 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
     control).  Leg B drives conj(u1) to zero the same way; since
     v(t, x) = conj(u(T - t, x)) maps solutions of the cubic NLS to
     solutions of the same equation, that leg reversed and conjugated is a
-    valid 0 -> u1 trajectory and is emitted as such.
+    valid 0 -> u1 trajectory and is emitted as such.  Grids above
+    MAX_DENSE_POINTS modes raise DenseSizeError before any damped leg runs.
     """
+    check_dense_size(spec.grid)
     damping = spec.window
     if u0.norm_l2() == 0.0 and u1.norm_l2() == 0.0:
         return ControlSchedule(phases=[], endpoint_error_to_zero=0.0,

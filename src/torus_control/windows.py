@@ -26,12 +26,6 @@ def _bump_ramp(t: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def smoothstep_ramp(t: np.ndarray) -> np.ndarray:
-    """Polynomial (C^2) smoothstep alternative to the exp-based ramp."""
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
-
-
 @dataclass(frozen=True)
 class CutoffWindow:
     """Sampled cutoff chi_omega on the physical grid.
@@ -58,7 +52,7 @@ class CutoffWindow:
 
 
 def _interval_profile(x: np.ndarray, a: float, b: float, width: float,
-                      kind: str, profile: str) -> np.ndarray:
+                      kind: str) -> np.ndarray:
     """Window profile of a single interval (a, b), evaluated with torus wrap."""
     length = b - a
     # Position within the interval, wrapped onto the torus.
@@ -66,14 +60,13 @@ def _interval_profile(x: np.ndarray, a: float, b: float, width: float,
     inside = rel < length
     if kind == "sharp":
         return np.where(inside & (rel > 0.0), 1.0, 0.0)
-    ramp = _bump_ramp if profile == "bump" else smoothstep_ramp
-    rise = ramp(rel / width)
-    fall = ramp((length - rel) / width)
+    rise = _bump_ramp(rel / width)
+    fall = _bump_ramp((length - rel) / width)
     return np.where(inside, np.minimum(rise, fall), 0.0)
 
 
 def make_window(grid: GridSpec, omega, transition_width: float = 0.05,
-                kind: str = "smooth", profile: str = "bump") -> CutoffWindow:
+                kind: str = "smooth") -> CutoffWindow:
     """Build a cutoff window for a union of intervals on the first axis.
 
     omega: a single (a, b) pair or a list of them, with 0 <= a < b <= 1.
@@ -109,7 +102,7 @@ def make_window(grid: GridSpec, omega, transition_width: float = 0.05,
         if (a, b) == (0.0, 1.0):
             prof = np.ones_like(x)
             break
-        prof = np.maximum(prof, _interval_profile(x, a, b, transition_width, kind, profile))
+        prof = np.maximum(prof, _interval_profile(x, a, b, transition_width, kind))
     if grid.dim == 2:
         prof = np.repeat(prof[:, None], grid.modes_per_axis, axis=1)
     return CutoffWindow(grid=grid, samples=prof, omega=tuple(omega),

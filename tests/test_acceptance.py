@@ -33,7 +33,7 @@ def test_01_full_torus_observability_is_unit():
     t0 = time.time()
     g = make_grid(1, 64)
     spec = GramianSpec(T=1.0, window=full_window(g))
-    c_t = observability_constant(spec, method="dense")
+    c_t = observability_constant(spec)
     elapsed = time.time() - t0
     ok = abs(c_t - 1.0) <= 1e-8 and elapsed < 1.0
     report("full-torus constant", ok,
@@ -77,7 +77,7 @@ def test_04_forward_observability_to_resolvent():
     t0 = time.time()
     g = make_grid(1, 64)
     w = make_window(g, (0.0, 0.2), 0.05, "smooth")
-    c_t = observability_constant(GramianSpec(T=1.0, window=w), method="dense")
+    c_t = observability_constant(GramianSpec(T=1.0, window=w))
     m_big, m_small = constants_from_observability(c_t, 1.0)
     rng = np.random.default_rng(0)
     lam_samples = rng.uniform(-1.2 * (2 * np.pi * 32) ** 2, 50.0, size=50)

@@ -119,6 +119,24 @@ def test_dense_size_guard_exit_2(tmp_path, base_cfg, capsys):
     assert not (out / "error.json").exists()
 
 
+def test_global_control_size_guard_before_damping(tmp_path, base_cfg, capsys,
+                                                 monkeypatch):
+    # 2D N = 46 is 2116 modes: refused before the damped leg starts
+    def no_damping(*args, **kwargs):
+        raise AssertionError("damped leg ran before the size guard")
+
+    monkeypatch.setattr("torus_control.nls._stabilize_to_threshold", no_damping)
+    base_cfg["grid"] = {"dim": 2, "N": 46}
+    base_cfg["window"] = {"omega": [[0.0, 0.3]]}
+    base_cfg["initial_state"] = {"norm": 0.3, "max_mode": 8}
+    base_cfg["nls"] = {"sigma": -1, "dt": 1e-3}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["global-control", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: grid.N" in capsys.readouterr().err
+    assert not (out / "error.json").exists()
+
+
 def test_control_trajectory_ends_at_residual(tmp_path, base_cfg):
     cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
     out = tmp_path / "out"
@@ -158,6 +176,15 @@ def test_config_errors_exit_2(tmp_path, base_cfg):
                     {"grid": {"dim": 1, "N": 32},
                      "window": {"omega": [[0.5, 0.4]]}})
     assert main(["observability", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("field,value", [("dt", -1), ("dt", "x"), ("sigma", 2)])
+def test_invalid_nls_field_exit_2(tmp_path, base_cfg, capsys, field, value):
+    base_cfg["nls"] = {field: value}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    for sub in ("simulate", "stabilize", "global-control"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: nls: " in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_3(tmp_path):

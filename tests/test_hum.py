@@ -10,10 +10,10 @@ from torus_control import (FourierState, GramianSpec, GramianSingularError,
                            observability_constant, random_state, solve_hum,
                            synthesize_control)
 from torus_control.hum import (MAX_DENSE_POINTS, HUMConvergenceError,
-                               check_dense_size, hum_regularity_ratio,
-                               lambda_min_dense, lambda_min_iterative,
-                               quadrature_nodes, resolved_n_quad,
-                               solve_gramian_system, window_mode_matrix)
+                               _closed_form_gramian, check_dense_size,
+                               hum_regularity_ratio, lambda_min_dense,
+                               lambda_min_iterative, quadrature_nodes,
+                               resolved_n_quad, window_mode_matrix)
 
 
 @pytest.fixture
@@ -94,9 +94,12 @@ def test_window_mode_matrix_2d_is_convolution():
 
 def test_dense_size_guard():
     # refused before any n_points x n_points allocation
-    huge = GramianSpec(T=1.0, window=full_window(make_grid(1, 2 * MAX_DENSE_POINTS)))
+    # (2**20 modes: an n x n array could not be allocated at all)
+    huge = GramianSpec(T=1.0, window=full_window(make_grid(1, 2 ** 20)))
     with pytest.raises(ValueError, match="2048"):
         dense_gramian(huge)
+    with pytest.raises(ValueError, match="2048"):
+        _closed_form_gramian(huge, 256)
     with pytest.raises(ValueError):
         observability_constant(GramianSpec(T=1.0, window=full_window(make_grid(2, 46))))
     check_dense_size(make_grid(1, MAX_DENSE_POINTS))
@@ -114,18 +117,16 @@ def test_lambda_min_dense_vs_iterative(small_setup):
 def test_observability_constant_methods_agree(small_setup):
     g, w, _ = small_setup
     spec = GramianSpec(T=1.0, window=w, n_quad=resolved_n_quad(g, 1.0))
-    c_dense = observability_constant(spec, method="dense")
-    c_iter = observability_constant(spec, method="iterative")
+    c_dense = observability_constant(spec)
+    c_iter = 1.0 / lambda_min_iterative(spec)
     assert c_iter == pytest.approx(c_dense, rel=1e-8)
     assert c_dense > 1.0  # partial observation costs more than the full torus
-    with pytest.raises(ValueError):
-        observability_constant(spec, method="magic")
 
 
 def test_observability_constant_full_window_is_inverse_t():
     g = make_grid(1, 32)
     spec = GramianSpec(T=0.5, window=full_window(g))
-    assert observability_constant(spec, method="dense") == pytest.approx(2.0, abs=1e-10)
+    assert observability_constant(spec) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_singular_gramian_raises():
@@ -135,7 +136,7 @@ def test_singular_gramian_raises():
     assert w.samples.sum() == 0.0
     spec = GramianSpec(T=1.0, window=w)
     with pytest.raises(GramianSingularError):
-        observability_constant(spec, method="dense")
+        observability_constant(spec)
 
 
 def test_solve_hum_certified_closed_loop(small_setup):
@@ -204,14 +205,6 @@ def test_solve_hum_zero_target(small_setup):
     assert sol.phi0.norm_l2() == 0.0
 
 
-def test_solve_gramian_system_convergence_error(small_setup):
-    g, _, spec = small_setup
-    u0 = random_state(g, np.random.default_rng(3))
-    rhs = u0 * (-1j)
-    with pytest.raises(HUMConvergenceError):
-        solve_gramian_system(spec, rhs, 1e-14, 2)
-
-
 def test_synthesize_control_is_observed_free_flow(small_setup):
     g, w, spec = small_setup
     phi0 = random_state(g, np.random.default_rng(4))
@@ -238,3 +231,17 @@ def test_resolved_n_quad_scales_with_bandwidth():
     g32, g64 = make_grid(1, 32), make_grid(1, 64)
     assert resolved_n_quad(g64, 1.0) > 3 * resolved_n_quad(g32, 1.0)
     assert resolved_n_quad(g32, 2.0) > 1.5 * resolved_n_quad(g32, 1.0)
+
+
+@pytest.mark.parametrize("n,T,n_steps", [(32, 1.0, 256), (64, 1.0, 256),
+                                         (64, 1.0 / np.pi, 384)])
+def test_midpoint_gramian_matches_quadrature_oracle(n, T, n_steps):
+    # the closed-form midpoint kernel against the node-by-node midpoint sum;
+    # at N = 64, T = 1/pi, 384 steps, modes 16 and 8 have d*h/2 = pi exactly
+    g = make_grid(1, n)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    oracle = dense_gramian(GramianSpec(T=T, window=w, n_quad=n_steps,
+                                       quad_rule="midpoint"), exact_time=False)
+    closed = _closed_form_gramian(GramianSpec(T=T, window=w), n_steps)
+    assert np.linalg.norm(closed - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert np.max(np.abs(closed - oracle)) <= 1e-12 * np.max(np.abs(oracle))

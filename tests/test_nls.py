@@ -52,6 +52,18 @@ def test_plane_wave_dispersion_relation():
     assert abs(u.coeffs[k] - amp * np.exp(-1j * omega)) < 1e-12
 
 
+def test_evolve_matches_repeated_steps():
+    g = make_grid(1, 64)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    u0 = random_state(g, np.random.default_rng(9), norm=1.0, max_mode=16)
+    params = NLSParams(sigma=-1, dt=1e-3, damping=w, dealias=True)
+    u_evolved, _ = evolve(u0, 0.2, params, record_stride=50)
+    u = u0
+    for _ in range(200):
+        u = nls_step(u, params)
+    assert np.max(np.abs(u_evolved.coeffs - u.coeffs)) <= 1e-14
+
+
 def test_linear_limit_matches_free_flow():
     from torus_control import free_propagate
 
@@ -124,6 +136,18 @@ def test_local_control_reaches_zero():
     assert residual <= 1e-6 * u0.norm_l2()
     assert hist["iterations"] <= 10
     assert max(hist["contraction_ratios"]) < 0.5
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_local_control_linear_limit_is_exact(n):
+    # sigma = 0: one solve with the stepper's own factored Gramian closes
+    # the discrete linear problem to roundoff
+    g = make_grid(1, n)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    spec = GramianSpec(T=1.0, window=w)
+    u0 = random_state(g, np.random.default_rng(10), norm=0.05, max_mode=8)
+    _, residual, _ = local_control_nls(u0, spec, sigma=0, tol=1e-8)
+    assert residual <= 1e-12 * u0.norm_l2()
 
 
 def test_local_control_zero_data_is_trivial():

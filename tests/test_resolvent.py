@@ -112,7 +112,7 @@ def test_sweep_and_reverse_time_map(setup32):
 def test_constants_from_observability_forward_map(setup32):
     g, w = setup32
     t_obs = 0.4
-    c_t = observability_constant(GramianSpec(T=t_obs, window=w), method="dense")
+    c_t = observability_constant(GramianSpec(T=t_obs, window=w))
     m_big, m_small = constants_from_observability(c_t, t_obs)
     assert m_big == pytest.approx(2.0 * c_t * t_obs ** 3 / 3.0)
     assert m_small == pytest.approx(2.0 * c_t * t_obs)
@@ -126,7 +126,7 @@ def test_constants_from_observability_forward_map(setup32):
 def test_wave_resolvent_check(setup32):
     g, w = setup32
     t_obs = 0.4
-    c_t = observability_constant(GramianSpec(T=t_obs, window=w), method="dense")
+    c_t = observability_constant(GramianSpec(T=t_obs, window=w))
     m_big, m_small = constants_from_observability(c_t, t_obs)
     rng = np.random.default_rng(3)
     for lam in (1.0, 7.3, 40.0):
