@@ -5,7 +5,9 @@ The damped equation i u_t + Lap u = sigma |u|^2 u - i chi^2 u dissipates
 mass at a rate set by the observability of chi.  Once the state is small,
 a Picard iteration around the linear HUM control steers it exactly to
 zero; chaining one such leg forward and one time-reversed leg steers any
-small state to any other.
+small state to any other.  In the global schedule each damped phase stops
+at the first 10-step check with ||u|| <= mass_threshold, and the control
+phases run with the same NLSParams.
 """
 
 import numpy as np
@@ -40,8 +42,8 @@ print(f"  contraction ratios: "
 # ---- global schedule ---------------------------------------------------
 u_start = random_state(g, rng, norm=0.8, max_mode=8)
 u_target = random_state(g, np.random.default_rng(99), norm=0.2, max_mode=8)
-sched = global_control(u_start, u_target, spec, sigma=-1,
-                       mass_threshold=0.05, dt=1e-3)
+sched = global_control(u_start, u_target, spec, NLSParams(sigma=-1, dt=1e-3),
+                       mass_threshold=0.05)
 print(f"\nglobal schedule {u_start.norm_l2():.2f} -> target "
       f"{u_target.norm_l2():.2f}:")
 for ph in sched.phases:

@@ -46,6 +46,28 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
     return node
 
 
+def _number(cfg: dict, path: str, default: float, allow_zero: bool = False) -> float:
+    """Config field `path` as a finite positive float (or zero, if allowed)."""
+    value = _get(cfg, path, default)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = np.nan
+    if not (0.0 < x < np.inf or (allow_zero and x == 0.0)):
+        sign = "non-negative" if allow_zero else "positive"
+        raise ConfigError(f"{path}: expected a finite {sign} number, got {value!r}")
+    return x
+
+
+def _integer(cfg: dict, path: str) -> int | None:
+    """Optional config field `path` as an int."""
+    value = _get(cfg, path)
+    try:
+        return None if value is None else int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}") from None
+
+
 def _build_grid(cfg):
     dim = _get(cfg, "grid.dim", 1)
     n = _get(cfg, "grid.N", required=True)
@@ -72,23 +94,23 @@ def _build_window(cfg, grid):
 
 
 def _build_gramian_spec(cfg, window):
+    T = _number(cfg, "horizon.T", 1.0)
+    n_quad = _integer(cfg, "quadrature.n_quad")
     try:
-        return GramianSpec(
-            T=float(_get(cfg, "horizon.T", 1.0)),
-            window=window,
-            n_quad=_get(cfg, "quadrature.n_quad"),
-            quad_rule=_get(cfg, "quadrature.rule", "gauss-legendre"),
-        )
+        return GramianSpec(T=T, window=window, n_quad=n_quad,
+                           quad_rule=_get(cfg, "quadrature.rule", "gauss-legendre"))
     except ValueError as exc:
-        raise ConfigError(f"quadrature/horizon: {exc}") from exc
+        raise ConfigError(f"quadrature: {exc}") from exc
 
 
 def _build_nls_params(cfg, damping=None):
     try:
+        dealias = _get(cfg, "nls.dealias", True)
+        if not isinstance(dealias, bool):
+            raise ValueError(f"dealias must be true or false, got {dealias!r}")
         return NLSParams(sigma=int(_get(cfg, "nls.sigma", -1)),
                          dt=float(_get(cfg, "nls.dt", 1e-3)),
-                         damping=damping,
-                         dealias=bool(_get(cfg, "nls.dealias", True)))
+                         damping=damping, dealias=dealias)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"nls: {exc}") from exc
 
@@ -97,10 +119,9 @@ def _initial_state(cfg, grid, rng):
     ucfg = _get(cfg, "initial_state")
     if isinstance(ucfg, dict) and "coeffs" in ucfg:
         return state_from_json(ucfg)
-    norm = float(_get(cfg, "initial_state.norm", 1.0))
-    max_mode = _get(cfg, "initial_state.max_mode")
-    return random_state(grid, rng, norm=norm,
-                        max_mode=None if max_mode is None else int(max_mode))
+    return random_state(grid, rng,
+                        norm=_number(cfg, "initial_state.norm", 1.0, allow_zero=True),
+                        max_mode=_integer(cfg, "initial_state.max_mode"))
 
 
 def _report(args, cfg, results: dict, out_dir: Path, name: str) -> None:
@@ -117,8 +138,7 @@ def _cmd_simulate(args, cfg, rng, out_dir):
     params = _build_nls_params(
         cfg, damping=window if _get(cfg, "nls.damped", False) else None)
     u0 = _initial_state(cfg, grid, rng)
-    T = float(_get(cfg, "horizon.T", 1.0))
-    final, record = evolve(u0, T, params)
+    final, record = evolve(u0, _number(cfg, "horizon.T", 1.0), params)
     if args.format in ("csv", "both"):
         write_decay_csv(out_dir / "simulate.csv", record)
     results = {"final_mass": record.mass[-1], "initial_mass": record.mass[0],
@@ -132,7 +152,7 @@ def _cmd_control(args, cfg, rng, out_dir):
     window = _build_window(cfg, grid)
     spec = _build_gramian_spec(cfg, window)
     u0 = _initial_state(cfg, grid, rng)
-    sol = solve_hum(spec, u0, tol=float(_get(cfg, "solver.tol", 1e-8)))
+    sol = solve_hum(spec, u0, tol=_number(cfg, "solver.tol", 1e-8))
     record, residual = drive_linear(u0, spec, sol.phi0)
     if args.format in ("csv", "both"):
         write_trajectory_csv(out_dir / "control_trajectory.csv",
@@ -206,10 +226,9 @@ def _cmd_stabilize(args, cfg, rng, out_dir):
     window = _build_window(cfg, grid)
     params = _build_nls_params(cfg, damping=window)
     u0 = _initial_state(cfg, grid, rng)
-    T = float(_get(cfg, "horizon.T", 10.0))
-    final, record = evolve(u0, T, params, record_stride=10)
+    final, record = evolve(u0, _number(cfg, "horizon.T", 10.0), params,
+                           record_stride=10)
     gamma = fit_decay_rate(record)
-    record.gamma_fit = gamma
     if args.format in ("csv", "both"):
         write_decay_csv(out_dir / "stabilize.csv", record)
     results = {"gamma_fit": gamma, "initial_mass": record.mass[0],
@@ -224,16 +243,15 @@ def _cmd_global_control(args, cfg, rng, out_dir):
     spec = _build_gramian_spec(cfg, window)
     params = _build_nls_params(cfg)
     u0 = _initial_state(cfg, grid, rng)
-    t_norm = float(_get(cfg, "target.norm", 0.0))
+    t_norm = _number(cfg, "target.norm", 0.0, allow_zero=True)
+    max_mode = _integer(cfg, "target.max_mode")
     if t_norm > 0.0:
-        u1 = random_state(grid, rng, norm=t_norm,
-                          max_mode=_get(cfg, "target.max_mode"))
+        u1 = random_state(grid, rng, norm=t_norm, max_mode=max_mode)
     else:
         u1 = FourierState(grid, np.zeros(grid.shape, dtype=complex))
     schedule = global_control(
-        u0, u1, spec, sigma=params.sigma,
-        mass_threshold=float(_get(cfg, "nls.mass_threshold", 0.05)),
-        tol=float(_get(cfg, "solver.tol", 1e-8)), dt=params.dt)
+        u0, u1, spec, params, mass_threshold=_number(cfg, "nls.mass_threshold", 0.05),
+        tol=_number(cfg, "solver.tol", 1e-8))
     phases = [{"phase": i, "type": ph.kind, "t_start": ph.t_start,
                "t_end": ph.t_end,
                "phi0": state_to_json(ph.phi0) if ph.phi0 is not None else None,

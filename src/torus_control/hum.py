@@ -74,8 +74,8 @@ class GramianSpec:
     quad_rule: str = "gauss-legendre"
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError("T must be positive")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError("T must be positive and finite")
         if self.quad_rule not in ("gauss-legendre", "trapezoid", "midpoint"):
             raise ValueError(f"unknown quadrature rule {self.quad_rule!r}")
         if self.n_quad is None:
@@ -173,13 +173,7 @@ class _GramianApplier:
         return acc
 
     def apply_one(self, coeffs: np.ndarray) -> np.ndarray:
-        ph = self.phases
-        v = ph * coeffs[None, ...]
-        v = np.fft.ifftn(v, axes=self.fft_axes)
-        v *= self.chi2
-        v = np.fft.fftn(v, axes=self.fft_axes)
-        v *= np.conj(ph)
-        return np.tensordot(self.weights, v, axes=(0, 0))
+        return self.apply_batch(coeffs[None])[0]
 
 
 def apply_gramian(spec: GramianSpec, phi0: FourierState) -> FourierState:

@@ -18,16 +18,8 @@ from .grid import FourierState, GridSpec, make_grid
 from .windows import CutoffWindow
 
 
-def _fft_to_ascending(coeffs: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(coeffs)
-
-
-def _ascending_to_fft(coeffs: np.ndarray) -> np.ndarray:
-    return np.fft.ifftshift(coeffs)
-
-
 def state_to_json(u: FourierState) -> dict:
-    c = _fft_to_ascending(u.coeffs).reshape(-1)
+    c = np.fft.fftshift(u.coeffs).reshape(-1)
     return {
         "dim": u.grid.dim,
         "N": u.grid.modes_per_axis,
@@ -40,7 +32,7 @@ def state_from_json(obj: dict) -> FourierState:
     flat = np.array([complex(re, im) for re, im in obj["coeffs"]])
     if flat.size != grid.n_points:
         raise ValueError("coefficient count does not match grid")
-    return FourierState(grid, _ascending_to_fft(flat.reshape(grid.shape)))
+    return FourierState(grid, np.fft.ifftshift(flat.reshape(grid.shape)))
 
 
 def window_to_json(w: CutoffWindow) -> dict:
@@ -73,8 +65,8 @@ def write_decay_csv(path: Path, record) -> None:
 
 
 def write_sweep_csv(path: Path, result) -> None:
-    write_csv(path, ["lambda", "M_best", "feasible"],
-              [[f"{lam:.12g}", f"{mm:.12g}", "true"]
+    write_csv(path, ["lambda", "M_best"],
+              [[f"{lam:.12g}", f"{mm:.12g}"]
                for lam, mm in zip(result.lambda_grid, result.M_of_lambda)])
 
 

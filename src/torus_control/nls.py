@@ -11,10 +11,11 @@ where the nonlinear sub-flow is the exact pointwise rotation
 u -> u * exp(-i*sigma*|u|^2*dt) and the damping sub-flow the pointwise
 factor exp(-chi^2 * dt/2).  Without damping every sub-step is an
 isometry, so mass is conserved to roundoff; energy drifts at O(dt^2).
-`nls_step`, `evolve` and the controlled solve all run this one step,
-built once per (grid, dt, sigma, damping, dealias); the controlled solve
-adds its source, integrated over the step at the midpoint, after the
-nonlinear sub-flow.
+`nls_step`, `evolve`, the damped legs of global control and the
+controlled solve all run this one step, built once per (grid, dt, sigma,
+damping, dealias); the controlled solve adds its source, integrated over
+the step at the midpoint, after the nonlinear sub-flow.  A damped leg
+stops at the first 10-step check with ||u|| at or below its threshold.
 
 With damping the mass obeys d/dt ||u||^2 = -2 ||chi u||^2, checked
 against the trapezoid integral of the recorded observed series.
@@ -29,7 +30,7 @@ vanishes up to roundoff and the Picard tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -62,8 +63,8 @@ class NLSParams:
     def __post_init__(self):
         if self.sigma not in (-1, 0, 1):
             raise ValueError("sigma must be -1, 0 or +1 (0 disables the nonlinearity)")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
 
 
 @dataclass
@@ -74,7 +75,6 @@ class DecayRecord:
     mass: np.ndarray
     energy: np.ndarray
     observed: np.ndarray
-    gamma_fit: float | None = None
 
     def __post_init__(self):
         n = len(self.times)
@@ -140,8 +140,8 @@ def nls_step(u: FourierState, params: NLSParams) -> FourierState:
 def evolve(u0: FourierState, T: float, params: NLSParams,
            record_stride: int = 1) -> tuple[FourierState, DecayRecord]:
     """Evolve for time T, recording mass, energy and observed mass."""
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    if not 0.0 < T < np.inf:
+        raise ValueError("T must be positive and finite")
     n_steps = int(round(T / params.dt))
     if abs(n_steps * params.dt - T) > 1e-9 * max(T, 1.0):
         n_steps = int(np.ceil(T / params.dt))
@@ -175,19 +175,21 @@ def evolve(u0: FourierState, T: float, params: NLSParams,
 def fit_decay_rate(record: DecayRecord, tail_fraction: float = 0.5) -> float:
     """Exponential decay rate gamma from ||u(t)|| <= C e^{-gamma t}:
     least-squares slope of log(mass)/2 over the record's tail."""
+    return _decay_rate(record.times, record.mass, tail_fraction)
+
+
+def _decay_rate(times: np.ndarray, mass: np.ndarray, tail_fraction: float) -> float:
     if not (0.0 < tail_fraction <= 1.0):
         raise ValueError("tail_fraction must lie in (0, 1]")
-    n = len(record.times)
+    n = len(times)
     start = max(0, n - max(10, int(np.ceil(tail_fraction * n))))
-    t = record.times[start:]
-    m = record.mass[start:]
+    t, m = times[start:], mass[start:]
     if len(t) < 10:
         raise ValueError("need at least 10 samples in the tail window")
     if np.any(m <= 0.0):
         raise ValueError("non-positive mass in the tail window")
     slope = np.polyfit(t, np.log(m), 1)[0]
-    gamma = -slope / 2.0
-    return max(0.0, gamma)
+    return max(0.0, -slope / 2.0)
 
 
 def mass_decay_residual(record: DecayRecord) -> float:
@@ -314,7 +316,6 @@ class ControlPhase:
     t_start: float
     t_end: float
     phi0: FourierState | None = None
-    record: DecayRecord | None = None
     conjugate_reversed: bool = False
 
 
@@ -325,85 +326,80 @@ class ControlSchedule:
     endpoint_error_to_target: float
 
 
-def _stabilize_to_threshold(u0: FourierState, damping: CutoffWindow, sigma: int,
-                            dt: float, threshold: float,
-                            gamma_floor: float = 1e-4):
-    """Damped evolution until ||u|| <= threshold; horizon capped at
-    50 / gamma_est with the rate re-fit every 10 time units."""
-    params = NLSParams(sigma=sigma, dt=dt, damping=damping, dealias=True)
-    u = u0
-    t_total = 0.0
-    records = []
-    gamma_est = None
-    while u.norm_l2() > threshold:
-        u, rec = evolve(u, 10.0, params, record_stride=10)
-        rec.times = rec.times + t_total
-        records.append(rec)
-        t_total += 10.0
-        gamma_est = fit_decay_rate(rec, tail_fraction=0.9)
-        if gamma_est < gamma_floor:
-            raise StabilizationStallError(
-                f"decay rate {gamma_est:.3e} below floor {gamma_floor:.1e}"
-            )
-        if t_total > 50.0 / gamma_est:
-            raise StabilizationStallError(
-                f"threshold {threshold} not reached within horizon cap "
-                f"50/gamma = {50.0 / gamma_est:.1f}"
-            )
-    merged = DecayRecord(
-        times=np.concatenate([r.times for r in records]) if records else np.array([0.0]),
-        mass=np.concatenate([r.mass for r in records]) if records else np.array([u.norm_l2() ** 2]),
-        energy=np.concatenate([r.energy for r in records]) if records else np.array([energy(u, sigma)]),
-        observed=np.concatenate([r.observed for r in records]) if records else np.array([0.0]),
-    )
-    if gamma_est is not None:
-        merged.gamma_fit = gamma_est
-    return u, t_total, merged
+def _stabilize_to_threshold(u0: FourierState, params: NLSParams, threshold: float,
+                            gamma_floor: float = 1e-4) -> tuple[FourierState, float]:
+    """Damped evolution under `params` until ||u|| <= threshold, checked
+    every 10 steps; returns the state and the time of the first check at or
+    below the threshold.  The decay rate is re-fit over each completed span
+    of 10 time units; the leg stalls when it drops below `gamma_floor` or
+    the time passes the horizon cap 50 / gamma."""
+    stride = 10
+    h = stride * params.dt
+    span = int(np.ceil(10.0 / h - 1e-9))  # checks per 10-time-unit span
+    step = _StrangStep(u0.grid, params)
+    c = u0.coeffs
+    norms = [np.linalg.norm(c)]
+    checks = 0
+    while norms[-1] > threshold:
+        if len(norms) > span:
+            gamma = _decay_rate(h * np.arange(len(norms)), np.square(norms), 0.9)
+            if gamma < gamma_floor:
+                raise StabilizationStallError(
+                    f"decay rate {gamma:.3e} below floor {gamma_floor:.1e}")
+            if checks * h > 50.0 / gamma:
+                raise StabilizationStallError(
+                    f"threshold {threshold} not reached within horizon cap "
+                    f"50/gamma = {50.0 / gamma:.1f}")
+            norms = norms[-1:]
+        for _ in range(stride):
+            c = step(c)
+        checks += 1
+        norms.append(np.linalg.norm(c))
+    return FourierState(u0.grid, c), checks * h
 
 
-def _drive_to_zero(u0: FourierState, damping: CutoffWindow, control_spec: GramianSpec,
-                   sigma: int, mass_threshold: float, dt: float, tol: float):
-    """Phases (1)+(2): damp below threshold, then local control to zero."""
-    phases = []
-    t = 0.0
-    u = u0
+def _drive_to_zero(u0: FourierState, spec: GramianSpec, params: NLSParams,
+                   mass_threshold: float, tol: float):
+    """Phases (1)+(2): damp under `params` below the threshold, then local
+    control to zero."""
+    phases, t, u = [], 0.0, u0
     if u.norm_l2() > mass_threshold:
-        u, t_damp, rec = _stabilize_to_threshold(u, damping, sigma, dt, mass_threshold)
-        phases.append(ControlPhase(kind="damped", t_start=0.0, t_end=t_damp, record=rec))
-        t = t_damp
-    phi0, residual, _ = local_control_nls(u, control_spec, sigma=sigma, tol=tol)
-    phases.append(ControlPhase(kind="control", t_start=t, t_end=t + control_spec.T,
+        u, t = _stabilize_to_threshold(u, params, mass_threshold)
+        phases.append(ControlPhase(kind="damped", t_start=0.0, t_end=t))
+    phi0, residual, _ = local_control_nls(u, spec, sigma=params.sigma, tol=tol)
+    phases.append(ControlPhase(kind="control", t_start=t, t_end=t + spec.T,
                                phi0=phi0))
     return phases, residual
 
 
 def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
-                   sigma: int = -1, mass_threshold: float = 0.05,
-                   tol: float = 1e-8, dt: float = 1e-3) -> ControlSchedule:
+                   params: NLSParams = NLSParams(), mass_threshold: float = 0.05,
+                   tol: float = 1e-8) -> ControlSchedule:
     """Stabilize-then-control schedule steering u0 to u1.
 
-    Leg A drives u0 to zero (damped phase below the threshold, then local
-    control).  Leg B drives conj(u1) to zero the same way; since
+    Leg A drives u0 to zero: a damped phase that stops at the first
+    10-step check with ||u|| <= mass_threshold (an L2 norm, not a mass),
+    then local control.  The damped phases run `params` (sigma, dt,
+    dealias) with its damping replaced by spec.window; the control phases
+    take its sigma.  Leg B drives conj(u1) to zero the same way; since
     v(t, x) = conj(u(T - t, x)) maps solutions of the cubic NLS to
     solutions of the same equation, that leg reversed and conjugated is a
     valid 0 -> u1 trajectory and is emitted as such.  Grids above
     MAX_DENSE_POINTS modes raise DenseSizeError before any damped leg runs.
     """
     check_dense_size(spec.grid)
-    damping = spec.window
+    params = replace(params, damping=spec.window)
     if u0.norm_l2() == 0.0 and u1.norm_l2() == 0.0:
         return ControlSchedule(phases=[], endpoint_error_to_zero=0.0,
                                endpoint_error_to_target=0.0)
     phases_a, err_a = ([], 0.0)
     if u0.norm_l2() > 0.0:
-        phases_a, err_a = _drive_to_zero(u0, damping, spec, sigma, mass_threshold,
-                                         dt, tol)
+        phases_a, err_a = _drive_to_zero(u0, spec, params, mass_threshold, tol)
     phases_b, err_b = ([], 0.0)
     if u1.norm_l2() > 0.0:
         # pointwise complex conjugate in physical space
         conj_target = FourierState(u1.grid, np.fft.fftn(np.conj(np.fft.ifftn(u1.coeffs))))
-        raw, err_b = _drive_to_zero(conj_target, damping, spec, sigma,
-                                    mass_threshold, dt, tol)
+        raw, err_b = _drive_to_zero(conj_target, spec, params, mass_threshold, tol)
         t_off = (phases_a[-1].t_end if phases_a else 0.0)
         total_b = raw[-1].t_end
         for ph in reversed(raw):
@@ -411,7 +407,7 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
                 kind=ph.kind,
                 t_start=t_off + total_b - ph.t_end,
                 t_end=t_off + total_b - ph.t_start,
-                phi0=ph.phi0, record=ph.record, conjugate_reversed=True,
+                phi0=ph.phi0, conjugate_reversed=True,
             ))
     return ControlSchedule(phases=phases_a + phases_b,
                            endpoint_error_to_zero=err_a,

@@ -50,9 +50,6 @@ class ResolventSweepResult:
     def miller_time(self) -> float:
         return float(np.pi * np.sqrt(self.M_sup))
 
-    def miller_cost(self, T: float) -> float:
-        return miller_cost_bound(self.M_sup, self.m_fixed, T)
-
 
 def best_resolvent_constant(lam: float, m: float, window: CutoffWindow,
                             grid: GridSpec, kernel_tol: float = 1e-9) -> float:

@@ -257,8 +257,8 @@ def test_12_global_strategy_end_to_end():
     rng = np.random.default_rng(0)
     u0 = random_state(g, rng, norm=1.0, max_mode=16)
     u1 = random_state(g, rng, norm=1.0, max_mode=16)
-    sched = global_control(u0, u1, spec, sigma=-1, mass_threshold=0.05,
-                           tol=1e-8, dt=1e-3)
+    sched = global_control(u0, u1, spec, NLSParams(sigma=-1, dt=1e-3),
+                           mass_threshold=0.05, tol=1e-8)
     elapsed = time.time() - t0
     ok = (sched.endpoint_error_to_zero <= 1e-4
           and sched.endpoint_error_to_target <= 1e-4 and elapsed < 600.0)

@@ -178,13 +178,56 @@ def test_config_errors_exit_2(tmp_path, base_cfg):
     assert main(["observability", "--config", cfg]) == 2
 
 
-@pytest.mark.parametrize("field,value", [("dt", -1), ("dt", "x"), ("sigma", 2)])
+@pytest.mark.parametrize("field,value", [("dt", -1), ("dt", "x"), ("sigma", 2),
+                                         ("dealias", "false")])
 def test_invalid_nls_field_exit_2(tmp_path, base_cfg, capsys, field, value):
     base_cfg["nls"] = {field: value}
     cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
     for sub in ("simulate", "stabilize", "global-control"):
         assert main([sub, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "config error: nls: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub,path,value", [
+    ("simulate", "horizon.T", -1),
+    ("simulate", "horizon.T", float("nan")),
+    ("stabilize", "horizon.T", "x"),
+    ("global-control", "nls.mass_threshold", "x"),
+    ("global-control", "solver.tol", "x"),
+    ("global-control", "target.max_mode", "x"),
+    ("control", "solver.tol", "x"),
+    ("observability", "horizon.T", float("nan")),
+])
+def test_invalid_config_field_exit_2(tmp_path, base_cfg, capsys, sub, path, value):
+    base_cfg["target"] = {"norm": 0.2, "max_mode": 8}
+    section, key = path.split(".")
+    base_cfg.setdefault(section, {})[key] = value
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+    assert not (out / "error.json").exists()
+
+
+def test_global_control_damped_legs_honour_dealias(tmp_path, base_cfg, monkeypatch):
+    from torus_control import nls
+
+    seen = []
+    original = nls._stabilize_to_threshold
+
+    def spy(*args, **kwargs):
+        seen.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nls, "_stabilize_to_threshold", spy)
+    base_cfg["window"] = {"omega": [[0.0, 0.3]]}
+    base_cfg["initial_state"] = {"norm": 0.3, "max_mode": 8}
+    base_cfg["target"] = {"norm": 0.2, "max_mode": 8}
+    base_cfg["nls"] = {"sigma": -1, "dt": 1e-3, "dealias": False}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    assert main(["global-control", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(seen) == 2
+    assert all(p.dealias is False and p.damping is not None for p in seen)
 
 
 def test_numerical_failure_exit_3(tmp_path):

@@ -44,6 +44,13 @@ def test_gramian_spec_validation(small_setup):
         GramianSpec(T=1.0, window=w, n_quad=0)
 
 
+@pytest.mark.parametrize("T", [float("nan"), float("inf")])
+def test_gramian_spec_rejects_non_finite_horizon(small_setup, T):
+    _, w, _ = small_setup
+    with pytest.raises(ValueError, match="finite"):
+        GramianSpec(T=T, window=w)
+
+
 def test_full_window_gramian_is_t_times_identity():
     g = make_grid(1, 32)
     spec = GramianSpec(T=0.7, window=full_window(g))

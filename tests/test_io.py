@@ -82,7 +82,7 @@ def test_sweep_csv_and_json(tmp_path):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, result)
     rows = list(csv.reader(open(path)))
-    assert rows[0] == ["lambda", "M_best", "feasible"]
+    assert rows[0] == ["lambda", "M_best"]
     assert len(rows) == len(result.lambda_grid) + 1
     jpath = tmp_path / "out.json"
     write_json(jpath, {"M_sup": result.M_sup})

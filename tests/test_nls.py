@@ -9,6 +9,7 @@ from torus_control import (FourierState, GramianSpec, NLSParams,
                            global_control, local_control_nls, make_grid,
                            make_window, mass_decay_residual, nls_step,
                            plane_wave, random_state)
+from torus_control import nls
 from torus_control.nls import DecayRecord, _stabilize_to_threshold
 
 
@@ -17,6 +18,12 @@ def test_params_validation():
         NLSParams(sigma=2)
     with pytest.raises(ValueError):
         NLSParams(dt=0.0)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+def test_params_reject_non_finite_dt(dt):
+    with pytest.raises(ValueError, match="finite"):
+        NLSParams(dt=dt)
 
 
 def test_mass_conserved_without_damping():
@@ -124,7 +131,44 @@ def test_stabilization_stall_raises():
     w = make_window(g, (0.40, 0.44), 0.01, "smooth")
     u0 = random_state(g, np.random.default_rng(1), norm=0.5, max_mode=8)
     with pytest.raises(StabilizationStallError):
-        _stabilize_to_threshold(u0, w, 1, 1e-2, 1e-6)
+        _stabilize_to_threshold(u0, NLSParams(sigma=1, dt=1e-2, damping=w), 1e-6)
+
+
+def test_stabilization_stops_at_first_check_below_threshold():
+    g = make_grid(1, 32)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    u0 = random_state(g, np.random.default_rng(1), norm=0.5, max_mode=8)
+    params = NLSParams(sigma=-1, dt=1e-3, damping=w)
+    u, t_damp = _stabilize_to_threshold(u0, params, 0.05)
+    assert u.norm_l2() <= 0.05
+    assert t_damp > 10.0  # the leg runs past one refit of the decay rate
+    replay, _ = evolve(u0, t_damp, params, record_stride=1000)
+    assert np.max(np.abs(replay.coeffs - u.coeffs)) <= 1e-12
+    # one check (10 steps) earlier the state was still above the threshold
+    before, _ = evolve(u0, t_damp - 10 * params.dt, params, record_stride=1000)
+    assert before.norm_l2() > 0.05
+
+
+def test_stabilization_refits_when_dt_does_not_divide_the_span(monkeypatch):
+    # 10 / dt is not an integer; the rate is still re-fit after the first
+    # 10-unit span, so a floor far above the true rate (about 0.2) stops the
+    # leg there.  Without the refit it would reach the threshold near t = 29.
+    steps = []
+
+    class CountingStep(nls._StrangStep):
+        def __call__(self, c, source=None):
+            steps.append(1)
+            return super().__call__(c, source)
+
+    monkeypatch.setattr(nls, "_StrangStep", CountingStep)
+    g = make_grid(1, 32)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    u0 = random_state(g, np.random.default_rng(1), norm=0.5, max_mode=8)
+    dt = 3e-3
+    with pytest.raises(StabilizationStallError, match="below floor"):
+        _stabilize_to_threshold(u0, NLSParams(sigma=-1, dt=dt, damping=w), 1e-2,
+                                gamma_floor=10.0)
+    assert 10.0 <= len(steps) * dt < 10.0 + 10 * dt
 
 
 def test_local_control_reaches_zero():
@@ -187,8 +231,8 @@ def test_global_control_small_case():
     rng = np.random.default_rng(8)
     u0 = random_state(g, rng, norm=0.5, max_mode=8)
     u1 = random_state(g, rng, norm=0.5, max_mode=8)
-    sched = global_control(u0, u1, spec, sigma=-1, mass_threshold=0.05,
-                           tol=1e-8, dt=1e-3)
+    sched = global_control(u0, u1, spec, NLSParams(sigma=-1, dt=1e-3),
+                           mass_threshold=0.05, tol=1e-8)
     assert sched.endpoint_error_to_zero <= 1e-6
     assert sched.endpoint_error_to_target <= 1e-6
     kinds = [ph.kind for ph in sched.phases]
