@@ -46,26 +46,38 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
     return node
 
 
-def _number(cfg: dict, path: str, default: float, allow_zero: bool = False) -> float:
-    """Config field `path` as a finite positive float (or zero, if allowed)."""
+def _number(cfg: dict, path: str, default, sign: str = "positive") -> float:
+    """Config field `path` as a finite float that is positive, non-negative
+    or of either sign ("real")."""
     value = _get(cfg, path, default)
     try:
         x = float(value)
     except (TypeError, ValueError):
         x = np.nan
-    if not (0.0 < x < np.inf or (allow_zero and x == 0.0)):
-        sign = "non-negative" if allow_zero else "positive"
+    in_range = {"positive": x > 0.0, "non-negative": x >= 0.0, "real": True}[sign]
+    if not (in_range and np.isfinite(x)):
         raise ConfigError(f"{path}: expected a finite {sign} number, got {value!r}")
     return x
 
 
-def _integer(cfg: dict, path: str) -> int | None:
-    """Optional config field `path` as an int."""
-    value = _get(cfg, path)
+def _integer(cfg: dict, path: str, default=None, minimum: int = 0) -> int | None:
+    """Config field `path` as an int >= minimum (None if absent, no default)."""
+    value = _get(cfg, path, default)
     try:
-        return None if value is None else int(value)
+        x = None if value is None else int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}") from None
+        x = minimum - 1
+    if x is not None and x < minimum:
+        raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
+    return x
+
+
+def _boolean(cfg: dict, path: str, default: bool) -> bool:
+    """Config field `path` as a JSON boolean."""
+    value = _get(cfg, path, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    return value
 
 
 def _build_grid(cfg):
@@ -89,28 +101,19 @@ def _build_window(cfg, grid):
     try:
         return make_window(grid, [tuple(iv) for iv in np.atleast_2d(omega)],
                            transition_width=width, kind=kind)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"window: {exc}") from exc
 
 
 def _build_gramian_spec(cfg, window):
-    T = _number(cfg, "horizon.T", 1.0)
-    n_quad = _integer(cfg, "quadrature.n_quad")
-    try:
-        return GramianSpec(T=T, window=window, n_quad=n_quad,
-                           quad_rule=_get(cfg, "quadrature.rule", "gauss-legendre"))
-    except ValueError as exc:
-        raise ConfigError(f"quadrature: {exc}") from exc
+    return GramianSpec(T=_number(cfg, "horizon.T", 1.0), window=window)
 
 
 def _build_nls_params(cfg, damping=None):
     try:
-        dealias = _get(cfg, "nls.dealias", True)
-        if not isinstance(dealias, bool):
-            raise ValueError(f"dealias must be true or false, got {dealias!r}")
         return NLSParams(sigma=int(_get(cfg, "nls.sigma", -1)),
-                         dt=float(_get(cfg, "nls.dt", 1e-3)),
-                         damping=damping, dealias=dealias)
+                         dt=float(_get(cfg, "nls.dt", 1e-3)), damping=damping,
+                         dealias=_boolean(cfg, "nls.dealias", True))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"nls: {exc}") from exc
 
@@ -120,7 +123,7 @@ def _initial_state(cfg, grid, rng):
     if isinstance(ucfg, dict) and "coeffs" in ucfg:
         return state_from_json(ucfg)
     return random_state(grid, rng,
-                        norm=_number(cfg, "initial_state.norm", 1.0, allow_zero=True),
+                        norm=_number(cfg, "initial_state.norm", 1.0, "non-negative"),
                         max_mode=_integer(cfg, "initial_state.max_mode"))
 
 
@@ -136,7 +139,7 @@ def _cmd_simulate(args, cfg, rng, out_dir):
     grid = _build_grid(cfg)
     window = _build_window(cfg, grid)
     params = _build_nls_params(
-        cfg, damping=window if _get(cfg, "nls.damped", False) else None)
+        cfg, damping=window if _boolean(cfg, "nls.damped", False) else None)
     u0 = _initial_state(cfg, grid, rng)
     final, record = evolve(u0, _number(cfg, "horizon.T", 1.0), params)
     if args.format in ("csv", "both"):
@@ -158,7 +161,7 @@ def _cmd_control(args, cfg, rng, out_dir):
         write_trajectory_csv(out_dir / "control_trajectory.csv",
                              record.times, record.mass, record.observed_mass)
     results = {"residual": residual, "iterations": sol.iterations,
-               "n_quad": spec.n_quad, "phi0": state_to_json(sol.phi0)}
+               "phi0": state_to_json(sol.phi0)}
     _report(args, cfg, results, out_dir, "control")
     return 0
 
@@ -178,16 +181,22 @@ def _cmd_resolvent_sweep(args, cfg, rng, out_dir):
     grid = _build_grid(cfg)
     window = _build_window(cfg, grid)
     scfg = _get(cfg, "sweep", {})
-    m = scfg.get("m")
-    if m is None:
-        m = feasible_m(window, grid)
-    n_points = int(scfg.get("n_points", 512))
+    if not isinstance(scfg, dict):
+        raise ConfigError(f"sweep: expected an object, got {scfg!r}")
+    n_points = _integer(cfg, "sweep.n_points", 512, minimum=1)
+    cross_check = _boolean(cfg, "sweep.cross_check", False)
     if "lambda_min" in scfg and "lambda_max" in scfg:
-        grid_lam = np.linspace(float(scfg["lambda_min"]), float(scfg["lambda_max"]),
-                               n_points)
+        lo = _number(cfg, "sweep.lambda_min", None, "real")
+        hi = _number(cfg, "sweep.lambda_max", None, "real")
+        if not lo < hi:
+            raise ConfigError(f"sweep.lambda_min: expected below sweep.lambda_max "
+                              f"= {hi!r}, got {lo!r}")
+        grid_lam = np.linspace(lo, hi, n_points)
     else:
         grid_lam = default_lambda_grid(grid, n_points)
-    result = sweep(grid_lam, float(m), window, grid)
+    m = (feasible_m(window, grid) if scfg.get("m") is None
+         else _number(cfg, "sweep.m", None))
+    result = sweep(grid_lam, m, window, grid)
     if args.format in ("csv", "both"):
         write_sweep_csv(out_dir / "resolvent_sweep.csv", result)
     results = {"m": result.m_fixed, "M_sup": result.M_sup,
@@ -196,9 +205,9 @@ def _cmd_resolvent_sweep(args, cfg, rng, out_dir):
                              "lambda_min": float(grid_lam[0]),
                              "lambda_max": float(grid_lam[-1])}}
     # Miller-loop cross-check: observability at T slightly above the Miller time
-    if scfg.get("cross_check", False):
+    if cross_check:
         T = 1.05 * result.miller_time
-        spec = GramianSpec(T=T, window=window, n_quad=_get(cfg, "quadrature.n_quad"))
+        spec = GramianSpec(T=T, window=window)
         c_t = observability_constant(spec)
         bound = miller_cost_bound(result.M_sup, result.m_fixed, T)
         results["cross_check"] = {"T": T, "C_T": c_t, "miller_bound": bound,
@@ -243,7 +252,7 @@ def _cmd_global_control(args, cfg, rng, out_dir):
     spec = _build_gramian_spec(cfg, window)
     params = _build_nls_params(cfg)
     u0 = _initial_state(cfg, grid, rng)
-    t_norm = _number(cfg, "target.norm", 0.0, allow_zero=True)
+    t_norm = _number(cfg, "target.norm", 0.0, "non-negative")
     max_mode = _integer(cfg, "target.max_mode")
     if t_norm > 0.0:
         u1 = random_state(grid, rng, norm=t_norm, max_mode=max_mode)

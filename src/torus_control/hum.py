@@ -15,13 +15,13 @@ done in closed form.  C_T, the HUM solve (one Cholesky factorization) and
 the closed-loop trajectory of `drive_linear` all use it.
 
 The same closed form with the midpoint sum in place of the time integral
-is the Gramian of the NLS stepper's own midpoint source;
-`local_control_nls` assembles and Cholesky-factors it once.
+(`dense_gramian(spec, n_steps)`) is the Gramian of the NLS stepper's own
+midpoint source; `local_control_nls` assembles and Cholesky-factors it once.
 
-The matrix-free time quadrature (Gauss-Legendre / trapezoid / midpoint
-nodes, exact propagation between nodes) is kept only as an independent
-oracle: `dense_gramian(..., exact_time=False)`, `apply_gramian`, and the
-shift-invert Lanczos of `lambda_min_iterative`.
+The matrix-free time quadrature (exact propagation between nodes) is kept
+only as an independent oracle that owns its nodes: `quadrature_gramian`
+takes the node count and rule, by default the resolved_n_quad
+Gauss-Legendre nodes that `apply_gramian` and `lambda_min_iterative` use.
 """
 
 from __future__ import annotations
@@ -66,22 +66,16 @@ class DenseSizeError(ValueError):
 
 @dataclass(frozen=True)
 class GramianSpec:
-    """Horizon, window and time-quadrature rule defining the HUM operator."""
+    """Horizon and window defining the HUM operator
+    S = int_0^T exp(-i*t*Lap) chi^2 exp(i*t*Lap) dt; it holds no time
+    nodes (only the quadrature oracle takes them, as arguments)."""
 
     T: float
     window: CutoffWindow
-    n_quad: int | None = None
-    quad_rule: str = "gauss-legendre"
 
     def __post_init__(self):
         if not 0.0 < self.T < np.inf:
             raise ValueError("T must be positive and finite")
-        if self.quad_rule not in ("gauss-legendre", "trapezoid", "midpoint"):
-            raise ValueError(f"unknown quadrature rule {self.quad_rule!r}")
-        if self.n_quad is None:
-            object.__setattr__(self, "n_quad", max(32, 4 * self.window.grid.modes_per_axis))
-        if self.n_quad < 2:
-            raise ValueError("n_quad must be >= 2")
 
     @property
     def grid(self) -> GridSpec:
@@ -119,15 +113,13 @@ def quadrature_nodes(T: float, n: int, rule: str) -> tuple[np.ndarray, np.ndarra
         x, w = _legendre_nodes(n)
         return 0.5 * T * (x + 1.0), 0.5 * T * w
     if rule == "trapezoid":
-        t = np.linspace(0.0, T, n)
-        h = T / (n - 1)
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2.0
-        return t, w
+        w = np.full(n, T / (n - 1))
+        w[[0, -1]] /= 2.0
+        return np.linspace(0.0, T, n), w
     if rule == "midpoint":
         h = T / n
         return (np.arange(n) + 0.5) * h, np.full(n, h)
-    raise ValueError(rule)
+    raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
 def resolved_n_quad(grid: GridSpec, T: float, margin: float = 1.25,
@@ -144,17 +136,27 @@ def resolved_n_quad(grid: GridSpec, T: float, margin: float = 1.25,
 
 
 class _GramianApplier:
-    """Matrix-free quadrature Gramian with precomputed node phases."""
+    """Matrix-free quadrature Gramian with precomputed node phases on n_quad
+    nodes of `rule` (default: resolved_n_quad Gauss-Legendre nodes).  A
+    phase table above MAX_DENSE_POINTS**2 entries (64 MB; the default
+    reaches it above N ~ 87 in 1D, N ~ 24 in 2D at T = 1) raises
+    DenseSizeError: pass quadrature_gramian an explicit, smaller n_quad."""
 
-    def __init__(self, spec: GramianSpec):
-        self.spec = spec
+    def __init__(self, spec: GramianSpec, n_quad: int | None = None,
+                 rule: str = "gauss-legendre"):
         grid = spec.grid
+        if n_quad is None:
+            n_quad = resolved_n_quad(grid, spec.T)
+        if n_quad < 2:
+            raise ValueError("n_quad must be >= 2")
+        if n_quad * grid.n_points > MAX_DENSE_POINTS ** 2:  # 64 MB of phases
+            raise DenseSizeError(f"{n_quad} nodes x {grid.n_points} modes exceed "
+                                 f"the oracle's {MAX_DENSE_POINTS ** 2} phases")
         self.grid = grid
         self.fft_axes = tuple(range(-grid.dim, 0))
         self.chi2 = spec.window.samples ** 2
         lam = grid.laplacian_symbol()
-        t, w = quadrature_nodes(spec.T, spec.n_quad, spec.quad_rule)
-        self.weights = w
+        t, self.weights = quadrature_nodes(spec.T, n_quad, rule)
         # exp(i * t_j * Lap) for every node, shape (n_quad, *grid.shape)
         self.phases = np.exp(1j * t.reshape((-1,) + (1,) * grid.dim) * lam)
 
@@ -177,7 +179,8 @@ class _GramianApplier:
 
 
 def apply_gramian(spec: GramianSpec, phi0: FourierState) -> FourierState:
-    """Quadrature approximation of S phi0."""
+    """Quadrature approximation of S phi0 on resolved_n_quad nodes (see
+    _GramianApplier for the DenseSizeError ceiling)."""
     if phi0.grid != spec.grid:
         raise ValueError("grid mismatch between state and Gramian spec")
     out = _GramianApplier(spec).apply_one(phi0.coeffs)
@@ -213,23 +216,27 @@ def _mode_energies(grid: GridSpec) -> np.ndarray:
     return -grid.laplacian_symbol().ravel()
 
 
-def _quadrature_gramian(spec: GramianSpec) -> np.ndarray:
-    """Quadrature Gramian assembled column by column from the matrix-free
-    applier, a few nodes at a time so each transformed block stays small."""
+def quadrature_gramian(spec: GramianSpec, n_quad: int | None = None,
+                       rule: str = "gauss-legendre") -> np.ndarray:
+    """The oracle's dense Gramian: _GramianApplier on every basis vector, a
+    few nodes at a time so each transformed block stays small."""
+    check_dense_size(spec.grid)
     n = spec.grid.n_points
     basis = np.eye(n, dtype=complex).reshape((n,) + spec.grid.shape)
     chunk = max(1, _ORACLE_BLOCK // (n * n))
-    cols = _GramianApplier(spec).apply_batch(basis, chunk=chunk)
-    return cols.reshape(n, n).T
+    cols = _GramianApplier(spec, n_quad, rule).apply_batch(basis, chunk=chunk)
+    s = cols.reshape(n, n).T
+    return 0.5 * (s + s.conj().T)
 
 
-def _closed_form_gramian(spec: GramianSpec,
-                         n_steps: int | None = None) -> np.ndarray:
-    """S = W * K, Hermitian-symmetrized, with the time kernel K in closed
-    form; the size guard runs before any n_points x n_points allocation.
+def dense_gramian(spec: GramianSpec, n_steps: int | None = None) -> np.ndarray:
+    """Dense Gramian S = W * K in mode space, on flattened coefficients (1D
+    or 2D), Hermitian-symmetrized, with the time kernel K in closed form.
+    Grids with more than MAX_DENSE_POINTS modes raise DenseSizeError before
+    any n_points x n_points allocation.
 
-    With d = mu_a - mu_b and x = d*T/2, the exact integral is
-    K = int_0^T exp(i*d*t) dt = exp(i*x) * T * sinc(x), sinc(y) = sin(y)/y.
+    With d = mu_a - mu_b, mu = |2*pi*k|^2, and x = d*T/2, the exact integral
+    is K = int_0^T exp(i*d*t) dt = exp(i*x) * T * sinc(x), sinc(y) = sin(y)/y.
     Given n_steps, K is the midpoint sum h * sum_j exp(i*d*t_j),
     t_j = (j + 1/2)*h, h = T/n: exp(i*x) * h * sin(n*th)/sin(th), th = x/n,
     the linear part of the NLS stepper's controlled solve.  Reducing
@@ -252,33 +259,17 @@ def _closed_form_gramian(spec: GramianSpec,
     return 0.5 * (s + s.conj().T)
 
 
-def dense_gramian(spec: GramianSpec, exact_time: bool = True) -> np.ndarray:
-    """Dense Gramian matrix in mode space, on flattened coefficients (1D or 2D).
-
-    With exact_time=True each entry's time integral is evaluated in closed
-    form: S_ab = W_ab * int_0^T exp(i*(mu_a - mu_b)*t) dt with mu = |2*pi*k|^2.
-    Otherwise the matrix-free quadrature operator is applied to every basis
-    vector (the oracle for convergence checks).  Grids with more than
-    MAX_DENSE_POINTS modes raise DenseSizeError before any allocation.
-    """
-    if exact_time:
-        return _closed_form_gramian(spec)
-    check_dense_size(spec.grid)
-    s = _quadrature_gramian(spec)
-    return 0.5 * (s + s.conj().T)
-
-
-def lambda_min_dense(spec: GramianSpec, exact_time: bool = True) -> float:
-    """Smallest eigenvalue of the densely assembled Gramian."""
-    s = dense_gramian(spec, exact_time=exact_time)
+def lambda_min_dense(spec: GramianSpec) -> float:
+    """Smallest eigenvalue of the exact-time dense Gramian."""
+    s = dense_gramian(spec)
     return float(eigh(s, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
 def lambda_min_iterative(spec: GramianSpec, tol: float = 1e-10) -> float:
     """Smallest Gramian eigenvalue via Lanczos on S^{-1} applied
-    matrix-free (inner solves by CG on the quadrature operator)."""
-    n = spec.grid.n_points
-    shape = spec.grid.shape
+    matrix-free (inner solves by CG on the oracle's quadrature operator on
+    resolved_n_quad nodes; see _GramianApplier for its ceiling)."""
+    n, shape = spec.grid.n_points, spec.grid.shape
     applier = _GramianApplier(spec)
     op = LinearOperator((n, n), dtype=complex,
                         matvec=lambda x: applier.apply_one(x.reshape(shape)).ravel())
@@ -375,15 +366,14 @@ def drive_linear(u0: FourierState, spec: GramianSpec,
 
         S(t) phi = exp(i mu t) * A (exp(-i mu t) * phi) - A phi + t B phi,
 
-    so every sample comes from one matrix product.  The samples sit at 0,
-    the spec's quadrature nodes and T; the nodes only place them.  Returns
+    so every sample comes from one matrix product.  The samples are
+    max(32, 4N) uniform times on [0, T], both endpoints included.  Returns
     the sampled trajectory and ||u(T)||_L2, the root of the last mass sample.
     """
     if u0.grid != spec.grid or phi0.grid != spec.grid:
         raise ValueError("grid mismatch")
     grid = spec.grid
-    t_nodes, _ = quadrature_nodes(spec.T, spec.n_quad, spec.quad_rule)
-    times = np.concatenate(([0.0], t_nodes, [spec.T]))
+    times = np.linspace(0.0, spec.T, max(32, 4 * grid.modes_per_axis))
     mu = _mode_energies(grid)
     d = np.subtract.outer(mu, mu)
     degenerate = d == 0.0
@@ -417,24 +407,20 @@ def hum_regularity_ratio(spec: GramianSpec, s: float, n_samples: int,
     """
     if s < 0.0:
         raise ValueError("s must be >= 0")
-    from .operators import sobolev_norm, sobolev_weights
+    from .operators import sobolev_weights
 
-    if spec.grid.dim != 1:
+    grid = spec.grid
+    if grid.dim != 1:
         raise ValueError("regularity study uses the dense 1D Gramian")
     # Sample from an N-stable Gaussian measure on the unit H^s sphere:
     # coefficients ~ g_k * (1+|2 pi k|^2)^{-(s+1)/2}.  The extra decay
     # makes the tail summable, so refining the grid only appends
     # negligible modes and the statistic can converge in N.
-    decay = sobolev_weights(spec.grid, -(s + 1.0))
-    factor = _cholesky(dense_gramian(spec), spec)
-    ratios = []
-    for _ in range(n_samples):
-        g = rng.standard_normal(spec.grid.shape) + 1j * rng.standard_normal(
-            spec.grid.shape)
-        psi0 = FourierState(spec.grid, g * decay)
-        psi0 = psi0 * (1.0 / sobolev_norm(psi0, s))
-        phi0 = FourierState(spec.grid, cho_solve(factor, psi0.coeffs))
-        ratios.append(sobolev_norm(phi0, s))
-    ratios = np.array(ratios)
+    g = rng.standard_normal((n_samples, 2) + grid.shape)
+    psi0 = (g[:, 0] + 1j * g[:, 1]) * sobolev_weights(grid, -(s + 1.0))
+    weights = sobolev_weights(grid, s)
+    psi0 /= np.linalg.norm(psi0 * weights, axis=1, keepdims=True)
+    phi0 = cho_solve(_cholesky(dense_gramian(spec), spec), psi0.T).T
+    ratios = np.linalg.norm(phi0 * weights, axis=1)
     return {"max": float(ratios.max()), "mean": float(ratios.mean()),
             "ratios": ratios, "s": s, "n_samples": n_samples}

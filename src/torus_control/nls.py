@@ -36,8 +36,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .grid import FourierState, GridSpec, zero_state
-from .hum import (GramianSpec, _cholesky, _closed_form_gramian, check_dense_size,
-                  quadrature_nodes)
+from .hum import GramianSpec, _cholesky, check_dense_size, dense_gramian
 from .windows import CutoffWindow
 
 
@@ -213,7 +212,7 @@ def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
     dt = spec.T / n_steps
     step = _StrangStep(grid, NLSParams(sigma=sigma, dt=dt, dealias=False))
     axes = tuple(range(1, grid.dim + 1))
-    t_mid, _ = quadrature_nodes(spec.T, n_steps, "midpoint")
+    t_mid = (np.arange(n_steps) + 0.5) * dt
     # exp(i t_j Lap) for every midpoint, shape (n_steps, *grid.shape)
     phases = np.exp(1j * t_mid.reshape((-1,) + (1,) * grid.dim)
                     * grid.laplacian_symbol())
@@ -241,6 +240,8 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
     closed form; it is Cholesky-factored once, and each iteration is one
     triangular solve.  The linear problem thus closes exactly and the
     certified forward residual reduces to roundoff and the Picard tol.
+    The controlled solve takes n_steps midpoint steps, max(256, 4N) by
+    default.
 
     Returns (phi0, forward residual, history dict).
     """
@@ -249,14 +250,14 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
     if u0.grid != spec.grid:
         raise ValueError("grid mismatch")
     if n_steps is None:
-        n_steps = max(256, spec.n_quad)
+        n_steps = max(256, 4 * spec.grid.modes_per_axis)
     grid = spec.grid
     u0_norm = u0.norm_l2()
     history = {"update_norms": [], "contraction_ratios": [], "iterations": 0}
     if u0_norm == 0.0:
         return zero_state(grid), 0.0, history
 
-    factor = _cholesky(_closed_form_gramian(spec, n_steps), spec)
+    factor = _cholesky(dense_gramian(spec, n_steps), spec)
     phi0 = zero_state(grid)
     prev_update = None
     for it in range(1, max_iter + 1):

@@ -45,7 +45,7 @@ class CutoffWindow:
         s = np.asarray(self.samples, dtype=float)
         if s.shape != self.grid.shape:
             raise ValueError("samples shape does not match grid")
-        if s.min() < -1e-15 or s.max() > 1.0 + 1e-15:
+        if not np.all((s >= -1e-15) & (s <= 1.0 + 1e-15)):
             raise ValueError("window samples must lie in [0, 1]")
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "omega", tuple(tuple(iv) for iv in self.omega))
@@ -87,6 +87,9 @@ def make_window(grid: GridSpec, omega, transition_width: float = 0.05,
         total += b - a
     if total >= 1.0 and len(omega) > 1:
         raise ValueError("omega total length must be < 1")
+    transition_width = float(transition_width)
+    if not np.isfinite(transition_width):
+        raise ValueError(f"transition_width must be finite, got {transition_width}")
     if kind == "smooth":
         if transition_width <= 0.0:
             raise ValueError("transition_width must be positive")
@@ -106,7 +109,7 @@ def make_window(grid: GridSpec, omega, transition_width: float = 0.05,
     if grid.dim == 2:
         prof = np.repeat(prof[:, None], grid.modes_per_axis, axis=1)
     return CutoffWindow(grid=grid, samples=prof, omega=tuple(omega),
-                        transition_width=float(transition_width), kind=kind)
+                        transition_width=transition_width, kind=kind)
 
 
 def full_window(grid: GridSpec) -> CutoffWindow:

@@ -19,7 +19,7 @@ from torus_control import (GramianSpec, NLSParams, admissible_amplitude,
                            strip_observability_constant, sweep,
                            verify_resolvent, drive_linear)
 from torus_control.hum import (hum_regularity_ratio, lambda_min_dense,
-                               lambda_min_iterative, resolved_n_quad)
+                               lambda_min_iterative)
 from torus_control.operators import commutator_operator_norm
 from torus_control.resolvent import best_resolvent_constant
 
@@ -62,8 +62,8 @@ def test_03_gramian_dense_vs_iterative():
     t0 = time.time()
     g = make_grid(1, 32)
     w = make_window(g, (0.0, 0.25), 0.05, "smooth")
-    spec = GramianSpec(T=1.0, window=w, n_quad=resolved_n_quad(g, 1.0))
-    dense = lambda_min_dense(spec, exact_time=True)
+    spec = GramianSpec(T=1.0, window=w)
+    dense = lambda_min_dense(spec)
     iterative = lambda_min_iterative(spec)
     rel = abs(dense - iterative) / dense
     elapsed = time.time() - t0

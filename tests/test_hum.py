@@ -9,11 +9,12 @@ from torus_control import (FourierState, GramianSpec, GramianSingularError,
                            full_window, make_grid, make_window,
                            observability_constant, random_state, solve_hum,
                            synthesize_control)
-from torus_control.hum import (MAX_DENSE_POINTS, HUMConvergenceError,
-                               _closed_form_gramian, check_dense_size,
+from torus_control.hum import (MAX_DENSE_POINTS, DenseSizeError,
+                               HUMConvergenceError, check_dense_size,
                                hum_regularity_ratio, lambda_min_dense,
-                               lambda_min_iterative, quadrature_nodes,
-                               resolved_n_quad, window_mode_matrix)
+                               lambda_min_iterative, quadrature_gramian,
+                               quadrature_nodes, resolved_n_quad,
+                               window_mode_matrix)
 
 
 @pytest.fixture
@@ -37,11 +38,11 @@ def test_quadrature_nodes_rules():
 
 
 def test_gramian_spec_validation(small_setup):
-    _, w, _ = small_setup
+    _, w, spec = small_setup
     with pytest.raises(ValueError):
         GramianSpec(T=0.0, window=w)
     with pytest.raises(ValueError):
-        GramianSpec(T=1.0, window=w, n_quad=0)
+        quadrature_gramian(spec, n_quad=0)
 
 
 @pytest.mark.parametrize("T", [float("nan"), float("inf")])
@@ -54,32 +55,31 @@ def test_gramian_spec_rejects_non_finite_horizon(small_setup, T):
 def test_full_window_gramian_is_t_times_identity():
     g = make_grid(1, 32)
     spec = GramianSpec(T=0.7, window=full_window(g))
-    s = dense_gramian(spec, exact_time=True)
+    s = dense_gramian(spec)
     assert np.allclose(s, 0.7 * np.eye(32), atol=1e-12)
 
 
 def test_dense_gramian_hermitian_psd(small_setup):
     _, _, spec = small_setup
-    s = dense_gramian(spec, exact_time=True)
+    s = dense_gramian(spec)
     assert np.allclose(s, s.conj().T)
     eigs = np.linalg.eigvalsh(s)
     assert eigs.min() > 0.0
 
 
 def test_quadrature_gramian_converges_to_exact(small_setup):
-    g, w, _ = small_setup
-    spec = GramianSpec(T=1.0, window=w, n_quad=resolved_n_quad(g, 1.0))
-    s_quad = dense_gramian(spec, exact_time=False)
-    s_exact = dense_gramian(spec, exact_time=True)
+    # with no node count the oracle takes resolved_n_quad nodes
+    _, _, spec = small_setup
+    s_quad = quadrature_gramian(spec)
+    s_exact = dense_gramian(spec)
     assert np.max(np.abs(s_quad - s_exact)) < 1e-10 * np.max(np.abs(s_exact))
 
 
 def test_apply_gramian_matches_dense(small_setup):
-    g, w, _ = small_setup
-    spec = GramianSpec(T=1.0, window=w, n_quad=resolved_n_quad(g, 1.0))
+    g, _, spec = small_setup
     u = random_state(g, np.random.default_rng(0))
     via_op = apply_gramian(spec, u)
-    via_mat = dense_gramian(spec, exact_time=True) @ u.coeffs
+    via_mat = dense_gramian(spec) @ u.coeffs
     assert np.allclose(via_op.coeffs, via_mat, atol=1e-9)
 
 
@@ -106,7 +106,12 @@ def test_dense_size_guard():
     with pytest.raises(ValueError, match="2048"):
         dense_gramian(huge)
     with pytest.raises(ValueError, match="2048"):
-        _closed_form_gramian(huge, 256)
+        dense_gramian(huge, 256)
+    # the oracle refuses its node-by-mode phase table before allocating it
+    # (N = 256 at T = 1 resolves with about 4e5 nodes)
+    wide = GramianSpec(T=1.0, window=full_window(make_grid(1, 256)))
+    with pytest.raises(DenseSizeError, match="phases"):
+        lambda_min_iterative(wide)
     with pytest.raises(ValueError):
         observability_constant(GramianSpec(T=1.0, window=full_window(make_grid(2, 46))))
     check_dense_size(make_grid(1, MAX_DENSE_POINTS))
@@ -114,16 +119,14 @@ def test_dense_size_guard():
 
 
 def test_lambda_min_dense_vs_iterative(small_setup):
-    g, w, _ = small_setup
-    spec = GramianSpec(T=1.0, window=w, n_quad=resolved_n_quad(g, 1.0))
-    dense = lambda_min_dense(spec, exact_time=True)
+    _, _, spec = small_setup
+    dense = lambda_min_dense(spec)
     iterative = lambda_min_iterative(spec)
     assert iterative == pytest.approx(dense, rel=1e-8)
 
 
 def test_observability_constant_methods_agree(small_setup):
-    g, w, _ = small_setup
-    spec = GramianSpec(T=1.0, window=w, n_quad=resolved_n_quad(g, 1.0))
+    _, _, spec = small_setup
     c_dense = observability_constant(spec)
     c_iter = 1.0 / lambda_min_iterative(spec)
     assert c_iter == pytest.approx(c_dense, rel=1e-8)
@@ -165,11 +168,8 @@ def test_solve_hum_certified_closed_loop(small_setup):
 def test_solve_hum_exact_against_quadrature_oracle(small_setup):
     # the control leaves u(T) at roundoff when the Duhamel integral is
     # evaluated by the independent, resolved time quadrature
-    g, w, _ = small_setup
-    spec = GramianSpec(T=1.0, window=w)
-    oracle = dense_gramian(GramianSpec(T=1.0, window=w,
-                                       n_quad=resolved_n_quad(g, 1.0)),
-                           exact_time=False)
+    g, _, spec = small_setup
+    oracle = quadrature_gramian(spec)
     for seed in range(3):
         u0 = random_state(g, np.random.default_rng(10 + seed))
         sol = solve_hum(spec, u0, tol=1e-9)
@@ -183,10 +183,11 @@ def test_drive_linear_is_exact_in_time(small_setup):
     rng = np.random.default_rng(11)
     u0, phi0 = random_state(g, rng), random_state(g, rng)
     record, final_norm = drive_linear(u0, spec, phi0)
-    assert len(record.times) == spec.n_quad + 2
+    # max(32, 4N) uniform samples on [0, T], endpoints included
+    assert np.array_equal(record.times, np.linspace(0.0, 1.0, max(32, 4 * 32)))
     assert final_norm == np.sqrt(record.mass[-1])
     # u(t) = exp(i t Lap)(u0 - i S(t) phi0), S(t) the Gramian over [0, t]
-    for j in (0, 1, spec.n_quad // 2, len(record.times) - 1):
+    for j in (0, 1, len(record.times) // 2, len(record.times) - 1):
         t = record.times[j]
         v = u0.coeffs.copy()
         if t > 0:
@@ -247,8 +248,20 @@ def test_midpoint_gramian_matches_quadrature_oracle(n, T, n_steps):
     # at N = 64, T = 1/pi, 384 steps, modes 16 and 8 have d*h/2 = pi exactly
     g = make_grid(1, n)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
-    oracle = dense_gramian(GramianSpec(T=T, window=w, n_quad=n_steps,
-                                       quad_rule="midpoint"), exact_time=False)
-    closed = _closed_form_gramian(GramianSpec(T=T, window=w), n_steps)
+    spec = GramianSpec(T=T, window=w)
+    oracle = quadrature_gramian(spec, n_quad=n_steps, rule="midpoint")
+    closed = dense_gramian(spec, n_steps)
     assert np.linalg.norm(closed - oracle) <= 1e-12 * np.linalg.norm(oracle)
     assert np.max(np.abs(closed - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_oracle_explicit_node_count_past_phase_ceiling():
+    # at N = 128, T = 1 the resolved default (about 1e5 nodes) exceeds the
+    # oracle's phase table, and an explicit node count still runs
+    g = make_grid(1, 128)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.3), 0.05, "smooth"))
+    with pytest.raises(DenseSizeError, match="phases"):
+        apply_gramian(spec, random_state(g, np.random.default_rng(0)))
+    oracle = quadrature_gramian(spec, n_quad=512, rule="midpoint")
+    closed = dense_gramian(spec, 512)
+    assert np.linalg.norm(closed - oracle) <= 1e-12 * np.linalg.norm(oracle)

@@ -57,7 +57,7 @@ def test_window_json_fields():
 def test_trajectory_csv(tmp_path):
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, [0.0, 0.5], [1.0, 0.8], [0.3, 0.2])
-    rows = list(csv.reader(open(path)))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["t", "mass", "observed_mass"]
     assert float(rows[2][1]) == 0.8
 
@@ -68,7 +68,7 @@ def test_decay_csv(tmp_path):
                       energy=np.array([2.0, 1.9]), observed=np.array([0.2, 0.1]))
     path = tmp_path / "decay.csv"
     write_decay_csv(path, rec)
-    rows = list(csv.reader(open(path)))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["t", "mass", "energy", "observed"]
     assert len(rows) == 3
 
@@ -81,11 +81,11 @@ def test_sweep_csv_and_json(tmp_path):
     result = sweep(default_lambda_grid(g, 40), feasible_m(w, g), w, g)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, result)
-    rows = list(csv.reader(open(path)))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["lambda", "M_best"]
     assert len(rows) == len(result.lambda_grid) + 1
     jpath = tmp_path / "out.json"
     write_json(jpath, {"M_sup": result.M_sup})
     import json
 
-    assert json.load(open(jpath))["M_sup"] == result.M_sup
+    assert json.loads(jpath.read_text())["M_sup"] == result.M_sup

@@ -7,7 +7,7 @@ from torus_control import (GramianSingularError, GramianSpec, StripWindow,
                            decompose_modes, dense_gramian, make_grid,
                            make_window, random_state,
                            strip_observability_constant)
-from torus_control.hum import lambda_min_dense, resolved_n_quad
+from torus_control.hum import lambda_min_dense, quadrature_gramian
 from torus_control.tensor import compose_modes
 
 
@@ -34,14 +34,13 @@ def test_decompose_compose_round_trip():
 
 def test_dense_gramian_2d_block_structure():
     # the 2D strip Gramian acts identically on every second-axis mode,
-    # and each block equals the 1D Gramian at the same quadrature
+    # and each block equals the 1D Gramian
     g1 = make_grid(1, 8)
     base = make_window(g1, (0.0, 0.4), 0.05, "smooth")
-    n_quad = resolved_n_quad(make_grid(2, 8), 1.0)
-    spec = GramianSpec(T=1.0, window=base, n_quad=n_quad)
-    spec2d = GramianSpec(T=1.0, window=StripWindow(base).to_2d(), n_quad=n_quad)
+    spec = GramianSpec(T=1.0, window=base)
+    spec2d = GramianSpec(T=1.0, window=StripWindow(base).to_2d())
     s2 = dense_gramian(spec2d)
-    s1 = dense_gramian(spec, exact_time=True)
+    s1 = dense_gramian(spec)
     n = 8
     # block for second-axis mode q couples (k, q) only to (k', q)
     s2 = s2.reshape(n, n, n, n)  # (k1, k2, k1', k2')
@@ -66,9 +65,8 @@ def test_strip_quadrature_oracle_matches_exact_2d():
     # exact-time closed form on the genuinely 2D grid
     base = make_window(make_grid(1, 8), (0.0, 0.4), 0.05, "smooth")
     window2d = StripWindow(base).to_2d()
-    spec2d = GramianSpec(T=1.0, window=window2d,
-                         n_quad=resolved_n_quad(window2d.grid, 1.0))
-    s_quad = dense_gramian(spec2d, exact_time=False)
+    spec2d = GramianSpec(T=1.0, window=window2d)
+    s_quad = quadrature_gramian(spec2d)
     s_exact = dense_gramian(spec2d)
     assert np.max(np.abs(s_quad - s_exact)) < 1e-10 * np.max(np.abs(s_exact))
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from torus_control import full_window, make_grid, make_window, random_state
+from torus_control import (CutoffWindow, full_window, make_grid, make_window,
+                           random_state)
 from torus_control.windows import multiply_window
 
 
@@ -59,6 +60,13 @@ def test_window_validation():
         make_window(g, (0.0, 0.2), kind="boxcar")
     with pytest.raises(ValueError):
         make_window(g, [])
+    with pytest.raises(ValueError, match="finite"):
+        make_window(g, (0.0, 0.2), transition_width=float("nan"))
+    samples = np.full(g.shape, 0.5)
+    samples[3] = np.nan
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        CutoffWindow(grid=g, samples=samples, omega=((0.0, 1.0),),
+                     transition_width=0.0)
 
 
 def test_2d_strip_constant_along_second_axis():
