@@ -10,8 +10,8 @@ at no cost.
 
 import numpy as np
 
-from torus_control import (GramianSpec, StripWindow, decompose_modes,
-                           make_grid, make_window, random_state,
+from torus_control import (GramianSpec, decompose_modes, make_grid,
+                           make_window, random_state,
                            strip_observability_constant)
 from torus_control.tensor import compose_modes, observed_energy_1d
 

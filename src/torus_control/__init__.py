@@ -14,7 +14,7 @@ from .resolvent import (InfeasibleResolventError, ResolventSweepResult,
                         best_resolvent_constant, constants_from_observability,
                         default_lambda_grid, feasible_m, miller_cost_bound,
                         sweep, verify_resolvent, wave_resolvent_check)
-from .tensor import StripWindow, decompose_modes, strip_observability_constant
+from .tensor import decompose_modes, strip_observability_constant
 from .nls import (DecayRecord, NLSParams, PicardDivergenceError,
                   StabilizationStallError, admissible_amplitude, energy,
                   evolve, fit_decay_rate, global_control, local_control_nls,

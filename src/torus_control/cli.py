@@ -61,10 +61,10 @@ def _number(cfg: dict, path: str, default, sign: str = "positive") -> float:
 
 
 def _integer(cfg: dict, path: str, default=None, minimum: int = 0) -> int | None:
-    """Config field `path` as an int >= minimum (None if absent, no default)."""
+    """Config field `path` as an int >= minimum (None if absent or null, no default)."""
     value = _get(cfg, path, default)
     try:
-        x = None if value is None else int(value)
+        x = None if value is None and default is None else int(value)
     except (TypeError, ValueError, OverflowError):
         x = minimum - 1
     if x is not None and x < minimum:
@@ -91,16 +91,15 @@ def _build_grid(cfg):
 
 def _build_window(cfg, grid):
     wcfg = _get(cfg, "window")
-    if wcfg is None:
-        return full_window(grid)
-    omega = wcfg.get("omega")
+    if wcfg is not None and not isinstance(wcfg, dict):
+        raise ConfigError(f"window: expected an object, got {wcfg!r}")
+    omega = _get(cfg, "window.omega")
     if omega is None:
         return full_window(grid)
-    kind = wcfg.get("kind", "smooth")
-    width = wcfg.get("transition_width", 0.05)
     try:
         return make_window(grid, [tuple(iv) for iv in np.atleast_2d(omega)],
-                           transition_width=width, kind=kind)
+                           transition_width=_get(cfg, "window.transition_width", 0.05),
+                           kind=_get(cfg, "window.kind", "smooth"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"window: {exc}") from exc
 
@@ -121,7 +120,13 @@ def _build_nls_params(cfg, damping=None):
 def _initial_state(cfg, grid, rng):
     ucfg = _get(cfg, "initial_state")
     if isinstance(ucfg, dict) and "coeffs" in ucfg:
-        return state_from_json(ucfg)
+        try:
+            u0 = state_from_json(ucfg)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"initial_state: not a state ({exc!r})") from exc
+        if u0.grid != grid:
+            raise ConfigError(f"initial_state: {u0.grid} differs from grid {grid}")
+        return u0
     return random_state(grid, rng,
                         norm=_number(cfg, "initial_state.norm", 1.0, "non-negative"),
                         max_mode=_integer(cfg, "initial_state.max_mode"))
@@ -179,6 +184,8 @@ def _cmd_observability(args, cfg, rng, out_dir):
 
 def _cmd_resolvent_sweep(args, cfg, rng, out_dir):
     grid = _build_grid(cfg)
+    if grid.dim != 1:
+        raise ConfigError("grid.dim: resolvent-sweep supports 1D grids only")
     window = _build_window(cfg, grid)
     scfg = _get(cfg, "sweep", {})
     if not isinstance(scfg, dict):
@@ -302,11 +309,11 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    if args.seed is None:
-        args.seed = int(_get(cfg, "seed", 0))
-    rng = np.random.default_rng(args.seed)
     out_dir = args.out
     try:
+        if args.seed is None:
+            args.seed = _integer(cfg, "seed", 0)
+        rng = np.random.default_rng(args.seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.subcommand](args, cfg, rng, out_dir)
     except ConfigError as exc:

@@ -145,12 +145,9 @@ def random_state(grid: GridSpec, rng: np.random.Generator, norm: float = 1.0,
     """
     c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     if max_mode is not None:
-        k = grid.mode_indices()
-        if grid.dim == 1:
-            c[np.abs(k) > max_mode] = 0.0
-        else:
-            k1, k2 = np.meshgrid(k, k, indexing="ij")
-            c[(np.abs(k1) > max_mode) | (np.abs(k2) > max_mode)] = 0.0
+        far = np.abs(grid.mode_indices()) > max_mode
+        c[far] = 0.0  # along the first axis,
+        c[..., far] = 0.0  # and along the last (the same one in 1D)
     u = FourierState(grid, c)
     if sobolev_s is not None:
         from .operators import sobolev_norm  # local import avoids a cycle

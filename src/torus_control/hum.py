@@ -8,11 +8,11 @@ a self-adjoint nonnegative operator; it is positive (and invertible)
 exactly when the window observes every truncated mode.  The smallest
 eigenvalue gives the observability constant C_T = 1 / lambda_min(S).
 
-The production path is exact in time, in 1D and 2D: the dense Gramian
-S_ab = W_ab * int_0^T exp(i*(mu_a - mu_b)*t) dt, with W the
-(block-)circulant mode matrix of chi^2 and the pure-phase time integral
-done in closed form.  C_T, the HUM solve (one Cholesky factorization) and
-the closed-loop trajectory of `drive_linear` all use it.
+The production path is the N x N Gramian S_ab = W_ab * int_0^T
+exp(i*(mu_a - mu_b)*t) dt in closed form, W the circulant matrix of chi^2
+along the first axis, mu = (2*pi*k_1)^2.  A 2D strip couples only equal
+k_2, whose share of mu_a - mu_b cancels (S_2d = S ⊗ I), so C_T, the HUM
+solve and `drive_linear` act on (N, N**(dim-1)) coefficients, by column.
 
 The same closed form with the midpoint sum in place of the time integral
 (`dense_gramian(spec, n_steps)`) is the Gramian of the NLS stepper's own
@@ -40,8 +40,8 @@ from .windows import CutoffWindow
 #: Smallest Gramian eigenvalue considered numerically observable.
 CONDITIONING_FLOOR = 1e-14
 
-#: Largest mode count (N**dim) the dense Gramian is assembled for: one
-#: complex matrix then takes 64 MB.
+#: Dense mode-space arrays are refused above MAX_DENSE_POINTS**2 complex
+#: entries (64 MB): N <= 2048 in 1D, N <= 160 in 2D.
 MAX_DENSE_POINTS = 2048
 
 # complex entries of the node-by-basis block the quadrature oracle
@@ -61,7 +61,7 @@ class HUMConvergenceError(RuntimeError):
 
 
 class DenseSizeError(ValueError):
-    """The grid has more modes than the dense Gramian is assembled for."""
+    """A dense mode-space array would exceed MAX_DENSE_POINTS**2 entries."""
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,7 @@ class _GramianApplier:
             n_quad = resolved_n_quad(grid, spec.T)
         if n_quad < 2:
             raise ValueError("n_quad must be >= 2")
-        if n_quad * grid.n_points > MAX_DENSE_POINTS ** 2:  # 64 MB of phases
-            raise DenseSizeError(f"{n_quad} nodes x {grid.n_points} modes exceed "
-                                 f"the oracle's {MAX_DENSE_POINTS ** 2} phases")
+        _check_entries(grid, n_quad, "node phases")
         self.grid = grid
         self.fft_axes = tuple(range(-grid.dim, 0))
         self.chi2 = spec.window.samples ** 2
@@ -187,41 +185,39 @@ def apply_gramian(spec: GramianSpec, phi0: FourierState) -> FourierState:
     return FourierState(spec.grid, out)
 
 
+def _check_entries(grid: GridSpec, rows: int, what: str) -> None:
+    """Refuse a rows x N**dim array of `what` above MAX_DENSE_POINTS**2."""
+    if rows * grid.n_points > MAX_DENSE_POINTS ** 2:
+        raise DenseSizeError(f"N = {grid.modes_per_axis} in {grid.dim}D: {rows} x "
+                             f"{grid.n_points} {what} exceed {MAX_DENSE_POINTS}**2")
+
+
 def check_dense_size(grid: GridSpec) -> None:
-    """Refuse grids whose dense mode-space matrices exceed MAX_DENSE_POINTS."""
-    if grid.n_points > MAX_DENSE_POINTS:
-        raise DenseSizeError(
-            f"N = {grid.modes_per_axis} in {grid.dim}D gives {grid.n_points} "
-            f"modes; dense Gramians are limited to {MAX_DENSE_POINTS}")
+    """Refuse N * N**dim above MAX_DENSE_POINTS**2: N <= 2048 in 1D, 160 in 2D."""
+    _check_entries(grid, grid.modes_per_axis, "mode-space entries")
 
 
 def window_mode_matrix(window: CutoffWindow) -> np.ndarray:
-    """Mode-space matrix of multiplication by chi^2: the (block-)circulant
-    W_ab = (chi^2)^(k_a - k_b), indexed by the per-axis mode difference
-    (aliased onto the grid), on flattened FFT-order coefficients."""
-    grid = window.grid
-    check_dense_size(grid)
-    c = np.fft.fftn(window.samples ** 2) / grid.n_points
-    n = grid.modes_per_axis
-    diff = np.subtract.outer(np.arange(n), np.arange(n)) % n
-    if grid.dim == 1:
-        w = c[diff]
-    else:
-        w = c[diff[:, None, :, None], diff[None, :, None, :]]
-    return w.reshape(grid.n_points, grid.n_points)
+    """Matrix of multiplication by chi^2 along the first axis: the N x N
+    circulant W_ab = (chi^2)^(k_a - k_b), the mode difference aliased onto
+    the grid.  In 2D the strip window's W acts on each k_2 column alone."""
+    check_dense_size(window.grid)
+    n = window.grid.modes_per_axis
+    c = np.fft.fft(window.samples.reshape(n, -1)[:, 0] ** 2) / n
+    return c[np.subtract.outer(np.arange(n), np.arange(n)) % n]
 
 
 def _mode_energies(grid: GridSpec) -> np.ndarray:
-    """mu = -Lap symbol = |2 pi k|^2 on flattened FFT-order coefficients."""
-    return -grid.laplacian_symbol().ravel()
+    """mu = (2 pi k)^2 along the first axis, in FFT order."""
+    return (2.0 * np.pi * grid.mode_indices()) ** 2
 
 
 def quadrature_gramian(spec: GramianSpec, n_quad: int | None = None,
                        rule: str = "gauss-legendre") -> np.ndarray:
     """The oracle's dense Gramian: _GramianApplier on every basis vector, a
     few nodes at a time so each transformed block stays small."""
-    check_dense_size(spec.grid)
     n = spec.grid.n_points
+    _check_entries(spec.grid, n, "basis entries")
     basis = np.eye(n, dtype=complex).reshape((n,) + spec.grid.shape)
     chunk = max(1, _ORACLE_BLOCK // (n * n))
     cols = _GramianApplier(spec, n_quad, rule).apply_batch(basis, chunk=chunk)
@@ -229,34 +225,36 @@ def quadrature_gramian(spec: GramianSpec, n_quad: int | None = None,
     return 0.5 * (s + s.conj().T)
 
 
-def dense_gramian(spec: GramianSpec, n_steps: int | None = None) -> np.ndarray:
-    """Dense Gramian S = W * K in mode space, on flattened coefficients (1D
-    or 2D), Hermitian-symmetrized, with the time kernel K in closed form.
-    Grids with more than MAX_DENSE_POINTS modes raise DenseSizeError before
-    any n_points x n_points allocation.
+def _time_kernel(w: np.ndarray, mu: np.ndarray, T: float, n_steps) -> np.ndarray:
+    """W * K for mode energies mu, in place over the mode matrix w, symmetrized.
 
-    With d = mu_a - mu_b, mu = |2*pi*k|^2, and x = d*T/2, the exact integral
-    is K = int_0^T exp(i*d*t) dt = exp(i*x) * T * sinc(x), sinc(y) = sin(y)/y.
+    With d = mu_a - mu_b and x = d*T/2, the exact integral is
+    K = int_0^T exp(i*d*t) dt = exp(i*x) * T * sinc(x), sinc(y) = sin(y)/y.
     Given n_steps, K is the midpoint sum h * sum_j exp(i*d*t_j),
     t_j = (j + 1/2)*h, h = T/n: exp(i*x) * h * sin(n*th)/sin(th), th = x/n,
     the linear part of the NLS stepper's controlled solve.  Reducing
     th = m*pi + r, |r| <= pi/2, gives (-1)^(m*(n-1)) * n * sinc(n*r)/sinc(r),
     finite where th is a nonzero multiple of pi.
     """
-    check_dense_size(spec.grid)
-    mu = _mode_energies(spec.grid)
-    x = np.subtract.outer(mu, mu) * (spec.T / 2.0)
-    s = window_mode_matrix(spec.window)
-    s *= np.exp(1j * x)
+    x = np.subtract.outer(mu, mu) * (T / 2.0)
+    w *= np.exp(1j * x)
     if n_steps is None:
-        s *= spec.T * np.sinc(x / np.pi)
+        w *= T * np.sinc(x / np.pi)
     else:
         x /= n_steps
         m = np.rint(x / np.pi)
         x -= m * np.pi
-        s *= np.where(m * (n_steps - 1) % 2, -spec.T, spec.T)
-        s *= np.sinc(n_steps * x / np.pi) / np.sinc(x / np.pi)
-    return 0.5 * (s + s.conj().T)
+        w *= np.where(m * (n_steps - 1) % 2, -T, T)
+        w *= np.sinc(n_steps * x / np.pi) / np.sinc(x / np.pi)
+    return 0.5 * (w + w.conj().T)
+
+
+def dense_gramian(spec: GramianSpec, n_steps: int | None = None) -> np.ndarray:
+    """Dense N x N Gramian S = W * K of `_time_kernel`, exact in time or the
+    midpoint sum of n_steps; in 2D it acts on every k_2 alike (S_2d = S ⊗ I).
+    Grids past check_dense_size raise DenseSizeError."""
+    return _time_kernel(window_mode_matrix(spec.window), _mode_energies(spec.grid),
+                        spec.T, n_steps)
 
 
 def lambda_min_dense(spec: GramianSpec) -> float:
@@ -292,17 +290,17 @@ def lambda_min_iterative(spec: GramianSpec, tol: float = 1e-10) -> float:
 
 def observability_constant(spec: GramianSpec) -> float:
     """Observability constant C_T = 1 / lambda_min(S) at this truncation,
-    from the exact-time dense Gramian (1D or 2D, up to MAX_DENSE_POINTS
-    modes).  A lambda_min below CONDITIONING_FLOOR raises
-    GramianSingularError.
-    """
-    lam_min = lambda_min_dense(spec)
+    from the exact-time dense Gramian (a 2D strip has the 1D C_T).  A
+    lambda_min below CONDITIONING_FLOOR raises GramianSingularError."""
+    return _floored_inverse(lambda_min_dense(spec), spec)
+
+
+def _floored_inverse(lam_min: float, spec: GramianSpec) -> float:
+    grid = spec.grid
     if lam_min < CONDITIONING_FLOOR:
-        grid = spec.grid
         raise GramianSingularError(
             f"lambda_min = {lam_min:.3e} below conditioning floor; observability "
-            f"numerically void at N={grid.modes_per_axis} ({grid.dim}D), T={spec.T}"
-        )
+            f"numerically void at N={grid.modes_per_axis} ({grid.dim}D), T={spec.T}")
     return 1.0 / lam_min
 
 
@@ -331,7 +329,7 @@ def solve_hum(spec: GramianSpec, target: FourierState,
     if target.grid != spec.grid:
         raise ValueError("grid mismatch between target and Gramian spec")
     s_mat = dense_gramian(spec)
-    u0 = target.coeffs.ravel()
+    u0 = target.coeffs.reshape(len(s_mat), -1)
     phi = cho_solve(_cholesky(s_mat, spec), -1j * u0)
     residual = float(np.linalg.norm(u0 - 1j * (s_mat @ phi)))
     if residual > tol * target.norm_l2():
@@ -366,33 +364,35 @@ def drive_linear(u0: FourierState, spec: GramianSpec,
 
         S(t) phi = exp(i mu t) * A (exp(-i mu t) * phi) - A phi + t B phi,
 
-    so every sample comes from one matrix product.  The samples are
-    max(32, 4N) uniform times on [0, T], both endpoints included.  Returns
-    the sampled trajectory and ||u(T)||_L2, the root of the last mass sample.
+    so every sample, of every k_2 column, comes from one matrix product.
+    The samples are max(32, 4N) uniform times on [0, T], both endpoints
+    included; ||chi u(t)||^2 takes an FFT along the first axis only (chi is
+    constant in x_2, and Plancherel holds in k_2).  Returns the sampled
+    trajectory and ||u(T)||_L2, the root of the last mass sample.
     """
     if u0.grid != spec.grid or phi0.grid != spec.grid:
         raise ValueError("grid mismatch")
-    grid = spec.grid
-    times = np.linspace(0.0, spec.T, max(32, 4 * grid.modes_per_axis))
-    mu = _mode_energies(grid)
+    n = spec.grid.modes_per_axis
+    times = np.linspace(0.0, spec.T, max(32, 4 * n))
+    mu = _mode_energies(spec.grid)
     d = np.subtract.outer(mu, mu)
     degenerate = d == 0.0
     w_mat = window_mode_matrix(spec.window)
     b = np.where(degenerate, w_mat, 0.0)
     a = np.where(degenerate, 0.0, w_mat / (1j * np.where(degenerate, 1.0, d)))
 
-    phi = phi0.coeffs.ravel()
-    free = np.exp(-1j * np.outer(mu, times))  # exp(i t Lap), one column per t
-    s_phi = (free.conj() * (a @ (free * phi[:, None]))
-             - (a @ phi)[:, None] + np.outer(b @ phi, times))
-    states = (free * (u0.coeffs.ravel()[:, None] - 1j * s_phi)).T
-    states = states.reshape((len(times),) + grid.shape)
+    # axes (k_1, t, k_2); the k_2 phase of exp(i t Lap) changes no mass
+    phi = phi0.coeffs.reshape(n, -1)
+    free = np.exp(-1j * np.outer(mu, times))[:, :, None]
+    a_free = (a @ (free * phi[:, None]).reshape(n, -1)).reshape(n, len(times), -1)
+    s_phi = (free.conj() * a_free - (a @ phi)[:, None]
+             + (b @ phi)[:, None] * times[:, None])
+    states = free * (u0.coeffs.reshape(n, 1, -1) - 1j * s_phi)
 
-    axes = tuple(range(1, grid.dim + 1))
-    phys = np.fft.ifftn(states, axes=axes) * grid.n_points
-    mass = np.sum(np.abs(states) ** 2, axis=axes)
-    observed = np.sum(spec.window.samples ** 2 * np.abs(phys) ** 2,
-                      axis=axes) / grid.n_points
+    phys = np.fft.ifft(states, axis=0) * n
+    mass = np.sum(np.abs(states) ** 2, axis=(0, 2))
+    chi2 = spec.window.samples.reshape(n, 1, -1)[..., :1] ** 2  # x_1 profile
+    observed = np.sum(chi2 * np.abs(phys) ** 2, axis=(0, 2)) / n
     record = TrajectoryRecord(times=times, mass=mass, observed_mass=observed)
     return record, float(np.sqrt(mass[-1]))
 

@@ -83,12 +83,8 @@ class DecayRecord:
 
 def _dealias_mask(grid: GridSpec) -> np.ndarray:
     """2/3-rule mask: keep |k| <= N/3 along each axis."""
-    k = grid.mode_indices()
-    cut = grid.modes_per_axis // 3
-    keep1 = np.abs(k) <= cut
-    if grid.dim == 1:
-        return keep1
-    return keep1[:, None] & keep1[None, :]
+    keep = np.abs(grid.mode_indices()) <= grid.modes_per_axis // 3
+    return keep if grid.dim == 1 else keep[:, None] & keep
 
 
 def energy(u: FourierState, sigma: int) -> float:
@@ -237,9 +233,10 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
     Iterates phi0 <- S^{-1}(-i*(u0 + drift(phi0))) where drift collects the
     interaction-picture nonlinear increments of the controlled forward
     solve.  S is the Gramian of the stepper's own midpoint source, in
-    closed form; it is Cholesky-factored once, and each iteration is one
-    triangular solve.  The linear problem thus closes exactly and the
-    certified forward residual reduces to roundoff and the Picard tol.
+    closed form (N x N, one column per transverse mode in 2D); it is
+    Cholesky-factored once, and each iteration is one triangular solve.
+    The linear problem thus closes exactly and the certified forward
+    residual reduces to roundoff and the Picard tol.
     The controlled solve takes n_steps midpoint steps, max(256, 4N) by
     default.
 
@@ -262,7 +259,7 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
     prev_update = None
     for it in range(1, max_iter + 1):
         _, drift = _controlled_forward(u0, spec, phi0, sigma, n_steps)
-        rhs = -1j * (u0.coeffs + drift.coeffs).ravel()
+        rhs = -1j * (u0.coeffs + drift.coeffs).reshape(grid.modes_per_axis, -1)
         phi_new = FourierState(grid, cho_solve(factor, rhs).reshape(grid.shape))
         update = (phi_new - phi0).norm_l2()
         history["update_norms"].append(update)
@@ -385,8 +382,8 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
     take its sigma.  Leg B drives conj(u1) to zero the same way; since
     v(t, x) = conj(u(T - t, x)) maps solutions of the cubic NLS to
     solutions of the same equation, that leg reversed and conjugated is a
-    valid 0 -> u1 trajectory and is emitted as such.  Grids above
-    MAX_DENSE_POINTS modes raise DenseSizeError before any damped leg runs.
+    valid 0 -> u1 trajectory and is emitted as such.  Grids past
+    check_dense_size raise DenseSizeError before any damped leg runs.
     """
     check_dense_size(spec.grid)
     params = replace(params, damping=spec.window)

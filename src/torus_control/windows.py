@@ -31,8 +31,8 @@ class CutoffWindow:
     """Sampled cutoff chi_omega on the physical grid.
 
     samples lie in [0, 1]; for the sharp kind they are exactly 0 or 1.
-    In 2D the window is a strip: omega intervals act on the first axis and
-    the samples are constant along the second axis.
+    In 2D the window is a strip: omega acts on the first axis, and samples
+    varying along the second are refused, so chi^2 acts as W_1d ⊗ I.
     """
 
     grid: GridSpec
@@ -47,6 +47,8 @@ class CutoffWindow:
             raise ValueError("samples shape does not match grid")
         if not np.all((s >= -1e-15) & (s <= 1.0 + 1e-15)):
             raise ValueError("window samples must lie in [0, 1]")
+        if s.ndim == 2 and np.any(s != s[:, :1]):
+            raise ValueError("2D window samples must be constant along axis 2 (a strip)")
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "omega", tuple(tuple(iv) for iv in self.omega))
 

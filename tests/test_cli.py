@@ -121,12 +121,13 @@ def test_dense_size_guard_exit_2(tmp_path, base_cfg, capsys):
 
 def test_global_control_size_guard_before_damping(tmp_path, base_cfg, capsys,
                                                  monkeypatch):
-    # 2D N = 46 is 2116 modes: refused before the damped leg starts
+    # 2D N = 162 gives 162 x 162**2 mode-space entries, above 2048**2:
+    # refused before the damped leg starts
     def no_damping(*args, **kwargs):
         raise AssertionError("damped leg ran before the size guard")
 
     monkeypatch.setattr("torus_control.nls._stabilize_to_threshold", no_damping)
-    base_cfg["grid"] = {"dim": 2, "N": 46}
+    base_cfg["grid"] = {"dim": 2, "N": 162}
     base_cfg["window"] = {"omega": [[0.0, 0.3]]}
     base_cfg["initial_state"] = {"norm": 0.3, "max_mode": 8}
     base_cfg["nls"] = {"sigma": -1, "dt": 1e-3}
@@ -135,6 +136,52 @@ def test_global_control_size_guard_before_damping(tmp_path, base_cfg, capsys,
     assert main(["global-control", "--config", cfg, "--out", str(out)]) == 2
     assert "config error: grid.N" in capsys.readouterr().err
     assert not (out / "error.json").exists()
+
+
+def test_tensor_check_2d_reference_size_guard(tmp_path, base_cfg, capsys):
+    # the genuinely 2D reference Gramian keeps the 2048-mode cap (N <= 44)
+    base_cfg["grid"]["N"] = 46
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["tensor-check", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: grid.N" in capsys.readouterr().err
+
+
+def test_observability_2d_strip_is_1d_constant(tmp_path, base_cfg):
+    base_cfg["grid"] = {"dim": 2, "N": 44}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["observability", "--config", cfg, "--out", str(out)]) == 0
+    c_2d = json.loads((out / "observability.json").read_text())["results"]["C_T"]
+    spec = GramianSpec(T=1.0, window=make_window(make_grid(1, 44), (0.0, 0.25)))
+    assert c_2d == pytest.approx(1.0 / lambda_min_dense(spec), rel=1e-12)
+
+
+def test_control_2d_past_old_cap(tmp_path, base_cfg):
+    base_cfg["grid"] = {"dim": 2, "N": 64}
+    base_cfg["solver"] = {"tol": 1e-9}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["control", "--config", cfg, "--out", str(out)]) == 0
+    residual = json.loads((out / "control.json").read_text())["results"]["residual"]
+    assert residual <= 1e-9
+
+
+def test_global_control_2d_past_old_cap(tmp_path, base_cfg):
+    # both norms below nls.mass_threshold: each leg is local control alone
+    base_cfg["grid"] = {"dim": 2, "N": 48}
+    base_cfg["window"] = {"omega": [[0.0, 0.3]]}
+    base_cfg["initial_state"] = {"norm": 0.04, "max_mode": 8}
+    base_cfg["target"] = {"norm": 0.04, "max_mode": 8}
+    base_cfg["nls"] = {"sigma": -1, "dt": 1e-3}
+    base_cfg["solver"] = {"tol": 1e-8}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["global-control", "--config", cfg, "--out", str(out)]) == 0
+    results = json.loads((out / "global_control.json").read_text())["results"]
+    assert [ph["type"] for ph in results["phases"]] == ["control", "control"]
+    assert results["endpoint_error_to_zero"] <= 1e-8
+    assert results["endpoint_error_to_target"] <= 1e-8
 
 
 def test_control_trajectory_ends_at_residual(tmp_path, base_cfg):
@@ -188,6 +235,10 @@ def test_invalid_nls_field_exit_2(tmp_path, base_cfg, capsys, field, value):
         assert "config error: nls: " in capsys.readouterr().err
 
 
+# a valid inline state on N = 16, against grid.N = 32
+STATE_N16 = {"dim": 1, "N": 16, "coeffs": [[1.0, 0.0]] * 16}
+
+
 @pytest.mark.parametrize("sub,path,value", [
     ("simulate", "horizon.T", -1),
     ("simulate", "horizon.T", float("nan")),
@@ -209,6 +260,12 @@ def test_invalid_nls_field_exit_2(tmp_path, base_cfg, capsys, field, value):
     ("resolvent-sweep", "sweep.lambda_max", "x"),
     ("resolvent-sweep", "sweep.lambda_min", 500.0),
     ("observability", "window.transition_width", float("nan")),
+    ("observability", "window", "x"),
+    ("control", "seed", "x"),
+    ("control", "initial_state", {"coeffs": "x"}),
+    ("control", "initial_state", STATE_N16),
+    ("simulate", "initial_state", STATE_N16),
+    ("resolvent-sweep", "grid.dim", 2),
 ])
 def test_invalid_config_field_exit_2(tmp_path, base_cfg, capsys, sub, path, value):
     base_cfg["target"] = {"norm": 0.2, "max_mode": 8}

@@ -3,21 +3,12 @@
 import numpy as np
 import pytest
 
-from torus_control import (GramianSingularError, GramianSpec, StripWindow,
+from torus_control import (GramianSingularError, GramianSpec,
                            decompose_modes, dense_gramian, make_grid,
                            make_window, random_state,
                            strip_observability_constant)
 from torus_control.hum import lambda_min_dense, quadrature_gramian
-from torus_control.tensor import compose_modes
-
-
-def test_strip_window_repeats_base_profile():
-    g1 = make_grid(1, 16)
-    base = make_window(g1, (0.0, 0.3), 0.05, "smooth")
-    strip = StripWindow(base)
-    w2 = strip.to_2d()
-    assert w2.grid.dim == 2
-    assert np.allclose(w2.samples, base.samples[:, None])
+from torus_control.tensor import compose_modes, dense_gramian_2d
 
 
 def test_decompose_compose_round_trip():
@@ -38,8 +29,8 @@ def test_dense_gramian_2d_block_structure():
     g1 = make_grid(1, 8)
     base = make_window(g1, (0.0, 0.4), 0.05, "smooth")
     spec = GramianSpec(T=1.0, window=base)
-    spec2d = GramianSpec(T=1.0, window=StripWindow(base).to_2d())
-    s2 = dense_gramian(spec2d)
+    spec2d = GramianSpec(T=1.0, window=make_window(make_grid(2, 8), (0.0, 0.4)))
+    s2 = dense_gramian_2d(spec2d)
     s1 = dense_gramian(spec)
     n = 8
     # block for second-axis mode q couples (k, q) only to (k', q)
@@ -63,11 +54,10 @@ def test_strip_observability_matches_1d():
 def test_strip_quadrature_oracle_matches_exact_2d():
     # the 2D quadrature Gramian at a resolving node count converges to the
     # exact-time closed form on the genuinely 2D grid
-    base = make_window(make_grid(1, 8), (0.0, 0.4), 0.05, "smooth")
-    window2d = StripWindow(base).to_2d()
+    window2d = make_window(make_grid(2, 8), (0.0, 0.4), 0.05, "smooth")
     spec2d = GramianSpec(T=1.0, window=window2d)
     s_quad = quadrature_gramian(spec2d)
-    s_exact = dense_gramian(spec2d)
+    s_exact = dense_gramian_2d(spec2d)
     assert np.max(np.abs(s_quad - s_exact)) < 1e-10 * np.max(np.abs(s_exact))
 
 

@@ -76,6 +76,15 @@ def test_2d_strip_constant_along_second_axis():
     assert np.allclose(w.samples, w.samples[:, :1])
 
 
+def test_2d_window_refuses_non_strip_samples():
+    g = make_grid(2, 8)
+    samples = np.ones(g.shape)
+    samples[2, 5] = 0.5  # varies along the second axis
+    with pytest.raises(ValueError, match="constant along axis 2"):
+        CutoffWindow(grid=g, samples=samples, omega=((0.0, 1.0),),
+                     transition_width=0.0)
+
+
 def test_multiply_window_is_physical_product():
     g = make_grid(1, 32)
     w = make_window(g, (0.0, 0.4), 0.05, "smooth")
