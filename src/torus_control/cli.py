@@ -218,6 +218,7 @@ def _cmd_resolvent_sweep(args, cfg, rng, out_dir):
         c_t = observability_constant(spec)
         bound = miller_cost_bound(result.M_sup, result.m_fixed, T)
         results["cross_check"] = {"T": T, "C_T": c_t, "miller_bound": bound,
+                                  "cost_ratio": c_t / bound,
                                   "within_slack": bool(c_t <= 1.5 * bound)}
     _report(args, cfg, results, out_dir, "resolvent_sweep")
     return 0
@@ -313,6 +314,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _integer(cfg, "seed", 0)
+        elif args.seed < 0:
+            raise ConfigError(f"--seed: expected an integer >= 0, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.subcommand](args, cfg, rng, out_dir)

@@ -381,18 +381,22 @@ def drive_linear(u0: FourierState, spec: GramianSpec,
     b = np.where(degenerate, w_mat, 0.0)
     a = np.where(degenerate, 0.0, w_mat / (1j * np.where(degenerate, 1.0, d)))
 
-    # axes (k_1, t, k_2); the k_2 phase of exp(i t Lap) changes no mass
+    # axes (k_1, t, k_2); the k_2 phase of exp(i t Lap) changes no mass.  One
+    # array, updated in place, holds S(t) phi, then u(t), then u(x_1, t)
     phi = phi0.coeffs.reshape(n, -1)
     free = np.exp(-1j * np.outer(mu, times))[:, :, None]
-    a_free = (a @ (free * phi[:, None]).reshape(n, -1)).reshape(n, len(times), -1)
-    s_phi = (free.conj() * a_free - (a @ phi)[:, None]
-             + (b @ phi)[:, None] * times[:, None])
-    states = free * (u0.coeffs.reshape(n, 1, -1) - 1j * s_phi)
+    states = (a @ (free * phi[:, None]).reshape(n, -1)).reshape(n, len(times), -1)
+    states *= free.conj()
+    states -= (a @ phi)[:, None]
+    states += (b @ phi)[:, None] * times[:, None]
+    states *= -1j
+    states += u0.coeffs.reshape(n, 1, -1)
+    states *= free
 
-    phys = np.fft.ifft(states, axis=0) * n
     mass = np.sum(np.abs(states) ** 2, axis=(0, 2))
+    states = np.fft.ifft(states, axis=0, norm="forward")
     chi2 = spec.window.samples.reshape(n, 1, -1)[..., :1] ** 2  # x_1 profile
-    observed = np.sum(chi2 * np.abs(phys) ** 2, axis=(0, 2)) / n
+    observed = np.sum(chi2 * np.abs(states) ** 2, axis=(0, 2)) / n
     record = TrajectoryRecord(times=times, mass=mass, observed_mass=observed)
     return record, float(np.sqrt(mass[-1]))
 

@@ -12,6 +12,11 @@ Laplacian eigenvalue the kernel block must satisfy m <chi phi, chi phi>
 >= ||phi||^2, otherwise no finite M exists; a strictly negative kernel
 block is eliminated by its Schur complement.
 
+In the real basis {1, sqrt2 cos 2 pi k x, sqrt2 sin 2 pi k x}, Q_r = Re(U^H Q U)
+is exact (chi^2 is real) and A stays diagonal (mu = (2 pi k)^2 is even in k), so
+a sweep builds Q_r once and runs one real eigensolve per lambda; the complex
+formula survives only as the test reference.
+
 Observability and resolvent constants convert both ways:
 forward  (M, m) = (2*C_T*T^3/3, 2*C_T*T);
 reverse  controllability holds for T > pi*sqrt(M) with cost
@@ -51,21 +56,27 @@ class ResolventSweepResult:
         return float(np.pi * np.sqrt(self.M_sup))
 
 
-def best_resolvent_constant(lam: float, m: float, window: CutoffWindow,
-                            grid: GridSpec, kernel_tol: float = 1e-9) -> float:
-    """Smallest M >= 0 making the resolvent estimate hold for all states."""
+def _real_form(m: float, window: CutoffWindow, grid: GridSpec) -> np.ndarray:
+    """Q_r = Re(U^H (I - m W) U); column k of the unitary U is
+    (e_k + e_-k)/sqrt2 and column -k is (e_k - e_-k)/(i sqrt2), 0 < k < N/2."""
     if m < 0.0:
         raise ValueError("m must be nonnegative")
     if grid.dim != 1:
-        raise ValueError("best_resolvent_constant supports 1D grids")
+        raise ValueError("resolvent constants support 1D grids")
     n = grid.modes_per_axis
-    d = grid.laplacian_symbol() - lam  # Lap - lambda, diagonal in mode space
-    w_mat = window_mode_matrix(window)
-    q = np.eye(n) - m * w_mat
-    q = 0.5 * (q + q.conj().T)
+    k = np.arange(1, n // 2)
+    u = np.eye(n, dtype=complex)
+    u[k, k] = u[-k, k] = np.sqrt(0.5)
+    u[k, -k], u[-k, -k] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
+    q = (u.conj().T @ (np.eye(n) - m * window_mode_matrix(window)) @ u).real
+    return 0.5 * (q + q.T)
 
-    scale = max(abs(lam), (2.0 * np.pi * n / 2.0) ** 2, 1.0)
-    kernel = np.abs(d) <= kernel_tol * scale
+
+def _best_constant(lam: float, q: np.ndarray, lap: np.ndarray) -> float:
+    """Smallest M >= 0 at lambda, from the real form q and the symbol lap."""
+    d = lap - lam  # Lap - lambda, diagonal in either basis
+    scale = max(abs(lam), -lap.min(), 1.0)  # (2 pi N/2)^2 at the Nyquist mode
+    kernel = np.abs(d) <= 1e-9 * scale
     comp = ~kernel
     if kernel.any():
         q_kk = q[np.ix_(kernel, kernel)]
@@ -73,7 +84,7 @@ def best_resolvent_constant(lam: float, m: float, window: CutoffWindow,
         # feasibility: m <W phi, phi> >= ||phi||^2 on the kernel, i.e. Q_kk <= 0
         if vals.max() > 1e-12:
             raise InfeasibleResolventError(
-                f"lambda = {lam:.6g} hits the spectrum and m = {m:.6g} fails "
+                f"lambda = {lam:.6g} hits the spectrum and m fails "
                 f"m*||chi phi||^2 >= ||phi||^2 on the eigenspace "
                 f"(max kernel eigenvalue {vals.max():.3e})"
             )
@@ -94,15 +105,19 @@ def best_resolvent_constant(lam: float, m: float, window: CutoffWindow,
         q_eff = q[np.ix_(comp, comp)]
         if neg.any():
             v_neg = vecs[:, neg]
-            q_eff = q_eff - (q_ck @ v_neg) @ np.diag(1.0 / vals[neg]) @ (q_ck @ v_neg).conj().T
+            q_eff = q_eff - (q_ck @ v_neg) @ np.diag(1.0 / vals[neg]) @ (q_ck @ v_neg).T
     else:
         q_eff = q
 
     inv_d = 1.0 / d[comp]
-    g = inv_d[:, None] * q_eff * inv_d[None, :]
-    g = 0.5 * (g + g.conj().T)
-    top = float(np.linalg.eigvalsh(g)[-1])
-    return max(0.0, top)
+    g = inv_d[:, None] * q_eff * inv_d[None, :]  # eigvalsh reads one triangle
+    return max(0.0, float(np.linalg.eigvalsh(g)[-1]))
+
+
+def best_resolvent_constant(lam: float, m: float, window: CutoffWindow,
+                            grid: GridSpec) -> float:
+    """Smallest M >= 0 making the estimate hold for all states: a one-point sweep."""
+    return float(sweep([lam], m, window, grid).M_of_lambda[0])
 
 
 def default_lambda_grid(grid: GridSpec, n_points: int = 512,
@@ -138,38 +153,31 @@ def feasible_m(window: CutoffWindow, grid: GridSpec, margin: float = 2.0) -> flo
     feasibility constraint, with the given multiplicative margin.
 
     For eigenvalue -(2*pi*k)^2 the eigenspace is span{e^{+-2*pi*i*k*x}};
-    the constraint is m * lambda_min(W restricted) >= 1.
+    the constraint is m * (W_kk - |W_k,-k|) >= 1, or m * W_kk >= 1 at k = 0, N/2.
     """
-    w_mat = window_mode_matrix(window)
-    k_all = grid.mode_indices()
-    worst = 0.0
-    for k in range(0, grid.modes_per_axis // 2 + 1):
-        idx = np.where(np.abs(k_all) == k)[0]
-        if len(idx) == 0:
-            continue
-        block = w_mat[np.ix_(idx, idx)]
-        lam_min = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
-        if lam_min <= 0.0:
-            raise InfeasibleResolventError(
-                f"window does not observe the eigenspace of mode |k| = {k}"
-            )
-        worst = max(worst, 1.0 / lam_min)
-    return margin * worst
+    n, w_mat = grid.modes_per_axis, window_mode_matrix(window)
+    k = np.arange(n // 2 + 1)
+    lam_min = w_mat[k, k].real - np.where(k == -k % n, 0.0, np.abs(w_mat[k, -k]))
+    if lam_min.min() <= 0.0:
+        raise InfeasibleResolventError("window does not observe the eigenspace of "
+                                       f"mode |k| = {np.argmax(lam_min <= 0.0)}")
+    return margin * float(np.max(1.0 / lam_min))
 
 
 def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow,
           grid: GridSpec) -> ResolventSweepResult:
-    """best_resolvent_constant over a lambda grid."""
+    """best_resolvent_constant over a lambda grid, on one real form Q_r."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
+    q, lap = _real_form(m, window, grid), grid.laplacian_symbol()
     best = np.empty_like(lambda_grid)
     for i, lam in enumerate(lambda_grid):
         try:
-            best[i] = best_resolvent_constant(lam, m, window, grid)
+            best[i] = _best_constant(lam, q, lap)
         except InfeasibleResolventError as exc:
             raise InfeasibleResolventError(
-                f"infeasible at lambda = {lam:.6g}: {exc}"
+                f"infeasible at lambda = {lam:.6g}, m = {m:.6g}: {exc}"
             ) from exc
     return ResolventSweepResult(lambda_grid=lambda_grid, m_fixed=m, M_of_lambda=best)
 

@@ -284,6 +284,14 @@ def test_invalid_config_field_exit_2(tmp_path, base_cfg, capsys, sub, path, valu
     assert not (out / "error.json").exists()
 
 
+def test_negative_seed_flag_exit_2(tmp_path, base_cfg, capsys):
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["observability", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert "config error: --seed: " in capsys.readouterr().err
+    assert not (out / "error.json").exists()
+
+
 def test_resolvent_sweep_ignores_quadrature_keys(tmp_path, base_cfg):
     # the Gramian holds no time nodes, so quadrature.* is not read
     base_cfg["sweep"] = {"n_points": 16, "cross_check": True}
@@ -292,7 +300,9 @@ def test_resolvent_sweep_ignores_quadrature_keys(tmp_path, base_cfg):
     out = tmp_path / "out"
     assert main(["resolvent-sweep", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "resolvent_sweep.json").read_text())
-    assert report["results"]["cross_check"]["C_T"] > 1.0
+    cc = report["results"]["cross_check"]
+    assert cc["C_T"] > 1.0
+    assert cc["cost_ratio"] == pytest.approx(cc["C_T"] / cc["miller_bound"], rel=1e-15)
 
 
 def test_global_control_damped_legs_honour_dealias(tmp_path, base_cfg, monkeypatch):

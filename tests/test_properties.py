@@ -1,13 +1,16 @@
 """Property tests of the core identities (Hypothesis; profile in conftest)."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from torus_control import FourierState, GramianSpec, dense_gramian, make_grid, make_window
+from torus_control import (FourierState, GramianSpec, best_resolvent_constant,
+                           dense_gramian, free_propagate, make_grid, make_window)
 from torus_control.io import state_from_json, state_to_json
 from torus_control.tensor import dense_gramian_2d
 
@@ -61,3 +64,30 @@ def test_state_json_round_trip(u):
 @given(st.sampled_from([1, 2]).flatmap(windows))
 def test_window_samples_lie_in_unit_interval(window):
     assert np.all((window.samples >= 0.0) & (window.samples <= 1.0))
+
+
+@given(states())
+def test_plancherel(u):
+    # ||u||^2 = sum_k |u_hat(k)|^2 = mean_j |u(x_j)|^2 on the grid
+    physical = np.sum(np.abs(u.physical()) ** 2) / u.grid.n_points
+    assert physical == pytest.approx(u.norm_l2() ** 2, rel=1e-12, abs=0.0)
+
+
+@given(states(), st.floats(-10.0, 10.0))
+def test_free_propagator_is_isometry(u, t):
+    assert free_propagate(u, t).norm_l2() == pytest.approx(u.norm_l2(), rel=1e-12, abs=0.0)
+
+
+@given(windows(1), st.floats(0.0, 4.0), st.integers(0, 5), st.floats(0.1, 0.9))
+def test_resolvent_constant_invariant_under_translation_and_reflection(window, m, j, frac):
+    # chi^2(x - 1/N) conjugates W by diag(exp(-2 pi i k / N)) and chi^2(-x) by
+    # the permutation k -> -k; both commute with Lap - lambda, so M(lambda)
+    # is unchanged.  lambda sits in a spectral gap, a tenth of a mode away
+    # from either eigenvalue, where ||g||_2 <= (1 + m) / dist(lambda, spec)^2.
+    grid = window.grid
+    lam = -(2.0 * np.pi * (j % (grid.modes_per_axis // 2) + frac)) ** 2
+    tol = 1e-12 * (1.0 + m) / np.min(np.abs(grid.laplacian_symbol() - lam)) ** 2
+    base = best_resolvent_constant(lam, m, window, grid)
+    for samples in (np.roll(window.samples, 1), np.roll(window.samples[::-1], 1)):
+        moved = replace(window, samples=samples)
+        assert abs(best_resolvent_constant(lam, m, moved, grid) - base) <= tol

@@ -9,8 +9,41 @@ from torus_control import (GramianSpec, InfeasibleResolventError,
                            make_grid, make_window, miller_cost_bound,
                            observability_constant, random_state, sweep,
                            verify_resolvent, wave_resolvent_check)
-from torus_control.hum import lambda_min_dense
+from torus_control.hum import lambda_min_dense, window_mode_matrix
 from torus_control.windows import full_window
+
+
+def complex_reference(lam, m, window, grid):
+    """The resolvent constant from the complex mode basis, rebuilt per lambda:
+    (M, ||g||_2), g = D^-1 Q D^-1 on the complement of the kernel after the
+    Schur elimination of its negative directions (the reference the real
+    form of the sweep is checked against)."""
+    n = grid.modes_per_axis
+    d = grid.laplacian_symbol() - lam
+    q = np.eye(n) - m * window_mode_matrix(window)
+    q = 0.5 * (q + q.conj().T)
+    scale = max(abs(lam), (2.0 * np.pi * n / 2.0) ** 2, 1.0)
+    kernel = np.abs(d) <= 1e-9 * scale
+    comp = ~kernel
+    q_eff = q
+    if kernel.any():
+        vals, vecs = np.linalg.eigh(q[np.ix_(kernel, kernel)])
+        if vals.max() > 1e-12:
+            raise InfeasibleResolventError(f"lambda = {lam:.6g}: kernel block not <= 0")
+        if not comp.any():
+            return 0.0, 0.0
+        q_ck = q[np.ix_(comp, kernel)]
+        neg = vals < -1e-12
+        if (~neg).any() and np.linalg.norm(q_ck @ vecs[:, ~neg]) > 1e-10:
+            raise InfeasibleResolventError(f"lambda = {lam:.6g}: flat kernel couples")
+        q_eff = q[np.ix_(comp, comp)]
+        if neg.any():
+            c = q_ck @ vecs[:, neg]
+            q_eff = q_eff - c @ np.diag(1.0 / vals[neg]) @ c.conj().T
+    inv_d = 1.0 / d[comp]
+    g = inv_d[:, None] * q_eff * inv_d[None, :]
+    vals = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+    return max(0.0, float(vals[-1])), float(np.max(np.abs(vals)))
 
 
 @pytest.fixture
@@ -81,6 +114,23 @@ def test_best_constant_is_tight(setup32):
     u = FourierState(g, vecs[:, -1] / d)
     assert verify_resolvent(u, lam, m_best, m, w)[2]
     assert not verify_resolvent(u, lam, 0.8 * m_best, m, w)[2]
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("omega,kind", [((0.0, 0.2), "smooth"),
+                                        (((0.1, 0.35), (0.6, 0.7)), "sharp")])
+def test_sweep_matches_complex_reference(n, omega, kind):
+    # the real cos/sin form is exact: chi^2 is real and mu even in k; the
+    # default grid includes the kernel points, so the Schur path runs too
+    g = make_grid(1, n)
+    w = make_window(g, omega, 0.05, kind)
+    m = feasible_m(w, g)
+    lam_grid = default_lambda_grid(g)
+    result = sweep(lam_grid, m, w, g)
+    ref = np.array([complex_reference(lam, m, w, g) for lam in lam_grid])
+    assert np.all(np.abs(result.M_of_lambda - ref[:, 0]) <= 1e-13 * ref[:, 1])
+    assert result.M_sup == pytest.approx(ref[:, 0].max(), rel=1e-12, abs=0.0)
+    assert best_resolvent_constant(lam_grid[7], m, w, g) == result.M_of_lambda[7]
 
 
 def test_default_lambda_grid_structure(setup32):
