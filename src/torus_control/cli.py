@@ -117,7 +117,7 @@ def _build_nls_params(cfg, damping=None):
         raise ConfigError(f"nls: {exc}") from exc
 
 
-def _initial_state(cfg, grid, rng):
+def _initial_state(cfg, grid, rng, norm_sign="non-negative"):
     ucfg = _get(cfg, "initial_state")
     if isinstance(ucfg, dict) and "coeffs" in ucfg:
         try:
@@ -128,7 +128,7 @@ def _initial_state(cfg, grid, rng):
             raise ConfigError(f"initial_state: {u0.grid} differs from grid {grid}")
         return u0
     return random_state(grid, rng,
-                        norm=_number(cfg, "initial_state.norm", 1.0, "non-negative"),
+                        norm=_number(cfg, "initial_state.norm", 1.0, norm_sign),
                         max_mode=_integer(cfg, "initial_state.max_mode"))
 
 
@@ -242,9 +242,15 @@ def _cmd_stabilize(args, cfg, rng, out_dir):
     grid = _build_grid(cfg)
     window = _build_window(cfg, grid)
     params = _build_nls_params(cfg, damping=window)
-    u0 = _initial_state(cfg, grid, rng)
-    final, record = evolve(u0, _number(cfg, "horizon.T", 10.0), params,
-                           record_stride=10)
+    # a decay rate needs a nonzero state and at least 10 records
+    u0 = _initial_state(cfg, grid, rng, norm_sign="positive")
+    if u0.norm_l2() == 0.0:
+        raise ConfigError("initial_state: expected a nonzero state")
+    T = _number(cfg, "horizon.T", 10.0)
+    final, record = evolve(u0, T, params, record_stride=10)
+    if len(record.times) < 10:
+        raise ConfigError(f"horizon.T: {len(record.times)} records of the decay at "
+                          f"stride 10 (nls.dt = {params.dt}), need 10, got {T!r}")
     gamma = fit_decay_rate(record)
     if args.format in ("csv", "both"):
         write_decay_csv(out_dir / "stabilize.csv", record)

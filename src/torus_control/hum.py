@@ -266,7 +266,9 @@ def lambda_min_dense(spec: GramianSpec) -> float:
 def lambda_min_iterative(spec: GramianSpec, tol: float = 1e-10) -> float:
     """Smallest Gramian eigenvalue via Lanczos on S^{-1} applied
     matrix-free (inner solves by CG on the oracle's quadrature operator on
-    resolved_n_quad nodes; see _GramianApplier for its ceiling)."""
+    resolved_n_quad nodes; see _GramianApplier for its ceiling).  The
+    Lanczos start vector is a fixed pseudo-random draw, so repeated calls
+    return the same value."""
     n, shape = spec.grid.n_points, spec.grid.shape
     applier = _GramianApplier(spec)
     op = LinearOperator((n, n), dtype=complex,
@@ -280,8 +282,10 @@ def lambda_min_iterative(spec: GramianSpec, tol: float = 1e-10) -> float:
         return x
 
     opinv = LinearOperator(op.shape, matvec=inv_matvec, dtype=complex)
+    draw = np.random.default_rng(0).standard_normal((2, n))
+    v0 = draw[0] + 1j * draw[1]
     vals = eigsh(opinv, k=1, which="LA", tol=tol, return_eigenvectors=False,
-                 maxiter=2000)
+                 maxiter=2000, v0=v0)
     top = float(vals[0].real)
     if top <= 0.0:
         raise GramianSingularError("inverse iteration produced a nonpositive eigenvalue")

@@ -9,21 +9,31 @@ composes exact sub-flows:
 
 where the nonlinear sub-flow is the exact pointwise rotation
 u -> u * exp(-i*sigma*|u|^2*dt) and the damping sub-flow the pointwise
-factor exp(-chi^2 * dt/2).  Without damping every sub-step is an
-isometry, so mass is conserved to roundoff; energy drifts at O(dt^2).
+factor exp(-chi^2 * dt/2).  The three middle sub-flows are applied as one
+exact pointwise factor, u -> d2 * u * exp(-i*sigma*dt*d2*|u|^2) with
+d2 = exp(-chi^2 * dt).  Without damping every sub-step is an isometry, so
+mass is conserved to roundoff; energy drifts at O(dt^2).
 `nls_step`, `evolve`, the damped legs of global control and the
 controlled solve all run this one step, built once per (grid, dt, sigma,
 damping, dealias); the controlled solve adds its source, integrated over
-the step at the midpoint, after the nonlinear sub-flow.  A damped leg
-stops at the first 10-step check with ||u|| at or below its threshold.
+the step at the midpoint, after the nonlinear sub-flow.  The step
+transforms over the last grid.dim axes only, so coefficients of shape
+(B, *grid.shape) advance B states at once: global control runs the
+damped legs of u0 and conj(u1) as one batch, each member leaving it at
+its first 10-step check with ||u|| at or below the threshold.
 
-With damping the mass obeys d/dt ||u||^2 = -2 ||chi u||^2, checked
-against the trapezoid integral of the recorded observed series.
+`evolve` holds the coefficients of its records in a buffer of 4096
+coefficients (64 records at 1D N = 64, at least one record) and computes
+their mass, energy and observed mass in bulk, with one batched inverse FFT;
+`energy` is the one-record case of the same sampler.  With damping the
+mass obeys d/dt ||u||^2 = -2 ||chi u||^2, checked against the trapezoid
+integral of the recorded observed series.
 
 Local exact control near zero follows the fixed-point construction
 phi0 <- S^{-1}(rhs(u0) - nonlinear drift(phi0)), with S the Gramian of
 the stepper's own midpoint source, assembled in closed form and
-Cholesky-factored once: the linear part of the discrete stepper is then
+Cholesky-factored once (one factor serves both control legs of global
+control): the linear part of the discrete stepper is then
 inverted exactly, so at the fixed point the discrete final state
 vanishes up to roundoff and the Picard tolerance.
 """
@@ -87,43 +97,72 @@ def _dealias_mask(grid: GridSpec) -> np.ndarray:
     return keep if grid.dim == 1 else keep[:, None] & keep
 
 
+# forward and inverse transforms over the last grid.dim axes, by dimension
+_TRANSFORMS = {1: (np.fft.fft, np.fft.ifft), 2: (np.fft.fft2, np.fft.ifft2)}
+# coefficients `evolve` holds before sampling them in bulk
+_RECORD_BUFFER_POINTS = 4096
+
+
+def _sample(grid: GridSpec, coeffs: np.ndarray, sigma: int,
+            damping: CutoffWindow | None = None) -> np.ndarray:
+    """Mass, energy and observed mass ||chi u||^2 of a batch of states
+    (coefficients of shape (B, *grid.shape)), as rows of a (3, B) array,
+    from one batched inverse FFT."""
+    axes = tuple(range(-grid.dim, 0))
+    power = (coeffs * coeffs.conj()).real
+    phys = _TRANSFORMS[grid.dim][1](coeffs, norm="forward")
+    dens = (phys * phys.conj()).real
+    out = np.zeros((3, len(coeffs)))
+    out[0] = power.sum(axis=axes)
+    out[1] = ((-grid.laplacian_symbol() * power).sum(axis=axes)
+              + 0.5 * sigma * (dens ** 2).sum(axis=axes) / grid.n_points)
+    if damping is not None:
+        out[2] = (damping.samples ** 2 * dens).sum(axis=axes) / grid.n_points
+    return out
+
+
 def energy(u: FourierState, sigma: int) -> float:
     """H^1 energy: sum_k (2 pi k)^2 |u_hat|^2 + (sigma/2) * int |u|^4."""
-    grad = float(np.sum(-u.grid.laplacian_symbol() * np.abs(u.coeffs) ** 2))
-    phys = u.physical()
-    quartic = float(np.sum(np.abs(phys) ** 4)) / u.grid.n_points
-    return grad + 0.5 * sigma * quartic
+    return float(_sample(u.grid, u.coeffs[None], sigma)[1, 0])
 
 
 class _StrangStep:
     """The Strang step of `NLSParams` on one grid, with its half-step
-    phases, damping factors and dealias mask computed once."""
+    phases, fused damping-rotation factors and dealias mask computed once.
+    It acts on the last grid.dim axes, so coefficients of shape
+    (B, *grid.shape) advance B states at once."""
 
     def __init__(self, grid: GridSpec, params: NLSParams):
-        self.rotation = -params.sigma * params.dt
+        self.fft, self.ifft = _TRANSFORMS[grid.dim]
         self.half = np.exp(1j * grid.laplacian_symbol() * (params.dt / 2.0))
-        self.damp = (None if params.damping is None
-                     else np.exp(-params.damping.samples ** 2 * (params.dt / 2.0)))
-        self.mask = _dealias_mask(grid) if params.dealias else None
+        # damp(dt/2) . rotate(dt) . damp(dt/2) in one exact factor:
+        # u -> d2 u exp(-i sigma dt d2 |u|^2), d2 = exp(-chi^2 dt)
+        self.d2 = (None if params.damping is None
+                   else np.exp(-params.damping.samples ** 2 * params.dt))
+        rotation = -params.sigma * params.dt
+        self.kick = (None if rotation == 0.0
+                     else 1j * rotation * (1.0 if self.d2 is None else self.d2))
+        self.tail = (self.half * _dealias_mask(grid) if params.dealias
+                     else self.half)
+        # after the unnormalized forward FFT of the nonlinear sub-flow
+        self.tail_nl = self.tail / grid.n_points
 
     def __call__(self, c: np.ndarray, source: np.ndarray | None = None) -> np.ndarray:
         """Advance coefficients c by one step; `source` (Fourier space) is
-        added after the nonlinear sub-flow."""
+        added after the nonlinear sub-flow and the dealias mask."""
         c = c * self.half
-        if self.damp is not None or self.rotation != 0.0:
-            phys = np.fft.ifftn(c, norm="forward")
-            if self.damp is not None:
-                phys *= self.damp
-            if self.rotation != 0.0:
-                phys *= np.exp(1j * self.rotation * np.abs(phys) ** 2)
-            if self.damp is not None:
-                phys *= self.damp
-            c = np.fft.fftn(phys, norm="forward")
-        if self.mask is not None:
-            c *= self.mask
+        if self.d2 is not None or self.kick is not None:
+            phys = self.ifft(c, norm="forward")
+            if self.kick is not None:
+                phys *= np.exp(self.kick * (phys * phys.conj()).real)
+            if self.d2 is not None:
+                phys *= self.d2
+            c = self.fft(phys)
+            c *= self.tail_nl
+        else:
+            c *= self.tail
         if source is not None:
-            c += source
-        c *= self.half
+            c += source * self.half
         return c
 
 
@@ -134,37 +173,37 @@ def nls_step(u: FourierState, params: NLSParams) -> FourierState:
 
 def evolve(u0: FourierState, T: float, params: NLSParams,
            record_stride: int = 1) -> tuple[FourierState, DecayRecord]:
-    """Evolve for time T, recording mass, energy and observed mass."""
+    """Evolve for time T, recording mass, energy and observed mass every
+    `record_stride` steps and at the final step."""
     if not 0.0 < T < np.inf:
         raise ValueError("T must be positive and finite")
+    if int(record_stride) != record_stride or record_stride < 1:
+        raise ValueError(f"record_stride must be a positive integer, got {record_stride!r}")
     n_steps = int(round(T / params.dt))
     if abs(n_steps * params.dt - T) > 1e-9 * max(T, 1.0):
         n_steps = int(np.ceil(T / params.dt))
-    times, mass, en, obs = [], [], [], []
+    rec_steps = np.arange(0, n_steps + 1, record_stride)
+    if rec_steps[-1] != n_steps:
+        rec_steps = np.append(rec_steps, n_steps)
 
-    def sample(t, u):
-        times.append(t)
-        mass.append(u.norm_l2() ** 2)
-        en.append(energy(u, params.sigma))
-        if params.damping is not None:
-            phys = u.physical()
-            obs.append(float(np.sum(params.damping.samples ** 2 * np.abs(phys) ** 2))
-                       / u.grid.n_points)
-        else:
-            obs.append(0.0)
-
-    step = _StrangStep(u0.grid, params)
-    u = u0
-    sample(0.0, u)
-    c = u0.coeffs
-    for i in range(n_steps):
-        c = step(c)
-        if (i + 1) % record_stride == 0 or i == n_steps - 1:
-            u = FourierState(u0.grid, c)
-            sample((i + 1) * params.dt, u)
-    record = DecayRecord(times=np.array(times), mass=np.array(mass),
-                         energy=np.array(en), observed=np.array(obs))
-    return u, record
+    grid = u0.grid
+    step = _StrangStep(grid, params)
+    samples = np.empty((3, len(rec_steps)))
+    n_buf = min(len(rec_steps), max(1, _RECORD_BUFFER_POINTS // grid.n_points))
+    buf = np.empty((n_buf,) + grid.shape, dtype=complex)
+    c, done = u0.coeffs, 0
+    for start in range(0, len(rec_steps), len(buf)):
+        chunk = rec_steps[start:start + len(buf)]
+        for j, target in enumerate(chunk):
+            for _ in range(target - done):
+                c = step(c)
+            done = target
+            buf[j] = c
+        samples[:, start:start + len(chunk)] = _sample(
+            grid, buf[:len(chunk)], params.sigma, params.damping)
+    record = DecayRecord(times=rec_steps * params.dt, mass=samples[0],
+                         energy=samples[1], observed=samples[2])
+    return FourierState(grid, c), record
 
 
 def fit_decay_rate(record: DecayRecord, tail_fraction: float = 0.5) -> float:
@@ -207,14 +246,20 @@ def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
     grid = spec.grid
     dt = spec.T / n_steps
     step = _StrangStep(grid, NLSParams(sigma=sigma, dt=dt, dealias=False))
-    axes = tuple(range(1, grid.dim + 1))
+    axes = range(grid.dim, 0, -1)
     t_mid = (np.arange(n_steps) + 0.5) * dt
     # exp(i t_j Lap) for every midpoint, shape (n_steps, *grid.shape)
     phases = np.exp(1j * t_mid.reshape((-1,) + (1,) * grid.dim)
                     * grid.laplacian_symbol())
-    sources = np.fft.ifftn(phases * phi0.coeffs, axes=axes, norm="forward")
+    # transformed one axis at a time, last first as fftn does, each input
+    # freed as its output is made: three such tables at most are alive,
+    # where fftn holds four
+    sources = phases * phi0.coeffs
+    for axis in axes:
+        sources = np.fft.ifft(sources, axis=axis, norm="forward")
     sources *= -1j * dt * spec.window.samples ** 2
-    sources = np.fft.fftn(sources, axes=axes, norm="forward")
+    for axis in axes:
+        sources = np.fft.fft(sources, axis=axis, norm="forward")
 
     c = u0.coeffs
     drift = np.zeros(grid.shape, dtype=complex)
@@ -223,6 +268,11 @@ def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
         drift += phases[j].conj() * (c_new / step.half - sources[j] - step.half * c)
         c = c_new
     return FourierState(grid, c), FourierState(grid, drift)
+
+
+def _control_steps(grid: GridSpec) -> int:
+    """Default number of midpoint steps of the controlled solve."""
+    return max(256, 4 * grid.modes_per_axis)
 
 
 def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
@@ -247,14 +297,21 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
     if u0.grid != spec.grid:
         raise ValueError("grid mismatch")
     if n_steps is None:
-        n_steps = max(256, 4 * spec.grid.modes_per_axis)
+        n_steps = _control_steps(spec.grid)
+    if u0.norm_l2() == 0.0:
+        history = {"update_norms": [], "contraction_ratios": [], "iterations": 0}
+        return zero_state(spec.grid), 0.0, history
+    factor = _cholesky(dense_gramian(spec, n_steps), spec)
+    return _picard(u0, spec, factor, sigma, tol, max_iter, n_steps)
+
+
+def _picard(u0: FourierState, spec: GramianSpec, factor, sigma: int, tol: float,
+            max_iter: int, n_steps: int) -> tuple[FourierState, float, dict]:
+    """The Picard iteration of `local_control_nls` on a nonzero u0, given
+    the Cholesky factor of the midpoint Gramian dense_gramian(spec, n_steps)."""
     grid = spec.grid
     u0_norm = u0.norm_l2()
     history = {"update_norms": [], "contraction_ratios": [], "iterations": 0}
-    if u0_norm == 0.0:
-        return zero_state(grid), 0.0, history
-
-    factor = _cholesky(dense_gramian(spec, n_steps), spec)
     phi0 = zero_state(grid)
     prev_update = None
     for it in range(1, max_iter + 1):
@@ -282,8 +339,7 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
             f"(last update {history['update_norms'][-1]:.3e})"
         )
     final, _ = _controlled_forward(u0, spec, phi0, sigma, n_steps)
-    residual = final.norm_l2()
-    return phi0, residual, history
+    return phi0, final.norm_l2(), history
 
 
 def admissible_amplitude(grid: GridSpec, spec: GramianSpec, sigma: int,
@@ -324,50 +380,52 @@ class ControlSchedule:
     endpoint_error_to_target: float
 
 
-def _stabilize_to_threshold(u0: FourierState, params: NLSParams, threshold: float,
-                            gamma_floor: float = 1e-4) -> tuple[FourierState, float]:
-    """Damped evolution under `params` until ||u|| <= threshold, checked
-    every 10 steps; returns the state and the time of the first check at or
-    below the threshold.  The decay rate is re-fit over each completed span
-    of 10 time units; the leg stalls when it drops below `gamma_floor` or
-    the time passes the horizon cap 50 / gamma."""
+def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
+                            threshold: float, gamma_floor: float = 1e-4
+                            ) -> list[tuple[FourierState, float]]:
+    """Damped evolution of a batch of states under `params` until each has
+    ||u|| <= threshold, checked every 10 steps; returns, per state, the state
+    and the time of its first check at or below the threshold.  A member
+    leaves the batch at that check.  Each member's decay rate is re-fit over
+    each completed span of 10 time units; its leg stalls when the rate drops
+    below `gamma_floor` or the time passes the horizon cap 50 / gamma."""
     stride = 10
     h = stride * params.dt
     span = int(np.ceil(10.0 / h - 1e-9))  # checks per 10-time-unit span
-    step = _StrangStep(u0.grid, params)
-    c = u0.coeffs
-    norms = [np.linalg.norm(c)]
+    grid = states[0].grid
+    step = _StrangStep(grid, params)
+    c = np.stack([u.coeffs for u in states])
+    norms = [[np.linalg.norm(u.coeffs)] for u in states]
+    active = list(range(len(states)))  # member index of each row of c
+    results = [None] * len(states)
     checks = 0
-    while norms[-1] > threshold:
-        if len(norms) > span:
-            gamma = _decay_rate(h * np.arange(len(norms)), np.square(norms), 0.9)
-            if gamma < gamma_floor:
-                raise StabilizationStallError(
-                    f"decay rate {gamma:.3e} below floor {gamma_floor:.1e}")
-            if checks * h > 50.0 / gamma:
-                raise StabilizationStallError(
-                    f"threshold {threshold} not reached within horizon cap "
-                    f"50/gamma = {50.0 / gamma:.1f}")
-            norms = norms[-1:]
+    while True:
+        keep = []
+        for row, b in enumerate(active):
+            if norms[b][-1] <= threshold:
+                results[b] = (FourierState(grid, c[row].copy()), checks * h)
+                continue
+            keep.append(row)
+            if len(norms[b]) > span:
+                gamma = _decay_rate(h * np.arange(len(norms[b])),
+                                    np.square(norms[b]), 0.9)
+                if gamma < gamma_floor:
+                    raise StabilizationStallError(
+                        f"decay rate {gamma:.3e} below floor {gamma_floor:.1e}")
+                if checks * h > 50.0 / gamma:
+                    raise StabilizationStallError(
+                        f"threshold {threshold} not reached within horizon cap "
+                        f"50/gamma = {50.0 / gamma:.1f}")
+                norms[b] = norms[b][-1:]
+        if not keep:
+            return results
+        if len(keep) < len(active):
+            c, active = c[keep], [active[row] for row in keep]
         for _ in range(stride):
             c = step(c)
         checks += 1
-        norms.append(np.linalg.norm(c))
-    return FourierState(u0.grid, c), checks * h
-
-
-def _drive_to_zero(u0: FourierState, spec: GramianSpec, params: NLSParams,
-                   mass_threshold: float, tol: float):
-    """Phases (1)+(2): damp under `params` below the threshold, then local
-    control to zero."""
-    phases, t, u = [], 0.0, u0
-    if u.norm_l2() > mass_threshold:
-        u, t = _stabilize_to_threshold(u, params, mass_threshold)
-        phases.append(ControlPhase(kind="damped", t_start=0.0, t_end=t))
-    phi0, residual, _ = local_control_nls(u, spec, sigma=params.sigma, tol=tol)
-    phases.append(ControlPhase(kind="control", t_start=t, t_end=t + spec.T,
-                               phi0=phi0))
-    return phases, residual
+        for row, b in enumerate(active):
+            norms[b].append(np.linalg.norm(c[row]))
 
 
 def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
@@ -382,31 +440,46 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
     take its sigma.  Leg B drives conj(u1) to zero the same way; since
     v(t, x) = conj(u(T - t, x)) maps solutions of the cubic NLS to
     solutions of the same equation, that leg reversed and conjugated is a
-    valid 0 -> u1 trajectory and is emitted as such.  Grids past
-    check_dense_size raise DenseSizeError before any damped leg runs.
+    valid 0 -> u1 trajectory and is emitted as such.  The damped phases of
+    both legs run as one batch, and both control phases share one factor
+    of the midpoint Gramian.  Grids past check_dense_size raise
+    DenseSizeError before any damped leg runs.
     """
     check_dense_size(spec.grid)
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if u0.grid != spec.grid or u1.grid != spec.grid:
+        raise ValueError("grid mismatch")
     params = replace(params, damping=spec.window)
-    if u0.norm_l2() == 0.0 and u1.norm_l2() == 0.0:
-        return ControlSchedule(phases=[], endpoint_error_to_zero=0.0,
-                               endpoint_error_to_target=0.0)
-    phases_a, err_a = ([], 0.0)
+    starts = []  # (leg start state, conjugate_reversed)
     if u0.norm_l2() > 0.0:
-        phases_a, err_a = _drive_to_zero(u0, spec, params, mass_threshold, tol)
-    phases_b, err_b = ([], 0.0)
+        starts.append((u0, False))
     if u1.norm_l2() > 0.0:
         # pointwise complex conjugate in physical space
-        conj_target = FourierState(u1.grid, np.fft.fftn(np.conj(np.fft.ifftn(u1.coeffs))))
-        raw, err_b = _drive_to_zero(conj_target, spec, params, mass_threshold, tol)
-        t_off = (phases_a[-1].t_end if phases_a else 0.0)
-        total_b = raw[-1].t_end
-        for ph in reversed(raw):
-            phases_b.append(ControlPhase(
-                kind=ph.kind,
-                t_start=t_off + total_b - ph.t_end,
-                t_end=t_off + total_b - ph.t_start,
-                phi0=ph.phi0, conjugate_reversed=True,
-            ))
-    return ControlSchedule(phases=phases_a + phases_b,
-                           endpoint_error_to_zero=err_a,
-                           endpoint_error_to_target=err_b)
+        starts.append((FourierState(u1.grid, np.fft.fftn(np.conj(np.fft.ifftn(u1.coeffs)))),
+                       True))
+    if not starts:
+        return ControlSchedule(phases=[], endpoint_error_to_zero=0.0,
+                               endpoint_error_to_target=0.0)
+    above = [u for u, _ in starts if u.norm_l2() > mass_threshold]
+    damped = iter(_stabilize_to_threshold(above, params, mass_threshold) if above else [])
+    n_steps = _control_steps(spec.grid)
+    factor = _cholesky(dense_gramian(spec, n_steps), spec)
+
+    phases, errors = [], {False: 0.0, True: 0.0}  # by conjugate_reversed
+    for u, reverse in starts:
+        leg, t = [], 0.0
+        if u.norm_l2() > mass_threshold:
+            u, t = next(damped)
+            leg.append(ControlPhase(kind="damped", t_start=0.0, t_end=t))
+        phi0, errors[reverse], _ = _picard(u, spec, factor, params.sigma, tol, 30, n_steps)
+        leg.append(ControlPhase(kind="control", t_start=t, t_end=t + spec.T, phi0=phi0))
+        if reverse:
+            t_off, total = (phases[-1].t_end if phases else 0.0), leg[-1].t_end
+            leg = [ControlPhase(kind=ph.kind, t_start=t_off + total - ph.t_end,
+                                t_end=t_off + total - ph.t_start, phi0=ph.phi0,
+                                conjugate_reversed=True)
+                   for ph in reversed(leg)]
+        phases += leg
+    return ControlSchedule(phases=phases, endpoint_error_to_zero=errors[False],
+                           endpoint_error_to_target=errors[True])

@@ -266,6 +266,9 @@ STATE_N16 = {"dim": 1, "N": 16, "coeffs": [[1.0, 0.0]] * 16}
     ("control", "initial_state", STATE_N16),
     ("simulate", "initial_state", STATE_N16),
     ("resolvent-sweep", "grid.dim", 2),
+    ("stabilize", "horizon.T", 0.05),
+    ("stabilize", "initial_state.norm", 0),
+    ("stabilize", "initial_state", {"dim": 1, "N": 32, "coeffs": [[0.0, 0.0]] * 32}),
 ])
 def test_invalid_config_field_exit_2(tmp_path, base_cfg, capsys, sub, path, value):
     base_cfg["target"] = {"norm": 0.2, "max_mode": 8}
@@ -312,7 +315,7 @@ def test_global_control_damped_legs_honour_dealias(tmp_path, base_cfg, monkeypat
     original = nls._stabilize_to_threshold
 
     def spy(*args, **kwargs):
-        seen.append(args[1])
+        seen.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(nls, "_stabilize_to_threshold", spy)
@@ -322,8 +325,10 @@ def test_global_control_damped_legs_honour_dealias(tmp_path, base_cfg, monkeypat
     base_cfg["nls"] = {"sigma": -1, "dt": 1e-3, "dealias": False}
     cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
     assert main(["global-control", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert len(seen) == 2
-    assert all(p.dealias is False and p.damping is not None for p in seen)
+    # one batched call carries both damped legs
+    [(states, params, _)] = seen
+    assert len(states) == 2
+    assert params.dealias is False and params.damping is not None
 
 
 def test_numerical_failure_exit_3(tmp_path):

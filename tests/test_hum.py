@@ -128,6 +128,13 @@ def test_lambda_min_dense_vs_iterative(small_setup):
     assert iterative == pytest.approx(dense, rel=1e-8)
 
 
+def test_lambda_min_iterative_is_reproducible():
+    # a fixed Lanczos start vector: repeated calls agree bit for bit
+    g = make_grid(1, 16)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.25), 0.05, "smooth"))
+    assert lambda_min_iterative(spec) == lambda_min_iterative(spec)
+
+
 def test_observability_constant_methods_agree(small_setup):
     _, _, spec = small_setup
     c_dense = observability_constant(spec)

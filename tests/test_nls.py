@@ -71,6 +71,54 @@ def test_evolve_matches_repeated_steps():
     assert np.max(np.abs(u_evolved.coeffs - u.coeffs)) <= 1e-14
 
 
+def test_evolve_rejects_invalid_stride():
+    g = make_grid(1, 32)
+    u0 = random_state(g, np.random.default_rng(9), max_mode=8)
+    for stride in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="record_stride"):
+            evolve(u0, 0.1, NLSParams(), record_stride=stride)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+def test_batched_step_matches_single_steps(dim, n):
+    g = make_grid(dim, n)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    rng = np.random.default_rng(12)
+    batch = np.stack([random_state(g, rng, max_mode=n // 4).coeffs for _ in range(3)])
+    sources = 0.1 * np.stack([random_state(g, rng).coeffs for _ in range(3)])
+    step = nls._StrangStep(g, NLSParams(sigma=-1, dt=1e-2, damping=w, dealias=True))
+    out, forced = step(batch), step(batch, sources)
+    for b in range(3):
+        assert np.max(np.abs(out[b] - step(batch[b]))) <= 1e-15
+        assert np.max(np.abs(forced[b] - step(batch[b], sources[b]))) <= 1e-15
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
+def test_bulk_sampling_matches_per_state_quantities(dim, n):
+    # 500 steps at stride 7: 73 records, more than one sampling buffer, and
+    # a last record at step 500 off the stride
+    g = make_grid(dim, n)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    u0 = random_state(g, np.random.default_rng(13), max_mode=n // 4)
+    params = NLSParams(sigma=-1, dt=1e-3, damping=w)
+    final, rec = evolve(u0, 0.5, params, record_stride=7)
+    assert len(rec.times) == 73 > nls._RECORD_BUFFER_POINTS // g.n_points
+    step = nls._StrangStep(g, params)
+    c, expect = u0.coeffs, []
+    for i in range(501):
+        if i % 7 == 0 or i == 500:
+            u = FourierState(g, c)
+            observed = np.sum(w.samples ** 2 * np.abs(u.physical()) ** 2) / g.n_points
+            expect.append((i * params.dt, u.norm_l2() ** 2, energy(u, -1), observed))
+        if i < 500:
+            c = step(c)
+    expect = np.array(expect).T
+    assert np.array_equal(rec.times, expect[0])
+    for got, want in zip((rec.mass, rec.energy, rec.observed), expect[1:]):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(final.coeffs, c)
+
+
 def test_linear_limit_matches_free_flow():
     from torus_control import free_propagate
 
@@ -131,7 +179,7 @@ def test_stabilization_stall_raises():
     w = make_window(g, (0.40, 0.44), 0.01, "smooth")
     u0 = random_state(g, np.random.default_rng(1), norm=0.5, max_mode=8)
     with pytest.raises(StabilizationStallError):
-        _stabilize_to_threshold(u0, NLSParams(sigma=1, dt=1e-2, damping=w), 1e-6)
+        _stabilize_to_threshold([u0], NLSParams(sigma=1, dt=1e-2, damping=w), 1e-6)
 
 
 def test_stabilization_stops_at_first_check_below_threshold():
@@ -139,7 +187,7 @@ def test_stabilization_stops_at_first_check_below_threshold():
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     u0 = random_state(g, np.random.default_rng(1), norm=0.5, max_mode=8)
     params = NLSParams(sigma=-1, dt=1e-3, damping=w)
-    u, t_damp = _stabilize_to_threshold(u0, params, 0.05)
+    [(u, t_damp)] = _stabilize_to_threshold([u0], params, 0.05)
     assert u.norm_l2() <= 0.05
     assert t_damp > 10.0  # the leg runs past one refit of the decay rate
     replay, _ = evolve(u0, t_damp, params, record_stride=1000)
@@ -147,6 +195,22 @@ def test_stabilization_stops_at_first_check_below_threshold():
     # one check (10 steps) earlier the state was still above the threshold
     before, _ = evolve(u0, t_damp - 10 * params.dt, params, record_stride=1000)
     assert before.norm_l2() > 0.05
+
+
+def test_batched_legs_stop_at_their_solo_times():
+    # two legs of one batch cross the threshold at different checks; each
+    # stops where it would alone
+    g = make_grid(1, 32)
+    w = make_window(g, (0.0, 0.5), 0.05, "smooth")
+    params = NLSParams(sigma=-1, dt=1e-3, damping=w)
+    rng = np.random.default_rng(14)
+    legs = [random_state(g, rng, norm=norm, max_mode=8) for norm in (0.4, 0.2)]
+    batched = _stabilize_to_threshold(legs, params, 0.1)
+    assert batched[0][1] > batched[1][1]
+    for u0, (u, t_damp) in zip(legs, batched):
+        [(solo, t_solo)] = _stabilize_to_threshold([u0], params, 0.1)
+        assert t_damp == t_solo
+        assert np.max(np.abs(u.coeffs - solo.coeffs)) <= 1e-15
 
 
 def test_stabilization_refits_when_dt_does_not_divide_the_span(monkeypatch):
@@ -166,7 +230,7 @@ def test_stabilization_refits_when_dt_does_not_divide_the_span(monkeypatch):
     u0 = random_state(g, np.random.default_rng(1), norm=0.5, max_mode=8)
     dt = 3e-3
     with pytest.raises(StabilizationStallError, match="below floor"):
-        _stabilize_to_threshold(u0, NLSParams(sigma=-1, dt=dt, damping=w), 1e-2,
+        _stabilize_to_threshold([u0], NLSParams(sigma=-1, dt=dt, damping=w), 1e-2,
                                 gamma_floor=10.0)
     assert 10.0 <= len(steps) * dt < 10.0 + 10 * dt
 

@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from torus_control import (FourierState, GramianSpec, best_resolvent_constant,
-                           dense_gramian, free_propagate, make_grid, make_window)
+from torus_control import (FourierState, GramianSpec, NLSParams,
+                           best_resolvent_constant, dense_gramian, free_propagate,
+                           make_grid, make_window, nls)
 from torus_control.io import state_from_json, state_to_json
 from torus_control.tensor import dense_gramian_2d
 
@@ -91,3 +92,32 @@ def test_resolvent_constant_invariant_under_translation_and_reflection(window, m
     for samples in (np.roll(window.samples, 1), np.roll(window.samples[::-1], 1)):
         moved = replace(window, samples=samples)
         assert abs(best_resolvent_constant(lam, m, moved, grid) - base) <= tol
+
+
+def three_sub_step_reference(c, params):
+    """The Strang step with damp(dt/2), rotate(dt), damp(dt/2) applied one
+    after the other on the physical grid."""
+    grid = params.damping.grid
+    half = np.exp(1j * grid.laplacian_symbol() * (params.dt / 2.0))
+    damp = np.exp(-params.damping.samples ** 2 * (params.dt / 2.0))
+    phys = np.fft.ifftn(c * half, norm="forward")
+    phys *= damp
+    phys *= np.exp(-1j * params.sigma * params.dt * np.abs(phys) ** 2)
+    phys *= damp
+    c = np.fft.fftn(phys, norm="forward")
+    if params.dealias:
+        c *= nls._dealias_mask(grid)
+    return c * half
+
+
+@given(st.sampled_from([1, 2]).flatmap(windows), st.floats(1e-4, 0.1),
+       st.sampled_from([-1, 0, 1]), st.booleans(), st.data())
+def test_fused_damping_matches_three_sub_steps(window, dt, sigma, dealias, data):
+    # physical values of modulus <= 2: the rotation phase stays below 1
+    grid = window.grid
+    parts = data.draw(arrays(float, (2,) + grid.shape,
+                             elements=st.floats(-1.4, 1.4, allow_subnormal=False)))
+    c = np.fft.fftn(parts[0] + 1j * parts[1], norm="forward")
+    params = NLSParams(sigma=sigma, dt=dt, damping=window, dealias=dealias)
+    fused = nls._StrangStep(grid, params)(c)
+    assert np.max(np.abs(fused - three_sub_step_reference(c, params))) <= 1e-14
