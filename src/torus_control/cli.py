@@ -3,6 +3,9 @@
 Subcommands: simulate, control, observability, resolvent-sweep,
 tensor-check, stabilize, global-control.  A JSON config file supplies all
 parameters; --seed / --out / --format flags override config fields.
+`main` reads the config and seed, builds the grid and window, runs the
+subcommand's handler and writes its results to `<subcommand>.json` (with
+"-" as "_"); a handler writes only its CSV.
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
 64 unknown subcommand.
 """
@@ -24,7 +27,7 @@ from .hum import (DenseSizeError, GramianSpec, GramianSingularError,
 from .io import (state_from_json, state_to_json, write_decay_csv, write_json,
                  write_sweep_csv, write_trajectory_csv)
 from .nls import (NLSParams, PicardDivergenceError, StabilizationStallError,
-                  evolve, fit_decay_rate, global_control, local_control_nls)
+                  evolve, fit_decay_rate, global_control)
 from .resolvent import (InfeasibleResolventError, default_lambda_grid,
                         feasible_m, miller_cost_bound, sweep)
 from .tensor import strip_observability_constant
@@ -50,26 +53,28 @@ def _number(cfg: dict, path: str, default, sign: str = "positive") -> float:
     """Config field `path` as a finite float that is positive, non-negative
     or of either sign ("real")."""
     value = _get(cfg, path, default)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = np.nan
+        x = float(value) if number else np.nan
+    except OverflowError:  # an integer past the float range
+        x = np.inf
     in_range = {"positive": x > 0.0, "non-negative": x >= 0.0, "real": True}[sign]
     if not (in_range and np.isfinite(x)):
         raise ConfigError(f"{path}: expected a finite {sign} number, got {value!r}")
     return x
 
 
-def _integer(cfg: dict, path: str, default=None, minimum: int = 0) -> int | None:
-    """Config field `path` as an int >= minimum (None if absent or null, no default)."""
-    value = _get(cfg, path, default)
-    try:
-        x = None if value is None and default is None else int(value)
-    except (TypeError, ValueError, OverflowError):
-        x = minimum - 1
-    if x is not None and x < minimum:
+def _integer(cfg: dict, path: str, default=None, minimum: int = 0,
+             required: bool = False) -> int | None:
+    """Config field `path` as an integral number >= minimum (None if absent
+    or null, with no default and not required)."""
+    value = _get(cfg, path, default, required)
+    if value is None and default is None and not required:
+        return None
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole or value < minimum:
         raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
-    return x
+    return int(value)
 
 
 def _boolean(cfg: dict, path: str, default: bool) -> bool:
@@ -81,10 +86,10 @@ def _boolean(cfg: dict, path: str, default: bool) -> bool:
 
 
 def _build_grid(cfg):
-    dim = _get(cfg, "grid.dim", 1)
-    n = _get(cfg, "grid.N", required=True)
+    dim = _integer(cfg, "grid.dim", 1)
+    n = _integer(cfg, "grid.N", required=True)
     try:
-        return make_grid(int(dim), int(n))
+        return make_grid(dim, n)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -98,22 +103,19 @@ def _build_window(cfg, grid):
         return full_window(grid)
     try:
         return make_window(grid, [tuple(iv) for iv in np.atleast_2d(omega)],
-                           transition_width=_get(cfg, "window.transition_width", 0.05),
+                           transition_width=_number(cfg, "window.transition_width",
+                                                    0.05, "real"),
                            kind=_get(cfg, "window.kind", "smooth"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"window: {exc}") from exc
 
 
-def _build_gramian_spec(cfg, window):
-    return GramianSpec(T=_number(cfg, "horizon.T", 1.0), window=window)
-
-
 def _build_nls_params(cfg, damping=None):
     try:
-        return NLSParams(sigma=int(_get(cfg, "nls.sigma", -1)),
-                         dt=float(_get(cfg, "nls.dt", 1e-3)), damping=damping,
+        return NLSParams(sigma=_integer(cfg, "nls.sigma", -1, minimum=-1),
+                         dt=_number(cfg, "nls.dt", 1e-3), damping=damping,
                          dealias=_boolean(cfg, "nls.dealias", True))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"nls: {exc}") from exc
 
 
@@ -132,61 +134,39 @@ def _initial_state(cfg, grid, rng, norm_sign="non-negative"):
                         max_mode=_integer(cfg, "initial_state.max_mode"))
 
 
-def _report(args, cfg, results: dict, out_dir: Path, name: str) -> None:
-    report = {"config_echo": cfg, "versions": {"torus_control": __version__,
-                                               "numpy": np.__version__},
-              "seed": args.seed, "results": results}
-    if args.format in ("json", "both"):
-        write_json(out_dir / f"{name}.json", report)
-
-
-def _cmd_simulate(args, cfg, rng, out_dir):
-    grid = _build_grid(cfg)
-    window = _build_window(cfg, grid)
+def _cmd_simulate(args, cfg, rng, grid, window, out_dir):
     params = _build_nls_params(
         cfg, damping=window if _boolean(cfg, "nls.damped", False) else None)
     u0 = _initial_state(cfg, grid, rng)
     final, record = evolve(u0, _number(cfg, "horizon.T", 1.0), params)
     if args.format in ("csv", "both"):
         write_decay_csv(out_dir / "simulate.csv", record)
-    results = {"final_mass": record.mass[-1], "initial_mass": record.mass[0],
-               "final_energy": record.energy[-1]}
-    _report(args, cfg, results, out_dir, "simulate")
-    return 0
+    return {"final_mass": record.mass[-1], "initial_mass": record.mass[0],
+            "final_energy": record.energy[-1]}
 
 
-def _cmd_control(args, cfg, rng, out_dir):
-    grid = _build_grid(cfg)
-    window = _build_window(cfg, grid)
-    spec = _build_gramian_spec(cfg, window)
+def _cmd_control(args, cfg, rng, grid, window, out_dir):
+    spec = GramianSpec(T=_number(cfg, "horizon.T", 1.0), window=window)
     u0 = _initial_state(cfg, grid, rng)
     sol = solve_hum(spec, u0, tol=_number(cfg, "solver.tol", 1e-8))
     record, residual = drive_linear(u0, spec, sol.phi0)
     if args.format in ("csv", "both"):
         write_trajectory_csv(out_dir / "control_trajectory.csv",
                              record.times, record.mass, record.observed_mass)
-    results = {"residual": residual, "iterations": sol.iterations,
-               "phi0": state_to_json(sol.phi0)}
-    _report(args, cfg, results, out_dir, "control")
-    return 0
+    return {"residual": residual, "iterations": sol.iterations,
+            "phi0": state_to_json(sol.phi0)}
 
 
-def _cmd_observability(args, cfg, rng, out_dir):
-    grid = _build_grid(cfg)
-    window = _build_window(cfg, grid)
-    spec = _build_gramian_spec(cfg, window)
+def _cmd_observability(args, cfg, rng, grid, window, out_dir):
+    spec = GramianSpec(T=_number(cfg, "horizon.T", 1.0), window=window)
     c_t = observability_constant(spec)
-    results = {"C_T": c_t, "lambda_min": 1.0 / c_t, "T": spec.T,
-               "N": grid.modes_per_axis}
-    _report(args, cfg, results, out_dir, "observability")
-    return 0
+    return {"C_T": c_t, "lambda_min": 1.0 / c_t, "T": spec.T,
+            "N": grid.modes_per_axis}
 
 
-def _cmd_resolvent_sweep(args, cfg, rng, out_dir):
-    grid = _build_grid(cfg)
+def _cmd_resolvent_sweep(args, cfg, rng, grid, window, out_dir):
     if grid.dim != 1:
         raise ConfigError("grid.dim: resolvent-sweep supports 1D grids only")
-    window = _build_window(cfg, grid)
     scfg = _get(cfg, "sweep", {})
     if not isinstance(scfg, dict):
         raise ConfigError(f"sweep: expected an object, got {scfg!r}")
@@ -220,27 +200,19 @@ def _cmd_resolvent_sweep(args, cfg, rng, out_dir):
         results["cross_check"] = {"T": T, "C_T": c_t, "miller_bound": bound,
                                   "cost_ratio": c_t / bound,
                                   "within_slack": bool(c_t <= 1.5 * bound)}
-    _report(args, cfg, results, out_dir, "resolvent_sweep")
-    return 0
+    return results
 
 
-def _cmd_tensor_check(args, cfg, rng, out_dir):
-    grid = _build_grid(cfg)
+def _cmd_tensor_check(args, cfg, rng, grid, window, out_dir):
     if grid.dim != 1:
         raise ConfigError("grid.dim: tensor-check expects the 1D base grid")
-    window = _build_window(cfg, grid)
-    spec = _build_gramian_spec(cfg, window)
+    spec = GramianSpec(T=_number(cfg, "horizon.T", 1.0), window=window)
     c_2d, c_1d = strip_observability_constant(spec)
-    results = {"C_1d": c_1d, "C_2d": c_2d,
-               "relative_gap": abs(c_2d - c_1d) / c_1d,
-               "N_per_axis": grid.modes_per_axis, "T": spec.T}
-    _report(args, cfg, results, out_dir, "tensor_check")
-    return 0
+    return {"C_1d": c_1d, "C_2d": c_2d, "relative_gap": abs(c_2d - c_1d) / c_1d,
+            "N_per_axis": grid.modes_per_axis, "T": spec.T}
 
 
-def _cmd_stabilize(args, cfg, rng, out_dir):
-    grid = _build_grid(cfg)
-    window = _build_window(cfg, grid)
+def _cmd_stabilize(args, cfg, rng, grid, window, out_dir):
     params = _build_nls_params(cfg, damping=window)
     # a decay rate needs a nonzero state and at least 10 records
     u0 = _initial_state(cfg, grid, rng, norm_sign="positive")
@@ -254,16 +226,12 @@ def _cmd_stabilize(args, cfg, rng, out_dir):
     gamma = fit_decay_rate(record)
     if args.format in ("csv", "both"):
         write_decay_csv(out_dir / "stabilize.csv", record)
-    results = {"gamma_fit": gamma, "initial_mass": record.mass[0],
-               "final_mass": record.mass[-1]}
-    _report(args, cfg, results, out_dir, "stabilize")
-    return 0
+    return {"gamma_fit": gamma, "initial_mass": record.mass[0],
+            "final_mass": record.mass[-1]}
 
 
-def _cmd_global_control(args, cfg, rng, out_dir):
-    grid = _build_grid(cfg)
-    window = _build_window(cfg, grid)
-    spec = _build_gramian_spec(cfg, window)
+def _cmd_global_control(args, cfg, rng, grid, window, out_dir):
+    spec = GramianSpec(T=_number(cfg, "horizon.T", 1.0), window=window)
     params = _build_nls_params(cfg)
     u0 = _initial_state(cfg, grid, rng)
     t_norm = _number(cfg, "target.norm", 0.0, "non-negative")
@@ -280,11 +248,9 @@ def _cmd_global_control(args, cfg, rng, out_dir):
                "phi0": state_to_json(ph.phi0) if ph.phi0 is not None else None,
                "conjugate_reversed": ph.conjugate_reversed}
               for i, ph in enumerate(schedule.phases)]
-    results = {"phases": phases,
-               "endpoint_error_to_zero": schedule.endpoint_error_to_zero,
-               "endpoint_error_to_target": schedule.endpoint_error_to_target}
-    _report(args, cfg, results, out_dir, "global_control")
-    return 0
+    return {"phases": phases,
+            "endpoint_error_to_zero": schedule.endpoint_error_to_zero,
+            "endpoint_error_to_target": schedule.endpoint_error_to_target}
 
 
 _COMMANDS = {
@@ -324,7 +290,15 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed: expected an integer >= 0, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.subcommand](args, cfg, rng, out_dir)
+        grid = _build_grid(cfg)
+        window = _build_window(cfg, grid)
+        results = _COMMANDS[args.subcommand](args, cfg, rng, grid, window, out_dir)
+        if args.format in ("json", "both"):
+            write_json(out_dir / f"{args.subcommand.replace('-', '_')}.json",
+                       {"config_echo": cfg, "seed": args.seed, "results": results,
+                        "versions": {"torus_control": __version__,
+                                     "numpy": np.__version__}})
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

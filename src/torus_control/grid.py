@@ -138,8 +138,8 @@ def plane_wave(grid: GridSpec, k, amplitude: complex = 1.0) -> FourierState:
 
 
 def random_state(grid: GridSpec, rng: np.random.Generator, norm: float = 1.0,
-                 max_mode: int | None = None, sobolev_s: float | None = None) -> FourierState:
-    """Random state with prescribed L2 norm (or H^s norm if sobolev_s given).
+                 max_mode: int | None = None) -> FourierState:
+    """Random state with prescribed L2 norm.
 
     max_mode restricts the support to |k| <= max_mode along each axis.
     """
@@ -149,11 +149,7 @@ def random_state(grid: GridSpec, rng: np.random.Generator, norm: float = 1.0,
         c[far] = 0.0  # along the first axis,
         c[..., far] = 0.0  # and along the last (the same one in 1D)
     u = FourierState(grid, c)
-    if sobolev_s is not None:
-        from .operators import sobolev_norm  # local import avoids a cycle
-        current = sobolev_norm(u, sobolev_s)
-    else:
-        current = u.norm_l2()
+    current = u.norm_l2()
     if current == 0.0:
         raise ValueError("degenerate random draw with zero norm")
     return u * (norm / current)

@@ -122,17 +122,17 @@ def quadrature_nodes(T: float, n: int, rule: str) -> tuple[np.ndarray, np.ndarra
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
-def resolved_n_quad(grid: GridSpec, T: float, margin: float = 1.25,
-                    floor: int = 64) -> int:
+def resolved_n_quad(grid: GridSpec, T: float) -> int:
     """Node count resolving every oscillation of the Gramian integrand.
 
     Mode-pair phase differences reach mu_max = (2*pi*N/2)^2 (times dim in
     2D); Gauss-Legendre resolves frequency delta once n exceeds about
-    delta*T/2, after which convergence is spectral.
+    delta*T/2, after which convergence is spectral.  The count takes a
+    margin of 1.25 over that and 64 nodes more.
     """
     k_max = grid.modes_per_axis // 2
     mu_max = grid.dim * (2.0 * np.pi * k_max) ** 2
-    return int(np.ceil(margin * mu_max * T / 2.0)) + floor
+    return int(np.ceil(1.25 * mu_max * T / 2.0)) + 64
 
 
 class _GramianApplier:
@@ -263,7 +263,7 @@ def lambda_min_dense(spec: GramianSpec) -> float:
     return float(eigh(s, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
-def lambda_min_iterative(spec: GramianSpec, tol: float = 1e-10) -> float:
+def lambda_min_iterative(spec: GramianSpec) -> float:
     """Smallest Gramian eigenvalue via Lanczos on S^{-1} applied
     matrix-free (inner solves by CG on the oracle's quadrature operator on
     resolved_n_quad nodes; see _GramianApplier for its ceiling).  The
@@ -284,7 +284,7 @@ def lambda_min_iterative(spec: GramianSpec, tol: float = 1e-10) -> float:
     opinv = LinearOperator(op.shape, matvec=inv_matvec, dtype=complex)
     draw = np.random.default_rng(0).standard_normal((2, n))
     v0 = draw[0] + 1j * draw[1]
-    vals = eigsh(opinv, k=1, which="LA", tol=tol, return_eigenvectors=False,
+    vals = eigsh(opinv, k=1, which="LA", tol=1e-10, return_eigenvectors=False,
                  maxiter=2000, v0=v0)
     top = float(vals[0].real)
     if top <= 0.0:

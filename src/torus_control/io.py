@@ -32,6 +32,8 @@ def state_from_json(obj: dict) -> FourierState:
     flat = np.array([complex(re, im) for re, im in obj["coeffs"]])
     if flat.size != grid.n_points:
         raise ValueError("coefficient count does not match grid")
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("coefficients must be finite")
     return FourierState(grid, np.fft.ifftshift(flat.reshape(grid.shape)))
 
 

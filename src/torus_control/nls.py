@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .grid import FourierState, GridSpec, zero_state
+from .grid import FourierState, GridSpec, random_state, zero_state
 from .hum import GramianSpec, _cholesky, check_dense_size, dense_gramian
 from .windows import CutoffWindow
 
@@ -271,13 +271,17 @@ def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
 
 
 def _control_steps(grid: GridSpec) -> int:
-    """Default number of midpoint steps of the controlled solve."""
+    """Number of midpoint steps of the controlled solve."""
     return max(256, 4 * grid.modes_per_axis)
 
 
+def _control_factor(spec: GramianSpec):
+    """Cholesky factor of the controlled solve's midpoint Gramian."""
+    return _cholesky(dense_gramian(spec, _control_steps(spec.grid)), spec)
+
+
 def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
-                      tol: float = 1e-8, max_iter: int = 30,
-                      n_steps: int | None = None) -> tuple[FourierState, float, dict]:
+                      tol: float = 1e-8) -> tuple[FourierState, float, dict]:
     """Exact control of the cubic NLS to zero by Picard iteration.
 
     Iterates phi0 <- S^{-1}(-i*(u0 + drift(phi0))) where drift collects the
@@ -287,8 +291,8 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
     Cholesky-factored once, and each iteration is one triangular solve.
     The linear problem thus closes exactly and the certified forward
     residual reduces to roundoff and the Picard tol.
-    The controlled solve takes n_steps midpoint steps, max(256, 4N) by
-    default.
+    The controlled solve takes max(256, 4N) midpoint steps, and the
+    iteration at most 30 updates.
 
     Returns (phi0, forward residual, history dict).
     """
@@ -296,20 +300,18 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
         raise ValueError("tol must be positive")
     if u0.grid != spec.grid:
         raise ValueError("grid mismatch")
-    if n_steps is None:
-        n_steps = _control_steps(spec.grid)
     if u0.norm_l2() == 0.0:
         history = {"update_norms": [], "contraction_ratios": [], "iterations": 0}
         return zero_state(spec.grid), 0.0, history
-    factor = _cholesky(dense_gramian(spec, n_steps), spec)
-    return _picard(u0, spec, factor, sigma, tol, max_iter, n_steps)
+    return _picard(u0, spec, _control_factor(spec), sigma, tol)
 
 
-def _picard(u0: FourierState, spec: GramianSpec, factor, sigma: int, tol: float,
-            max_iter: int, n_steps: int) -> tuple[FourierState, float, dict]:
+def _picard(u0: FourierState, spec: GramianSpec, factor, sigma: int,
+            tol: float) -> tuple[FourierState, float, dict]:
     """The Picard iteration of `local_control_nls` on a nonzero u0, given
-    the Cholesky factor of the midpoint Gramian dense_gramian(spec, n_steps)."""
+    the `_control_factor` of spec."""
     grid = spec.grid
+    n_steps, max_iter = _control_steps(grid), 30
     u0_norm = u0.norm_l2()
     history = {"update_norms": [], "contraction_ratios": [], "iterations": 0}
     phi0 = zero_state(grid)
@@ -343,17 +345,17 @@ def _picard(u0: FourierState, spec: GramianSpec, factor, sigma: int, tol: float,
 
 
 def admissible_amplitude(grid: GridSpec, spec: GramianSpec, sigma: int,
-                         rng: np.random.Generator,
-                         candidates=(0.4, 0.2, 0.1, 0.05),
-                         tol: float = 1e-8) -> float:
-    """Largest tested amplitude at which the control fixed point converges
-    with a contracting iteration.  Measured, never assumed."""
-    from .grid import random_state
-
-    for amp in candidates:
+                         rng: np.random.Generator) -> float:
+    """Largest of the amplitudes 0.4, 0.2, 0.1, 0.05 at which the control
+    fixed point (Picard tol 1e-8) converges with a contracting iteration.
+    Measured, never assumed; the midpoint Gramian is factored once."""
+    if grid != spec.grid:
+        raise ValueError("grid mismatch")
+    factor = _control_factor(spec)
+    for amp in (0.4, 0.2, 0.1, 0.05):
         u0 = random_state(grid, rng, norm=amp, max_mode=grid.modes_per_axis // 4)
         try:
-            _, _, hist = local_control_nls(u0, spec, sigma=sigma, tol=tol)
+            _, _, hist = _picard(u0, spec, factor, sigma, 1e-8)
         except PicardDivergenceError:
             continue
         ratios = hist["contraction_ratios"]
@@ -463,8 +465,7 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
                                endpoint_error_to_target=0.0)
     above = [u for u, _ in starts if u.norm_l2() > mass_threshold]
     damped = iter(_stabilize_to_threshold(above, params, mass_threshold) if above else [])
-    n_steps = _control_steps(spec.grid)
-    factor = _cholesky(dense_gramian(spec, n_steps), spec)
+    factor = _control_factor(spec)
 
     phases, errors = [], {False: 0.0, True: 0.0}  # by conjugate_reversed
     for u, reverse in starts:
@@ -472,7 +473,7 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
         if u.norm_l2() > mass_threshold:
             u, t = next(damped)
             leg.append(ControlPhase(kind="damped", t_start=0.0, t_end=t))
-        phi0, errors[reverse], _ = _picard(u, spec, factor, params.sigma, tol, 30, n_steps)
+        phi0, errors[reverse], _ = _picard(u, spec, factor, params.sigma, tol)
         leg.append(ControlPhase(kind="control", t_start=t, t_end=t + spec.T, phi0=phi0))
         if reverse:
             t_off, total = (phases[-1].t_end if phases else 0.0), leg[-1].t_end

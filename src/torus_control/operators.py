@@ -48,9 +48,9 @@ def sobolev_norm(u: FourierState, s: float) -> float:
     return float(np.linalg.norm(u.coeffs * sobolev_weights(u.grid, s)))
 
 
-def _refined_window_coeffs(grid: GridSpec, f, refine: int = 4) -> np.ndarray:
+def _refined_window_coeffs(grid: GridSpec, f) -> np.ndarray:
     """Fourier coefficients of the window profile, resolved on a grid
-    refine times finer than the state grid, in FFT order.
+    4 times finer than the state grid, in FFT order.
 
     Pointwise multiplication on the state grid is a circular convolution:
     mode pairs near the two ends of the spectrum couple through wrapped
@@ -61,10 +61,22 @@ def _refined_window_coeffs(grid: GridSpec, f, refine: int = 4) -> np.ndarray:
     from .grid import make_grid
     from .windows import make_window
 
-    fine = make_grid(1, refine * grid.modes_per_axis)
+    fine = make_grid(1, 4 * grid.modes_per_axis)
     fw = make_window(fine, f.omega, transition_width=f.transition_width,
                      kind=f.kind)
     return np.fft.fft(fw.samples) / fine.modes_per_axis
+
+
+def _commutator_matrix(grid: GridSpec, r: float, f) -> np.ndarray:
+    """Dense mode-space matrix f_hat(k - j) * (D(k) - D(j)) of [D^r, f] (1D only)."""
+    if grid.dim != 1:
+        raise ValueError("the commutator [D^r, f] is defined on the 1D torus only")
+    fhat = _refined_window_coeffs(grid, f)
+    k = grid.mode_indices()
+    dr = fractional_multiplier(grid, r)
+    # (f * v)(k) = sum_j fhat(k - j) v(j) with the true difference k - j
+    diff = (k[:, None] - k[None, :]) % len(fhat)
+    return fhat[diff] * (dr[:, None] - dr[None, :])
 
 
 def commutator_apply(u: FourierState, r: float, f) -> FourierState:
@@ -75,17 +87,8 @@ def commutator_apply(u: FourierState, r: float, f) -> FourierState:
     result agrees with the mode-space truncation of the continuous
     commutator rather than the aliased pseudo-spectral product.
     """
-    if u.grid.dim != 1:
-        raise ValueError("commutator_apply is defined on the 1D torus only")
-    n = u.grid.modes_per_axis
-    fhat = _refined_window_coeffs(u.grid, f)
-    k = u.grid.mode_indices()
-    dr = fractional_multiplier(u.grid, r)
-    # (f * v)(k) = sum_j fhat(k - j) v(j) with the true difference k - j
-    diff = (k[:, None] - k[None, :]) % len(fhat)
-    conv = fhat[diff]
-    out = dr * (conv @ u.coeffs) - conv @ (dr * u.coeffs)
-    return FourierState(u.grid, out)
+    mat = _commutator_matrix(u.grid, r, f)
+    return FourierState(u.grid, mat @ u.coeffs)
 
 
 def commutator_operator_norm(grid: GridSpec, r: float, s: float, f) -> float:
@@ -96,13 +99,7 @@ def commutator_operator_norm(grid: GridSpec, r: float, s: float, f) -> float:
     scalings on both sides, and returns the largest singular value.
     Intended for moderate N (dense N x N assembly).
     """
-    if grid.dim != 1:
-        raise ValueError("commutator_operator_norm is defined on the 1D torus only")
-    fhat = _refined_window_coeffs(grid, f)
-    k = grid.mode_indices()
-    dr = fractional_multiplier(grid, r)
-    diff = (k[:, None] - k[None, :]) % len(fhat)
-    mat = fhat[diff] * (dr[:, None] - dr[None, :])
+    mat = _commutator_matrix(grid, r, f)
     w_out = sobolev_weights(grid, s - r + 1.0)
     w_in = sobolev_weights(grid, s)
     weighted = (w_out[:, None] * mat) / w_in[None, :]

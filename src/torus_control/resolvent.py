@@ -120,18 +120,18 @@ def best_resolvent_constant(lam: float, m: float, window: CutoffWindow,
     return float(sweep([lam], m, window, grid).M_of_lambda[0])
 
 
-def default_lambda_grid(grid: GridSpec, n_points: int = 512,
-                        margin: float = 1.1) -> np.ndarray:
+def default_lambda_grid(grid: GridSpec, n_points: int = 512) -> np.ndarray:
     """lambda samples concentrated near the truncated Laplacian spectrum.
 
     Places points at each eigenvalue -(2*pi*k)^2, at small offsets around
-    it, and fills every spectral gap (plus a margin beyond both ends);
-    M(lambda) peaks between eigenvalues, so uniform grids miss the sup.
+    it, and fills every spectral gap, from 10% below the lowest eigenvalue
+    to (2*pi)^2 above zero; M(lambda) peaks between eigenvalues, so uniform
+    grids miss the sup.
     """
     mu = np.unique(-grid.laplacian_symbol())  # 0 ... (2 pi N/2)^2
     eigs = np.sort(-mu)  # negative eigenvalues, ascending
     pts = set(eigs.tolist())
-    lo = eigs[0] * margin
+    lo = eigs[0] * 1.1
     hi = (2.0 * np.pi) ** 2  # positive side: M(lambda) decays like 1/lambda^2
     anchors = np.concatenate(([lo], eigs, [hi]))
     per_gap = max(3, n_points // max(1, len(anchors) - 1))
@@ -148,9 +148,9 @@ def default_lambda_grid(grid: GridSpec, n_points: int = 512,
     return np.array(sorted(pts))
 
 
-def feasible_m(window: CutoffWindow, grid: GridSpec, margin: float = 2.0) -> float:
+def feasible_m(window: CutoffWindow, grid: GridSpec) -> float:
     """An m for which every Laplacian eigenspace satisfies the kernel
-    feasibility constraint, with the given multiplicative margin.
+    feasibility constraint, with a multiplicative margin of 2.
 
     For eigenvalue -(2*pi*k)^2 the eigenspace is span{e^{+-2*pi*i*k*x}};
     the constraint is m * (W_kk - |W_k,-k|) >= 1, or m * W_kk >= 1 at k = 0, N/2.
@@ -161,7 +161,7 @@ def feasible_m(window: CutoffWindow, grid: GridSpec, margin: float = 2.0) -> flo
     if lam_min.min() <= 0.0:
         raise InfeasibleResolventError("window does not observe the eigenspace of "
                                        f"mode |k| = {np.argmax(lam_min <= 0.0)}")
-    return margin * float(np.max(1.0 / lam_min))
+    return 2.0 * float(np.max(1.0 / lam_min))
 
 
 def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow,

@@ -226,7 +226,8 @@ def test_config_errors_exit_2(tmp_path, base_cfg):
 
 
 @pytest.mark.parametrize("field,value", [("dt", -1), ("dt", "x"), ("sigma", 2),
-                                         ("dealias", "false")])
+                                         ("dealias", "false"), ("sigma", 1.5),
+                                         ("sigma", True), ("dt", True)])
 def test_invalid_nls_field_exit_2(tmp_path, base_cfg, capsys, field, value):
     base_cfg["nls"] = {field: value}
     cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
@@ -237,6 +238,9 @@ def test_invalid_nls_field_exit_2(tmp_path, base_cfg, capsys, field, value):
 
 # a valid inline state on N = 16, against grid.N = 32
 STATE_N16 = {"dim": 1, "N": 16, "coeffs": [[1.0, 0.0]] * 16}
+# inline states on grid.N = 32 with one non-finite coefficient
+STATE_NAN = {"dim": 1, "N": 32, "coeffs": [[float("nan"), 0.0]] + [[1.0, 0.0]] * 31}
+STATE_INF = {"dim": 1, "N": 32, "coeffs": [[1.0, float("inf")]] + [[1.0, 0.0]] * 31}
 
 
 @pytest.mark.parametrize("sub,path,value", [
@@ -269,6 +273,18 @@ STATE_N16 = {"dim": 1, "N": 16, "coeffs": [[1.0, 0.0]] * 16}
     ("stabilize", "horizon.T", 0.05),
     ("stabilize", "initial_state.norm", 0),
     ("stabilize", "initial_state", {"dim": 1, "N": 32, "coeffs": [[0.0, 0.0]] * 32}),
+    ("observability", "grid.N", 16.7),
+    ("observability", "grid.N", True),
+    ("observability", "grid.dim", 1.5),
+    ("control", "seed", 2.5),
+    ("resolvent-sweep", "sweep.n_points", 20.5),
+    ("simulate", "initial_state.max_mode", 2.5),
+    ("global-control", "target.max_mode", 2.5),
+    ("simulate", "horizon.T", True),
+    ("observability", "horizon.T", "1.0"),
+    ("observability", "horizon.T", 10 ** 400),
+    ("control", "initial_state", STATE_NAN),
+    ("simulate", "initial_state", STATE_INF),
 ])
 def test_invalid_config_field_exit_2(tmp_path, base_cfg, capsys, sub, path, value):
     base_cfg["target"] = {"norm": 0.2, "max_mode": 8}

@@ -45,6 +45,15 @@ def test_state_from_json_rejects_bad_count():
         state_from_json(obj)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_state_from_json_rejects_non_finite(bad):
+    g = make_grid(1, 8)
+    obj = state_to_json(random_state(g, np.random.default_rng(2)))
+    obj["coeffs"][3] = [0.5, bad]
+    with pytest.raises(ValueError, match="finite"):
+        state_from_json(obj)
+
+
 def test_window_json_fields():
     g = make_grid(1, 32)
     w = make_window(g, (0.1, 0.5), 0.05, "smooth")
