@@ -24,8 +24,8 @@ from .grid import FourierState, make_grid, random_state
 from .hum import (DenseSizeError, GramianSpec, GramianSingularError,
                   HUMConvergenceError, drive_linear, observability_constant,
                   solve_hum)
-from .io import (state_from_json, state_to_json, write_decay_csv, write_json,
-                 write_sweep_csv, write_trajectory_csv)
+from .io import (_real, state_from_json, state_to_json, write_decay_csv,
+                 write_json, write_sweep_csv, write_trajectory_csv)
 from .nls import (NLSParams, PicardDivergenceError, StabilizationStallError,
                   evolve, fit_decay_rate, global_control)
 from .resolvent import (InfeasibleResolventError, default_lambda_grid,
@@ -53,9 +53,8 @@ def _number(cfg: dict, path: str, default, sign: str = "positive") -> float:
     """Config field `path` as a finite float that is positive, non-negative
     or of either sign ("real")."""
     value = _get(cfg, path, default)
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
-        x = float(value) if number else np.nan
+        x = float(value) if _real(value) else np.nan
     except OverflowError:  # an integer past the float range
         x = np.inf
     in_range = {"positive": x > 0.0, "non-negative": x >= 0.0, "real": True}[sign]
@@ -101,8 +100,15 @@ def _build_window(cfg, grid):
     omega = _get(cfg, "window.omega")
     if omega is None:
         return full_window(grid)
+    # one [a, b] pair or a list of them
+    nested = isinstance(omega, list) and all(isinstance(iv, list) for iv in omega)
+    intervals = omega if nested else [omega]
     try:
-        return make_window(grid, [tuple(iv) for iv in np.atleast_2d(omega)],
+        if not all(isinstance(iv, list) and len(iv) == 2 and all(map(_real, iv))
+                   for iv in intervals):
+            raise ConfigError(f"window.omega: expected [a, b] pairs of real numbers, "
+                              f"got {omega!r}")
+        return make_window(grid, [tuple(iv) for iv in intervals],
                            transition_width=_number(cfg, "window.transition_width",
                                                     0.05, "real"),
                            kind=_get(cfg, "window.kind", "smooth"))
@@ -124,8 +130,8 @@ def _initial_state(cfg, grid, rng, norm_sign="non-negative"):
     if isinstance(ucfg, dict) and "coeffs" in ucfg:
         try:
             u0 = state_from_json(ucfg)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"initial_state: not a state ({exc!r})") from exc
+        except ValueError as exc:  # its message starts with the state's key
+            raise ConfigError(f"initial_state: initial_state.{exc}") from exc
         if u0.grid != grid:
             raise ConfigError(f"initial_state: {u0.grid} differs from grid {grid}")
         return u0

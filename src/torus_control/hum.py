@@ -18,21 +18,27 @@ The same closed form with the midpoint sum in place of the time integral
 (`dense_gramian(spec, n_steps)`) is the Gramian of the NLS stepper's own
 midpoint source; `local_control_nls` assembles and Cholesky-factors it once.
 
+Every production solve runs on numpy.linalg alone: `lambda_min_dense` is
+one `eigvalsh`, and each Gramian is Cholesky-factored once (`_cholesky`),
+after which `_solve` costs two O(N^2) products per right-hand side.  The
+CLI and every production path therefore need numpy only.
+
 The matrix-free time quadrature (exact propagation between nodes) is kept
 only as an independent oracle that owns its nodes: `quadrature_gramian`
 takes the node count and rule, by default the resolved_n_quad
 Gauss-Legendre nodes that `apply_gramian` and `lambda_min_iterative` use.
+The oracles (`quadrature_gramian`, `apply_gramian`, `lambda_min_iterative`)
+are the only code that loads scipy, on first call: scipy brings its own
+BLAS thread pool, which contends with numpy's when both are in use.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
-from scipy.sparse.linalg import LinearOperator, cg, eigsh
-from scipy.special import roots_legendre
 
 from .grid import FourierState, GridSpec, state_from_physical
 from .windows import CutoffWindow
@@ -100,10 +106,24 @@ class TrajectoryRecord:
     observed_mass: np.ndarray
 
 
+def __getattr__(name: str):
+    """Module attribute `cg`: scipy's conjugate gradient, imported on first
+    access and kept in the module globals, where a caller may wrap it;
+    `lambda_min_iterative` looks it up through the module."""
+    if name == "cg":
+        from scipy.sparse.linalg import cg
+
+        globals()["cg"] = cg
+        return cg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 @lru_cache(maxsize=32)
 def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     # scipy's routine is much faster than numpy's for large n, and the
     # resolved node counts run into the thousands
+    from scipy.special import roots_legendre
+
     return roots_legendre(n)
 
 
@@ -259,8 +279,7 @@ def dense_gramian(spec: GramianSpec, n_steps: int | None = None) -> np.ndarray:
 
 def lambda_min_dense(spec: GramianSpec) -> float:
     """Smallest eigenvalue of the exact-time dense Gramian."""
-    s = dense_gramian(spec)
-    return float(eigh(s, eigvals_only=True, subset_by_index=[0, 0])[0])
+    return float(np.linalg.eigvalsh(dense_gramian(spec))[0])
 
 
 def lambda_min_iterative(spec: GramianSpec) -> float:
@@ -269,6 +288,9 @@ def lambda_min_iterative(spec: GramianSpec) -> float:
     resolved_n_quad nodes; see _GramianApplier for its ceiling).  The
     Lanczos start vector is a fixed pseudo-random draw, so repeated calls
     return the same value."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    cg = sys.modules[__name__].cg
     n, shape = spec.grid.n_points, spec.grid.shape
     applier = _GramianApplier(spec)
     op = LinearOperator((n, n), dtype=complex,
@@ -308,14 +330,25 @@ def _floored_inverse(lam_min: float, spec: GramianSpec) -> float:
     return 1.0 / lam_min
 
 
-def _cholesky(s_mat: np.ndarray, spec: GramianSpec):
+def _cholesky(s_mat: np.ndarray, spec: GramianSpec) -> np.ndarray:
+    """Inverse Cholesky factor L^-1 of s_mat = L L^H, for `_solve`.  A matrix
+    that is not numerically positive definite raises GramianSingularError."""
     try:
-        return cho_factor(s_mat)
-    except LinAlgError as exc:
+        lower = np.linalg.cholesky(s_mat)
+    except np.linalg.LinAlgError as exc:
         raise GramianSingularError(
             f"Gramian not numerically positive definite at "
             f"N={spec.grid.modes_per_axis} ({spec.grid.dim}D), T={spec.T}: {exc}"
         ) from exc
+    # numpy has no triangular solve: invert L once, so that each later
+    # solve is two O(N^2) products, not a new factorization
+    return np.linalg.inv(lower)
+
+
+def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """S^-1 rhs = L^-H (L^-1 rhs), given factor = `_cholesky`(S); rhs has one
+    column per right-hand side."""
+    return factor.conj().T @ (factor @ rhs)
 
 
 def solve_hum(spec: GramianSpec, target: FourierState,
@@ -334,7 +367,7 @@ def solve_hum(spec: GramianSpec, target: FourierState,
         raise ValueError("grid mismatch between target and Gramian spec")
     s_mat = dense_gramian(spec)
     u0 = target.coeffs.reshape(len(s_mat), -1)
-    phi = cho_solve(_cholesky(s_mat, spec), -1j * u0)
+    phi = _solve(_cholesky(s_mat, spec), -1j * u0)
     residual = float(np.linalg.norm(u0 - 1j * (s_mat @ phi)))
     if residual > tol * target.norm_l2():
         raise HUMConvergenceError(
@@ -428,7 +461,7 @@ def hum_regularity_ratio(spec: GramianSpec, s: float, n_samples: int,
     psi0 = (g[:, 0] + 1j * g[:, 1]) * sobolev_weights(grid, -(s + 1.0))
     weights = sobolev_weights(grid, s)
     psi0 /= np.linalg.norm(psi0 * weights, axis=1, keepdims=True)
-    phi0 = cho_solve(_cholesky(dense_gramian(spec), spec), psi0.T).T
+    phi0 = _solve(_cholesky(dense_gramian(spec), spec), psi0.T).T
     ratios = np.linalg.norm(phi0 * weights, axis=1)
     return {"max": float(ratios.max()), "mean": float(ratios.mean()),
             "ratios": ratios, "s": s, "n_samples": n_samples}

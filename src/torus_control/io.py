@@ -4,6 +4,9 @@ States serialize as {dim, N, coeffs: [[re, im], ...]} with coefficients
 listed in ascending mode order (k = -N/2 .. N/2-1), row-major over
 (k1, k2) in 2D.  Windows serialize as {kind, omega, transition_width,
 samples}.
+A state is read strictly: `dim` and `N` are JSON integers and every
+coefficient a pair of finite real JSON numbers (booleans refused); each
+error message starts with the offending key ("dim", "N" or "coeffs").
 """
 
 from __future__ import annotations
@@ -27,13 +30,48 @@ def state_to_json(u: FourierState) -> dict:
     }
 
 
+def _real(x) -> bool:
+    """A JSON number: an int or float, not a boolean."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _integer_field(obj: dict, key: str) -> int:
+    value = obj.get(key)
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _coefficients(pairs) -> np.ndarray:
+    """[[re, im], ...] as complex numbers, each part a finite real number."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"coeffs: expected a list of [re, im] pairs, got {pairs!r}")
+    flat = np.full(len(pairs), np.nan, dtype=complex)
+    for j, pair in enumerate(pairs):
+        if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_real, pair)):
+            try:
+                flat[j] = complex(*pair)
+            except OverflowError:  # an integer past the float range
+                pass
+        if not np.isfinite(flat[j]):
+            raise ValueError(f"coeffs[{j}]: expected a pair of finite real "
+                             f"numbers, got {pair!r}")
+    return flat
+
+
 def state_from_json(obj: dict) -> FourierState:
-    grid = make_grid(int(obj["dim"]), int(obj["N"]))
-    flat = np.array([complex(re, im) for re, im in obj["coeffs"]])
+    dim, n = _integer_field(obj, "dim"), _integer_field(obj, "N")
+    if dim not in (1, 2):
+        raise ValueError(f"dim: expected 1 or 2, got {dim}")
+    try:
+        grid = make_grid(dim, n)
+    except ValueError as exc:
+        raise ValueError(f"N: {exc}") from exc
+    flat = _coefficients(obj.get("coeffs"))
     if flat.size != grid.n_points:
-        raise ValueError("coefficient count does not match grid")
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("coefficients must be finite")
+        raise ValueError(f"coeffs: expected {grid.n_points} pairs for dim = {dim}, "
+                         f"N = {n}, got {flat.size}")
     return FourierState(grid, np.fft.ifftshift(flat.reshape(grid.shape)))
 
 

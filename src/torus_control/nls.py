@@ -43,10 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .grid import FourierState, GridSpec, random_state, zero_state
-from .hum import GramianSpec, _cholesky, check_dense_size, dense_gramian
+from .hum import GramianSpec, _cholesky, _solve, check_dense_size, dense_gramian
 from .windows import CutoffWindow
 
 
@@ -276,7 +275,7 @@ def _control_steps(grid: GridSpec) -> int:
 
 
 def _control_factor(spec: GramianSpec):
-    """Cholesky factor of the controlled solve's midpoint Gramian."""
+    """Inverse Cholesky factor of the controlled solve's midpoint Gramian."""
     return _cholesky(dense_gramian(spec, _control_steps(spec.grid)), spec)
 
 
@@ -288,7 +287,8 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
     interaction-picture nonlinear increments of the controlled forward
     solve.  S is the Gramian of the stepper's own midpoint source, in
     closed form (N x N, one column per transverse mode in 2D); it is
-    Cholesky-factored once, and each iteration is one triangular solve.
+    Cholesky-factored once, and each iteration costs two O(N^2) products
+    with the inverse factor.
     The linear problem thus closes exactly and the certified forward
     residual reduces to roundoff and the Picard tol.
     The controlled solve takes max(256, 4N) midpoint steps, and the
@@ -319,7 +319,7 @@ def _picard(u0: FourierState, spec: GramianSpec, factor, sigma: int,
     for it in range(1, max_iter + 1):
         _, drift = _controlled_forward(u0, spec, phi0, sigma, n_steps)
         rhs = -1j * (u0.coeffs + drift.coeffs).reshape(grid.modes_per_axis, -1)
-        phi_new = FourierState(grid, cho_solve(factor, rhs).reshape(grid.shape))
+        phi_new = FourierState(grid, _solve(factor, rhs).reshape(grid.shape))
         update = (phi_new - phi0).norm_l2()
         history["update_norms"].append(update)
         if prev_update is not None and prev_update > 0:

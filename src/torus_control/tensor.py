@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .grid import FourierState, make_grid
 from .hum import (GramianSpec, _check_entries, _floored_inverse, _time_kernel,
@@ -70,7 +69,7 @@ def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     n = base.grid.modes_per_axis
     strip = replace(base, grid=make_grid(2, n), samples=np.tile(base.samples[:, None], n))
     spec2d = replace(base_spec, window=strip)
-    lam_2d = eigh(dense_gramian_2d(spec2d), eigvals_only=True, subset_by_index=[0, 0])[0]
+    lam_2d = np.linalg.eigvalsh(dense_gramian_2d(spec2d))[0]
     return _floored_inverse(float(lam_2d), spec2d), observability_constant(base_spec)
 
 

@@ -1,11 +1,15 @@
 """CLI subcommands: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torus_control
 from torus_control import GramianSpec, make_grid, make_window
 from torus_control.cli import main
 from torus_control.hum import lambda_min_dense
@@ -15,6 +19,16 @@ def write_cfg(tmp_path, name, cfg):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def set_field(cfg, path, value):
+    """Set the dotted config field `path`; returns its parent keys."""
+    *parents, key = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[key] = value
+    return parents
 
 
 @pytest.fixture
@@ -289,11 +303,7 @@ STATE_INF = {"dim": 1, "N": 32, "coeffs": [[1.0, float("inf")]] + [[1.0, 0.0]] *
 def test_invalid_config_field_exit_2(tmp_path, base_cfg, capsys, sub, path, value):
     base_cfg["target"] = {"norm": 0.2, "max_mode": 8}
     base_cfg["sweep"] = {"n_points": 16, "lambda_min": -50.0, "lambda_max": 50.0}
-    *parents, key = path.split(".")
-    node = base_cfg
-    for part in parents:
-        node = node.setdefault(part, {})
-    node[key] = value
+    parents = set_field(base_cfg, path, value)
     cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
     out = tmp_path / "out"
     assert main([sub, "--config", cfg, "--out", str(out)]) == 2
@@ -301,6 +311,64 @@ def test_invalid_config_field_exit_2(tmp_path, base_cfg, capsys, sub, path, valu
     prefix = "window" if parents == ["window"] else path
     assert f"config error: {prefix}: " in capsys.readouterr().err
     assert not (out / "error.json").exists()
+
+
+# inline states on grid.N = 32 whose dim, N or coefficients only looked valid
+# to int() and complex()
+STATE_DIM_FRACTION = {"dim": 1.5, "N": 32, "coeffs": [[1.0, 0.0]] * 32}
+STATE_N_FRACTION = {"dim": 1, "N": 32.5, "coeffs": [[1.0, 0.0]] * 32}
+STATE_DIM_BOOLEAN = {"dim": True, "N": 32, "coeffs": [[1.0, 0.0]] * 32}
+STATE_BOOLEAN_COEFFS = {"dim": 1, "N": 32, "coeffs": [[True, False]] * 32}
+STATE_STRING_COEFFS = {"dim": 1, "N": 32, "coeffs": [["1.0", 0.0]] * 32}
+
+
+@pytest.mark.parametrize("sub,path,value,field", [
+    ("simulate", "initial_state", STATE_DIM_FRACTION, "initial_state.dim"),
+    ("simulate", "initial_state", STATE_DIM_BOOLEAN, "initial_state.dim"),
+    ("simulate", "initial_state", STATE_N_FRACTION, "initial_state.N"),
+    ("simulate", "initial_state", STATE_BOOLEAN_COEFFS, "initial_state.coeffs[0]"),
+    ("control", "initial_state", STATE_STRING_COEFFS, "initial_state.coeffs[0]"),
+    ("control", "initial_state", STATE_NAN, "initial_state.coeffs[0]"),
+    ("control", "initial_state", {"coeffs": "x"}, "initial_state.dim"),
+    ("observability", "window.omega", [[False, True]], "window.omega"),
+    ("observability", "window.omega", [0.0, True], "window.omega"),
+    ("observability", "window.omega", [["0.0", 0.3]], "window.omega"),
+])
+def test_boundary_error_names_field(tmp_path, base_cfg, capsys, sub, path, value, field):
+    parents = set_field(base_cfg, path, value)
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 2
+    # the builder's prefix, then the full path of the offending field
+    assert f"config error: {parents[0] if parents else path}: {field}: " in \
+        capsys.readouterr().err
+    assert not (out / "error.json").exists()
+
+
+def test_cli_loads_no_scipy(tmp_path, base_cfg):
+    # production solves run on numpy.linalg alone: scipy, with its own BLAS
+    # thread pool, is loaded only by the quadrature oracles
+    base_cfg["grid"]["N"] = 16
+    base_cfg["window"] = {"omega": [[0.0, 0.3]]}
+    base_cfg["initial_state"] = {"norm": 0.3, "max_mode": 4}
+    base_cfg["nls"] = {"sigma": -1, "dt": 1e-3}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    code = "\n".join([
+        "import sys",
+        "from torus_control.cli import main",
+        "for sub in ('observability', 'control', 'global-control'):",
+        f"    assert main([sub, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(torus_control.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert {"observability.json", "control.json", "global_control.json"} <= {
+        p.name for p in tmp_path.iterdir()}
 
 
 def test_negative_seed_flag_exit_2(tmp_path, base_cfg, capsys):

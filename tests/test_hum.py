@@ -149,6 +149,39 @@ def test_observability_constant_full_window_is_inverse_t():
     assert observability_constant(spec) == pytest.approx(2.0, abs=1e-10)
 
 
+def test_lambda_min_iterative_calls_module_cg(monkeypatch):
+    # the oracle looks `cg` up through the module, so a wrapper set on
+    # `hum.cg` (as the benchmark's tracer sets one) is the CG that runs
+    from torus_control import hum
+
+    g = make_grid(1, 16)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.25), 0.05, "smooth"))
+    inner, calls = hum.cg, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hum, "cg", counting)
+    lam = lambda_min_iterative(spec)
+    assert len(calls) >= 1
+    assert lam == pytest.approx(lambda_min_dense(spec), rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_dense_solves_match_scipy_reference(n):
+    # numpy.linalg against the scipy calls the production path used before:
+    # the subset eigensolve for lambda_min, and a closed loop at roundoff
+    from scipy.linalg import eigh
+
+    g = make_grid(1, n)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.2), 0.05, "smooth"))
+    ref = eigh(dense_gramian(spec), eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert lambda_min_dense(spec) == pytest.approx(ref, rel=1e-12)
+    u0 = random_state(g, np.random.default_rng(n))
+    assert solve_hum(spec, u0).residual_l2 <= 1e-12 * u0.norm_l2()
+
+
 def test_singular_gramian_raises():
     g = make_grid(1, 32)
     # sharp window containing no grid point: chi == 0 identically
