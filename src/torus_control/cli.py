@@ -24,8 +24,8 @@ from .grid import FourierState, make_grid, random_state
 from .hum import (DenseSizeError, GramianSpec, GramianSingularError,
                   HUMConvergenceError, drive_linear, observability_constant,
                   solve_hum)
-from .io import (_real, state_from_json, state_to_json, write_decay_csv,
-                 write_json, write_sweep_csv, write_trajectory_csv)
+from .io import (_integral, _real, state_from_json, state_to_json,
+                 write_decay_csv, write_json, write_sweep_csv, write_trajectory_csv)
 from .nls import (NLSParams, PicardDivergenceError, StabilizationStallError,
                   evolve, fit_decay_rate, global_control)
 from .resolvent import (InfeasibleResolventError, default_lambda_grid,
@@ -70,8 +70,7 @@ def _integer(cfg: dict, path: str, default=None, minimum: int = 0,
     value = _get(cfg, path, default, required)
     if value is None and default is None and not required:
         return None
-    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not whole or value < minimum:
+    if not _integral(value) or value < minimum:
         raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
     return int(value)
 
@@ -140,11 +139,20 @@ def _initial_state(cfg, grid, rng, norm_sign="non-negative"):
                         max_mode=_integer(cfg, "initial_state.max_mode"))
 
 
+def _evolve(cfg, u0, params, default_T, record_stride=1):
+    """horizon.T and the record of `evolve` over it (too many records: exit 2)."""
+    T = _number(cfg, "horizon.T", default_T)
+    try:
+        return T, evolve(u0, T, params, record_stride)[1]
+    except ValueError as exc:
+        raise ConfigError(f"horizon.T: {exc} (nls.dt = {params.dt}), got {T!r}") from exc
+
+
 def _cmd_simulate(args, cfg, rng, grid, window, out_dir):
     params = _build_nls_params(
         cfg, damping=window if _boolean(cfg, "nls.damped", False) else None)
     u0 = _initial_state(cfg, grid, rng)
-    final, record = evolve(u0, _number(cfg, "horizon.T", 1.0), params)
+    _, record = _evolve(cfg, u0, params, 1.0)
     if args.format in ("csv", "both"):
         write_decay_csv(out_dir / "simulate.csv", record)
     return {"final_mass": record.mass[-1], "initial_mass": record.mass[0],
@@ -224,8 +232,7 @@ def _cmd_stabilize(args, cfg, rng, grid, window, out_dir):
     u0 = _initial_state(cfg, grid, rng, norm_sign="positive")
     if u0.norm_l2() == 0.0:
         raise ConfigError("initial_state: expected a nonzero state")
-    T = _number(cfg, "horizon.T", 10.0)
-    final, record = evolve(u0, T, params, record_stride=10)
+    T, record = _evolve(cfg, u0, params, 10.0, record_stride=10)
     if len(record.times) < 10:
         raise ConfigError(f"horizon.T: {len(record.times)} records of the decay at "
                           f"stride 10 (nls.dt = {params.dt}), need 10, got {T!r}")
@@ -310,6 +317,9 @@ def main(argv=None) -> int:
         return 2
     except DenseSizeError as exc:
         print(f"config error: grid.N: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # --out is not a writable directory
+        print(f"config error: --out: {exc}", file=sys.stderr)
         return 2
     except (GramianSingularError, HUMConvergenceError, InfeasibleResolventError,
             PicardDivergenceError, StabilizationStallError) as exc:

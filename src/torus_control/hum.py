@@ -25,10 +25,9 @@ CLI and every production path therefore need numpy only.
 
 The matrix-free time quadrature (exact propagation between nodes) is kept
 only as an independent oracle that owns its nodes: `quadrature_gramian`
-takes the node count and rule, by default the resolved_n_quad
-Gauss-Legendre nodes that `apply_gramian` and `lambda_min_iterative` use.
-The oracles (`quadrature_gramian`, `apply_gramian`, `lambda_min_iterative`)
-are the only code that loads scipy, on first call: scipy brings its own
+takes the node count and rule (Gauss-Legendre or midpoint), by default the
+resolved_n_quad Gauss-Legendre nodes that `lambda_min_iterative` uses.
+These two oracles alone load scipy, on first call: scipy brings its own
 BLAS thread pool, which contends with numpy's when both are in use.
 """
 
@@ -41,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import FourierState, GridSpec, state_from_physical
+from .operators import free_propagate, sobolev_weights
 from .windows import CutoffWindow
 
 #: Smallest Gramian eigenvalue considered numerically observable.
@@ -132,10 +132,6 @@ def quadrature_nodes(T: float, n: int, rule: str) -> tuple[np.ndarray, np.ndarra
     if rule == "gauss-legendre":
         x, w = _legendre_nodes(n)
         return 0.5 * T * (x + 1.0), 0.5 * T * w
-    if rule == "trapezoid":
-        w = np.full(n, T / (n - 1))
-        w[[0, -1]] /= 2.0
-        return np.linspace(0.0, T, n), w
     if rule == "midpoint":
         h = T / n
         return (np.arange(n) + 0.5) * h, np.full(n, h)
@@ -194,15 +190,6 @@ class _GramianApplier:
 
     def apply_one(self, coeffs: np.ndarray) -> np.ndarray:
         return self.apply_batch(coeffs[None])[0]
-
-
-def apply_gramian(spec: GramianSpec, phi0: FourierState) -> FourierState:
-    """Quadrature approximation of S phi0 on resolved_n_quad nodes (see
-    _GramianApplier for the DenseSizeError ceiling)."""
-    if phi0.grid != spec.grid:
-        raise ValueError("grid mismatch between state and Gramian spec")
-    out = _GramianApplier(spec).apply_one(phi0.coeffs)
-    return FourierState(spec.grid, out)
 
 
 def _check_entries(grid: GridSpec, rows: int, what: str) -> None:
@@ -383,8 +370,6 @@ def synthesize_control(spec: GramianSpec, phi0: FourierState, t: float) -> Fouri
     """Control source at time t: chi^2 * (exp(i*t*Lap) phi0)."""
     if not (0.0 <= t <= spec.T):
         raise ValueError(f"t = {t} outside the control horizon [0, {spec.T}]")
-    from .operators import free_propagate
-
     propagated = free_propagate(phi0, t)
     return state_from_physical(spec.grid,
                                propagated.physical() * spec.window.samples ** 2)
@@ -448,8 +433,6 @@ def hum_regularity_ratio(spec: GramianSpec, s: float, n_samples: int,
     """
     if s < 0.0:
         raise ValueError("s must be >= 0")
-    from .operators import sobolev_weights
-
     grid = spec.grid
     if grid.dim != 1:
         raise ValueError("regularity study uses the dense 1D Gramian")

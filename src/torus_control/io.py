@@ -1,9 +1,8 @@
-"""JSON / CSV serialization of states, windows, records and results.
+"""JSON / CSV serialization of states, records and results.
 
 States serialize as {dim, N, coeffs: [[re, im], ...]} with coefficients
 listed in ascending mode order (k = -N/2 .. N/2-1), row-major over
-(k1, k2) in 2D.  Windows serialize as {kind, omega, transition_width,
-samples}.
+(k1, k2) in 2D.
 A state is read strictly: `dim` and `N` are JSON integers and every
 coefficient a pair of finite real JSON numbers (booleans refused); each
 error message starts with the offending key ("dim", "N" or "coeffs").
@@ -17,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import FourierState, GridSpec, make_grid
-from .windows import CutoffWindow
+from .grid import FourierState, make_grid
 
 
 def state_to_json(u: FourierState) -> dict:
@@ -35,10 +33,14 @@ def _real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _integral(x) -> bool:
+    """A JSON integer: an int or an integral float, not a boolean."""
+    return _real(x) and (isinstance(x, int) or x.is_integer())
+
+
 def _integer_field(obj: dict, key: str) -> int:
     value = obj.get(key)
-    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not whole:
+    if not _integral(value):
         raise ValueError(f"{key}: expected an integer, got {value!r}")
     return int(value)
 
@@ -75,39 +77,25 @@ def state_from_json(obj: dict) -> FourierState:
     return FourierState(grid, np.fft.ifftshift(flat.reshape(grid.shape)))
 
 
-def window_to_json(w: CutoffWindow) -> dict:
-    return {
-        "kind": w.kind,
-        "omega": [list(iv) for iv in w.omega],
-        "transition_width": w.transition_width,
-        "samples": np.asarray(w.samples).reshape(-1).tolist(),
-    }
-
-
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """One row per sample of the equal-length `columns`, each value as %.12g."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([f"{x:.12g}" for x in row] for row in zip(*columns))
 
 
 def write_trajectory_csv(path: Path, times, mass, observed) -> None:
-    write_csv(path, ["t", "mass", "observed_mass"],
-              [[f"{t:.12g}", f"{m:.12g}", f"{o:.12g}"]
-               for t, m, o in zip(times, mass, observed)])
+    write_csv(path, ["t", "mass", "observed_mass"], [times, mass, observed])
 
 
 def write_decay_csv(path: Path, record) -> None:
     write_csv(path, ["t", "mass", "energy", "observed"],
-              [[f"{t:.12g}", f"{m:.12g}", f"{e:.12g}", f"{o:.12g}"]
-               for t, m, e, o in zip(record.times, record.mass,
-                                     record.energy, record.observed)])
+              [record.times, record.mass, record.energy, record.observed])
 
 
 def write_sweep_csv(path: Path, result) -> None:
-    write_csv(path, ["lambda", "M_best"],
-              [[f"{lam:.12g}", f"{mm:.12g}"]
-               for lam, mm in zip(result.lambda_grid, result.M_of_lambda)])
+    write_csv(path, ["lambda", "M_best"], [result.lambda_grid, result.M_of_lambda])
 
 
 def write_json(path: Path, obj: dict) -> None:

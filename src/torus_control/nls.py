@@ -13,10 +13,10 @@ factor exp(-chi^2 * dt/2).  The three middle sub-flows are applied as one
 exact pointwise factor, u -> d2 * u * exp(-i*sigma*dt*d2*|u|^2) with
 d2 = exp(-chi^2 * dt).  Without damping every sub-step is an isometry, so
 mass is conserved to roundoff; energy drifts at O(dt^2).
-`nls_step`, `evolve`, the damped legs of global control and the
-controlled solve all run this one step, built once per (grid, dt, sigma,
-damping, dealias); the controlled solve adds its source, integrated over
-the step at the midpoint, after the nonlinear sub-flow.  The step
+`evolve`, the damped legs of global control and the controlled solve
+all run this one step, built once per (grid, dt, sigma, damping,
+dealias); the controlled solve adds its source, integrated over the step
+at the midpoint, after the nonlinear sub-flow.  The step
 transforms over the last grid.dim axes only, so coefficients of shape
 (B, *grid.shape) advance B states at once: global control runs the
 damped legs of u0 and conj(u1) as one batch, each member leaving it at
@@ -45,7 +45,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import FourierState, GridSpec, random_state, zero_state
-from .hum import GramianSpec, _cholesky, _solve, check_dense_size, dense_gramian
+from .hum import (MAX_DENSE_POINTS, GramianSpec, _cholesky, _solve, check_dense_size,
+                  dense_gramian)
 from .windows import CutoffWindow
 
 
@@ -165,22 +166,22 @@ class _StrangStep:
         return c
 
 
-def nls_step(u: FourierState, params: NLSParams) -> FourierState:
-    """One Strang split step of the (damped) cubic NLS."""
-    return FourierState(u.grid, _StrangStep(u.grid, params)(u.coeffs))
-
-
 def evolve(u0: FourierState, T: float, params: NLSParams,
            record_stride: int = 1) -> tuple[FourierState, DecayRecord]:
     """Evolve for time T, recording mass, energy and observed mass every
-    `record_stride` steps and at the final step."""
+    `record_stride` steps and at the final step; past MAX_DENSE_POINTS**2
+    records it raises ValueError, before allocating."""
     if not 0.0 < T < np.inf:
         raise ValueError("T must be positive and finite")
     if int(record_stride) != record_stride or record_stride < 1:
         raise ValueError(f"record_stride must be a positive integer, got {record_stride!r}")
-    n_steps = int(round(T / params.dt))
+    steps = float(T) / float(params.dt)  # inf past the float range
+    if steps / record_stride > MAX_DENSE_POINTS ** 2:
+        raise ValueError(f"{steps:.3g} steps at stride {record_stride} exceed "
+                         f"{MAX_DENSE_POINTS}**2 records")
+    n_steps = int(round(steps))
     if abs(n_steps * params.dt - T) > 1e-9 * max(T, 1.0):
-        n_steps = int(np.ceil(T / params.dt))
+        n_steps = int(np.ceil(steps))
     rec_steps = np.arange(0, n_steps + 1, record_stride)
     if rec_steps[-1] != n_steps:
         rec_steps = np.append(rec_steps, n_steps)

@@ -1,4 +1,5 @@
-"""Free Schrodinger propagator, fractional multiplier D^r, Sobolev norms.
+"""Free Schrodinger propagator, fractional multiplier D^r, Sobolev weights
+and the operator norm of the commutator [D^r, f].
 
 The free flow diagonalizes on Fourier modes: u_hat(k) picks up the phase
 exp(-i*(2*pi*k)^2*t) in 1D (and exp(-i*(2*pi)^2*(k1^2+k2^2)*t) in 2D), so
@@ -6,14 +7,15 @@ propagation is exact and norm preserving for every Sobolev index.
 
 D^r is the multiplier sgn(n)*|n|^r on nonzero modes and the identity on
 the zero mode.  It deliberately uses the bare integer n, while Sobolev
-norms use the (1 + |2*pi*k|^2)^(1/2) weight; the two scalings coexist.
+weights use (1 + |2*pi*k|^2)^(1/2); the two scalings coexist.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import FourierState, GridSpec
+from .grid import FourierState, GridSpec, make_grid
+from .windows import make_window
 
 
 def free_propagate(u: FourierState, t: float) -> FourierState:
@@ -33,19 +35,9 @@ def fractional_multiplier(grid: GridSpec, r: float) -> np.ndarray:
     return sym
 
 
-def fractional_derivative(u: FourierState, r: float) -> FourierState:
-    """Apply D^r (1D only); the zero mode is left unchanged."""
-    return FourierState(u.grid, u.coeffs * fractional_multiplier(u.grid, r))
-
-
 def sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
     """(1 + |2*pi*k|^2)^(s/2) in FFT order (shape matches the mode array)."""
     return (1.0 - grid.laplacian_symbol()) ** (s / 2.0)
-
-
-def sobolev_norm(u: FourierState, s: float) -> float:
-    """H^s norm (sum_k (1+|2*pi*k|^2)^s |u_hat(k)|^2)^(1/2); s=0 is L2."""
-    return float(np.linalg.norm(u.coeffs * sobolev_weights(u.grid, s)))
 
 
 def _refined_window_coeffs(grid: GridSpec, f) -> np.ndarray:
@@ -58,9 +50,6 @@ def _refined_window_coeffs(grid: GridSpec, f) -> np.ndarray:
     refined coefficients let callers convolve with the true (unwrapped)
     difference k - j, matching the continuous operator.
     """
-    from .grid import make_grid
-    from .windows import make_window
-
     fine = make_grid(1, 4 * grid.modes_per_axis)
     fw = make_window(fine, f.omega, transition_width=f.transition_width,
                      kind=f.kind)
@@ -77,18 +66,6 @@ def _commutator_matrix(grid: GridSpec, r: float, f) -> np.ndarray:
     # (f * v)(k) = sum_j fhat(k - j) v(j) with the true difference k - j
     diff = (k[:, None] - k[None, :]) % len(fhat)
     return fhat[diff] * (dr[:, None] - dr[None, :])
-
-
-def commutator_apply(u: FourierState, r: float, f) -> FourierState:
-    """Apply the commutator [D^r, f] u = D^r(f*u) - f*(D^r u) (1D only).
-
-    f is a CutoffWindow.  Products use the de-aliased convolution with the
-    window (true frequency differences, no Nyquist wrap-around), so the
-    result agrees with the mode-space truncation of the continuous
-    commutator rather than the aliased pseudo-spectral product.
-    """
-    mat = _commutator_matrix(u.grid, r, f)
-    return FourierState(u.grid, mat @ u.coeffs)
 
 
 def commutator_operator_norm(grid: GridSpec, r: float, s: float, f) -> float:

@@ -208,15 +208,3 @@ def verify_resolvent(u: FourierState, lam: float, M: float, m: float,
     rhs = M * resolvent_term + m * observed
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-10)
 
-
-def wave_resolvent_check(u: FourierState, lam: float, M2: float, m2: float,
-                         window: CutoffWindow) -> tuple[float, float, bool]:
-    """Wave-derived estimate ||lam*u||^2 <= M2 ||(Lap - lam^2) u||^2
-    + m2 ||lam * chi u||^2."""
-    lhs = lam ** 2 * u.norm_l2() ** 2
-    resolvent_term = float(
-        np.sum(np.abs((u.grid.laplacian_symbol() - lam ** 2) * u.coeffs) ** 2)
-    )
-    observed = multiply_window(u, window).norm_l2() ** 2
-    rhs = M2 * resolvent_term + m2 * lam ** 2 * observed
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-10)

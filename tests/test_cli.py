@@ -379,6 +379,39 @@ def test_negative_seed_flag_exit_2(tmp_path, base_cfg, capsys):
     assert not (out / "error.json").exists()
 
 
+@pytest.mark.parametrize("sub,path,value", [
+    ("simulate", "horizon.T", 1e300),
+    ("simulate", "horizon.T", 1e12),
+    ("stabilize", "horizon.T", 1e300),
+    ("stabilize", "horizon.T", 1e12),
+    ("simulate", "nls.dt", 1e-300),
+    ("stabilize", "nls.dt", 1e-300),
+])
+def test_record_count_past_cap_exit_2(tmp_path, base_cfg, capsys, sub, path, value):
+    # more than 2048**2 records are refused before anything is allocated
+    set_field(base_cfg, path, value)
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: horizon.T: ")
+    assert "exceed 2048**2 records" in err and "Traceback" not in err
+    assert not (out / "error.json").exists()
+
+
+def test_out_not_a_directory_exit_2(tmp_path, base_cfg, capsys):
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    blocker = tmp_path / "report.txt"
+    blocker.write_text("kept\n")
+    # an existing file, and a path under it
+    for out in (blocker, blocker / "sub"):
+        assert main(["observability", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out: ")
+        assert "Traceback" not in err
+    assert blocker.read_text() == "kept\n"
+
+
 def test_resolvent_sweep_ignores_quadrature_keys(tmp_path, base_cfg):
     # the Gramian holds no time nodes, so quadrature.* is not read
     base_cfg["sweep"] = {"n_points": 16, "cross_check": True}

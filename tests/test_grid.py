@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from torus_control import (FourierState, make_grid, plane_wave, random_state,
-                           state_from_physical, zero_state)
+from torus_control.grid import (FourierState, make_grid, plane_wave,
+                                random_state, state_from_physical, zero_state)
 
 
 def test_grid_validation():

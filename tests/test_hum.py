@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from torus_control import (FourierState, GramianSpec, GramianSingularError,
-                           apply_gramian, dense_gramian, drive_linear,
-                           free_propagate,
-                           full_window, make_grid, make_window,
-                           observability_constant, random_state, solve_hum,
-                           synthesize_control)
+from torus_control import (GramianSpec, drive_linear, full_window, make_grid,
+                           make_window, observability_constant, random_state,
+                           solve_hum, synthesize_control)
+from torus_control.grid import FourierState, zero_state
 from torus_control.hum import (MAX_DENSE_POINTS, DenseSizeError,
-                               HUMConvergenceError, check_dense_size,
+                               GramianSingularError, HUMConvergenceError,
+                               check_dense_size, dense_gramian,
                                hum_regularity_ratio, lambda_min_dense,
                                lambda_min_iterative, quadrature_gramian,
                                quadrature_nodes, resolved_n_quad,
                                window_mode_matrix)
+from torus_control.operators import free_propagate
 
 
 @pytest.fixture
@@ -31,8 +31,6 @@ def test_quadrature_nodes_rules():
     t, wts = quadrature_nodes(1.0, 10, "midpoint")
     assert np.allclose(t, (np.arange(10) + 0.5) / 10)
     assert np.allclose(wts, 0.1)
-    t, wts = quadrature_nodes(1.0, 11, "trapezoid")
-    assert t[0] == 0.0 and t[-1] == 1.0
     with pytest.raises(ValueError):
         quadrature_nodes(1.0, 8, "simpson")
 
@@ -73,14 +71,6 @@ def test_quadrature_gramian_converges_to_exact(small_setup):
     s_quad = quadrature_gramian(spec)
     s_exact = dense_gramian(spec)
     assert np.max(np.abs(s_quad - s_exact)) < 1e-10 * np.max(np.abs(s_exact))
-
-
-def test_apply_gramian_matches_dense(small_setup):
-    g, _, spec = small_setup
-    u = random_state(g, np.random.default_rng(0))
-    via_op = apply_gramian(spec, u)
-    via_mat = dense_gramian(spec) @ u.coeffs
-    assert np.allclose(via_op.coeffs, via_mat, atol=1e-9)
 
 
 def test_window_mode_matrix_is_convolution(small_setup):
@@ -250,8 +240,6 @@ def test_solve_hum_singular_gramian_raises():
 
 def test_solve_hum_zero_target(small_setup):
     g, _, spec = small_setup
-    from torus_control import zero_state
-
     sol = solve_hum(spec, zero_state(g))
     assert sol.phi0.norm_l2() == 0.0
 
@@ -304,7 +292,7 @@ def test_oracle_explicit_node_count_past_phase_ceiling():
     g = make_grid(1, 128)
     spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.3), 0.05, "smooth"))
     with pytest.raises(DenseSizeError, match="phases"):
-        apply_gramian(spec, random_state(g, np.random.default_rng(0)))
+        quadrature_gramian(spec)
     oracle = quadrature_gramian(spec, n_quad=512, rule="midpoint")
     closed = dense_gramian(spec, 512)
     assert np.linalg.norm(closed - oracle) <= 1e-12 * np.linalg.norm(oracle)

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from torus_control import make_grid, make_window, random_state
-from torus_control.io import (state_from_json, state_to_json, window_to_json,
-                              write_decay_csv, write_json, write_sweep_csv,
-                              write_trajectory_csv)
+from torus_control.io import (state_from_json, state_to_json, write_decay_csv,
+                              write_json, write_sweep_csv, write_trajectory_csv)
 from torus_control.nls import DecayRecord
 
 
@@ -29,7 +28,7 @@ def test_state_round_trip_2d():
 
 
 def test_state_json_ascending_mode_order():
-    from torus_control import plane_wave
+    from torus_control.grid import plane_wave
 
     g = make_grid(1, 8)
     u = plane_wave(g, -4, 1.0)  # most negative mode
@@ -52,15 +51,6 @@ def test_state_from_json_rejects_non_finite(bad):
     obj["coeffs"][3] = [0.5, bad]
     with pytest.raises(ValueError, match="finite"):
         state_from_json(obj)
-
-
-def test_window_json_fields():
-    g = make_grid(1, 32)
-    w = make_window(g, (0.1, 0.5), 0.05, "smooth")
-    obj = window_to_json(w)
-    assert obj["kind"] == "smooth"
-    assert obj["omega"] == [[0.1, 0.5]]
-    assert len(obj["samples"]) == 32
 
 
 def test_trajectory_csv(tmp_path):

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from torus_control import (FourierState, GramianSpec, NLSParams,
-                           PicardDivergenceError, StabilizationStallError,
-                           admissible_amplitude, energy, evolve, fit_decay_rate,
-                           global_control, local_control_nls, make_grid,
-                           make_window, mass_decay_residual, nls_step,
-                           plane_wave, random_state)
+from torus_control import (GramianSpec, NLSParams, admissible_amplitude, evolve,
+                           fit_decay_rate, global_control, local_control_nls,
+                           make_grid, make_window, mass_decay_residual,
+                           random_state)
 from torus_control import nls
-from torus_control.nls import DecayRecord, _stabilize_to_threshold
+from torus_control.grid import FourierState, plane_wave, zero_state
+from torus_control.nls import (DecayRecord, PicardDivergenceError,
+                               StabilizationStallError, _stabilize_to_threshold,
+                               energy)
+from torus_control.operators import free_propagate
 
 
 def test_params_validation():
@@ -51,10 +53,9 @@ def test_plane_wave_dispersion_relation():
     # exact solution A exp(i(2 pi k x - omega t)), omega = (2 pi k)^2 + sigma A^2
     g = make_grid(1, 64)
     amp, k, sigma, dt = 0.7, 2, 1, 1e-3
-    u = plane_wave(g, k, amp)
     params = NLSParams(sigma=sigma, dt=dt, dealias=False)
-    for _ in range(1000):
-        u = nls_step(u, params)
+    u, rec = evolve(plane_wave(g, k, amp), 1000 * dt, params, record_stride=1000)
+    assert rec.times[-1] == pytest.approx(1.0)
     omega = (2 * np.pi * k) ** 2 + sigma * amp ** 2
     assert abs(u.coeffs[k] - amp * np.exp(-1j * omega)) < 1e-12
 
@@ -65,10 +66,10 @@ def test_evolve_matches_repeated_steps():
     u0 = random_state(g, np.random.default_rng(9), norm=1.0, max_mode=16)
     params = NLSParams(sigma=-1, dt=1e-3, damping=w, dealias=True)
     u_evolved, _ = evolve(u0, 0.2, params, record_stride=50)
-    u = u0
+    step, c = nls._StrangStep(g, params), u0.coeffs
     for _ in range(200):
-        u = nls_step(u, params)
-    assert np.max(np.abs(u_evolved.coeffs - u.coeffs)) <= 1e-14
+        c = step(c)
+    assert np.max(np.abs(u_evolved.coeffs - c)) <= 1e-14
 
 
 def test_evolve_rejects_invalid_stride():
@@ -120,8 +121,6 @@ def test_bulk_sampling_matches_per_state_quantities(dim, n):
 
 
 def test_linear_limit_matches_free_flow():
-    from torus_control import free_propagate
-
     g = make_grid(1, 32)
     u0 = random_state(g, np.random.default_rng(1), max_mode=8)
     params = NLSParams(sigma=0, dt=1e-2, dealias=False)
@@ -262,8 +261,6 @@ def test_local_control_zero_data_is_trivial():
     g = make_grid(1, 32)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     spec = GramianSpec(T=1.0, window=w)
-    from torus_control import zero_state
-
     phi0, residual, _ = local_control_nls(zero_state(g), spec, sigma=-1)
     assert phi0.norm_l2() == 0.0 and residual == 0.0
 
@@ -333,8 +330,6 @@ def test_global_control_trivial_targets():
     g = make_grid(1, 32)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     spec = GramianSpec(T=1.0, window=w)
-    from torus_control import zero_state
-
     sched = global_control(zero_state(g), zero_state(g), spec)
     assert sched.phases == []
     assert sched.endpoint_error_to_zero == 0.0

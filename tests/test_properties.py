@@ -9,9 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from torus_control import (FourierState, GramianSpec, NLSParams,
-                           best_resolvent_constant, dense_gramian, free_propagate,
-                           make_grid, make_window, nls)
+from torus_control import GramianSpec, NLSParams, make_grid, make_window, nls
+from torus_control.grid import FourierState
+from torus_control.hum import dense_gramian
+from torus_control.operators import free_propagate
+from torus_control.resolvent import best_resolvent_constant
 from torus_control.io import state_from_json, state_to_json
 from torus_control.tensor import dense_gramian_2d
 

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from torus_control import (GramianSpec, InfeasibleResolventError,
-                           best_resolvent_constant, constants_from_observability,
-                           default_lambda_grid, dense_gramian, feasible_m,
-                           make_grid, make_window, miller_cost_bound,
+from torus_control import (GramianSpec, constants_from_observability,
+                           default_lambda_grid, feasible_m, make_grid,
+                           make_window, miller_cost_bound,
                            observability_constant, random_state, sweep,
-                           verify_resolvent, wave_resolvent_check)
+                           verify_resolvent)
 from torus_control.hum import lambda_min_dense, window_mode_matrix
+from torus_control.resolvent import (InfeasibleResolventError,
+                                     best_resolvent_constant)
 from torus_control.windows import full_window
 
 
@@ -102,8 +103,7 @@ def test_best_constant_is_tight(setup32):
     lam = -50.0
     m_best = best_resolvent_constant(lam, m, w, g)
     # build the worst state: top eigenvector of A^-1 (I - m W) A^-1
-    from torus_control import FourierState
-    from torus_control.hum import window_mode_matrix
+    from torus_control.grid import FourierState
 
     d = g.laplacian_symbol() - lam
     q = np.eye(32) - m * window_mode_matrix(w)
@@ -171,18 +171,6 @@ def test_constants_from_observability_forward_map(setup32):
         for _ in range(10):
             u = random_state(g, rng)
             assert verify_resolvent(u, lam, m_big, m_small, w)[2]
-
-
-def test_wave_resolvent_check(setup32):
-    g, w = setup32
-    t_obs = 0.4
-    c_t = observability_constant(GramianSpec(T=t_obs, window=w))
-    m_big, m_small = constants_from_observability(c_t, t_obs)
-    rng = np.random.default_rng(3)
-    for lam in (1.0, 7.3, 40.0):
-        for _ in range(5):
-            u = random_state(g, rng)
-            assert wave_resolvent_check(u, lam, m_big, m_small, w)[2]
 
 
 def test_full_window_resolvent_near_spectrum():

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from torus_control import (GramianSingularError, GramianSpec,
-                           decompose_modes, dense_gramian, make_grid,
+from torus_control import (GramianSpec, decompose_modes, make_grid,
                            make_window, random_state,
                            strip_observability_constant)
-from torus_control.hum import lambda_min_dense, quadrature_gramian
+from torus_control.hum import (GramianSingularError, dense_gramian,
+                               lambda_min_dense, quadrature_gramian)
 from torus_control.tensor import compose_modes, dense_gramian_2d
 
 

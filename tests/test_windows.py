@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from torus_control import (CutoffWindow, full_window, make_grid, make_window,
-                           random_state)
-from torus_control.windows import multiply_window
+from torus_control import full_window, make_grid, make_window, random_state
+from torus_control.windows import CutoffWindow, multiply_window
 
 
 def test_sharp_window_is_indicator():
