@@ -186,7 +186,13 @@ def _cmd_resolvent_sweep(args, cfg, rng, grid, window, out_dir):
         raise ConfigError(f"sweep: expected an object, got {scfg!r}")
     n_points = _integer(cfg, "sweep.n_points", 512, minimum=1)
     cross_check = _boolean(cfg, "sweep.cross_check", False)
-    if "lambda_min" in scfg and "lambda_max" in scfg:
+    given = [key for key in ("lambda_min", "lambda_max") if key in scfg]
+    if len(given) == 1:
+        missing = "lambda_max" if given == ["lambda_min"] else "lambda_min"
+        raise ConfigError(f"sweep.{missing}: missing; sweep.lambda_min and "
+                          f"sweep.lambda_max are given together, got only "
+                          f"sweep.{given[0]}")
+    if given:
         lo = _number(cfg, "sweep.lambda_min", None, "real")
         hi = _number(cfg, "sweep.lambda_max", None, "real")
         if not lo < hi:

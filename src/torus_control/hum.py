@@ -14,12 +14,22 @@ along the first axis, mu = (2*pi*k_1)^2.  A 2D strip couples only equal
 k_2, whose share of mu_a - mu_b cancels (S_2d = S ⊗ I), so C_T, the HUM
 solve and `drive_linear` act on (N, N**(dim-1)) coefficients, by column.
 
+lambda_min needs no complex matrix.  Centring time on [-T/2, T/2] is the
+diagonal similarity E = diag(exp(i*mu*T/2)): E^H S E = W * T sinc(x), with
+x = (mu_a - mu_b)*T/2.  chi^2 is real and mu is even in k, so the unitary U
+that pairs e_k and e_-k into (cos, sin) columns makes U^H W U real and
+leaves the kernel as it is; `_real_window_form` gathers that real form
+straight from the chi^2 coefficients, in any dim, and `lambda_min_dense`
+runs one real `eigvalsh` on it times T sinc(x).  The strip check
+(`tensor`) and the resolvent sweep use the same form.  The solves keep the
+phased complex S.
+
 The same closed form with the midpoint sum in place of the time integral
 (`dense_gramian(spec, n_steps)`) is the Gramian of the NLS stepper's own
 midpoint source; `local_control_nls` assembles and Cholesky-factors it once.
 
 Every production solve runs on numpy.linalg alone: `lambda_min_dense` is
-one `eigvalsh`, and each Gramian is Cholesky-factored once (`_cholesky`),
+one real `eigvalsh`, and each Gramian is Cholesky-factored once (`_cholesky`),
 after which `_solve` costs two O(N^2) products per right-hand side.  The
 CLI and every production path therefore need numpy only.
 
@@ -209,9 +219,61 @@ def window_mode_matrix(window: CutoffWindow) -> np.ndarray:
     circulant W_ab = (chi^2)^(k_a - k_b), the mode difference aliased onto
     the grid.  In 2D the strip window's W acts on each k_2 column alone."""
     check_dense_size(window.grid)
-    n = window.grid.modes_per_axis
-    c = np.fft.fft(window.samples.reshape(n, -1)[:, 0] ** 2) / n
+    c = _profile_coeffs(window)
+    n = len(c)
     return c[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+
+
+def _chi2_coeffs(samples: np.ndarray) -> np.ndarray:
+    """Fourier coefficients (chi^2)^(k) of window samples, in FFT order."""
+    return np.fft.fftn(samples ** 2) / samples.size
+
+
+def _profile_coeffs(window: CutoffWindow) -> np.ndarray:
+    """chi^2 coefficients of the window's first-axis profile (its x_1 slice)."""
+    return _chi2_coeffs(window.samples.reshape(window.grid.modes_per_axis, -1)[:, 0])
+
+
+def _real_window_form(c: np.ndarray) -> np.ndarray:
+    """Real form Re(U^H W U) of the window matrix W_ab = c(k_a - k_b), for
+    chi^2 coefficients c of shape (N,) * dim, over the N**dim modes in
+    row-major FFT order.
+
+    U pairs each mode k with -k.  Of the two slots, the first in row-major
+    order holds the cos column (e_k + e_-k)/sqrt2, the other the sin
+    column (e_k - e_-k)/(i sqrt2); a self-paired mode (every component 0
+    or N/2) keeps e_k.  chi^2 is real, so c(-m) = conj c(m) and U^H W U is
+    real.  With d = k_a - k_b and s = k_a + k_b, k the slot's own mode, the
+    entry is Re c(d) + Re c(s) between cos slots, Re c(d) - Re c(s) between
+    sin slots, Im c(s) - Im c(d) from a cos to a sin slot and
+    Im c(s) + Im c(d) from a sin to a cos slot, each scaled by 1/sqrt2 per
+    self-paired index.  Every term is a real gather into one real output.
+    """
+    dim, n = c.ndim, c.shape[0]
+    neg = np.ix_(*[-np.arange(n) % n] * dim)
+    c = 0.5 * (c + np.conj(c[neg]))  # exactly Hermitian, so the form is symmetric
+    slot = np.arange(c.size).reshape(c.shape)
+    partner = slot[neg]
+    kind = (slot > partner).astype(np.intp)  # 0 cos or self-paired, 1 sin
+    # tables[kind_a, kind_b] of the d and s terms
+    re, im = c.real, c.imag
+    d_terms = np.array([[re, -im], [im, re]])
+    s_terms = np.array([[re, im], [im, -re]])
+    # output axes (a_1..a_dim, b_1..b_dim); axis pair (i, dim + i) indexes k_i
+    kinds = (kind.reshape(c.shape + (1,) * dim), kind.reshape((1,) * dim + c.shape))
+    ar = np.arange(n)
+
+    def along_axes(index):
+        return tuple(index.reshape([n if j in (i, dim + i) else 1
+                                    for j in range(2 * dim)]) for i in range(dim))
+
+    q = d_terms[kinds + along_axes(np.subtract.outer(ar, ar) % n)]
+    q += s_terms[kinds + along_axes(np.add.outer(ar, ar) % n)]
+    q = q.reshape(c.size, c.size)
+    self_paired = (slot == partner).ravel()
+    q[self_paired] *= np.sqrt(0.5)
+    q[:, self_paired] *= np.sqrt(0.5)
+    return q
 
 
 def _mode_energies(grid: GridSpec) -> np.ndarray:
@@ -232,11 +294,20 @@ def quadrature_gramian(spec: GramianSpec, n_quad: int | None = None,
     return 0.5 * (s + s.conj().T)
 
 
+def _centred_kernel(mu: np.ndarray, T: float) -> np.ndarray:
+    """The exact-time kernel with time centred on [-T/2, T/2]: T * sinc(x),
+    x = (mu_a - mu_b)*T/2, sinc(y) = sin(y)/y, for mode energies mu.  It is
+    computed on the distinct values of mu and gathered."""
+    vals, inverse = np.unique(mu, return_inverse=True)
+    x = np.subtract.outer(vals, vals) * (T / 2.0)
+    return (T * np.sinc(x / np.pi))[np.ix_(inverse, inverse)]
+
+
 def _time_kernel(w: np.ndarray, mu: np.ndarray, T: float, n_steps) -> np.ndarray:
     """W * K for mode energies mu, in place over the mode matrix w, symmetrized.
 
-    With d = mu_a - mu_b and x = d*T/2, the exact integral is
-    K = int_0^T exp(i*d*t) dt = exp(i*x) * T * sinc(x), sinc(y) = sin(y)/y.
+    With d = mu_a - mu_b and x = d*T/2, the exact integral is the phase
+    times `_centred_kernel`, K = int_0^T exp(i*d*t) dt = exp(i*x) * T * sinc(x).
     Given n_steps, K is the midpoint sum h * sum_j exp(i*d*t_j),
     t_j = (j + 1/2)*h, h = T/n: exp(i*x) * h * sin(n*th)/sin(th), th = x/n,
     the linear part of the NLS stepper's controlled solve.  Reducing
@@ -246,7 +317,7 @@ def _time_kernel(w: np.ndarray, mu: np.ndarray, T: float, n_steps) -> np.ndarray
     x = np.subtract.outer(mu, mu) * (T / 2.0)
     w *= np.exp(1j * x)
     if n_steps is None:
-        w *= T * np.sinc(x / np.pi)
+        w *= _centred_kernel(mu, T)
     else:
         x /= n_steps
         m = np.rint(x / np.pi)
@@ -265,8 +336,20 @@ def dense_gramian(spec: GramianSpec, n_steps: int | None = None) -> np.ndarray:
 
 
 def lambda_min_dense(spec: GramianSpec) -> float:
-    """Smallest eigenvalue of the exact-time dense Gramian."""
-    return float(np.linalg.eigvalsh(dense_gramian(spec))[0])
+    """Smallest eigenvalue of the exact-time dense Gramian, from its real
+    form (see the module docstring)."""
+    check_dense_size(spec.grid)
+    return _lambda_min_real(_profile_coeffs(spec.window), _mode_energies(spec.grid),
+                            spec.T)
+
+
+def _lambda_min_real(c: np.ndarray, mu: np.ndarray, T: float) -> float:
+    """lambda_min of the exact-time Gramian of chi^2 coefficients c and mode
+    energies mu (one per mode, in the order of `_real_window_form`): one
+    real `eigvalsh` of Re(U^H W U) * T sinc(x)."""
+    q = _real_window_form(c)
+    q *= _centred_kernel(mu, T)
+    return float(np.linalg.eigvalsh(q)[0])
 
 
 def lambda_min_iterative(spec: GramianSpec) -> float:

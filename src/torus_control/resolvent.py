@@ -14,8 +14,10 @@ block is eliminated by its Schur complement.
 
 In the real basis {1, sqrt2 cos 2 pi k x, sqrt2 sin 2 pi k x}, Q_r = Re(U^H Q U)
 is exact (chi^2 is real) and A stays diagonal (mu = (2 pi k)^2 is even in k), so
-a sweep builds Q_r once and runs one real eigensolve per lambda; the complex
-formula survives only as the test reference.
+a sweep builds Q_r = I - m * `hum._real_window_form` once, gathered from the
+chi^2 coefficients with the pairing U that lambda_min uses, and runs one real
+eigensolve per lambda; the complex formula survives only as the test
+reference.
 
 Observability and resolvent constants convert both ways:
 forward  (M, m) = (2*C_T*T^3/3, 2*C_T*T);
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FourierState, GridSpec
-from .hum import window_mode_matrix
+from .hum import (_profile_coeffs, _real_window_form, check_dense_size,
+                  window_mode_matrix)
 from .windows import CutoffWindow, multiply_window
 
 
@@ -57,19 +60,18 @@ class ResolventSweepResult:
 
 
 def _real_form(m: float, window: CutoffWindow, grid: GridSpec) -> np.ndarray:
-    """Q_r = Re(U^H (I - m W) U); column k of the unitary U is
-    (e_k + e_-k)/sqrt2 and column -k is (e_k - e_-k)/(i sqrt2), 0 < k < N/2."""
+    """Q_r = Re(U^H (I - m W) U) = I - m * Re(U^H W U); column k of the
+    unitary U is (e_k + e_-k)/sqrt2 and column -k is (e_k - e_-k)/(i sqrt2),
+    0 < k < N/2 (`hum._real_window_form`)."""
     if m < 0.0:
         raise ValueError("m must be nonnegative")
     if grid.dim != 1:
         raise ValueError("resolvent constants support 1D grids")
-    n = grid.modes_per_axis
-    k = np.arange(1, n // 2)
-    u = np.eye(n, dtype=complex)
-    u[k, k] = u[-k, k] = np.sqrt(0.5)
-    u[k, -k], u[-k, -k] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
-    q = (u.conj().T @ (np.eye(n) - m * window_mode_matrix(window)) @ u).real
-    return 0.5 * (q + q.T)
+    check_dense_size(grid)
+    q = _real_window_form(_profile_coeffs(window))
+    q *= -m
+    q[np.diag_indices_from(q)] += 1.0
+    return q
 
 
 def _best_constant(lam: float, q: np.ndarray, lap: np.ndarray) -> float:

@@ -7,9 +7,12 @@ is x2-independent, so the observability constant transfers exactly:
 lambda_min(S_2d) = lambda_min(S_1d) at truncation.  The production
 Gramian in `hum` relies on this and is N x N in 2D too.
 
-tensor-check verifies the identity against `dense_gramian_2d`, the
-genuinely 2D exact-time Gramian, whose block-circulant window matrix
-couples all N^2 modes.
+tensor-check verifies the identity on the genuinely 2D exact-time
+Gramian, whose block-circulant window matrix couples all N^2 modes.  Its
+lambda_min comes from the N^2 x N^2 real form of `hum` (each mode (k_1, k_2)
+paired with (-k_1, -k_2), the time centred), one real `eigvalsh`;
+`dense_gramian_2d`, the phased complex matrix itself, is the reference the
+tests check that form against.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from dataclasses import replace
 import numpy as np
 
 from .grid import FourierState, make_grid
-from .hum import (GramianSpec, _check_entries, _floored_inverse, _time_kernel,
-                  dense_gramian, observability_constant)
+from .hum import (GramianSpec, _check_entries, _chi2_coeffs, _floored_inverse,
+                  _lambda_min_real, _time_kernel, dense_gramian,
+                  observability_constant)
 
 
 def decompose_modes(u2d: FourierState) -> list[FourierState]:
@@ -47,7 +51,7 @@ def dense_gramian_2d(spec: GramianSpec) -> np.ndarray:
     N^2 = MAX_DENSE_POINTS (N > 44) DenseSizeError, before any allocation."""
     grid = spec.grid
     _check_entries(grid, grid.n_points, "Gramian entries")
-    c = np.fft.fftn(spec.window.samples ** 2) / grid.n_points
+    c = _chi2_coeffs(spec.window.samples)
     n = grid.modes_per_axis
     diff = np.subtract.outer(np.arange(n), np.arange(n)) % n
     w = c[diff[:, None, :, None], diff[None, :, None, :]]
@@ -58,10 +62,11 @@ def dense_gramian_2d(spec: GramianSpec) -> np.ndarray:
 def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     """(C_2d, C_1d) for the strip omega_1 x T versus its 1D base window.
 
-    C_2d comes from `dense_gramian_2d` on the 2D grid, C_1d from the 1D
-    Gramian, and both go through the conditioning floor of
-    `observability_constant`.  The contract is |C_2d - C_1d| / C_1d at
-    roundoff (exact transfer at truncation).
+    C_2d comes from the real form of the 2D Gramian (`hum._lambda_min_real`
+    on the N^2 modes; the same matrix as `dense_gramian_2d`, whose size
+    guard it keeps), C_1d from the 1D Gramian, and both go through the
+    conditioning floor of `observability_constant`.  The contract is
+    |C_2d - C_1d| / C_1d at roundoff (exact transfer at truncation).
     """
     if base_spec.grid.dim != 1:
         raise ValueError("base_spec must be a 1D Gramian spec")
@@ -69,8 +74,11 @@ def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     n = base.grid.modes_per_axis
     strip = replace(base, grid=make_grid(2, n), samples=np.tile(base.samples[:, None], n))
     spec2d = replace(base_spec, window=strip)
-    lam_2d = np.linalg.eigvalsh(dense_gramian_2d(spec2d))[0]
-    return _floored_inverse(float(lam_2d), spec2d), observability_constant(base_spec)
+    grid = spec2d.grid
+    _check_entries(grid, grid.n_points, "Gramian entries")
+    lam_2d = _lambda_min_real(_chi2_coeffs(strip.samples),
+                              -grid.laplacian_symbol().ravel(), spec2d.T)
+    return _floored_inverse(lam_2d, spec2d), observability_constant(base_spec)
 
 
 def observed_energy_1d(spec: GramianSpec, c: FourierState) -> float:

@@ -21,13 +21,21 @@ def write_cfg(tmp_path, name, cfg):
     return str(path)
 
 
+#: set_field value that deletes the field
+ABSENT = object()
+
+
 def set_field(cfg, path, value):
-    """Set the dotted config field `path`; returns its parent keys."""
+    """Set the dotted config field `path`, or delete it if value is ABSENT;
+    returns its parent keys."""
     *parents, key = path.split(".")
     node = cfg
     for part in parents:
         node = node.setdefault(part, {})
-    node[key] = value
+    if value is ABSENT:
+        del node[key]
+    else:
+        node[key] = value
     return parents
 
 
@@ -299,6 +307,8 @@ STATE_INF = {"dim": 1, "N": 32, "coeffs": [[1.0, float("inf")]] + [[1.0, 0.0]] *
     ("observability", "horizon.T", 10 ** 400),
     ("control", "initial_state", STATE_NAN),
     ("simulate", "initial_state", STATE_INF),
+    ("resolvent-sweep", "sweep.lambda_min", ABSENT),
+    ("resolvent-sweep", "sweep.lambda_max", ABSENT),
 ])
 def test_invalid_config_field_exit_2(tmp_path, base_cfg, capsys, sub, path, value):
     base_cfg["target"] = {"norm": 0.2, "max_mode": 8}

@@ -9,12 +9,14 @@ from torus_control import (GramianSpec, drive_linear, full_window, make_grid,
 from torus_control.grid import FourierState, zero_state
 from torus_control.hum import (MAX_DENSE_POINTS, DenseSizeError,
                                GramianSingularError, HUMConvergenceError,
+                               _chi2_coeffs, _real_window_form,
                                check_dense_size, dense_gramian,
                                hum_regularity_ratio, lambda_min_dense,
                                lambda_min_iterative, quadrature_gramian,
                                quadrature_nodes, resolved_n_quad,
                                window_mode_matrix)
 from torus_control.operators import free_propagate
+from torus_control.tensor import strip_observability_constant
 
 
 @pytest.fixture
@@ -55,6 +57,58 @@ def test_full_window_gramian_is_t_times_identity():
     spec = GramianSpec(T=0.7, window=full_window(g))
     s = dense_gramian(spec)
     assert np.allclose(s, 0.7 * np.eye(32), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 6), (1, 8), (2, 4), (2, 6)])
+def test_real_window_form_is_the_paired_basis_form(dim, n):
+    # U built column by column: cos (e_k + e_-k)/sqrt2 at the first slot of
+    # the pair {k, -k} in row-major order, sin (e_k - e_-k)/(i sqrt2) at the
+    # other, e_k at a self-paired mode; W from its definition
+    c = _chi2_coeffs(np.random.default_rng(n).random((n,) * dim))
+    modes = np.indices((n,) * dim).reshape(dim, -1).T
+    size = len(modes)
+    w = np.empty((size, size), dtype=complex)
+    for a, ka in enumerate(modes):
+        for b, kb in enumerate(modes):
+            w[a, b] = c[tuple((ka - kb) % n)]
+    u = np.zeros((size, size), dtype=complex)
+    for slot, k in enumerate(modes):
+        partner = np.ravel_multi_index(tuple(-k % n), (n,) * dim)
+        if partner == slot:
+            u[slot, slot] = 1.0
+        elif slot < partner:
+            u[slot, slot] = u[partner, slot] = np.sqrt(0.5)
+        else:  # sin column of the mode at the partner slot
+            u[partner, slot], u[slot, slot] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
+    assert np.allclose(u.conj().T @ u, np.eye(size), atol=1e-15)
+    reference = u.conj().T @ w @ u
+    q = _real_window_form(c)
+    assert np.array_equal(q, q.T)
+    # |c| <= 1: a product over n**dim terms is good to about n**dim * eps
+    assert np.max(np.abs(reference.imag)) <= 1e-14
+    assert np.max(np.abs(q - reference.real)) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lambda_min_and_strip_check_run_real_eigensolves(monkeypatch, dim):
+    # the eigensolves take float64 matrices of order N (lambda_min, in 1D
+    # and 2D alike) and N^2 (the strip check): a fall-back to the complex
+    # Gramian changes the dtype
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def recorder(a, *args, **kwargs):
+        calls.append((a.dtype, a.shape))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorder)
+    n = 8
+    window = make_window(make_grid(dim, n), (0.0, 0.4), 0.05, "smooth")
+    observability_constant(GramianSpec(T=1.0, window=window))
+    assert calls == [(np.float64, (n, n))]
+    if dim == 1:
+        calls.clear()
+        strip_observability_constant(GramianSpec(T=1.0, window=window))
+        assert calls == [(np.float64, (n * n, n * n)), (np.float64, (n, n))]
 
 
 def test_dense_gramian_hermitian_psd(small_setup):

@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from torus_control import GramianSpec, NLSParams, make_grid, make_window, nls
 from torus_control.grid import FourierState
-from torus_control.hum import dense_gramian
+from torus_control.hum import (_real_window_form, dense_gramian, lambda_min_dense,
+                               window_mode_matrix)
 from torus_control.operators import free_propagate
 from torus_control.resolvent import best_resolvent_constant
 from torus_control.io import state_from_json, state_to_json
@@ -47,6 +48,61 @@ def test_gramian_is_hermitian_psd(window, T, n_steps):
     scale = np.max(np.abs(s))
     assert np.array_equal(s, s.conj().T)
     assert np.linalg.eigvalsh(s)[0] >= -1e-12 * scale
+
+
+def aliased_window_matrix(c):
+    """The complex window matrix W_ab = c(k_a - k_b) over all N**dim modes,
+    the mode differences aliased per axis, in row-major FFT order."""
+    n = c.shape[0]
+    diff = np.subtract.outer(np.arange(n), np.arange(n)) % n
+    if c.ndim == 1:
+        return c[diff]
+    return c[diff[:, None, :, None], diff[None, :, None, :]].reshape(n * n, n * n)
+
+
+@given(st.sampled_from([1, 2]).flatmap(
+    lambda dim: even_n.flatmap(lambda n: arrays(
+        float, (n,) * dim, elements=st.floats(-1e3, 1e3, allow_subnormal=False)))))
+def test_real_window_form_has_the_spectrum_of_w(chi2):
+    # the (cos, sin) pairing is unitary and chi^2 is real, so the real form
+    # is W in another basis, for any real samples
+    c = np.fft.fftn(chi2) / chi2.size
+    w = aliased_window_matrix(c)
+    q = _real_window_form(c)
+    assert q.dtype == np.float64 and q.shape == w.shape
+    err = np.max(np.abs(np.linalg.eigvalsh(q) - np.linalg.eigvalsh(w)))
+    assert err <= 1e-12 * np.max(np.abs(w))
+
+
+@given(st.sampled_from([1, 2]).flatmap(windows), horizons)
+def test_centred_real_lambda_min_matches_the_phased_gramian(window, T):
+    spec = GramianSpec(T=T, window=window)
+    s = dense_gramian(spec)
+    err = abs(lambda_min_dense(spec) - np.linalg.eigvalsh(s)[0])
+    assert err <= 1e-12 * np.max(np.abs(s))
+
+
+@given(windows(1), horizons, st.floats(0.0, 2.0))
+def test_observability_constant_nonincreasing_in_T(window, T, dT):
+    # S_{T+dT} - S_T is the Gramian over [T, T + dT], positive semidefinite,
+    # so lambda_min grows with T and C_T = 1 / lambda_min does not
+    lam = lambda_min_dense(GramianSpec(T=T, window=window))
+    lam_later = lambda_min_dense(GramianSpec(T=T + dT, window=window))
+    scale = np.max(np.abs(window_mode_matrix(window)))
+    assert lam_later >= lam - 1e-12 * (T + dT) * scale
+
+
+@given(windows(1), horizons)
+def test_lambda_min_below_eigenspace_bound(window, T):
+    # mu_k = mu_-k, so S compressed onto span{e_k, e_-k} is T * B_k,
+    # B_k = [[W_kk, W_k,-k], [W_-k,k, W_kk]]; Cauchy interlacing gives
+    # lambda_min(S) <= T * min_k (W_kk - |W_k,-k|), W_kk alone at k = 0, N/2
+    w = window_mode_matrix(window)
+    n = len(w)
+    k = np.arange(n // 2 + 1)
+    pair_min = w[k, k].real - np.where(k == -k % n, 0.0, np.abs(w[k, -k]))
+    lam = lambda_min_dense(GramianSpec(T=T, window=window))
+    assert lam <= T * pair_min.min() + 1e-12 * T * np.max(np.abs(w))
 
 
 @st.composite
