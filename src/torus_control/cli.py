@@ -21,13 +21,13 @@ import numpy as np
 
 from . import __version__
 from .grid import FourierState, make_grid, random_state
-from .hum import (DenseSizeError, GramianSpec, GramianSingularError,
+from .hum import (MAX_DENSE_POINTS, DenseSizeError, GramianSpec, GramianSingularError,
                   HUMConvergenceError, drive_linear, observability_constant,
                   solve_hum)
 from .io import (_integral, _real, state_from_json, state_to_json,
                  write_decay_csv, write_json, write_sweep_csv, write_trajectory_csv)
 from .nls import (NLSParams, PicardDivergenceError, StabilizationStallError,
-                  evolve, fit_decay_rate, global_control)
+                  _refit_span, evolve, fit_decay_rate, global_control)
 from .resolvent import (InfeasibleResolventError, default_lambda_grid,
                         feasible_m, miller_cost_bound, sweep)
 from .tensor import strip_observability_constant
@@ -185,6 +185,9 @@ def _cmd_resolvent_sweep(args, cfg, rng, grid, window, out_dir):
     if not isinstance(scfg, dict):
         raise ConfigError(f"sweep: expected an object, got {scfg!r}")
     n_points = _integer(cfg, "sweep.n_points", 512, minimum=1)
+    if n_points > MAX_DENSE_POINTS ** 2:  # the cap `evolve` puts on records
+        raise ConfigError(f"sweep.n_points: expected at most {MAX_DENSE_POINTS}**2, "
+                          f"got {n_points}")
     cross_check = _boolean(cfg, "sweep.cross_check", False)
     given = [key for key in ("lambda_min", "lambda_max") if key in scfg]
     if len(given) == 1:
@@ -252,6 +255,10 @@ def _cmd_stabilize(args, cfg, rng, grid, window, out_dir):
 def _cmd_global_control(args, cfg, rng, grid, window, out_dir):
     spec = GramianSpec(T=_number(cfg, "horizon.T", 1.0), window=window)
     params = _build_nls_params(cfg)
+    try:
+        _refit_span(params.dt)
+    except ValueError as exc:
+        raise ConfigError(f"nls.dt: {exc}, got {params.dt!r}") from exc
     u0 = _initial_state(cfg, grid, rng)
     t_norm = _number(cfg, "target.norm", 0.0, "non-negative")
     max_mode = _integer(cfg, "target.max_mode")
@@ -328,7 +335,7 @@ def main(argv=None) -> int:
         print(f"config error: --out: {exc}", file=sys.stderr)
         return 2
     except (GramianSingularError, HUMConvergenceError, InfeasibleResolventError,
-            PicardDivergenceError, StabilizationStallError) as exc:
+            PicardDivergenceError, StabilizationStallError, np.linalg.LinAlgError) as exc:
         write_json(out_dir / "error.json",
                    {"error": type(exc).__name__, "message": str(exc)})
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -36,14 +36,14 @@ CLI and every production path therefore need numpy only.
 The matrix-free time quadrature (exact propagation between nodes) is kept
 only as an independent oracle that owns its nodes: `quadrature_gramian`
 takes the node count and rule (Gauss-Legendre or midpoint), by default the
-resolved_n_quad Gauss-Legendre nodes that `lambda_min_iterative` uses.
-These two oracles alone load scipy, on first call: scipy brings its own
-BLAS thread pool, which contends with numpy's when both are in use.
+resolved_n_quad Gauss-Legendre nodes on which `lambda_min_iterative` runs
+Lanczos, with no inner solve.  These two oracles alone load scipy, on
+first call: scipy brings its own BLAS thread pool, which contends with
+numpy's when both are in use.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,9 +117,9 @@ class TrajectoryRecord:
 
 
 def __getattr__(name: str):
-    """Module attribute `cg`: scipy's conjugate gradient, imported on first
-    access and kept in the module globals, where a caller may wrap it;
-    `lambda_min_iterative` looks it up through the module."""
+    """Module attribute `cg`: scipy's CG, imported on first access and kept
+    in the module globals.  Its one user is the span tracer that wraps it,
+    `perfbench/spans.py`; it goes with ROADMAP item 4(c)."""
     if name == "cg":
         from scipy.sparse.linalg import cg
 
@@ -353,47 +353,33 @@ def _lambda_min_real(c: np.ndarray, mu: np.ndarray, T: float) -> float:
 
 
 def lambda_min_iterative(spec: GramianSpec) -> float:
-    """Smallest Gramian eigenvalue via Lanczos on S^{-1} applied
-    matrix-free (inner solves by CG on the oracle's quadrature operator on
-    resolved_n_quad nodes; see _GramianApplier for its ceiling).  The
-    Lanczos start vector is a fixed pseudo-random draw, so repeated calls
-    return the same value."""
+    """Smallest Gramian eigenvalue by Lanczos on the oracle's quadrature
+    operator on resolved_n_quad nodes, applied matrix-free (see
+    _GramianApplier for its ceiling).  The Krylov space takes all n modes,
+    so Lanczos ends after n + 1 applications.  The start vector is a fixed
+    pseudo-random draw, so repeated calls return the same value."""
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    cg = sys.modules[__name__].cg
     n, shape = spec.grid.n_points, spec.grid.shape
     applier = _GramianApplier(spec)
     op = LinearOperator((n, n), dtype=complex,
                         matvec=lambda x: applier.apply_one(x.reshape(shape)).ravel())
-    inner_iters = max(200, 10 * n)
-
-    def inv_matvec(b):
-        # CG terminates in at most dim iterations in exact arithmetic;
-        # the loose cap only guards against rounding stalls.
-        x, _ = cg(op, b, rtol=1e-12, atol=0.0, maxiter=inner_iters)
-        return x
-
-    opinv = LinearOperator(op.shape, matvec=inv_matvec, dtype=complex)
     draw = np.random.default_rng(0).standard_normal((2, n))
-    v0 = draw[0] + 1j * draw[1]
-    vals = eigsh(opinv, k=1, which="LA", tol=1e-10, return_eigenvectors=False,
-                 maxiter=2000, v0=v0)
-    top = float(vals[0].real)
-    if top <= 0.0:
-        raise GramianSingularError("inverse iteration produced a nonpositive eigenvalue")
-    return 1.0 / top
+    vals = eigsh(op, k=1, which="SA", ncv=n, tol=1e-10, return_eigenvectors=False,
+                 v0=draw[0] + 1j * draw[1])
+    return float(vals[0].real)
 
 
 def observability_constant(spec: GramianSpec) -> float:
     """Observability constant C_T = 1 / lambda_min(S) at this truncation,
     from the exact-time dense Gramian (a 2D strip has the 1D C_T).  A
-    lambda_min below CONDITIONING_FLOOR raises GramianSingularError."""
+    lambda_min below CONDITIONING_FLOOR, or NaN, raises GramianSingularError."""
     return _floored_inverse(lambda_min_dense(spec), spec)
 
 
 def _floored_inverse(lam_min: float, spec: GramianSpec) -> float:
     grid = spec.grid
-    if lam_min < CONDITIONING_FLOOR:
+    if not lam_min >= CONDITIONING_FLOOR:  # NaN fails too
         raise GramianSingularError(
             f"lambda_min = {lam_min:.3e} below conditioning floor; observability "
             f"numerically void at N={grid.modes_per_axis} ({grid.dim}D), T={spec.T}")
@@ -429,7 +415,7 @@ def solve_hum(spec: GramianSpec, target: FourierState,
     exact-time Gramian.  With the control source chi^2 exp(i*t*Lap) phi0 the
     Duhamel formula gives u(T) = exp(i*T*Lap) (u0 - i S phi0), so the
     closed-loop final mass is ||target - i S phi0||; a residual above
-    tol * ||target|| raises HUMConvergenceError.
+    tol * ||target||, or NaN, raises HUMConvergenceError.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -439,7 +425,7 @@ def solve_hum(spec: GramianSpec, target: FourierState,
     u0 = target.coeffs.reshape(len(s_mat), -1)
     phi = _solve(_cholesky(s_mat, spec), -1j * u0)
     residual = float(np.linalg.norm(u0 - 1j * (s_mat @ phi)))
-    if residual > tol * target.norm_l2():
+    if not residual <= tol * target.norm_l2():  # NaN fails too
         raise HUMConvergenceError(
             f"closed-loop residual {residual:.3e} above tol * ||target|| = "
             f"{tol * target.norm_l2():.3e}; the Gramian is effectively "

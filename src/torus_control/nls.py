@@ -383,6 +383,18 @@ class ControlSchedule:
     endpoint_error_to_target: float
 
 
+def _refit_span(dt: float) -> int:
+    """Checks, 10 steps of dt apart, in each 10-time-unit span over which
+    `_stabilize_to_threshold` re-fits a decay rate; at least the 10 samples
+    a fit needs.  A span past MAX_DENSE_POINTS**2 checks (dt below about
+    2.4e-7) raises ValueError."""
+    checks = 10.0 / (10 * dt)
+    if checks > MAX_DENSE_POINTS ** 2:
+        raise ValueError(f"{checks:.3g} checks per decay fit exceed "
+                         f"{MAX_DENSE_POINTS}**2")
+    return max(10, int(np.ceil(checks - 1e-9)))
+
+
 def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
                             threshold: float, gamma_floor: float = 1e-4
                             ) -> list[tuple[FourierState, float]]:
@@ -390,11 +402,12 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
     ||u|| <= threshold, checked every 10 steps; returns, per state, the state
     and the time of its first check at or below the threshold.  A member
     leaves the batch at that check.  Each member's decay rate is re-fit over
-    each completed span of 10 time units; its leg stalls when the rate drops
-    below `gamma_floor` or the time passes the horizon cap 50 / gamma."""
+    each completed span of 10 time units (`_refit_span`); its leg stalls
+    when the rate drops below `gamma_floor` or the time passes the horizon
+    cap 50 / gamma."""
     stride = 10
     h = stride * params.dt
-    span = int(np.ceil(10.0 / h - 1e-9))  # checks per 10-time-unit span
+    span = _refit_span(params.dt)
     grid = states[0].grid
     step = _StrangStep(grid, params)
     c = np.stack([u.coeffs for u in states])

@@ -309,6 +309,8 @@ STATE_INF = {"dim": 1, "N": 32, "coeffs": [[1.0, float("inf")]] + [[1.0, 0.0]] *
     ("simulate", "initial_state", STATE_INF),
     ("resolvent-sweep", "sweep.lambda_min", ABSENT),
     ("resolvent-sweep", "sweep.lambda_max", ABSENT),
+    ("resolvent-sweep", "sweep.n_points", 1e15),
+    ("global-control", "nls.dt", 1e-300),
 ])
 def test_invalid_config_field_exit_2(tmp_path, base_cfg, capsys, sub, path, value):
     base_cfg["target"] = {"norm": 0.2, "max_mode": 8}
@@ -468,6 +470,43 @@ def test_numerical_failure_exit_3(tmp_path):
     assert main(["observability", "--config", cfg, "--out", str(out)]) == 3
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "GramianSingularError"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the kernel's overflow
+@pytest.mark.parametrize("sub,fields,error", [
+    ("control", {"horizon.T": 1e305}, "HUMConvergenceError"),
+    ("observability", {"horizon.T": 1e305}, "LinAlgError"),
+    ("tensor-check", {"horizon.T": 1e305}, "LinAlgError"),
+    ("resolvent-sweep", {"sweep.m": 1e308}, "LinAlgError"),
+    ("resolvent-sweep", {"sweep.lambda_min": -1e308, "sweep.lambda_max": 1e308,
+                         "sweep.n_points": 5}, "LinAlgError"),
+])
+def test_non_finite_numerics_exit_3(tmp_path, base_cfg, capsys, sub, fields, error):
+    # finite but extreme inputs overflow the Gramian or the sweep's form to
+    # NaN: a NaN residual fails its check, and a LAPACK eigensolve that does
+    # not converge is a numerical failure, not a traceback
+    base_cfg["window"]["omega"] = [[0.0, 0.3]]
+    for path, value in fields.items():
+        set_field(base_cfg, path, value)
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert json.loads((out / "error.json").read_text())["error"] == error
+    assert not (out / f"{sub.replace('-', '_')}.json").exists()
+
+
+@pytest.mark.parametrize("dt", [0.2, 1e300])
+def test_global_control_coarse_dt(tmp_path, base_cfg, dt):
+    # past dt = 0.1 a 10-time-unit span holds fewer than the 10 checks a
+    # decay fit needs; the damped legs re-fit over 10 checks instead
+    base_cfg["window"]["omega"] = [[0.0, 0.3]]
+    base_cfg["initial_state"]["norm"] = 0.8
+    base_cfg["target"] = {"norm": 0.2, "max_mode": 8}
+    base_cfg["nls"] = {"sigma": -1, "dt": dt}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    assert main(["global-control", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_deterministic_given_seed(tmp_path, base_cfg):

@@ -9,7 +9,7 @@ from torus_control import (GramianSpec, drive_linear, full_window, make_grid,
 from torus_control.grid import FourierState, zero_state
 from torus_control.hum import (MAX_DENSE_POINTS, DenseSizeError,
                                GramianSingularError, HUMConvergenceError,
-                               _chi2_coeffs, _real_window_form,
+                               _chi2_coeffs, _floored_inverse, _real_window_form,
                                check_dense_size, dense_gramian,
                                hum_regularity_ratio, lambda_min_dense,
                                lambda_min_iterative, quadrature_gramian,
@@ -193,22 +193,24 @@ def test_observability_constant_full_window_is_inverse_t():
     assert observability_constant(spec) == pytest.approx(2.0, abs=1e-10)
 
 
-def test_lambda_min_iterative_calls_module_cg(monkeypatch):
-    # the oracle looks `cg` up through the module, so a wrapper set on
-    # `hum.cg` (as the benchmark's tracer sets one) is the CG that runs
+@pytest.mark.parametrize("dim,n,omega", [(1, 32, (0.0, 0.25)), (2, 8, (0.0, 0.4))])
+def test_lambda_min_iterative_applies_the_gramian_n_plus_1_times(monkeypatch, dim, n,
+                                                                 omega):
+    # Lanczos on the quadrature operator itself, with a Krylov space of all
+    # n modes: about n + 1 applications, and no inner solve per application
     from torus_control import hum
 
-    g = make_grid(1, 16)
-    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.25), 0.05, "smooth"))
-    inner, calls = hum.cg, []
+    g = make_grid(dim, n)
+    spec = GramianSpec(T=1.0, window=make_window(g, omega, 0.05, "smooth"))
+    inner, calls = hum._GramianApplier.apply_one, []
 
-    def counting(*args, **kwargs):
+    def counting(self, coeffs):
         calls.append(1)
-        return inner(*args, **kwargs)
+        return inner(self, coeffs)
 
-    monkeypatch.setattr(hum, "cg", counting)
+    monkeypatch.setattr(hum._GramianApplier, "apply_one", counting)
     lam = lambda_min_iterative(spec)
-    assert len(calls) >= 1
+    assert len(calls) <= g.n_points + 2
     assert lam == pytest.approx(lambda_min_dense(spec), rel=1e-8)
 
 
@@ -290,6 +292,17 @@ def test_solve_hum_singular_gramian_raises():
     spec = GramianSpec(T=1.0, window=make_window(g, (0.41, 0.42), kind="sharp"))
     with pytest.raises(GramianSingularError):
         solve_hum(spec, random_state(g, np.random.default_rng(12)))
+
+
+def test_solve_hum_nan_gramian_raises(small_setup):
+    # at T = 1e305 the time kernel overflows to NaN entries, the Cholesky
+    # factor comes back NaN without raising, and so does the residual
+    _, w, _ = small_setup
+    spec = GramianSpec(T=1e305, window=w)
+    with np.errstate(all="ignore"), pytest.raises(HUMConvergenceError, match="nan"):
+        solve_hum(spec, random_state(w.grid, np.random.default_rng(12)))
+    with pytest.raises(GramianSingularError, match="nan"):
+        _floored_inverse(np.nan, spec)
 
 
 def test_solve_hum_zero_target(small_setup):
