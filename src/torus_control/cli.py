@@ -290,14 +290,17 @@ _COMMANDS = {
 }
 
 
+# built once: parsing keeps no state in the parser
+_PARSER = argparse.ArgumentParser(prog="torus-control")
+_PARSER.add_argument("subcommand")
+_PARSER.add_argument("--config", type=Path, required=True)
+_PARSER.add_argument("--out", type=Path, default=Path("."))
+_PARSER.add_argument("--seed", type=int, default=None)
+_PARSER.add_argument("--format", choices=["csv", "json", "both"], default="both")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="torus-control")
-    parser.add_argument("subcommand")
-    parser.add_argument("--config", type=Path, required=True)
-    parser.add_argument("--out", type=Path, default=Path("."))
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--format", choices=["csv", "json", "both"], default="both")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     if args.subcommand not in _COMMANDS:
         print(f"unknown subcommand: {args.subcommand}", file=sys.stderr)

@@ -19,17 +19,21 @@ diagonal similarity E = diag(exp(i*mu*T/2)): E^H S E = W * T sinc(x), with
 x = (mu_a - mu_b)*T/2.  chi^2 is real and mu is even in k, so the unitary U
 that pairs e_k and e_-k into (cos, sin) columns makes U^H W U real and
 leaves the kernel as it is; `_real_window_form` gathers that real form
-straight from the chi^2 coefficients, in any dim, and `lambda_min_dense`
-runs one real `eigvalsh` on it times T sinc(x).  The strip check
-(`tensor`) and the resolvent sweep use the same form.  The solves keep the
-phased complex S.
+straight from the chi^2 coefficients, in any dim, whole or one block of
+slots at a time.  `_lambda_min_real` runs one real `eigvalsh` of it times
+T sinc(x) per connected block of its coupling graph, which
+`_coupled_blocks` finds from the nonzero support of the coefficients:
+one block for a 1D window whose chi^2 has no period below 1 (so
+`lambda_min_dense` is one eigensolve), the N/2 + 1 transverse pairs
+{k_2, -k_2} for a 2D strip (the strip check in `tensor`).  The resolvent
+sweep uses the whole form.  The solves keep the phased complex S.
 
 The same closed form with the midpoint sum in place of the time integral
 (`dense_gramian(spec, n_steps)`) is the Gramian of the NLS stepper's own
 midpoint source; `local_control_nls` assembles and Cholesky-factors it once.
 
-Every production solve runs on numpy.linalg alone: `lambda_min_dense` is
-one real `eigvalsh`, and each Gramian is Cholesky-factored once (`_cholesky`),
+Every production solve runs on numpy.linalg alone: `lambda_min_dense` runs
+real `eigvalsh`, and each Gramian is Cholesky-factored once (`_cholesky`),
 after which `_solve` costs two O(N^2) products per right-hand side.  The
 CLI and every production path therefore need numpy only.
 
@@ -234,10 +238,11 @@ def _profile_coeffs(window: CutoffWindow) -> np.ndarray:
     return _chi2_coeffs(window.samples.reshape(window.grid.modes_per_axis, -1)[:, 0])
 
 
-def _real_window_form(c: np.ndarray) -> np.ndarray:
+def _real_window_form(c: np.ndarray, slots: np.ndarray | None = None) -> np.ndarray:
     """Real form Re(U^H W U) of the window matrix W_ab = c(k_a - k_b), for
     chi^2 coefficients c of shape (N,) * dim, over the N**dim modes in
-    row-major FFT order.
+    row-major FFT order; given `slots` (slot indices), only its
+    np.ix_(slots, slots) sub-block, gathered directly.
 
     U pairs each mode k with -k.  Of the two slots, the first in row-major
     order holds the cos column (e_k + e_-k)/sqrt2, the other the sin
@@ -252,28 +257,58 @@ def _real_window_form(c: np.ndarray) -> np.ndarray:
     dim, n = c.ndim, c.shape[0]
     neg = np.ix_(*[-np.arange(n) % n] * dim)
     c = 0.5 * (c + np.conj(c[neg]))  # exactly Hermitian, so the form is symmetric
-    slot = np.arange(c.size).reshape(c.shape)
-    partner = slot[neg]
-    kind = (slot > partner).astype(np.intp)  # 0 cos or self-paired, 1 sin
+    if slots is None:
+        slots = np.arange(c.size)
+    partner = np.arange(c.size).reshape(c.shape)[neg].ravel()[slots]
+    kind = (slots > partner).astype(np.intp)  # 0 cos or self-paired, 1 sin
     # tables[kind_a, kind_b] of the d and s terms
     re, im = c.real, c.imag
     d_terms = np.array([[re, -im], [im, re]])
     s_terms = np.array([[re, im], [im, -re]])
-    # output axes (a_1..a_dim, b_1..b_dim); axis pair (i, dim + i) indexes k_i
-    kinds = (kind.reshape(c.shape + (1,) * dim), kind.reshape((1,) * dim + c.shape))
-    ar = np.arange(n)
-
-    def along_axes(index):
-        return tuple(index.reshape([n if j in (i, dim + i) else 1
-                                    for j in range(2 * dim)]) for i in range(dim))
-
-    q = d_terms[kinds + along_axes(np.subtract.outer(ar, ar) % n)]
-    q += s_terms[kinds + along_axes(np.add.outer(ar, ar) % n)]
-    q = q.reshape(c.size, c.size)
-    self_paired = (slot == partner).ravel()
+    kinds = (kind[:, None], kind[None, :])
+    modes = np.unravel_index(slots, c.shape)
+    q = d_terms[kinds + tuple(np.subtract.outer(k, k) % n for k in modes)]
+    q += s_terms[kinds + tuple(np.add.outer(k, k) % n for k in modes)]
+    self_paired = slots == partner
     q[self_paired] *= np.sqrt(0.5)
     q[:, self_paired] *= np.sqrt(0.5)
     return q
+
+
+def _coupled_blocks(c: np.ndarray) -> list[np.ndarray]:
+    """Slots of each connected block of the coupling graph of
+    `_real_window_form(c)`, each ascending.
+
+    Entry (a, b) reads only c(k_a - k_b) and c(k_a + k_b), so slots a and
+    b are coupled when either is nonzero.  The search starts from the first
+    unassigned slot and reaches k - m and m - k from each reached mode k,
+    for every m in the support of c, until nothing new is reached.  A
+    coefficient counts as zero below eps * log2(N**dim) * ||c||_2, the
+    rounding error of the FFT that computed it: pocketfft returns exact
+    zeros off k_2 = 0 for a strip only when N has no prime factor above 3,
+    and about 1e-17 * max|c| otherwise.  The couplings left out join
+    different blocks, so their first-order effect on an eigenvalue is zero.
+    In 1D the first step reaches every slot when no c(m) vanishes; a 2D
+    strip splits into the N/2 + 1 transverse pairs {k_2, -k_2}.
+    """
+    dim, n = c.ndim, c.shape[0]
+    neg = np.ix_(*[-np.arange(n) % n] * dim)
+    magnitude = np.abs(c) + np.abs(c[neg])  # symmetric, so the search is too
+    floor = np.finfo(float).eps * np.log2(c.size) * np.linalg.norm(c)
+    support = np.argwhere(magnitude > floor)
+    label = np.full(c.size, -1)
+    blocks = []
+    while (unassigned := np.flatnonzero(label < 0)).size:
+        frontier = unassigned[:1]
+        label[frontier] = len(blocks)
+        while frontier.size and np.any(label < 0):
+            k = np.stack(np.unravel_index(frontier, c.shape), axis=-1)[:, None]
+            reached = np.concatenate([k - support, support - k]) % n
+            reached = np.ravel_multi_index(reached.reshape(-1, dim).T, c.shape)
+            frontier = np.unique(reached[label[reached] < 0])
+            label[frontier] = len(blocks)
+        blocks.append(np.flatnonzero(label == len(blocks)))
+    return blocks
 
 
 def _mode_energies(grid: GridSpec) -> np.ndarray:
@@ -346,10 +381,16 @@ def lambda_min_dense(spec: GramianSpec) -> float:
 def _lambda_min_real(c: np.ndarray, mu: np.ndarray, T: float) -> float:
     """lambda_min of the exact-time Gramian of chi^2 coefficients c and mode
     energies mu (one per mode, in the order of `_real_window_form`): one
-    real `eigvalsh` of Re(U^H W U) * T sinc(x)."""
-    q = _real_window_form(c)
-    q *= _centred_kernel(mu, T)
-    return float(np.linalg.eigvalsh(q)[0])
+    real `eigvalsh` of Re(U^H W U) * T sinc(x) per block of
+    `_coupled_blocks(c)`, whose smallest value it returns (NaN passes
+    through).  The kernel multiplies entrywise, so the blocks stay
+    decoupled; a single block is the whole form, bit for bit."""
+    lams = []
+    for slots in _coupled_blocks(c):
+        q = _real_window_form(c, slots)
+        q *= _centred_kernel(mu[slots], T)
+        lams.append(np.linalg.eigvalsh(q)[0])
+    return float(np.min(lams))
 
 
 def lambda_min_iterative(spec: GramianSpec) -> float:

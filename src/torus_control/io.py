@@ -78,11 +78,14 @@ def state_from_json(obj: dict) -> FourierState:
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:
-    """One row per sample of the equal-length `columns`, each value as %.12g."""
+    """One row per sample of the equal-length `columns`, each value as %.12g,
+    with the csv module's header and CRLF line ends.  The values are
+    formatted as Python floats and written as one string."""
+    values = [np.asarray(column, dtype=float).tolist() for column in columns]
+    row = ",".join(["%.12g"] * len(values)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([f"{x:.12g}" for x in row] for row in zip(*columns))
+        csv.writer(fh).writerow(header)
+        fh.write("".join([row % sample for sample in zip(*values)]))
 
 
 def write_trajectory_csv(path: Path, times, mass, observed) -> None:
@@ -99,6 +102,6 @@ def write_sweep_csv(path: Path, result) -> None:
 
 
 def write_json(path: Path, obj: dict) -> None:
+    """`obj` as indented JSON with sorted keys, written in one call."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

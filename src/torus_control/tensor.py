@@ -8,11 +8,14 @@ lambda_min(S_2d) = lambda_min(S_1d) at truncation.  The production
 Gramian in `hum` relies on this and is N x N in 2D too.
 
 tensor-check verifies the identity on the genuinely 2D exact-time
-Gramian, whose block-circulant window matrix couples all N^2 modes.  Its
-lambda_min comes from the N^2 x N^2 real form of `hum` (each mode (k_1, k_2)
-paired with (-k_1, -k_2), the time centred), one real `eigvalsh`;
-`dense_gramian_2d`, the phased complex matrix itself, is the reference the
-tests check that form against.
+Gramian, whose block-circulant window matrix is built from the 2D chi^2
+coefficients over all N^2 modes.  Its lambda_min comes from the real form
+of `hum` (each mode (k_1, k_2) paired with (-k_1, -k_2), the time
+centred), one real `eigvalsh` per decoupled block.  The blocks are found
+from the nonzero support of those coefficients, not assumed: for a strip
+they are the N/2 + 1 transverse pairs {k_2, -k_2}, of at most 2N modes
+each.  `dense_gramian_2d`, the phased complex matrix itself, is the
+reference the tests check the blocks against.
 """
 
 from __future__ import annotations
@@ -63,10 +66,12 @@ def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     """(C_2d, C_1d) for the strip omega_1 x T versus its 1D base window.
 
     C_2d comes from the real form of the 2D Gramian (`hum._lambda_min_real`
-    on the N^2 modes; the same matrix as `dense_gramian_2d`, whose size
-    guard it keeps), C_1d from the 1D Gramian, and both go through the
-    conditioning floor of `observability_constant`.  The contract is
-    |C_2d - C_1d| / C_1d at roundoff (exact transfer at truncation).
+    on the N^2 modes, one eigensolve per decoupled block; the same matrix
+    as `dense_gramian_2d`, whose size guard, N <= 44, it keeps although no
+    N^2 x N^2 array is built), C_1d from the 1D Gramian, and both go
+    through the conditioning floor of `observability_constant`.  The
+    contract is |C_2d - C_1d| / C_1d at roundoff (exact transfer at
+    truncation).
     """
     if base_spec.grid.dim != 1:
         raise ValueError("base_spec must be a 1D Gramian spec")

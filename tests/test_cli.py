@@ -537,3 +537,23 @@ def test_json_only_format_skips_csv(tmp_path, base_cfg):
                  "--format", "json"]) == 0
     assert not (out / "control_trajectory.csv").exists()
     assert (out / "control.json").exists()
+
+
+def test_consecutive_calls_share_no_state(tmp_path, base_cfg, capsys):
+    # the parser is built once: the flags of one call do not reach the next
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["control", "--config", cfg, "--out", str(first), "--seed", "9",
+                 "--format", "json"]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(second)]) == 0
+    assert json.loads((first / "control.json").read_text())["seed"] == 9
+    assert not (first / "control_trajectory.csv").exists()
+    assert json.loads((second / "simulate.json").read_text())["seed"] == base_cfg["seed"]
+    assert (second / "simulate.csv").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["observability", "--config", cfg, "--format", "xml"])
+    assert exc.value.code == 2
+    assert "usage: torus-control" in capsys.readouterr().err
+    third = tmp_path / "c"
+    assert main(["observability", "--config", cfg, "--out", str(third)]) == 0
+    assert sorted(p.name for p in third.iterdir()) == ["observability.json"]

@@ -9,7 +9,8 @@ from torus_control import (GramianSpec, drive_linear, full_window, make_grid,
 from torus_control.grid import FourierState, zero_state
 from torus_control.hum import (MAX_DENSE_POINTS, DenseSizeError,
                                GramianSingularError, HUMConvergenceError,
-                               _chi2_coeffs, _floored_inverse, _real_window_form,
+                               _chi2_coeffs, _coupled_blocks, _floored_inverse,
+                               _real_window_form,
                                check_dense_size, dense_gramian,
                                hum_regularity_ratio, lambda_min_dense,
                                lambda_min_iterative, quadrature_gramian,
@@ -89,11 +90,22 @@ def test_real_window_form_is_the_paired_basis_form(dim, n):
     assert np.max(np.abs(q - reference.real)) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [10, 14, 20])
+def test_strip_blocks_ignore_fft_rounding(n):
+    # for N with a prime factor above 3 the FFT leaves about 1e-17 off
+    # k_2 = 0; those coefficients are rounding, not coupling
+    profile = np.random.default_rng(n).random(n)
+    c = _chi2_coeffs(np.tile(profile[:, None], n))
+    assert np.count_nonzero(c[:, 1:]) > 0
+    assert len(_coupled_blocks(c)) == n // 2 + 1
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_lambda_min_and_strip_check_run_real_eigensolves(monkeypatch, dim):
     # the eigensolves take float64 matrices of order N (lambda_min, in 1D
-    # and 2D alike) and N^2 (the strip check): a fall-back to the complex
-    # Gramian changes the dtype
+    # and 2D alike), and N or 2N (the strip check: one per transverse pair
+    # {k_2, -k_2}, k_2 = 0 .. N/2): a fall-back to the complex Gramian
+    # changes the dtype, a fall-back to the whole 2D form the order
     eigvalsh, calls = np.linalg.eigvalsh, []
 
     def recorder(a, *args, **kwargs):
@@ -108,7 +120,8 @@ def test_lambda_min_and_strip_check_run_real_eigensolves(monkeypatch, dim):
     if dim == 1:
         calls.clear()
         strip_observability_constant(GramianSpec(T=1.0, window=window))
-        assert calls == [(np.float64, (n * n, n * n)), (np.float64, (n, n))]
+        strip = [n] + [2 * n] * (n // 2 - 1) + [n]
+        assert calls == [(np.float64, (m, m)) for m in strip + [n]]
 
 
 def test_dense_gramian_hermitian_psd(small_setup):

@@ -1,13 +1,15 @@
 """Serialization round-trips and CSV layouts."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from torus_control import make_grid, make_window, random_state
-from torus_control.io import (state_from_json, state_to_json, write_decay_csv,
-                              write_json, write_sweep_csv, write_trajectory_csv)
+from torus_control.io import (state_from_json, state_to_json, write_csv,
+                              write_decay_csv, write_json, write_sweep_csv,
+                              write_trajectory_csv)
 from torus_control.nls import DecayRecord
 
 
@@ -85,6 +87,32 @@ def test_sweep_csv_and_json(tmp_path):
     assert len(rows) == len(result.lambda_grid) + 1
     jpath = tmp_path / "out.json"
     write_json(jpath, {"M_sup": result.M_sup})
-    import json
-
     assert json.loads(jpath.read_text())["M_sup"] == result.M_sup
+
+
+def test_csv_bytes_match_the_csv_module(tmp_path):
+    # the one-string writer keeps the bytes of csv.writer with %.12g fields
+    rng = np.random.default_rng(3)
+    columns = [rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)
+               for _ in range(3)]
+    columns[0][:4] = [np.nan, np.inf, -np.inf, -0.0]
+    header = ["t", "mass", "observed_mass"]
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{x:.12g}" for x in row] for row in zip(*columns))
+    path = tmp_path / "out.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_json_bytes_match_json_dump(tmp_path):
+    obj = {"b": [1.5, np.float64(0.1), {"z": None, "y": True}], "a": "x" * 3}
+    reference = tmp_path / "reference.json"
+    with open(reference, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    path = tmp_path / "out.json"
+    write_json(path, obj)
+    assert path.read_bytes() == reference.read_bytes()

@@ -5,14 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from torus_control import GramianSpec, NLSParams, make_grid, make_window, nls
 from torus_control.grid import FourierState
-from torus_control.hum import (_real_window_form, dense_gramian, lambda_min_dense,
-                               window_mode_matrix)
+from torus_control.hum import (_centred_kernel, _chi2_coeffs, _coupled_blocks,
+                               _lambda_min_real, _real_window_form, dense_gramian,
+                               lambda_min_dense, window_mode_matrix)
 from torus_control.operators import free_propagate
 from torus_control.resolvent import best_resolvent_constant
 from torus_control.io import state_from_json, state_to_json
@@ -20,6 +21,10 @@ from torus_control.tensor import dense_gramian_2d
 
 even_n = st.integers(2, 6).map(lambda h: 2 * h)  # N in {4, ..., 12}
 horizons = st.floats(0.1, 2.0)
+# real chi^2 samples of any sign on a 1D or 2D grid
+real_samples = st.sampled_from([1, 2]).flatmap(
+    lambda dim: even_n.flatmap(lambda n: arrays(
+        float, (n,) * dim, elements=st.floats(-1e3, 1e3, allow_subnormal=False))))
 
 
 @st.composite
@@ -60,9 +65,7 @@ def aliased_window_matrix(c):
     return c[diff[:, None, :, None], diff[None, :, None, :]].reshape(n * n, n * n)
 
 
-@given(st.sampled_from([1, 2]).flatmap(
-    lambda dim: even_n.flatmap(lambda n: arrays(
-        float, (n,) * dim, elements=st.floats(-1e3, 1e3, allow_subnormal=False)))))
+@given(real_samples)
 def test_real_window_form_has_the_spectrum_of_w(chi2):
     # the (cos, sin) pairing is unitary and chi^2 is real, so the real form
     # is W in another basis, for any real samples
@@ -72,6 +75,48 @@ def test_real_window_form_has_the_spectrum_of_w(chi2):
     assert q.dtype == np.float64 and q.shape == w.shape
     err = np.max(np.abs(np.linalg.eigvalsh(q) - np.linalg.eigvalsh(w)))
     assert err <= 1e-12 * np.max(np.abs(w))
+
+
+@given(real_samples, st.data())
+def test_real_window_form_of_slots_is_the_dense_sub_block(chi2, data):
+    c = np.fft.fftn(chi2) / chi2.size
+    slots = np.array(data.draw(st.lists(st.integers(0, c.size - 1), min_size=1,
+                                        unique=True)))
+    assert np.array_equal(_real_window_form(c, slots),
+                          _real_window_form(c)[np.ix_(slots, slots)])
+
+
+def window_form_inputs(window):
+    """chi^2 coefficients of the window's samples on its own grid (the N^2
+    modes of a 2D strip) and the mode energies mu = |2 pi k|^2."""
+    return _chi2_coeffs(window.samples), -window.grid.laplacian_symbol().ravel()
+
+
+@given(st.sampled_from([1, 2]).flatmap(windows), horizons)
+def test_block_lambda_min_matches_the_whole_form(window, T):
+    c, mu = window_form_inputs(window)
+    q = _real_window_form(c) * _centred_kernel(mu, T)
+    err = abs(_lambda_min_real(c, mu, T) - np.linalg.eigvalsh(q)[0])
+    assert err <= 1e-12 * np.linalg.norm(q, 2)
+
+
+@given(st.sampled_from([1, 2]).flatmap(windows))
+def test_blocks_cover_every_slot_once(window):
+    # a window that is not constant couples every first-axis mode, and a
+    # strip never couples k_2 to anything but -k_2
+    assume(np.ptp(window.samples) > 0.0)
+    c, _ = window_form_inputs(window)
+    blocks = _coupled_blocks(c)
+    n = window.grid.modes_per_axis
+    assert len(blocks) == (1 if window.grid.dim == 1 else n // 2 + 1)
+    assert all(np.all(np.diff(slots) > 0) for slots in blocks)
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(c.size))
+    label = np.empty(c.size, dtype=int)
+    for b, slots in enumerate(blocks):
+        label[slots] = b
+    q = _real_window_form(c)
+    across = np.not_equal.outer(label, label)
+    assert np.max(np.abs(q[across]), initial=0.0) <= 1e-15 * np.max(np.abs(q))
 
 
 @given(st.sampled_from([1, 2]).flatmap(windows), horizons)

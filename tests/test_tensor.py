@@ -51,6 +51,14 @@ def test_strip_observability_matches_1d():
     assert c1 == pytest.approx(1.0 / lambda_min_dense(spec), rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_strip_transfer_gap_is_roundoff(n):
+    # the block eigensolves keep the exact transfer to roundoff
+    base = make_window(make_grid(1, n), (0.0, 0.3), 0.05, "smooth")
+    c2, c1 = strip_observability_constant(GramianSpec(T=1.0, window=base))
+    assert abs(c2 - c1) / c1 <= 1e-12
+
+
 def test_strip_quadrature_oracle_matches_exact_2d():
     # the 2D quadrature Gramian at a resolving node count converges to the
     # exact-time closed form on the genuinely 2D grid
