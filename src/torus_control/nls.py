@@ -20,7 +20,11 @@ at the midpoint, after the nonlinear sub-flow.  The step
 transforms over the last grid.dim axes only, so coefficients of shape
 (B, *grid.shape) advance B states at once: global control runs the
 damped legs of u0 and conj(u1) as one batch, each member leaving it at
-its first 10-step check with ||u|| at or below the threshold.
+its first 10-step check with ||u|| at or below the threshold.  Its two
+transforms, modes to grid values and back, take one of two paths fixed
+by the grid alone: on small grids (N <= _DFT_MAX_N[dim] per axis) products
+with two dense DFT matrices per axis that also carry the half-step phase,
+the dealias mask and 1/N, on larger grids FFTs.
 
 `evolve` holds the coefficients of its records in a buffer of 4096
 coefficients (64 records at 1D N = 64, at least one record) and computes
@@ -99,6 +103,10 @@ def _dealias_mask(grid: GridSpec) -> np.ndarray:
 
 # forward and inverse transforms over the last grid.dim axes, by dimension
 _TRANSFORMS = {1: (np.fft.fft, np.fft.ifft), 2: (np.fft.fft2, np.fft.ifft2)}
+# largest N per axis, by dimension, at which the Strang step transforms by
+# products with dense DFT matrices rather than FFTs; set from a per-step
+# timing ladder (see `_StrangStep`)
+_DFT_MAX_N = {1: 96, 2: 32}
 # coefficients `evolve` holds before sampling them in bulk
 _RECORD_BUFFER_POINTS = 4096
 
@@ -126,15 +134,66 @@ def energy(u: FourierState, sigma: int) -> float:
     return float(_sample(u.grid, u.coeffs[None], sigma)[1, 0])
 
 
+def _axis_half_and_tail(n: int, params: NLSParams) -> tuple[np.ndarray, np.ndarray]:
+    """Along one axis of n modes: the half-step phase exp(i Lap dt/2) and,
+    for after the nonlinear sub-flow, the same phase times the dealias mask
+    when params.dealias."""
+    axis = GridSpec(1, n)
+    half = np.exp(1j * axis.laplacian_symbol() * (params.dt / 2.0))
+    return half, (half * _dealias_mask(axis) if params.dealias else half)
+
+
+def _fft_transforms(grid: GridSpec, half: np.ndarray, tail: np.ndarray):
+    """Modes -> grid values (half-step phase first) and grid values ->
+    modes (tail / N^dim after), by FFT over the last grid.dim axes."""
+    fft, ifft = _TRANSFORMS[grid.dim]
+    tail_nl = tail / grid.n_points
+    return (lambda c: ifft(c * half, norm="forward")), (lambda phys: fft(phys) * tail_nl)
+
+
+def _dft_transforms(dim: int, half: np.ndarray, tail: np.ndarray):
+    """The transforms of `_fft_transforms` as products with two N x N
+    matrices, given the per-axis phase `half` and `tail`:
+    to_phys[k, j] = half_k e^{2 pi i jk/N}, to_modes[j, k] = e^{-2 pi i jk/N}
+    tail_k / N.  Both factors are separable, so in 2D each side of the
+    coefficient array takes one matrix."""
+    n = len(half)
+    dft = np.exp(2j * np.pi / n * (np.outer(np.arange(n), np.arange(n)) % n))
+    to_phys, to_modes = half[:, None] * dft, dft.conj() * (tail / n)
+    if dim == 1:
+        # one vector-matrix product per state, so a batch rounds as its
+        # members do alone (a (B, N) matrix product would not); grid values
+        # keep a unit axis before the grid axis
+        return ((lambda c: c[..., None, :] @ to_phys),
+                (lambda phys: (phys @ to_modes)[..., 0, :]))
+    return (lambda c: to_phys.T @ c @ to_phys), (lambda phys: to_modes.T @ phys @ to_modes)
+
+
 class _StrangStep:
     """The Strang step of `NLSParams` on one grid, with its half-step
     phases, fused damping-rotation factors and dealias mask computed once.
     It acts on the last grid.dim axes, so coefficients of shape
-    (B, *grid.shape) advance B states at once."""
+    (B, *grid.shape) advance B states at once.
+
+    The nonlinear sub-flow moves from modes to grid values and back with
+    two transforms chosen here from the grid alone.  Up to N =
+    _DFT_MAX_N[dim] per axis they are products with two dense N x N DFT
+    matrices that carry the half-step phase, the dealias mask and 1/N, so
+    those cost nothing per step; in 2D both sides of the coefficient array
+    take one matrix, since the phase and the mask are separable.  Above
+    the gate they are FFTs.  At small N an `np.fft` call costs mostly its
+    Python wrapper, while a dense product costs O(N^2) per axis and grows
+    faster, so the gate sits where a timed step stops gaining: at
+    dt = 1e-3 with damping and dealiasing (2-core x86_64), the dense step
+    took 0.3-0.9 of the FFT step's time up to 1D N = 96 and 2D N = 32 at
+    B = 1 and 2, and 0.96-1.06 at B = 2 from 1D N = 128 and 2D N = 48.
+    The two paths give one step to about 2e-15 relative."""
 
     def __init__(self, grid: GridSpec, params: NLSParams):
-        self.fft, self.ifft = _TRANSFORMS[grid.dim]
-        self.half = np.exp(1j * grid.laplacian_symbol() * (params.dt / 2.0))
+        half, tail = _axis_half_and_tail(grid.modes_per_axis, params)
+        # the phase and the mask are separable: in 2D, outer products
+        self.half, self.tail = ((half, tail) if grid.dim == 1
+                                else (np.outer(half, half), np.outer(tail, tail)))
         # damp(dt/2) . rotate(dt) . damp(dt/2) in one exact factor:
         # u -> d2 u exp(-i sigma dt d2 |u|^2), d2 = exp(-chi^2 dt)
         self.d2 = (None if params.damping is None
@@ -142,24 +201,23 @@ class _StrangStep:
         rotation = -params.sigma * params.dt
         self.kick = (None if rotation == 0.0
                      else 1j * rotation * (1.0 if self.d2 is None else self.d2))
-        self.tail = (self.half * _dealias_mask(grid) if params.dealias
-                     else self.half)
-        # after the unnormalized forward FFT of the nonlinear sub-flow
-        self.tail_nl = self.tail / grid.n_points
+        if grid.modes_per_axis <= _DFT_MAX_N[grid.dim]:
+            self.to_phys, self.to_modes = _dft_transforms(grid.dim, half, tail)
+        else:
+            self.to_phys, self.to_modes = _fft_transforms(grid, self.half, self.tail)
 
     def __call__(self, c: np.ndarray, source: np.ndarray | None = None) -> np.ndarray:
         """Advance coefficients c by one step; `source` (Fourier space) is
         added after the nonlinear sub-flow and the dealias mask."""
-        c = c * self.half
         if self.d2 is not None or self.kick is not None:
-            phys = self.ifft(c, norm="forward")
+            phys = self.to_phys(c)
             if self.kick is not None:
                 phys *= np.exp(self.kick * (phys * phys.conj()).real)
             if self.d2 is not None:
                 phys *= self.d2
-            c = self.fft(phys)
-            c *= self.tail_nl
+            c = self.to_modes(phys)
         else:
+            c = c * self.half
             c *= self.tail
         if source is not None:
             c += source * self.half
@@ -411,7 +469,8 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
     grid = states[0].grid
     step = _StrangStep(grid, params)
     c = np.stack([u.coeffs for u in states])
-    norms = [[np.linalg.norm(u.coeffs)] for u in states]
+    axes = tuple(range(1, c.ndim))  # the grid axes of each row
+    norms = [[norm] for norm in np.linalg.norm(c, axis=axes)]
     active = list(range(len(states)))  # member index of each row of c
     results = [None] * len(states)
     checks = 0
@@ -440,8 +499,16 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
         for _ in range(stride):
             c = step(c)
         checks += 1
-        for row, b in enumerate(active):
-            norms[b].append(np.linalg.norm(c[row]))
+        for b, norm in zip(active, np.linalg.norm(c, axis=axes)):
+            norms[b].append(norm)
+
+
+def _conjugate(u: FourierState) -> FourierState:
+    """The pointwise complex conjugate of u, exactly in Fourier space:
+    conj(u)^(k) = conj(u^(-k)), with -k taken mod N on every axis."""
+    n = u.grid.modes_per_axis
+    reverse = -np.arange(n) % n
+    return FourierState(u.grid, u.coeffs[np.ix_(*(reverse,) * u.grid.dim)].conj())
 
 
 def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
@@ -471,9 +538,7 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
     if u0.norm_l2() > 0.0:
         starts.append((u0, False))
     if u1.norm_l2() > 0.0:
-        # pointwise complex conjugate in physical space
-        starts.append((FourierState(u1.grid, np.fft.fftn(np.conj(np.fft.ifftn(u1.coeffs)))),
-                       True))
+        starts.append((_conjugate(u1), True))
     if not starts:
         return ControlSchedule(phases=[], endpoint_error_to_zero=0.0,
                                endpoint_error_to_target=0.0)

@@ -60,8 +60,9 @@ def test_plane_wave_dispersion_relation():
     assert abs(u.coeffs[k] - amp * np.exp(-1j * omega)) < 1e-12
 
 
-def test_evolve_matches_repeated_steps():
-    g = make_grid(1, 64)
+@pytest.mark.parametrize("n", [64, 128])
+def test_evolve_matches_repeated_steps(n):
+    g = make_grid(1, n)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     u0 = random_state(g, np.random.default_rng(9), norm=1.0, max_mode=16)
     params = NLSParams(sigma=-1, dt=1e-3, damping=w, dealias=True)
@@ -80,7 +81,7 @@ def test_evolve_rejects_invalid_stride():
             evolve(u0, 0.1, NLSParams(), record_stride=stride)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (2, 48)])
 def test_batched_step_matches_single_steps(dim, n):
     g = make_grid(dim, n)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
@@ -94,7 +95,7 @@ def test_batched_step_matches_single_steps(dim, n):
         assert np.max(np.abs(forced[b] - step(batch[b], sources[b]))) <= 1e-15
 
 
-@pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 8), (1, 128)])
 def test_bulk_sampling_matches_per_state_quantities(dim, n):
     # 500 steps at stride 7: 73 records, more than one sampling buffer, and
     # a last record at step 500 off the stride
@@ -118,6 +119,26 @@ def test_bulk_sampling_matches_per_state_quantities(dim, n):
     for got, want in zip((rec.mass, rec.energy, rec.observed), expect[1:]):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.array_equal(final.coeffs, c)
+
+
+def test_small_grids_step_without_fft(monkeypatch):
+    # the gate: dense DFT products at 1D N = 64, FFTs at 1D N = 512
+    calls = []
+
+    def counted(transform):
+        def call(*args, **kwargs):
+            calls.append(transform)
+            return transform(*args, **kwargs)
+        return call
+
+    monkeypatch.setitem(nls._TRANSFORMS, 1, tuple(map(counted, nls._TRANSFORMS[1])))
+    for n, expected in ((64, 0), (512, 2)):
+        g = make_grid(1, n)
+        w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+        step = nls._StrangStep(g, NLSParams(sigma=-1, dt=1e-3, damping=w))
+        step(random_state(g, np.random.default_rng(15), max_mode=8).coeffs)
+        assert len(calls) == expected
+        calls.clear()
 
 
 def test_linear_limit_matches_free_flow():
@@ -324,6 +345,16 @@ def test_global_control_small_case():
     # schedule timelines abut
     for a, b in zip(sched.phases, sched.phases[1:]):
         assert b.t_start == pytest.approx(a.t_end)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 8)])
+def test_conjugate_start_is_exact(dim, n):
+    g = make_grid(dim, n)
+    u = random_state(g, np.random.default_rng(16), norm=1.0)
+    reversed_coeffs = np.roll(np.flip(u.coeffs), 1, axis=tuple(range(dim)))
+    v = nls._conjugate(u)
+    assert np.array_equal(v.coeffs, reversed_coeffs.conj())
+    assert np.max(np.abs(v.physical() - np.conj(u.physical()))) <= 1e-15
 
 
 def test_global_control_trivial_targets():

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -224,3 +225,35 @@ def test_fused_damping_matches_three_sub_steps(window, dt, sigma, dealias, data)
     params = NLSParams(sigma=sigma, dt=dt, damping=window, dealias=dealias)
     fused = nls._StrangStep(grid, params)(c)
     assert np.max(np.abs(fused - three_sub_step_reference(c, params))) <= 1e-14
+
+
+def step_on_each_path(grid, params):
+    """The Strang step of params built with dense DFT transforms and with
+    FFTs, by moving the gate to either side of the grid's N."""
+    steps = []
+    for gate in (grid.modes_per_axis, grid.modes_per_axis - 1):
+        with mock.patch.dict(nls._DFT_MAX_N, {grid.dim: gate}):
+            steps.append(nls._StrangStep(grid, params))
+    return steps
+
+
+# grids on both sides of the dense-transform gate
+@pytest.mark.parametrize("dim,n", [(1, 32), (1, nls._DFT_MAX_N[1]), (1, 2 * nls._DFT_MAX_N[1]),
+                                   (2, 8), (2, nls._DFT_MAX_N[2]), (2, nls._DFT_MAX_N[2] + 16)])
+@given(st.sampled_from([(), (1,), (2,), (3,)]), st.sampled_from([-1, 0, 1]),
+       st.booleans(), st.booleans(), st.booleans(), st.floats(1e-4, 0.1),
+       st.integers(0, 2 ** 32 - 1))
+def test_dense_and_fft_transforms_give_one_step(dim, n, batch, sigma, damped, dealias,
+                                                forced, dt, seed):
+    grid = make_grid(dim, n)
+    window = make_window(grid, (0.1, 0.5), 0.05, "smooth") if damped else None
+    params = NLSParams(sigma=sigma, dt=dt, damping=window, dealias=dealias)
+    rng = np.random.default_rng(seed)
+    # physical values of modulus <= 2, as in the fused-damping test
+    phys = rng.uniform(-1.4, 1.4, (2, 2) + batch + grid.shape)
+    c, source = np.fft.fftn(phys[0] + 1j * phys[1], axes=range(-grid.dim, 0),
+                            norm="forward")
+    dense, fft = step_on_each_path(grid, params)
+    source = 0.1 * source if forced else None
+    err = np.max(np.abs(dense(c, source) - fft(c, source)))
+    assert err <= 1e-14 * np.max(np.abs(c))
