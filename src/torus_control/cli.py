@@ -139,6 +139,17 @@ def _initial_state(cfg, grid, rng, norm_sign="non-negative"):
                         max_mode=_integer(cfg, "initial_state.max_mode"))
 
 
+def _gramian_spec(cfg, window):
+    """horizon.T with the window as a GramianSpec; a T at which the time
+    kernel's largest phase mu_max * T / 2 overflows is refused (exit 2)."""
+    T = _number(cfg, "horizon.T", 1.0)
+    mu_max = (2.0 * np.pi * (window.grid.modes_per_axis // 2)) ** 2  # at k = -N/2
+    if not np.isfinite(mu_max * (T / 2.0)):
+        raise ConfigError(f"horizon.T: mu_max * T / 2 overflows (mu_max = {mu_max:.6g} "
+                          f"at grid.N = {window.grid.modes_per_axis}), got {T!r}")
+    return GramianSpec(T=T, window=window)
+
+
 def _evolve(cfg, u0, params, default_T, record_stride=1):
     """horizon.T and the record of `evolve` over it (too many records: exit 2)."""
     T = _number(cfg, "horizon.T", default_T)
@@ -160,7 +171,7 @@ def _cmd_simulate(args, cfg, rng, grid, window, out_dir):
 
 
 def _cmd_control(args, cfg, rng, grid, window, out_dir):
-    spec = GramianSpec(T=_number(cfg, "horizon.T", 1.0), window=window)
+    spec = _gramian_spec(cfg, window)
     u0 = _initial_state(cfg, grid, rng)
     sol = solve_hum(spec, u0, tol=_number(cfg, "solver.tol", 1e-8))
     record, residual = drive_linear(u0, spec, sol.phi0)
@@ -172,7 +183,7 @@ def _cmd_control(args, cfg, rng, grid, window, out_dir):
 
 
 def _cmd_observability(args, cfg, rng, grid, window, out_dir):
-    spec = GramianSpec(T=_number(cfg, "horizon.T", 1.0), window=window)
+    spec = _gramian_spec(cfg, window)
     c_t = observability_constant(spec)
     return {"C_T": c_t, "lambda_min": 1.0 / c_t, "T": spec.T,
             "N": grid.modes_per_axis}
@@ -229,7 +240,7 @@ def _cmd_resolvent_sweep(args, cfg, rng, grid, window, out_dir):
 def _cmd_tensor_check(args, cfg, rng, grid, window, out_dir):
     if grid.dim != 1:
         raise ConfigError("grid.dim: tensor-check expects the 1D base grid")
-    spec = GramianSpec(T=_number(cfg, "horizon.T", 1.0), window=window)
+    spec = _gramian_spec(cfg, window)
     c_2d, c_1d = strip_observability_constant(spec)
     return {"C_1d": c_1d, "C_2d": c_2d, "relative_gap": abs(c_2d - c_1d) / c_1d,
             "N_per_axis": grid.modes_per_axis, "T": spec.T}
@@ -253,7 +264,7 @@ def _cmd_stabilize(args, cfg, rng, grid, window, out_dir):
 
 
 def _cmd_global_control(args, cfg, rng, grid, window, out_dir):
-    spec = GramianSpec(T=_number(cfg, "horizon.T", 1.0), window=window)
+    spec = _gramian_spec(cfg, window)
     params = _build_nls_params(cfg)
     try:
         _refit_span(params.dt)

@@ -16,15 +16,21 @@ mass is conserved to roundoff; energy drifts at O(dt^2).
 `evolve`, the damped legs of global control and the controlled solve
 all run this one step, built once per (grid, dt, sigma, damping,
 dealias); the controlled solve adds its source, integrated over the step
-at the midpoint, after the nonlinear sub-flow.  The step
+at the midpoint, after the nonlinear sub-flow.  Between two sourceless
+steps linear(dt/2) . linear(dt/2) = linear(dt), so a run of steps stays
+on grid values: `evolve` between records and the damped legs between
+their 10-step norm checks apply one propagator (both halves and the
+dealias mask) between consecutive nonlinear sub-flows, and go back to
+modes only at records and checks.  The step
 transforms over the last grid.dim axes only, so coefficients of shape
 (B, *grid.shape) advance B states at once: global control runs the
 damped legs of u0 and conj(u1) as one batch, each member leaving it at
-its first 10-step check with ||u|| at or below the threshold.  Its two
-transforms, modes to grid values and back, take one of two paths fixed
-by the grid alone: on small grids (N <= _DFT_MAX_N[dim] per axis) products
-with two dense DFT matrices per axis that also carry the half-step phase,
-the dealias mask and 1/N, on larger grids FFTs.
+its first 10-step check with ||u|| at or below the threshold.  Its
+transforms, modes to grid values, back, and across a step boundary, take
+one of two paths fixed by the grid alone: on small grids (N <=
+_DFT_MAX_N[dim] per axis) products with dense matrices per axis that also
+carry the half-step phases, the dealias mask and 1/N, on larger grids
+FFTs.
 
 `evolve` holds the coefficients of its records in a buffer of 4096
 coefficients (64 records at 1D N = 64, at least one record) and computes
@@ -104,9 +110,12 @@ def _dealias_mask(grid: GridSpec) -> np.ndarray:
 # forward and inverse transforms over the last grid.dim axes, by dimension
 _TRANSFORMS = {1: (np.fft.fft, np.fft.ifft), 2: (np.fft.fft2, np.fft.ifft2)}
 # largest N per axis, by dimension, at which the Strang step transforms by
-# products with dense DFT matrices rather than FFTs; set from a per-step
-# timing ladder (see `_StrangStep`)
-_DFT_MAX_N = {1: 96, 2: 32}
+# products with dense matrices rather than FFTs.  On a ladder of fused
+# 10-step runs and single steps (B = 1 and 2, damped, dealiased; 2-core
+# x86_64) a dense run took 0.2-0.8 of the FFT run's time up to the gate, a
+# single step at most 1.05 of it; above, single steps at B = 2 took 1.02-1.49
+# times as long at 1D N = 128, and 1.19 at 2D N = 48
+_DFT_MAX_N = {1: 96, 2: 40}
 # coefficients `evolve` holds before sampling them in bulk
 _RECORD_BUFFER_POINTS = 4096
 
@@ -144,29 +153,43 @@ def _axis_half_and_tail(n: int, params: NLSParams) -> tuple[np.ndarray, np.ndarr
 
 
 def _fft_transforms(grid: GridSpec, half: np.ndarray, tail: np.ndarray):
-    """Modes -> grid values (half-step phase first) and grid values ->
-    modes (tail / N^dim after), by FFT over the last grid.dim axes."""
+    """Modes -> grid values (half-step phase first), grid values -> modes
+    (tail / N^dim after) and grid values -> grid values across the boundary
+    of two steps (tail / N^dim and the next half-step phase as one factor),
+    by FFT over the last grid.dim axes."""
     fft, ifft = _TRANSFORMS[grid.dim]
     tail_nl = tail / grid.n_points
-    return (lambda c: ifft(c * half, norm="forward")), (lambda phys: fft(phys) * tail_nl)
+    across = tail_nl * half
+    return ((lambda c: ifft(c * half, norm="forward")),
+            (lambda phys: fft(phys) * tail_nl),
+            (lambda phys: ifft(fft(phys) * across, norm="forward")))
 
 
 def _dft_transforms(dim: int, half: np.ndarray, tail: np.ndarray):
-    """The transforms of `_fft_transforms` as products with two N x N
+    """The transforms of `_fft_transforms` as products with N x N
     matrices, given the per-axis phase `half` and `tail`:
     to_phys[k, j] = half_k e^{2 pi i jk/N}, to_modes[j, k] = e^{-2 pi i jk/N}
-    tail_k / N.  Both factors are separable, so in 2D each side of the
-    coefficient array takes one matrix."""
+    tail_k / N, and across = to_modes @ to_phys, both halves of the linear
+    flow between two nonlinear sub-flows in one matrix.  All three factors
+    are separable, so in 2D each side of the coefficient array takes one
+    matrix."""
     n = len(half)
     dft = np.exp(2j * np.pi / n * (np.outer(np.arange(n), np.arange(n)) % n))
     to_phys, to_modes = half[:, None] * dft, dft.conj() * (tail / n)
+    # row by row, as vector-matrix products like the steps': a 1D run then
+    # makes no matrix-matrix product, whose first call grows the BLAS
+    # buffers (peak RSS +0.3 MB at 1D N = 64)
+    across = (to_modes[:, None, :] @ to_phys)[:, 0, :]
     if dim == 1:
         # one vector-matrix product per state, so a batch rounds as its
         # members do alone (a (B, N) matrix product would not); grid values
         # keep a unit axis before the grid axis
         return ((lambda c: c[..., None, :] @ to_phys),
-                (lambda phys: (phys @ to_modes)[..., 0, :]))
-    return (lambda c: to_phys.T @ c @ to_phys), (lambda phys: to_modes.T @ phys @ to_modes)
+                (lambda phys: (phys @ to_modes)[..., 0, :]),
+                (lambda phys: phys @ across))
+    return ((lambda c: to_phys.T @ c @ to_phys),
+            (lambda phys: to_modes.T @ phys @ to_modes),
+            (lambda phys: across.T @ phys @ across))
 
 
 class _StrangStep:
@@ -175,19 +198,20 @@ class _StrangStep:
     It acts on the last grid.dim axes, so coefficients of shape
     (B, *grid.shape) advance B states at once.
 
-    The nonlinear sub-flow moves from modes to grid values and back with
-    two transforms chosen here from the grid alone.  Up to N =
-    _DFT_MAX_N[dim] per axis they are products with two dense N x N DFT
-    matrices that carry the half-step phase, the dealias mask and 1/N, so
+    `advance` runs n steps on grid values: it moves there once, and
+    between two nonlinear sub-flows applies the linear flow that ends one
+    step and begins the next, linear(dt/2) . linear(dt/2) with the dealias
+    mask, as one propagator; it goes back to modes after the last step
+    only.  The three transforms (to grid values, to modes, and across a
+    step boundary) take one of two paths chosen here from the grid alone.
+    Up to N = _DFT_MAX_N[dim] per axis they are products with dense N x N
+    matrices that carry the half-step phases, the dealias mask and 1/N, so
     those cost nothing per step; in 2D both sides of the coefficient array
-    take one matrix, since the phase and the mask are separable.  Above
-    the gate they are FFTs.  At small N an `np.fft` call costs mostly its
+    take one matrix, since the phase and the mask are separable.  Above the
+    gate they are FFTs.  At small N an `np.fft` call costs mostly its
     Python wrapper, while a dense product costs O(N^2) per axis and grows
-    faster, so the gate sits where a timed step stops gaining: at
-    dt = 1e-3 with damping and dealiasing (2-core x86_64), the dense step
-    took 0.3-0.9 of the FFT step's time up to 1D N = 96 and 2D N = 32 at
-    B = 1 and 2, and 0.96-1.06 at B = 2 from 1D N = 128 and 2D N = 48.
-    The two paths give one step to about 2e-15 relative."""
+    faster, so the gate sits where timed 10-step runs and single steps
+    stop gaining (see `_DFT_MAX_N`).  The two paths give one step to about 2e-15 relative."""
 
     def __init__(self, grid: GridSpec, params: NLSParams):
         half, tail = _axis_half_and_tail(grid.modes_per_axis, params)
@@ -195,30 +219,45 @@ class _StrangStep:
         self.half, self.tail = ((half, tail) if grid.dim == 1
                                 else (np.outer(half, half), np.outer(tail, tail)))
         # damp(dt/2) . rotate(dt) . damp(dt/2) in one exact factor:
-        # u -> d2 u exp(-i sigma dt d2 |u|^2), d2 = exp(-chi^2 dt)
+        # u -> d2 u exp(-i sigma dt d2 |u|^2), d2 = exp(-chi^2 dt), complex
+        # so that the product with grid values casts nothing
         self.d2 = (None if params.damping is None
-                   else np.exp(-params.damping.samples ** 2 * params.dt))
+                   else np.exp(-params.damping.samples ** 2 * params.dt).astype(complex))
         rotation = -params.sigma * params.dt
         self.kick = (None if rotation == 0.0
-                     else 1j * rotation * (1.0 if self.d2 is None else self.d2))
-        if grid.modes_per_axis <= _DFT_MAX_N[grid.dim]:
-            self.to_phys, self.to_modes = _dft_transforms(grid.dim, half, tail)
-        else:
-            self.to_phys, self.to_modes = _fft_transforms(grid, self.half, self.tail)
+                     else 1j * rotation * (1.0 if self.d2 is None else self.d2.real))
+        transforms = (_dft_transforms(grid.dim, half, tail)
+                      if grid.modes_per_axis <= _DFT_MAX_N[grid.dim]
+                      else _fft_transforms(grid, self.half, self.tail))
+        self.to_phys, self.to_modes, self.across = transforms
+
+    def _nonlinear(self, phys: np.ndarray) -> None:
+        """The fused damping-rotation sub-flow on grid values, in place."""
+        if self.kick is not None:
+            phys *= np.exp(self.kick * (phys * phys.conj()).real)
+        if self.d2 is not None:
+            phys *= self.d2
+
+    def advance(self, c: np.ndarray, n: int) -> np.ndarray:
+        """Advance coefficients c by n >= 0 steps; c itself is not written."""
+        if n == 0:
+            return c
+        if self.d2 is None and self.kick is None:
+            for _ in range(n):
+                c = c * self.half
+                c *= self.tail
+            return c
+        phys = self.to_phys(c)
+        self._nonlinear(phys)
+        for _ in range(n - 1):
+            phys = self.across(phys)
+            self._nonlinear(phys)
+        return self.to_modes(phys)
 
     def __call__(self, c: np.ndarray, source: np.ndarray | None = None) -> np.ndarray:
         """Advance coefficients c by one step; `source` (Fourier space) is
         added after the nonlinear sub-flow and the dealias mask."""
-        if self.d2 is not None or self.kick is not None:
-            phys = self.to_phys(c)
-            if self.kick is not None:
-                phys *= np.exp(self.kick * (phys * phys.conj()).real)
-            if self.d2 is not None:
-                phys *= self.d2
-            c = self.to_modes(phys)
-        else:
-            c = c * self.half
-            c *= self.tail
+        c = self.advance(c, 1)
         if source is not None:
             c += source * self.half
         return c
@@ -253,9 +292,7 @@ def evolve(u0: FourierState, T: float, params: NLSParams,
     for start in range(0, len(rec_steps), len(buf)):
         chunk = rec_steps[start:start + len(buf)]
         for j, target in enumerate(chunk):
-            for _ in range(target - done):
-                c = step(c)
-            done = target
+            c, done = step.advance(c, target - done), target
             buf[j] = c
         samples[:, start:start + len(chunk)] = _sample(
             grid, buf[:len(chunk)], params.sigma, params.damping)
@@ -300,6 +337,12 @@ def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
     midpoint t_j and integrated over the step.  Returns the final state
     and the interaction-picture nonlinear drift, the discrete K phi0 of the
     fixed point: sum_j exp(-i Lap t_j) * (nonlinear increment of step j).
+    Step j maps c_j to c_{j+1} = half * (half * c_j + increment_j + s_j),
+    and exp(-i Lap t_j) = E_{j+1} * half = E_j / half with E_j =
+    exp(-i Lap j dt), so E_{j+1} c_{j+1} = E_j c_j + exp(-i Lap t_j) *
+    (increment_j + s_j) and the sum telescopes: the drift is E_n c_n - c_0
+    - sum_j exp(-i Lap t_j) s_j, the last term linear in phi0 and summed
+    in bulk after the steps.
     """
     grid = spec.grid
     dt = spec.T / n_steps
@@ -320,11 +363,13 @@ def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
         sources = np.fft.fft(sources, axis=axis, norm="forward")
 
     c = u0.coeffs
-    drift = np.zeros(grid.shape, dtype=complex)
     for j in range(n_steps):
-        c_new = step(c, sources[j])
-        drift += phases[j].conj() * (c_new / step.half - sources[j] - step.half * c)
-        c = c_new
+        c = step(c, sources[j])
+    # sum_j exp(-i Lap t_j) s_j, in place over the phase table
+    np.conjugate(phases, out=phases)
+    phases *= sources
+    pulled_back = np.exp(-1j * (n_steps * dt) * grid.laplacian_symbol()) * c
+    drift = pulled_back - u0.coeffs - phases.sum(axis=0)
     return FourierState(grid, c), FourierState(grid, drift)
 
 
@@ -496,8 +541,7 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
             return results
         if len(keep) < len(active):
             c, active = c[keep], [active[row] for row in keep]
-        for _ in range(stride):
-            c = step(c)
+        c = step.advance(c, stride)
         checks += 1
         for b, norm in zip(active, np.linalg.norm(c, axis=axes)):
             norms[b].append(norm)

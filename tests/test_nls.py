@@ -89,10 +89,35 @@ def test_batched_step_matches_single_steps(dim, n):
     batch = np.stack([random_state(g, rng, max_mode=n // 4).coeffs for _ in range(3)])
     sources = 0.1 * np.stack([random_state(g, rng).coeffs for _ in range(3)])
     step = nls._StrangStep(g, NLSParams(sigma=-1, dt=1e-2, damping=w, dealias=True))
-    out, forced = step(batch), step(batch, sources)
+    out, forced, run = step(batch), step(batch, sources), step.advance(batch, 10)
     for b in range(3):
         assert np.max(np.abs(out[b] - step(batch[b]))) <= 1e-15
         assert np.max(np.abs(forced[b] - step(batch[b], sources[b]))) <= 1e-15
+        assert np.max(np.abs(run[b] - step.advance(batch[b], 10))) <= 1e-15
+
+
+# dense transforms at 1D N = 64 and 2D N = 16, FFTs at 1D N = 128 and 2D N = 48
+@pytest.mark.parametrize("dim,n", [(1, 64), (1, 128), (2, 16), (2, 48)])
+def test_advance_matches_single_steps(dim, n):
+    # a run of n fused steps against n calls of the one-step form: the same
+    # step for n = 1, and within roundoff of the regrouped linear halves after
+    g = make_grid(dim, n)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    u0 = random_state(g, np.random.default_rng(16), max_mode=n // 4).coeffs
+    for damping in (None, w):
+        for sigma in (-1, 0, 1):
+            for dealias in (True, False):
+                step = nls._StrangStep(g, NLSParams(sigma=sigma, dt=1e-3,
+                                                    damping=damping, dealias=dealias))
+                assert step.advance(u0, 0) is u0
+                assert np.array_equal(step.advance(u0, 1), step(u0))
+                c, done = u0, 0
+                for k in (2, 10, 500):
+                    for _ in range(k - done):
+                        c = step(c)
+                    done = k
+                    run = step.advance(u0, k)
+                    assert np.max(np.abs(run - c)) <= 1e-13 * np.max(np.abs(c))
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8), (1, 128)])
@@ -105,15 +130,14 @@ def test_bulk_sampling_matches_per_state_quantities(dim, n):
     params = NLSParams(sigma=-1, dt=1e-3, damping=w)
     final, rec = evolve(u0, 0.5, params, record_stride=7)
     assert len(rec.times) == 73 > nls._RECORD_BUFFER_POINTS // g.n_points
+    # the reference steps the same segments between records as `evolve`
     step = nls._StrangStep(g, params)
-    c, expect = u0.coeffs, []
-    for i in range(501):
-        if i % 7 == 0 or i == 500:
-            u = FourierState(g, c)
-            observed = np.sum(w.samples ** 2 * np.abs(u.physical()) ** 2) / g.n_points
-            expect.append((i * params.dt, u.norm_l2() ** 2, energy(u, -1), observed))
-        if i < 500:
-            c = step(c)
+    c, expect, done = u0.coeffs, [], 0
+    for i in [*range(0, 500, 7), 500]:
+        c, done = step.advance(c, i - done), i
+        u = FourierState(g, c)
+        observed = np.sum(w.samples ** 2 * np.abs(u.physical()) ** 2) / g.n_points
+        expect.append((i * params.dt, u.norm_l2() ** 2, energy(u, -1), observed))
     expect = np.array(expect).T
     assert np.array_equal(rec.times, expect[0])
     for got, want in zip((rec.mass, rec.energy, rec.observed), expect[1:]):
@@ -132,12 +156,17 @@ def test_small_grids_step_without_fft(monkeypatch):
         return call
 
     monkeypatch.setitem(nls._TRANSFORMS, 1, tuple(map(counted, nls._TRANSFORMS[1])))
-    for n, expected in ((64, 0), (512, 2)):
+    # one step, then a fused run of 10: at 1D N = 512 each step transforms
+    # once each way
+    for n, expected in ((64, (0, 0)), (512, (2, 20))):
         g = make_grid(1, n)
         w = make_window(g, (0.0, 0.3), 0.05, "smooth")
         step = nls._StrangStep(g, NLSParams(sigma=-1, dt=1e-3, damping=w))
-        step(random_state(g, np.random.default_rng(15), max_mode=8).coeffs)
-        assert len(calls) == expected
+        c = random_state(g, np.random.default_rng(15), max_mode=8).coeffs
+        step(c)
+        assert len(calls) == expected[0]
+        step.advance(c, 10)
+        assert len(calls) == sum(expected)
         calls.clear()
 
 
@@ -240,9 +269,9 @@ def test_stabilization_refits_when_dt_does_not_divide_the_span(monkeypatch):
     steps = []
 
     class CountingStep(nls._StrangStep):
-        def __call__(self, c, source=None):
-            steps.append(1)
-            return super().__call__(c, source)
+        def advance(self, c, n):
+            steps.append(n)
+            return super().advance(c, n)
 
     monkeypatch.setattr(nls, "_StrangStep", CountingStep)
     g = make_grid(1, 32)
@@ -252,7 +281,7 @@ def test_stabilization_refits_when_dt_does_not_divide_the_span(monkeypatch):
     with pytest.raises(StabilizationStallError, match="below floor"):
         _stabilize_to_threshold([u0], NLSParams(sigma=-1, dt=dt, damping=w), 1e-2,
                                 gamma_floor=10.0)
-    assert 10.0 <= len(steps) * dt < 10.0 + 10 * dt
+    assert 10.0 <= sum(steps) * dt < 10.0 + 10 * dt
 
 
 def test_local_control_reaches_zero():
