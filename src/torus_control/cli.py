@@ -26,8 +26,9 @@ from .hum import (MAX_DENSE_POINTS, DenseSizeError, GramianSpec, GramianSingular
                   solve_hum)
 from .io import (_integral, _real, state_from_json, state_to_json,
                  write_decay_csv, write_json, write_sweep_csv, write_trajectory_csv)
-from .nls import (NLSParams, PicardDivergenceError, StabilizationStallError,
-                  _refit_span, evolve, fit_decay_rate, global_control)
+from .nls import (NLSParams, NonFiniteStateError, PicardDivergenceError,
+                  StabilizationStallError, _refit_span, evolve, fit_decay_rate,
+                  global_control)
 from .resolvent import (InfeasibleResolventError, default_lambda_grid,
                         feasible_m, miller_cost_bound, sweep)
 from .tensor import strip_observability_constant
@@ -151,7 +152,8 @@ def _gramian_spec(cfg, window):
 
 
 def _evolve(cfg, u0, params, default_T, record_stride=1):
-    """horizon.T and the record of `evolve` over it (too many records: exit 2)."""
+    """horizon.T and the record of `evolve` over it (shorter than one step
+    or too many records: exit 2)."""
     T = _number(cfg, "horizon.T", default_T)
     try:
         return T, evolve(u0, T, params, record_stride)[1]
@@ -250,7 +252,7 @@ def _cmd_stabilize(args, cfg, rng, grid, window, out_dir):
     params = _build_nls_params(cfg, damping=window)
     # a decay rate needs a nonzero state and at least 10 records
     u0 = _initial_state(cfg, grid, rng, norm_sign="positive")
-    if u0.norm_l2() == 0.0:
+    if not u0.coeffs.any():  # no norm: it overflows past about 1e154
         raise ConfigError("initial_state: expected a nonzero state")
     T, record = _evolve(cfg, u0, params, 10.0, record_stride=10)
     if len(record.times) < 10:
@@ -349,7 +351,8 @@ def main(argv=None) -> int:
         print(f"config error: --out: {exc}", file=sys.stderr)
         return 2
     except (GramianSingularError, HUMConvergenceError, InfeasibleResolventError,
-            PicardDivergenceError, StabilizationStallError, np.linalg.LinAlgError) as exc:
+            NonFiniteStateError, PicardDivergenceError, StabilizationStallError,
+            np.linalg.LinAlgError) as exc:
         write_json(out_dir / "error.json",
                    {"error": type(exc).__name__, "message": str(exc)})
         print(f"numerical failure: {exc}", file=sys.stderr)

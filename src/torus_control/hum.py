@@ -516,7 +516,9 @@ def drive_linear(u0: FourierState, spec: GramianSpec,
     # axes (k_1, t, k_2); the k_2 phase of exp(i t Lap) changes no mass.  One
     # array, updated in place, holds S(t) phi, then u(t), then u(x_1, t)
     phi = phi0.coeffs.reshape(n, -1)
-    free = np.exp(-1j * np.outer(mu, times))[:, :, None]
+    # exp(-i mu t) on the N/2 + 1 distinct energies, gathered per mode
+    vals, inverse = np.unique(mu, return_inverse=True)
+    free = np.exp(-1j * np.outer(vals, times))[inverse, :, None]
     states = (a @ (free * phi[:, None]).reshape(n, -1)).reshape(n, len(times), -1)
     states *= free.conj()
     states -= (a @ phi)[:, None]

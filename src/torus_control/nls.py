@@ -10,42 +10,37 @@ composes exact sub-flows:
 where the nonlinear sub-flow is the exact pointwise rotation
 u -> u * exp(-i*sigma*|u|^2*dt) and the damping sub-flow the pointwise
 factor exp(-chi^2 * dt/2).  The three middle sub-flows are applied as one
-exact pointwise factor, u -> d2 * u * exp(-i*sigma*dt*d2*|u|^2) with
-d2 = exp(-chi^2 * dt).  Without damping every sub-step is an isometry, so
-mass is conserved to roundoff; energy drifts at O(dt^2).
-`evolve`, the damped legs of global control and the controlled solve
-all run this one step, built once per (grid, dt, sigma, damping,
-dealias); the controlled solve adds its source, integrated over the step
-at the midpoint, after the nonlinear sub-flow.  Between two sourceless
-steps linear(dt/2) . linear(dt/2) = linear(dt), so a run of steps stays
-on grid values: `evolve` between records and the damped legs between
-their 10-step norm checks apply one propagator (both halves and the
-dealias mask) between consecutive nonlinear sub-flows, and go back to
-modes only at records and checks.  The step
-transforms over the last grid.dim axes only, so coefficients of shape
-(B, *grid.shape) advance B states at once: global control runs the
-damped legs of u0 and conj(u1) as one batch, each member leaving it at
-its first 10-step check with ||u|| at or below the threshold.  Its
-transforms, modes to grid values, back, and across a step boundary, take
-one of two paths fixed by the grid alone: on small grids (N <=
-_DFT_MAX_N[dim] per axis) products with dense matrices per axis that also
-carry the half-step phases, the dealias mask and 1/N, on larger grids
-FFTs.
+exact pointwise factor, u -> u * exp(-chi^2 dt + i kappa |u|^2) with
+kappa = -sigma dt exp(-chi^2 dt).  Without damping every sub-step is an
+isometry, so mass is conserved to roundoff; energy drifts at O(dt^2).
+`evolve`, the damped legs of global control and the controlled solve all
+run this one step (`_StrangStep`), on grid values from their first step
+to their last: since linear(dt/2) . linear(dt/2) = linear(dt), one
+propagator joins consecutive nonlinear sub-flows.  They go back to modes
+only in batched transforms at `evolve`'s records, at the damped legs'
+10-step norm checks and at the end; the controlled solve adds its
+midpoint source after the nonlinear sub-flow, taken to grid values in
+batched transforms.  Coefficients of shape (B, *grid.shape) advance B
+states at once: global control runs the damped legs of u0 and conj(u1)
+as one batch, each member leaving it at its first 10-step check with
+||u|| at or below the threshold.
 
-`evolve` holds the coefficients of its records in a buffer of 4096
-coefficients (64 records at 1D N = 64, at least one record) and computes
-their mass, energy and observed mass in bulk, with one batched inverse FFT;
-`energy` is the one-record case of the same sampler.  With damping the
-mass obeys d/dt ||u||^2 = -2 ||chi u||^2, checked against the trapezoid
-integral of the recorded observed series.
+`evolve` holds the grid values of its records in a buffer of 4096 values
+(64 records at 1D N = 64), and takes a full buffer to modes and samples
+its mass, energy and observed mass in bulk; `energy` is the one-record
+case of the same sampler.  A record that is not finite raises
+NonFiniteStateError.  With damping the mass obeys
+d/dt ||u||^2 = -2 ||chi u||^2, checked against the trapezoid integral of
+the recorded observed series.
 
 Local exact control near zero follows the fixed-point construction
 phi0 <- S^{-1}(rhs(u0) - nonlinear drift(phi0)), with S the Gramian of
-the stepper's own midpoint source, assembled in closed form and
-Cholesky-factored once (one factor serves both control legs of global
-control): the linear part of the discrete stepper is then
-inverted exactly, so at the fixed point the discrete final state
-vanishes up to roundoff and the Picard tolerance.
+the stepper's own midpoint source, assembled in closed form: the linear
+part of the discrete stepper is then inverted exactly, so at the fixed
+point the discrete final state vanishes up to roundoff and the Picard
+tolerance.  A control run (both legs of global control, every candidate
+of `admissible_amplitude`) factors S and builds its stepper and phase
+table once.
 """
 
 from __future__ import annotations
@@ -63,6 +58,11 @@ from .windows import CutoffWindow
 class PicardDivergenceError(RuntimeError):
     """The control fixed-point iteration expanded instead of contracting:
     the initial data is too large for the admissible ball."""
+
+
+class NonFiniteStateError(RuntimeError):
+    """An evolved state left the finite floats: a record's mass, energy or
+    observed mass is infinite or NaN."""
 
 
 class StabilizationStallError(RuntimeError):
@@ -116,8 +116,11 @@ _TRANSFORMS = {1: (np.fft.fft, np.fft.ifft), 2: (np.fft.fft2, np.fft.ifft2)}
 # single step at most 1.05 of it; above, single steps at B = 2 took 1.02-1.49
 # times as long at 1D N = 128, and 1.19 at 2D N = 48
 _DFT_MAX_N = {1: 96, 2: 40}
-# coefficients `evolve` holds before sampling them in bulk
+# grid values of records `evolve` holds before sampling them in bulk
 _RECORD_BUFFER_POINTS = 4096
+# source values the controlled solve takes to grid values per batched
+# transform (1 MB): at 1D N = 64 all 255 in one product
+_SOURCE_BLOCK_POINTS = 1 << 16
 
 
 def _sample(grid: GridSpec, coeffs: np.ndarray, sigma: int,
@@ -194,38 +197,46 @@ def _dft_transforms(dim: int, half: np.ndarray, tail: np.ndarray):
 
 class _StrangStep:
     """The Strang step of `NLSParams` on one grid, with its half-step
-    phases, fused damping-rotation factors and dealias mask computed once.
-    It acts on the last grid.dim axes, so coefficients of shape
+    phases, damping-rotation exponent and dealias mask computed once.  It
+    acts on the last grid.dim axes, so coefficients of shape
     (B, *grid.shape) advance B states at once.
 
-    `advance` runs n steps on grid values: it moves there once, and
-    between two nonlinear sub-flows applies the linear flow that ends one
-    step and begins the next, linear(dt/2) . linear(dt/2) with the dealias
-    mask, as one propagator; it goes back to modes after the last step
-    only.  The three transforms (to grid values, to modes, and across a
-    step boundary) take one of two paths chosen here from the grid alone.
-    Up to N = _DFT_MAX_N[dim] per axis they are products with dense N x N
-    matrices that carry the half-step phases, the dealias mask and 1/N, so
-    those cost nothing per step; in 2D both sides of the coefficient array
-    take one matrix, since the phase and the mask are separable.  Above the
-    gate they are FFTs.  At small N an `np.fft` call costs mostly its
-    Python wrapper, while a dense product costs O(N^2) per axis and grows
-    faster, so the gate sits where timed 10-step runs and single steps
-    stop gaining (see `_DFT_MAX_N`).  The two paths give one step to about 2e-15 relative."""
+    `start` moves coefficients to grid values and applies the first
+    nonlinear sub-flow; `run` takes further steps, each the propagator
+    `across` (linear(dt/2) . linear(dt/2) and the dealias mask) and one
+    nonlinear sub-flow; `to_modes` ends the last step.  The nonlinear
+    sub-flow is five numpy calls into buffers kept per batch shape: |u|,
+    its square, kappa |u|^2 into the imaginary part of an exponent whose
+    real part -chi^2 dt is fixed, one complex exponential and one product.
+    A linear step (sigma = 0, no damping) keeps its "grid values" in modes.
+
+    Otherwise the transforms take one of two paths chosen from the grid
+    alone.  Up to N = _DFT_MAX_N[dim] per axis they are products with dense
+    N x N matrices that carry the half-step phases, the dealias mask and
+    1/N (in 2D one on each side, as the phase and the mask are separable);
+    above, FFTs.  At small N an `np.fft` call costs mostly its Python
+    wrapper, while a dense product grows as N^2 per axis (see
+    `_DFT_MAX_N`).  The two paths give one step to about 2e-15 relative."""
 
     def __init__(self, grid: GridSpec, params: NLSParams):
         half, tail = _axis_half_and_tail(grid.modes_per_axis, params)
         # the phase and the mask are separable: in 2D, outer products
         self.half, self.tail = ((half, tail) if grid.dim == 1
                                 else (np.outer(half, half), np.outer(tail, tail)))
-        # damp(dt/2) . rotate(dt) . damp(dt/2) in one exact factor:
-        # u -> d2 u exp(-i sigma dt d2 |u|^2), d2 = exp(-chi^2 dt), complex
-        # so that the product with grid values casts nothing
-        self.d2 = (None if params.damping is None
-                   else np.exp(-params.damping.samples ** 2 * params.dt).astype(complex))
-        rotation = -params.sigma * params.dt
-        self.kick = (None if rotation == 0.0
-                     else 1j * rotation * (1.0 if self.d2 is None else self.d2.real))
+        damping = params.damping
+        # -chi^2 dt, never log(d2): d2 underflows to 0 at a coarse dt
+        decay = 0.0 if damping is None else -damping.samples ** 2 * params.dt
+        # complex, so that the product with grid values casts nothing
+        self.d2 = None if damping is None else np.exp(decay).astype(complex)
+        self.kappa = (None if params.sigma == 0
+                      else -params.sigma * params.dt * np.exp(decay))
+        self._decay, self._buffers = decay, {}
+        if self.d2 is None and self.kappa is None:
+            across = self.tail * self.half
+            self.to_phys, self.to_modes, self.across = (
+                (lambda c: c * self.half), (lambda c: c * self.tail),
+                (lambda c: c * across))
+            return
         transforms = (_dft_transforms(grid.dim, half, tail)
                       if grid.modes_per_axis <= _DFT_MAX_N[grid.dim]
                       else _fft_transforms(grid, self.half, self.tail))
@@ -233,51 +244,73 @@ class _StrangStep:
 
     def _nonlinear(self, phys: np.ndarray) -> None:
         """The fused damping-rotation sub-flow on grid values, in place."""
-        if self.kick is not None:
-            phys *= np.exp(self.kick * (phys * phys.conj()).real)
-        if self.d2 is not None:
-            phys *= self.d2
+        if self.kappa is None:
+            if self.d2 is not None:
+                phys *= self.d2
+            return
+        buffers = self._buffers.get(phys.shape)
+        if buffers is None:
+            exponent = np.empty(phys.shape, dtype=complex)
+            exponent.real = self._decay
+            buffers = self._buffers[phys.shape] = (
+                np.empty(phys.shape), exponent.imag, exponent, np.empty_like(exponent))
+        power, phase, exponent, factor = buffers
+        np.abs(phys, out=power)
+        np.square(power, out=power)
+        np.multiply(power, self.kappa, out=phase)
+        np.exp(exponent, out=factor)
+        phys *= factor
+
+    def start(self, c: np.ndarray) -> np.ndarray:
+        """Grid values of coefficients c after the first step's nonlinear
+        sub-flow; c itself is not written."""
+        phys = self.to_phys(c)
+        self._nonlinear(phys)
+        return phys
+
+    def run(self, phys: np.ndarray, n: int) -> np.ndarray:
+        """n >= 0 further steps on the grid values of `start` or `run`."""
+        across, nonlinear = self.across, self._nonlinear
+        for _ in range(n):
+            phys = across(phys)
+            nonlinear(phys)
+        return phys
 
     def advance(self, c: np.ndarray, n: int) -> np.ndarray:
         """Advance coefficients c by n >= 0 steps; c itself is not written."""
-        if n == 0:
-            return c
-        if self.d2 is None and self.kick is None:
-            for _ in range(n):
-                c = c * self.half
-                c *= self.tail
-            return c
-        phys = self.to_phys(c)
-        self._nonlinear(phys)
-        for _ in range(n - 1):
-            phys = self.across(phys)
-            self._nonlinear(phys)
-        return self.to_modes(phys)
+        return c if n == 0 else self.to_modes(self.run(self.start(c), n - 1))
 
-    def __call__(self, c: np.ndarray, source: np.ndarray | None = None) -> np.ndarray:
-        """Advance coefficients c by one step; `source` (Fourier space) is
-        added after the nonlinear sub-flow and the dealias mask."""
-        c = self.advance(c, 1)
-        if source is not None:
-            c += source * self.half
-        return c
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        """Advance coefficients c by one step."""
+        return self.advance(c, 1)
 
 
 def evolve(u0: FourierState, T: float, params: NLSParams,
            record_stride: int = 1) -> tuple[FourierState, DecayRecord]:
     """Evolve for time T, recording mass, energy and observed mass every
-    `record_stride` steps and at the final step; past MAX_DENSE_POINTS**2
-    records it raises ValueError, before allocating."""
+    `record_stride` steps and at the final step.
+
+    The step count is T / dt rounded to the nearest integer when that
+    many steps end within 1e-9 * T of T, and rounded up otherwise; a T
+    shorter than one step (T / dt < 1 - 1e-9) raises ValueError, as do more
+    than MAX_DENSE_POINTS**2 records, before anything is allocated.  The
+    steps run on grid values from the first to the last; each record keeps
+    its grid values, and a full buffer of them goes back to modes in one
+    batched transform.  A record whose mass, energy or observed mass is
+    not finite raises NonFiniteStateError, checked a buffer at a time.
+    """
     if not 0.0 < T < np.inf:
         raise ValueError("T must be positive and finite")
     if int(record_stride) != record_stride or record_stride < 1:
         raise ValueError(f"record_stride must be a positive integer, got {record_stride!r}")
     steps = float(T) / float(params.dt)  # inf past the float range
+    if steps < 1.0 - 1e-9:
+        raise ValueError(f"T = {T!r} is shorter than one step of dt = {params.dt!r}")
     if steps / record_stride > MAX_DENSE_POINTS ** 2:
         raise ValueError(f"{steps:.3g} steps at stride {record_stride} exceed "
                          f"{MAX_DENSE_POINTS}**2 records")
     n_steps = int(round(steps))
-    if abs(n_steps * params.dt - T) > 1e-9 * max(T, 1.0):
+    if abs(n_steps * params.dt - T) > 1e-9 * T:
         n_steps = int(np.ceil(steps))
     rec_steps = np.arange(0, n_steps + 1, record_stride)
     if rec_steps[-1] != n_steps:
@@ -286,19 +319,36 @@ def evolve(u0: FourierState, T: float, params: NLSParams,
     grid = u0.grid
     step = _StrangStep(grid, params)
     samples = np.empty((3, len(rec_steps)))
-    n_buf = min(len(rec_steps), max(1, _RECORD_BUFFER_POINTS // grid.n_points))
-    buf = np.empty((n_buf,) + grid.shape, dtype=complex)
-    c, done = u0.coeffs, 0
-    for start in range(0, len(rec_steps), len(buf)):
-        chunk = rec_steps[start:start + len(buf)]
-        for j, target in enumerate(chunk):
-            c, done = step.advance(c, target - done), target
-            buf[j] = c
-        samples[:, start:start + len(chunk)] = _sample(
-            grid, buf[:len(chunk)], params.sigma, params.damping)
+    n_buf = min(len(rec_steps) - 1, max(1, _RECORD_BUFFER_POINTS // grid.n_points))
+    # overflow is caught at its record, as a non-finite sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples[:, :1] = _finite_samples(grid, u0.coeffs[None], params, rec_steps[:1])
+        phys, done = step.start(u0.coeffs), 1
+        values = np.empty((n_buf,) + phys.shape, dtype=complex)
+        for start in range(1, len(rec_steps), n_buf):
+            chunk = rec_steps[start:start + n_buf]
+            for j, target in enumerate(chunk):
+                phys, done = step.run(phys, target - done), target
+                values[j] = phys
+            coeffs = step.to_modes(values[:len(chunk)])
+            samples[:, start:start + len(chunk)] = _finite_samples(grid, coeffs, params,
+                                                                   chunk)
     record = DecayRecord(times=rec_steps * params.dt, mass=samples[0],
                          energy=samples[1], observed=samples[2])
-    return FourierState(grid, c), record
+    return FourierState(grid, coeffs[-1].copy()), record
+
+
+def _finite_samples(grid: GridSpec, coeffs: np.ndarray, params: NLSParams,
+                    steps: np.ndarray) -> np.ndarray:
+    """`_sample` of records taken after `steps` steps; a record whose
+    samples are not all finite raises NonFiniteStateError."""
+    block = _sample(grid, coeffs, params.sigma, params.damping)
+    finite = np.isfinite(block).all(axis=0)
+    if not finite.all():
+        t = steps[np.argmin(finite)] * params.dt
+        raise NonFiniteStateError(f"mass, energy or observed mass not finite at "
+                                  f"t = {t:.6g}; the state overflowed")
+    return block
 
 
 def fit_decay_rate(record: DecayRecord, tail_fraction: float = 0.5) -> float:
@@ -328,7 +378,7 @@ def mass_decay_residual(record: DecayRecord) -> float:
 
 
 def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
-                        sigma: int, n_steps: int):
+                        sigma: int, n_steps: int, *, step: _StrangStep, pull: np.ndarray):
     """Integrate i u_t + Lap u = sigma|u|^2 u + chi^2 exp(i t Lap) phi0.
 
     Strang steps without dealiasing (the truncation mask acts linearly on
@@ -343,33 +393,39 @@ def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
     (increment_j + s_j) and the sum telescopes: the drift is E_n c_n - c_0
     - sum_j exp(-i Lap t_j) s_j, the last term linear in phi0 and summed
     in bulk after the steps.
+
+    The steps run on grid values: step j + 1 begins with
+    across(values after step j's nonlinear sub-flow) + to_phys(h_j),
+    h_j = half * s_j, taken to grid values in batched transforms of at
+    most _SOURCE_BLOCK_POINTS values.  As exp(-i Lap t_j) s_j = E_{j+1} h_j
+    and exp(i Lap t_j) = conj(E_{j+1} * half), the table `pull` of E_{j+1},
+    j < n_steps, serves the sources and the drift; it and `step` (of
+    sigma) come from `_control_tables`.
     """
-    grid = spec.grid
-    dt = spec.T / n_steps
-    step = _StrangStep(grid, NLSParams(sigma=sigma, dt=dt, dealias=False))
+    grid, dt = spec.grid, spec.T / n_steps
     axes = range(grid.dim, 0, -1)
-    t_mid = (np.arange(n_steps) + 0.5) * dt
-    # exp(i t_j Lap) for every midpoint, shape (n_steps, *grid.shape)
-    phases = np.exp(1j * t_mid.reshape((-1,) + (1,) * grid.dim)
-                    * grid.laplacian_symbol())
-    # transformed one axis at a time, last first as fftn does, each input
-    # freed as its output is made: three such tables at most are alive,
-    # where fftn holds four
-    sources = phases * phi0.coeffs
+    # exp(i t_j Lap) phi0, transformed one axis at a time, last first as
+    # fftn does, each input freed as its output is made: three such tables
+    # at most are alive, where fftn holds four
+    sources = np.multiply(pull, step.half * phi0.coeffs.conj())
+    np.conjugate(sources, out=sources)
     for axis in axes:
         sources = np.fft.ifft(sources, axis=axis, norm="forward")
     sources *= -1j * dt * spec.window.samples ** 2
     for axis in axes:
         sources = np.fft.fft(sources, axis=axis, norm="forward")
+    sources *= step.half  # h_j
 
-    c = u0.coeffs
-    for j in range(n_steps):
-        c = step(c, sources[j])
-    # sum_j exp(-i Lap t_j) s_j, in place over the phase table
-    np.conjugate(phases, out=phases)
-    phases *= sources
-    pulled_back = np.exp(-1j * (n_steps * dt) * grid.laplacian_symbol()) * c
-    drift = pulled_back - u0.coeffs - phases.sum(axis=0)
+    last, rows = n_steps - 1, max(1, _SOURCE_BLOCK_POINTS // grid.n_points)
+    phys = step.start(u0.coeffs)
+    for j in range(0, last, rows):
+        for kick in step.to_phys(sources[j:min(j + rows, last)]):
+            phys = step.across(phys)
+            phys += kick
+            step._nonlinear(phys)
+    c = step.to_modes(phys) + sources[-1]
+    sources *= pull  # E_{j+1} h_j
+    drift = pull[-1] * c - u0.coeffs - sources.sum(axis=0)
     return FourierState(grid, c), FourierState(grid, drift)
 
 
@@ -378,9 +434,17 @@ def _control_steps(grid: GridSpec) -> int:
     return max(256, 4 * grid.modes_per_axis)
 
 
-def _control_factor(spec: GramianSpec):
-    """Inverse Cholesky factor of the controlled solve's midpoint Gramian."""
-    return _cholesky(dense_gramian(spec, _control_steps(spec.grid)), spec)
+def _control_tables(spec: GramianSpec, sigma: int):
+    """What the controlled solves of one control run share, built once: the
+    inverse Cholesky factor of the midpoint Gramian, the stepper, and the
+    table E_{j+1} = exp(-i (j + 1) dt Lap), j < n_steps, of shape
+    (n_steps, *grid.shape)."""
+    grid, n_steps = spec.grid, _control_steps(spec.grid)
+    dt = spec.T / n_steps
+    t_end = (np.arange(1, n_steps + 1) * dt).reshape((-1,) + (1,) * grid.dim)
+    return (_cholesky(dense_gramian(spec, n_steps), spec),
+            _StrangStep(grid, NLSParams(sigma=sigma, dt=dt, dealias=False)),
+            np.exp(-1j * t_end * grid.laplacian_symbol()))
 
 
 def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
@@ -407,21 +471,22 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
     if u0.norm_l2() == 0.0:
         history = {"update_norms": [], "contraction_ratios": [], "iterations": 0}
         return zero_state(spec.grid), 0.0, history
-    return _picard(u0, spec, _control_factor(spec), sigma, tol)
+    return _picard(u0, spec, _control_tables(spec, sigma), sigma, tol)
 
 
-def _picard(u0: FourierState, spec: GramianSpec, factor, sigma: int,
+def _picard(u0: FourierState, spec: GramianSpec, tables, sigma: int,
             tol: float) -> tuple[FourierState, float, dict]:
     """The Picard iteration of `local_control_nls` on a nonzero u0, given
-    the `_control_factor` of spec."""
-    grid = spec.grid
+    the `_control_tables` of spec and sigma."""
+    grid, (factor, step, pull) = spec.grid, tables
     n_steps, max_iter = _control_steps(grid), 30
     u0_norm = u0.norm_l2()
     history = {"update_norms": [], "contraction_ratios": [], "iterations": 0}
     phi0 = zero_state(grid)
     prev_update = None
     for it in range(1, max_iter + 1):
-        _, drift = _controlled_forward(u0, spec, phi0, sigma, n_steps)
+        _, drift = _controlled_forward(u0, spec, phi0, sigma, n_steps,
+                                       step=step, pull=pull)
         rhs = -1j * (u0.coeffs + drift.coeffs).reshape(grid.modes_per_axis, -1)
         phi_new = FourierState(grid, _solve(factor, rhs).reshape(grid.shape))
         update = (phi_new - phi0).norm_l2()
@@ -444,7 +509,7 @@ def _picard(u0: FourierState, spec: GramianSpec, factor, sigma: int,
             f"no convergence in {max_iter} Picard iterations "
             f"(last update {history['update_norms'][-1]:.3e})"
         )
-    final, _ = _controlled_forward(u0, spec, phi0, sigma, n_steps)
+    final, _ = _controlled_forward(u0, spec, phi0, sigma, n_steps, step=step, pull=pull)
     return phi0, final.norm_l2(), history
 
 
@@ -452,14 +517,15 @@ def admissible_amplitude(grid: GridSpec, spec: GramianSpec, sigma: int,
                          rng: np.random.Generator) -> float:
     """Largest of the amplitudes 0.4, 0.2, 0.1, 0.05 at which the control
     fixed point (Picard tol 1e-8) converges with a contracting iteration.
-    Measured, never assumed; the midpoint Gramian is factored once."""
+    Measured, never assumed; the midpoint Gramian is factored, and the
+    stepper and its tables are built, once for all candidates."""
     if grid != spec.grid:
         raise ValueError("grid mismatch")
-    factor = _control_factor(spec)
+    tables = _control_tables(spec, sigma)
     for amp in (0.4, 0.2, 0.1, 0.05):
         u0 = random_state(grid, rng, norm=amp, max_mode=grid.modes_per_axis // 4)
         try:
-            _, _, hist = _picard(u0, spec, factor, sigma, 1e-8)
+            _, _, hist = _picard(u0, spec, tables, sigma, 1e-8)
         except PicardDivergenceError:
             continue
         ratios = hist["contraction_ratios"]
@@ -507,18 +573,18 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
     leaves the batch at that check.  Each member's decay rate is re-fit over
     each completed span of 10 time units (`_refit_span`); its leg stalls
     when the rate drops below `gamma_floor` or the time passes the horizon
-    cap 50 / gamma."""
+    cap 50 / gamma.  The batch steps on grid values throughout, and goes
+    to modes at each check for the norms alone."""
     stride = 10
     h = stride * params.dt
     span = _refit_span(params.dt)
     grid = states[0].grid
     step = _StrangStep(grid, params)
     c = np.stack([u.coeffs for u in states])
-    axes = tuple(range(1, c.ndim))  # the grid axes of each row
-    norms = [[norm] for norm in np.linalg.norm(c, axis=axes)]
+    norms = [[norm] for norm in _row_norms(c)]
     active = list(range(len(states)))  # member index of each row of c
     results = [None] * len(states)
-    checks = 0
+    checks, phys = 0, None  # phys: grid values of the rows of c
     while True:
         keep = []
         for row, b in enumerate(active):
@@ -541,10 +607,19 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
             return results
         if len(keep) < len(active):
             c, active = c[keep], [active[row] for row in keep]
-        c = step.advance(c, stride)
+            phys = None if phys is None else phys[keep]
+        phys = (step.run(step.start(c), stride - 1) if phys is None
+                else step.run(phys, stride))
+        c = step.to_modes(phys)
         checks += 1
-        for b, norm in zip(active, np.linalg.norm(c, axis=axes)):
+        for b, norm in zip(active, _row_norms(c)):
             norms[b].append(norm)
+
+
+def _row_norms(c: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of a batch of coefficients."""
+    rows = c.reshape(len(c), -1)
+    return np.sqrt(np.vecdot(rows, rows).real)
 
 
 def _conjugate(u: FourierState) -> FourierState:
@@ -568,8 +643,9 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
     v(t, x) = conj(u(T - t, x)) maps solutions of the cubic NLS to
     solutions of the same equation, that leg reversed and conjugated is a
     valid 0 -> u1 trajectory and is emitted as such.  The damped phases of
-    both legs run as one batch, and both control phases share one factor
-    of the midpoint Gramian.  Grids past check_dense_size raise
+    both legs run as one batch, and both control phases share one
+    `_control_tables` build: the factor of the midpoint Gramian, the
+    stepper and its phase table.  Grids past check_dense_size raise
     DenseSizeError before any damped leg runs.
     """
     check_dense_size(spec.grid)
@@ -588,7 +664,7 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
                                endpoint_error_to_target=0.0)
     above = [u for u, _ in starts if u.norm_l2() > mass_threshold]
     damped = iter(_stabilize_to_threshold(above, params, mass_threshold) if above else [])
-    factor = _control_factor(spec)
+    tables = _control_tables(spec, params.sigma)
 
     phases, errors = [], {False: 0.0, True: 0.0}  # by conjugate_reversed
     for u, reverse in starts:
@@ -596,7 +672,7 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
         if u.norm_l2() > mass_threshold:
             u, t = next(damped)
             leg.append(ControlPhase(kind="damped", t_start=0.0, t_end=t))
-        phi0, errors[reverse], _ = _picard(u, spec, factor, params.sigma, tol)
+        phi0, errors[reverse], _ = _picard(u, spec, tables, params.sigma, tol)
         leg.append(ControlPhase(kind="control", t_start=t, t_end=t + spec.T, phi0=phi0))
         if reverse:
             t_off, total = (phases[-1].t_end if phases else 0.0), leg[-1].t_end

@@ -499,6 +499,37 @@ def test_non_finite_numerics_exit_3(tmp_path, base_cfg, capsys, sub, fields, err
     assert not (out / f"{sub.replace('-', '_')}.json").exists()
 
 
+@pytest.mark.parametrize("sub", ["simulate", "stabilize"])
+def test_non_finite_evolution_exit_3(tmp_path, base_cfg, capsys, sub):
+    # a state whose mass overflows: a numerical failure at its first record,
+    # with no RuntimeWarning (the suite turns warnings into errors) and no
+    # report holding Infinity or NaN
+    base_cfg["window"]["omega"] = [[0.0, 0.3]]
+    base_cfg["initial_state"]["norm"] = 1e200
+    base_cfg["nls"] = {"damped": True}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    report = json.loads((out / "error.json").read_text())
+    assert report["error"] == "NonFiniteStateError" and "t = 0;" in report["message"]
+    assert not (out / f"{sub}.json").exists() and not (out / f"{sub}.csv").exists()
+
+
+@pytest.mark.parametrize("sub", ["simulate", "stabilize"])
+def test_horizon_below_one_step_exit_2(tmp_path, base_cfg, capsys, sub):
+    base_cfg["horizon"]["T"] = 1e-12
+    base_cfg["nls"] = {"dt": 1e-3}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: horizon.T: ")
+    assert "shorter than one step" in err and "Traceback" not in err
+    assert not (out / f"{sub}.json").exists()
+
+
 @pytest.mark.parametrize("dt", [0.2, 1e300])
 def test_global_control_coarse_dt(tmp_path, base_cfg, dt):
     # past dt = 0.1 a 10-time-unit span holds fewer than the 10 checks a

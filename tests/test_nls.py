@@ -81,18 +81,73 @@ def test_evolve_rejects_invalid_stride():
             evolve(u0, 0.1, NLSParams(), record_stride=stride)
 
 
+def test_evolve_refuses_a_horizon_below_one_step():
+    g = make_grid(1, 32)
+    u0 = random_state(g, np.random.default_rng(9), max_mode=8)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        evolve(u0, 1e-12, NLSParams(dt=1e-3))
+    # within the 1e-9 rounding of one step: one step, ending at dt
+    _, rec = evolve(u0, 1e-3 * (1 - 1e-12), NLSParams(dt=1e-3))
+    assert rec.times.tolist() == [0.0, 1e-3]
+
+
+def _one_step_records(u0, T, params, stride):
+    """The reference of `evolve`: one step at a time, modes to grid values
+    and back in each, every record's quantities taken state by state."""
+    g, step = u0.grid, nls._StrangStep(u0.grid, params)
+    n_steps = int(round(T / params.dt))
+    c, rows = u0.coeffs, []
+    for i in range(n_steps + 1):
+        if i % stride == 0 or i == n_steps:
+            u = FourierState(g, c)
+            observed = (0.0 if params.damping is None else
+                        np.sum(params.damping.samples ** 2 * np.abs(u.physical()) ** 2)
+                        / g.n_points)
+            rows.append((u.norm_l2() ** 2, energy(u, params.sigma), observed))
+        if i < n_steps:
+            c = step(c)
+    return c, np.array(rows).T
+
+
+# dense transforms at 1D N = 64 and 2D N = 16, FFTs at 1D N = 128; 70 steps
+# make 71 records at stride 1, more than one sampling buffer on each grid
+@pytest.mark.parametrize("dim,n", [(1, 64), (1, 128), (2, 16)])
+def test_records_from_grid_values_match_one_step_at_a_time(dim, n):
+    g = make_grid(dim, n)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    u0 = random_state(g, np.random.default_rng(17), max_mode=n // 4)
+    for damping in (None, w):
+        for sigma in (-1, 0, 1):
+            params = NLSParams(sigma=sigma, dt=1e-3, damping=damping)
+            for stride in (1, 7, 10):
+                final, rec = evolve(u0, 0.07, params, record_stride=stride)
+                c, want = _one_step_records(u0, 0.07, params, stride)
+                assert np.max(np.abs(final.coeffs - c)) <= 1e-14 * np.max(np.abs(c))
+                for got, expect in zip((rec.mass, rec.energy, rec.observed), want):
+                    assert len(got) == len(expect)
+                    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("value", [1e200, 1e160])
+def test_evolve_raises_at_the_first_record_that_is_not_finite(value):
+    # at 1e200 the mass overflows at once; at 1e160 the quartic energy does
+    g = make_grid(1, 32)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    u0 = random_state(g, np.random.default_rng(9), norm=value, max_mode=8)
+    with pytest.raises(nls.NonFiniteStateError, match="t = 0;"):
+        evolve(u0, 0.1, NLSParams(dt=1e-3, damping=w), record_stride=10)
+
+
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (2, 48)])
 def test_batched_step_matches_single_steps(dim, n):
     g = make_grid(dim, n)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     rng = np.random.default_rng(12)
     batch = np.stack([random_state(g, rng, max_mode=n // 4).coeffs for _ in range(3)])
-    sources = 0.1 * np.stack([random_state(g, rng).coeffs for _ in range(3)])
     step = nls._StrangStep(g, NLSParams(sigma=-1, dt=1e-2, damping=w, dealias=True))
-    out, forced, run = step(batch), step(batch, sources), step.advance(batch, 10)
+    out, run = step(batch), step.advance(batch, 10)
     for b in range(3):
         assert np.max(np.abs(out[b] - step(batch[b]))) <= 1e-15
-        assert np.max(np.abs(forced[b] - step(batch[b], sources[b]))) <= 1e-15
         assert np.max(np.abs(run[b] - step.advance(batch[b], 10))) <= 1e-15
 
 
@@ -130,11 +185,14 @@ def test_bulk_sampling_matches_per_state_quantities(dim, n):
     params = NLSParams(sigma=-1, dt=1e-3, damping=w)
     final, rec = evolve(u0, 0.5, params, record_stride=7)
     assert len(rec.times) == 73 > nls._RECORD_BUFFER_POINTS // g.n_points
-    # the reference steps the same segments between records as `evolve`
+    # the reference runs all 500 steps on grid values, as `evolve` does,
+    # and takes each record's state from them one at a time
     step = nls._StrangStep(g, params)
-    c, expect, done = u0.coeffs, [], 0
+    phys, done, expect = step.start(u0.coeffs), 1, []
     for i in [*range(0, 500, 7), 500]:
-        c, done = step.advance(c, i - done), i
+        if i:
+            phys, done = step.run(phys, i - done), i
+        c = step.to_modes(phys) if i else u0.coeffs
         u = FourierState(g, c)
         observed = np.sum(w.samples ** 2 * np.abs(u.physical()) ** 2) / g.n_points
         expect.append((i * params.dt, u.norm_l2() ** 2, energy(u, -1), observed))
@@ -269,9 +327,13 @@ def test_stabilization_refits_when_dt_does_not_divide_the_span(monkeypatch):
     steps = []
 
     class CountingStep(nls._StrangStep):
-        def advance(self, c, n):
+        def start(self, c):
+            steps.append(1)
+            return super().start(c)
+
+        def run(self, phys, n):
             steps.append(n)
-            return super().advance(c, n)
+            return super().run(phys, n)
 
     monkeypatch.setattr(nls, "_StrangStep", CountingStep)
     g = make_grid(1, 32)
@@ -333,6 +395,69 @@ def test_admissible_amplitude_contracts_at_half():
     u0 = random_state(g, np.random.default_rng(7), norm=amp / 2, max_mode=8)
     _, _, hist = local_control_nls(u0, spec, sigma=-1, tol=1e-8)
     assert max(hist["contraction_ratios"]) < 0.5
+
+
+def _controlled_forward_in_modes(u0, spec, phi0, sigma, n_steps):
+    """The controlled solve one step at a time in modes: each step goes to
+    grid values and back, and its midpoint source s_j is added in modes."""
+    g, dt = spec.grid, spec.T / n_steps
+    step = nls._StrangStep(g, NLSParams(sigma=sigma, dt=dt, dealias=False))
+    lap, chi2 = g.laplacian_symbol(), spec.window.samples ** 2
+    c, pulled = u0.coeffs, 0.0
+    for j in range(n_steps):
+        t = (j + 0.5) * dt
+        s = np.fft.fftn(-1j * dt * chi2 * np.fft.ifftn(np.exp(1j * t * lap) * phi0.coeffs,
+                                                         norm="forward"), norm="forward")
+        c = step(c) + s * step.half
+        pulled = pulled + np.exp(-1j * t * lap) * s
+    return c, np.exp(-1j * spec.T * lap) * c - u0.coeffs - pulled
+
+
+# dense transforms at 1D N = 32 and 2D N = 24, FFTs at 1D N = 128 and 2D
+# N = 48; on the 2D grids the sources go to grid values in 3 and 10 blocks
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 24), (1, 128), (2, 48)])
+def test_controlled_solve_on_grid_values_matches_steps_in_modes(dim, n):
+    g = make_grid(dim, n)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.3), 0.05, "smooth"))
+    rng = np.random.default_rng(18)
+    u0 = random_state(g, rng, norm=0.3, max_mode=8)
+    phi0 = random_state(g, rng, norm=2.0, max_mode=8)
+    n_steps = nls._control_steps(g)  # 256, and 512 at 1D N = 128
+    for sigma in (-1, 0, 1):
+        _, step, pull = nls._control_tables(spec, sigma)
+        final, drift = nls._controlled_forward(u0, spec, phi0, sigma, n_steps,
+                                               step=step, pull=pull)
+        c, want = _controlled_forward_in_modes(u0, spec, phi0, sigma, n_steps)
+        # the propagator across a step boundary is one rounded factor, the
+        # same in every step, so the two solves part by up to about 1e-16
+        # per step (0.6-1.0e-14 seen at 256 steps, 1.7e-14 at 512); the
+        # drift's leading term E_n c_n has the final state's size
+        tol = 1e-16 * n_steps * np.linalg.norm(c)
+        assert np.linalg.norm(final.coeffs - c) <= tol
+        assert np.linalg.norm(drift.coeffs - want) <= tol
+
+
+def test_global_control_builds_one_control_stepper(monkeypatch):
+    # both legs are damped first: one stepper for the batched damped legs,
+    # one for every controlled solve of both control legs
+    built = []
+
+    class CountingStep(nls._StrangStep):
+        def __init__(self, grid, params):
+            built.append(params)
+            super().__init__(grid, params)
+
+    monkeypatch.setattr(nls, "_StrangStep", CountingStep)
+    g = make_grid(1, 32)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.3), 0.05, "smooth"))
+    rng = np.random.default_rng(8)
+    u0, u1 = (random_state(g, rng, norm=0.3, max_mode=8) for _ in range(2))
+    sched = global_control(u0, u1, spec, NLSParams(sigma=-1, dt=1e-3))
+    assert [ph.kind for ph in sched.phases] == ["damped", "control", "control", "damped"]
+    assert [p.damping is None for p in built] == [False, True]
+    built.clear()
+    admissible_amplitude(g, spec, -1, np.random.default_rng(6))
+    assert len(built) == 1
 
 
 def test_admissible_amplitude_factors_gramian_once(monkeypatch):
