@@ -19,28 +19,29 @@ to their last: since linear(dt/2) . linear(dt/2) = linear(dt), one
 propagator joins consecutive nonlinear sub-flows.  They go back to modes
 only in batched transforms at `evolve`'s records, at the damped legs'
 10-step norm checks and at the end; the controlled solve adds its
-midpoint source after the nonlinear sub-flow, taken to grid values in
-batched transforms.  Coefficients of shape (B, *grid.shape) advance B
-states at once: global control runs the damped legs of u0 and conj(u1)
-as one batch, each member leaving it at its first 10-step check with
-||u|| at or below the threshold.
+midpoint source, made on the grid, before each propagator.
+Coefficients of shape (B, *grid.shape) advance B states at once: global
+control runs the damped legs of u0 and conj(u1) as one batch, each
+member leaving it at its first 10-step check with ||u|| at or below the
+threshold.
 
 `evolve` holds the grid values of its records in a buffer of 4096 values
 (64 records at 1D N = 64), and takes a full buffer to modes and samples
 its mass, energy and observed mass in bulk; `energy` is the one-record
-case of the same sampler.  A record that is not finite raises
-NonFiniteStateError.  With damping the mass obeys
+case of the same sampler.  A record, or a damped leg's norm check, that
+is not finite raises NonFiniteStateError.  With damping the mass obeys
 d/dt ||u||^2 = -2 ||chi u||^2, checked against the trapezoid integral of
 the recorded observed series.
 
-Local exact control near zero follows the fixed-point construction
-phi0 <- S^{-1}(rhs(u0) - nonlinear drift(phi0)), with S the Gramian of
-the stepper's own midpoint source, assembled in closed form: the linear
+Local exact control near zero is a fixed point around the linear HUM
+control: phi0 <- phi0 - i S^{-1} exp(-i T Lap) u_phi0(T), with u_phi0(T)
+the final state of the controlled solve and S the Gramian of the
+stepper's own midpoint source, assembled in closed form.  The linear
 part of the discrete stepper is then inverted exactly, so at the fixed
 point the discrete final state vanishes up to roundoff and the Picard
 tolerance.  A control run (both legs of global control, every candidate
 of `admissible_amplitude`) factors S and builds its stepper and phase
-table once.
+tables once.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class PicardDivergenceError(RuntimeError):
 
 class NonFiniteStateError(RuntimeError):
     """An evolved state left the finite floats: a record's mass, energy or
-    observed mass is infinite or NaN."""
+    observed mass, or a damped leg's norm, is infinite or NaN."""
 
 
 class StabilizationStallError(RuntimeError):
@@ -118,9 +119,6 @@ _TRANSFORMS = {1: (np.fft.fft, np.fft.ifft), 2: (np.fft.fft2, np.fft.ifft2)}
 _DFT_MAX_N = {1: 96, 2: 40}
 # grid values of records `evolve` holds before sampling them in bulk
 _RECORD_BUFFER_POINTS = 4096
-# source values the controlled solve takes to grid values per batched
-# transform (1 MB): at 1D N = 64 all 255 in one product
-_SOURCE_BLOCK_POINTS = 1 << 16
 
 
 def _sample(grid: GridSpec, coeffs: np.ndarray, sigma: int,
@@ -159,8 +157,11 @@ def _fft_transforms(grid: GridSpec, half: np.ndarray, tail: np.ndarray):
     """Modes -> grid values (half-step phase first), grid values -> modes
     (tail / N^dim after) and grid values -> grid values across the boundary
     of two steps (tail / N^dim and the next half-step phase as one factor),
-    by FFT over the last grid.dim axes."""
+    by FFT over the last grid.dim axes, given the per-axis `half` and
+    `tail` (separable: in 2D, outer products)."""
     fft, ifft = _TRANSFORMS[grid.dim]
+    if grid.dim == 2:
+        half, tail = np.outer(half, half), np.outer(tail, tail)
     tail_nl = tail / grid.n_points
     across = tail_nl * half
     return ((lambda c: ifft(c * half, norm="forward")),
@@ -208,21 +209,19 @@ class _StrangStep:
     sub-flow is five numpy calls into buffers kept per batch shape: |u|,
     its square, kappa |u|^2 into the imaginary part of an exponent whose
     real part -chi^2 dt is fixed, one complex exponential and one product.
-    A linear step (sigma = 0, no damping) keeps its "grid values" in modes.
+    A linear step (sigma = 0, no damping) has no sub-flow between its
+    propagators.
 
-    Otherwise the transforms take one of two paths chosen from the grid
-    alone.  Up to N = _DFT_MAX_N[dim] per axis they are products with dense
-    N x N matrices that carry the half-step phases, the dealias mask and
-    1/N (in 2D one on each side, as the phase and the mask are separable);
-    above, FFTs.  At small N an `np.fft` call costs mostly its Python
-    wrapper, while a dense product grows as N^2 per axis (see
-    `_DFT_MAX_N`).  The two paths give one step to about 2e-15 relative."""
+    The transforms take one of two paths chosen from the grid alone.  Up
+    to N = _DFT_MAX_N[dim] per axis they are products with dense N x N
+    matrices that carry the half-step phases, the dealias mask and 1/N (in
+    2D one on each side, as the phase and the mask are separable); above,
+    FFTs.  At small N an `np.fft` call costs mostly its Python wrapper,
+    while a dense product grows as N^2 per axis (see `_DFT_MAX_N`).  The
+    two paths give one step to about 2e-15 relative."""
 
     def __init__(self, grid: GridSpec, params: NLSParams):
         half, tail = _axis_half_and_tail(grid.modes_per_axis, params)
-        # the phase and the mask are separable: in 2D, outer products
-        self.half, self.tail = ((half, tail) if grid.dim == 1
-                                else (np.outer(half, half), np.outer(tail, tail)))
         damping = params.damping
         # -chi^2 dt, never log(d2): d2 underflows to 0 at a coarse dt
         decay = 0.0 if damping is None else -damping.samples ** 2 * params.dt
@@ -231,15 +230,9 @@ class _StrangStep:
         self.kappa = (None if params.sigma == 0
                       else -params.sigma * params.dt * np.exp(decay))
         self._decay, self._buffers = decay, {}
-        if self.d2 is None and self.kappa is None:
-            across = self.tail * self.half
-            self.to_phys, self.to_modes, self.across = (
-                (lambda c: c * self.half), (lambda c: c * self.tail),
-                (lambda c: c * across))
-            return
         transforms = (_dft_transforms(grid.dim, half, tail)
                       if grid.modes_per_axis <= _DFT_MAX_N[grid.dim]
-                      else _fft_transforms(grid, self.half, self.tail))
+                      else _fft_transforms(grid, half, tail))
         self.to_phys, self.to_modes, self.across = transforms
 
     def _nonlinear(self, phys: np.ndarray) -> None:
@@ -378,87 +371,61 @@ def mass_decay_residual(record: DecayRecord) -> float:
 
 
 def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
-                        sigma: int, n_steps: int, *, step: _StrangStep, pull: np.ndarray):
-    """Integrate i u_t + Lap u = sigma|u|^2 u + chi^2 exp(i t Lap) phi0.
+                        sigma: int, n_steps: int, *, step: _StrangStep,
+                        phases: np.ndarray) -> FourierState:
+    """Final state of i u_t + Lap u = sigma|u|^2 u + chi^2 exp(i t Lap) phi0.
 
     Strang steps without dealiasing (the truncation mask acts linearly on
-    the state, which would leak an amplitude-independent term into the
-    drift and stall the Picard iteration), the source taken at each step's
-    midpoint t_j and integrated over the step.  Returns the final state
-    and the interaction-picture nonlinear drift, the discrete K phi0 of the
-    fixed point: sum_j exp(-i Lap t_j) * (nonlinear increment of step j).
-    Step j maps c_j to c_{j+1} = half * (half * c_j + increment_j + s_j),
-    and exp(-i Lap t_j) = E_{j+1} * half = E_j / half with E_j =
-    exp(-i Lap j dt), so E_{j+1} c_{j+1} = E_j c_j + exp(-i Lap t_j) *
-    (increment_j + s_j) and the sum telescopes: the drift is E_n c_n - c_0
-    - sum_j exp(-i Lap t_j) s_j, the last term linear in phi0 and summed
-    in bulk after the steps.
-
-    The steps run on grid values: step j + 1 begins with
-    across(values after step j's nonlinear sub-flow) + to_phys(h_j),
-    h_j = half * s_j, taken to grid values in batched transforms of at
-    most _SOURCE_BLOCK_POINTS values.  As exp(-i Lap t_j) s_j = E_{j+1} h_j
-    and exp(i Lap t_j) = conj(E_{j+1} * half), the table `pull` of E_{j+1},
-    j < n_steps, serves the sources and the drift; it and `step` (of
-    sigma) come from `_control_tables`.
+    the state and would leak an amplitude-independent term into the fixed
+    point), the source taken at each step's midpoint t_j and integrated
+    over the step: in modes, step j maps c_j to half * (nonlinear sub-flow
+    of half * c_j + s_j), s_j = -i dt chi^2 exp(i t_j Lap) phi0.  So on
+    grid values s_j is added just before the propagator `across` that ends
+    step j (`to_modes` after the last step), with no transform of its own:
+    the sources of all steps come from one batched inverse transform of
+    the table `phases` of exp(i t_j Lap), times -i dt chi^2.  `phases` and
+    `step` (of sigma) come from `_control_tables`.
     """
     grid, dt = spec.grid, spec.T / n_steps
-    axes = range(grid.dim, 0, -1)
-    # exp(i t_j Lap) phi0, transformed one axis at a time, last first as
-    # fftn does, each input freed as its output is made: three such tables
-    # at most are alive, where fftn holds four
-    sources = np.multiply(pull, step.half * phi0.coeffs.conj())
-    np.conjugate(sources, out=sources)
-    for axis in axes:
-        sources = np.fft.ifft(sources, axis=axis, norm="forward")
+    sources = _TRANSFORMS[grid.dim][1](phases * phi0.coeffs, norm="forward")
     sources *= -1j * dt * spec.window.samples ** 2
-    for axis in axes:
-        sources = np.fft.fft(sources, axis=axis, norm="forward")
-    sources *= step.half  # h_j
-
-    last, rows = n_steps - 1, max(1, _SOURCE_BLOCK_POINTS // grid.n_points)
     phys = step.start(u0.coeffs)
-    for j in range(0, last, rows):
-        for kick in step.to_phys(sources[j:min(j + rows, last)]):
-            phys = step.across(phys)
-            phys += kick
-            step._nonlinear(phys)
-    c = step.to_modes(phys) + sources[-1]
-    sources *= pull  # E_{j+1} h_j
-    drift = pull[-1] * c - u0.coeffs - sources.sum(axis=0)
-    return FourierState(grid, c), FourierState(grid, drift)
-
-
-def _control_steps(grid: GridSpec) -> int:
-    """Number of midpoint steps of the controlled solve."""
-    return max(256, 4 * grid.modes_per_axis)
+    for source in sources[:-1]:
+        phys += source
+        phys = step.across(phys)
+        step._nonlinear(phys)
+    phys += sources[-1]
+    return FourierState(grid, step.to_modes(phys))
 
 
 def _control_tables(spec: GramianSpec, sigma: int):
     """What the controlled solves of one control run share, built once: the
-    inverse Cholesky factor of the midpoint Gramian, the stepper, and the
-    table E_{j+1} = exp(-i (j + 1) dt Lap), j < n_steps, of shape
-    (n_steps, *grid.shape)."""
-    grid, n_steps = spec.grid, _control_steps(spec.grid)
-    dt = spec.T / n_steps
-    t_end = (np.arange(1, n_steps + 1) * dt).reshape((-1,) + (1,) * grid.dim)
+    inverse Cholesky factor of the midpoint Gramian S, the stepper, the
+    midpoint phases exp(i t_j Lap) of shape (n_steps, *grid.shape), the
+    end phase exp(-i T Lap) and n_steps = max(256, 4N)."""
+    grid = spec.grid
+    n_steps = max(256, 4 * grid.modes_per_axis)
+    dt, lap = spec.T / n_steps, grid.laplacian_symbol()
+    t_mid = ((np.arange(n_steps) + 0.5) * dt).reshape((-1,) + (1,) * grid.dim)
     return (_cholesky(dense_gramian(spec, n_steps), spec),
             _StrangStep(grid, NLSParams(sigma=sigma, dt=dt, dealias=False)),
-            np.exp(-1j * t_end * grid.laplacian_symbol()))
+            np.exp(1j * t_mid * lap), np.exp(-1j * spec.T * lap), n_steps)
 
 
 def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
                       tol: float = 1e-8) -> tuple[FourierState, float, dict]:
     """Exact control of the cubic NLS to zero by Picard iteration.
 
-    Iterates phi0 <- S^{-1}(-i*(u0 + drift(phi0))) where drift collects the
-    interaction-picture nonlinear increments of the controlled forward
-    solve.  S is the Gramian of the stepper's own midpoint source, in
-    closed form (N x N, one column per transverse mode in 2D); it is
-    Cholesky-factored once, and each iteration costs two O(N^2) products
-    with the inverse factor.
-    The linear problem thus closes exactly and the certified forward
-    residual reduces to roundoff and the Picard tol.
+    Iterates phi0 <- phi0 - i S^{-1} exp(-i T Lap) u_phi0(T), u_phi0(T) the
+    final state of the controlled forward solve (`_controlled_forward`)
+    from u0.  By Duhamel over the discrete steps, exp(-i T Lap) u_phi0(T) =
+    u0 - i S phi0 + the nonlinear increments pulled back to t = 0, with S
+    the Gramian of the stepper's own midpoint source in closed form (N x N,
+    one column per transverse mode in 2D): the update is the linear HUM
+    control of what the nonlinearity adds.  S is Cholesky-factored once,
+    and each iteration costs one controlled solve and two O(N^2) products
+    with the inverse factor.  The linear problem thus closes exactly and
+    the certified forward residual reduces to roundoff and the Picard tol.
     The controlled solve takes max(256, 4N) midpoint steps, and the
     iteration at most 30 updates.
 
@@ -478,18 +445,18 @@ def _picard(u0: FourierState, spec: GramianSpec, tables, sigma: int,
             tol: float) -> tuple[FourierState, float, dict]:
     """The Picard iteration of `local_control_nls` on a nonzero u0, given
     the `_control_tables` of spec and sigma."""
-    grid, (factor, step, pull) = spec.grid, tables
-    n_steps, max_iter = _control_steps(grid), 30
+    grid, (factor, step, phases, end, n_steps) = spec.grid, tables
+    max_iter = 30
     u0_norm = u0.norm_l2()
     history = {"update_norms": [], "contraction_ratios": [], "iterations": 0}
     phi0 = zero_state(grid)
     prev_update = None
     for it in range(1, max_iter + 1):
-        _, drift = _controlled_forward(u0, spec, phi0, sigma, n_steps,
-                                       step=step, pull=pull)
-        rhs = -1j * (u0.coeffs + drift.coeffs).reshape(grid.modes_per_axis, -1)
-        phi_new = FourierState(grid, _solve(factor, rhs).reshape(grid.shape))
-        update = (phi_new - phi0).norm_l2()
+        final = _controlled_forward(u0, spec, phi0, sigma, n_steps,
+                                    step=step, phases=phases)
+        rhs = -1j * (end * final.coeffs).reshape(grid.modes_per_axis, -1)
+        delta = FourierState(grid, _solve(factor, rhs).reshape(grid.shape))
+        update = delta.norm_l2()
         history["update_norms"].append(update)
         if prev_update is not None and prev_update > 0:
             ratio = update / prev_update
@@ -499,7 +466,7 @@ def _picard(u0: FourierState, spec: GramianSpec, tables, sigma: int,
                     f"iterates expanding (ratio {ratio:.3g}); initial data too "
                     f"large for the admissible ball"
                 )
-        phi0 = phi_new
+        phi0 = phi0 + delta
         history["iterations"] = it
         if update <= tol * u0_norm:
             break
@@ -509,7 +476,7 @@ def _picard(u0: FourierState, spec: GramianSpec, tables, sigma: int,
             f"no convergence in {max_iter} Picard iterations "
             f"(last update {history['update_norms'][-1]:.3e})"
         )
-    final, _ = _controlled_forward(u0, spec, phi0, sigma, n_steps, step=step, pull=pull)
+    final = _controlled_forward(u0, spec, phi0, sigma, n_steps, step=step, phases=phases)
     return phi0, final.norm_l2(), history
 
 
@@ -574,46 +541,52 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
     each completed span of 10 time units (`_refit_span`); its leg stalls
     when the rate drops below `gamma_floor` or the time passes the horizon
     cap 50 / gamma.  The batch steps on grid values throughout, and goes
-    to modes at each check for the norms alone."""
+    to modes at each check for the norms alone.  A norm that is not
+    finite, at t = 0 or at a later check, raises NonFiniteStateError."""
     stride = 10
     h = stride * params.dt
     span = _refit_span(params.dt)
     grid = states[0].grid
     step = _StrangStep(grid, params)
     c = np.stack([u.coeffs for u in states])
-    norms = [[norm] for norm in _row_norms(c)]
+    norms = [[] for _ in states]
     active = list(range(len(states)))  # member index of each row of c
     results = [None] * len(states)
     checks, phys = 0, None  # phys: grid values of the rows of c
-    while True:
-        keep = []
-        for row, b in enumerate(active):
-            if norms[b][-1] <= threshold:
-                results[b] = (FourierState(grid, c[row].copy()), checks * h)
-                continue
-            keep.append(row)
-            if len(norms[b]) > span:
-                gamma = _decay_rate(h * np.arange(len(norms[b])),
-                                    np.square(norms[b]), 0.9)
-                if gamma < gamma_floor:
-                    raise StabilizationStallError(
-                        f"decay rate {gamma:.3e} below floor {gamma_floor:.1e}")
-                if checks * h > 50.0 / gamma:
-                    raise StabilizationStallError(
-                        f"threshold {threshold} not reached within horizon cap "
-                        f"50/gamma = {50.0 / gamma:.1f}")
-                norms[b] = norms[b][-1:]
-        if not keep:
-            return results
-        if len(keep) < len(active):
-            c, active = c[keep], [active[row] for row in keep]
-            phys = None if phys is None else phys[keep]
-        phys = (step.run(step.start(c), stride - 1) if phys is None
-                else step.run(phys, stride))
-        c = step.to_modes(phys)
-        checks += 1
-        for b, norm in zip(active, _row_norms(c)):
-            norms[b].append(norm)
+    # overflow is caught at its check, as a norm that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            row_norms = _row_norms(c)
+            if not np.isfinite(row_norms).all():
+                raise NonFiniteStateError(f"norm not finite at t = {checks * h:.6g}; "
+                                          f"the state overflowed")
+            keep = []
+            for row, (b, norm) in enumerate(zip(active, row_norms)):
+                norms[b].append(norm)
+                if norm <= threshold:
+                    results[b] = (FourierState(grid, c[row].copy()), checks * h)
+                    continue
+                keep.append(row)
+                if len(norms[b]) > span:
+                    gamma = _decay_rate(h * np.arange(len(norms[b])),
+                                        np.square(norms[b]), 0.9)
+                    if gamma < gamma_floor:
+                        raise StabilizationStallError(
+                            f"decay rate {gamma:.3e} below floor {gamma_floor:.1e}")
+                    if checks * h > 50.0 / gamma:
+                        raise StabilizationStallError(
+                            f"threshold {threshold} not reached within horizon cap "
+                            f"50/gamma = {50.0 / gamma:.1f}")
+                    norms[b] = norms[b][-1:]
+            if not keep:
+                return results
+            if len(keep) < len(active):
+                c, active = c[keep], [active[row] for row in keep]
+                phys = None if phys is None else phys[keep]
+            phys = (step.run(step.start(c), stride - 1) if phys is None
+                    else step.run(phys, stride))
+            c = step.to_modes(phys)
+            checks += 1
 
 
 def _row_norms(c: np.ndarray) -> np.ndarray:
@@ -654,22 +627,23 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
     if u0.grid != spec.grid or u1.grid != spec.grid:
         raise ValueError("grid mismatch")
     params = replace(params, damping=spec.window)
-    starts = []  # (leg start state, conjugate_reversed)
-    if u0.norm_l2() > 0.0:
-        starts.append((u0, False))
-    if u1.norm_l2() > 0.0:
-        starts.append((_conjugate(u1), True))
+    # (leg start state, conjugate_reversed, norm); an overflowed norm reads
+    # inf, and its damped leg raises NonFiniteStateError at t = 0
+    with np.errstate(over="ignore"):
+        starts = [(u, reverse, u.norm_l2()) for u, reverse in ((u0, False),
+                                                               (_conjugate(u1), True))]
+    starts = [start for start in starts if start[2] > 0.0]
     if not starts:
         return ControlSchedule(phases=[], endpoint_error_to_zero=0.0,
                                endpoint_error_to_target=0.0)
-    above = [u for u, _ in starts if u.norm_l2() > mass_threshold]
+    above = [u for u, _, norm in starts if norm > mass_threshold]
     damped = iter(_stabilize_to_threshold(above, params, mass_threshold) if above else [])
     tables = _control_tables(spec, params.sigma)
 
     phases, errors = [], {False: 0.0, True: 0.0}  # by conjugate_reversed
-    for u, reverse in starts:
+    for u, reverse, norm in starts:
         leg, t = [], 0.0
-        if u.norm_l2() > mass_threshold:
+        if norm > mass_threshold:
             u, t = next(damped)
             leg.append(ControlPhase(kind="damped", t_start=0.0, t_end=t))
         phi0, errors[reverse], _ = _picard(u, spec, tables, params.sigma, tol)

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FourierState, GridSpec
-from .hum import (_profile_coeffs, _real_window_form, check_dense_size,
-                  window_mode_matrix)
+from .hum import _profile_coeffs, _real_window_form, check_dense_size
 from .windows import CutoffWindow, multiply_window
 
 
@@ -156,10 +155,11 @@ def feasible_m(window: CutoffWindow, grid: GridSpec) -> float:
 
     For eigenvalue -(2*pi*k)^2 the eigenspace is span{e^{+-2*pi*i*k*x}};
     the constraint is m * (W_kk - |W_k,-k|) >= 1, or m * W_kk >= 1 at k = 0, N/2.
+    W is circulant in the chi^2 coefficients c: W_kk = c(0), W_k,-k = c(2k mod N).
     """
-    n, w_mat = grid.modes_per_axis, window_mode_matrix(window)
+    n, c = grid.modes_per_axis, _profile_coeffs(window)
     k = np.arange(n // 2 + 1)
-    lam_min = w_mat[k, k].real - np.where(k == -k % n, 0.0, np.abs(w_mat[k, -k]))
+    lam_min = c[0].real - np.where(k == -k % n, 0.0, np.abs(c[2 * k % n]))
     if lam_min.min() <= 0.0:
         raise InfeasibleResolventError("window does not observe the eigenspace of "
                                        f"mode |k| = {np.argmax(lam_min <= 0.0)}")

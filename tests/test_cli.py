@@ -499,11 +499,12 @@ def test_non_finite_numerics_exit_3(tmp_path, base_cfg, capsys, sub, fields, err
     assert not (out / f"{sub.replace('-', '_')}.json").exists()
 
 
-@pytest.mark.parametrize("sub", ["simulate", "stabilize"])
+@pytest.mark.parametrize("sub", ["simulate", "stabilize", "global-control"])
 def test_non_finite_evolution_exit_3(tmp_path, base_cfg, capsys, sub):
-    # a state whose mass overflows: a numerical failure at its first record,
-    # with no RuntimeWarning (the suite turns warnings into errors) and no
-    # report holding Infinity or NaN
+    # a state whose mass overflows: a numerical failure at its first record
+    # (global-control: its damped leg's first norm check), with no
+    # RuntimeWarning (the suite turns warnings into errors) and no report
+    # holding Infinity or NaN
     base_cfg["window"]["omega"] = [[0.0, 0.3]]
     base_cfg["initial_state"]["norm"] = 1e200
     base_cfg["nls"] = {"damped": True}
@@ -514,7 +515,8 @@ def test_non_finite_evolution_exit_3(tmp_path, base_cfg, capsys, sub):
     assert err.startswith("numerical failure: ") and "Traceback" not in err
     report = json.loads((out / "error.json").read_text())
     assert report["error"] == "NonFiniteStateError" and "t = 0;" in report["message"]
-    assert not (out / f"{sub}.json").exists() and not (out / f"{sub}.csv").exists()
+    name = sub.replace("-", "_")
+    assert not (out / f"{name}.json").exists() and not (out / f"{name}.csv").exists()
 
 
 @pytest.mark.parametrize("sub", ["simulate", "stabilize"])

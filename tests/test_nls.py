@@ -1,5 +1,8 @@
 """Split-step NLS solver, damping/decay, nonlinear control."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -357,11 +360,12 @@ def test_local_control_reaches_zero():
     assert max(hist["contraction_ratios"]) < 0.5
 
 
-@pytest.mark.parametrize("n", [32, 64])
-def test_local_control_linear_limit_is_exact(n):
+@pytest.mark.parametrize("dim,n", [pytest.param(1, 32, id="32"), pytest.param(1, 64, id="64"),
+                                   pytest.param(2, 16, id="2d-16")])
+def test_local_control_linear_limit_is_exact(dim, n):
     # sigma = 0: one solve with the stepper's own factored Gramian closes
     # the discrete linear problem to roundoff
-    g = make_grid(1, n)
+    g = make_grid(dim, n)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     spec = GramianSpec(T=1.0, window=w)
     u0 = random_state(g, np.random.default_rng(10), norm=0.05, max_mode=8)
@@ -403,18 +407,18 @@ def _controlled_forward_in_modes(u0, spec, phi0, sigma, n_steps):
     g, dt = spec.grid, spec.T / n_steps
     step = nls._StrangStep(g, NLSParams(sigma=sigma, dt=dt, dealias=False))
     lap, chi2 = g.laplacian_symbol(), spec.window.samples ** 2
-    c, pulled = u0.coeffs, 0.0
+    half = np.exp(0.5j * dt * lap)
+    c = u0.coeffs
     for j in range(n_steps):
         t = (j + 0.5) * dt
         s = np.fft.fftn(-1j * dt * chi2 * np.fft.ifftn(np.exp(1j * t * lap) * phi0.coeffs,
                                                          norm="forward"), norm="forward")
-        c = step(c) + s * step.half
-        pulled = pulled + np.exp(-1j * t * lap) * s
-    return c, np.exp(-1j * spec.T * lap) * c - u0.coeffs - pulled
+        c = step(c) + s * half
+    return c
 
 
 # dense transforms at 1D N = 32 and 2D N = 24, FFTs at 1D N = 128 and 2D
-# N = 48; on the 2D grids the sources go to grid values in 3 and 10 blocks
+# N = 48
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 24), (1, 128), (2, 48)])
 def test_controlled_solve_on_grid_values_matches_steps_in_modes(dim, n):
     g = make_grid(dim, n)
@@ -422,19 +426,38 @@ def test_controlled_solve_on_grid_values_matches_steps_in_modes(dim, n):
     rng = np.random.default_rng(18)
     u0 = random_state(g, rng, norm=0.3, max_mode=8)
     phi0 = random_state(g, rng, norm=2.0, max_mode=8)
-    n_steps = nls._control_steps(g)  # 256, and 512 at 1D N = 128
     for sigma in (-1, 0, 1):
-        _, step, pull = nls._control_tables(spec, sigma)
-        final, drift = nls._controlled_forward(u0, spec, phi0, sigma, n_steps,
-                                               step=step, pull=pull)
-        c, want = _controlled_forward_in_modes(u0, spec, phi0, sigma, n_steps)
+        _, step, phases, _, n_steps = nls._control_tables(spec, sigma)
+        assert n_steps == max(256, 4 * n)
+        final = nls._controlled_forward(u0, spec, phi0, sigma, n_steps,
+                                        step=step, phases=phases)
+        c = _controlled_forward_in_modes(u0, spec, phi0, sigma, n_steps)
         # the propagator across a step boundary is one rounded factor, the
         # same in every step, so the two solves part by up to about 1e-16
-        # per step (0.6-1.0e-14 seen at 256 steps, 1.7e-14 at 512); the
-        # drift's leading term E_n c_n has the final state's size
-        tol = 1e-16 * n_steps * np.linalg.norm(c)
-        assert np.linalg.norm(final.coeffs - c) <= tol
-        assert np.linalg.norm(drift.coeffs - want) <= tol
+        # per step (0.6-1.0e-14 seen at 256 steps, 1.7e-14 at 512)
+        assert np.linalg.norm(final.coeffs - c) <= 1e-16 * n_steps * np.linalg.norm(c)
+
+
+def test_tracer_counts_every_controlled_step():
+    # perfbench/spans.py wraps `_controlled_forward` and reads its n_steps
+    # (the fifth positional argument, or the keyword), and the "iterations"
+    # of the history `local_control_nls` returns: a change to either breaks
+    # a traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    g = make_grid(1, 32)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.3), 0.05, "smooth"))
+    u0 = random_state(g, np.random.default_rng(4), norm=0.05, max_mode=8)
+    with tracer.instrument(0):
+        _, _, hist = nls.local_control_nls(u0, spec, sigma=-1)
+    solves = sum(span[2] == "nls._controlled_forward" for span in tracer.spans)
+    metrics = tracer.layer_metrics(1.0)
+    assert solves == hist["iterations"] + 1
+    assert metrics["nls.forward_steps"] == 256 * solves
+    assert metrics["nls.picard_iters"] == hist["iterations"]
 
 
 def test_global_control_builds_one_control_stepper(monkeypatch):
