@@ -8,34 +8,32 @@ a self-adjoint nonnegative operator; it is positive (and invertible)
 exactly when the window observes every truncated mode.  The smallest
 eigenvalue gives the observability constant C_T = 1 / lambda_min(S).
 
-The production path is the N x N Gramian S_ab = W_ab * int_0^T
-exp(i*(mu_a - mu_b)*t) dt in closed form, W the circulant matrix of chi^2
-along the first axis, mu = (2*pi*k_1)^2.  A 2D strip couples only equal
-k_2, whose share of mu_a - mu_b cancels (S_2d = S ⊗ I), so C_T, the HUM
-solve and `drive_linear` act on (N, N**(dim-1)) coefficients, by column.
+The Gramian is S_ab = W_ab * int_0^T exp(i*(mu_a - mu_b)*t) dt in closed
+form, W the circulant matrix of chi^2 along the first axis,
+mu = (2*pi*k_1)^2.  A 2D strip couples only equal k_2, whose share of
+mu_a - mu_b cancels (S_2d = S ⊗ I), so C_T, the HUM solve and
+`drive_linear` act on (N, N**(dim-1)) coefficients, by column.
 
-lambda_min needs no complex matrix.  Centring time on [-T/2, T/2] is the
-diagonal similarity E = diag(exp(i*mu*T/2)): E^H S E = W * T sinc(x), with
-x = (mu_a - mu_b)*T/2.  chi^2 is real and mu is even in k, so the unitary U
-that pairs e_k and e_-k into (cos, sin) columns makes U^H W U real and
-leaves the kernel as it is; `_real_window_form` gathers that real form
-straight from the chi^2 coefficients, in any dim, whole or one block of
-slots at a time.  `_lambda_min_real` runs one real `eigvalsh` of it times
-T sinc(x) per connected block of its coupling graph, which
-`_coupled_blocks` finds from the nonzero support of the coefficients:
-one block for a 1D window whose chi^2 has no period below 1 (so
-`lambda_min_dense` is one eigensolve), the N/2 + 1 transverse pairs
-{k_2, -k_2} for a 2D strip (the strip check in `tensor`).  The resolvent
-sweep uses the whole form.  The solves keep the phased complex S.
+Every eigensolve and solve runs on one real form.  Centring time on
+[-T/2, T/2] is the similarity E = diag(exp(i*mu*T/2)): E^H S E = W * K,
+K = T sinc((mu_a - mu_b)*T/2) real.  chi^2 is real and mu even in k, so
+the unitary U pairing e_k and e_-k into (cos, sin) columns makes U^H W U
+real and leaves K as it is: S = P R P^H, P = E U, R = Re(U^H W U) * K
+(`_real_gramian`; `_pair` applies P^H or P).  `_real_window_form` gathers
+Re(U^H W U) from the chi^2 coefficients, in any dim, whole or one block of
+slots.  `_lambda_min_real` runs one real `eigvalsh` per connected block of
+its coupling graph (`_coupled_blocks`, from the nonzero support of the
+coefficients): one block for a 1D window whose chi^2 has no period below
+1, the N/2 + 1 transverse pairs {k_2, -k_2} for a 2D strip (the strip
+check in `tensor`).  The resolvent sweep uses the whole form.  Only
+`drive_linear` stays in the mode basis, so the certificate does not share
+the solve's representation.  The midpoint nodes of the NLS stepper are
+symmetric about T/2, so its Gramian (`_real_gramian(spec, n_steps)`)
+centres to a real form too; `local_control_nls` factors it once.
 
-The same closed form with the midpoint sum in place of the time integral
-(`dense_gramian(spec, n_steps)`) is the Gramian of the NLS stepper's own
-midpoint source; `local_control_nls` assembles and Cholesky-factors it once.
-
-Every production solve runs on numpy.linalg alone: `lambda_min_dense` runs
-real `eigvalsh`, and each Gramian is Cholesky-factored once (`_cholesky`),
-after which `_solve` costs two O(N^2) products per right-hand side.  The
-CLI and every production path therefore need numpy only.
+Every production path runs on numpy alone: real `eigvalsh`, and one real
+Cholesky factorization per form (`_cholesky`), after which `_solve` costs
+two real O(N^2) products per right-hand side.
 
 The matrix-free time quadrature (exact propagation between nodes) is kept
 only as an independent oracle that owns its nodes: `quadrature_gramian`
@@ -329,50 +327,57 @@ def quadrature_gramian(spec: GramianSpec, n_quad: int | None = None,
     return 0.5 * (s + s.conj().T)
 
 
-def _centred_kernel(mu: np.ndarray, T: float) -> np.ndarray:
-    """The exact-time kernel with time centred on [-T/2, T/2]: T * sinc(x),
-    x = (mu_a - mu_b)*T/2, sinc(y) = sin(y)/y, for mode energies mu.  It is
-    computed on the distinct values of mu and gathered."""
+def _centred_kernel(mu: np.ndarray, T: float, n_steps: int | None = None) -> np.ndarray:
+    """The Gramian's real time kernel, time centred on [-T/2, T/2], for mode
+    energies mu, d = mu_a - mu_b, x = d*T/2: int exp(i*d*t) dt = T sinc(x),
+    sinc(y) = sin(y)/y, or given n_steps the midpoint sum, the linear part
+    of the NLS stepper's controlled solve: h * sin(n*th)/sin(th), h = T/n,
+    th = x/n.  With th = m*pi + r, |r| <= pi/2, that is
+    (-1)^(m*(n-1)) * T * sinc(n*r)/sinc(r), finite where th is a nonzero
+    multiple of pi.  Computed on the distinct mu and gathered."""
     vals, inverse = np.unique(mu, return_inverse=True)
     x = np.subtract.outer(vals, vals) * (T / 2.0)
-    return (T * np.sinc(x / np.pi))[np.ix_(inverse, inverse)]
-
-
-def _time_kernel(w: np.ndarray, mu: np.ndarray, T: float, n_steps) -> np.ndarray:
-    """W * K for mode energies mu, in place over the mode matrix w, symmetrized.
-
-    With d = mu_a - mu_b and x = d*T/2, the exact integral is the phase
-    times `_centred_kernel`, K = int_0^T exp(i*d*t) dt = exp(i*x) * T * sinc(x).
-    Given n_steps, K is the midpoint sum h * sum_j exp(i*d*t_j),
-    t_j = (j + 1/2)*h, h = T/n: exp(i*x) * h * sin(n*th)/sin(th), th = x/n,
-    the linear part of the NLS stepper's controlled solve.  Reducing
-    th = m*pi + r, |r| <= pi/2, gives (-1)^(m*(n-1)) * n * sinc(n*r)/sinc(r),
-    finite where th is a nonzero multiple of pi.
-    """
-    x = np.subtract.outer(mu, mu) * (T / 2.0)
-    w *= np.exp(1j * x)
     if n_steps is None:
-        w *= _centred_kernel(mu, T)
+        kernel = T * np.sinc(x / np.pi)
     else:
         x /= n_steps
         m = np.rint(x / np.pi)
         x -= m * np.pi
-        w *= np.where(m * (n_steps - 1) % 2, -T, T)
-        w *= np.sinc(n_steps * x / np.pi) / np.sinc(x / np.pi)
-    return 0.5 * (w + w.conj().T)
+        kernel = np.where(m * (n_steps - 1) % 2, -T, T)
+        kernel *= np.sinc(n_steps * x / np.pi) / np.sinc(x / np.pi)
+    return kernel[np.ix_(inverse, inverse)]
 
 
-def dense_gramian(spec: GramianSpec, n_steps: int | None = None) -> np.ndarray:
-    """Dense N x N Gramian S = W * K of `_time_kernel`, exact in time or the
-    midpoint sum of n_steps; in 2D it acts on every k_2 alike (S_2d = S ⊗ I).
-    Grids past check_dense_size raise DenseSizeError."""
-    return _time_kernel(window_mode_matrix(spec.window), _mode_energies(spec.grid),
-                        spec.T, n_steps)
+def _real_gramian(spec: GramianSpec, n_steps: int | None = None) -> np.ndarray:
+    """R = Re(U^H W U) * `_centred_kernel`, S = P R P^H, exact in time or the
+    midpoint sum of n_steps; N x N, for every k_2 column alike.  Grids past
+    check_dense_size raise DenseSizeError."""
+    check_dense_size(spec.grid)
+    r = _real_window_form(_profile_coeffs(spec.window))
+    r *= _centred_kernel(_mode_energies(spec.grid), spec.T, n_steps)
+    return r
+
+
+def _pair(spec: GramianSpec, v: np.ndarray, back: bool = False) -> np.ndarray:
+    """P^H v, or P v given back, for v of shape (N, m) (one column per k_2
+    in 2D): P = E U, E = diag(exp(i*mu*T/2)), U the cos column at slot k,
+    0 < k < N/2, and the sin column at slot -k of `_real_window_form`."""
+    n = spec.grid.modes_per_axis
+    cos = np.arange(1, n // 2)
+    sin = n - cos
+    phase = np.exp(0.5j * spec.T * _mode_energies(spec.grid))[:, None]
+    out = v * (phase if back else phase.conj())
+    a, b = np.sqrt(0.5) * out[cos], np.sqrt(0.5) * out[sin]
+    if back:
+        b *= 1j
+        out[cos], out[sin] = a - b, a + b
+    else:
+        out[cos], out[sin] = a + b, 1j * (a - b)
+    return out
 
 
 def lambda_min_dense(spec: GramianSpec) -> float:
-    """Smallest eigenvalue of the exact-time dense Gramian, from its real
-    form (see the module docstring)."""
+    """Smallest eigenvalue of the exact-time Gramian, from its real form."""
     check_dense_size(spec.grid)
     return _lambda_min_real(_profile_coeffs(spec.window), _mode_energies(spec.grid),
                             spec.T)
@@ -380,11 +385,9 @@ def lambda_min_dense(spec: GramianSpec) -> float:
 
 def _lambda_min_real(c: np.ndarray, mu: np.ndarray, T: float) -> float:
     """lambda_min of the exact-time Gramian of chi^2 coefficients c and mode
-    energies mu (one per mode, in the order of `_real_window_form`): one
-    real `eigvalsh` of Re(U^H W U) * T sinc(x) per block of
-    `_coupled_blocks(c)`, whose smallest value it returns (NaN passes
-    through).  The kernel multiplies entrywise, so the blocks stay
-    decoupled; a single block is the whole form, bit for bit."""
+    energies mu (one per slot of `_real_window_form`): the least of one real
+    `eigvalsh` of the real form per block of `_coupled_blocks(c)` (NaN
+    passes through); a single block is the whole form, bit for bit."""
     lams = []
     for slots in _coupled_blocks(c):
         q = _real_window_form(c, slots)
@@ -413,7 +416,7 @@ def lambda_min_iterative(spec: GramianSpec) -> float:
 
 def observability_constant(spec: GramianSpec) -> float:
     """Observability constant C_T = 1 / lambda_min(S) at this truncation,
-    from the exact-time dense Gramian (a 2D strip has the 1D C_T).  A
+    from the exact-time Gramian (a 2D strip has the 1D C_T).  A
     lambda_min below CONDITIONING_FLOOR, or NaN, raises GramianSingularError."""
     return _floored_inverse(lambda_min_dense(spec), spec)
 
@@ -427,11 +430,11 @@ def _floored_inverse(lam_min: float, spec: GramianSpec) -> float:
     return 1.0 / lam_min
 
 
-def _cholesky(s_mat: np.ndarray, spec: GramianSpec) -> np.ndarray:
-    """Inverse Cholesky factor L^-1 of s_mat = L L^H, for `_solve`.  A matrix
-    that is not numerically positive definite raises GramianSingularError."""
+def _cholesky(r: np.ndarray, spec: GramianSpec) -> np.ndarray:
+    """Inverse Cholesky factor L^-1 of the real r = L L^T, for `_solve`; an r
+    not numerically positive definite raises GramianSingularError."""
     try:
-        lower = np.linalg.cholesky(s_mat)
+        lower = np.linalg.cholesky(r)
     except np.linalg.LinAlgError as exc:
         raise GramianSingularError(
             f"Gramian not numerically positive definite at "
@@ -442,37 +445,47 @@ def _cholesky(s_mat: np.ndarray, spec: GramianSpec) -> np.ndarray:
     return np.linalg.inv(lower)
 
 
+def _times(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """mat @ z, mat real, z complex (N, m): one real product on z's float view."""
+    return (mat @ np.ascontiguousarray(z).view(np.float64)).view(complex)
+
+
 def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """S^-1 rhs = L^-H (L^-1 rhs), given factor = `_cholesky`(S); rhs has one
-    column per right-hand side."""
-    return factor.conj().T @ (factor @ rhs)
+    """R^-1 rhs = L^-T (L^-1 rhs), given factor = `_cholesky`(R); the complex
+    rhs has one column per right-hand side."""
+    return _times(factor.T, _times(factor, rhs))
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def solve_hum(spec: GramianSpec, target: FourierState,
               tol: float = 1e-8) -> ControlSolution:
     """HUM minimizer phi0 driving `target` to zero at time T.
 
-    Solves S phi0 = -i * target with one Cholesky factorization of the
-    exact-time Gramian.  With the control source chi^2 exp(i*t*Lap) phi0 the
+    Solves S phi0 = -i * target in the paired basis, S = P R P^H, with one
+    real Cholesky factorization: v = P^H target, psi = R^-1 (-i v),
+    phi0 = P psi.  With the control source chi^2 exp(i*t*Lap) phi0 the
     Duhamel formula gives u(T) = exp(i*T*Lap) (u0 - i S phi0), so the
-    closed-loop final mass is ||target - i S phi0||; a residual above
-    tol * ||target||, or NaN, raises HUMConvergenceError.
+    closed-loop final mass is ||target - i S phi0|| = ||v - i R psi||; a
+    residual above tol * ||target||, or NaN, raises HUMConvergenceError.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if target.grid != spec.grid:
         raise ValueError("grid mismatch between target and Gramian spec")
-    s_mat = dense_gramian(spec)
-    u0 = target.coeffs.reshape(len(s_mat), -1)
-    phi = _solve(_cholesky(s_mat, spec), -1j * u0)
-    residual = float(np.linalg.norm(u0 - 1j * (s_mat @ phi)))
+    r = _real_gramian(spec)
+    v = _pair(spec, target.coeffs.reshape(len(r), -1))
+    psi = _solve(_cholesky(r, spec), -1j * v)
+    residual = float(np.linalg.norm(v - 1j * _times(r, psi)))
     if not residual <= tol * target.norm_l2():  # NaN fails too
         raise HUMConvergenceError(
             f"closed-loop residual {residual:.3e} above tol * ||target|| = "
             f"{tol * target.norm_l2():.3e}; the Gramian is effectively "
             f"ill-conditioned for this window/truncation"
         )
-    phi0 = FourierState(spec.grid, phi.reshape(spec.grid.shape))
+    phi0 = FourierState(spec.grid, _pair(spec, psi, back=True).reshape(spec.grid.shape))
     return ControlSolution(phi0=phi0, residual_l2=residual, iterations=0)
 
 
@@ -543,11 +556,13 @@ def hum_regularity_ratio(spec: GramianSpec, s: float, n_samples: int,
     reports the max and mean of ||phi0||_{H^s}.  Requires s >= 0 and a
     smooth window for the bounded-in-N contract to make sense.
     """
-    if s < 0.0:
-        raise ValueError("s must be >= 0")
+    if not 0.0 <= s < np.inf:
+        raise ValueError(f"s must be finite and >= 0, got {s}")
+    if not n_samples >= 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     grid = spec.grid
     if grid.dim != 1:
-        raise ValueError("regularity study uses the dense 1D Gramian")
+        raise ValueError("regularity study uses the 1D Gramian")
     # Sample from an N-stable Gaussian measure on the unit H^s sphere:
     # coefficients ~ g_k * (1+|2 pi k|^2)^{-(s+1)/2}.  The extra decay
     # makes the tail summable, so refining the grid only appends
@@ -556,7 +571,8 @@ def hum_regularity_ratio(spec: GramianSpec, s: float, n_samples: int,
     psi0 = (g[:, 0] + 1j * g[:, 1]) * sobolev_weights(grid, -(s + 1.0))
     weights = sobolev_weights(grid, s)
     psi0 /= np.linalg.norm(psi0 * weights, axis=1, keepdims=True)
-    phi0 = _solve(_cholesky(dense_gramian(spec), spec), psi0.T).T
+    factor = _cholesky(_real_gramian(spec), spec)
+    phi0 = _pair(spec, _solve(factor, _pair(spec, psi0.T)), back=True).T
     ratios = np.linalg.norm(phi0 * weights, axis=1)
     return {"max": float(ratios.max()), "mean": float(ratios.mean()),
             "ratios": ratios, "s": s, "n_samples": n_samples}

@@ -51,8 +51,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import FourierState, GridSpec, random_state, zero_state
-from .hum import (MAX_DENSE_POINTS, GramianSpec, _cholesky, _solve, check_dense_size,
-                  dense_gramian)
+from .hum import (MAX_DENSE_POINTS, GramianSpec, _check_tol, _cholesky, _pair,
+                  _real_gramian, _solve, check_dense_size)
 from .windows import CutoffWindow
 
 
@@ -400,14 +400,14 @@ def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
 
 def _control_tables(spec: GramianSpec, sigma: int):
     """What the controlled solves of one control run share, built once: the
-    inverse Cholesky factor of the midpoint Gramian S, the stepper, the
-    midpoint phases exp(i t_j Lap) of shape (n_steps, *grid.shape), the
-    end phase exp(-i T Lap) and n_steps = max(256, 4N)."""
+    inverse Cholesky factor of the midpoint Gramian's real form, the
+    stepper, the midpoint phases exp(i t_j Lap) of shape (n_steps,
+    *grid.shape), the end phase exp(-i T Lap) and n_steps = max(256, 4N)."""
     grid = spec.grid
     n_steps = max(256, 4 * grid.modes_per_axis)
     dt, lap = spec.T / n_steps, grid.laplacian_symbol()
     t_mid = ((np.arange(n_steps) + 0.5) * dt).reshape((-1,) + (1,) * grid.dim)
-    return (_cholesky(dense_gramian(spec, n_steps), spec),
+    return (_cholesky(_real_gramian(spec, n_steps), spec),
             _StrangStep(grid, NLSParams(sigma=sigma, dt=dt, dealias=False)),
             np.exp(1j * t_mid * lap), np.exp(-1j * spec.T * lap), n_steps)
 
@@ -422,17 +422,16 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
     u0 - i S phi0 + the nonlinear increments pulled back to t = 0, with S
     the Gramian of the stepper's own midpoint source in closed form (N x N,
     one column per transverse mode in 2D): the update is the linear HUM
-    control of what the nonlinearity adds.  S is Cholesky-factored once,
-    and each iteration costs one controlled solve and two O(N^2) products
-    with the inverse factor.  The linear problem thus closes exactly and
-    the certified forward residual reduces to roundoff and the Picard tol.
+    control of what the nonlinearity adds.  S's real form is factored
+    once, and each iteration costs one controlled solve and two real
+    O(N^2) products.  The linear problem thus closes exactly and the
+    certified forward residual reduces to roundoff and the Picard tol.
     The controlled solve takes max(256, 4N) midpoint steps, and the
     iteration at most 30 updates.
 
     Returns (phi0, forward residual, history dict).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if u0.grid != spec.grid:
         raise ValueError("grid mismatch")
     if u0.norm_l2() == 0.0:
@@ -454,8 +453,9 @@ def _picard(u0: FourierState, spec: GramianSpec, tables, sigma: int,
     for it in range(1, max_iter + 1):
         final = _controlled_forward(u0, spec, phi0, sigma, n_steps,
                                     step=step, phases=phases)
-        rhs = -1j * (end * final.coeffs).reshape(grid.modes_per_axis, -1)
-        delta = FourierState(grid, _solve(factor, rhs).reshape(grid.shape))
+        rhs = _pair(spec, -1j * (end * final.coeffs).reshape(grid.modes_per_axis, -1))
+        delta = _pair(spec, _solve(factor, rhs), back=True).reshape(grid.shape)
+        delta = FourierState(grid, delta)
         update = delta.norm_l2()
         history["update_norms"].append(update)
         if prev_update is not None and prev_update > 0:
@@ -622,8 +622,7 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
     DenseSizeError before any damped leg runs.
     """
     check_dense_size(spec.grid)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if u0.grid != spec.grid or u1.grid != spec.grid:
         raise ValueError("grid mismatch")
     params = replace(params, damping=spec.window)

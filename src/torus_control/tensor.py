@@ -8,14 +8,10 @@ lambda_min(S_2d) = lambda_min(S_1d) at truncation.  The production
 Gramian in `hum` relies on this and is N x N in 2D too.
 
 tensor-check verifies the identity on the genuinely 2D exact-time
-Gramian, whose block-circulant window matrix is built from the 2D chi^2
-coefficients over all N^2 modes.  Its lambda_min comes from the real form
-of `hum` (each mode (k_1, k_2) paired with (-k_1, -k_2), the time
-centred), one real `eigvalsh` per decoupled block.  The blocks are found
-from the nonzero support of those coefficients, not assumed: for a strip
-they are the N/2 + 1 transverse pairs {k_2, -k_2}, of at most 2N modes
-each.  `dense_gramian_2d`, the phased complex matrix itself, is the
-reference the tests check the blocks against.
+Gramian over all N^2 modes, in the real form of `hum` (each mode (k_1, k_2)
+paired with (-k_1, -k_2)), one real `eigvalsh` per block of the coupling
+graph of the 2D chi^2 coefficients: for a strip, the N/2 + 1 transverse
+pairs {k_2, -k_2}, of at most 2N modes each.  No N^2 x N^2 matrix is built.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import numpy as np
 
 from .grid import FourierState, make_grid
 from .hum import (GramianSpec, _check_entries, _chi2_coeffs, _floored_inverse,
-                  _lambda_min_real, _time_kernel, dense_gramian,
+                  _lambda_min_real, _pair, _real_gramian, _times,
                   observability_constant)
 
 
@@ -47,28 +43,12 @@ def compose_modes(slices: list[FourierState]) -> FourierState:
                         np.stack([s.coeffs for s in slices], axis=1))
 
 
-def dense_gramian_2d(spec: GramianSpec) -> np.ndarray:
-    """N^2 x N^2 exact-time Gramian of a 2D spec: the block-circulant
-    W_ab = (chi^2)^(k_a - k_b) (per-axis differences, aliased) times the
-    time kernel of `hum.dense_gramian` with mu = |2 pi k|^2.  Above
-    N^2 = MAX_DENSE_POINTS (N > 44) DenseSizeError, before any allocation."""
-    grid = spec.grid
-    _check_entries(grid, grid.n_points, "Gramian entries")
-    c = _chi2_coeffs(spec.window.samples)
-    n = grid.modes_per_axis
-    diff = np.subtract.outer(np.arange(n), np.arange(n)) % n
-    w = c[diff[:, None, :, None], diff[None, :, None, :]]
-    return _time_kernel(w.reshape(grid.n_points, grid.n_points),
-                        -grid.laplacian_symbol().ravel(), spec.T, None)
-
-
 def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     """(C_2d, C_1d) for the strip omega_1 x T versus its 1D base window.
 
     C_2d comes from the real form of the 2D Gramian (`hum._lambda_min_real`
-    on the N^2 modes, one eigensolve per decoupled block; the same matrix
-    as `dense_gramian_2d`, whose size guard, N <= 44, it keeps although no
-    N^2 x N^2 array is built), C_1d from the 1D Gramian, and both go
+    on the N^2 modes, one eigensolve per decoupled block, under the
+    N^2 x N^2 size guard, N <= 44), C_1d from the 1D Gramian, and both go
     through the conditioning floor of `observability_constant`.  The
     contract is |C_2d - C_1d| / C_1d at roundoff (exact transfer at
     truncation).
@@ -87,5 +67,7 @@ def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
 
 
 def observed_energy_1d(spec: GramianSpec, c: FourierState) -> float:
-    """int_0^T ||chi exp(i t Lap) c||^2 dt = <S c, c>, exact in time."""
-    return float(np.real(np.vdot(c.coeffs, dense_gramian(spec) @ c.coeffs)))
+    """int_0^T ||chi exp(i t Lap) c||^2 dt = <S c, c> = <R v, v>, exact in
+    time, with v = P^H c in the paired basis of `hum._pair`."""
+    v = _pair(spec, c.coeffs.reshape(spec.grid.modes_per_axis, -1))
+    return float(np.real(np.vdot(v, _times(_real_gramian(spec), v))))

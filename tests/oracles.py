@@ -1,0 +1,43 @@
+"""The phased complex Gramians: the references the real centred form of
+`torus_control.hum` is checked against.
+
+The package solves on S = P R P^H, R real (`hum._real_gramian`, `hum._pair`).
+These build S itself, W * K with K = exp(i*x) * `hum._centred_kernel`,
+x = (mu_a - mu_b)*T/2: the phase the real form centres away, put back
+entry by entry in complex arithmetic.  They take from the package only its
+kernel and its chi^2 coefficients.
+"""
+
+import numpy as np
+
+from torus_control.hum import _centred_kernel, _chi2_coeffs, window_mode_matrix
+
+
+def time_kernel(w, mu, T, n_steps=None):
+    """W * K for mode energies mu, in place over the mode matrix w,
+    symmetrized: K = int_0^T exp(i*d*t) dt, d = mu_a - mu_b, or given n_steps
+    its midpoint sum h * sum_j exp(i*d*t_j), t_j = (j + 1/2)*h, h = T/n."""
+    w *= np.exp(1j * np.subtract.outer(mu, mu) * (T / 2.0))
+    w *= _centred_kernel(mu, T, n_steps)
+    return 0.5 * (w + w.conj().T)
+
+
+def dense_gramian(spec, n_steps=None):
+    """Dense N x N Gramian S = W * K, exact in time or the midpoint sum of
+    n_steps; in 2D it acts on every k_2 alike (S_2d = S ⊗ I).  Grids past
+    `hum.check_dense_size` raise DenseSizeError."""
+    mu = (2.0 * np.pi * spec.grid.mode_indices()) ** 2
+    return time_kernel(window_mode_matrix(spec.window), mu, spec.T, n_steps)
+
+
+def dense_gramian_2d(spec):
+    """N^2 x N^2 exact-time Gramian of a 2D spec: the block-circulant
+    W_ab = (chi^2)^(k_a - k_b) (per-axis differences, aliased) times the
+    kernel of `dense_gramian` with mu = |2 pi k|^2."""
+    grid = spec.grid
+    c = _chi2_coeffs(spec.window.samples)
+    n = grid.modes_per_axis
+    diff = np.subtract.outer(np.arange(n), np.arange(n)) % n
+    w = c[diff[:, None, :, None], diff[None, :, None, :]]
+    return time_kernel(w.reshape(grid.n_points, grid.n_points),
+                       -grid.laplacian_symbol().ravel(), spec.T)

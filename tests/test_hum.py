@@ -3,21 +3,24 @@
 import numpy as np
 import pytest
 
-from torus_control import (GramianSpec, drive_linear, full_window, make_grid,
-                           make_window, observability_constant, random_state,
-                           solve_hum, synthesize_control)
+from torus_control import (GramianSpec, drive_linear, full_window, global_control,
+                           local_control_nls, make_grid, make_window,
+                           observability_constant, random_state, solve_hum,
+                           synthesize_control)
 from torus_control.grid import FourierState, zero_state
 from torus_control.hum import (MAX_DENSE_POINTS, DenseSizeError,
                                GramianSingularError, HUMConvergenceError,
                                _chi2_coeffs, _coupled_blocks, _floored_inverse,
-                               _real_window_form,
-                               check_dense_size, dense_gramian,
+                               _real_gramian, _real_window_form,
+                               check_dense_size,
                                hum_regularity_ratio, lambda_min_dense,
                                lambda_min_iterative, quadrature_gramian,
                                quadrature_nodes, resolved_n_quad,
                                window_mode_matrix)
 from torus_control.operators import free_propagate
 from torus_control.tensor import strip_observability_constant
+
+from oracles import dense_gramian
 
 
 @pytest.fixture
@@ -164,9 +167,9 @@ def test_dense_size_guard():
     # (2**20 modes: an n x n array could not be allocated at all)
     huge = GramianSpec(T=1.0, window=full_window(make_grid(1, 2 ** 20)))
     with pytest.raises(ValueError, match="2048"):
-        dense_gramian(huge)
+        _real_gramian(huge)
     with pytest.raises(ValueError, match="2048"):
-        dense_gramian(huge, 256)
+        _real_gramian(huge, 256)
     # the oracle refuses its node-by-mode phase table before allocating it
     # (N = 256 at T = 1 resolves with about 4e5 nodes)
     wide = GramianSpec(T=1.0, window=full_window(make_grid(1, 256)))
@@ -344,6 +347,32 @@ def test_regularity_ratio_statistics(small_setup):
     with pytest.raises(ValueError):
         hum_regularity_ratio(spec, s=-1.0, n_samples=2,
                              rng=np.random.default_rng(6))
+
+
+@pytest.mark.parametrize("call,name", [
+    pytest.param(lambda spec, u: solve_hum(spec, u, tol=np.nan), "tol", id="solve-tol-nan"),
+    pytest.param(lambda spec, u: solve_hum(spec, u, tol=np.inf), "tol", id="solve-tol-inf"),
+    pytest.param(lambda spec, u: solve_hum(spec, u, tol=0.0), "tol", id="solve-tol-0"),
+    pytest.param(lambda spec, u: local_control_nls(u, spec, tol=np.nan), "tol",
+                 id="local-tol-nan"),
+    pytest.param(lambda spec, u: local_control_nls(u, spec, tol=np.inf), "tol",
+                 id="local-tol-inf"),
+    pytest.param(lambda spec, u: global_control(u, u, spec, tol=np.nan), "tol",
+                 id="global-tol-nan"),
+    pytest.param(lambda spec, u: global_control(u, u, spec, tol=np.inf), "tol",
+                 id="global-tol-inf"),
+    *[pytest.param(lambda spec, u, s=s: hum_regularity_ratio(
+        spec, s, 2, np.random.default_rng(0)), "s", id=f"regularity-s-{s}")
+      for s in (np.nan, np.inf, -1.0)],
+    pytest.param(lambda spec, u: hum_regularity_ratio(
+        spec, 1.0, 0, np.random.default_rng(0)), "n_samples", id="regularity-n-0"),
+])
+def test_library_rejects_invalid_arguments(small_setup, call, name):
+    # an input error, raised before any numerical work, naming its argument
+    g, _, spec = small_setup
+    u = random_state(g, np.random.default_rng(0), norm=0.05, max_mode=8)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call(spec, u)
 
 
 def test_resolved_n_quad_scales_with_bandwidth():

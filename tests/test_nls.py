@@ -486,18 +486,18 @@ def test_global_control_builds_one_control_stepper(monkeypatch):
 def test_admissible_amplitude_factors_gramian_once(monkeypatch):
     # the three larger candidates diverge: all four share one midpoint Gramian
     assembled = []
-    dense_gramian, picard = nls.dense_gramian, nls._picard
+    real_gramian, picard = nls._real_gramian, nls._picard
 
     def counting(*args):
         assembled.append(args)
-        return dense_gramian(*args)
+        return real_gramian(*args)
 
     def small_only(u0, *args):
         if u0.norm_l2() > 0.06:
             raise PicardDivergenceError("too large")
         return picard(u0, *args)
 
-    monkeypatch.setattr(nls, "dense_gramian", counting)
+    monkeypatch.setattr(nls, "_real_gramian", counting)
     monkeypatch.setattr(nls, "_picard", small_only)
     g = make_grid(1, 32)
     spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.3), 0.05, "smooth"))

@@ -12,13 +12,15 @@ from hypothesis.extra.numpy import arrays
 
 from torus_control import GramianSpec, NLSParams, make_grid, make_window, nls
 from torus_control.grid import FourierState
-from torus_control.hum import (_centred_kernel, _chi2_coeffs, _coupled_blocks,
-                               _lambda_min_real, _real_window_form, dense_gramian,
+from torus_control.hum import (_centred_kernel, _chi2_coeffs, _cholesky,
+                               _coupled_blocks, _lambda_min_real, _pair,
+                               _real_gramian, _real_window_form, _solve,
                                lambda_min_dense, window_mode_matrix)
 from torus_control.operators import free_propagate
 from torus_control.resolvent import best_resolvent_constant
 from torus_control.io import state_from_json, state_to_json
-from torus_control.tensor import dense_gramian_2d
+
+from oracles import dense_gramian, dense_gramian_2d
 
 even_n = st.integers(2, 6).map(lambda h: 2 * h)  # N in {4, ..., 12}
 horizons = st.floats(0.1, 2.0)
@@ -29,11 +31,12 @@ real_samples = st.sampled_from([1, 2]).flatmap(
 
 
 @st.composite
-def windows(draw, dim):
-    """A window on one interval (a, b) of the first axis, sharp or smooth."""
+def windows(draw, dim, min_length=0.05):
+    """A window on one interval (a, b) of the first axis, b - a at least
+    min_length, sharp or smooth."""
     grid = make_grid(dim, draw(even_n))
-    a = draw(st.floats(0.0, 0.9))
-    b = draw(st.floats(a + 0.05, 1.0))
+    a = draw(st.floats(0.0, 0.95 - min_length))
+    b = draw(st.floats(a + min_length, 1.0))
     kind = draw(st.sampled_from(["sharp", "smooth"]))
     width = draw(st.floats(0.05, 0.95)) * (b - a) / 2.0
     return make_window(grid, (a, b), width, kind)
@@ -126,6 +129,61 @@ def test_centred_real_lambda_min_matches_the_phased_gramian(window, T):
     s = dense_gramian(spec)
     err = abs(lambda_min_dense(spec) - np.linalg.eigvalsh(s)[0])
     assert err <= 1e-12 * np.max(np.abs(s))
+
+
+def random_columns(grid, seed):
+    """Complex coefficients of shape (N, N**(dim-1)), one column per k_2."""
+    n = grid.modes_per_axis
+    g = np.random.default_rng(seed).standard_normal((2, n, n ** (grid.dim - 1)))
+    return g[0] + 1j * g[1]
+
+
+any_windows = st.sampled_from([1, 2]).flatmap(windows)
+midpoint_steps = st.none() | st.integers(8, 64)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@given(any_windows, horizons, seeds)
+def test_pair_round_trip_is_the_identity_and_keeps_the_norm(window, T, seed):
+    spec = GramianSpec(T=T, window=window)
+    v = random_columns(window.grid, seed)
+    paired = _pair(spec, v)
+    assert abs(np.linalg.norm(paired) - np.linalg.norm(v)) <= 1e-15 * np.linalg.norm(v)
+    assert np.linalg.norm(_pair(spec, paired, back=True) - v) <= 1e-15 * np.linalg.norm(v)
+
+
+@given(any_windows, horizons, midpoint_steps, seeds)
+def test_paired_real_form_is_the_phased_gramian(window, T, n_steps, seed):
+    # S = P R P^H with P = `_pair` back on the unit vectors, for the exact
+    # and the midpoint kernel; a 2D strip's S acts on each k_2 column, as
+    # the N^2 x N^2 Gramian does
+    spec = GramianSpec(T=T, window=window)
+    n = window.grid.modes_per_axis
+    p = _pair(spec, np.eye(n, dtype=complex), back=True)
+    r = _real_gramian(spec, n_steps)
+    s = dense_gramian(spec, n_steps)
+    assert r.dtype == np.float64
+    scale = np.linalg.norm(s, 2)
+    assert np.max(np.abs(p @ r @ p.conj().T - s)) <= 1e-13 * scale
+    if window.grid.dim == 2 and n_steps is None:
+        v = random_columns(window.grid, seed)
+        by_column = _pair(spec, r @ _pair(spec, v), back=True)
+        whole = dense_gramian_2d(spec) @ v.ravel()
+        assert np.linalg.norm(by_column.ravel() - whole) <= 1e-13 * scale * np.linalg.norm(v)
+
+
+@given(st.sampled_from([1, 2]).flatmap(lambda dim: windows(dim, min_length=0.5)),
+       st.floats(0.5, 2.0), midpoint_steps, seeds)
+def test_real_solve_is_the_complex_solve(window, T, n_steps, seed):
+    spec = GramianSpec(T=T, window=window)
+    s = dense_gramian(spec, n_steps)
+    cond = np.linalg.cond(s)
+    assume(cond < 1e6)
+    b = random_columns(window.grid, seed)
+    factor = _cholesky(_real_gramian(spec, n_steps), spec)
+    x = _pair(spec, _solve(factor, _pair(spec, b)), back=True)
+    ref = np.linalg.solve(s, b)
+    assert np.linalg.norm(x - ref) <= 1e-14 * cond * np.linalg.norm(ref)
 
 
 @given(windows(1), horizons, st.floats(0.0, 2.0))
