@@ -215,6 +215,9 @@ def _cmd_resolvent_sweep(args, cfg, rng, grid, window, out_dir):
             raise ConfigError(f"sweep.lambda_min: expected below sweep.lambda_max "
                               f"= {hi!r}, got {lo!r}")
         grid_lam = np.linspace(lo, hi, n_points)
+        if not np.isfinite(grid_lam).all():  # hi - lo past the float range
+            raise np.linalg.LinAlgError("the lambda grid from sweep.lambda_min to "
+                                        "sweep.lambda_max overflows")
     else:
         grid_lam = default_lambda_grid(grid, n_points)
     m = (feasible_m(window, grid) if scfg.get("m") is None

@@ -66,6 +66,10 @@ MAX_DENSE_POINTS = 2048
 # transforms at once (4 MB; at least one node, 64 MB at the dense cap)
 _ORACLE_BLOCK = 1 << 18
 
+# complex state entries `drive_linear` samples at once (256 kB; at least four
+# times)
+_SAMPLE_BLOCK = 1 << 14
+
 
 class GramianSingularError(RuntimeError):
     """lambda_min fell below the conditioning floor: observability is
@@ -511,9 +515,14 @@ def drive_linear(u0: FourierState, spec: GramianSpec,
 
     so every sample, of every k_2 column, comes from one matrix product.
     The samples are max(32, 4N) uniform times on [0, T], both endpoints
-    included; ||chi u(t)||^2 takes an FFT along the first axis only (chi is
-    constant in x_2, and Plancherel holds in k_2).  Returns the sampled
-    trajectory and ||u(T)||_L2, the root of the last mass sample.
+    included, taken in blocks of a multiple of 4 times that hold at most
+    2^14 state entries (or 4 times); ||u(t)||^2 and ||chi u(t)||^2 are
+    summed per block, the latter after an FFT along the first axis only
+    (chi is constant in x_2, and Plancherel holds in k_2).  Beside the N x N
+    matrices of W it holds a few arrays of one block (256 kB each), never
+    the whole trajectory, and no sample depends on the block size.
+    Returns the sampled trajectory and ||u(T)||_L2, the root of the last
+    mass sample.
     """
     if u0.grid != spec.grid or phi0.grid != spec.grid:
         raise ValueError("grid mismatch")
@@ -527,23 +536,32 @@ def drive_linear(u0: FourierState, spec: GramianSpec,
     a = np.where(degenerate, 0.0, w_mat / (1j * np.where(degenerate, 1.0, d)))
 
     # axes (k_1, t, k_2); the k_2 phase of exp(i t Lap) changes no mass.  One
-    # array, updated in place, holds S(t) phi, then u(t), then u(x_1, t)
+    # array per block, updated in place, holds S(t) phi, then u(t), then
+    # u(x_1, t)
     phi = phi0.coeffs.reshape(n, -1)
+    a_phi, b_phi = (a @ phi)[:, None], (b @ phi)[:, None]
+    start = u0.coeffs.reshape(n, 1, -1)
+    chi2 = spec.window.samples.reshape(n, 1, -1)[..., :1] ** 2  # x_1 profile
     # exp(-i mu t) on the N/2 + 1 distinct energies, gathered per mode
     vals, inverse = np.unique(mu, return_inverse=True)
-    free = np.exp(-1j * np.outer(vals, times))[inverse, :, None]
-    states = (a @ (free * phi[:, None]).reshape(n, -1)).reshape(n, len(times), -1)
-    states *= free.conj()
-    states -= (a @ phi)[:, None]
-    states += (b @ phi)[:, None] * times[:, None]
-    states *= -1j
-    states += u0.coeffs.reshape(n, 1, -1)
-    states *= free
-
-    mass = np.sum(np.abs(states) ** 2, axis=(0, 2))
-    states = np.fft.ifft(states, axis=0, norm="forward")
-    chi2 = spec.window.samples.reshape(n, 1, -1)[..., :1] ** 2  # x_1 profile
-    observed = np.sum(chi2 * np.abs(states) ** 2, axis=(0, 2)) / n
+    mass, observed = np.empty_like(times), np.empty_like(times)
+    # whole groups of 4 times, as max(32, 4N) is: each block's product then
+    # splits its columns as one product over all times does, and no sample
+    # depends on the block size
+    per = max(4, _SAMPLE_BLOCK // phi.size // 4 * 4)
+    for i in range(0, len(times), per):
+        t = times[i:i + per]
+        free = np.exp(-1j * np.outer(vals, t))[inverse, :, None]
+        states = (a @ (free * phi[:, None]).reshape(n, -1)).reshape(n, len(t), -1)
+        states *= free.conj()
+        states -= a_phi
+        states += b_phi * t[:, None]
+        states *= -1j
+        states += start
+        states *= free
+        mass[i:i + per] = np.sum(np.abs(states) ** 2, axis=(0, 2))
+        states = np.fft.ifft(states, axis=0, norm="forward")
+        observed[i:i + per] = np.sum(chi2 * np.abs(states) ** 2, axis=(0, 2)) / n
     record = TrajectoryRecord(times=times, mass=mass, observed_mass=observed)
     return record, float(np.sqrt(mass[-1]))
 

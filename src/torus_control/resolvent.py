@@ -16,8 +16,9 @@ In the real basis {1, sqrt2 cos 2 pi k x, sqrt2 sin 2 pi k x}, Q_r = Re(U^H Q U)
 is exact (chi^2 is real) and A stays diagonal (mu = (2 pi k)^2 is even in k), so
 a sweep builds Q_r = I - m * `hum._real_window_form` once, gathered from the
 chi^2 coefficients with the pairing U that lambda_min uses, and runs one real
-eigensolve per lambda; the complex formula survives only as the test
-reference.
+eigensolve per lambda: one at a time on the spectrum, stacked in blocks of
+bounded size off it.  A NaN M raises LinAlgError, never reads as 0.  The
+complex formula survives only as the test reference.
 
 Observability and resolvent constants convert both ways:
 forward  (M, m) = (2*C_T*T^3/3, 2*C_T*T);
@@ -62,8 +63,8 @@ def _real_form(m: float, window: CutoffWindow, grid: GridSpec) -> np.ndarray:
     """Q_r = Re(U^H (I - m W) U) = I - m * Re(U^H W U); column k of the
     unitary U is (e_k + e_-k)/sqrt2 and column -k is (e_k - e_-k)/(i sqrt2),
     0 < k < N/2 (`hum._real_window_form`)."""
-    if m < 0.0:
-        raise ValueError("m must be nonnegative")
+    if not 0.0 <= m < np.inf:
+        raise ValueError(f"m must be finite and >= 0, got {m}")
     if grid.dim != 1:
         raise ValueError("resolvent constants support 1D grids")
     check_dense_size(grid)
@@ -112,12 +113,33 @@ def _best_constant(lam: float, q: np.ndarray, lap: np.ndarray) -> float:
 
     inv_d = 1.0 / d[comp]
     g = inv_d[:, None] * q_eff * inv_d[None, :]  # eigvalsh reads one triangle
-    return max(0.0, float(np.linalg.eigvalsh(g)[-1]))
+    return float(_clamped(np.linalg.eigvalsh(g)[-1], lam)[0])
+
+
+def _clamped(top, lam) -> np.ndarray:
+    """max(0, top), top the top eigenvalues at lam; NaN raises LinAlgError."""
+    top, lam = np.atleast_1d(top), np.atleast_1d(lam)
+    bad = np.isnan(top)
+    if bad.any():
+        raise np.linalg.LinAlgError(
+            f"M(lambda) is NaN at lambda = {lam[bad][0]:.6g}: the form overflows")
+    return np.where(top > 0.0, top, 0.0)
+
+
+def _on_spectrum(lam: np.ndarray, lap: np.ndarray) -> np.ndarray:
+    """Which lambda lie within 1e-9 * scale of an eigenvalue of Lap: the
+    points where `_best_constant` finds a kernel."""
+    eigs = np.unique(lap)  # at least two: N >= 4
+    i = np.clip(np.searchsorted(eigs, lam), 1, len(eigs) - 1)
+    dist = np.minimum(np.abs(eigs[i - 1] - lam), np.abs(eigs[i] - lam))
+    return dist <= 1e-9 * np.maximum(np.abs(lam), max(-lap.min(), 1.0))
 
 
 def best_resolvent_constant(lam: float, m: float, window: CutoffWindow,
                             grid: GridSpec) -> float:
     """Smallest M >= 0 making the estimate hold for all states: a one-point sweep."""
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     return float(sweep([lam], m, window, grid).M_of_lambda[0])
 
 
@@ -168,19 +190,45 @@ def feasible_m(window: CutoffWindow, grid: GridSpec) -> float:
 
 def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow,
           grid: GridSpec) -> ResolventSweepResult:
-    """best_resolvent_constant over a lambda grid, on one real form Q_r."""
+    """best_resolvent_constant over a lambda grid, on one real form Q_r.
+
+    The lambda on the spectrum run first, one at a time through the kernel
+    elimination of `_best_constant`, so an infeasible lambda raises before
+    any other work.  Every other lambda needs only the top eigenvalue of
+    D^-1 Q_r D^-1: blocks of them, of at most 2^16 entries (one matrix
+    past N = 256), are filled in place in one buffer and go through one
+    stacked `eigvalsh`, with the bits of one lambda at a time.  Beside Q_r
+    and the few N x N arrays of one kernel elimination, the sweep holds
+    that buffer (512 kB) and O(N) numbers per lambda.  A NaN M(lambda),
+    from a form that overflows, raises LinAlgError.
+    """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
+    if not np.isfinite(lambda_grid).all():
+        raise ValueError("lambda_grid must be finite")
     q, lap = _real_form(m, window, grid), grid.laplacian_symbol()
     best = np.empty_like(lambda_grid)
-    for i, lam in enumerate(lambda_grid):
+    on = _on_spectrum(lambda_grid, lap)
+    for i in np.flatnonzero(on):
+        lam = lambda_grid[i]
         try:
             best[i] = _best_constant(lam, q, lap)
         except InfeasibleResolventError as exc:
             raise InfeasibleResolventError(
                 f"infeasible at lambda = {lam:.6g}, m = {m:.6g}: {exc}"
             ) from exc
+    off = np.flatnonzero(~on)
+    per = max(1, 2 ** 16 // q.size)
+    buf = np.empty((min(per, off.size),) + q.shape)
+    for start in range(0, off.size, per):
+        idx = off[start:start + per]
+        g = buf[:len(idx)]
+        inv_d = 1.0 / (lap - lambda_grid[idx, None])  # no kernel: d != 0
+        g[...] = q
+        g *= inv_d[:, :, None]
+        g *= inv_d[:, None, :]
+        best[idx] = _clamped(np.linalg.eigvalsh(g)[:, -1], lambda_grid[idx])
     return ResolventSweepResult(lambda_grid=lambda_grid, m_fixed=m, M_of_lambda=best)
 
 

@@ -1,5 +1,8 @@
-"""The phased complex Gramians: the references the real centred form of
-`torus_control.hum` is checked against.
+"""Reference implementations the package is checked against.
+
+The phased complex Gramians are the references for the real centred form of
+`torus_control.hum`; `commutator_norm` is the FFT-order reference for
+`torus_control.operators.commutator_operator_norm`.
 
 The package solves on S = P R P^H, R real (`hum._real_gramian`, `hum._pair`).
 These build S itself, W * K with K = exp(i*x) * `hum._centred_kernel`,
@@ -11,6 +14,8 @@ kernel and its chi^2 coefficients.
 import numpy as np
 
 from torus_control.hum import _centred_kernel, _chi2_coeffs, window_mode_matrix
+from torus_control.operators import (_refined_window_coeffs,
+                                     fractional_multiplier, sobolev_weights)
 
 
 def time_kernel(w, mu, T, n_steps=None):
@@ -41,3 +46,22 @@ def dense_gramian_2d(spec):
     w = c[diff[:, None, :, None], diff[None, :, None, :]]
     return time_kernel(w.reshape(grid.n_points, grid.n_points),
                        -grid.laplacian_symbol().ravel(), spec.T)
+
+
+def commutator_matrix(grid, r, s, f):
+    """Matrix of [D^r, f] from H^s to H^(s-r+1) in FFT order, gathered with
+    an int64 table of the unwrapped differences k - j and weighted out of
+    place."""
+    fhat = _refined_window_coeffs(grid, f)
+    k = grid.mode_indices()
+    dr = fractional_multiplier(grid, r)
+    diff = (k[:, None] - k[None, :]) % len(fhat)
+    mat = fhat[diff] * (dr[:, None] - dr[None, :])
+    w_out = sobolev_weights(grid, s - r + 1.0)
+    w_in = sobolev_weights(grid, s)
+    return (w_out[:, None] * mat) / w_in[None, :]
+
+
+def commutator_norm(grid, r, s, f):
+    """Largest singular value of `commutator_matrix`."""
+    return float(np.linalg.norm(commutator_matrix(grid, r, s, f), ord=2))

@@ -7,6 +7,7 @@ from torus_control import (GramianSpec, drive_linear, full_window, global_contro
                            local_control_nls, make_grid, make_window,
                            observability_constant, random_state, solve_hum,
                            synthesize_control)
+from torus_control import hum
 from torus_control.grid import FourierState, zero_state
 from torus_control.hum import (MAX_DENSE_POINTS, DenseSizeError,
                                GramianSingularError, HUMConvergenceError,
@@ -20,6 +21,7 @@ from torus_control.hum import (MAX_DENSE_POINTS, DenseSizeError,
 from torus_control.operators import free_propagate
 from torus_control.tensor import strip_observability_constant
 
+from conftest import traced_peak
 from oracles import dense_gramian
 
 
@@ -301,6 +303,35 @@ def test_drive_linear_is_exact_in_time(small_setup):
         phys = free_propagate(FourierState(g, v), t).physical()
         expect = np.mean(w.samples ** 2 * np.abs(phys) ** 2)
         assert record.observed_mass[j] == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 128), (2, 24)])
+def test_drive_linear_blocks_match_one_block(monkeypatch, dim, n):
+    # time blocks of 2^14 state entries (1D N = 128: 4 blocks of 128 times;
+    # 2D N = 24: 28, 28, 28 and 12 times) give the samples of the whole
+    # trajectory in one block, and of the smallest blocks (4 times), bit
+    # for bit
+    g = make_grid(dim, n)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.25), 0.05, "smooth"))
+    rng = np.random.default_rng(13)
+    u0, phi0 = random_state(g, rng), random_state(g, rng)
+    blocked, final = drive_linear(u0, spec, phi0)
+    for entries in (1, 1 << 30):
+        monkeypatch.setattr(hum, "_SAMPLE_BLOCK", entries)
+        other, other_final = drive_linear(u0, spec, phi0)
+        assert np.array_equal(blocked.mass, other.mass)
+        assert np.array_equal(blocked.observed_mass, other.observed_mass)
+        assert final == other_final
+
+
+def test_drive_linear_memory_is_bounded():
+    # one time block at a time: 2.0 MB at N = 128, where the whole
+    # trajectory held 4.2 MB
+    g = make_grid(1, 128)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.25), 0.05, "smooth"))
+    rng = np.random.default_rng(14)
+    u0, phi0 = random_state(g, rng), random_state(g, rng)
+    assert traced_peak(lambda: drive_linear(u0, spec, phi0)) <= 2.5e6
 
 
 def test_solve_hum_singular_gramian_raises():

@@ -9,9 +9,12 @@ from torus_control import (GramianSpec, constants_from_observability,
                            observability_constant, random_state, sweep,
                            verify_resolvent)
 from torus_control.hum import lambda_min_dense, window_mode_matrix
-from torus_control.resolvent import (InfeasibleResolventError,
-                                     best_resolvent_constant)
+from torus_control import resolvent
+from torus_control.resolvent import (InfeasibleResolventError, _best_constant,
+                                     _real_form, best_resolvent_constant)
 from torus_control.windows import full_window
+
+from conftest import traced_peak
 
 
 def complex_reference(lam, m, window, grid):
@@ -180,3 +183,83 @@ def test_full_window_resolvent_near_spectrum():
     lam = -((2 * np.pi * 2) ** 2)
     m_best = best_resolvent_constant(lam, 1.5, w, g)
     assert np.isfinite(m_best)
+
+
+def per_point_sweep(lam_grid, m, window, grid):
+    """M(lambda) from `_best_constant` one lambda at a time, in grid order,
+    raising as a sweep does."""
+    q, lap = _real_form(m, window, grid), grid.laplacian_symbol()
+    best = np.empty(len(lam_grid))
+    for i, lam in enumerate(lam_grid):
+        try:
+            best[i] = _best_constant(lam, q, lap)
+        except InfeasibleResolventError as exc:
+            raise InfeasibleResolventError(
+                f"infeasible at lambda = {lam:.6g}, m = {m:.6g}: {exc}") from exc
+    return best
+
+
+@pytest.mark.parametrize("n", [8, 32, 64, 96])
+def test_stacked_sweep_matches_per_point_loop(n):
+    # stacked off-spectrum eigensolves give the per-lambda loop's M(lambda)
+    # bit for bit: on the default grid (with its eigenvalues and their close
+    # neighbours) and on a uniform grid crossing the eigenvalues
+    g = make_grid(1, n)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    m = feasible_m(w, g)
+    top = (2.0 * np.pi * n / 2.0) ** 2
+    for lam_grid in (default_lambda_grid(g), np.linspace(-1.1 * top, 50.0, 301)):
+        expect = per_point_sweep(lam_grid, m, w, g)
+        assert np.array_equal(sweep(lam_grid, m, w, g).M_of_lambda, expect)
+
+
+def test_stacked_sweep_raises_the_per_point_infeasibility():
+    # the first infeasible eigenvalue in grid order raises, with the same
+    # message, although the off-spectrum points are now solved after it
+    g = make_grid(1, 32)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    lam_grid = default_lambda_grid(g)
+    with pytest.raises(InfeasibleResolventError) as expect:
+        per_point_sweep(lam_grid, 0.5, w, g)
+    with pytest.raises(InfeasibleResolventError) as got:
+        sweep(lam_grid, 0.5, w, g)
+    assert str(got.value) == str(expect.value)
+
+
+@pytest.mark.parametrize("lam", [-50.0, -((2 * np.pi) ** 2)])
+def test_nan_resolvent_constant_raises(monkeypatch, lam):
+    # an infinite zero-mode entry of the form makes eigvalsh return NaN
+    # without a LAPACK error; M(lambda) = max(0, NaN) must not read 0, off
+    # the spectrum (stacked path) or on it (kernel elimination)
+    g = make_grid(1, 16)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    q = _real_form(feasible_m(w, g), w, g)
+    q[0, 0] = np.inf
+    monkeypatch.setattr(resolvent, "_real_form", lambda *args: q)
+    with pytest.raises(np.linalg.LinAlgError, match="NaN"):
+        sweep([lam], 1.0, w, g)
+
+
+def test_library_rejects_invalid_arguments():
+    g = make_grid(1, 16)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    for lam_grid in ([np.inf], [np.nan], [-10.0, np.nan, 5.0]):
+        with pytest.raises(ValueError, match="^lambda_grid must be finite"):
+            sweep(lam_grid, 1.0, w, g)
+    for lam in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            best_resolvent_constant(lam, 1.0, w, g)
+    for m in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="^m must be finite and >= 0"):
+            sweep([-10.0], m, w, g)
+        with pytest.raises(ValueError, match="^m must be finite and >= 0"):
+            best_resolvent_constant(-10.0, m, w, g)
+
+
+def test_sweep_memory_is_bounded():
+    # Q_r, one stacked block of at most 2^16 entries (512 kB) and O(N)
+    # vectors per lambda: 0.7 MB at N = 96
+    g = make_grid(1, 96)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    m, lam_grid = feasible_m(w, g), default_lambda_grid(g)
+    assert traced_peak(lambda: sweep(lam_grid, m, w, g)) <= 2.5e6
