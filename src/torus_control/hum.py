@@ -27,9 +27,9 @@ coefficients): one block for a 1D window whose chi^2 has no period below
 1, the N/2 + 1 transverse pairs {k_2, -k_2} for a 2D strip (the strip
 check in `tensor`).  The resolvent sweep uses the whole form.  Only
 `drive_linear` stays in the mode basis, so the certificate does not share
-the solve's representation.  The midpoint nodes of the NLS stepper are
-symmetric about T/2, so its Gramian (`_real_gramian(spec, n_steps)`)
-centres to a real form too; `local_control_nls` factors it once.
+the solve's representation.  The NLS controlled solve adds each step's
+exact source, W * `_centred_kernel(mu, dt)` (the Gramian of one step),
+whose steps sum to S: `local_control_nls` factors this same R once.
 
 Every production path runs on numpy alone: real `eigvalsh`, and one real
 Cholesky factorization per form (`_cholesky`), after which `_solve` costs
@@ -331,34 +331,22 @@ def quadrature_gramian(spec: GramianSpec, n_quad: int | None = None,
     return 0.5 * (s + s.conj().T)
 
 
-def _centred_kernel(mu: np.ndarray, T: float, n_steps: int | None = None) -> np.ndarray:
+def _centred_kernel(mu: np.ndarray, T: float) -> np.ndarray:
     """The Gramian's real time kernel, time centred on [-T/2, T/2], for mode
-    energies mu, d = mu_a - mu_b, x = d*T/2: int exp(i*d*t) dt = T sinc(x),
-    sinc(y) = sin(y)/y, or given n_steps the midpoint sum, the linear part
-    of the NLS stepper's controlled solve: h * sin(n*th)/sin(th), h = T/n,
-    th = x/n.  With th = m*pi + r, |r| <= pi/2, that is
-    (-1)^(m*(n-1)) * T * sinc(n*r)/sinc(r), finite where th is a nonzero
-    multiple of pi.  Computed on the distinct mu and gathered."""
+    energies mu, d = mu_a - mu_b: int exp(i*d*t) dt = T sinc(d*T/2),
+    sinc(y) = sin(y)/y; at T = dt, that of one step of the NLS controlled
+    solve.  Computed on the distinct mu and gathered."""
     vals, inverse = np.unique(mu, return_inverse=True)
     x = np.subtract.outer(vals, vals) * (T / 2.0)
-    if n_steps is None:
-        kernel = T * np.sinc(x / np.pi)
-    else:
-        x /= n_steps
-        m = np.rint(x / np.pi)
-        x -= m * np.pi
-        kernel = np.where(m * (n_steps - 1) % 2, -T, T)
-        kernel *= np.sinc(n_steps * x / np.pi) / np.sinc(x / np.pi)
-    return kernel[np.ix_(inverse, inverse)]
+    return (T * np.sinc(x / np.pi))[np.ix_(inverse, inverse)]
 
 
-def _real_gramian(spec: GramianSpec, n_steps: int | None = None) -> np.ndarray:
-    """R = Re(U^H W U) * `_centred_kernel`, S = P R P^H, exact in time or the
-    midpoint sum of n_steps; N x N, for every k_2 column alike.  Grids past
-    check_dense_size raise DenseSizeError."""
+def _real_gramian(spec: GramianSpec) -> np.ndarray:
+    """R = Re(U^H W U) * `_centred_kernel`, S = P R P^H; N x N, for every k_2
+    column alike.  Grids past check_dense_size raise DenseSizeError."""
     check_dense_size(spec.grid)
     r = _real_window_form(_profile_coeffs(spec.window))
-    r *= _centred_kernel(_mode_energies(spec.grid), spec.T, n_steps)
+    r *= _centred_kernel(_mode_energies(spec.grid), spec.T)
     return r
 
 
@@ -518,8 +506,8 @@ def drive_linear(u0: FourierState, spec: GramianSpec,
     included, taken in blocks of a multiple of 4 times that hold at most
     2^14 state entries (or 4 times); ||u(t)||^2 and ||chi u(t)||^2 are
     summed per block, the latter after an FFT along the first axis only
-    (chi is constant in x_2, and Plancherel holds in k_2).  Beside the N x N
-    matrices of W it holds a few arrays of one block (256 kB each), never
+    (chi is constant in x_2, and Plancherel holds in k_2).  Beside A, built
+    in place over W, it holds a few arrays of one block (256 kB each), never
     the whole trajectory, and no sample depends on the block size.
     Returns the sampled trajectory and ||u(T)||_L2, the root of the last
     mass sample.
@@ -529,17 +517,22 @@ def drive_linear(u0: FourierState, spec: GramianSpec,
     n = spec.grid.modes_per_axis
     times = np.linspace(0.0, spec.T, max(32, 4 * n))
     mu = _mode_energies(spec.grid)
-    d = np.subtract.outer(mu, mu)
-    degenerate = d == 0.0
-    w_mat = window_mode_matrix(spec.window)
-    b = np.where(degenerate, w_mat, 0.0)
-    a = np.where(degenerate, 0.0, w_mat / (1j * np.where(degenerate, 1.0, d)))
+    phi = phi0.coeffs.reshape(n, -1)
+    # d = 0 on k_b = +-k_a alone (mu is even in k): B phi = W_kk phi_k +
+    # W_k,-k phi_-k, one term where k = -k mod N.  A is W, divided in place
+    k, rows = np.arange(n), max(1, _SAMPLE_BLOCK // n)
+    pair = -k % n
+    a = window_mode_matrix(spec.window)
+    b_phi = a[k, k][:, None] * phi + np.where(pair != k, a[k, pair], 0.0)[:, None] * phi[pair]
+    with np.errstate(divide="ignore", invalid="ignore"):  # d = 0, zeroed next
+        for lo in range(0, n, rows):
+            a[lo:lo + rows] /= 1j * np.subtract.outer(mu[lo:lo + rows], mu)
+    a[k, k] = a[k, pair] = 0.0
 
     # axes (k_1, t, k_2); the k_2 phase of exp(i t Lap) changes no mass.  One
     # array per block, updated in place, holds S(t) phi, then u(t), then
     # u(x_1, t)
-    phi = phi0.coeffs.reshape(n, -1)
-    a_phi, b_phi = (a @ phi)[:, None], (b @ phi)[:, None]
+    a_phi, b_phi = (a @ phi)[:, None], b_phi[:, None]
     start = u0.coeffs.reshape(n, 1, -1)
     chi2 = spec.window.samples.reshape(n, 1, -1)[..., :1] ** 2  # x_1 profile
     # exp(-i mu t) on the N/2 + 1 distinct energies, gathered per mode

@@ -18,8 +18,8 @@ run this one step (`_StrangStep`), on grid values from their first step
 to their last: since linear(dt/2) . linear(dt/2) = linear(dt), one
 propagator joins consecutive nonlinear sub-flows.  They go back to modes
 only in batched transforms at `evolve`'s records, at the damped legs'
-10-step norm checks and at the end; the controlled solve adds its
-midpoint source, made on the grid, before each propagator.
+10-step norm checks and at the end; the controlled solve adds each
+step's exact source before each propagator.
 Coefficients of shape (B, *grid.shape) advance B states at once: global
 control runs the damped legs of u0 and conj(u1) as one batch, each
 member leaving it at its first 10-step check with ||u|| at or below the
@@ -35,13 +35,13 @@ the recorded observed series.
 
 Local exact control near zero is a fixed point around the linear HUM
 control: phi0 <- phi0 - i S^{-1} exp(-i T Lap) u_phi0(T), with u_phi0(T)
-the final state of the controlled solve and S the Gramian of the
-stepper's own midpoint source, assembled in closed form.  The linear
-part of the discrete stepper is then inverted exactly, so at the fixed
-point the discrete final state vanishes up to roundoff and the Picard
-tolerance.  A control run (both legs of global control, every candidate
-of `admissible_amplitude`) factors S and builds its stepper and phase
-tables once.
+the final state of the controlled solve and S the exact-time Gramian of
+`solve_hum`.  Each step of the controlled solve adds the exact increment
+of the source (an integrating-factor step), and these sum to S, so the
+linear part of the discrete stepper is inverted exactly for every dt (at
+sigma = 0 phi0 is the HUM control).  A control run (both legs of global
+control, every candidate of `admissible_amplitude`) factors S and builds
+its tables once.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import FourierState, GridSpec, random_state, zero_state
-from .hum import (MAX_DENSE_POINTS, GramianSpec, _check_tol, _cholesky, _pair,
-                  _real_gramian, _solve, check_dense_size)
+from .hum import (MAX_DENSE_POINTS, GramianSpec, _centred_kernel, _check_tol,
+                  _cholesky, _mode_energies, _pair, _real_gramian, _solve,
+                  check_dense_size, window_mode_matrix)
 from .windows import CutoffWindow
 
 
@@ -372,26 +373,28 @@ def mass_decay_residual(record: DecayRecord) -> float:
 
 def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
                         sigma: int, n_steps: int, *, step: _StrangStep,
-                        phases: np.ndarray) -> FourierState:
+                        phases: np.ndarray, source: np.ndarray) -> FourierState:
     """Final state of i u_t + Lap u = sigma|u|^2 u + chi^2 exp(i t Lap) phi0.
 
     Strang steps without dealiasing (the truncation mask acts linearly on
     the state and would leak an amplitude-independent term into the fixed
-    point), the source taken at each step's midpoint t_j and integrated
-    over the step: in modes, step j maps c_j to half * (nonlinear sub-flow
-    of half * c_j + s_j), s_j = -i dt chi^2 exp(i t_j Lap) phi0.  So on
+    point), each with the exact increment of the source: in modes, step j
+    maps c_j to half * (nonlinear sub-flow of half * c_j + s_j),
+    s_j = -i G exp(i t_j Lap) phi0 at its midpoint t_j, G the Gramian of the
+    step centred on it; pulled back to t = 0 the s_j sum to -i S phi0.  On
     grid values s_j is added just before the propagator `across` that ends
-    step j (`to_modes` after the last step), with no transform of its own:
-    the sources of all steps come from one batched inverse transform of
-    the table `phases` of exp(i t_j Lap), times -i dt chi^2.  `phases` and
-    `step` (of sigma) come from `_control_tables`.
+    step j (`to_modes` after the last step): all sources come from one
+    product of `source` = -i G with the table `phases` of exp(i t_j Lap)
+    times phi0 (per k_2 column in 2D), then one batched inverse transform.
+    `phases`, `source` and `step` (of sigma) come from `_control_tables`.
     """
-    grid, dt = spec.grid, spec.T / n_steps
-    sources = _TRANSFORMS[grid.dim][1](phases * phi0.coeffs, norm="forward")
-    sources *= -1j * dt * spec.window.samples ** 2
+    grid, n = spec.grid, spec.grid.modes_per_axis
+    # in 1D one matrix-vector product per step, for `_dft_transforms`' reason
+    modes = source @ (phases * phi0.coeffs).reshape(n_steps, n, -1)
+    sources = _TRANSFORMS[grid.dim][1](modes.reshape(phases.shape), norm="forward")
     phys = step.start(u0.coeffs)
-    for source in sources[:-1]:
-        phys += source
+    for s in sources[:-1]:
+        phys += s
         phys = step.across(phys)
         step._nonlinear(phys)
     phys += sources[-1]
@@ -400,16 +403,18 @@ def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
 
 def _control_tables(spec: GramianSpec, sigma: int):
     """What the controlled solves of one control run share, built once: the
-    inverse Cholesky factor of the midpoint Gramian's real form, the
-    stepper, the midpoint phases exp(i t_j Lap) of shape (n_steps,
-    *grid.shape), the end phase exp(-i T Lap) and n_steps = max(256, 4N)."""
+    inverse Cholesky factor of `solve_hum`'s real form, the stepper, the
+    midpoint phases exp(i t_j Lap) of shape (n_steps, *grid.shape), the
+    source table -i G (G = W * the time kernel of one step, N x N), the end
+    phase exp(-i T Lap) and n_steps = max(256, 4N)."""
     grid = spec.grid
     n_steps = max(256, 4 * grid.modes_per_axis)
     dt, lap = spec.T / n_steps, grid.laplacian_symbol()
     t_mid = ((np.arange(n_steps) + 0.5) * dt).reshape((-1,) + (1,) * grid.dim)
-    return (_cholesky(_real_gramian(spec, n_steps), spec),
+    source = -1j * _centred_kernel(_mode_energies(grid), dt) * window_mode_matrix(spec.window)
+    return (_cholesky(_real_gramian(spec), spec),
             _StrangStep(grid, NLSParams(sigma=sigma, dt=dt, dealias=False)),
-            np.exp(1j * t_mid * lap), np.exp(-1j * spec.T * lap), n_steps)
+            np.exp(1j * t_mid * lap), source, np.exp(-1j * spec.T * lap), n_steps)
 
 
 def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
@@ -420,14 +425,14 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
     final state of the controlled forward solve (`_controlled_forward`)
     from u0.  By Duhamel over the discrete steps, exp(-i T Lap) u_phi0(T) =
     u0 - i S phi0 + the nonlinear increments pulled back to t = 0, with S
-    the Gramian of the stepper's own midpoint source in closed form (N x N,
-    one column per transverse mode in 2D): the update is the linear HUM
-    control of what the nonlinearity adds.  S's real form is factored
-    once, and each iteration costs one controlled solve and two real
-    O(N^2) products.  The linear problem thus closes exactly and the
-    certified forward residual reduces to roundoff and the Picard tol.
-    The controlled solve takes max(256, 4N) midpoint steps, and the
-    iteration at most 30 updates.
+    the exact-time Gramian of `solve_hum` (N x N, one column per transverse
+    mode in 2D): the update is the linear HUM control of what the
+    nonlinearity adds.  S's real form is factored once, and each iteration
+    costs one controlled solve and two real O(N^2) products.  The linear
+    problem thus closes exactly (at sigma = 0 phi0 is `solve_hum`'s) and
+    the certified forward residual reduces to roundoff and the Picard tol.
+    The controlled solve takes max(256, 4N) steps, and the iteration at
+    most 30 updates.
 
     Returns (phi0, forward residual, history dict).
     """
@@ -444,7 +449,7 @@ def _picard(u0: FourierState, spec: GramianSpec, tables, sigma: int,
             tol: float) -> tuple[FourierState, float, dict]:
     """The Picard iteration of `local_control_nls` on a nonzero u0, given
     the `_control_tables` of spec and sigma."""
-    grid, (factor, step, phases, end, n_steps) = spec.grid, tables
+    grid, (factor, step, phases, source, end, n_steps) = spec.grid, tables
     max_iter = 30
     u0_norm = u0.norm_l2()
     history = {"update_norms": [], "contraction_ratios": [], "iterations": 0}
@@ -452,7 +457,7 @@ def _picard(u0: FourierState, spec: GramianSpec, tables, sigma: int,
     prev_update = None
     for it in range(1, max_iter + 1):
         final = _controlled_forward(u0, spec, phi0, sigma, n_steps,
-                                    step=step, phases=phases)
+                                    step=step, phases=phases, source=source)
         rhs = _pair(spec, -1j * (end * final.coeffs).reshape(grid.modes_per_axis, -1))
         delta = _pair(spec, _solve(factor, rhs), back=True).reshape(grid.shape)
         delta = FourierState(grid, delta)
@@ -476,7 +481,8 @@ def _picard(u0: FourierState, spec: GramianSpec, tables, sigma: int,
             f"no convergence in {max_iter} Picard iterations "
             f"(last update {history['update_norms'][-1]:.3e})"
         )
-    final = _controlled_forward(u0, spec, phi0, sigma, n_steps, step=step, phases=phases)
+    final = _controlled_forward(u0, spec, phi0, sigma, n_steps,
+                                step=step, phases=phases, source=source)
     return phi0, final.norm_l2(), history
 
 
@@ -484,7 +490,7 @@ def admissible_amplitude(grid: GridSpec, spec: GramianSpec, sigma: int,
                          rng: np.random.Generator) -> float:
     """Largest of the amplitudes 0.4, 0.2, 0.1, 0.05 at which the control
     fixed point (Picard tol 1e-8) converges with a contracting iteration.
-    Measured, never assumed; the midpoint Gramian is factored, and the
+    Measured, never assumed; the exact-time Gramian is factored, and the
     stepper and its tables are built, once for all candidates."""
     if grid != spec.grid:
         raise ValueError("grid mismatch")
@@ -617,9 +623,9 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
     solutions of the same equation, that leg reversed and conjugated is a
     valid 0 -> u1 trajectory and is emitted as such.  The damped phases of
     both legs run as one batch, and both control phases share one
-    `_control_tables` build: the factor of the midpoint Gramian, the
-    stepper and its phase table.  Grids past check_dense_size raise
-    DenseSizeError before any damped leg runs.
+    `_control_tables` build (the factor of the exact-time Gramian, the
+    stepper, its tables).  Grids past check_dense_size raise DenseSizeError
+    before any damped leg runs.
     """
     check_dense_size(spec.grid)
     _check_tol(tol)

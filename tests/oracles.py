@@ -8,7 +8,9 @@ The package solves on S = P R P^H, R real (`hum._real_gramian`, `hum._pair`).
 These build S itself, W * K with K = exp(i*x) * `hum._centred_kernel`,
 x = (mu_a - mu_b)*T/2: the phase the real form centres away, put back
 entry by entry in complex arithmetic.  They take from the package only its
-kernel and its chi^2 coefficients.
+kernel and its chi^2 coefficients.  The midpoint sum of the same kernel
+(`midpoint_kernel`) is the closed form of the quadrature oracle's midpoint
+rule; no production path uses it.
 """
 
 import numpy as np
@@ -23,8 +25,21 @@ def time_kernel(w, mu, T, n_steps=None):
     symmetrized: K = int_0^T exp(i*d*t) dt, d = mu_a - mu_b, or given n_steps
     its midpoint sum h * sum_j exp(i*d*t_j), t_j = (j + 1/2)*h, h = T/n."""
     w *= np.exp(1j * np.subtract.outer(mu, mu) * (T / 2.0))
-    w *= _centred_kernel(mu, T, n_steps)
+    w *= _centred_kernel(mu, T) if n_steps is None else midpoint_kernel(mu, T, n_steps)
     return 0.5 * (w + w.conj().T)
+
+
+def midpoint_kernel(mu, T, n_steps):
+    """The midpoint sum of `time_kernel`, time centred on [-T/2, T/2], in
+    closed form: h * sin(n*th)/sin(th), h = T/n, th = d*h/2.  With
+    th = m*pi + r, |r| <= pi/2, that is (-1)^(m*(n-1)) * T * sinc(n*r)/sinc(r),
+    finite where th is a nonzero multiple of pi."""
+    x = np.subtract.outer(mu, mu) * (T / 2.0)
+    x /= n_steps
+    m = np.rint(x / np.pi)
+    x -= m * np.pi
+    kernel = np.where(m * (n_steps - 1) % 2, -T, T)
+    return kernel * (np.sinc(n_steps * x / np.pi) / np.sinc(x / np.pi))
 
 
 def dense_gramian(spec, n_steps=None):

@@ -170,8 +170,6 @@ def test_dense_size_guard():
     huge = GramianSpec(T=1.0, window=full_window(make_grid(1, 2 ** 20)))
     with pytest.raises(ValueError, match="2048"):
         _real_gramian(huge)
-    with pytest.raises(ValueError, match="2048"):
-        _real_gramian(huge, 256)
     # the oracle refuses its node-by-mode phase table before allocating it
     # (N = 256 at T = 1 resolves with about 4e5 nodes)
     wide = GramianSpec(T=1.0, window=full_window(make_grid(1, 256)))
@@ -325,13 +323,15 @@ def test_drive_linear_blocks_match_one_block(monkeypatch, dim, n):
 
 
 def test_drive_linear_memory_is_bounded():
-    # one time block at a time: 2.0 MB at N = 128, where the whole
-    # trajectory held 4.2 MB
-    g = make_grid(1, 128)
-    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.25), 0.05, "smooth"))
-    rng = np.random.default_rng(14)
-    u0, phi0 = random_state(g, rng), random_state(g, rng)
-    assert traced_peak(lambda: drive_linear(u0, spec, phi0)) <= 2.5e6
+    # one time block at a time, and one N x N matrix built in place: 1.3 MB
+    # at N = 128 (the whole trajectory held 4.2 MB) and 2.1 MB at N = 256
+    # (4.8 MB through the coefficient matrices' temporaries)
+    for n in (128, 256):
+        g = make_grid(1, n)
+        spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.25), 0.05, "smooth"))
+        rng = np.random.default_rng(14)
+        u0, phi0 = random_state(g, rng), random_state(g, rng)
+        assert traced_peak(lambda: drive_linear(u0, spec, phi0)) <= 2.5e6
 
 
 def test_solve_hum_singular_gramian_raises():

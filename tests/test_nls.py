@@ -9,13 +9,15 @@ import pytest
 from torus_control import (GramianSpec, NLSParams, admissible_amplitude, evolve,
                            fit_decay_rate, global_control, local_control_nls,
                            make_grid, make_window, mass_decay_residual,
-                           random_state)
+                           random_state, solve_hum)
 from torus_control import nls
 from torus_control.grid import FourierState, plane_wave, zero_state
 from torus_control.nls import (DecayRecord, PicardDivergenceError,
                                StabilizationStallError, _stabilize_to_threshold,
                                energy)
 from torus_control.operators import free_propagate
+
+from oracles import dense_gramian
 
 
 def test_params_validation():
@@ -363,14 +365,17 @@ def test_local_control_reaches_zero():
 @pytest.mark.parametrize("dim,n", [pytest.param(1, 32, id="32"), pytest.param(1, 64, id="64"),
                                    pytest.param(2, 16, id="2d-16")])
 def test_local_control_linear_limit_is_exact(dim, n):
-    # sigma = 0: one solve with the stepper's own factored Gramian closes
-    # the discrete linear problem to roundoff
+    # sigma = 0: one solve with the factored exact-time Gramian closes the
+    # discrete linear problem to roundoff, and since the sources of the
+    # steps sum to that Gramian, the control is solve_hum's
     g = make_grid(dim, n)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     spec = GramianSpec(T=1.0, window=w)
     u0 = random_state(g, np.random.default_rng(10), norm=0.05, max_mode=8)
-    _, residual, _ = local_control_nls(u0, spec, sigma=0, tol=1e-8)
+    phi0, residual, _ = local_control_nls(u0, spec, sigma=0, tol=1e-8)
     assert residual <= 1e-12 * u0.norm_l2()
+    hum = solve_hum(spec, u0).phi0
+    assert np.linalg.norm(phi0.coeffs - hum.coeffs) <= 1e-12 * hum.norm_l2()
 
 
 def test_local_control_zero_data_is_trivial():
@@ -403,17 +408,18 @@ def test_admissible_amplitude_contracts_at_half():
 
 def _controlled_forward_in_modes(u0, spec, phi0, sigma, n_steps):
     """The controlled solve one step at a time in modes: each step goes to
-    grid values and back, and its midpoint source s_j is added in modes."""
+    grid values and back, and the source's exact increment over the step,
+    -i exp(i dt Lap) S_dt exp(i t Lap) phi0 from t to t + dt (S_dt the
+    oracle's exact-time Gramian over one step, per k_2 column in 2D), is
+    added in modes."""
     g, dt = spec.grid, spec.T / n_steps
     step = nls._StrangStep(g, NLSParams(sigma=sigma, dt=dt, dealias=False))
-    lap, chi2 = g.laplacian_symbol(), spec.window.samples ** 2
-    half = np.exp(0.5j * dt * lap)
+    lap = g.laplacian_symbol()
+    gramian = dense_gramian(GramianSpec(T=dt, window=spec.window))
     c = u0.coeffs
     for j in range(n_steps):
-        t = (j + 0.5) * dt
-        s = np.fft.fftn(-1j * dt * chi2 * np.fft.ifftn(np.exp(1j * t * lap) * phi0.coeffs,
-                                                         norm="forward"), norm="forward")
-        c = step(c) + s * half
+        free = (np.exp(1j * j * dt * lap) * phi0.coeffs).reshape(len(gramian), -1)
+        c = step(c) - 1j * np.exp(1j * dt * lap) * (gramian @ free).reshape(g.shape)
     return c
 
 
@@ -427,15 +433,30 @@ def test_controlled_solve_on_grid_values_matches_steps_in_modes(dim, n):
     u0 = random_state(g, rng, norm=0.3, max_mode=8)
     phi0 = random_state(g, rng, norm=2.0, max_mode=8)
     for sigma in (-1, 0, 1):
-        _, step, phases, _, n_steps = nls._control_tables(spec, sigma)
+        _, step, phases, source, _, n_steps = nls._control_tables(spec, sigma)
         assert n_steps == max(256, 4 * n)
         final = nls._controlled_forward(u0, spec, phi0, sigma, n_steps,
-                                        step=step, phases=phases)
+                                        step=step, phases=phases, source=source)
         c = _controlled_forward_in_modes(u0, spec, phi0, sigma, n_steps)
         # the propagator across a step boundary is one rounded factor, the
         # same in every step, so the two solves part by up to about 1e-16
         # per step (0.6-1.0e-14 seen at 256 steps, 1.7e-14 at 512)
         assert np.linalg.norm(final.coeffs - c) <= 1e-16 * n_steps * np.linalg.norm(c)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_control_closes_on_a_finer_time_grid(n):
+    # the control solves the continuous-time problem, not its own time
+    # grid alone: run through the mode-space reference at 4 times the
+    # steps, it still steers u0 to within 1e-4 ||u0|| of zero (what is left
+    # is the splitting error of the nonlinear term)
+    g = make_grid(1, n)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.3), 0.05, "smooth"))
+    u0 = random_state(g, np.random.default_rng(19), norm=0.05, max_mode=n // 4)
+    phi0, residual, _ = local_control_nls(u0, spec, sigma=-1)
+    assert residual <= 1e-12 * u0.norm_l2()
+    refined = _controlled_forward_in_modes(u0, spec, phi0, -1, 4 * max(256, 4 * n))
+    assert np.linalg.norm(refined) <= 1e-4 * u0.norm_l2()
 
 
 def test_tracer_counts_every_controlled_step():
@@ -484,7 +505,8 @@ def test_global_control_builds_one_control_stepper(monkeypatch):
 
 
 def test_admissible_amplitude_factors_gramian_once(monkeypatch):
-    # the three larger candidates diverge: all four share one midpoint Gramian
+    # the three larger candidates diverge: all four share one factor of the
+    # exact-time Gramian
     assembled = []
     real_gramian, picard = nls._real_gramian, nls._picard
 

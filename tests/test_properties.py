@@ -51,9 +51,9 @@ def test_strip_gramian_is_1d_factor_times_identity(window, T):
     assert np.max(np.abs(kron - s_2d)) <= 1e-12 * np.max(np.abs(s_2d))
 
 
-@given(windows(1), horizons, st.none() | st.integers(8, 64))
-def test_gramian_is_hermitian_psd(window, T, n_steps):
-    s = dense_gramian(GramianSpec(T=T, window=window), n_steps)
+@given(windows(1), horizons)
+def test_gramian_is_hermitian_psd(window, T):
+    s = dense_gramian(GramianSpec(T=T, window=window))
     scale = np.max(np.abs(s))
     assert np.array_equal(s, s.conj().T)
     assert np.linalg.eigvalsh(s)[0] >= -1e-12 * scale
@@ -139,7 +139,6 @@ def random_columns(grid, seed):
 
 
 any_windows = st.sampled_from([1, 2]).flatmap(windows)
-midpoint_steps = st.none() | st.integers(8, 64)
 seeds = st.integers(0, 2 ** 32 - 1)
 
 
@@ -152,20 +151,19 @@ def test_pair_round_trip_is_the_identity_and_keeps_the_norm(window, T, seed):
     assert np.linalg.norm(_pair(spec, paired, back=True) - v) <= 1e-15 * np.linalg.norm(v)
 
 
-@given(any_windows, horizons, midpoint_steps, seeds)
-def test_paired_real_form_is_the_phased_gramian(window, T, n_steps, seed):
-    # S = P R P^H with P = `_pair` back on the unit vectors, for the exact
-    # and the midpoint kernel; a 2D strip's S acts on each k_2 column, as
-    # the N^2 x N^2 Gramian does
+@given(any_windows, horizons, seeds)
+def test_paired_real_form_is_the_phased_gramian(window, T, seed):
+    # S = P R P^H with P = `_pair` back on the unit vectors; a 2D strip's S
+    # acts on each k_2 column, as the N^2 x N^2 Gramian does
     spec = GramianSpec(T=T, window=window)
     n = window.grid.modes_per_axis
     p = _pair(spec, np.eye(n, dtype=complex), back=True)
-    r = _real_gramian(spec, n_steps)
-    s = dense_gramian(spec, n_steps)
+    r = _real_gramian(spec)
+    s = dense_gramian(spec)
     assert r.dtype == np.float64
     scale = np.linalg.norm(s, 2)
     assert np.max(np.abs(p @ r @ p.conj().T - s)) <= 1e-13 * scale
-    if window.grid.dim == 2 and n_steps is None:
+    if window.grid.dim == 2:
         v = random_columns(window.grid, seed)
         by_column = _pair(spec, r @ _pair(spec, v), back=True)
         whole = dense_gramian_2d(spec) @ v.ravel()
@@ -173,14 +171,14 @@ def test_paired_real_form_is_the_phased_gramian(window, T, n_steps, seed):
 
 
 @given(st.sampled_from([1, 2]).flatmap(lambda dim: windows(dim, min_length=0.5)),
-       st.floats(0.5, 2.0), midpoint_steps, seeds)
-def test_real_solve_is_the_complex_solve(window, T, n_steps, seed):
+       st.floats(0.5, 2.0), seeds)
+def test_real_solve_is_the_complex_solve(window, T, seed):
     spec = GramianSpec(T=T, window=window)
-    s = dense_gramian(spec, n_steps)
+    s = dense_gramian(spec)
     cond = np.linalg.cond(s)
     assume(cond < 1e6)
     b = random_columns(window.grid, seed)
-    factor = _cholesky(_real_gramian(spec, n_steps), spec)
+    factor = _cholesky(_real_gramian(spec), spec)
     x = _pair(spec, _solve(factor, _pair(spec, b)), back=True)
     ref = np.linalg.solve(s, b)
     assert np.linalg.norm(x - ref) <= 1e-14 * cond * np.linalg.norm(ref)
