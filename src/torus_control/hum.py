@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import FourierState, GridSpec, state_from_physical
 from .operators import free_propagate, sobolev_weights
@@ -223,11 +224,12 @@ def check_dense_size(grid: GridSpec) -> None:
 def window_mode_matrix(window: CutoffWindow) -> np.ndarray:
     """Matrix of multiplication by chi^2 along the first axis: the N x N
     circulant W_ab = (chi^2)^(k_a - k_b), the mode difference aliased onto
-    the grid.  In 2D the strip window's W acts on each k_2 column alone."""
+    the grid.  In 2D the strip window's W acts on each k_2 column alone.
+    Built as one copy of a strided view of the coefficients, reversed and
+    wrapped once: no index table."""
     check_dense_size(window.grid)
-    c = _profile_coeffs(window)
-    n = len(c)
-    return c[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+    d = _profile_coeffs(window)[::-1]
+    return sliding_window_view(np.concatenate((d, d[:-1])), len(d))[::-1].copy()
 
 
 def _chi2_coeffs(samples: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from torus_control.grid import FourierState, zero_state
 from torus_control.hum import (MAX_DENSE_POINTS, DenseSizeError,
                                GramianSingularError, HUMConvergenceError,
                                _chi2_coeffs, _coupled_blocks, _floored_inverse,
-                               _real_gramian, _real_window_form,
+                               _profile_coeffs, _real_gramian, _real_window_form,
                                check_dense_size,
                                hum_regularity_ratio, lambda_min_dense,
                                lambda_min_iterative, quadrature_gramian,
@@ -162,6 +162,23 @@ def test_window_mode_matrix_2d_is_convolution():
     direct = np.fft.fftn(w.samples ** 2 * u.physical()) / g.n_points
     assert window_mode_matrix(w).shape == (8, 8)
     assert np.allclose(window_mode_matrix(w) @ u.coeffs, direct)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 4), (1, 6), (1, 32), (1, 256), (2, 4), (2, 16)])
+def test_window_mode_matrix_is_the_gathered_circulant(dim, n):
+    # the strided view's copy holds the same values as the gather through
+    # the N x N index table c[(a - b) % N], bit for bit
+    w = make_window(make_grid(dim, n), (0.1, 0.6), 0.05, "smooth")
+    c = _profile_coeffs(w)
+    gathered = c[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+    assert np.array_equal(window_mode_matrix(w), gathered)
+
+
+def test_window_mode_matrix_memory_is_bounded():
+    # the 1 MB result at N = 256 and O(N) vectors; the two int64 index
+    # tables of the gather held 1.6 MB
+    w = make_window(make_grid(1, 256), (0.0, 0.25), 0.05, "smooth")
+    assert traced_peak(lambda: window_mode_matrix(w)) <= 1.2e6
 
 
 def test_dense_size_guard():

@@ -16,11 +16,11 @@ from torus_control.hum import (_centred_kernel, _chi2_coeffs, _cholesky,
                                _coupled_blocks, _lambda_min_real, _pair,
                                _real_gramian, _real_window_form, _solve,
                                lambda_min_dense, window_mode_matrix)
-from torus_control.operators import free_propagate
+from torus_control.operators import commutator_operator_norm, free_propagate
 from torus_control.resolvent import best_resolvent_constant
 from torus_control.io import state_from_json, state_to_json
 
-from oracles import dense_gramian, dense_gramian_2d
+from oracles import commutator_norm, dense_gramian, dense_gramian_2d
 
 even_n = st.integers(2, 6).map(lambda h: 2 * h)  # N in {4, ..., 12}
 horizons = st.floats(0.1, 2.0)
@@ -31,10 +31,10 @@ real_samples = st.sampled_from([1, 2]).flatmap(
 
 
 @st.composite
-def windows(draw, dim, min_length=0.05):
+def windows(draw, dim, min_length=0.05, sizes=even_n):
     """A window on one interval (a, b) of the first axis, b - a at least
-    min_length, sharp or smooth."""
-    grid = make_grid(dim, draw(even_n))
+    min_length, sharp or smooth, on a grid of N drawn from sizes."""
+    grid = make_grid(dim, draw(sizes))
     a = draw(st.floats(0.0, 0.95 - min_length))
     b = draw(st.floats(a + min_length, 1.0))
     kind = draw(st.sampled_from(["sharp", "smooth"]))
@@ -205,6 +205,17 @@ def test_lambda_min_below_eigenspace_bound(window, T):
     pair_min = w[k, k].real - np.where(k == -k % n, 0.0, np.abs(w[k, -k]))
     lam = lambda_min_dense(GramianSpec(T=T, window=window))
     assert lam <= T * pair_min.min() + 1e-12 * T * np.max(np.abs(w))
+
+
+@given(windows(1, sizes=st.sampled_from([8, 16, 32, 64])), st.floats(-1.0, 2.0),
+       st.floats(0.0, 2.0))
+def test_commutator_norm_is_the_svd_norm(window, r, s):
+    # Lanczos has converged to the top singular value, not stalled below
+    # it, and a second call gives the same bits
+    norm = commutator_operator_norm(window.grid, r, s, window)
+    ref = commutator_norm(window.grid, r, s, window)
+    assert abs(norm - ref) <= 1e-12 * ref
+    assert commutator_operator_norm(window.grid, r, s, window) == norm
 
 
 @st.composite
