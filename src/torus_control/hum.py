@@ -21,15 +21,13 @@ the unitary U pairing e_k and e_-k into (cos, sin) columns makes U^H W U
 real and leaves K as it is: S = P R P^H, P = E U, R = Re(U^H W U) * K
 (`_real_gramian`; `_pair` applies P^H or P).  `_real_window_form` gathers
 Re(U^H W U) from the chi^2 coefficients, in any dim, whole or one block of
-slots.  `_lambda_min_real` runs one real `eigvalsh` per connected block of
-its coupling graph (`_coupled_blocks`, from the nonzero support of the
-coefficients): one block for a 1D window whose chi^2 has no period below
-1, the N/2 + 1 transverse pairs {k_2, -k_2} for a 2D strip (the strip
-check in `tensor`).  The resolvent sweep uses the whole form.  Only
-`drive_linear` stays in the mode basis, so the certificate does not share
-the solve's representation.  The NLS controlled solve adds each step's
-exact source, W * `_centred_kernel(mu, dt)` (the Gramian of one step),
-whose steps sum to S: `local_control_nls` factors this same R once.
+slots.  lambda_min is one real `eigvalsh` of R; the strip check in
+`tensor` runs one per transverse pair {k_2, -k_2} of the 2D form, and the
+resolvent sweep uses the whole window form.  Only `drive_linear` stays in
+the mode basis, so the certificate does not share the solve's
+representation.  The NLS controlled solve adds each step's exact source,
+W * `_centred_kernel(mu, dt)` (the Gramian of one step), whose steps sum
+to S: `local_control_nls` factors this same R once.
 
 Every production path runs on numpy alone: real `eigvalsh`, and one real
 Cholesky factorization per form (`_cholesky`), after which `_solve` costs
@@ -37,11 +35,10 @@ two real O(N^2) products per right-hand side.
 
 The matrix-free time quadrature (exact propagation between nodes) is kept
 only as an independent oracle that owns its nodes: `quadrature_gramian`
-takes the node count and rule (Gauss-Legendre or midpoint), by default the
-resolved_n_quad Gauss-Legendre nodes on which `lambda_min_iterative` runs
-Lanczos, with no inner solve.  These two oracles alone load scipy, on
-first call: scipy brings its own BLAS thread pool, which contends with
-numpy's when both are in use.
+takes the Gauss-Legendre node count, by default the resolved_n_quad nodes
+on which `lambda_min_iterative` runs Lanczos, with no inner solve.  These
+two oracles alone load scipy, on first call: scipy brings its own BLAS
+thread pool, which contends with numpy's when both are in use.
 """
 
 from __future__ import annotations
@@ -144,15 +141,10 @@ def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return roots_legendre(n)
 
 
-def quadrature_nodes(T: float, n: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the time quadrature on [0, T]."""
-    if rule == "gauss-legendre":
-        x, w = _legendre_nodes(n)
-        return 0.5 * T * (x + 1.0), 0.5 * T * w
-    if rule == "midpoint":
-        h = T / n
-        return (np.arange(n) + 0.5) * h, np.full(n, h)
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+def quadrature_nodes(T: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of n-point Gauss-Legendre quadrature on [0, T]."""
+    x, w = _legendre_nodes(n)
+    return 0.5 * T * (x + 1.0), 0.5 * T * w
 
 
 def resolved_n_quad(grid: GridSpec, T: float) -> int:
@@ -170,13 +162,12 @@ def resolved_n_quad(grid: GridSpec, T: float) -> int:
 
 class _GramianApplier:
     """Matrix-free quadrature Gramian with precomputed node phases on n_quad
-    nodes of `rule` (default: resolved_n_quad Gauss-Legendre nodes).  A
-    phase table above MAX_DENSE_POINTS**2 entries (64 MB; the default
-    reaches it above N ~ 87 in 1D, N ~ 24 in 2D at T = 1) raises
-    DenseSizeError: pass quadrature_gramian an explicit, smaller n_quad."""
+    Gauss-Legendre nodes (default: resolved_n_quad of them).  A phase table
+    above MAX_DENSE_POINTS**2 entries (64 MB; the default reaches it above
+    N ~ 87 in 1D, N ~ 24 in 2D at T = 1) raises DenseSizeError: pass
+    quadrature_gramian an explicit, smaller n_quad."""
 
-    def __init__(self, spec: GramianSpec, n_quad: int | None = None,
-                 rule: str = "gauss-legendre"):
+    def __init__(self, spec: GramianSpec, n_quad: int | None = None):
         grid = spec.grid
         if n_quad is None:
             n_quad = resolved_n_quad(grid, spec.T)
@@ -187,7 +178,7 @@ class _GramianApplier:
         self.fft_axes = tuple(range(-grid.dim, 0))
         self.chi2 = spec.window.samples ** 2
         lam = grid.laplacian_symbol()
-        t, self.weights = quadrature_nodes(spec.T, n_quad, rule)
+        t, self.weights = quadrature_nodes(spec.T, n_quad)
         # exp(i * t_j * Lap) for every node, shape (n_quad, *grid.shape)
         self.phases = np.exp(1j * t.reshape((-1,) + (1,) * grid.dim) * lam)
 
@@ -279,56 +270,20 @@ def _real_window_form(c: np.ndarray, slots: np.ndarray | None = None) -> np.ndar
     return q
 
 
-def _coupled_blocks(c: np.ndarray) -> list[np.ndarray]:
-    """Slots of each connected block of the coupling graph of
-    `_real_window_form(c)`, each ascending.
-
-    Entry (a, b) reads only c(k_a - k_b) and c(k_a + k_b), so slots a and
-    b are coupled when either is nonzero.  The search starts from the first
-    unassigned slot and reaches k - m and m - k from each reached mode k,
-    for every m in the support of c, until nothing new is reached.  A
-    coefficient counts as zero below eps * log2(N**dim) * ||c||_2, the
-    rounding error of the FFT that computed it: pocketfft returns exact
-    zeros off k_2 = 0 for a strip only when N has no prime factor above 3,
-    and about 1e-17 * max|c| otherwise.  The couplings left out join
-    different blocks, so their first-order effect on an eigenvalue is zero.
-    In 1D the first step reaches every slot when no c(m) vanishes; a 2D
-    strip splits into the N/2 + 1 transverse pairs {k_2, -k_2}.
-    """
-    dim, n = c.ndim, c.shape[0]
-    neg = np.ix_(*[-np.arange(n) % n] * dim)
-    magnitude = np.abs(c) + np.abs(c[neg])  # symmetric, so the search is too
-    floor = np.finfo(float).eps * np.log2(c.size) * np.linalg.norm(c)
-    support = np.argwhere(magnitude > floor)
-    label = np.full(c.size, -1)
-    blocks = []
-    while (unassigned := np.flatnonzero(label < 0)).size:
-        frontier = unassigned[:1]
-        label[frontier] = len(blocks)
-        while frontier.size and np.any(label < 0):
-            k = np.stack(np.unravel_index(frontier, c.shape), axis=-1)[:, None]
-            reached = np.concatenate([k - support, support - k]) % n
-            reached = np.ravel_multi_index(reached.reshape(-1, dim).T, c.shape)
-            frontier = np.unique(reached[label[reached] < 0])
-            label[frontier] = len(blocks)
-        blocks.append(np.flatnonzero(label == len(blocks)))
-    return blocks
-
-
 def _mode_energies(grid: GridSpec) -> np.ndarray:
     """mu = (2 pi k)^2 along the first axis, in FFT order."""
     return (2.0 * np.pi * grid.mode_indices()) ** 2
 
 
-def quadrature_gramian(spec: GramianSpec, n_quad: int | None = None,
-                       rule: str = "gauss-legendre") -> np.ndarray:
-    """The oracle's dense Gramian: _GramianApplier on every basis vector, a
-    few nodes at a time so each transformed block stays small."""
+def quadrature_gramian(spec: GramianSpec, n_quad: int | None = None) -> np.ndarray:
+    """The oracle's dense Gramian on n_quad Gauss-Legendre nodes (default:
+    resolved_n_quad): _GramianApplier on every basis vector, a few nodes at
+    a time so each transformed block stays small."""
     n = spec.grid.n_points
     _check_entries(spec.grid, n, "basis entries")
     basis = np.eye(n, dtype=complex).reshape((n,) + spec.grid.shape)
     chunk = max(1, _ORACLE_BLOCK // (n * n))
-    cols = _GramianApplier(spec, n_quad, rule).apply_batch(basis, chunk=chunk)
+    cols = _GramianApplier(spec, n_quad).apply_batch(basis, chunk=chunk)
     s = cols.reshape(n, n).T
     return 0.5 * (s + s.conj().T)
 
@@ -371,23 +326,9 @@ def _pair(spec: GramianSpec, v: np.ndarray, back: bool = False) -> np.ndarray:
 
 
 def lambda_min_dense(spec: GramianSpec) -> float:
-    """Smallest eigenvalue of the exact-time Gramian, from its real form."""
-    check_dense_size(spec.grid)
-    return _lambda_min_real(_profile_coeffs(spec.window), _mode_energies(spec.grid),
-                            spec.T)
-
-
-def _lambda_min_real(c: np.ndarray, mu: np.ndarray, T: float) -> float:
-    """lambda_min of the exact-time Gramian of chi^2 coefficients c and mode
-    energies mu (one per slot of `_real_window_form`): the least of one real
-    `eigvalsh` of the real form per block of `_coupled_blocks(c)` (NaN
-    passes through); a single block is the whole form, bit for bit."""
-    lams = []
-    for slots in _coupled_blocks(c):
-        q = _real_window_form(c, slots)
-        q *= _centred_kernel(mu[slots], T)
-        lams.append(np.linalg.eigvalsh(q)[0])
-    return float(np.min(lams))
+    """Smallest eigenvalue of the exact-time Gramian: one real `eigvalsh` of
+    its real form R (`_real_gramian`), the form every solve factors."""
+    return float(np.linalg.eigvalsh(_real_gramian(spec))[0])
 
 
 def lambda_min_iterative(spec: GramianSpec) -> float:
@@ -453,6 +394,14 @@ def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _check_tol(tol: float) -> None:
     if not 0.0 < tol < np.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
+def _positive_int(value, name: str) -> int:
+    """An integral value >= 1 (2.0 too) as an int; anything else, NaN and
+    inf included, raises a ValueError naming it."""
+    if not (1 <= value < np.inf and int(value) == value):  # NaN fails too
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def solve_hum(spec: GramianSpec, target: FourierState,
@@ -571,8 +520,7 @@ def hum_regularity_ratio(spec: GramianSpec, s: float, n_samples: int,
     """
     if not 0.0 <= s < np.inf:
         raise ValueError(f"s must be finite and >= 0, got {s}")
-    if not n_samples >= 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _positive_int(n_samples, "n_samples")
     grid = spec.grid
     if grid.dim != 1:
         raise ValueError("regularity study uses the 1D Gramian")

@@ -52,8 +52,8 @@ import numpy as np
 
 from .grid import FourierState, GridSpec, random_state, zero_state
 from .hum import (MAX_DENSE_POINTS, GramianSpec, _centred_kernel, _check_tol,
-                  _cholesky, _mode_energies, _pair, _real_gramian, _solve,
-                  check_dense_size, window_mode_matrix)
+                  _cholesky, _mode_energies, _pair, _positive_int, _real_gramian,
+                  _solve, check_dense_size, window_mode_matrix)
 from .windows import CutoffWindow
 
 
@@ -287,16 +287,16 @@ def evolve(u0: FourierState, T: float, params: NLSParams,
     The step count is T / dt rounded to the nearest integer when that
     many steps end within 1e-9 * T of T, and rounded up otherwise; a T
     shorter than one step (T / dt < 1 - 1e-9) raises ValueError, as do more
-    than MAX_DENSE_POINTS**2 records, before anything is allocated.  The
-    steps run on grid values from the first to the last; each record keeps
-    its grid values, and a full buffer of them goes back to modes in one
-    batched transform.  A record whose mass, energy or observed mass is
+    than MAX_DENSE_POINTS**2 records and a record_stride that is not a
+    positive integer (an integral float runs as its int), before anything
+    is allocated.  The steps run on grid values from the first to the last;
+    each record keeps its grid values, and a full buffer of them goes back
+    to modes in one batched transform.  A record whose mass, energy or observed mass is
     not finite raises NonFiniteStateError, checked a buffer at a time.
     """
     if not 0.0 < T < np.inf:
         raise ValueError("T must be positive and finite")
-    if int(record_stride) != record_stride or record_stride < 1:
-        raise ValueError(f"record_stride must be a positive integer, got {record_stride!r}")
+    record_stride = _positive_int(record_stride, "record_stride")
     steps = float(T) / float(params.dt)  # inf past the float range
     if steps < 1.0 - 1e-9:
         raise ValueError(f"T = {T!r} is shorter than one step of dt = {params.dt!r}")

@@ -9,9 +9,11 @@ Gramian in `hum` relies on this and is N x N in 2D too.
 
 tensor-check verifies the identity on the genuinely 2D exact-time
 Gramian over all N^2 modes, in the real form of `hum` (each mode (k_1, k_2)
-paired with (-k_1, -k_2)), one real `eigvalsh` per block of the coupling
-graph of the 2D chi^2 coefficients: for a strip, the N/2 + 1 transverse
-pairs {k_2, -k_2}, of at most 2N modes each.  No N^2 x N^2 matrix is built.
+paired with (-k_1, -k_2)).  A strip's chi^2 vanishes off k_2 = 0 (up to FFT
+rounding; `CutoffWindow` refuses 2D samples that vary along the second
+axis), so the form couples a slot only to slots of the same transverse
+pair {k_2, -k_2}: one real `eigvalsh` per pair, N/2 + 1 of them, of at
+most 2N modes each.  No N^2 x N^2 matrix is built.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import replace
 import numpy as np
 
 from .grid import FourierState, make_grid
-from .hum import (GramianSpec, _check_entries, _chi2_coeffs, _floored_inverse,
-                  _lambda_min_real, _pair, _real_gramian, _times,
-                  observability_constant)
+from .hum import (GramianSpec, _centred_kernel, _check_entries, _chi2_coeffs,
+                  _floored_inverse, _pair, _real_gramian, _real_window_form,
+                  _times, observability_constant)
 
 
 def decompose_modes(u2d: FourierState) -> list[FourierState]:
@@ -46,12 +48,13 @@ def compose_modes(slices: list[FourierState]) -> FourierState:
 def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     """(C_2d, C_1d) for the strip omega_1 x T versus its 1D base window.
 
-    C_2d comes from the real form of the 2D Gramian (`hum._lambda_min_real`
-    on the N^2 modes, one eigensolve per decoupled block, under the
-    N^2 x N^2 size guard, N <= 44), C_1d from the 1D Gramian, and both go
-    through the conditioning floor of `observability_constant`.  The
-    contract is |C_2d - C_1d| / C_1d at roundoff (exact transfer at
-    truncation).
+    C_2d comes from the real form of the 2D Gramian on the N^2 modes, under
+    the N^2 x N^2 size guard (N <= 44): the least lambda_min over the
+    N/2 + 1 transverse pairs {k_2, -k_2}, the slots whose row-major index
+    is k_2 or -k_2 mod N, one real `eigvalsh` each (NaN passes through).
+    C_1d comes from the 1D Gramian, and both go through the conditioning
+    floor of `observability_constant`.  The contract is
+    |C_2d - C_1d| / C_1d at roundoff (exact transfer at truncation).
     """
     if base_spec.grid.dim != 1:
         raise ValueError("base_spec must be a 1D Gramian spec")
@@ -61,9 +64,16 @@ def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     spec2d = replace(base_spec, window=strip)
     grid = spec2d.grid
     _check_entries(grid, grid.n_points, "Gramian entries")
-    lam_2d = _lambda_min_real(_chi2_coeffs(strip.samples),
-                              -grid.laplacian_symbol().ravel(), spec2d.T)
-    return _floored_inverse(lam_2d, spec2d), observability_constant(base_spec)
+    c = _chi2_coeffs(strip.samples)
+    mu = -grid.laplacian_symbol().ravel()
+    k2 = np.arange(grid.n_points) % n
+    lams = []
+    for q in range(n // 2 + 1):
+        slots = np.flatnonzero((k2 == q) | (k2 == -q % n))
+        block = _real_window_form(c, slots)
+        block *= _centred_kernel(mu[slots], spec2d.T)
+        lams.append(np.linalg.eigvalsh(block)[0])
+    return _floored_inverse(float(np.min(lams)), spec2d), observability_constant(base_spec)
 
 
 def observed_energy_1d(spec: GramianSpec, c: FourierState) -> float:

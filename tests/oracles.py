@@ -8,9 +8,7 @@ The package solves on S = P R P^H, R real (`hum._real_gramian`, `hum._pair`).
 These build S itself, W * K with K = exp(i*x) * `hum._centred_kernel`,
 x = (mu_a - mu_b)*T/2: the phase the real form centres away, put back
 entry by entry in complex arithmetic.  They take from the package only its
-kernel and its chi^2 coefficients.  The midpoint sum of the same kernel
-(`midpoint_kernel`) is the closed form of the quadrature oracle's midpoint
-rule; no production path uses it.
+kernel and its chi^2 coefficients.
 """
 
 import numpy as np
@@ -20,34 +18,20 @@ from torus_control.operators import (_refined_window_coeffs,
                                      fractional_multiplier, sobolev_weights)
 
 
-def time_kernel(w, mu, T, n_steps=None):
+def time_kernel(w, mu, T):
     """W * K for mode energies mu, in place over the mode matrix w,
-    symmetrized: K = int_0^T exp(i*d*t) dt, d = mu_a - mu_b, or given n_steps
-    its midpoint sum h * sum_j exp(i*d*t_j), t_j = (j + 1/2)*h, h = T/n."""
+    symmetrized: K = int_0^T exp(i*d*t) dt, d = mu_a - mu_b."""
     w *= np.exp(1j * np.subtract.outer(mu, mu) * (T / 2.0))
-    w *= _centred_kernel(mu, T) if n_steps is None else midpoint_kernel(mu, T, n_steps)
+    w *= _centred_kernel(mu, T)
     return 0.5 * (w + w.conj().T)
 
 
-def midpoint_kernel(mu, T, n_steps):
-    """The midpoint sum of `time_kernel`, time centred on [-T/2, T/2], in
-    closed form: h * sin(n*th)/sin(th), h = T/n, th = d*h/2.  With
-    th = m*pi + r, |r| <= pi/2, that is (-1)^(m*(n-1)) * T * sinc(n*r)/sinc(r),
-    finite where th is a nonzero multiple of pi."""
-    x = np.subtract.outer(mu, mu) * (T / 2.0)
-    x /= n_steps
-    m = np.rint(x / np.pi)
-    x -= m * np.pi
-    kernel = np.where(m * (n_steps - 1) % 2, -T, T)
-    return kernel * (np.sinc(n_steps * x / np.pi) / np.sinc(x / np.pi))
-
-
-def dense_gramian(spec, n_steps=None):
-    """Dense N x N Gramian S = W * K, exact in time or the midpoint sum of
-    n_steps; in 2D it acts on every k_2 alike (S_2d = S ⊗ I).  Grids past
-    `hum.check_dense_size` raise DenseSizeError."""
+def dense_gramian(spec):
+    """Dense N x N exact-time Gramian S = W * K; in 2D it acts on every k_2
+    alike (S_2d = S ⊗ I).  Grids past `hum.check_dense_size` raise
+    DenseSizeError."""
     mu = (2.0 * np.pi * spec.grid.mode_indices()) ** 2
-    return time_kernel(window_mode_matrix(spec.window), mu, spec.T, n_steps)
+    return time_kernel(window_mode_matrix(spec.window), mu, spec.T)
 
 
 def dense_gramian_2d(spec):

@@ -81,9 +81,15 @@ def test_evolve_matches_repeated_steps(n):
 def test_evolve_rejects_invalid_stride():
     g = make_grid(1, 32)
     u0 = random_state(g, np.random.default_rng(9), max_mode=8)
-    for stride in (0, -1, 2.5):
+    for stride in (0, -1, 2.5, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="record_stride"):
             evolve(u0, 0.1, NLSParams(), record_stride=stride)
+    # an integral float runs as its int
+    final, rec = evolve(u0, 0.1, NLSParams(), record_stride=2.0)
+    final_int, rec_int = evolve(u0, 0.1, NLSParams(), record_stride=2)
+    assert np.array_equal(final.coeffs, final_int.coeffs)
+    assert np.array_equal(rec.times, rec_int.times)
+    assert np.array_equal(rec.mass, rec_int.mass)
 
 
 def test_evolve_refuses_a_horizon_below_one_step():

@@ -10,10 +10,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from torus_control import GramianSpec, NLSParams, make_grid, make_window, nls
+from torus_control import GramianSpec, NLSParams, make_grid, make_window, nls, tensor
 from torus_control.grid import FourierState
-from torus_control.hum import (_centred_kernel, _chi2_coeffs, _cholesky,
-                               _coupled_blocks, _lambda_min_real, _pair,
+from torus_control.hum import (_centred_kernel, _chi2_coeffs, _cholesky, _pair,
                                _real_gramian, _real_window_form, _solve,
                                lambda_min_dense, window_mode_matrix)
 from torus_control.operators import commutator_operator_norm, free_propagate
@@ -96,31 +95,32 @@ def window_form_inputs(window):
     return _chi2_coeffs(window.samples), -window.grid.laplacian_symbol().ravel()
 
 
-@given(st.sampled_from([1, 2]).flatmap(windows), horizons)
+@given(windows(1), horizons)
 def test_block_lambda_min_matches_the_whole_form(window, T):
-    c, mu = window_form_inputs(window)
-    q = _real_window_form(c) * _centred_kernel(mu, T)
-    err = abs(_lambda_min_real(c, mu, T) - np.linalg.eigvalsh(q)[0])
-    assert err <= 1e-12 * np.linalg.norm(q, 2)
-
-
-@given(st.sampled_from([1, 2]).flatmap(windows))
-def test_blocks_cover_every_slot_once(window):
-    # a window that is not constant couples every first-axis mode, and a
-    # strip never couples k_2 to anything but -k_2
-    assume(np.ptp(window.samples) > 0.0)
-    c, _ = window_form_inputs(window)
-    blocks = _coupled_blocks(c)
+    # the strip check's least lambda_min over the transverse pairs, read
+    # before its floor, against one eigvalsh of the whole 2D real form
     n = window.grid.modes_per_axis
-    assert len(blocks) == (1 if window.grid.dim == 1 else n // 2 + 1)
-    assert all(np.all(np.diff(slots) > 0) for slots in blocks)
-    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(c.size))
-    label = np.empty(c.size, dtype=int)
-    for b, slots in enumerate(blocks):
-        label[slots] = b
+    strip = replace(window, grid=make_grid(2, n), samples=np.tile(window.samples[:, None], n))
+    c, mu = window_form_inputs(strip)
+    q = _real_window_form(c) * _centred_kernel(mu, T)
+    with mock.patch.object(tensor, "_floored_inverse", lambda lam, spec: lam), \
+            mock.patch.object(tensor, "observability_constant", lambda spec: None):
+        lam, _ = tensor.strip_observability_constant(GramianSpec(T=T, window=window))
+    assert abs(lam - np.linalg.eigvalsh(q)[0]) <= 1e-12 * np.linalg.norm(q, 2)
+
+
+@given(windows(2))
+def test_strip_pairs_decouple_the_2d_form(window):
+    # a strip's chi^2 vanishes off k_2 = 0 up to FFT rounding, so the 2D
+    # real form couples a slot only to the slots of its own transverse pair
+    # {k_2, -k_2}, k_2 the slot's row-major index mod N
+    c, _ = window_form_inputs(window)
+    n = window.grid.modes_per_axis
+    k2 = np.arange(c.size) % n
+    pair = np.minimum(k2, -k2 % n)
     q = _real_window_form(c)
-    across = np.not_equal.outer(label, label)
-    assert np.max(np.abs(q[across]), initial=0.0) <= 1e-15 * np.max(np.abs(q))
+    across = np.not_equal.outer(pair, pair)
+    assert np.max(np.abs(q[across])) <= 1e-15 * np.max(np.abs(q))
 
 
 @given(st.sampled_from([1, 2]).flatmap(windows), horizons)
