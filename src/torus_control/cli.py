@@ -27,8 +27,8 @@ from .hum import (MAX_DENSE_POINTS, DenseSizeError, GramianSpec, GramianSingular
 from .io import (_integral, _real, state_from_json, state_to_json,
                  write_decay_csv, write_json, write_sweep_csv, write_trajectory_csv)
 from .nls import (NLSParams, NonFiniteStateError, PicardDivergenceError,
-                  StabilizationStallError, _refit_span, evolve, fit_decay_rate,
-                  global_control)
+                  StabilizationStallError, _refit_span, _UnresolvedPhaseError, evolve,
+                  fit_decay_rate, global_control)
 from .resolvent import (InfeasibleResolventError, default_lambda_grid,
                         feasible_m, miller_cost_bound, sweep)
 from .tensor import strip_observability_constant
@@ -151,12 +151,20 @@ def _gramian_spec(cfg, window):
     return GramianSpec(T=T, window=window)
 
 
+def _unresolved_phase(exc, params):
+    """An unresolved nonlinear phase as a ConfigError naming nls.dt."""
+    return ConfigError(f"nls.dt: {exc}, got {params.dt!r}")
+
+
 def _evolve(cfg, u0, params, default_T, record_stride=1):
     """horizon.T and the record of `evolve` over it (shorter than one step
-    or too many records: exit 2)."""
+    or too many records: exit 2; an unresolved nonlinear phase: exit 2,
+    naming nls.dt)."""
     T = _number(cfg, "horizon.T", default_T)
     try:
         return T, evolve(u0, T, params, record_stride)[1]
+    except _UnresolvedPhaseError as exc:
+        raise _unresolved_phase(exc, params) from exc
     except ValueError as exc:
         raise ConfigError(f"horizon.T: {exc} (nls.dt = {params.dt}), got {T!r}") from exc
 
@@ -282,9 +290,12 @@ def _cmd_global_control(args, cfg, rng, grid, window, out_dir):
         u1 = random_state(grid, rng, norm=t_norm, max_mode=max_mode)
     else:
         u1 = FourierState(grid, np.zeros(grid.shape, dtype=complex))
-    schedule = global_control(
-        u0, u1, spec, params, mass_threshold=_number(cfg, "nls.mass_threshold", 0.05),
-        tol=_number(cfg, "solver.tol", 1e-8))
+    threshold = _number(cfg, "nls.mass_threshold", 0.05)
+    tol = _number(cfg, "solver.tol", 1e-8)
+    try:
+        schedule = global_control(u0, u1, spec, params, mass_threshold=threshold, tol=tol)
+    except _UnresolvedPhaseError as exc:
+        raise _unresolved_phase(exc, params) from exc
     phases = [{"phase": i, "type": ph.kind, "t_start": ph.t_start,
                "t_end": ph.t_end,
                "phi0": state_to_json(ph.phi0) if ph.phi0 is not None else None,

@@ -19,15 +19,16 @@ Every eigensolve and solve runs on one real form.  Centring time on
 K = T sinc((mu_a - mu_b)*T/2) real.  chi^2 is real and mu even in k, so
 the unitary U pairing e_k and e_-k into (cos, sin) columns makes U^H W U
 real and leaves K as it is: S = P R P^H, P = E U, R = Re(U^H W U) * K
-(`_real_gramian`; `_pair` applies P^H or P).  `_real_window_form` gathers
-Re(U^H W U) from the chi^2 coefficients, in any dim, whole or one block of
-slots.  lambda_min is one real `eigvalsh` of R; the strip check in
-`tensor` runs one per transverse pair {k_2, -k_2} of the 2D form, and the
-resolvent sweep uses the whole window form.  Only `drive_linear` stays in
-the mode basis, so the certificate does not share the solve's
-representation.  The NLS controlled solve adds each step's exact source,
-W * `_centred_kernel(mu, dt)` (the Gramian of one step), whose steps sum
-to S: `local_control_nls` factors this same R once.
+(`_real_gramian`; `_pair` applies P^H or P).  `_real_window_form` builds
+Re(U^H W U) from the chi^2 coefficients in any dim: the whole form from
+strided views, a block of slots by a gather.  lambda_min is one real
+`eigvalsh` of R; the strip check in `tensor` runs one per transverse pair
+{k_2, -k_2} of the 2D form, and the resolvent sweep uses the whole window
+form.  Only `drive_linear` stays in the mode basis, so the certificate
+does not share the solve's representation.  The NLS controlled solve adds
+each step's exact source, W * `_centred_kernel(mu, dt)` (the Gramian of
+one step), whose steps sum to S: `local_control_nls` factors this same R
+once.
 
 Every production path runs on numpy alone: real `eigvalsh`, and one real
 Cholesky factorization per form (`_cholesky`), after which `_solve` costs
@@ -237,7 +238,7 @@ def _real_window_form(c: np.ndarray, slots: np.ndarray | None = None) -> np.ndar
     """Real form Re(U^H W U) of the window matrix W_ab = c(k_a - k_b), for
     chi^2 coefficients c of shape (N,) * dim, over the N**dim modes in
     row-major FFT order; given `slots` (slot indices), only its
-    np.ix_(slots, slots) sub-block, gathered directly.
+    np.ix_(slots, slots) sub-block, gathered by `_real_window_blocks`.
 
     U pairs each mode k with -k.  Of the two slots, the first in row-major
     order holds the cos column (e_k + e_-k)/sqrt2, the other the sin
@@ -247,24 +248,65 @@ def _real_window_form(c: np.ndarray, slots: np.ndarray | None = None) -> np.ndar
     entry is Re c(d) + Re c(s) between cos slots, Re c(d) - Re c(s) between
     sin slots, Im c(s) - Im c(d) from a cos to a sin slot and
     Im c(s) + Im c(d) from a sin to a cos slot, each scaled by 1/sqrt2 per
-    self-paired index.  Every term is a real gather into one real output.
+    self-paired index.
+
+    The whole form needs no index table: one N-D strided view of the
+    wrap-padded coefficients holds both the circulant c(k_a - k_b) and the
+    anti-circulant c(k_a + k_b) (as `window_mode_matrix` builds W), and the
+    four cases are one sign p_a = +1 (cos) or -1 (sin) per row: Re c(d) +
+    p_a Re c(s) within a kind, Im c(s) - p_a Im c(d) across.
     """
+    if slots is not None:
+        return next(_real_window_blocks(c, [slots]))
     dim, n = c.ndim, c.shape[0]
-    neg = np.ix_(*[-np.arange(n) % n] * dim)
-    c = 0.5 * (c + np.conj(c[neg]))  # exactly Hermitian, so the form is symmetric
-    if slots is None:
-        slots = np.arange(c.size)
-    partner = np.arange(c.size).reshape(c.shape)[neg].ravel()[slots]
-    kind = (slots > partner).astype(np.intp)  # 0 cos or self-paired, 1 sin
-    # tables[kind_a, kind_b] of the d and s terms
+    c, partner = _hermitian_part(c)
+    slot = np.arange(c.size)
+    sin = (slot > partner).reshape(c.shape)
+    # view[a, j] = c(k_a + j) along each axis, j = 0 .. N: its first N
+    # columns are c(k_a + k_b), its last N reversed c(k_a - k_b)
+    view = sliding_window_view(np.pad(c, [(0, n)] * dim, mode="wrap"), (n + 1,) * dim)
+    add = view[(Ellipsis,) + (slice(None, n),) * dim]
+    sub = view[(Ellipsis,) + (slice(n, 0, -1),) * dim]
+    rows = (Ellipsis,) + (None,) * dim
+    p = np.where(sin, -1.0, 1.0)[rows]
+    q = p * add.real
+    q += sub.real
+    across = p * sub.imag
+    np.subtract(add.imag, across, out=across)
+    np.copyto(q, across, where=sin[rows] != sin)
+    return _scale_self_paired(q.reshape(c.size, c.size), slot == partner)
+
+
+def _real_window_blocks(c: np.ndarray, blocks):
+    """`_real_window_form(c, slots)` for each `slots` of the iterable
+    `blocks`, in turn: the Hermitian part, the partner table and the term
+    tables are built once, and each block is one real gather per term."""
+    n = c.shape[0]
+    c, partner = _hermitian_part(c)
+    # tables[kind_a, kind_b] of the d and s terms, kind 0 cos or
+    # self-paired, 1 sin
     re, im = c.real, c.imag
     d_terms = np.array([[re, -im], [im, re]])
     s_terms = np.array([[re, im], [im, -re]])
-    kinds = (kind[:, None], kind[None, :])
-    modes = np.unravel_index(slots, c.shape)
-    q = d_terms[kinds + tuple(np.subtract.outer(k, k) % n for k in modes)]
-    q += s_terms[kinds + tuple(np.add.outer(k, k) % n for k in modes)]
-    self_paired = slots == partner
+    for slots in blocks:
+        kind = (slots > partner[slots]).astype(np.intp)
+        kinds = (kind[:, None], kind[None, :])
+        modes = np.unravel_index(slots, c.shape)
+        q = d_terms[kinds + tuple(np.subtract.outer(k, k) % n for k in modes)]
+        q += s_terms[kinds + tuple(np.add.outer(k, k) % n for k in modes)]
+        yield _scale_self_paired(q, slots == partner[slots])
+
+
+def _hermitian_part(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c(k) + conj c(-k)) / 2, exactly Hermitian so that the real form is
+    exactly symmetric, and the row-major slot of each mode's partner -k."""
+    n = c.shape[0]
+    neg = np.ix_(*[-np.arange(n) % n] * c.ndim)
+    return 0.5 * (c + np.conj(c[neg])), np.arange(c.size).reshape(c.shape)[neg].ravel()
+
+
+def _scale_self_paired(q: np.ndarray, self_paired: np.ndarray) -> np.ndarray:
+    """q with the rows, then the columns, of self-paired slots times 1/sqrt2."""
     q[self_paired] *= np.sqrt(0.5)
     q[:, self_paired] *= np.sqrt(0.5)
     return q
@@ -292,10 +334,11 @@ def _centred_kernel(mu: np.ndarray, T: float) -> np.ndarray:
     """The Gramian's real time kernel, time centred on [-T/2, T/2], for mode
     energies mu, d = mu_a - mu_b: int exp(i*d*t) dt = T sinc(d*T/2),
     sinc(y) = sin(y)/y; at T = dt, that of one step of the NLS controlled
-    solve.  Computed on the distinct mu and gathered."""
+    solve.  Computed on the distinct mu and gathered by `take` along each
+    axis."""
     vals, inverse = np.unique(mu, return_inverse=True)
     x = np.subtract.outer(vals, vals) * (T / 2.0)
-    return (T * np.sinc(x / np.pi))[np.ix_(inverse, inverse)]
+    return (T * np.sinc(x / np.pi)).take(inverse, axis=0).take(inverse, axis=1)
 
 
 def _real_gramian(spec: GramianSpec) -> np.ndarray:

@@ -2,16 +2,27 @@
 
 States serialize as {dim, N, coeffs: [[re, im], ...]} with coefficients
 listed in ascending mode order (k = -N/2 .. N/2-1), row-major over
-(k1, k2) in 2D.
+(k1, k2) in 2D, written as one `tolist` of the coefficients' float view.
 A state is read strictly: `dim` and `N` are JSON integers and every
 coefficient a pair of finite real JSON numbers (booleans refused); each
 error message starts with the offending key ("dim", "N" or "coeffs").
+The coefficients are read in bulk, by one `np.array` call after a type
+screen; only a state the screen or the finiteness check refuses goes
+through them one at a time, to name the first bad entry.
+
+Reports are `json.dumps(obj, indent=2, sort_keys=True)` plus a newline,
+byte for byte.  Each list of [re, im] pairs of finite floats (states,
+controls) is rendered by one join of the floats' reprs at its
+indentation, and spliced into the `json.dumps` text of the rest.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import re
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +31,11 @@ from .grid import FourierState, make_grid
 
 
 def state_to_json(u: FourierState) -> dict:
-    c = np.fft.fftshift(u.coeffs).reshape(-1)
+    c = np.fft.fftshift(u.coeffs).reshape(-1, 1)
     return {
         "dim": u.grid.dim,
         "N": u.grid.modes_per_axis,
-        "coeffs": [[float(z.real), float(z.imag)] for z in c],
+        "coeffs": c.view(np.float64).tolist(),
     }
 
 
@@ -46,9 +57,25 @@ def _integer_field(obj: dict, key: str) -> int:
 
 
 def _coefficients(pairs) -> np.ndarray:
-    """[[re, im], ...] as complex numbers, each part a finite real number."""
+    """[[re, im], ...] as complex numbers, each part a finite real number:
+    one `np.array` call once every pair is a list of two ints or floats."""
     if not isinstance(pairs, list):
         raise ValueError(f"coeffs: expected a list of [re, im] pairs, got {pairs!r}")
+    if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int, float}):
+        try:
+            flat = np.array(pairs, dtype=float).reshape(-1, 2).view(complex).ravel()
+        except OverflowError:  # an integer past the float range
+            flat = None
+        if flat is not None and np.isfinite(flat).all():
+            return flat
+    return _checked_coefficients(pairs)
+
+
+def _checked_coefficients(pairs: list) -> np.ndarray:
+    """`_coefficients` one pair at a time, for what the bulk path refuses:
+    the first entry that is not a pair of finite real numbers raises a
+    ValueError naming its index."""
     flat = np.full(len(pairs), np.nan, dtype=complex)
     for j, pair in enumerate(pairs):
         if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_real, pair)):
@@ -101,7 +128,58 @@ def write_sweep_csv(path: Path, result) -> None:
     write_csv(path, ["lambda", "M_best"], [result.lambda_grid, result.M_of_lambda])
 
 
+# a placeholder string as `json.dumps` renders it, holding its splice index
+_SPLICE = re.compile(r'"\\u0000(\d+)"')
+
+
+def _pair_list_text(values, level: int) -> str | None:
+    """`json.dumps(values, indent=2)` at nesting `level` for a non-empty list
+    of [re, im] lists of finite floats, as one join; None for anything else."""
+    if type(values) is not list or not values:
+        return None
+    if set(map(type, values)) != {list} or set(map(len, values)) != {2}:
+        return None
+    flat = list(chain.from_iterable(values))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    reprs = list(map(float.__repr__, flat))
+    pairs = map(("," + inner).join, zip(reprs[0::2], reprs[1::2]))
+    return ("[" + outer + "[" + inner + (outer + "]," + outer + "[" + inner).join(pairs)
+            + outer + "]\n" + "  " * level + "]")
+
+
+def _take_pair_lists(obj, level: int, texts: list):
+    """A copy of obj's containers with each list of float pairs replaced by
+    the placeholder string "\\0<i>", its text stored at texts[i]."""
+    if isinstance(obj, dict):
+        return {key: _take_pair_lists(value, level + 1, texts)
+                for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        text = _pair_list_text(obj, level)
+        if text is None:
+            return [_take_pair_lists(item, level + 1, texts) for item in obj]
+        texts.append(text)
+        return f"\0{len(texts) - 1}"
+    return obj
+
+
 def write_json(path: Path, obj: dict) -> None:
-    """`obj` as indented JSON with sorted keys, written in one call."""
+    """`obj` as indented JSON with sorted keys, written in one call: the
+    bytes of `json.dumps(obj, indent=2, sort_keys=True)` and a newline.
+
+    The float-pair lists go in by their placeholders, each by the index it
+    holds.  A string of obj that renders like one (a NUL and digits) raises
+    the count of matches past the number of placeholders, and the whole of
+    obj then goes through `json.dumps`."""
+    texts = []
+    parts = _SPLICE.split(json.dumps(_take_pair_lists(obj, 0, texts),
+                                     indent=2, sort_keys=True))
+    if len(parts) == 2 * len(texts) + 1:
+        # in the order of the sorted keys, not of the walk
+        parts[1::2] = [texts[int(i)] for i in parts[1::2]]
+        text = "".join(parts)
+    else:
+        text = json.dumps(obj, indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")

@@ -67,6 +67,11 @@ class NonFiniteStateError(RuntimeError):
     observed mass, or a damped leg's norm, is infinite or NaN."""
 
 
+class _UnresolvedPhaseError(ValueError):
+    """The nonlinear phase of one step, dt * max|u|^2, exceeds both pi and
+    the step's largest linear phase dt * mu_max (see `_check_phase`)."""
+
+
 class StabilizationStallError(RuntimeError):
     """Damped evolution failed to reach the mass threshold within the
     horizon cap (decay rate below floor)."""
@@ -293,6 +298,8 @@ def evolve(u0: FourierState, T: float, params: NLSParams,
     each record keeps its grid values, and a full buffer of them goes back
     to modes in one batched transform.  A record whose mass, energy or observed mass is
     not finite raises NonFiniteStateError, checked a buffer at a time.
+    For sigma != 0 a u0 whose nonlinear phase per step is unresolved
+    (`_check_phase`) raises ValueError, after the t = 0 record's check.
     """
     if not 0.0 < T < np.inf:
         raise ValueError("T must be positive and finite")
@@ -317,6 +324,7 @@ def evolve(u0: FourierState, T: float, params: NLSParams,
     # overflow is caught at its record, as a non-finite sample
     with np.errstate(over="ignore", invalid="ignore"):
         samples[:, :1] = _finite_samples(grid, u0.coeffs[None], params, rec_steps[:1])
+        _check_phase(grid, u0.coeffs, params)
         phys, done = step.start(u0.coeffs), 1
         values = np.empty((n_buf,) + phys.shape, dtype=complex)
         for start in range(1, len(rec_steps), n_buf):
@@ -343,6 +351,26 @@ def _finite_samples(grid: GridSpec, coeffs: np.ndarray, params: NLSParams,
         raise NonFiniteStateError(f"mass, energy or observed mass not finite at "
                                   f"t = {t:.6g}; the state overflowed")
     return block
+
+
+def _check_phase(grid: GridSpec, c: np.ndarray, params: NLSParams) -> None:
+    """For sigma != 0, refuse with `_UnresolvedPhaseError` (a ValueError)
+    coefficients c (one state or a batch) whose nonlinear phase per step,
+    dt * max|u|^2 over the grid values, exceeds both pi and the step's
+    largest linear phase dt * mu_max.  Past pi the rotation
+    exp(i kappa |u|^2) is aliased modulo 2 pi; the linear sub-flow is
+    exact at any dt, so a step that leaves its own linear phases
+    unresolved (a coarse dt) is refused only once the nonlinear phase
+    outruns them too."""
+    if params.sigma == 0:
+        return
+    values = np.fft.ifftn(c, axes=tuple(range(-grid.dim, 0)), norm="forward")
+    phase = params.dt * float(np.max(np.abs(values) ** 2))
+    linear = params.dt * float(-grid.laplacian_symbol().min())
+    if phase > max(np.pi, linear):
+        raise _UnresolvedPhaseError(
+            f"the nonlinear phase dt * max|u|^2 = {phase:.3g} rad per step exceeds "
+            f"pi and the largest linear phase dt * mu_max = {linear:.3g}")
 
 
 def fit_decay_rate(record: DecayRecord, tail_fraction: float = 0.5) -> float:
@@ -548,7 +576,9 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
     when the rate drops below `gamma_floor` or the time passes the horizon
     cap 50 / gamma.  The batch steps on grid values throughout, and goes
     to modes at each check for the norms alone.  A norm that is not
-    finite, at t = 0 or at a later check, raises NonFiniteStateError."""
+    finite, at t = 0 or at a later check, raises NonFiniteStateError; after
+    the t = 0 check, a batch whose nonlinear phase per step is unresolved
+    (`_check_phase`) raises ValueError."""
     stride = 10
     h = stride * params.dt
     span = _refit_span(params.dt)
@@ -566,6 +596,8 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
             if not np.isfinite(row_norms).all():
                 raise NonFiniteStateError(f"norm not finite at t = {checks * h:.6g}; "
                                           f"the state overflowed")
+            if not checks:
+                _check_phase(grid, c, params)
             keep = []
             for row, (b, norm) in enumerate(zip(active, row_norms)):
                 norms[b].append(norm)

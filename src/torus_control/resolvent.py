@@ -14,8 +14,8 @@ block is eliminated by its Schur complement.
 
 In the real basis {1, sqrt2 cos 2 pi k x, sqrt2 sin 2 pi k x}, Q_r = Re(U^H Q U)
 is exact (chi^2 is real) and A stays diagonal (mu = (2 pi k)^2 is even in k), so
-a sweep builds Q_r = I - m * `hum._real_window_form` once, gathered from the
-chi^2 coefficients with the pairing U that lambda_min uses, and runs one real
+a sweep builds Q_r = I - m * `hum._real_window_form` once, from strided views
+of the chi^2 coefficients with the pairing U that lambda_min uses, and runs one real
 eigensolve per lambda: one at a time on the spectrum, stacked in blocks of
 bounded size off it.  A NaN M raises LinAlgError, never reads as 0.  The
 complex formula survives only as the test reference.

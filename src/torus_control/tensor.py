@@ -24,8 +24,8 @@ import numpy as np
 
 from .grid import FourierState, make_grid
 from .hum import (GramianSpec, _centred_kernel, _check_entries, _chi2_coeffs,
-                  _floored_inverse, _pair, _real_gramian, _real_window_form,
-                  _times, observability_constant)
+                  _floored_inverse, _mode_energies, _pair, _real_gramian,
+                  _real_window_blocks, _times, observability_constant)
 
 
 def decompose_modes(u2d: FourierState) -> list[FourierState]:
@@ -55,6 +55,11 @@ def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     C_1d comes from the 1D Gramian, and both go through the conditioning
     floor of `observability_constant`.  The contract is
     |C_2d - C_1d| / C_1d at roundoff (exact transfer at truncation).
+
+    The window tables of `_real_window_blocks` are built once per call, and
+    the time kernel once per pair size: the transverse share of
+    mu_a - mu_b cancels within a pair, so it is that of the first-axis
+    energies, each taken twice over in a pair of 2N slots.
     """
     if base_spec.grid.dim != 1:
         raise ValueError("base_spec must be a 1D Gramian spec")
@@ -64,14 +69,14 @@ def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     spec2d = replace(base_spec, window=strip)
     grid = spec2d.grid
     _check_entries(grid, grid.n_points, "Gramian entries")
-    c = _chi2_coeffs(strip.samples)
-    mu = -grid.laplacian_symbol().ravel()
-    k2 = np.arange(grid.n_points) % n
+    pairs = [sorted({q, -q % n}) for q in range(n // 2 + 1)]
+    slots = ((np.arange(n)[:, None] * n + k2).ravel() for k2 in pairs)
+    mu = _mode_energies(grid)
+    kernels = {1: _centred_kernel(mu, spec2d.T),
+               2: _centred_kernel(np.repeat(mu, 2), spec2d.T)}
     lams = []
-    for q in range(n // 2 + 1):
-        slots = np.flatnonzero((k2 == q) | (k2 == -q % n))
-        block = _real_window_form(c, slots)
-        block *= _centred_kernel(mu[slots], spec2d.T)
+    for k2, block in zip(pairs, _real_window_blocks(_chi2_coeffs(strip.samples), slots)):
+        block *= kernels[len(k2)]
         lams.append(np.linalg.eigvalsh(block)[0])
     return _floored_inverse(float(np.min(lams)), spec2d), observability_constant(base_spec)
 

@@ -86,6 +86,8 @@ def test_real_window_form_is_the_paired_basis_form(dim, n):
     reference = u.conj().T @ w @ u
     q = _real_window_form(c)
     assert np.array_equal(q, q.T)
+    # the form built from strided views equals the gather over every slot
+    assert np.array_equal(q, _real_window_form(c, np.arange(c.size)))
     # |c| <= 1: a product over n**dim terms is good to about n**dim * eps
     assert np.max(np.abs(reference.imag)) <= 1e-14
     assert np.max(np.abs(q - reference.real)) <= 1e-14

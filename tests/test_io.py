@@ -2,11 +2,13 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from torus_control import make_grid, make_window, random_state
+from torus_control.cli import main
 from torus_control.io import (state_from_json, state_to_json, write_csv,
                               write_decay_csv, write_json, write_sweep_csv,
                               write_trajectory_csv)
@@ -53,6 +55,22 @@ def test_state_from_json_rejects_non_finite(bad):
     obj["coeffs"][3] = [0.5, bad]
     with pytest.raises(ValueError, match="finite"):
         state_from_json(obj)
+
+
+@pytest.mark.parametrize("index", [0, 3, 7])
+@pytest.mark.parametrize("pair", [[True, 0.0], ["1.0", 0.0], [None, 0.0],
+                                  [float("nan"), 0.0], [0.0, float("inf")],
+                                  [-float("inf"), 0.0], [1.0], [1.0, 2.0, 3.0],
+                                  [10 ** 400, 0.0]])
+def test_state_from_json_names_the_bad_entry(pair, index):
+    # the bulk parse refuses the state, and the message names the entry's
+    # index as the one-at-a-time parse does
+    obj = state_to_json(random_state(make_grid(1, 8), np.random.default_rng(2)))
+    obj["coeffs"][index] = pair
+    with pytest.raises(ValueError) as info:
+        state_from_json(obj)
+    assert str(info.value) == (f"coeffs[{index}]: expected a pair of finite real "
+                               f"numbers, got {pair!r}")
 
 
 def test_trajectory_csv(tmp_path):
@@ -116,3 +134,71 @@ def test_json_bytes_match_json_dump(tmp_path):
     path = tmp_path / "out.json"
     write_json(path, obj)
     assert path.read_bytes() == reference.read_bytes()
+
+
+def test_json_bytes_match_json_dump_with_float_pairs(tmp_path):
+    # float-pair lists in an insertion order that sort_keys reverses, beside
+    # lists that hold an int, a non-finite float or a float subclass
+    rng = np.random.default_rng(4)
+    pairs = [rng.standard_normal((n, 2)).tolist() for n in (3, 1, 2)]
+    obj = {"z": pairs[0], "m": {"y": pairs[1], "b": [pairs[2], [[1, 0.5]]]},
+           "a": [[np.float64(0.1), 0.2]], "c": [[float("nan"), 1.0]], "d": (0.5, -0.0)}
+    path = tmp_path / "out.json"
+    write_json(path, obj)
+    assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# one small config for every subcommand; N = 16, short horizons, an inline
+# state whose coefficients sort before the window's pairs
+REPORT_CFG = {
+    "grid": {"dim": 1, "N": 16},
+    "window": {"omega": [[0.0, 0.3]], "kind": "smooth", "transition_width": 0.05},
+    "horizon": {"T": 1.0},
+    "initial_state": state_to_json(random_state(make_grid(1, 16), np.random.default_rng(5),
+                                                norm=0.5, max_mode=4)),
+    "target": {"norm": 0.2, "max_mode": 4},
+    "nls": {"sigma": -1, "dt": 1e-3},
+    "sweep": {"n_points": 32, "cross_check": True},
+    "seed": 3,
+}
+# an inline state whose coefficient list mixes ints with floats at the ends
+# of the float range, beside a number past what the HUM solve can take
+MIXED_STATE = {
+    "dim": 1, "N": 16,
+    "coeffs": [[1, 0], [-0.0, 5e-324], [1e150, -2], [0.25, -0.0]] + [[0.0, 0.0]] * 12,
+    "scale": 1e308,
+}
+
+
+def _report_bytes(tmp_path: Path, sub: str, cfg: dict) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(path), "--out", str(out), "--format", "json"]) == 0
+    return (out / f"{sub.replace('-', '_')}.json").read_text()
+
+
+@pytest.mark.parametrize("sub", ["simulate", "control", "observability",
+                                 "resolvent-sweep", "tensor-check", "stabilize",
+                                 "global-control"])
+def test_reports_are_json_dumps_bytes(tmp_path, sub):
+    # every report, the spliced float-pair lists included, is the bytes of
+    # json.dumps(indent=2, sort_keys=True) and a newline
+    text = _report_bytes(tmp_path, sub, REPORT_CFG)
+    report = json.loads(text)
+    assert report["config_echo"] == REPORT_CFG
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+# strings, as a value and as a key, that look like JSON, hold NULs, or
+# render as the writer's placeholders do ("\u0000" and digits, whole or
+# quoted inside)
+@pytest.mark.parametrize("label", ['[["]], {"a": [1.0, 2.0]} \u0000 \\u0000', "\u00000",
+                                   "\u00001", '"\u00000"'])
+def test_report_with_mixed_numbers_and_strings_is_json_dumps_bytes(tmp_path, label):
+    cfg = dict(REPORT_CFG, initial_state=dict(MIXED_STATE, label=label), **{label: 1})
+    text = _report_bytes(tmp_path, "control", cfg)
+    report = json.loads(text)
+    assert report["config_echo"]["initial_state"]["coeffs"] == MIXED_STATE["coeffs"]
+    assert report["config_echo"]["initial_state"]["label"] == label
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"

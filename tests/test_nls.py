@@ -577,3 +577,23 @@ def test_energy_definition():
     # |u| == 1 pointwise: gradient term (2 pi)^2, quartic term sigma/2
     assert energy(u, 0) == pytest.approx((2 * np.pi) ** 2)
     assert energy(u, 1) == pytest.approx((2 * np.pi) ** 2 + 0.5)
+
+
+def test_unresolved_nonlinear_phase_is_refused():
+    # dt * max|u|^2 is about 6e7 rad per step, past pi and past the largest
+    # linear phase dt * (pi N)^2 = 10.1: evolve and the damped legs refuse
+    # the state; without the nonlinearity it runs
+    g = make_grid(1, 32)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    u0 = random_state(g, np.random.default_rng(3), norm=1e5, max_mode=8)
+    with pytest.raises(ValueError, match="nonlinear phase dt"):
+        evolve(u0, 0.01, NLSParams(sigma=-1, dt=1e-3, damping=w))
+    with pytest.raises(ValueError, match="nonlinear phase dt"):
+        global_control(u0, zero_state(g), GramianSpec(T=1.0, window=w),
+                       NLSParams(sigma=1, dt=1e-3))
+    _, record = evolve(u0, 0.01, NLSParams(sigma=0, dt=1e-3))
+    assert record.mass[-1] == pytest.approx(u0.norm_l2() ** 2, rel=1e-12)
+    # a coarse dt whose linear phases outrun the nonlinear one still runs
+    _, record = evolve(random_state(g, np.random.default_rng(3), max_mode=8), 10.0,
+                       NLSParams(sigma=-1, dt=5.0))
+    assert len(record.times) == 3
