@@ -24,7 +24,7 @@ from .grid import FourierState, make_grid, random_state
 from .hum import (MAX_DENSE_POINTS, DenseSizeError, GramianSpec, GramianSingularError,
                   HUMConvergenceError, drive_linear, observability_constant,
                   solve_hum)
-from .io import (_integral, _real, state_from_json, state_to_json,
+from .io import (NonFiniteResultError, _integral, _real, state_from_json, state_to_json,
                  write_decay_csv, write_json, write_sweep_csv, write_trajectory_csv)
 from .nls import (NLSParams, NonFiniteStateError, PicardDivergenceError,
                   StabilizationStallError, _refit_span, _UnresolvedPhaseError, evolve,
@@ -365,8 +365,8 @@ def main(argv=None) -> int:
         print(f"config error: --out: {exc}", file=sys.stderr)
         return 2
     except (GramianSingularError, HUMConvergenceError, InfeasibleResolventError,
-            NonFiniteStateError, PicardDivergenceError, StabilizationStallError,
-            np.linalg.LinAlgError) as exc:
+            NonFiniteResultError, NonFiniteStateError, PicardDivergenceError,
+            StabilizationStallError, np.linalg.LinAlgError) as exc:
         write_json(out_dir / "error.json",
                    {"error": type(exc).__name__, "message": str(exc)})
         print(f"numerical failure: {exc}", file=sys.stderr)

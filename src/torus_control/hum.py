@@ -9,10 +9,11 @@ exactly when the window observes every truncated mode.  The smallest
 eigenvalue gives the observability constant C_T = 1 / lambda_min(S).
 
 The Gramian is S_ab = W_ab * int_0^T exp(i*(mu_a - mu_b)*t) dt in closed
-form, W the circulant matrix of chi^2 along the first axis,
-mu = (2*pi*k_1)^2.  A 2D strip couples only equal k_2, whose share of
-mu_a - mu_b cancels (S_2d = S ⊗ I), so C_T, the HUM solve and
-`drive_linear` act on (N, N**(dim-1)) coefficients, by column.
+form, W_ab = c(k_a - k_b) the matrix of chi^2 along the first axis, c
+the window's `coefficients` (which own the convention), mu = (2*pi*k_1)^2.
+A 2D strip couples only equal k_2, whose share of mu_a - mu_b cancels
+(S_2d = S ⊗ I), so C_T, the HUM solve and `drive_linear` act on
+(N, N**(dim-1)) coefficients, by column.
 
 Every eigensolve and solve runs on one real form.  Centring time on
 [-T/2, T/2] is the similarity E = diag(exp(i*mu*T/2)): E^H S E = W * K,
@@ -20,15 +21,14 @@ K = T sinc((mu_a - mu_b)*T/2) real.  chi^2 is real and mu even in k, so
 the unitary U pairing e_k and e_-k into (cos, sin) columns makes U^H W U
 real and leaves K as it is: S = P R P^H, P = E U, R = Re(U^H W U) * K
 (`_real_gramian`; `_pair` applies P^H or P).  `_real_window_form` builds
-Re(U^H W U) from the chi^2 coefficients in any dim: the whole form from
-strided views, a block of slots by a gather.  lambda_min is one real
-`eigvalsh` of R; the strip check in `tensor` runs one per transverse pair
-{k_2, -k_2} of the 2D form, and the resolvent sweep uses the whole window
-form.  Only `drive_linear` stays in the mode basis, so the certificate
-does not share the solve's representation.  The NLS controlled solve adds
-each step's exact source, W * `_centred_kernel(mu, dt)` (the Gramian of
-one step), whose steps sum to S: `local_control_nls` factors this same R
-once.
+Re(U^H W U) in any dim, `_real_window_blocks` blocks of it.  lambda_min is
+one real `eigvalsh` of R; the strip check in `tensor` runs one per
+transverse pair {k_2, -k_2} of the 2D form, and the resolvent sweep uses
+the whole window form.  Only `drive_linear` stays in the mode basis, so
+the certificate does not share the solve's representation.  The NLS
+controlled solve adds each step's exact source, W * `_centred_kernel(mu,
+dt)` (the Gramian of one step), whose steps sum to S: `local_control_nls`
+factors this same R once.
 
 Every production path runs on numpy alone: real `eigvalsh`, and one real
 Cholesky factorization per form (`_cholesky`), after which `_solve` costs
@@ -214,59 +214,38 @@ def check_dense_size(grid: GridSpec) -> None:
 
 
 def window_mode_matrix(window: CutoffWindow) -> np.ndarray:
-    """Matrix of multiplication by chi^2 along the first axis: the N x N
-    circulant W_ab = (chi^2)^(k_a - k_b), the mode difference aliased onto
-    the grid.  In 2D the strip window's W acts on each k_2 column alone.
-    Built as one copy of a strided view of the coefficients, reversed and
-    wrapped once: no index table."""
+    """W_ab = c(k_a - k_b), c the window's `coefficients`: multiplication by
+    chi^2 along the first axis, in FFT order (in 2D, on each k_2 column
+    alone), one `ifftshift` copy of a Toeplitz view in ascending order."""
     check_dense_size(window.grid)
-    d = _profile_coeffs(window)[::-1]
-    return sliding_window_view(np.concatenate((d, d[:-1])), len(d))[::-1].copy()
+    n = window.grid.modes_per_axis
+    # c(m) for m = N-1 down to 1-N: row a of the reversed view reads c(a - b)
+    c = window.coefficients(np.arange(n - 1, -n, -1))
+    return np.fft.ifftshift(sliding_window_view(c, n)[::-1])
 
 
-def _chi2_coeffs(samples: np.ndarray) -> np.ndarray:
-    """Fourier coefficients (chi^2)^(k) of window samples, in FFT order."""
-    return np.fft.fftn(samples ** 2) / samples.size
+def _real_window_form(c: np.ndarray) -> np.ndarray:
+    """Re(U^H W U), W_ab = c(k_a - k_b), over the N**dim modes in row-major
+    FFT order, for c on the modes -N .. N along each axis.
 
-
-def _profile_coeffs(window: CutoffWindow) -> np.ndarray:
-    """chi^2 coefficients of the window's first-axis profile (its x_1 slice)."""
-    return _chi2_coeffs(window.samples.reshape(window.grid.modes_per_axis, -1)[:, 0])
-
-
-def _real_window_form(c: np.ndarray, slots: np.ndarray | None = None) -> np.ndarray:
-    """Real form Re(U^H W U) of the window matrix W_ab = c(k_a - k_b), for
-    chi^2 coefficients c of shape (N,) * dim, over the N**dim modes in
-    row-major FFT order; given `slots` (slot indices), only its
-    np.ix_(slots, slots) sub-block, gathered by `_real_window_blocks`.
-
-    U pairs each mode k with -k.  Of the two slots, the first in row-major
-    order holds the cos column (e_k + e_-k)/sqrt2, the other the sin
-    column (e_k - e_-k)/(i sqrt2); a self-paired mode (every component 0
-    or N/2) keeps e_k.  chi^2 is real, so c(-m) = conj c(m) and U^H W U is
-    real.  With d = k_a - k_b and s = k_a + k_b, k the slot's own mode, the
-    entry is Re c(d) + Re c(s) between cos slots, Re c(d) - Re c(s) between
-    sin slots, Im c(s) - Im c(d) from a cos to a sin slot and
-    Im c(s) + Im c(d) from a sin to a cos slot, each scaled by 1/sqrt2 per
-    self-paired index.
-
-    The whole form needs no index table: one N-D strided view of the
-    wrap-padded coefficients holds both the circulant c(k_a - k_b) and the
-    anti-circulant c(k_a + k_b) (as `window_mode_matrix` builds W), and the
-    four cases are one sign p_a = +1 (cos) or -1 (sin) per row: Re c(d) +
-    p_a Re c(s) within a kind, Im c(s) - p_a Im c(d) across.
+    U pairs each mode k with -k: the slot first in row-major order holds
+    the cos column (e_k + e_-k)/sqrt2, the other the sin column
+    (e_k - e_-k)/(i sqrt2), and a self-paired mode (every component 0 or
+    N/2) keeps e_k.  c(-m) = conj c(m) (chi^2 is real), so with
+    d = k_a - k_b, s = k_a + k_b and p_a = +1 at a cos row, -1 at a sin row,
+    the entry is Re c(d) + p_a Re c(s) within a kind and Im c(s) - p_a Im c(d)
+    across, times 1/sqrt2 per self-paired index.  One strided view of c in
+    ascending mode order holds c(s) and c(d); one `ifftshift` makes FFT order.
     """
-    if slots is not None:
-        return next(_real_window_blocks(c, [slots]))
-    dim, n = c.ndim, c.shape[0]
-    c, partner = _hermitian_part(c)
-    slot = np.arange(c.size)
-    sin = (slot > partner).reshape(c.shape)
-    # view[a, j] = c(k_a + j) along each axis, j = 0 .. N: its first N
-    # columns are c(k_a + k_b), its last N reversed c(k_a - k_b)
-    view = sliding_window_view(np.pad(c, [(0, n)] * dim, mode="wrap"), (n + 1,) * dim)
-    add = view[(Ellipsis,) + (slice(None, n),) * dim]
-    sub = view[(Ellipsis,) + (slice(n, 0, -1),) * dim]
+    dim, n = c.ndim, c.shape[0] // 2
+    h, partner = _hermitian_part(c), _partners(n, dim)
+    slot = np.arange(partner.size)
+    sin = np.fft.fftshift((slot > partner).reshape((n,) * dim))
+    # view[i, j] = h(i + j - N) along each axis: at ascending slots a, b
+    # (k = a - N/2) view[a, b] = h(k_a + k_b), view[a, N - b] = h(k_a - k_b)
+    view = sliding_window_view(h, (n + 1,) * dim)
+    add = view[(slice(None, n),) * (2 * dim)]
+    sub = view[(slice(None, n),) * dim + (slice(n, 0, -1),) * dim]
     rows = (Ellipsis,) + (None,) * dim
     p = np.where(sin, -1.0, 1.0)[rows]
     q = p * add.real
@@ -274,35 +253,46 @@ def _real_window_form(c: np.ndarray, slots: np.ndarray | None = None) -> np.ndar
     across = p * sub.imag
     np.subtract(add.imag, across, out=across)
     np.copyto(q, across, where=sin[rows] != sin)
-    return _scale_self_paired(q.reshape(c.size, c.size), slot == partner)
+    del across  # before the copy: it would raise lambda_min's peak
+    q = np.fft.ifftshift(q)
+    return _scale_self_paired(q.reshape(slot.size, slot.size), slot == partner)
 
 
 def _real_window_blocks(c: np.ndarray, blocks):
-    """`_real_window_form(c, slots)` for each `slots` of the iterable
-    `blocks`, in turn: the Hermitian part, the partner table and the term
-    tables are built once, and each block is one real gather per term."""
-    n = c.shape[0]
-    c, partner = _hermitian_part(c)
-    # tables[kind_a, kind_b] of the d and s terms, kind 0 cos or
-    # self-paired, 1 sin
-    re, im = c.real, c.imag
-    d_terms = np.array([[re, -im], [im, re]])
-    s_terms = np.array([[re, im], [im, -re]])
+    """`_real_window_form(c)[np.ix_(slots, slots)]` for each `slots` of
+    `blocks` in turn, by `take` from flat Re and Im tables of the Hermitian
+    part, built once (c is dropped), at the flat indices of s, then d."""
+    dim, n = c.ndim, c.shape[0] // 2
+    re, im = _hermitian_part(c).reshape(-1, 1).view(float).T.copy()
+    del c
+    partner = _partners(n, dim)
+    mode = (np.arange(n) + n // 2) % n - n // 2  # a slot's k along one axis
+    # c(m) is re[m . stride + mid]
+    stride, mid = (2 * n + 1) ** np.arange(dim - 1, -1, -1), re.size // 2
     for slots in blocks:
-        kind = (slots > partner[slots]).astype(np.intp)
-        kinds = (kind[:, None], kind[None, :])
-        modes = np.unravel_index(slots, c.shape)
-        q = d_terms[kinds + tuple(np.subtract.outer(k, k) % n for k in modes)]
-        q += s_terms[kinds + tuple(np.add.outer(k, k) % n for k in modes)]
+        f = stride @ mode[np.array(np.unravel_index(slots, (n,) * dim))]
+        sin = slots > partner[slots]
+        p = np.where(sin, -1.0, 1.0)[:, None]
+        index = np.add.outer(f + mid, f)  # of s, then of d
+        q = p * re.take(index)
+        across = im.take(index)
+        np.subtract.outer(f + mid, f, out=index)
+        q += re.take(index)
+        across -= p * im.take(index)
+        np.copyto(q, across, where=sin[:, None] != sin)
         yield _scale_self_paired(q, slots == partner[slots])
 
 
-def _hermitian_part(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c(k) + conj c(-k)) / 2, exactly Hermitian so that the real form is
-    exactly symmetric, and the row-major slot of each mode's partner -k."""
-    n = c.shape[0]
-    neg = np.ix_(*[-np.arange(n) % n] * c.ndim)
-    return 0.5 * (c + np.conj(c[neg])), np.arange(c.size).reshape(c.shape)[neg].ravel()
+def _hermitian_part(c: np.ndarray) -> np.ndarray:
+    """(c(m) + conj c(-m)) / 2 for c on m = -N .. N along each axis:
+    exactly Hermitian, so that the real form is exactly symmetric."""
+    return 0.5 * (c + np.conj(c[(slice(None, None, -1),) * c.ndim]))
+
+
+def _partners(n: int, dim: int) -> np.ndarray:
+    """The row-major FFT-order slot of each slot's partner mode -k."""
+    neg = np.ix_(*[-np.arange(n) % n] * dim)
+    return np.arange(n ** dim).reshape((n,) * dim)[neg].ravel()
 
 
 def _scale_self_paired(q: np.ndarray, self_paired: np.ndarray) -> np.ndarray:
@@ -345,7 +335,8 @@ def _real_gramian(spec: GramianSpec) -> np.ndarray:
     """R = Re(U^H W U) * `_centred_kernel`, S = P R P^H; N x N, for every k_2
     column alike.  Grids past check_dense_size raise DenseSizeError."""
     check_dense_size(spec.grid)
-    r = _real_window_form(_profile_coeffs(spec.window))
+    n = spec.grid.modes_per_axis
+    r = _real_window_form(spec.window.coefficients(np.arange(-n, n + 1)))
     r *= _centred_kernel(_mode_energies(spec.grid), spec.T)
     return r
 
@@ -502,9 +493,7 @@ def drive_linear(u0: FourierState, spec: GramianSpec,
     summed per block, the latter after an FFT along the first axis only
     (chi is constant in x_2, and Plancherel holds in k_2).  Beside A, built
     in place over W, it holds a few arrays of one block (256 kB each), never
-    the whole trajectory, and no sample depends on the block size.
-    Returns the sampled trajectory and ||u(T)||_L2, the root of the last
-    mass sample.
+    the whole trajectory.  Returns the samples and ||u(T)||_L2.
     """
     if u0.grid != spec.grid or phi0.grid != spec.grid:
         raise ValueError("grid mismatch")

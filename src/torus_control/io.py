@@ -6,14 +6,13 @@ listed in ascending mode order (k = -N/2 .. N/2-1), row-major over
 A state is read strictly: `dim` and `N` are JSON integers and every
 coefficient a pair of finite real JSON numbers (booleans refused); each
 error message starts with the offending key ("dim", "N" or "coeffs").
-The coefficients are read in bulk, by one `np.array` call after a type
-screen; only a state the screen or the finiteness check refuses goes
-through them one at a time, to name the first bad entry.
 
 Reports are `json.dumps(obj, indent=2, sort_keys=True)` plus a newline,
 byte for byte.  Each list of [re, im] pairs of finite floats (states,
 controls) is rendered by one join of the floats' reprs at its
-indentation, and spliced into the `json.dumps` text of the rest.
+indentation, and spliced into the `json.dumps` text of the rest.  A
+results CSV column, or a number under a report's `results`, that is not
+finite raises NonFiniteResultError naming it, before the file is opened.
 """
 
 from __future__ import annotations
@@ -28,6 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .grid import FourierState, make_grid
+
+
+class NonFiniteResultError(RuntimeError):
+    """A result to be written is not finite: its CSV column or dotted path."""
 
 
 def state_to_json(u: FourierState) -> dict:
@@ -115,17 +118,25 @@ def write_csv(path: Path, header: list[str], columns) -> None:
         fh.write("".join([row % sample for sample in zip(*values)]))
 
 
+def _write_results_csv(path: Path, header: list[str], columns) -> None:
+    """`write_csv`, after refusing a column that is not finite."""
+    for name, column in zip(header, columns):
+        if not np.isfinite(column).all():
+            raise NonFiniteResultError(f"{path.name} column {name}: expected finite numbers")
+    write_csv(path, header, columns)
+
+
 def write_trajectory_csv(path: Path, times, mass, observed) -> None:
-    write_csv(path, ["t", "mass", "observed_mass"], [times, mass, observed])
+    _write_results_csv(path, ["t", "mass", "observed_mass"], [times, mass, observed])
 
 
 def write_decay_csv(path: Path, record) -> None:
-    write_csv(path, ["t", "mass", "energy", "observed"],
-              [record.times, record.mass, record.energy, record.observed])
+    _write_results_csv(path, ["t", "mass", "energy", "observed"],
+                       [record.times, record.mass, record.energy, record.observed])
 
 
 def write_sweep_csv(path: Path, result) -> None:
-    write_csv(path, ["lambda", "M_best"], [result.lambda_grid, result.M_of_lambda])
+    _write_results_csv(path, ["lambda", "M_best"], [result.lambda_grid, result.M_of_lambda])
 
 
 # a placeholder string as `json.dumps` renders it, holding its splice index
@@ -149,18 +160,22 @@ def _pair_list_text(values, level: int) -> str | None:
             + outer + "]\n" + "  " * level + "]")
 
 
-def _take_pair_lists(obj, level: int, texts: list):
+def _take_pair_lists(obj, level: int, texts: list, path: str | None = None):
     """A copy of obj's containers with each list of float pairs replaced by
-    the placeholder string "\\0<i>", its text stored at texts[i]."""
+    the placeholder string "\\0<i>", its text stored at texts[i].  Given
+    obj's dotted `path`, a float that is not finite raises, naming it."""
     if isinstance(obj, dict):
-        return {key: _take_pair_lists(value, level + 1, texts)
+        return {key: _take_pair_lists(value, level + 1, texts, path and f"{path}.{key}")
                 for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        text = _pair_list_text(obj, level)
+        text = _pair_list_text(obj, level)  # None unless every float is finite
         if text is None:
-            return [_take_pair_lists(item, level + 1, texts) for item in obj]
+            return [_take_pair_lists(item, level + 1, texts, path and f"{path}[{i}]")
+                    for i, item in enumerate(obj)]
         texts.append(text)
         return f"\0{len(texts) - 1}"
+    if path and isinstance(obj, float) and not math.isfinite(obj):
+        raise NonFiniteResultError(f"{path}: expected a finite number, got {obj!r}")
     return obj
 
 
@@ -171,10 +186,12 @@ def write_json(path: Path, obj: dict) -> None:
     The float-pair lists go in by their placeholders, each by the index it
     holds.  A string of obj that renders like one (a NUL and digits) raises
     the count of matches past the number of placeholders, and the whole of
-    obj then goes through `json.dumps`."""
+    obj then goes through `json.dumps`.  Only the floats under obj["results"]
+    must be finite."""
     texts = []
-    parts = _SPLICE.split(json.dumps(_take_pair_lists(obj, 0, texts),
-                                     indent=2, sort_keys=True))
+    taken = {key: _take_pair_lists(value, 1, texts, "results" if key == "results" else None)
+             for key, value in obj.items()}
+    parts = _SPLICE.split(json.dumps(taken, indent=2, sort_keys=True))
     if len(parts) == 2 * len(texts) + 1:
         # in the order of the sorted keys, not of the walk
         parts[1::2] = [texts[int(i)] for i in parts[1::2]]

@@ -11,13 +11,16 @@ weights use (1 + |2*pi*k|^2)^(1/2); the two scalings coexist.
 
 The commutator norm never forms a matrix.  In ascending mode order the
 operator [D^r, f] from H^s to H^(s-r+1) is A = W_out (D T0 - T0 D) W_in^-1:
-D, W_out and W_in diagonal, T0 the Toeplitz matrix of the window's
-de-aliased coefficients f_hat(k - j) without the mean f_hat(0), which
-commutes with D.  T0 acts by FFT through a 2N-point circulant embedding,
-and the norm sqrt(lambda_max(A^H A)) comes from a short Lanczos run with
-full reorthogonalization, which stops on a relative Ritz residual of
-1e-15.  Its working memory is O(kN) for k steps (7 to 46 at N <= 512 on
-a smooth window), not the N x N matrix and its SVD.
+D, W_out and W_in diagonal, T0 the Toeplitz matrix of f_hat(k - j)
+without the mean f_hat(0), which commutes with D.  f_hat are the window's
+`coefficients` of chi (p = 1), sampled on a grid 4 times finer: on the
+state grid they alias, and mode pairs near the two ends of the spectrum
+would couple through wrapped differences, which wrecks the commutator's
+cancellation.  T0 acts by FFT through a 2N-point circulant embedding, and
+the norm sqrt(lambda_max(A^H A)) comes from a short Lanczos run with full
+reorthogonalization, which stops on a relative Ritz residual of 1e-15.
+Its working memory is O(kN) for k steps (7 to 46 at N <= 512 on a smooth
+window), not the N x N matrix and its SVD.
 """
 
 from __future__ import annotations
@@ -55,40 +58,21 @@ def sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
     return (1.0 - grid.laplacian_symbol()) ** (s / 2.0)
 
 
-def _refined_window_coeffs(grid: GridSpec, f) -> np.ndarray:
-    """Fourier coefficients of the window profile, resolved on a grid
-    4 times finer than the state grid, in FFT order.
-
-    Pointwise multiplication on the state grid is a circular convolution:
-    mode pairs near the two ends of the spectrum couple through wrapped
-    frequency differences, which wrecks the commutator cancellation.  The
-    refined coefficients let callers convolve with the true (unwrapped)
-    difference k - j, matching the continuous operator.
-    """
-    fine = make_grid(1, 4 * grid.modes_per_axis)
-    fw = make_window(fine, f.omega, transition_width=f.transition_width,
-                     kind=f.kind)
-    return np.fft.fft(fw.samples) / fine.modes_per_axis
-
-
 def _commutator_products(grid: GridSpec, r: float, s: float, f):
-    """Matrix-free products v -> A v and u -> A^H u, on the last axis, of
-    A = W_out (D T0 - T0 D) W_in^-1, the matrix of [D^r, f] from H^s to
-    H^(s-r+1) in ascending mode order k = -N/2 ... N/2 - 1 (1D only).
-
-    D, W_out and W_in are diagonal.  T0 is the Toeplitz matrix of the
-    de-aliased coefficients f_hat(k - j) with f_hat(0) set to 0: the mean
-    commutes with D, so dropping it is exact and leaves a constant window
-    exactly 0.  T0 acts through its 2N-point circulant embedding, whose
-    symbol is transformed once; the adjoint takes the conjugate symbol.
-    """
+    """Matrix-free products v -> A v and u -> A^H u, on the last axis, of the
+    module's A = W_out (D T0 - T0 D) W_in^-1 in ascending mode order
+    k = -N/2 ... N/2 - 1 (1D only).  Without the mean, a constant window
+    gives exactly 0.  The symbol of T0's circulant embedding is transformed
+    once; the adjoint takes its conjugate."""
     if grid.dim != 1:
         raise ValueError("the commutator [D^r, f] is defined on the 1D torus only")
     n = grid.modes_per_axis
-    fhat = _refined_window_coeffs(grid, f)
-    # circulant column: f_hat(0 ... N-1), a zero pad, f_hat(-(N-1) ... -1)
-    column = np.concatenate((fhat[:n], [0.0], fhat[1 - n:]))
-    column[0] = 0.0
+    fine = make_window(make_grid(1, 4 * n), f.omega, transition_width=f.transition_width,
+                       kind=f.kind)
+    # circulant column: f_hat(0 ... N-1), the pad slot m = -N, f_hat(-(N-1)
+    # ... -1); the mean and the pad are zeroed
+    column = fine.coefficients(np.roll(np.arange(-n, n), n), p=1)
+    column[[0, n]] = 0.0
     symbol = np.fft.fft(column)
     d = np.fft.fftshift(fractional_multiplier(grid, r))
     w_out = np.fft.fftshift(sobolev_weights(grid, s - r + 1.0))
@@ -111,16 +95,15 @@ def _commutator_products(grid: GridSpec, r: float, s: float, f):
 def commutator_operator_norm(grid: GridSpec, r: float, s: float, f) -> float:
     """Empirical H^s -> H^(s-r+1) operator norm of u -> [D^r, f] u.
 
-    The largest singular value sigma of the weighted mode-space operator A
-    of `_commutator_products`, built with de-aliased window coefficients
-    and without the window's mean, which commutes with D^r.  A is never
-    formed: sigma^2 = lambda_max(A^H A) comes from Lanczos with full
-    reorthogonalization (classical Gram-Schmidt, twice), from a start
-    vector drawn with a fixed seed, so every call gives the same bits.  It
-    stops once the top Ritz pair's residual beta_k |y_k| is at most
-    `_LANCZOS_RTOL` times its Ritz value, or when the Krylov space is
-    exhausted (beta = 0 or k = N).  Beside the k x N basis of k steps it
-    holds O(N) vectors and the k x k tridiagonal.  r and s must be finite.
+    The largest singular value sigma of the operator A of
+    `_commutator_products`, never formed: sigma^2 = lambda_max(A^H A) comes
+    from Lanczos with full reorthogonalization (classical Gram-Schmidt,
+    twice), from a start vector drawn with a fixed seed, so every call gives
+    the same bits.  It stops once the top Ritz pair's residual
+    beta_k |y_k| is at most `_LANCZOS_RTOL` times its Ritz value, or when
+    the Krylov space is exhausted (beta = 0 or k = N).  Beside the k x N
+    basis of k steps it holds O(N) vectors and the k x k tridiagonal.  r
+    and s must be finite.
     """
     for name, value in (("r", r), ("s", s)):
         if not np.isfinite(value):

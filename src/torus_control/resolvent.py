@@ -14,11 +14,9 @@ block is eliminated by its Schur complement.
 
 In the real basis {1, sqrt2 cos 2 pi k x, sqrt2 sin 2 pi k x}, Q_r = Re(U^H Q U)
 is exact (chi^2 is real) and A stays diagonal (mu = (2 pi k)^2 is even in k), so
-a sweep builds Q_r = I - m * `hum._real_window_form` once, from strided views
-of the chi^2 coefficients with the pairing U that lambda_min uses, and runs one real
-eigensolve per lambda: one at a time on the spectrum, stacked in blocks of
-bounded size off it.  A NaN M raises LinAlgError, never reads as 0.  The
-complex formula survives only as the test reference.
+a sweep builds Q_r = I - m * `hum._real_window_form` once, with the pairing U
+that lambda_min uses, and runs one real eigensolve per lambda (see `sweep`).
+The complex formula survives only as the test reference.
 
 Observability and resolvent constants convert both ways:
 forward  (M, m) = (2*C_T*T^3/3, 2*C_T*T);
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FourierState, GridSpec
-from .hum import _profile_coeffs, _real_window_form, check_dense_size
+from .hum import _real_window_form, check_dense_size
 from .windows import CutoffWindow, multiply_window
 
 
@@ -60,15 +58,15 @@ class ResolventSweepResult:
 
 
 def _real_form(m: float, window: CutoffWindow, grid: GridSpec) -> np.ndarray:
-    """Q_r = Re(U^H (I - m W) U) = I - m * Re(U^H W U); column k of the
-    unitary U is (e_k + e_-k)/sqrt2 and column -k is (e_k - e_-k)/(i sqrt2),
-    0 < k < N/2 (`hum._real_window_form`)."""
+    """Q_r = Re(U^H (I - m W) U) = I - m * Re(U^H W U), the pairing U of
+    `hum._real_window_form`."""
     if not 0.0 <= m < np.inf:
         raise ValueError(f"m must be finite and >= 0, got {m}")
     if grid.dim != 1:
         raise ValueError("resolvent constants support 1D grids")
     check_dense_size(grid)
-    q = _real_window_form(_profile_coeffs(window))
+    n = grid.modes_per_axis
+    q = _real_window_form(window.coefficients(np.arange(-n, n + 1)))
     q *= -m
     q[np.diag_indices_from(q)] += 1.0
     return q
@@ -177,11 +175,11 @@ def feasible_m(window: CutoffWindow, grid: GridSpec) -> float:
 
     For eigenvalue -(2*pi*k)^2 the eigenspace is span{e^{+-2*pi*i*k*x}};
     the constraint is m * (W_kk - |W_k,-k|) >= 1, or m * W_kk >= 1 at k = 0, N/2.
-    W is circulant in the chi^2 coefficients c: W_kk = c(0), W_k,-k = c(2k mod N).
+    With the window's coefficients c, W_kk = c(0) and W_k,-k = c(2k).
     """
-    n, c = grid.modes_per_axis, _profile_coeffs(window)
-    k = np.arange(n // 2 + 1)
-    lam_min = c[0].real - np.where(k == -k % n, 0.0, np.abs(c[2 * k % n]))
+    k = np.arange(grid.modes_per_axis // 2 + 1)
+    c = window.coefficients(2 * k)
+    lam_min = c[0].real - np.where((k == 0) | (k == k[-1]), 0.0, np.abs(c))
     if lam_min.min() <= 0.0:
         raise InfeasibleResolventError("window does not observe the eigenspace of "
                                        f"mode |k| = {np.argmax(lam_min <= 0.0)}")

@@ -9,7 +9,8 @@ Gramian in `hum` relies on this and is N x N in 2D too.
 
 tensor-check verifies the identity on the genuinely 2D exact-time
 Gramian over all N^2 modes, in the real form of `hum` (each mode (k_1, k_2)
-paired with (-k_1, -k_2)).  A strip's chi^2 vanishes off k_2 = 0 (up to FFT
+paired with (-k_1, -k_2)), from the whole strip's `coefficients` on
+(-N .. N)^2.  A strip's chi^2 vanishes off k_2 = 0 (up to FFT
 rounding; `CutoffWindow` refuses 2D samples that vary along the second
 axis), so the form couples a slot only to slots of the same transverse
 pair {k_2, -k_2}: one real `eigvalsh` per pair, N/2 + 1 of them, of at
@@ -23,9 +24,9 @@ from dataclasses import replace
 import numpy as np
 
 from .grid import FourierState, make_grid
-from .hum import (GramianSpec, _centred_kernel, _check_entries, _chi2_coeffs,
-                  _floored_inverse, _mode_energies, _pair, _real_gramian,
-                  _real_window_blocks, _times, observability_constant)
+from .hum import (GramianSpec, _centred_kernel, _check_entries, _floored_inverse,
+                  _mode_energies, _pair, _real_gramian, _real_window_blocks, _times,
+                  observability_constant)
 
 
 def decompose_modes(u2d: FourierState) -> list[FourierState]:
@@ -48,18 +49,15 @@ def compose_modes(slices: list[FourierState]) -> FourierState:
 def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     """(C_2d, C_1d) for the strip omega_1 x T versus its 1D base window.
 
-    C_2d comes from the real form of the 2D Gramian on the N^2 modes, under
-    the N^2 x N^2 size guard (N <= 44): the least lambda_min over the
-    N/2 + 1 transverse pairs {k_2, -k_2}, the slots whose row-major index
-    is k_2 or -k_2 mod N, one real `eigvalsh` each (NaN passes through).
-    C_1d comes from the 1D Gramian, and both go through the conditioning
-    floor of `observability_constant`.  The contract is
-    |C_2d - C_1d| / C_1d at roundoff (exact transfer at truncation).
-
-    The window tables of `_real_window_blocks` are built once per call, and
-    the time kernel once per pair size: the transverse share of
-    mu_a - mu_b cancels within a pair, so it is that of the first-axis
-    energies, each taken twice over in a pair of 2N slots.
+    C_2d is the least lambda_min of the 2D real form over the transverse
+    pairs (the slots whose row-major index is k_2 or -k_2 mod N; NaN passes
+    through), under the N^2 x N^2 size guard (N <= 44); C_1d comes from the
+    1D Gramian, and both go through the conditioning floor of
+    `observability_constant`.  The contract is |C_2d - C_1d| / C_1d at
+    roundoff (exact transfer at truncation).  The time kernel is built once
+    per pair size: the transverse share of mu_a - mu_b cancels within a
+    pair, so it is that of the first-axis energies, taken twice over in a
+    pair of 2N slots.
     """
     if base_spec.grid.dim != 1:
         raise ValueError("base_spec must be a 1D Gramian spec")
@@ -74,8 +72,9 @@ def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     mu = _mode_energies(grid)
     kernels = {1: _centred_kernel(mu, spec2d.T),
                2: _centred_kernel(np.repeat(mu, 2), spec2d.T)}
+    m = np.arange(-n, n + 1)
     lams = []
-    for k2, block in zip(pairs, _real_window_blocks(_chi2_coeffs(strip.samples), slots)):
+    for k2, block in zip(pairs, _real_window_blocks(strip.coefficients(*np.ix_(m, m)), slots)):
         block *= kernels[len(k2)]
         lams.append(np.linalg.eigvalsh(block)[0])
     return _floored_inverse(float(np.min(lams)), spec2d), observability_constant(base_spec)

@@ -52,6 +52,20 @@ class CutoffWindow:
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "omega", tuple(tuple(iv) for iv in self.omega))
 
+    def coefficients(self, *modes, p: int = 2) -> np.ndarray:
+        """Fourier coefficients (chi^p)^(m) at integer modes m: of the first-axis
+        profile given one index array, of the whole window given one per axis
+        (broadcast together).  Every mode-space reader takes them here alone,
+        at true mode differences and sums k_a -+ k_b, k in -N/2 .. N/2 - 1.
+        This body is the convention: chi^p sampled on the N-point grid,
+        N^-d sum_j chi^p(x_j) exp(-2 pi i m.x_j), the FFT of the samples read
+        at m mod N; N-periodic in m, so W_ab = c(k_a - k_b) is the aliased
+        circulant, not the Galerkin truncation (ROADMAP item 1)."""
+        n = self.grid.modes_per_axis
+        samples = self.samples if len(modes) > 1 else self.samples.reshape(n, -1)[:, 0]
+        c = np.fft.fftn(samples ** p) / samples.size
+        return c[tuple(np.asarray(m) % n for m in modes)]
+
 
 def _interval_profile(x: np.ndarray, a: float, b: float, width: float,
                       kind: str) -> np.ndarray:

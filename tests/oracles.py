@@ -8,14 +8,16 @@ The package solves on S = P R P^H, R real (`hum._real_gramian`, `hum._pair`).
 These build S itself, W * K with K = exp(i*x) * `hum._centred_kernel`,
 x = (mu_a - mu_b)*T/2: the phase the real form centres away, put back
 entry by entry in complex arithmetic.  They take from the package only its
-kernel and its chi^2 coefficients.
+kernel and the window's coefficients (`CutoffWindow.coefficients`), read at
+true mode differences.
 """
 
 import numpy as np
 
-from torus_control.hum import _centred_kernel, _chi2_coeffs, window_mode_matrix
-from torus_control.operators import (_refined_window_coeffs,
-                                     fractional_multiplier, sobolev_weights)
+from torus_control.grid import make_grid
+from torus_control.hum import _centred_kernel, window_mode_matrix
+from torus_control.operators import fractional_multiplier, sobolev_weights
+from torus_control.windows import make_window
 
 
 def time_kernel(w, mu, T):
@@ -35,27 +37,26 @@ def dense_gramian(spec):
 
 
 def dense_gramian_2d(spec):
-    """N^2 x N^2 exact-time Gramian of a 2D spec: the block-circulant
-    W_ab = (chi^2)^(k_a - k_b) (per-axis differences, aliased) times the
-    kernel of `dense_gramian` with mu = |2 pi k|^2."""
+    """N^2 x N^2 exact-time Gramian of a 2D spec: W_ab = (chi^2)^(k_a - k_b)
+    of the whole window, per-axis mode differences, times the kernel of
+    `dense_gramian` with mu = |2 pi k|^2."""
     grid = spec.grid
-    c = _chi2_coeffs(spec.window.samples)
-    n = grid.modes_per_axis
-    diff = np.subtract.outer(np.arange(n), np.arange(n)) % n
-    w = c[diff[:, None, :, None], diff[None, :, None, :]]
+    k = grid.mode_indices()
+    diff = np.subtract.outer(k, k)
+    w = spec.window.coefficients(diff[:, None, :, None], diff[None, :, None, :])
     return time_kernel(w.reshape(grid.n_points, grid.n_points),
                        -grid.laplacian_symbol().ravel(), spec.T)
 
 
 def commutator_matrix(grid, r, s, f):
-    """Matrix of [D^r, f] from H^s to H^(s-r+1) in FFT order, gathered with
-    an int64 table of the unwrapped differences k - j and weighted out of
-    place."""
-    fhat = _refined_window_coeffs(grid, f)
+    """Matrix of [D^r, f] from H^s to H^(s-r+1) in FFT order: the
+    coefficients of f, sampled on a grid 4 times finer, at the unwrapped
+    differences k - j, weighted out of place."""
+    fine = make_window(make_grid(1, 4 * grid.modes_per_axis), f.omega,
+                       transition_width=f.transition_width, kind=f.kind)
     k = grid.mode_indices()
     dr = fractional_multiplier(grid, r)
-    diff = (k[:, None] - k[None, :]) % len(fhat)
-    mat = fhat[diff] * (dr[:, None] - dr[None, :])
+    mat = fine.coefficients(np.subtract.outer(k, k), p=1) * (dr[:, None] - dr[None, :])
     w_out = sobolev_weights(grid, s - r + 1.0)
     w_in = sobolev_weights(grid, s)
     return (w_out[:, None] * mat) / w_in[None, :]

@@ -499,6 +499,31 @@ def test_non_finite_numerics_exit_3(tmp_path, base_cfg, capsys, sub, fields, err
     assert not (out / f"{sub.replace('-', '_')}.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the certificate's overflow
+@pytest.mark.parametrize("fmt,field", [("both", "control_trajectory.csv column mass"),
+                                       ("json", "results.residual")])
+def test_non_finite_result_exit_3(tmp_path, base_cfg, capsys, fmt, field):
+    # a coefficient of 1e300 passes the HUM solve, then the closed loop's
+    # mass overflows: the first result that is not finite (the CSV's mass
+    # column, or with no CSV the residual) is named, and nothing is written
+    # but error.json
+    n = 16
+    coeffs = [[0.0, 0.0]] * n
+    coeffs[n // 2 + 1] = [1e300, 0.0]  # k = 1, in ascending mode order
+    base_cfg["grid"]["N"] = n
+    base_cfg["window"]["omega"] = [[0.0, 0.3]]
+    base_cfg["initial_state"] = {"dim": 1, "N": n, "coeffs": coeffs}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["control", "--config", cfg, "--out", str(out), "--format", fmt]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {field}: ") and "Traceback" not in err
+    report = json.loads((out / "error.json").read_text())
+    assert report["error"] == "NonFiniteResultError"
+    assert report["message"].startswith(field)
+    assert sorted(path.name for path in out.iterdir()) == ["error.json"]
+
+
 @pytest.mark.parametrize("sub", ["simulate", "stabilize", "global-control"])
 def test_non_finite_evolution_exit_3(tmp_path, base_cfg, capsys, sub):
     # a state whose mass overflows: a numerical failure at its first record

@@ -11,18 +11,19 @@ from torus_control import hum
 from torus_control.grid import FourierState, zero_state
 from torus_control.hum import (MAX_DENSE_POINTS, DenseSizeError,
                                GramianSingularError, HUMConvergenceError,
-                               _centred_kernel, _chi2_coeffs, _floored_inverse,
-                               _profile_coeffs, _real_gramian, _real_window_form,
+                               _centred_kernel, _floored_inverse, _real_gramian,
+                               _real_window_blocks, _real_window_form,
                                check_dense_size,
                                hum_regularity_ratio, lambda_min_dense,
                                lambda_min_iterative, quadrature_gramian,
                                quadrature_nodes, resolved_n_quad,
                                window_mode_matrix)
 from torus_control.operators import free_propagate
+from torus_control.resolvent import feasible_m
 from torus_control.tensor import strip_observability_constant
 from torus_control.windows import CutoffWindow
 
-from conftest import traced_peak
+from conftest import on_mode_range, traced_peak
 from oracles import dense_gramian
 
 
@@ -61,18 +62,13 @@ def test_full_window_gramian_is_t_times_identity():
     assert np.allclose(s, 0.7 * np.eye(32), atol=1e-12)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 6), (1, 8), (2, 4), (2, 6)])
-def test_real_window_form_is_the_paired_basis_form(dim, n):
-    # U built column by column: cos (e_k + e_-k)/sqrt2 at the first slot of
-    # the pair {k, -k} in row-major order, sin (e_k - e_-k)/(i sqrt2) at the
-    # other, e_k at a self-paired mode; W from its definition
-    c = _chi2_coeffs(np.random.default_rng(n).random((n,) * dim))
+def paired_basis(n, dim):
+    """The modes of the N**dim slots, row-major FFT order, and U built
+    column by column: cos (e_k + e_-k)/sqrt2 at the first slot of the pair
+    {k, -k} in row-major order, sin (e_k - e_-k)/(i sqrt2) at the other,
+    e_k at a self-paired mode."""
     modes = np.indices((n,) * dim).reshape(dim, -1).T
     size = len(modes)
-    w = np.empty((size, size), dtype=complex)
-    for a, ka in enumerate(modes):
-        for b, kb in enumerate(modes):
-            w[a, b] = c[tuple((ka - kb) % n)]
     u = np.zeros((size, size), dtype=complex)
     for slot, k in enumerate(modes):
         partner = np.ravel_multi_index(tuple(-k % n), (n,) * dim)
@@ -83,14 +79,105 @@ def test_real_window_form_is_the_paired_basis_form(dim, n):
         else:  # sin column of the mode at the partner slot
             u[partner, slot], u[slot, slot] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
     assert np.allclose(u.conj().T @ u, np.eye(size), atol=1e-15)
+    return modes, u
+
+
+@pytest.mark.parametrize("dim,n", [(1, 6), (1, 8), (2, 4), (2, 6)])
+def test_real_window_form_is_the_paired_basis_form(dim, n):
+    # U from `paired_basis`, W from its definition
+    samples = np.random.default_rng(n).random((n,) * dim)
+    c = np.fft.fftn(samples ** 2) / samples.size
+    modes, u = paired_basis(n, dim)
+    size = len(modes)
+    w = np.empty((size, size), dtype=complex)
+    for a, ka in enumerate(modes):
+        for b, kb in enumerate(modes):
+            w[a, b] = c[tuple((ka - kb) % n)]
     reference = u.conj().T @ w @ u
-    q = _real_window_form(c)
+    q = _real_window_form(on_mode_range(c))
     assert np.array_equal(q, q.T)
     # the form built from strided views equals the gather over every slot
-    assert np.array_equal(q, _real_window_form(c, np.arange(c.size)))
+    assert np.array_equal(q, next(_real_window_blocks(on_mode_range(c), [np.arange(size)])))
     # |c| <= 1: a product over n**dim terms is good to about n**dim * eps
     assert np.max(np.abs(reference.imag)) <= 1e-14
     assert np.max(np.abs(q - reference.real)) <= 1e-14
+
+
+class IndicatorCoefficients(CutoffWindow):
+    """A sharp window on one interval (a, b) whose `coefficients` are those
+    of the indicator itself (any p: chi^p = chi),
+    (exp(-2 pi i m a) - exp(-2 pi i m b)) / (2 pi i m) and b - a at m = 0,
+    and zero off m_2 = 0 on a strip: not N-periodic, so a reader that
+    passes slot indices or wraps a mode index reads another value."""
+
+    def coefficients(self, *modes, p=2):
+        ((a, b),) = self.omega
+        m = np.asarray(modes[0], dtype=float)
+        safe = 2j * np.pi * np.where(m == 0, 1.0, m)
+        c = np.where(m == 0, b - a, (np.exp(-safe * a) - np.exp(-safe * b)) / safe)
+        return c if len(modes) == 1 else np.where(np.asarray(modes[1]) == 0, c, 0.0)
+
+
+class RampCoefficients(CutoffWindow):
+    """`coefficients` 1 at m = 0 and |m| / (10 N) elsewhere."""
+
+    def coefficients(self, *modes, p=2):
+        m = np.abs(np.asarray(modes[0]))
+        return np.where(m == 0, 1.0, m / (10.0 * self.grid.modes_per_axis)) + 0j
+
+
+def paired_form(w, dim):
+    """Re(U^H W U) over the N**dim modes, U of `paired_basis` and W_ab the
+    window's coefficients at the true mode differences k_a - k_b, and which
+    slots have no component -N/2."""
+    n = w.grid.modes_per_axis
+    slots, u = paired_basis(n, dim)
+    k = w.grid.mode_indices()[slots]
+    w_ab = w.coefficients(*(np.subtract.outer(k[:, i], k[:, i]) for i in range(dim)))
+    return (u.conj().T @ w_ab @ u).real, np.all(k != -(n // 2), axis=1)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_every_reader_takes_the_window_coefficients_at_true_modes(monkeypatch, n):
+    # coefficients that are not N-periodic: a reader that passes slot
+    # indices, or wraps a mode index, reads other values.  The mode -N/2
+    # has no partner +N/2 among the N modes, so U^H W U is real only for
+    # N-periodic coefficients: the real forms are compared off the slots
+    # with a component -N/2
+    grid = make_grid(1, n)
+    sharp = make_window(grid, (0.1, 0.45), kind="sharp")
+    w = IndicatorCoefficients(grid, sharp.samples, sharp.omega, 0.0, "sharp")
+    c, k = w.coefficients, grid.mode_indices()
+    assert np.array_equal(window_mode_matrix(w), c(np.subtract.outer(k, k)))
+    # feasible_m: W_kk = c(0), W_k,-k = c(2k); |c| grows with |m| here, so
+    # the least eigenvalue is at the largest 2k, which a wrapped read misses
+    ramp = RampCoefficients(grid, sharp.samples, sharp.omega, 0.0, "sharp")
+    half = np.arange(n // 2 + 1)
+    paired = (half > 0) & (half < n // 2)
+    lam = 1.0 - np.where(paired, np.abs(ramp.coefficients(2 * half)), 0.0)
+    assert feasible_m(ramp, grid) == 2.0 * float(np.max(1.0 / lam))
+
+    def close(q, ref, keep):  # |c| <= 0.35 and the kernel <= T = 1
+        assert np.all(np.abs(q - ref)[np.ix_(keep, keep)] <= 1e-14)
+
+    spec = GramianSpec(T=1.0, window=w)
+    form, keep = paired_form(w, 1)
+    close(_real_gramian(spec), form * _centred_kernel((2.0 * np.pi * k) ** 2, 1.0), keep)
+    # the strip check's blocks as built, before its kernel multiplies them
+    seen = []
+
+    def recording(coeffs, blocks):
+        blocks = list(blocks)
+        for slots, q in zip(blocks, _real_window_blocks(coeffs, blocks)):
+            seen.append((slots, q.copy()))
+            yield q
+
+    monkeypatch.setattr("torus_control.tensor._real_window_blocks", recording)
+    strip_observability_constant(spec)
+    form, keep = paired_form(w, 2)
+    assert len(seen) == n // 2 + 1
+    for slots, q in seen:
+        close(q, form[np.ix_(slots, slots)], keep[slots])
 
 
 @pytest.mark.parametrize("n", [10, 14, 20])
@@ -99,8 +186,10 @@ def test_strip_blocks_ignore_fft_rounding(n):
     # k_2 = 0; those coefficients are rounding, not coupling, so the
     # transverse pairs give the lambda_min of the whole 2D real form
     profile = np.random.default_rng(n).random(n)
-    c = _chi2_coeffs(np.tile(profile[:, None], n))
-    assert np.count_nonzero(c[:, 1:]) > 0
+    strip = CutoffWindow(make_grid(2, n), np.tile(profile[:, None], n), ((0.0, 1.0),), 0.0)
+    m = np.arange(-n, n + 1)
+    c = strip.coefficients(m[:, None], m[None, :])
+    assert np.count_nonzero(c[:, m != 0]) > 0
     mu = -make_grid(2, n).laplacian_symbol().ravel()
     whole = _real_window_form(c) * _centred_kernel(mu, 1.0)
     window = CutoffWindow(make_grid(1, n), profile, ((0.0, 1.0),), 0.0)
@@ -172,7 +261,7 @@ def test_window_mode_matrix_is_the_gathered_circulant(dim, n):
     # the strided view's copy holds the same values as the gather through
     # the N x N index table c[(a - b) % N], bit for bit
     w = make_window(make_grid(dim, n), (0.1, 0.6), 0.05, "smooth")
-    c = _profile_coeffs(w)
+    c = w.coefficients(np.arange(n))
     gathered = c[np.subtract.outer(np.arange(n), np.arange(n)) % n]
     assert np.array_equal(window_mode_matrix(w), gathered)
 

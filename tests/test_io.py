@@ -188,6 +188,12 @@ def test_reports_are_json_dumps_bytes(tmp_path, sub):
     report = json.loads(text)
     assert report["config_echo"] == REPORT_CFG
     assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # and it is JSON: no NaN or Infinity constant
+    json.loads(text, parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"report holds {name}, which is not JSON")
 
 
 # strings, as a value and as a key, that look like JSON, hold NULs, or

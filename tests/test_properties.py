@@ -12,13 +12,14 @@ from hypothesis.extra.numpy import arrays
 
 from torus_control import GramianSpec, NLSParams, make_grid, make_window, nls, tensor
 from torus_control.grid import FourierState
-from torus_control.hum import (_centred_kernel, _chi2_coeffs, _cholesky, _pair,
-                               _real_gramian, _real_window_form, _solve,
+from torus_control.hum import (_centred_kernel, _cholesky, _pair, _real_gramian,
+                               _real_window_blocks, _real_window_form, _solve,
                                lambda_min_dense, window_mode_matrix)
 from torus_control.operators import commutator_operator_norm, free_propagate
 from torus_control.resolvent import best_resolvent_constant
 from torus_control.io import state_from_json, state_to_json
 
+from conftest import on_mode_range
 from oracles import commutator_norm, dense_gramian, dense_gramian_2d
 
 even_n = st.integers(2, 6).map(lambda h: 2 * h)  # N in {4, ..., 12}
@@ -39,6 +40,30 @@ def windows(draw, dim, min_length=0.05, sizes=even_n):
     kind = draw(st.sampled_from(["sharp", "smooth"]))
     width = draw(st.floats(0.05, 0.95)) * (b - a) / 2.0
     return make_window(grid, (a, b), width, kind)
+
+
+@given(st.sampled_from([1, 2]).flatmap(windows), st.sampled_from([1, 2]), st.data())
+def test_window_coefficients_are_the_sampled_sums(window, p, data):
+    # (chi^p)^(m) = N^-d sum_j chi^p(x_j) exp(-2 pi i m.x_j), x_j = j/N, at
+    # any integer m, the phase reduced exactly as (m.j mod N)/N; N-periodic
+    # in m bit for bit; a strip's profile is its whole window at m_2 = 0
+    n, dim = window.grid.modes_per_axis, window.grid.dim
+    draw_modes = st.lists(st.integers(-3 * n, 3 * n), min_size=6, max_size=6)
+    modes = [np.array(data.draw(draw_modes)) for _ in range(dim)]
+    chi_p = window.samples ** p
+    j = np.indices(window.grid.shape)
+    direct = [np.sum(chi_p * np.exp(-2j * np.pi * (np.tensordot(m, j, 1) % n) / n)) / n ** dim
+              for m in np.transpose(modes)]
+    scale = np.sum(chi_p) / n ** dim  # the largest |coefficient|, at m = 0
+    c = window.coefficients(*modes, p=p)
+    assert np.all(np.abs(c - direct) <= 1e-13 * scale)
+    shifts = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+    shifted = [m + s * n for m, s in zip(modes, shifts)]
+    assert np.array_equal(window.coefficients(*shifted, p=p), c)
+    if dim == 2:
+        profile = window.coefficients(modes[0], p=p)
+        assert np.all(np.abs(profile - window.coefficients(modes[0], 0 * modes[0], p=p))
+                      <= 1e-14 * scale)
 
 
 @given(windows(2), horizons)
@@ -74,7 +99,7 @@ def test_real_window_form_has_the_spectrum_of_w(chi2):
     # is W in another basis, for any real samples
     c = np.fft.fftn(chi2) / chi2.size
     w = aliased_window_matrix(c)
-    q = _real_window_form(c)
+    q = _real_window_form(on_mode_range(c))
     assert q.dtype == np.float64 and q.shape == w.shape
     err = np.max(np.abs(np.linalg.eigvalsh(q) - np.linalg.eigvalsh(w)))
     assert err <= 1e-12 * np.max(np.abs(w))
@@ -85,14 +110,17 @@ def test_real_window_form_of_slots_is_the_dense_sub_block(chi2, data):
     c = np.fft.fftn(chi2) / chi2.size
     slots = np.array(data.draw(st.lists(st.integers(0, c.size - 1), min_size=1,
                                         unique=True)))
-    assert np.array_equal(_real_window_form(c, slots),
+    c = on_mode_range(c)
+    assert np.array_equal(next(_real_window_blocks(c, [slots])),
                           _real_window_form(c)[np.ix_(slots, slots)])
 
 
 def window_form_inputs(window):
-    """chi^2 coefficients of the window's samples on its own grid (the N^2
-    modes of a 2D strip) and the mode energies mu = |2 pi k|^2."""
-    return _chi2_coeffs(window.samples), -window.grid.laplacian_symbol().ravel()
+    """chi^2 coefficients of the whole window on the modes -N .. N along
+    each axis (a 2D strip's) and the mode energies mu = |2 pi k|^2."""
+    m = np.arange(-window.grid.modes_per_axis, window.grid.modes_per_axis + 1)
+    return (window.coefficients(m[:, None], m[None, :]),
+            -window.grid.laplacian_symbol().ravel())
 
 
 @given(windows(1), horizons)
@@ -116,7 +144,7 @@ def test_strip_pairs_decouple_the_2d_form(window):
     # {k_2, -k_2}, k_2 the slot's row-major index mod N
     c, _ = window_form_inputs(window)
     n = window.grid.modes_per_axis
-    k2 = np.arange(c.size) % n
+    k2 = np.arange(window.grid.n_points) % n
     pair = np.minimum(k2, -k2 % n)
     q = _real_window_form(c)
     across = np.not_equal.outer(pair, pair)
