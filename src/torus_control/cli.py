@@ -4,8 +4,8 @@ Subcommands: simulate, control, observability, resolvent-sweep,
 tensor-check, stabilize, global-control.  A JSON config file supplies all
 parameters; --seed / --out / --format flags override config fields.
 `main` reads the config and seed, builds the grid and window, runs the
-subcommand's handler and writes its results to `<subcommand>.json` (with
-"-" as "_"); a handler writes only its CSV.
+subcommand's handler and writes what it returns: its CSV, if any, then
+its results to `<subcommand>.json` (with "-" as "_").
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
 64 unknown subcommand.
 """
@@ -40,13 +40,18 @@ class ConfigError(ValueError):
 
 
 def _get(cfg: dict, path: str, default=None, required: bool = False):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+    """Config field `path` (dotted); a section on the way that is present
+    but not an object, null included, raises ConfigError naming it (the
+    top level as `config`)."""
+    parts, node, section = path.split("."), cfg, "config"
+    for i, part in enumerate(parts):
+        if not isinstance(node, dict):
+            raise ConfigError(f"{section}: expected an object, got {node!r}")
+        if part not in node:
             if required:
                 raise ConfigError(f"missing required config field: {path}")
             return default
-        node = node[part]
+        node, section = node[part], ".".join(parts[:i + 1])
     return node
 
 
@@ -94,9 +99,6 @@ def _build_grid(cfg):
 
 
 def _build_window(cfg, grid):
-    wcfg = _get(cfg, "window")
-    if wcfg is not None and not isinstance(wcfg, dict):
-        raise ConfigError(f"window: expected an object, got {wcfg!r}")
     omega = _get(cfg, "window.omega")
     if omega is None:
         return full_window(grid)
@@ -169,42 +171,38 @@ def _evolve(cfg, u0, params, default_T, record_stride=1):
         raise ConfigError(f"horizon.T: {exc} (nls.dt = {params.dt}), got {T!r}") from exc
 
 
-def _cmd_simulate(args, cfg, rng, grid, window, out_dir):
+def _cmd_simulate(cfg, rng, grid, window):
     params = _build_nls_params(
         cfg, damping=window if _boolean(cfg, "nls.damped", False) else None)
     u0 = _initial_state(cfg, grid, rng)
     _, record = _evolve(cfg, u0, params, 1.0)
-    if args.format in ("csv", "both"):
-        write_decay_csv(out_dir / "simulate.csv", record)
-    return {"final_mass": record.mass[-1], "initial_mass": record.mass[0],
-            "final_energy": record.energy[-1]}
+    return ({"final_mass": record.mass[-1], "initial_mass": record.mass[0],
+             "final_energy": record.energy[-1]},
+            ("simulate.csv", write_decay_csv, record))
 
 
-def _cmd_control(args, cfg, rng, grid, window, out_dir):
+def _cmd_control(cfg, rng, grid, window):
     spec = _gramian_spec(cfg, window)
     u0 = _initial_state(cfg, grid, rng)
     sol = solve_hum(spec, u0, tol=_number(cfg, "solver.tol", 1e-8))
     record, residual = drive_linear(u0, spec, sol.phi0)
-    if args.format in ("csv", "both"):
-        write_trajectory_csv(out_dir / "control_trajectory.csv",
-                             record.times, record.mass, record.observed_mass)
-    return {"residual": residual, "iterations": sol.iterations,
-            "phi0": state_to_json(sol.phi0)}
+    return ({"residual": residual, "iterations": sol.iterations,
+             "phi0": state_to_json(sol.phi0)},
+            ("control_trajectory.csv", write_trajectory_csv, record.times, record.mass,
+             record.observed_mass))
 
 
-def _cmd_observability(args, cfg, rng, grid, window, out_dir):
+def _cmd_observability(cfg, rng, grid, window):
     spec = _gramian_spec(cfg, window)
     c_t = observability_constant(spec)
     return {"C_T": c_t, "lambda_min": 1.0 / c_t, "T": spec.T,
-            "N": grid.modes_per_axis}
+            "N": grid.modes_per_axis}, None
 
 
-def _cmd_resolvent_sweep(args, cfg, rng, grid, window, out_dir):
+def _cmd_resolvent_sweep(cfg, rng, grid, window):
     if grid.dim != 1:
         raise ConfigError("grid.dim: resolvent-sweep supports 1D grids only")
     scfg = _get(cfg, "sweep", {})
-    if not isinstance(scfg, dict):
-        raise ConfigError(f"sweep: expected an object, got {scfg!r}")
     n_points = _integer(cfg, "sweep.n_points", 512, minimum=1)
     if n_points > MAX_DENSE_POINTS ** 2:  # the cap `evolve` puts on records
         raise ConfigError(f"sweep.n_points: expected at most {MAX_DENSE_POINTS}**2, "
@@ -231,8 +229,6 @@ def _cmd_resolvent_sweep(args, cfg, rng, grid, window, out_dir):
     m = (feasible_m(window, grid) if scfg.get("m") is None
          else _number(cfg, "sweep.m", None))
     result = sweep(grid_lam, m, window, grid)
-    if args.format in ("csv", "both"):
-        write_sweep_csv(out_dir / "resolvent_sweep.csv", result)
     results = {"m": result.m_fixed, "M_sup": result.M_sup,
                "miller_time": result.miller_time,
                "grid_spec": {"n_points": len(grid_lam),
@@ -247,19 +243,19 @@ def _cmd_resolvent_sweep(args, cfg, rng, grid, window, out_dir):
         results["cross_check"] = {"T": T, "C_T": c_t, "miller_bound": bound,
                                   "cost_ratio": c_t / bound,
                                   "within_slack": bool(c_t <= 1.5 * bound)}
-    return results
+    return results, ("resolvent_sweep.csv", write_sweep_csv, result)
 
 
-def _cmd_tensor_check(args, cfg, rng, grid, window, out_dir):
+def _cmd_tensor_check(cfg, rng, grid, window):
     if grid.dim != 1:
         raise ConfigError("grid.dim: tensor-check expects the 1D base grid")
     spec = _gramian_spec(cfg, window)
     c_2d, c_1d = strip_observability_constant(spec)
     return {"C_1d": c_1d, "C_2d": c_2d, "relative_gap": abs(c_2d - c_1d) / c_1d,
-            "N_per_axis": grid.modes_per_axis, "T": spec.T}
+            "N_per_axis": grid.modes_per_axis, "T": spec.T}, None
 
 
-def _cmd_stabilize(args, cfg, rng, grid, window, out_dir):
+def _cmd_stabilize(cfg, rng, grid, window):
     params = _build_nls_params(cfg, damping=window)
     # a decay rate needs a nonzero state and at least 10 records
     u0 = _initial_state(cfg, grid, rng, norm_sign="positive")
@@ -269,14 +265,11 @@ def _cmd_stabilize(args, cfg, rng, grid, window, out_dir):
     if len(record.times) < 10:
         raise ConfigError(f"horizon.T: {len(record.times)} records of the decay at "
                           f"stride 10 (nls.dt = {params.dt}), need 10, got {T!r}")
-    gamma = fit_decay_rate(record)
-    if args.format in ("csv", "both"):
-        write_decay_csv(out_dir / "stabilize.csv", record)
-    return {"gamma_fit": gamma, "initial_mass": record.mass[0],
-            "final_mass": record.mass[-1]}
+    return ({"gamma_fit": fit_decay_rate(record), "initial_mass": record.mass[0],
+             "final_mass": record.mass[-1]}, ("stabilize.csv", write_decay_csv, record))
 
 
-def _cmd_global_control(args, cfg, rng, grid, window, out_dir):
+def _cmd_global_control(cfg, rng, grid, window):
     spec = _gramian_spec(cfg, window)
     params = _build_nls_params(cfg)
     try:
@@ -303,7 +296,7 @@ def _cmd_global_control(args, cfg, rng, grid, window, out_dir):
               for i, ph in enumerate(schedule.phases)]
     return {"phases": phases,
             "endpoint_error_to_zero": schedule.endpoint_error_to_zero,
-            "endpoint_error_to_target": schedule.endpoint_error_to_target}
+            "endpoint_error_to_target": schedule.endpoint_error_to_target}, None
 
 
 _COMMANDS = {
@@ -348,7 +341,10 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         grid = _build_grid(cfg)
         window = _build_window(cfg, grid)
-        results = _COMMANDS[args.subcommand](args, cfg, rng, grid, window, out_dir)
+        results, table = _COMMANDS[args.subcommand](cfg, rng, grid, window)
+        if table is not None and args.format in ("csv", "both"):
+            name, write, *data = table
+            write(out_dir / name, *data)
         if args.format in ("json", "both"):
             write_json(out_dir / f"{args.subcommand.replace('-', '_')}.json",
                        {"config_echo": cfg, "seed": args.seed, "results": results,

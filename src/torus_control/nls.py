@@ -14,12 +14,13 @@ exact pointwise factor, u -> u * exp(-chi^2 dt + i kappa |u|^2) with
 kappa = -sigma dt exp(-chi^2 dt).  Without damping every sub-step is an
 isometry, so mass is conserved to roundoff; energy drifts at O(dt^2).
 `evolve`, the damped legs of global control and the controlled solve all
-run this one step (`_StrangStep`), on grid values from their first step
-to their last: since linear(dt/2) . linear(dt/2) = linear(dt), one
-propagator joins consecutive nonlinear sub-flows.  They go back to modes
-only in batched transforms at `evolve`'s records, at the damped legs'
-10-step norm checks and at the end; the controlled solve adds each
-step's exact source before each propagator.
+run this one step through one loop, `_StrangStep.run`, on grid values:
+since linear(dt/2) . linear(dt/2) = linear(dt), one propagator joins
+consecutive nonlinear sub-flows.  `evolve` goes back to modes in batched
+transforms at its records; each 10-step norm check of the damped legs
+advances the batch's coefficients with `advance`, at the same transform
+count; the controlled solve hands `run` its control source, added before
+each propagator.
 Coefficients of shape (B, *grid.shape) advance B states at once: global
 control runs the damped legs of u0 and conj(u1) as one batch, each
 member leaving it at its first 10-step check with ||u|| at or below the
@@ -210,11 +211,12 @@ class _StrangStep:
 
     `start` moves coefficients to grid values and applies the first
     nonlinear sub-flow; `run` takes further steps, each the propagator
-    `across` (linear(dt/2) . linear(dt/2) and the dealias mask) and one
-    nonlinear sub-flow; `to_modes` ends the last step.  The nonlinear
-    sub-flow is five numpy calls into buffers kept per batch shape: |u|,
-    its square, kappa |u|^2 into the imaginary part of an exponent whose
-    real part -chi^2 dt is fixed, one complex exponential and one product.
+    `across` (linear(dt/2) . linear(dt/2) and the dealias mask), preceded
+    by a control source when one is given, and one nonlinear sub-flow;
+    `to_modes` ends the last step.  The nonlinear sub-flow is five numpy
+    calls into buffers kept per batch shape: |u|, its square, kappa |u|^2
+    into the imaginary part of an exponent whose real part -chi^2 dt is
+    fixed, one complex exponential and one product.
     A linear step (sigma = 0, no damping) has no sub-flow between its
     propagators.
 
@@ -267,10 +269,14 @@ class _StrangStep:
         self._nonlinear(phys)
         return phys
 
-    def run(self, phys: np.ndarray, n: int) -> np.ndarray:
-        """n >= 0 further steps on the grid values of `start` or `run`."""
+    def run(self, phys: np.ndarray, n: int, sources=None) -> np.ndarray:
+        """n >= 0 further steps on the grid values of `start` or `run`;
+        with `sources`, sources[j] (grid values) is added to step j just
+        before its propagator, in place on `phys` at j = 0."""
         across, nonlinear = self.across, self._nonlinear
-        for _ in range(n):
+        for j in range(n):
+            if sources is not None:
+                phys += sources[j]
             phys = across(phys)
             nonlinear(phys)
         return phys
@@ -399,9 +405,9 @@ def mass_decay_residual(record: DecayRecord) -> float:
     return abs((record.mass[-1] - record.mass[0]) + 2.0 * integral)
 
 
-def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
-                        sigma: int, n_steps: int, *, step: _StrangStep,
-                        phases: np.ndarray, source: np.ndarray) -> FourierState:
+def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState, *,
+                        n_steps: int, step: _StrangStep, phases: np.ndarray,
+                        source: np.ndarray) -> FourierState:
     """Final state of i u_t + Lap u = sigma|u|^2 u + chi^2 exp(i t Lap) phi0.
 
     Strang steps without dealiasing (the truncation mask acts linearly on
@@ -410,7 +416,7 @@ def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
     maps c_j to half * (nonlinear sub-flow of half * c_j + s_j),
     s_j = -i G exp(i t_j Lap) phi0 at its midpoint t_j, G the Gramian of the
     step centred on it; pulled back to t = 0 the s_j sum to -i S phi0.  On
-    grid values s_j is added just before the propagator `across` that ends
+    grid values `step.run` adds s_j just before the propagator that ends
     step j (`to_modes` after the last step): all sources come from one
     product of `source` = -i G with the table `phases` of exp(i t_j Lap)
     times phi0 (per k_2 column in 2D), then one batched inverse transform.
@@ -420,11 +426,7 @@ def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
     # in 1D one matrix-vector product per step, for `_dft_transforms`' reason
     modes = source @ (phases * phi0.coeffs).reshape(n_steps, n, -1)
     sources = _TRANSFORMS[grid.dim][1](modes.reshape(phases.shape), norm="forward")
-    phys = step.start(u0.coeffs)
-    for s in sources[:-1]:
-        phys += s
-        phys = step.across(phys)
-        step._nonlinear(phys)
+    phys = step.run(step.start(u0.coeffs), n_steps - 1, sources)
     phys += sources[-1]
     return FourierState(grid, step.to_modes(phys))
 
@@ -470,10 +472,10 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
     if u0.norm_l2() == 0.0:
         history = {"update_norms": [], "contraction_ratios": [], "iterations": 0}
         return zero_state(spec.grid), 0.0, history
-    return _picard(u0, spec, _control_tables(spec, sigma), sigma, tol)
+    return _picard(u0, spec, _control_tables(spec, sigma), tol)
 
 
-def _picard(u0: FourierState, spec: GramianSpec, tables, sigma: int,
+def _picard(u0: FourierState, spec: GramianSpec, tables,
             tol: float) -> tuple[FourierState, float, dict]:
     """The Picard iteration of `local_control_nls` on a nonzero u0, given
     the `_control_tables` of spec and sigma."""
@@ -484,8 +486,8 @@ def _picard(u0: FourierState, spec: GramianSpec, tables, sigma: int,
     phi0 = zero_state(grid)
     prev_update = None
     for it in range(1, max_iter + 1):
-        final = _controlled_forward(u0, spec, phi0, sigma, n_steps,
-                                    step=step, phases=phases, source=source)
+        final = _controlled_forward(u0, spec, phi0, n_steps=n_steps, step=step,
+                                    phases=phases, source=source)
         rhs = _pair(spec, -1j * (end * final.coeffs).reshape(grid.modes_per_axis, -1))
         delta = _pair(spec, _solve(factor, rhs), back=True).reshape(grid.shape)
         delta = FourierState(grid, delta)
@@ -509,8 +511,8 @@ def _picard(u0: FourierState, spec: GramianSpec, tables, sigma: int,
             f"no convergence in {max_iter} Picard iterations "
             f"(last update {history['update_norms'][-1]:.3e})"
         )
-    final = _controlled_forward(u0, spec, phi0, sigma, n_steps,
-                                step=step, phases=phases, source=source)
+    final = _controlled_forward(u0, spec, phi0, n_steps=n_steps, step=step,
+                                phases=phases, source=source)
     return phi0, final.norm_l2(), history
 
 
@@ -526,7 +528,7 @@ def admissible_amplitude(grid: GridSpec, spec: GramianSpec, sigma: int,
     for amp in (0.4, 0.2, 0.1, 0.05):
         u0 = random_state(grid, rng, norm=amp, max_mode=grid.modes_per_axis // 4)
         try:
-            _, _, hist = _picard(u0, spec, tables, sigma, 1e-8)
+            _, _, hist = _picard(u0, spec, tables, 1e-8)
         except PicardDivergenceError:
             continue
         ratios = hist["contraction_ratios"]
@@ -574,11 +576,11 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
     leaves the batch at that check.  Each member's decay rate is re-fit over
     each completed span of 10 time units (`_refit_span`); its leg stalls
     when the rate drops below `gamma_floor` or the time passes the horizon
-    cap 50 / gamma.  The batch steps on grid values throughout, and goes
-    to modes at each check for the norms alone.  A norm that is not
-    finite, at t = 0 or at a later check, raises NonFiniteStateError; after
-    the t = 0 check, a batch whose nonlinear phase per step is unresolved
-    (`_check_phase`) raises ValueError."""
+    cap 50 / gamma.  Between checks the batch's coefficients advance 10
+    steps with `advance`.  A norm that is not finite, at t = 0 or at a
+    later check, raises NonFiniteStateError; after the t = 0 check, a batch
+    whose nonlinear phase per step is unresolved (`_check_phase`) raises
+    ValueError."""
     stride = 10
     h = stride * params.dt
     span = _refit_span(params.dt)
@@ -588,7 +590,7 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
     norms = [[] for _ in states]
     active = list(range(len(states)))  # member index of each row of c
     results = [None] * len(states)
-    checks, phys = 0, None  # phys: grid values of the rows of c
+    checks = 0
     # overflow is caught at its check, as a norm that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -620,10 +622,7 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
                 return results
             if len(keep) < len(active):
                 c, active = c[keep], [active[row] for row in keep]
-                phys = None if phys is None else phys[keep]
-            phys = (step.run(step.start(c), stride - 1) if phys is None
-                    else step.run(phys, stride))
-            c = step.to_modes(phys)
+            c = step.advance(c, stride)
             checks += 1
 
 
@@ -683,7 +682,7 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
         if norm > mass_threshold:
             u, t = next(damped)
             leg.append(ControlPhase(kind="damped", t_start=0.0, t_end=t))
-        phi0, errors[reverse], _ = _picard(u, spec, tables, params.sigma, tol)
+        phi0, errors[reverse], _ = _picard(u, spec, tables, tol)
         leg.append(ControlPhase(kind="control", t_start=t, t_end=t + spec.T, phi0=phi0))
         if reverse:
             t_off, total = (phases[-1].t_end if phases else 0.0), leg[-1].t_end

@@ -316,6 +316,13 @@ STATE_INF = {"dim": 1, "N": 32, "coeffs": [[1.0, float("inf")]] + [[1.0, 0.0]] *
     ("observability", "horizon.T", 1e305),
     ("tensor-check", "horizon.T", 1e305),
     ("global-control", "horizon.T", 1e305),
+    # a section that is present but not an object
+    ("observability", "horizon", 0.5),
+    ("simulate", "nls", 3),
+    ("control", "solver", 1e-9),
+    ("simulate", "initial_state", "x"),
+    ("global-control", "target", 0.2),
+    ("observability", "grid", 16),
 ])
 def test_invalid_config_field_exit_2(tmp_path, base_cfg, capsys, sub, path, value):
     base_cfg["target"] = {"norm": 0.2, "max_mode": 8}

@@ -429,6 +429,22 @@ def _controlled_forward_in_modes(u0, spec, phi0, sigma, n_steps):
     return c
 
 
+def _controlled_forward_on_grid_values(u0, spec, phi0, n_steps, step, phases, source):
+    """The controlled solve's step loop written out on the stepper's
+    transforms and sub-flow: each step's source is added just before the
+    propagator that ends the step."""
+    n = spec.grid.modes_per_axis
+    modes = source @ (phases * phi0.coeffs).reshape(n_steps, n, -1)
+    sources = nls._TRANSFORMS[spec.grid.dim][1](modes.reshape(phases.shape), norm="forward")
+    phys = step.start(u0.coeffs)
+    for s in sources[:-1]:
+        phys += s
+        phys = step.across(phys)
+        step._nonlinear(phys)
+    phys += sources[-1]
+    return step.to_modes(phys)
+
+
 # dense transforms at 1D N = 32 and 2D N = 24, FFTs at 1D N = 128 and 2D
 # N = 48
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 24), (1, 128), (2, 48)])
@@ -441,8 +457,10 @@ def test_controlled_solve_on_grid_values_matches_steps_in_modes(dim, n):
     for sigma in (-1, 0, 1):
         _, step, phases, source, _, n_steps = nls._control_tables(spec, sigma)
         assert n_steps == max(256, 4 * n)
-        final = nls._controlled_forward(u0, spec, phi0, sigma, n_steps,
+        final = nls._controlled_forward(u0, spec, phi0, n_steps=n_steps,
                                         step=step, phases=phases, source=source)
+        assert np.array_equal(final.coeffs, _controlled_forward_on_grid_values(
+            u0, spec, phi0, n_steps, step, phases, source))
         c = _controlled_forward_in_modes(u0, spec, phi0, sigma, n_steps)
         # the propagator across a step boundary is one rounded factor, the
         # same in every step, so the two solves part by up to about 1e-16
