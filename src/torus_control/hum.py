@@ -20,19 +20,24 @@ Every eigensolve and solve runs on one real form.  Centring time on
 K = T sinc((mu_a - mu_b)*T/2) real.  chi^2 is real and mu even in k, so
 the unitary U pairing e_k and e_-k into (cos, sin) columns makes U^H W U
 real and leaves K as it is: S = P R P^H, P = E U, R = Re(U^H W U) * K
-(`_real_gramian`; `_pair` applies P^H or P).  `_real_window_form` builds
-Re(U^H W U) in any dim, `_real_window_blocks` blocks of it.  lambda_min is
-one real `eigvalsh` of R; the strip check in `tensor` runs one per
-transverse pair {k_2, -k_2} of the 2D form, and the resolvent sweep uses
-the whole window form.  Only `drive_linear` stays in the mode basis, so
-the certificate does not share the solve's representation.  The NLS
-controlled solve adds each step's exact source, W * `_centred_kernel(mu,
-dt)` (the Gramian of one step), whose steps sum to S: `local_control_nls`
-factors this same R once.
+(`_real_gramian`; `_pair` applies P^H or P).  K depends on the levels
+|k_1| = 0 .. N/2 alone: `_times_kernel` builds it on those and multiplies
+in place, with no N x N table.  `_real_window_form` builds Re(U^H W U)
+in any dim, `_real_window_blocks` blocks of it.  lambda_min is one real
+`eigvalsh` of R; the strip check in `tensor` runs one per transverse pair
+{k_2, -k_2} of the 2D form, and the resolvent sweep uses the whole window
+form.  Only `drive_linear` stays in the mode basis, so the certificate
+does not share the solve's representation; it sums its source by level,
+N x (N/2 + 1) entries read from the coefficients, and never builds W.
+The NLS controlled solve adds each step's exact source, W times the
+kernel at T = dt (the Gramian of one step), whose steps sum to S:
+`local_control_nls` factors this same R once.
 
 Every production path runs on numpy alone: real `eigvalsh`, and one real
-Cholesky factorization per form (`_cholesky`), after which `_solve` costs
-two real O(N^2) products per right-hand side.
+Cholesky factorization per form (`_cholesky`), whose inverse factor is
+built in place by 2 x 2 blocks (`_invert_lower`, about N^3/3 flops in
+matrix products), after which `_solve` costs two real O(N^2) products per
+right-hand side.
 
 The matrix-free time quadrature (exact propagation between nodes) is kept
 only as an independent oracle that owns its nodes: `quadrature_gramian`
@@ -65,9 +70,13 @@ MAX_DENSE_POINTS = 2048
 # transforms at once (4 MB; at least one node, 64 MB at the dense cap)
 _ORACLE_BLOCK = 1 << 18
 
+# order at and below which `_invert_lower` inverts a diagonal block by LU
+_TRIANGLE_BLOCK = 32
+
 # complex state entries `drive_linear` samples at once (256 kB; at least four
-# times)
+# times), and level sums it holds at once (512 kB; at least one k_2 column)
 _SAMPLE_BLOCK = 1 << 14
+_LEVEL_BLOCK = 1 << 15
 
 
 class GramianSingularError(RuntimeError):
@@ -307,6 +316,12 @@ def _mode_energies(grid: GridSpec) -> np.ndarray:
     return (2.0 * np.pi * grid.mode_indices()) ** 2
 
 
+def _level_energies(n: int) -> np.ndarray:
+    """The distinct mu along an axis of N modes, on the levels |k| = 0 .. N/2:
+    bit for bit those of `_mode_energies`."""
+    return (2.0 * np.pi * np.arange(n // 2 + 1)) ** 2
+
+
 def quadrature_gramian(spec: GramianSpec, n_quad: int | None = None) -> np.ndarray:
     """The oracle's dense Gramian on n_quad Gauss-Legendre nodes (default:
     resolved_n_quad): _GramianApplier on every basis vector, a few nodes at
@@ -324,21 +339,38 @@ def _centred_kernel(mu: np.ndarray, T: float) -> np.ndarray:
     """The Gramian's real time kernel, time centred on [-T/2, T/2], for mode
     energies mu, d = mu_a - mu_b: int exp(i*d*t) dt = T sinc(d*T/2),
     sinc(y) = sin(y)/y; at T = dt, that of one step of the NLS controlled
-    solve.  Computed on the distinct mu and gathered by `take` along each
-    axis."""
-    vals, inverse = np.unique(mu, return_inverse=True)
-    x = np.subtract.outer(vals, vals) * (T / 2.0)
-    return (T * np.sinc(x / np.pi)).take(inverse, axis=0).take(inverse, axis=1)
+    solve.  The package takes it on the N/2 + 1 levels alone
+    (`_times_kernel`)."""
+    x = np.subtract.outer(mu, mu) * (T / 2.0)
+    return T * np.sinc(x / np.pi)
+
+
+def _times_kernel(q: np.ndarray, n: int, T: float) -> np.ndarray:
+    """q times the time kernel of the first-axis energies, in place, for q
+    of shape (N*m, N*m) whose rows and columns run over k_1 in FFT order, m
+    slots each (a strip check's transverse pair has m = 2).  The kernel
+    depends on the levels |k_1| = 0 .. N/2 alone, so it is built on those
+    ((N/2 + 1)^2 entries) and read by four strided views, one per quadrant:
+    slots 0 .. N/2 hold levels 0 .. N/2 and slots N/2 + 1 .. N - 1 levels
+    N/2 - 1 .. 1."""
+    h, m = n // 2, len(q) // n
+    table = _centred_kernel(_level_energies(n), T)[:, None, :, None]
+    view = q.reshape(n, m, n, m)
+    parts = (slice(None, h + 1), slice(None)), (slice(h + 1, None), slice(h - 1, 0, -1))
+    for rows, row_levels in parts:
+        for cols, col_levels in parts:
+            view[rows, :, cols] *= table[row_levels, :, col_levels]
+    return q
 
 
 def _real_gramian(spec: GramianSpec) -> np.ndarray:
-    """R = Re(U^H W U) * `_centred_kernel`, S = P R P^H; N x N, for every k_2
-    column alike.  Grids past check_dense_size raise DenseSizeError."""
+    """R = Re(U^H W U) * `_centred_kernel` (by `_times_kernel`), S = P R P^H;
+    N x N, for every k_2 column alike.  Grids past check_dense_size raise
+    DenseSizeError."""
     check_dense_size(spec.grid)
     n = spec.grid.modes_per_axis
     r = _real_window_form(spec.window.coefficients(np.arange(-n, n + 1)))
-    r *= _centred_kernel(_mode_energies(spec.grid), spec.T)
-    return r
+    return _times_kernel(r, n, spec.T)
 
 
 def _pair(spec: GramianSpec, v: np.ndarray, back: bool = False) -> np.ndarray:
@@ -409,9 +441,30 @@ def _cholesky(r: np.ndarray, spec: GramianSpec) -> np.ndarray:
             f"Gramian not numerically positive definite at "
             f"N={spec.grid.modes_per_axis} ({spec.grid.dim}D), T={spec.T}: {exc}"
         ) from exc
-    # numpy has no triangular solve: invert L once, so that each later
-    # solve is two O(N^2) products, not a new factorization
-    return np.linalg.inv(lower)
+    # numpy has no triangular solve: invert L once, in place, so that each
+    # later solve is two O(N^2) products, not a new factorization
+    _invert_lower(lower)
+    return lower
+
+
+def _invert_lower(lower: np.ndarray) -> None:
+    """lower <- lower^-1 in place, for a nonsingular lower triangular
+    `lower`, by 2 x 2 blocks, [[A, 0], [C, D]]^-1 = [[A^-1, 0],
+    [-D^-1 C A^-1, D^-1]]: about N^3/3 flops, all in matrix products, where
+    a general LU inverse takes 8N^3/3 (as stable: Du Croz and Higham, IMA
+    J. Numer. Anal. 12, 1992).  Blocks of order _TRIANGLE_BLOCK or less are
+    inverted by LU, and their upper triangle set to exact zeros."""
+    n = len(lower)
+    if n <= _TRIANGLE_BLOCK:
+        lower[...] = np.tril(np.linalg.inv(lower))
+        return
+    h = n // 2
+    a, c, d = lower[:h, :h], lower[h:, :h], lower[h:, h:]
+    _invert_lower(a)
+    _invert_lower(d)
+    np.matmul(c, a, out=c)
+    np.matmul(d, c, out=c)
+    np.negative(c, out=c)
 
 
 def _times(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -484,60 +537,81 @@ def drive_linear(u0: FourierState, spec: GramianSpec,
     Gramian over [0, t].  With d_ab = mu_a - mu_b, A = W / (i d) off the
     degenerate set d = 0 and B = W on it,
 
-        S(t) phi = exp(i mu t) * A (exp(-i mu t) * phi) - A phi + t B phi,
+        u(t) = -i A (e phi) + e (u0 + i A phi - i t B phi),  e = exp(-i mu t).
 
-    so every sample, of every k_2 column, comes from one matrix product.
-    The samples are max(32, 4N) uniform times on [0, T], both endpoints
-    included, taken in blocks of a multiple of 4 times that hold at most
-    2^14 state entries (or 4 times); ||u(t)||^2 and ||chi u(t)||^2 are
-    summed per block, the latter after an FFT along the first axis only
-    (chi is constant in x_2, and Plancherel holds in k_2).  Beside A, built
-    in place over W, it holds a few arrays of one block (256 kB each), never
-    the whole trajectory.  Returns the samples and ||u(T)||_L2.
+    e takes one value per level |k| = 0 .. N/2, so A (e phi) is the sum
+    over levels of A phi's level sums, each times its exp(-i mu t).  The
+    N x (N/2 + 1) level sums are read straight from the window's
+    `coefficients`, with no N x N matrix; A phi and B phi are theirs too,
+    and u0 + i A phi joins them at each row's own level.  A block of
+    samples, of every k_2 column, is then one product with the
+    (N/2 + 1) x t table of exp(-i mu t) and one update for the secular
+    term -i t B phi.  The samples are max(32, 4N) uniform times on [0, T],
+    both endpoints included, taken in blocks of a multiple of 4 times that
+    hold at most 2^14 state entries (or 4 times).  One FFT along the first
+    axis only gives u(x_1, t) (chi is constant in x_2, and Plancherel holds
+    in k_2), from which ||u(t)||^2 and ||chi u(t)||^2 are summed by
+    Parseval.  It holds level sums of at most 2^15 entries (or one k_2
+    column) and a few arrays of one block (256 kB each), never the whole
+    trajectory.  Returns the samples and ||u(T)||_L2.
     """
     if u0.grid != spec.grid or phi0.grid != spec.grid:
         raise ValueError("grid mismatch")
+    check_dense_size(spec.grid)
     n = spec.grid.modes_per_axis
+    h = n // 2
     times = np.linspace(0.0, spec.T, max(32, 4 * n))
-    mu = _mode_energies(spec.grid)
+    up, energies = np.arange(h + 1), _level_energies(n)
     phi = phi0.coeffs.reshape(n, -1)
-    # d = 0 on k_b = +-k_a alone (mu is even in k): B phi = W_kk phi_k +
-    # W_k,-k phi_-k, one term where k = -k mod N.  A is W, divided in place
-    k, rows = np.arange(n), max(1, _SAMPLE_BLOCK // n)
-    pair = -k % n
-    a = window_mode_matrix(spec.window)
-    b_phi = a[k, k][:, None] * phi + np.where(pair != k, a[k, pair], 0.0)[:, None] * phi[pair]
-    with np.errstate(divide="ignore", invalid="ignore"):  # d = 0, zeroed next
-        for lo in range(0, n, rows):
-            a[lo:lo + rows] /= 1j * np.subtract.outer(mu[lo:lo + rows], mu)
-    a[k, k] = a[k, pair] = 0.0
-
-    # axes (k_1, t, k_2); the k_2 phase of exp(i t Lap) changes no mass.  One
-    # array per block, updated in place, holds S(t) phi, then u(t), then
-    # u(x_1, t)
-    a_phi, b_phi = (a @ phi)[:, None], b_phi[:, None]
-    start = u0.coeffs.reshape(n, 1, -1)
+    # rows k_1 = -N/2 .. N/2 - 1 ascending, each at level |k_1|: the FFT
+    # then gives u(x_1) times (-1)^j, which leaves every |u|^2 as it is.
+    # Level l holds the modes +l (slot l, l < N/2) and -l (slot -l mod N,
+    # l > 0): W phi summed over it is c(k_a - l) phi_l + c(k_a + l) phi_-l,
+    # both strided views of the coefficients
+    c = spec.window.coefficients(np.arange(-n, n + 1))
+    minus = sliding_window_view(c[::-1], h + 1)[n + h:n - h:-1, None]  # c(k_a - l)
+    plus = sliding_window_view(c, h + 1)[n - h:n + h, None]  # c(k_a + l)
+    level = np.abs(np.arange(-h, h))
+    own = (np.arange(n), slice(None), level)
+    start = np.fft.fftshift(u0.coeffs.reshape(n, -1), axes=0)
     chi2 = spec.window.samples.reshape(n, 1, -1)[..., :1] ** 2  # x_1 profile
-    # exp(-i mu t) on the N/2 + 1 distinct energies, gathered per mode
-    vals, inverse = np.unique(mu, return_inverse=True)
-    mass, observed = np.empty_like(times), np.empty_like(times)
-    # whole groups of 4 times, as max(32, 4N) is: each block's product then
-    # splits its columns as one product over all times does, and no sample
-    # depends on the block size
-    per = max(4, _SAMPLE_BLOCK // phi.size // 4 * 4)
-    for i in range(0, len(times), per):
-        t = times[i:i + per]
-        free = np.exp(-1j * np.outer(vals, t))[inverse, :, None]
-        states = (a @ (free * phi[:, None]).reshape(n, -1)).reshape(n, len(t), -1)
-        states *= free.conj()
-        states -= a_phi
-        states += b_phi * t[:, None]
-        states *= -1j
-        states += start
-        states *= free
-        mass[i:i + per] = np.sum(np.abs(states) ** 2, axis=(0, 2))
-        states = np.fft.ifft(states, axis=0, norm="forward")
-        observed[i:i + per] = np.sum(chi2 * np.abs(states) ** 2, axis=(0, 2)) / n
+    mass, observed = np.zeros_like(times), np.zeros_like(times)
+    # k_2 columns a chunk at a time (all of them up to N = 38 in 2D), and
+    # times in whole groups of 4, as max(32, 4N) is: each block's product
+    # then splits its columns as one product over all times does, and no
+    # sample depends on the time block size
+    cols = min(phi.shape[1], max(1, _LEVEL_BLOCK // (n * (h + 1))))
+    per = max(4, _SAMPLE_BLOCK // (n * cols) // 4 * 4)
+    for j in range(0, phi.shape[1], cols):
+        # axes (k_1, k_2, level); B phi is each row's own level, -i A =
+        # -W / d off it, and u0 + i A phi takes its place
+        sums = minus * np.where(up < h, phi[up, j:j + cols].T, 0.0)
+        sums += plus * np.where(up > 0, phi[-up % n, j:j + cols].T, 0.0)
+        secular = -1j * sums[own][..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # d = 0, set next
+            sums /= (energies - energies[level][:, None])[:, None]
+        sums[own] = 0.0
+        sums[own] = start[:, j:j + cols] - sums.sum(axis=2)
+        sums = sums.reshape(-1, h + 1)
+        for i in range(0, len(times), per):
+            t = times[i:i + per]
+            # exp(-i mu t) by its real and imaginary parts: faster than a
+            # complex exp, with the same phases
+            phase, free = np.outer(-energies, t), np.empty((h + 1, len(t)), complex)
+            np.cos(phase, out=free.real)
+            np.sin(phase, out=free.imag)
+            states = (sums @ free).reshape(n, -1, len(t))
+            free *= t
+            states[:h + 1] += secular[:h + 1] * free[::-1, None]
+            states[h + 1:] += secular[h + 1:] * free[1:h, None]
+            np.fft.ifft(states, axis=0, norm="forward", out=states)
+            power = states.real ** 2
+            power += states.imag ** 2
+            mass[i:i + per] += np.sum(power, axis=(0, 1))
+            power *= chi2
+            observed[i:i + per] += np.sum(power, axis=(0, 1))
+    mass /= n
+    observed /= n
     record = TrajectoryRecord(times=times, mass=mass, observed_mass=observed)
     return record, float(np.sqrt(mass[-1]))
 

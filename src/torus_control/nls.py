@@ -52,9 +52,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import FourierState, GridSpec, random_state, zero_state
-from .hum import (MAX_DENSE_POINTS, GramianSpec, _centred_kernel, _check_tol,
-                  _cholesky, _mode_energies, _pair, _positive_int, _real_gramian,
-                  _solve, check_dense_size, window_mode_matrix)
+from .hum import (MAX_DENSE_POINTS, GramianSpec, _check_tol, _cholesky, _pair,
+                  _positive_int, _real_gramian, _solve, _times_kernel, check_dense_size,
+                  window_mode_matrix)
 from .windows import CutoffWindow
 
 
@@ -69,8 +69,8 @@ class NonFiniteStateError(RuntimeError):
 
 
 class _UnresolvedPhaseError(ValueError):
-    """The nonlinear phase of one step, dt * max|u|^2, exceeds both pi and
-    the step's largest linear phase dt * mu_max (see `_check_phase`)."""
+    """The nonlinear phase of one step, dt * max|u|^2, exceeds pi (see
+    `_check_phase`)."""
 
 
 class StabilizationStallError(RuntimeError):
@@ -362,21 +362,16 @@ def _finite_samples(grid: GridSpec, coeffs: np.ndarray, params: NLSParams,
 def _check_phase(grid: GridSpec, c: np.ndarray, params: NLSParams) -> None:
     """For sigma != 0, refuse with `_UnresolvedPhaseError` (a ValueError)
     coefficients c (one state or a batch) whose nonlinear phase per step,
-    dt * max|u|^2 over the grid values, exceeds both pi and the step's
-    largest linear phase dt * mu_max.  Past pi the rotation
-    exp(i kappa |u|^2) is aliased modulo 2 pi; the linear sub-flow is
-    exact at any dt, so a step that leaves its own linear phases
-    unresolved (a coarse dt) is refused only once the nonlinear phase
-    outruns them too."""
+    dt * max|u|^2 over the grid values, exceeds pi: past it the rotation
+    exp(i kappa |u|^2) is aliased modulo 2 pi, whatever the linear
+    sub-flow (exact at any dt) does."""
     if params.sigma == 0:
         return
     values = np.fft.ifftn(c, axes=tuple(range(-grid.dim, 0)), norm="forward")
     phase = params.dt * float(np.max(np.abs(values) ** 2))
-    linear = params.dt * float(-grid.laplacian_symbol().min())
-    if phase > max(np.pi, linear):
+    if phase > np.pi:
         raise _UnresolvedPhaseError(
-            f"the nonlinear phase dt * max|u|^2 = {phase:.3g} rad per step exceeds "
-            f"pi and the largest linear phase dt * mu_max = {linear:.3g}")
+            f"the nonlinear phase dt * max|u|^2 = {phase:.3g} rad per step exceeds pi")
 
 
 def fit_decay_rate(record: DecayRecord, tail_fraction: float = 0.5) -> float:
@@ -441,7 +436,8 @@ def _control_tables(spec: GramianSpec, sigma: int):
     n_steps = max(256, 4 * grid.modes_per_axis)
     dt, lap = spec.T / n_steps, grid.laplacian_symbol()
     t_mid = ((np.arange(n_steps) + 0.5) * dt).reshape((-1,) + (1,) * grid.dim)
-    source = -1j * _centred_kernel(_mode_energies(grid), dt) * window_mode_matrix(spec.window)
+    source = _times_kernel(window_mode_matrix(spec.window), grid.modes_per_axis, dt)
+    source *= -1j
     return (_cholesky(_real_gramian(spec), spec),
             _StrangStep(grid, NLSParams(sigma=sigma, dt=dt, dealias=False)),
             np.exp(1j * t_mid * lap), source, np.exp(-1j * spec.T * lap), n_steps)

@@ -24,9 +24,8 @@ from dataclasses import replace
 import numpy as np
 
 from .grid import FourierState, make_grid
-from .hum import (GramianSpec, _centred_kernel, _check_entries, _floored_inverse,
-                  _mode_energies, _pair, _real_gramian, _real_window_blocks, _times,
-                  observability_constant)
+from .hum import (GramianSpec, _check_entries, _floored_inverse, _pair, _real_gramian,
+                  _real_window_blocks, _times, _times_kernel, observability_constant)
 
 
 def decompose_modes(u2d: FourierState) -> list[FourierState]:
@@ -56,8 +55,8 @@ def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     `observability_constant`.  The contract is |C_2d - C_1d| / C_1d at
     roundoff (exact transfer at truncation).  The time kernel is built once
     per pair size: the transverse share of mu_a - mu_b cancels within a
-    pair, so it is that of the first-axis energies, taken twice over in a
-    pair of 2N slots.
+    pair, so it is that of the first-axis energies (`_times_kernel`), taken
+    twice over in a pair of 2N slots.
     """
     if base_spec.grid.dim != 1:
         raise ValueError("base_spec must be a 1D Gramian spec")
@@ -69,13 +68,12 @@ def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     _check_entries(grid, grid.n_points, "Gramian entries")
     pairs = [sorted({q, -q % n}) for q in range(n // 2 + 1)]
     slots = ((np.arange(n)[:, None] * n + k2).ravel() for k2 in pairs)
-    mu = _mode_energies(grid)
-    kernels = {1: _centred_kernel(mu, spec2d.T),
-               2: _centred_kernel(np.repeat(mu, 2), spec2d.T)}
+    # the time kernel of a pair of 1 or 2 transverse modes, built once
+    kernels = {p: _times_kernel(np.ones((p * n, p * n)), n, spec2d.T) for p in (1, 2)}
     m = np.arange(-n, n + 1)
     lams = []
-    for k2, block in zip(pairs, _real_window_blocks(strip.coefficients(*np.ix_(m, m)), slots)):
-        block *= kernels[len(k2)]
+    for block in _real_window_blocks(strip.coefficients(*np.ix_(m, m)), slots):
+        block *= kernels[len(block) // n]
         lams.append(np.linalg.eigvalsh(block)[0])
     return _floored_inverse(float(np.min(lams)), spec2d), observability_constant(base_spec)
 

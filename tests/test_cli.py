@@ -564,25 +564,28 @@ def test_horizon_below_one_step_exit_2(tmp_path, base_cfg, capsys, sub):
     assert not (out / f"{sub}.json").exists()
 
 
-@pytest.mark.parametrize("sub,norm", [("global-control", 1e150), ("simulate", 1e5),
-                                      ("stabilize", 1e5)])
-def test_unresolved_nonlinear_phase_exit_2(tmp_path, base_cfg, capsys, sub, norm):
-    # dt * max|u|^2 far past pi and the largest linear phase (about 10 at
-    # N = 32): refused before any step, naming nls.dt.  (1e150 overflows the
-    # energy of simulate's and stabilize's first record: exit 3 there)
+@pytest.mark.parametrize("sub,norm,dt", [("global-control", 1e150, 1e-3),
+                                         ("simulate", 1e5, 1e-3), ("stabilize", 1e5, 1e-3),
+                                         ("global-control", 0.8, 1e300)],
+                         ids=["global-control-1e+150", "simulate-100000.0",
+                              "stabilize-100000.0", "global-control-0.8-dt-1e+300"])
+def test_unresolved_nonlinear_phase_exit_2(tmp_path, base_cfg, capsys, sub, norm, dt):
+    # dt * max|u|^2 far past pi, though at dt = 1e300 the linear phases
+    # outrun it: refused before any step, naming nls.dt.  (1e150 overflows
+    # the energy of simulate's and stabilize's first record: exit 3 there)
     base_cfg["initial_state"]["norm"] = norm
-    base_cfg["nls"] = {"sigma": -1, "dt": 1e-3, "damped": True}
+    base_cfg["nls"] = {"sigma": -1, "dt": dt, "damped": True}
     cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
     out = tmp_path / "out"
     assert main([sub, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: nls.dt: the nonlinear phase ")
-    assert err.rstrip().endswith("got 0.001") and "Traceback" not in err
+    assert err.rstrip().endswith(f"got {dt!r}") and "Traceback" not in err
     assert not (out / f"{sub.replace('-', '_')}.json").exists()
     assert not (out / "error.json").exists()
 
 
-@pytest.mark.parametrize("dt", [0.2, 1e300])
+@pytest.mark.parametrize("dt", [0.2])
 def test_global_control_coarse_dt(tmp_path, base_cfg, dt):
     # past dt = 0.1 a 10-time-unit span holds fewer than the 10 checks a
     # decay fit needs; the damped legs re-fit over 10 checks instead

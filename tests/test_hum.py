@@ -403,24 +403,30 @@ def test_solve_hum_exact_against_quadrature_oracle(small_setup):
         assert np.linalg.norm(final) <= 1e-10 * u0.norm_l2()
 
 
-def test_drive_linear_is_exact_in_time(small_setup):
-    g, w, spec = small_setup
-    rng = np.random.default_rng(11)
-    u0, phi0 = random_state(g, rng), random_state(g, rng)
-    record, final_norm = drive_linear(u0, spec, phi0)
-    # max(32, 4N) uniform samples on [0, T], endpoints included
-    assert np.array_equal(record.times, np.linspace(0.0, 1.0, max(32, 4 * 32)))
-    assert final_norm == np.sqrt(record.mass[-1])
-    # u(t) = exp(i t Lap)(u0 - i S(t) phi0), S(t) the Gramian over [0, t]
-    for j in (0, 1, len(record.times) // 2, len(record.times) - 1):
-        t = record.times[j]
-        v = u0.coeffs.copy()
-        if t > 0:
-            v -= 1j * (dense_gramian(GramianSpec(T=t, window=w)) @ phi0.coeffs)
-        assert record.mass[j] == pytest.approx(np.sum(np.abs(v) ** 2), rel=1e-12)
-        phys = free_propagate(FourierState(g, v), t).physical()
-        expect = np.mean(w.samples ** 2 * np.abs(phys) ** 2)
-        assert record.observed_mass[j] == pytest.approx(expect, rel=1e-10)
+def test_drive_linear_is_exact_in_time(monkeypatch):
+    # 1D N = 32 and 128 take the whole trajectory in one and in 4 time
+    # blocks; 2D N = 16 sums over the k_2 columns, all at once and in
+    # chunks of 5, 5, 5 and 1 columns
+    for dim, n, chunk in ((1, 32, 1), (1, 64, 1), (1, 128, 1), (2, 16, 16), (2, 16, 5)):
+        monkeypatch.setattr(hum, "_LEVEL_BLOCK", chunk * n * (n // 2 + 1))
+        g = make_grid(dim, n)
+        w = make_window(g, (0.0, 0.25), 0.05, "smooth")
+        rng = np.random.default_rng(11)
+        u0, phi0 = random_state(g, rng), random_state(g, rng)
+        record, final_norm = drive_linear(u0, GramianSpec(T=1.0, window=w), phi0)
+        # max(32, 4N) uniform samples on [0, T], endpoints included
+        assert np.array_equal(record.times, np.linspace(0.0, 1.0, max(32, 4 * n)))
+        assert final_norm == np.sqrt(record.mass[-1])
+        # u(t) = exp(i t Lap)(u0 - i S(t) phi0), S(t) the Gramian over [0, t]
+        for j in (0, 1, len(record.times) // 2, len(record.times) - 1):
+            t = record.times[j]
+            v = u0.coeffs.copy()
+            if t > 0:
+                v -= 1j * (dense_gramian(GramianSpec(T=t, window=w)) @ phi0.coeffs)
+            assert record.mass[j] == pytest.approx(np.sum(np.abs(v) ** 2), rel=1e-12)
+            phys = free_propagate(FourierState(g, v), t).physical()
+            expect = np.mean(w.samples ** 2 * np.abs(phys) ** 2)
+            assert record.observed_mass[j] == pytest.approx(expect, rel=1e-10)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 128), (2, 24)])
@@ -443,15 +449,27 @@ def test_drive_linear_blocks_match_one_block(monkeypatch, dim, n):
 
 
 def test_drive_linear_memory_is_bounded():
-    # one time block at a time, and one N x N matrix built in place: 1.3 MB
-    # at N = 128 (the whole trajectory held 4.2 MB) and 2.1 MB at N = 256
-    # (4.8 MB through the coefficient matrices' temporaries)
-    for n in (128, 256):
-        g = make_grid(1, n)
+    # one time block at a time and the N x (N/2 + 1) level sums: 1.2 MB at
+    # N = 128 and 1.6 MB at N = 256 (the whole trajectory held 4.2 MB at
+    # N = 128, and the N x N matrix A 2.1 MB at N = 256).  In 2D at N = 64
+    # the level sums of 15 k_2 columns at a time: 1.8 MB (of all 64, 4.6 MB)
+    for dim, n in ((1, 128), (1, 256), (2, 64)):
+        g = make_grid(dim, n)
         spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.25), 0.05, "smooth"))
         rng = np.random.default_rng(14)
         u0, phi0 = random_state(g, rng), random_state(g, rng)
         assert traced_peak(lambda: drive_linear(u0, spec, phi0)) <= 2.5e6
+
+
+def test_solve_hum_memory_is_bounded():
+    # the real form R and its Cholesky factor, inverted in place (0.5 MB
+    # each at N = 256), and the block products' temporaries: 1.3 MB.  LU's
+    # inverse held 1.6 MB, and a block inverse that builds each level in
+    # new arrays 2.6 MB
+    g = make_grid(1, 256)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.25), 0.05, "smooth"))
+    u0 = random_state(g, np.random.default_rng(14))
+    assert traced_peak(lambda: solve_hum(spec, u0)) <= 1.6e6
 
 
 def test_solve_hum_singular_gramian_raises():

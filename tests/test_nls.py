@@ -598,9 +598,8 @@ def test_energy_definition():
 
 
 def test_unresolved_nonlinear_phase_is_refused():
-    # dt * max|u|^2 is about 6e7 rad per step, past pi and past the largest
-    # linear phase dt * (pi N)^2 = 10.1: evolve and the damped legs refuse
-    # the state; without the nonlinearity it runs
+    # dt * max|u|^2 is about 6e7 rad per step, past pi: evolve and the
+    # damped legs refuse the state; without the nonlinearity it runs
     g = make_grid(1, 32)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     u0 = random_state(g, np.random.default_rng(3), norm=1e5, max_mode=8)
@@ -611,7 +610,12 @@ def test_unresolved_nonlinear_phase_is_refused():
                        NLSParams(sigma=1, dt=1e-3))
     _, record = evolve(u0, 0.01, NLSParams(sigma=0, dt=1e-3))
     assert record.mass[-1] == pytest.approx(u0.norm_l2() ** 2, rel=1e-12)
-    # a coarse dt whose linear phases outrun the nonlinear one still runs
-    _, record = evolve(random_state(g, np.random.default_rng(3), max_mode=8), 10.0,
-                       NLSParams(sigma=-1, dt=5.0))
+    # a coarse dt runs while its nonlinear phase stays within pi (2.7 rad
+    # per step at norm 0.3), and is refused past it (30 rad at norm 1),
+    # though its largest linear phase dt * (pi N)^2 is 5e4 rad either way
+    coarse = NLSParams(sigma=-1, dt=5.0)
+    _, record = evolve(random_state(g, np.random.default_rng(3), norm=0.3, max_mode=8),
+                       10.0, coarse)
     assert len(record.times) == 3
+    with pytest.raises(ValueError, match="exceeds pi"):
+        evolve(random_state(g, np.random.default_rng(3), max_mode=8), 10.0, coarse)

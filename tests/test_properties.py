@@ -12,9 +12,9 @@ from hypothesis.extra.numpy import arrays
 
 from torus_control import GramianSpec, NLSParams, make_grid, make_window, nls, tensor
 from torus_control.grid import FourierState
-from torus_control.hum import (_centred_kernel, _cholesky, _pair, _real_gramian,
-                               _real_window_blocks, _real_window_form, _solve,
-                               lambda_min_dense, window_mode_matrix)
+from torus_control.hum import (GramianSingularError, _centred_kernel, _cholesky, _pair,
+                               _real_gramian, _real_window_blocks, _real_window_form,
+                               _solve, lambda_min_dense, window_mode_matrix)
 from torus_control.operators import commutator_operator_norm, free_propagate
 from torus_control.resolvent import best_resolvent_constant
 from torus_control.io import state_from_json, state_to_json
@@ -210,6 +210,34 @@ def test_real_solve_is_the_complex_solve(window, T, seed):
     x = _pair(spec, _solve(factor, _pair(spec, b)), back=True)
     ref = np.linalg.solve(s, b)
     assert np.linalg.norm(x - ref) <= 1e-14 * cond * np.linalg.norm(ref)
+
+
+# orders 1 .. 300, and on either side of the triangular inverse's base
+# block (hum._TRIANGLE_BLOCK = 32) and of its first splits
+orders = st.one_of(st.sampled_from([1, 2, 3, 31, 32, 33, 63, 64, 65, 129, 299, 300]),
+                   st.integers(1, 300))
+
+
+@given(orders, st.floats(0.0, 6.0), seeds)
+def test_inverse_cholesky_factor_is_the_lu_inverse(n, log_cond, seed):
+    # R = Q diag(lambda) Q^T, lambda from 1 down to 10^-log_cond: the
+    # in-place inverse is lower triangular with exact zeros above the
+    # diagonal and is inv(cholesky(R)) to roundoff; an indefinite R is
+    # refused with the factorization's message
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = np.logspace(0.0, -log_cond, n)
+    r = (q * lam) @ q.T
+    r = 0.5 * (r + r.T)
+    spec = GramianSpec(T=1.0, window=make_window(make_grid(1, 32), (0.0, 0.3)))
+    factor = _cholesky(r, spec)
+    assert np.all(np.triu(factor, 1) == 0.0)
+    ref = np.linalg.inv(np.linalg.cholesky(r))
+    assert np.linalg.norm(factor - ref) <= 1e-12 * np.linalg.norm(ref)
+    lam[rng.integers(n)] = -0.5
+    with pytest.raises(GramianSingularError, match=r"^Gramian not numerically positive "
+                       r"definite at N=32 \(1D\), T=1.0: "):
+        _cholesky((q * lam) @ q.T, spec)
 
 
 @given(windows(1), horizons, st.floats(0.0, 2.0))
