@@ -16,11 +16,12 @@ isometry, so mass is conserved to roundoff; energy drifts at O(dt^2).
 `evolve`, the damped legs of global control and the controlled solve all
 run this one step through one loop, `_StrangStep.run`, on grid values:
 since linear(dt/2) . linear(dt/2) = linear(dt), one propagator joins
-consecutive nonlinear sub-flows.  `evolve` goes back to modes in batched
-transforms at its records; each 10-step norm check of the damped legs
-advances the batch's coefficients with `advance`, at the same transform
-count; the controlled solve hands `run` its control source, added before
-each propagator.
+consecutive nonlinear sub-flows, and the loop allocates nothing per step.
+`evolve` goes back to modes in batched transforms at its records; the
+damped legs stay on grid values too, taking a copy to modes at each
+10-step norm check, so a leg stopped at a check holds exactly the state of
+`evolve` after as many steps; the controlled solve hands `run` its
+control source, added before each propagator.
 Coefficients of shape (B, *grid.shape) advance B states at once: global
 control runs the damped legs of u0 and conj(u1) as one batch, each
 member leaving it at its first 10-step check with ||u|| at or below the
@@ -47,7 +48,9 @@ its tables once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -115,8 +118,11 @@ def _dealias_mask(grid: GridSpec) -> np.ndarray:
     return keep if grid.dim == 1 else keep[:, None] & keep
 
 
-# forward and inverse transforms over the last grid.dim axes, by dimension
-_TRANSFORMS = {1: (np.fft.fft, np.fft.ifft), 2: (np.fft.fft2, np.fft.ifft2)}
+# forward and inverse transforms over the last grid.dim axes, by dimension;
+# the 2D inverse is ifftn over the last two axes, as np.fft.ifft2 ignores
+# its `out` (numpy 2.4) and `_fft_transforms` writes into buffers
+_TRANSFORMS = {1: (np.fft.fft, np.fft.ifft),
+               2: (np.fft.fft2, partial(np.fft.ifftn, axes=(-2, -1)))}
 # largest N per axis, by dimension, at which the Strang step transforms by
 # products with dense matrices rather than FFTs.  On a ladder of fused
 # 10-step runs and single steps (B = 1 and 2, damped, dealiased; 2-core
@@ -165,15 +171,21 @@ def _fft_transforms(grid: GridSpec, half: np.ndarray, tail: np.ndarray):
     (tail / N^dim after) and grid values -> grid values across the boundary
     of two steps (tail / N^dim and the next half-step phase as one factor),
     by FFT over the last grid.dim axes, given the per-axis `half` and
-    `tail` (separable: in 2D, outer products)."""
+    `tail` (separable: in 2D, outer products).  `across(phys, out, work)`
+    writes its spectrum into `work` and its result into `out` when given."""
     fft, ifft = _TRANSFORMS[grid.dim]
     if grid.dim == 2:
         half, tail = np.outer(half, half), np.outer(tail, tail)
     tail_nl = tail / grid.n_points
-    across = tail_nl * half
+    factor = tail_nl * half
+
+    def across(phys, out=None, work=None):
+        spectrum = fft(phys, out=work)
+        spectrum *= factor
+        return ifft(spectrum, norm="forward", out=out)
+
     return ((lambda c: ifft(c * half, norm="forward")),
-            (lambda phys: fft(phys) * tail_nl),
-            (lambda phys: ifft(fft(phys) * across, norm="forward")))
+            (lambda phys: fft(phys) * tail_nl), across)
 
 
 def _dft_transforms(dim: int, half: np.ndarray, tail: np.ndarray):
@@ -183,7 +195,8 @@ def _dft_transforms(dim: int, half: np.ndarray, tail: np.ndarray):
     tail_k / N, and across = to_modes @ to_phys, both halves of the linear
     flow between two nonlinear sub-flows in one matrix.  All three factors
     are separable, so in 2D each side of the coefficient array takes one
-    matrix."""
+    matrix.  `across(phys, out, work)` writes into `out` as
+    `_fft_transforms`' does; in 2D `work` holds the left product."""
     n = len(half)
     dft = np.exp(2j * np.pi / n * (np.outer(np.arange(n), np.arange(n)) % n))
     to_phys, to_modes = half[:, None] * dft, dft.conj() * (tail / n)
@@ -194,13 +207,18 @@ def _dft_transforms(dim: int, half: np.ndarray, tail: np.ndarray):
     if dim == 1:
         # one vector-matrix product per state, so a batch rounds as its
         # members do alone (a (B, N) matrix product would not); grid values
-        # keep a unit axis before the grid axis
+        # keep a unit axis before the grid axis.  One state's (1, N) values
+        # take np.dot, matmul's BLAS product at less call overhead (dot's
+        # loop over 3D values skips BLAS)
+        def propagate(phys, out=None, work=None):
+            return (np.dot if phys.ndim == 2 else np.matmul)(phys, across, out)
+
         return ((lambda c: c[..., None, :] @ to_phys),
-                (lambda phys: (phys @ to_modes)[..., 0, :]),
-                (lambda phys: phys @ across))
+                (lambda phys: (phys @ to_modes)[..., 0, :]), propagate)
     return ((lambda c: to_phys.T @ c @ to_phys),
             (lambda phys: to_modes.T @ phys @ to_modes),
-            (lambda phys: across.T @ phys @ across))
+            (lambda phys, out=None, work=None:
+             np.matmul(np.matmul(across.T, phys, out=work), across, out=out)))
 
 
 class _StrangStep:
@@ -213,12 +231,13 @@ class _StrangStep:
     nonlinear sub-flow; `run` takes further steps, each the propagator
     `across` (linear(dt/2) . linear(dt/2) and the dealias mask), preceded
     by a control source when one is given, and one nonlinear sub-flow;
-    `to_modes` ends the last step.  The nonlinear sub-flow is five numpy
-    calls into buffers kept per batch shape: |u|, its square, kappa |u|^2
-    into the imaginary part of an exponent whose real part -chi^2 dt is
-    fixed, one complex exponential and one product.
+    `to_modes` ends the last step, into a new array.  The nonlinear
+    sub-flow is five numpy calls into buffers kept per batch shape: |u|,
+    its square, kappa |u|^2 into the imaginary part of an exponent whose
+    real part -chi^2 dt is fixed, one complex exponential and one product.
     A linear step (sigma = 0, no damping) has no sub-flow between its
-    propagators.
+    propagators.  Each batch shape also keeps a spare array of grid values
+    and the propagator's scratch, so that `run` allocates nothing per step.
 
     The transforms take one of two paths chosen from the grid alone.  Up
     to N = _DFT_MAX_N[dim] per axis they are products with dense N x N
@@ -243,23 +262,38 @@ class _StrangStep:
                       else _fft_transforms(grid, half, tail))
         self.to_phys, self.to_modes, self.across = transforms
 
+    def _buffers_for(self, shape: tuple) -> list:
+        """For one batch shape of grid values: |u|^2 and its flat view,
+        kappa broadcast to the batch and the exponent's imaginary part (both
+        flat: a product into a strided output takes numpy's fast path only
+        in 1D), the exponent, the factor and its flat view, the
+        propagator's scratch and the spare array `run` swaps with its
+        input."""
+        buffers = self._buffers.get(shape)
+        if buffers is None:
+            power, factor = np.empty(shape), np.empty(shape, dtype=complex)
+            exponent = np.empty(shape, dtype=complex)
+            exponent.real = self._decay
+            exponent = exponent.reshape(-1)
+            kappa = (None if self.kappa is None
+                     else np.broadcast_to(self.kappa, shape).reshape(-1))
+            buffers = self._buffers[shape] = [
+                power, power.reshape(-1), kappa, exponent.imag, exponent,
+                factor, factor.reshape(-1), np.empty_like(factor), np.empty_like(factor)]
+        return buffers
+
     def _nonlinear(self, phys: np.ndarray) -> None:
         """The fused damping-rotation sub-flow on grid values, in place."""
         if self.kappa is None:
             if self.d2 is not None:
                 phys *= self.d2
             return
-        buffers = self._buffers.get(phys.shape)
-        if buffers is None:
-            exponent = np.empty(phys.shape, dtype=complex)
-            exponent.real = self._decay
-            buffers = self._buffers[phys.shape] = (
-                np.empty(phys.shape), exponent.imag, exponent, np.empty_like(exponent))
-        power, phase, exponent, factor = buffers
+        power, flat_power, kappa, phase, exponent, factor, flat_factor = (
+            self._buffers_for(phys.shape)[:7])
         np.abs(phys, out=power)
         np.square(power, out=power)
-        np.multiply(power, self.kappa, out=phase)
-        np.exp(exponent, out=factor)
+        np.multiply(flat_power, kappa, out=phase)
+        np.exp(exponent, out=flat_factor)
         phys *= factor
 
     def start(self, c: np.ndarray) -> np.ndarray:
@@ -272,22 +306,35 @@ class _StrangStep:
     def run(self, phys: np.ndarray, n: int, sources=None) -> np.ndarray:
         """n >= 0 further steps on the grid values of `start` or `run`;
         with `sources`, sources[j] (grid values) is added to step j just
-        before its propagator, in place on `phys` at j = 0."""
-        across, nonlinear = self.across, self._nonlinear
+        before its propagator.  The propagator writes into the spare array
+        of the batch shape, which then swaps roles with its input, and the
+        sub-flow of `_nonlinear` runs inline, so no step allocates.  `phys`
+        is consumed: it may be written, and it may come back as the output
+        of a later run of the same shape; copy what must outlive the call."""
+        buffers = self._buffers_for(phys.shape)
+        power, flat_power, kappa, phase, exponent, factor, flat_factor, work, out = buffers
+        across, d2 = self.across, self.d2
+        # ufuncs bound here, outputs passed positionally: numpy's cheapest call
+        absolute, square, multiply, exp = np.absolute, np.square, np.multiply, np.exp
         for j in range(n):
             if sources is not None:
                 phys += sources[j]
-            phys = across(phys)
-            nonlinear(phys)
+            across(phys, out, work)
+            if kappa is not None:
+                absolute(out, power)
+                square(power, power)
+                multiply(flat_power, kappa, phase)
+                exp(exponent, flat_factor)
+                out *= factor
+            elif d2 is not None:
+                out *= d2
+            phys, out = out, phys
+        buffers[-1] = out
         return phys
 
-    def advance(self, c: np.ndarray, n: int) -> np.ndarray:
-        """Advance coefficients c by n >= 0 steps; c itself is not written."""
-        return c if n == 0 else self.to_modes(self.run(self.start(c), n - 1))
-
     def __call__(self, c: np.ndarray) -> np.ndarray:
-        """Advance coefficients c by one step."""
-        return self.advance(c, 1)
+        """Advance coefficients c by one step; c itself is not written."""
+        return self.to_modes(self.start(c))
 
 
 def evolve(u0: FourierState, T: float, params: NLSParams,
@@ -421,7 +468,10 @@ def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
     # in 1D one matrix-vector product per step, for `_dft_transforms`' reason
     modes = source @ (phases * phi0.coeffs).reshape(n_steps, n, -1)
     sources = _TRANSFORMS[grid.dim][1](modes.reshape(phases.shape), norm="forward")
-    phys = step.run(step.start(u0.coeffs), n_steps - 1, sources)
+    phys = step.start(u0.coeffs)
+    # shaped as the grid values, so that each add is one of equal shapes
+    sources = sources.reshape((n_steps,) + phys.shape)
+    phys = step.run(phys, n_steps - 1, sources)
     phys += sources[-1]
     return FourierState(grid, step.to_modes(phys))
 
@@ -572,11 +622,14 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
     leaves the batch at that check.  Each member's decay rate is re-fit over
     each completed span of 10 time units (`_refit_span`); its leg stalls
     when the rate drops below `gamma_floor` or the time passes the horizon
-    cap 50 / gamma.  Between checks the batch's coefficients advance 10
-    steps with `advance`.  A norm that is not finite, at t = 0 or at a
-    later check, raises NonFiniteStateError; after the t = 0 check, a batch
-    whose nonlinear phase per step is unresolved (`_check_phase`) raises
-    ValueError."""
+    cap 50 / gamma.  The batch stays on grid values from its first step,
+    as in `evolve`: `start` once, then `run` to each check, where
+    `to_modes` writes the batch's coefficients to a new array, so a leg's
+    state at a check is exactly `evolve`'s after as many steps.  A leaving
+    member's row is dropped from the grid values.  A norm that is not
+    finite, at t = 0 or at a later check, raises NonFiniteStateError; after
+    the t = 0 check, a batch whose nonlinear phase per step is unresolved
+    (`_check_phase`) raises ValueError."""
     stride = 10
     h = stride * params.dt
     span = _refit_span(params.dt)
@@ -584,14 +637,15 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
     step = _StrangStep(grid, params)
     c = np.stack([u.coeffs for u in states])
     norms = [[] for _ in states]
-    active = list(range(len(states)))  # member index of each row of c
+    active = list(range(len(states)))  # member index of each row of c and phys
     results = [None] * len(states)
-    checks = 0
+    checks, to_check = 0, stride - 1  # steps `run` takes to the next check
     # overflow is caught at its check, as a norm that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
+        phys = step.start(c)
         while True:
-            row_norms = _row_norms(c)
-            if not np.isfinite(row_norms).all():
+            row_norms = _row_norms(c).tolist()
+            if not all(map(math.isfinite, row_norms)):
                 raise NonFiniteStateError(f"norm not finite at t = {checks * h:.6g}; "
                                           f"the state overflowed")
             if not checks:
@@ -617,9 +671,9 @@ def _stabilize_to_threshold(states: list[FourierState], params: NLSParams,
             if not keep:
                 return results
             if len(keep) < len(active):
-                c, active = c[keep], [active[row] for row in keep]
-            c = step.advance(c, stride)
-            checks += 1
+                phys, active = phys[keep], [active[row] for row in keep]
+            phys = step.run(phys, to_check)
+            c, checks, to_check = step.to_modes(phys), checks + 1, stride
 
 
 def _row_norms(c: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from torus_control.nls import (DecayRecord, PicardDivergenceError,
                                energy)
 from torus_control.operators import free_propagate
 
+from conftest import traced_peak
 from oracles import dense_gramian
 
 
@@ -149,6 +150,12 @@ def test_evolve_raises_at_the_first_record_that_is_not_finite(value):
         evolve(u0, 0.1, NLSParams(dt=1e-3, damping=w), record_stride=10)
 
 
+def _advance(step, c, n):
+    """n >= 1 steps of coefficients c on grid values: `start`, `run` and
+    `to_modes`."""
+    return step.to_modes(step.run(step.start(c), n - 1))
+
+
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (2, 48)])
 def test_batched_step_matches_single_steps(dim, n):
     g = make_grid(dim, n)
@@ -156,10 +163,10 @@ def test_batched_step_matches_single_steps(dim, n):
     rng = np.random.default_rng(12)
     batch = np.stack([random_state(g, rng, max_mode=n // 4).coeffs for _ in range(3)])
     step = nls._StrangStep(g, NLSParams(sigma=-1, dt=1e-2, damping=w, dealias=True))
-    out, run = step(batch), step.advance(batch, 10)
+    out, run = step(batch), _advance(step, batch, 10)
     for b in range(3):
         assert np.max(np.abs(out[b] - step(batch[b]))) <= 1e-15
-        assert np.max(np.abs(run[b] - step.advance(batch[b], 10))) <= 1e-15
+        assert np.max(np.abs(run[b] - _advance(step, batch[b], 10))) <= 1e-15
 
 
 # dense transforms at 1D N = 64 and 2D N = 16, FFTs at 1D N = 128 and 2D N = 48
@@ -175,14 +182,13 @@ def test_advance_matches_single_steps(dim, n):
             for dealias in (True, False):
                 step = nls._StrangStep(g, NLSParams(sigma=sigma, dt=1e-3,
                                                     damping=damping, dealias=dealias))
-                assert step.advance(u0, 0) is u0
-                assert np.array_equal(step.advance(u0, 1), step(u0))
+                assert np.array_equal(_advance(step, u0, 1), step(u0))
                 c, done = u0, 0
                 for k in (2, 10, 500):
                     for _ in range(k - done):
                         c = step(c)
                     done = k
-                    run = step.advance(u0, k)
+                    run = _advance(step, u0, k)
                     assert np.max(np.abs(run - c)) <= 1e-13 * np.max(np.abs(c))
 
 
@@ -214,6 +220,28 @@ def test_bulk_sampling_matches_per_state_quantities(dim, n):
     assert np.array_equal(final.coeffs, c)
 
 
+# dense transforms at 1D N = 64 and 2D N = 16, FFTs at 1D N = 128 and 2D
+# N = 48; B states in a batch, and one run with a control source
+@pytest.mark.parametrize("dim,n,b,sourced", [
+    (1, 64, 1, False), (1, 64, 2, False), (1, 64, 8, False), (1, 128, 1, False),
+    (2, 16, 1, False), (2, 48, 1, False), (1, 64, 1, True)])
+def test_step_loop_allocates_nothing_per_step(dim, n, b, sourced):
+    # the buffers of a batch shape are kept from the untraced first call,
+    # so a run, however long, holds the copy of its input and a few kB of
+    # numpy's call overhead, and no array of grid values per step
+    g = make_grid(dim, n)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    rng = np.random.default_rng(5)
+    c = np.stack([random_state(g, rng, max_mode=n // 4).coeffs for _ in range(b)])
+    step = nls._StrangStep(g, NLSParams(sigma=-1, dt=1e-3, damping=w))
+    phys = step.start(c)
+    sources = np.full((2000,) + phys.shape, 1e-3 + 0j) if sourced else None
+    short, long = (traced_peak(lambda: step.run(phys.copy(), k, sources))
+                   for k in (10, 2000))
+    assert long - short <= 1024
+    assert long <= phys.nbytes + 4096
+
+
 def test_small_grids_step_without_fft(monkeypatch):
     # the gate: dense DFT products at 1D N = 64, FFTs at 1D N = 512
     calls = []
@@ -234,7 +262,7 @@ def test_small_grids_step_without_fft(monkeypatch):
         c = random_state(g, np.random.default_rng(15), max_mode=8).coeffs
         step(c)
         assert len(calls) == expected[0]
-        step.advance(c, 10)
+        _advance(step, c, 10)
         assert len(calls) == sum(expected)
         calls.clear()
 
@@ -329,6 +357,22 @@ def test_batched_legs_stop_at_their_solo_times():
         [(solo, t_solo)] = _stabilize_to_threshold([u0], params, 0.1)
         assert t_damp == t_solo
         assert np.max(np.abs(u.coeffs - solo.coeffs)) <= 1e-15
+
+
+@pytest.mark.parametrize("n,norms", [(32, (0.5,)), (64, (0.8, 0.2))])
+def test_damped_leg_is_evolve_stopped_at_its_check(n, norms):
+    # a leg stays on grid values between its norm checks, so its state at
+    # the check where it stops is `evolve`'s after as many steps, bit for
+    # bit: one leg, and each member of a batched pair at global control's
+    # shape in the nls-steer benchmark
+    g = make_grid(1, n)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    params = NLSParams(sigma=-1, dt=1e-3, damping=w)
+    rng = np.random.default_rng(3)
+    legs = [random_state(g, rng, norm=norm, max_mode=8) for norm in norms]
+    for u0, (u, t_damp) in zip(legs, _stabilize_to_threshold(legs, params, 0.05)):
+        replay, _ = evolve(u0, t_damp, params, record_stride=1000)
+        assert np.array_equal(replay.coeffs, u.coeffs)
 
 
 def test_stabilization_refits_when_dt_does_not_divide_the_span(monkeypatch):
