@@ -35,8 +35,8 @@ for lam in np.linspace(-1.1 * (2 * np.pi * 16) ** 2, 50.0, 40):
 print(f"spot check: {bad} violations over 1000 state/frequency pairs")
 
 # ---- reverse direction -------------------------------------------------
-m_fixed = feasible_m(w, g)
-result = sweep(default_lambda_grid(g, 512), m_fixed, w, g)
+m_fixed = feasible_m(w)
+result = sweep(default_lambda_grid(g, 512), m_fixed, w)
 print(f"\nsweep: M(lambda) sup = {result.M_sup:.6f} at fixed m = {m_fixed:.2f}")
 print(f"minimal control time from the estimate: pi*sqrt(M_sup) = "
       f"{result.miller_time:.4f}")

@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import FourierState, make_grid, random_state
+from .grid import make_grid, random_state, zero_state
 from .hum import (MAX_DENSE_POINTS, DenseSizeError, GramianSpec, GramianSingularError,
-                  HUMConvergenceError, drive_linear, observability_constant,
-                  solve_hum)
+                  HUMConvergenceError, _check_entries, drive_linear,
+                  observability_constant, solve_hum)
 from .io import (NonFiniteResultError, _integral, _real, state_from_json, state_to_json,
                  write_decay_csv, write_json, write_sweep_csv, write_trajectory_csv)
 from .nls import (NLSParams, NonFiniteStateError, PicardDivergenceError,
@@ -93,9 +93,11 @@ def _build_grid(cfg):
     dim = _integer(cfg, "grid.dim", 1)
     n = _integer(cfg, "grid.N", required=True)
     try:
-        return make_grid(dim, n)
+        grid = make_grid(dim, n)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
+    _check_entries(grid, 1, "grid points")  # the cap `evolve` puts on records
+    return grid
 
 
 def _build_window(cfg, grid):
@@ -226,9 +228,9 @@ def _cmd_resolvent_sweep(cfg, rng, grid, window):
                                         "sweep.lambda_max overflows")
     else:
         grid_lam = default_lambda_grid(grid, n_points)
-    m = (feasible_m(window, grid) if scfg.get("m") is None
+    m = (feasible_m(window) if scfg.get("m") is None
          else _number(cfg, "sweep.m", None))
-    result = sweep(grid_lam, m, window, grid)
+    result = sweep(grid_lam, m, window)
     results = {"m": result.m_fixed, "M_sup": result.M_sup,
                "miller_time": result.miller_time,
                "grid_spec": {"n_points": len(grid_lam),
@@ -282,7 +284,7 @@ def _cmd_global_control(cfg, rng, grid, window):
     if t_norm > 0.0:
         u1 = random_state(grid, rng, norm=t_norm, max_mode=max_mode)
     else:
-        u1 = FourierState(grid, np.zeros(grid.shape, dtype=complex))
+        u1 = zero_state(grid)
     threshold = _number(cfg, "nls.mass_threshold", 0.05)
     tol = _number(cfg, "solver.tol", 1e-8)
     try:

@@ -109,9 +109,11 @@ class FourierState:
     __rmul__ = __mul__
 
 
-def _check_same_grid(a, b):
-    if a.grid != b.grid:
-        raise ValueError(f"grid mismatch: {a.grid} vs {b.grid}")
+def _check_same_grid(*objects):
+    """Raise ValueError unless every object's `.grid` is the first's."""
+    for other in objects[1:]:
+        if other.grid != objects[0].grid:
+            raise ValueError(f"grid mismatch: {objects[0].grid} vs {other.grid}")
 
 
 def state_from_physical(grid: GridSpec, values: np.ndarray) -> FourierState:

@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import FourierState, GridSpec, state_from_physical
+from .grid import FourierState, GridSpec, _check_same_grid, state_from_physical
 from .operators import free_propagate, sobolev_weights
 from .windows import CutoffWindow
 
@@ -503,8 +503,7 @@ def solve_hum(spec: GramianSpec, target: FourierState,
     residual above tol * ||target||, or NaN, raises HUMConvergenceError.
     """
     _check_tol(tol)
-    if target.grid != spec.grid:
-        raise ValueError("grid mismatch between target and Gramian spec")
+    _check_same_grid(spec, target)
     r = _real_gramian(spec)
     v = _pair(spec, target.coeffs.reshape(len(r), -1))
     psi = _solve(_cholesky(r, spec), -1j * v)
@@ -523,6 +522,7 @@ def synthesize_control(spec: GramianSpec, phi0: FourierState, t: float) -> Fouri
     """Control source at time t: chi^2 * (exp(i*t*Lap) phi0)."""
     if not (0.0 <= t <= spec.T):
         raise ValueError(f"t = {t} outside the control horizon [0, {spec.T}]")
+    _check_same_grid(spec, phi0)
     propagated = free_propagate(phi0, t)
     return state_from_physical(spec.grid,
                                propagated.physical() * spec.window.samples ** 2)
@@ -555,8 +555,7 @@ def drive_linear(u0: FourierState, spec: GramianSpec,
     column) and a few arrays of one block (256 kB each), never the whole
     trajectory.  Returns the samples and ||u(T)||_L2.
     """
-    if u0.grid != spec.grid or phi0.grid != spec.grid:
-        raise ValueError("grid mismatch")
+    _check_same_grid(spec, u0, phi0)
     check_dense_size(spec.grid)
     n = spec.grid.modes_per_axis
     h = n // 2

@@ -43,7 +43,8 @@ of the source (an integrating-factor step), and these sum to S, so the
 linear part of the discrete stepper is inverted exactly for every dt (at
 sigma = 0 phi0 is the HUM control).  A control run (both legs of global
 control, every candidate of `admissible_amplitude`) factors S and builds
-its tables once.
+its tables once.  Control takes its grid from the Gramian spec alone, and
+refuses a state on another grid (`grid._check_same_grid`).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from functools import partial
 
 import numpy as np
 
-from .grid import FourierState, GridSpec, random_state, zero_state
+from .grid import FourierState, GridSpec, _check_same_grid, random_state, zero_state
 from .hum import (MAX_DENSE_POINTS, GramianSpec, _check_tol, _cholesky, _pair,
                   _positive_int, _real_gramian, _solve, _times_kernel, check_dense_size,
                   window_mode_matrix)
@@ -447,8 +448,8 @@ def mass_decay_residual(record: DecayRecord) -> float:
     return abs((record.mass[-1] - record.mass[0]) + 2.0 * integral)
 
 
-def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState, *,
-                        n_steps: int, step: _StrangStep, phases: np.ndarray,
+def _controlled_forward(u0: FourierState, phi0: FourierState, *, n_steps: int,
+                        step: _StrangStep, phases: np.ndarray,
                         source: np.ndarray) -> FourierState:
     """Final state of i u_t + Lap u = sigma|u|^2 u + chi^2 exp(i t Lap) phi0.
 
@@ -462,9 +463,9 @@ def _controlled_forward(u0: FourierState, spec: GramianSpec, phi0: FourierState,
     step j (`to_modes` after the last step): all sources come from one
     product of `source` = -i G with the table `phases` of exp(i t_j Lap)
     times phi0 (per k_2 column in 2D), then one batched inverse transform.
-    `phases`, `source` and `step` (of sigma) come from `_control_tables`.
+    `phases`, `source` and `step` (of sigma) come from `_control_tables` on u0's grid.
     """
-    grid, n = spec.grid, spec.grid.modes_per_axis
+    grid, n = u0.grid, u0.grid.modes_per_axis
     # in 1D one matrix-vector product per step, for `_dft_transforms`' reason
     modes = source @ (phases * phi0.coeffs).reshape(n_steps, n, -1)
     sources = _TRANSFORMS[grid.dim][1](modes.reshape(phases.shape), norm="forward")
@@ -513,8 +514,7 @@ def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,
     Returns (phi0, forward residual, history dict).
     """
     _check_tol(tol)
-    if u0.grid != spec.grid:
-        raise ValueError("grid mismatch")
+    _check_same_grid(spec, u0)
     if u0.norm_l2() == 0.0:
         history = {"update_norms": [], "contraction_ratios": [], "iterations": 0}
         return zero_state(spec.grid), 0.0, history
@@ -532,7 +532,7 @@ def _picard(u0: FourierState, spec: GramianSpec, tables,
     phi0 = zero_state(grid)
     prev_update = None
     for it in range(1, max_iter + 1):
-        final = _controlled_forward(u0, spec, phi0, n_steps=n_steps, step=step,
+        final = _controlled_forward(u0, phi0, n_steps=n_steps, step=step,
                                     phases=phases, source=source)
         rhs = _pair(spec, -1j * (end * final.coeffs).reshape(grid.modes_per_axis, -1))
         delta = _pair(spec, _solve(factor, rhs), back=True).reshape(grid.shape)
@@ -557,22 +557,20 @@ def _picard(u0: FourierState, spec: GramianSpec, tables,
             f"no convergence in {max_iter} Picard iterations "
             f"(last update {history['update_norms'][-1]:.3e})"
         )
-    final = _controlled_forward(u0, spec, phi0, n_steps=n_steps, step=step,
+    final = _controlled_forward(u0, phi0, n_steps=n_steps, step=step,
                                 phases=phases, source=source)
     return phi0, final.norm_l2(), history
 
 
-def admissible_amplitude(grid: GridSpec, spec: GramianSpec, sigma: int,
+def admissible_amplitude(spec: GramianSpec, sigma: int,
                          rng: np.random.Generator) -> float:
     """Largest of the amplitudes 0.4, 0.2, 0.1, 0.05 at which the control
     fixed point (Picard tol 1e-8) converges with a contracting iteration.
     Measured, never assumed; the exact-time Gramian is factored, and the
-    stepper and its tables are built, once for all candidates."""
-    if grid != spec.grid:
-        raise ValueError("grid mismatch")
+    stepper and its tables are built, once for all candidates, on spec's grid."""
     tables = _control_tables(spec, sigma)
     for amp in (0.4, 0.2, 0.1, 0.05):
-        u0 = random_state(grid, rng, norm=amp, max_mode=grid.modes_per_axis // 4)
+        u0 = random_state(spec.grid, rng, norm=amp, max_mode=spec.grid.modes_per_axis // 4)
         try:
             _, _, hist = _picard(u0, spec, tables, 1e-8)
         except PicardDivergenceError:
@@ -710,8 +708,7 @@ def global_control(u0: FourierState, u1: FourierState, spec: GramianSpec,
     """
     check_dense_size(spec.grid)
     _check_tol(tol)
-    if u0.grid != spec.grid or u1.grid != spec.grid:
-        raise ValueError("grid mismatch")
+    _check_same_grid(spec, u0, u1)
     params = replace(params, damping=spec.window)
     # (leg start state, conjugate_reversed, norm); an overflowed norm reads
     # inf, and its damped leg raises NonFiniteStateError at t = 0

@@ -16,7 +16,8 @@ In the real basis {1, sqrt2 cos 2 pi k x, sqrt2 sin 2 pi k x}, Q_r = Re(U^H Q U)
 is exact (chi^2 is real) and A stays diagonal (mu = (2 pi k)^2 is even in k), so
 a sweep builds Q_r = I - m * `hum._real_window_form` once, with the pairing U
 that lambda_min uses, and runs one real eigensolve per lambda (see `sweep`).
-The complex formula survives only as the test reference.
+The complex formula survives only as the test reference.  The constants
+describe one truncation, whose grid every entry point takes from the window.
 
 Observability and resolvent constants convert both ways:
 forward  (M, m) = (2*C_T*T^3/3, 2*C_T*T);
@@ -57,15 +58,15 @@ class ResolventSweepResult:
         return float(np.pi * np.sqrt(self.M_sup))
 
 
-def _real_form(m: float, window: CutoffWindow, grid: GridSpec) -> np.ndarray:
+def _real_form(m: float, window: CutoffWindow) -> np.ndarray:
     """Q_r = Re(U^H (I - m W) U) = I - m * Re(U^H W U), the pairing U of
     `hum._real_window_form`."""
     if not 0.0 <= m < np.inf:
         raise ValueError(f"m must be finite and >= 0, got {m}")
-    if grid.dim != 1:
+    if window.grid.dim != 1:
         raise ValueError("resolvent constants support 1D grids")
-    check_dense_size(grid)
-    n = grid.modes_per_axis
+    check_dense_size(window.grid)
+    n = window.grid.modes_per_axis
     q = _real_window_form(window.coefficients(np.arange(-n, n + 1)))
     q *= -m
     q[np.diag_indices_from(q)] += 1.0
@@ -133,12 +134,11 @@ def _on_spectrum(lam: np.ndarray, lap: np.ndarray) -> np.ndarray:
     return dist <= 1e-9 * np.maximum(np.abs(lam), max(-lap.min(), 1.0))
 
 
-def best_resolvent_constant(lam: float, m: float, window: CutoffWindow,
-                            grid: GridSpec) -> float:
+def best_resolvent_constant(lam: float, m: float, window: CutoffWindow) -> float:
     """Smallest M >= 0 making the estimate hold for all states: a one-point sweep."""
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
-    return float(sweep([lam], m, window, grid).M_of_lambda[0])
+    return float(sweep([lam], m, window).M_of_lambda[0])
 
 
 def default_lambda_grid(grid: GridSpec, n_points: int = 512) -> np.ndarray:
@@ -169,7 +169,7 @@ def default_lambda_grid(grid: GridSpec, n_points: int = 512) -> np.ndarray:
     return np.array(sorted(pts))
 
 
-def feasible_m(window: CutoffWindow, grid: GridSpec) -> float:
+def feasible_m(window: CutoffWindow) -> float:
     """An m for which every Laplacian eigenspace satisfies the kernel
     feasibility constraint, with a multiplicative margin of 2.
 
@@ -177,7 +177,7 @@ def feasible_m(window: CutoffWindow, grid: GridSpec) -> float:
     the constraint is m * (W_kk - |W_k,-k|) >= 1, or m * W_kk >= 1 at k = 0, N/2.
     With the window's coefficients c, W_kk = c(0) and W_k,-k = c(2k).
     """
-    k = np.arange(grid.modes_per_axis // 2 + 1)
+    k = np.arange(window.grid.modes_per_axis // 2 + 1)
     c = window.coefficients(2 * k)
     lam_min = c[0].real - np.where((k == 0) | (k == k[-1]), 0.0, np.abs(c))
     if lam_min.min() <= 0.0:
@@ -186,8 +186,7 @@ def feasible_m(window: CutoffWindow, grid: GridSpec) -> float:
     return 2.0 * float(np.max(1.0 / lam_min))
 
 
-def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow,
-          grid: GridSpec) -> ResolventSweepResult:
+def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow) -> ResolventSweepResult:
     """best_resolvent_constant over a lambda grid, on one real form Q_r.
 
     The lambda on the spectrum run first, one at a time through the kernel
@@ -205,7 +204,7 @@ def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow,
         raise ValueError("lambda grid must be nonempty")
     if not np.isfinite(lambda_grid).all():
         raise ValueError("lambda_grid must be finite")
-    q, lap = _real_form(m, window, grid), grid.laplacian_symbol()
+    q, lap = _real_form(m, window), window.grid.laplacian_symbol()
     best = np.empty_like(lambda_grid)
     on = _on_spectrum(lambda_grid, lap)
     for i in np.flatnonzero(on):

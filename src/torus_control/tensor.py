@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .grid import FourierState, make_grid
+from .grid import FourierState, _check_same_grid, make_grid
 from .hum import (GramianSpec, _check_entries, _floored_inverse, _pair, _real_gramian,
                   _real_window_blocks, _times, _times_kernel, observability_constant)
 
@@ -80,6 +80,7 @@ def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
 
 def observed_energy_1d(spec: GramianSpec, c: FourierState) -> float:
     """int_0^T ||chi exp(i t Lap) c||^2 dt = <S c, c> = <R v, v>, exact in
-    time, with v = P^H c in the paired basis of `hum._pair`."""
+    time, with v = P^H c in the paired basis of `hum._pair`, c on spec's grid."""
+    _check_same_grid(spec, c)
     v = _pair(spec, c.coeffs.reshape(spec.grid.modes_per_axis, -1))
     return float(np.real(np.vdot(v, _times(_real_gramian(spec), v))))

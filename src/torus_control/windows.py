@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FourierState, GridSpec, state_from_physical
+from .grid import FourierState, GridSpec, _check_same_grid, state_from_physical
 
 Interval = tuple[float, float]
 
@@ -136,6 +136,5 @@ def full_window(grid: GridSpec) -> CutoffWindow:
 
 def multiply_window(u: FourierState, w: CutoffWindow) -> FourierState:
     """Pointwise product chi * u, computed in physical space."""
-    if u.grid != w.grid:
-        raise ValueError("grid mismatch between state and window")
+    _check_same_grid(u, w)
     return state_from_physical(u.grid, u.physical() * w.samples)

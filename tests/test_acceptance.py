@@ -109,8 +109,8 @@ def test_05_resolvent_to_observability_time():
     t0 = time.time()
     g = make_grid(1, 32)
     w = make_window(g, (0.0, 0.25), 0.05, "smooth")
-    m = feasible_m(w, g)
-    result = sweep(default_lambda_grid(g, 512), m, w, g)
+    m = feasible_m(w)
+    result = sweep(default_lambda_grid(g, 512), m, w)
     t_obs = 1.05 * result.miller_time
     bound = miller_cost_bound(result.M_sup, m, t_obs)
     c_t = 1.0 / lambda_min_dense(GramianSpec(T=t_obs, window=w))
@@ -130,7 +130,7 @@ def test_06_spectral_gap_resolvent_oracle():
     rng = np.random.default_rng(1)
     worst = 0.0
     for lam in rng.uniform(-1.1 * (2 * np.pi * 16) ** 2, 50.0, size=100):
-        m_best = best_resolvent_constant(lam, 0.0, w, g)
+        m_best = best_resolvent_constant(lam, 0.0, w)
         expect = 1.0 / np.min(np.abs(eigs - lam)) ** 2
         worst = max(worst, abs(m_best - expect) / expect)
     elapsed = time.time() - t0
@@ -237,7 +237,7 @@ def test_11_picard_local_control():
     u0 = random_state(g, np.random.default_rng(0), norm=0.05, max_mode=16)
     _, residual, _ = local_control_nls(u0, spec, sigma=-1, tol=1e-8)
     rel = residual / u0.norm_l2()
-    amp = admissible_amplitude(g, spec, -1, np.random.default_rng(2))
+    amp = admissible_amplitude(spec, -1, np.random.default_rng(2))
     u_half = random_state(g, np.random.default_rng(3), norm=amp / 2,
                           max_mode=16)
     _, _, hist = local_control_nls(u_half, spec, sigma=-1, tol=1e-8)

@@ -14,6 +14,8 @@ from torus_control import GramianSpec, make_grid, make_window
 from torus_control.cli import main
 from torus_control.hum import lambda_min_dense
 
+from conftest import traced_peak
+
 
 def write_cfg(tmp_path, name, cfg):
     path = tmp_path / name
@@ -420,6 +422,26 @@ def test_record_count_past_cap_exit_2(tmp_path, base_cfg, capsys, sub, path, val
     err = capsys.readouterr().err
     assert err.startswith("config error: horizon.T: ")
     assert "exceed 2048**2 records" in err and "Traceback" not in err
+    assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("sub,dim,n", [
+    ("simulate", 1, 2 ** 40),
+    ("tensor-check", 1, 1e15),
+    ("resolvent-sweep", 1, 1e8),
+    ("simulate", 1, 1e8),
+    ("simulate", 2, 2050),
+])
+def test_grid_past_cap_exit_2(tmp_path, base_cfg, capsys, sub, dim, n):
+    # more than 2048**2 grid points are refused before the window is sampled
+    base_cfg["grid"] = {"dim": dim, "N": n}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    peak = traced_peak(lambda: main([sub, "--config", cfg, "--out", str(out)]))
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid.N: ") and "Traceback" not in err
+    assert peak <= 1e5
     assert not (out / "error.json").exists()
 
 

@@ -155,7 +155,7 @@ def test_every_reader_takes_the_window_coefficients_at_true_modes(monkeypatch, n
     half = np.arange(n // 2 + 1)
     paired = (half > 0) & (half < n // 2)
     lam = 1.0 - np.where(paired, np.abs(ramp.coefficients(2 * half)), 0.0)
-    assert feasible_m(ramp, grid) == 2.0 * float(np.max(1.0 / lam))
+    assert feasible_m(ramp) == 2.0 * float(np.max(1.0 / lam))
 
     def close(q, ref, keep):  # |c| <= 0.35 and the kernel <= T = 1
         assert np.all(np.abs(q - ref)[np.ix_(keep, keep)] <= 1e-14)

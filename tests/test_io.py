@@ -97,7 +97,7 @@ def test_sweep_csv_and_json(tmp_path):
 
     g = make_grid(1, 8)
     w = make_window(g, (0.0, 0.4), 0.05, "smooth")
-    result = sweep(default_lambda_grid(g, 40), feasible_m(w, g), w, g)
+    result = sweep(default_lambda_grid(g, 40), feasible_m(w), w)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, result)
     rows = list(csv.reader(path.read_text().splitlines()))

@@ -449,7 +449,7 @@ def test_admissible_amplitude_contracts_at_half():
     g = make_grid(1, 32)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     spec = GramianSpec(T=1.0, window=w)
-    amp = admissible_amplitude(g, spec, -1, np.random.default_rng(6))
+    amp = admissible_amplitude(spec, -1, np.random.default_rng(6))
     assert amp > 0.0
     u0 = random_state(g, np.random.default_rng(7), norm=amp / 2, max_mode=8)
     _, _, hist = local_control_nls(u0, spec, sigma=-1, tol=1e-8)
@@ -501,7 +501,7 @@ def test_controlled_solve_on_grid_values_matches_steps_in_modes(dim, n):
     for sigma in (-1, 0, 1):
         _, step, phases, source, _, n_steps = nls._control_tables(spec, sigma)
         assert n_steps == max(256, 4 * n)
-        final = nls._controlled_forward(u0, spec, phi0, n_steps=n_steps,
+        final = nls._controlled_forward(u0, phi0, n_steps=n_steps,
                                         step=step, phases=phases, source=source)
         assert np.array_equal(final.coeffs, _controlled_forward_on_grid_values(
             u0, spec, phi0, n_steps, step, phases, source))
@@ -568,7 +568,7 @@ def test_global_control_builds_one_control_stepper(monkeypatch):
     assert [ph.kind for ph in sched.phases] == ["damped", "control", "control", "damped"]
     assert [p.damping is None for p in built] == [False, True]
     built.clear()
-    admissible_amplitude(g, spec, -1, np.random.default_rng(6))
+    admissible_amplitude(spec, -1, np.random.default_rng(6))
     assert len(built) == 1
 
 
@@ -591,7 +591,7 @@ def test_admissible_amplitude_factors_gramian_once(monkeypatch):
     monkeypatch.setattr(nls, "_picard", small_only)
     g = make_grid(1, 32)
     spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.3), 0.05, "smooth"))
-    assert admissible_amplitude(g, spec, -1, np.random.default_rng(6)) == 0.05
+    assert admissible_amplitude(spec, -1, np.random.default_rng(6)) == 0.05
     assert len(assembled) == 1
 
 

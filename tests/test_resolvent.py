@@ -64,7 +64,7 @@ def test_spectral_gap_formula_for_zero_window():
     eigs = np.unique(g.laplacian_symbol())
     rng = np.random.default_rng(0)
     for lam in rng.uniform(-500.0, 30.0, size=25):
-        m_best = best_resolvent_constant(lam, 0.0, w, g)
+        m_best = best_resolvent_constant(lam, 0.0, w)
         expect = 1.0 / np.min(np.abs(eigs - lam)) ** 2
         assert m_best == pytest.approx(expect, rel=1e-12)
 
@@ -73,26 +73,26 @@ def test_infeasible_at_eigenvalue_with_zero_window():
     g = make_grid(1, 16)
     w = make_window(g, (0.41, 0.42), kind="sharp")
     with pytest.raises(InfeasibleResolventError):
-        best_resolvent_constant(-((2 * np.pi) ** 2), 0.0, w, g)
+        best_resolvent_constant(-((2 * np.pi) ** 2), 0.0, w)
 
 
 def test_feasible_m_unlocks_eigenvalues(setup32):
     g, w = setup32
-    m = feasible_m(w, g)
+    m = feasible_m(w)
     # at an eigenvalue the kernel block must be dominated by m * chi^2
     lam = -((2 * np.pi * 3) ** 2)
-    m_best = best_resolvent_constant(lam, m, w, g)
+    m_best = best_resolvent_constant(lam, m, w)
     assert np.isfinite(m_best) and m_best >= 0.0
     # far from the spectrum even m = 0 works
-    assert best_resolvent_constant(-10.0, 0.0, w, g) > 0.0
+    assert best_resolvent_constant(-10.0, 0.0, w) > 0.0
 
 
 def test_verify_resolvent_with_best_constant(setup32):
     g, w = setup32
-    m = feasible_m(w, g)
+    m = feasible_m(w)
     rng = np.random.default_rng(1)
     for lam in (-50.0, -((2 * np.pi * 2) ** 2) + 0.3, 5.0):
-        m_best = best_resolvent_constant(lam, m, w, g)
+        m_best = best_resolvent_constant(lam, m, w)
         for _ in range(20):
             u = random_state(g, rng)
             assert verify_resolvent(u, lam, m_best, m, w)[2]
@@ -102,9 +102,9 @@ def test_best_constant_is_tight(setup32):
     # shrinking M below the computed best must break the estimate for
     # some state (the top eigenvector of the defect)
     g, w = setup32
-    m = feasible_m(w, g)
+    m = feasible_m(w)
     lam = -50.0
-    m_best = best_resolvent_constant(lam, m, w, g)
+    m_best = best_resolvent_constant(lam, m, w)
     # build the worst state: top eigenvector of A^-1 (I - m W) A^-1
     from torus_control.grid import FourierState
 
@@ -127,13 +127,13 @@ def test_sweep_matches_complex_reference(n, omega, kind):
     # default grid includes the kernel points, so the Schur path runs too
     g = make_grid(1, n)
     w = make_window(g, omega, 0.05, kind)
-    m = feasible_m(w, g)
+    m = feasible_m(w)
     lam_grid = default_lambda_grid(g)
-    result = sweep(lam_grid, m, w, g)
+    result = sweep(lam_grid, m, w)
     ref = np.array([complex_reference(lam, m, w, g) for lam in lam_grid])
     assert np.all(np.abs(result.M_of_lambda - ref[:, 0]) <= 1e-13 * ref[:, 1])
     assert result.M_sup == pytest.approx(ref[:, 0].max(), rel=1e-12, abs=0.0)
-    assert best_resolvent_constant(lam_grid[7], m, w, g) == result.M_of_lambda[7]
+    assert best_resolvent_constant(lam_grid[7], m, w) == result.M_of_lambda[7]
 
 
 def test_default_lambda_grid_structure(setup32):
@@ -149,9 +149,9 @@ def test_default_lambda_grid_structure(setup32):
 
 def test_sweep_and_reverse_time_map(setup32):
     g, w = setup32
-    m = feasible_m(w, g)
+    m = feasible_m(w)
     lam_grid = default_lambda_grid(g, 400)
-    result = sweep(lam_grid, m, w, g)
+    result = sweep(lam_grid, m, w)
     assert result.M_sup > 0.0
     assert result.miller_time == pytest.approx(np.pi * np.sqrt(result.M_sup))
     t_obs = 1.05 * result.miller_time
@@ -181,14 +181,14 @@ def test_full_window_resolvent_near_spectrum():
     g = make_grid(1, 16)
     w = full_window(g)
     lam = -((2 * np.pi * 2) ** 2)
-    m_best = best_resolvent_constant(lam, 1.5, w, g)
+    m_best = best_resolvent_constant(lam, 1.5, w)
     assert np.isfinite(m_best)
 
 
-def per_point_sweep(lam_grid, m, window, grid):
+def per_point_sweep(lam_grid, m, window):
     """M(lambda) from `_best_constant` one lambda at a time, in grid order,
     raising as a sweep does."""
-    q, lap = _real_form(m, window, grid), grid.laplacian_symbol()
+    q, lap = _real_form(m, window), window.grid.laplacian_symbol()
     best = np.empty(len(lam_grid))
     for i, lam in enumerate(lam_grid):
         try:
@@ -206,11 +206,11 @@ def test_stacked_sweep_matches_per_point_loop(n):
     # neighbours) and on a uniform grid crossing the eigenvalues
     g = make_grid(1, n)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
-    m = feasible_m(w, g)
+    m = feasible_m(w)
     top = (2.0 * np.pi * n / 2.0) ** 2
     for lam_grid in (default_lambda_grid(g), np.linspace(-1.1 * top, 50.0, 301)):
-        expect = per_point_sweep(lam_grid, m, w, g)
-        assert np.array_equal(sweep(lam_grid, m, w, g).M_of_lambda, expect)
+        expect = per_point_sweep(lam_grid, m, w)
+        assert np.array_equal(sweep(lam_grid, m, w).M_of_lambda, expect)
 
 
 def test_stacked_sweep_raises_the_per_point_infeasibility():
@@ -220,9 +220,9 @@ def test_stacked_sweep_raises_the_per_point_infeasibility():
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     lam_grid = default_lambda_grid(g)
     with pytest.raises(InfeasibleResolventError) as expect:
-        per_point_sweep(lam_grid, 0.5, w, g)
+        per_point_sweep(lam_grid, 0.5, w)
     with pytest.raises(InfeasibleResolventError) as got:
-        sweep(lam_grid, 0.5, w, g)
+        sweep(lam_grid, 0.5, w)
     assert str(got.value) == str(expect.value)
 
 
@@ -233,11 +233,11 @@ def test_nan_resolvent_constant_raises(monkeypatch, lam):
     # the spectrum (stacked path) or on it (kernel elimination)
     g = make_grid(1, 16)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
-    q = _real_form(feasible_m(w, g), w, g)
+    q = _real_form(feasible_m(w), w)
     q[0, 0] = np.inf
     monkeypatch.setattr(resolvent, "_real_form", lambda *args: q)
     with pytest.raises(np.linalg.LinAlgError, match="NaN"):
-        sweep([lam], 1.0, w, g)
+        sweep([lam], 1.0, w)
 
 
 def test_library_rejects_invalid_arguments():
@@ -245,15 +245,15 @@ def test_library_rejects_invalid_arguments():
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     for lam_grid in ([np.inf], [np.nan], [-10.0, np.nan, 5.0]):
         with pytest.raises(ValueError, match="^lambda_grid must be finite"):
-            sweep(lam_grid, 1.0, w, g)
+            sweep(lam_grid, 1.0, w)
     for lam in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="^lam must be finite"):
-            best_resolvent_constant(lam, 1.0, w, g)
+            best_resolvent_constant(lam, 1.0, w)
     for m in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="^m must be finite and >= 0"):
-            sweep([-10.0], m, w, g)
+            sweep([-10.0], m, w)
         with pytest.raises(ValueError, match="^m must be finite and >= 0"):
-            best_resolvent_constant(-10.0, m, w, g)
+            best_resolvent_constant(-10.0, m, w)
 
 
 def test_sweep_memory_is_bounded():
@@ -261,5 +261,5 @@ def test_sweep_memory_is_bounded():
     # vectors per lambda: 0.7 MB at N = 96
     g = make_grid(1, 96)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
-    m, lam_grid = feasible_m(w, g), default_lambda_grid(g)
-    assert traced_peak(lambda: sweep(lam_grid, m, w, g)) <= 2.5e6
+    m, lam_grid = feasible_m(w), default_lambda_grid(g)
+    assert traced_peak(lambda: sweep(lam_grid, m, w)) <= 2.5e6
