@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +38,46 @@ from .windows import full_window, make_window
 
 class ConfigError(ValueError):
     """Invalid configuration; the message carries the offending field path."""
+
+
+def _first_non_finite(node, path: str = ""):
+    """(path, value) of the first float under node that is not finite, a
+    number in a list named by the list entry that holds it (as
+    `initial_state.coeffs[3]`), or None."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            found = _first_non_finite(child, f"{path}.{key}" if path else str(key))
+            if found:
+                return found
+    elif isinstance(node, list):
+        try:  # one pass in numpy for a list of numbers, such as a state's pairs
+            if np.isfinite(np.asarray(node, dtype=float)).all():
+                return None
+        except (TypeError, ValueError, OverflowError):
+            pass
+        for i, item in enumerate(node):
+            if _first_non_finite(item):
+                return f"{path or 'config'}[{i}]", item
+    elif isinstance(node, float) and not math.isfinite(node):
+        return path or "config", node
+    return None
+
+
+def _check_finite(cfg) -> None:
+    """Refuse the first float of the loaded config that is not finite: NaN,
+    +-Infinity, or a literal such as 1e400 that parses to inf.  JSON has no
+    way to write them, so a report echoing the config would not parse.  A
+    field of `window`, `nls` or an inline `initial_state` takes its
+    section's prefix, as the messages of their builders do."""
+    found = _first_non_finite(cfg)
+    if found:
+        path, value = found
+        section = path.split(".")[0].split("[")[0]
+        state = cfg.get("initial_state") if isinstance(cfg, dict) else None
+        if section in ("window", "nls") or (section == "initial_state" and
+                                            isinstance(state, dict) and "coeffs" in state):
+            path = f"{section}: {path}"
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
 def _get(cfg: dict, path: str, default=None, required: bool = False):
@@ -335,6 +376,7 @@ def main(argv=None) -> int:
         return 2
     out_dir = args.out
     try:
+        _check_finite(cfg)
         if args.seed is None:
             args.seed = _integer(cfg, "seed", 0)
         elif args.seed < 0:

@@ -18,20 +18,23 @@ A 2D strip couples only equal k_2, whose share of mu_a - mu_b cancels
 Every eigensolve and solve runs on one real form.  Centring time on
 [-T/2, T/2] is the similarity E = diag(exp(i*mu*T/2)): E^H S E = W * K,
 K = T sinc((mu_a - mu_b)*T/2) real.  chi^2 is real and mu even in k, so
-the unitary U pairing e_k and e_-k into (cos, sin) columns makes U^H W U
-real and leaves K as it is: S = P R P^H, P = E U, R = Re(U^H W U) * K
-(`_real_gramian`; `_pair` applies P^H or P).  K depends on the levels
-|k_1| = 0 .. N/2 alone: `_times_kernel` builds it on those and multiplies
-in place, with no N x N table.  `_real_window_form` builds Re(U^H W U)
-in any dim, `_real_window_blocks` blocks of it.  lambda_min is one real
-`eigvalsh` of R; the strip check in `tensor` runs one per transverse pair
-{k_2, -k_2} of the 2D form, and the resolvent sweep uses the whole window
-form.  Only `drive_linear` stays in the mode basis, so the certificate
-does not share the solve's representation; it sums its source by level,
-N x (N/2 + 1) entries read from the coefficients, and never builds W.
-The NLS controlled solve adds each step's exact source, W times the
-kernel at T = dt (the Gramian of one step), whose steps sum to S:
-`local_control_nls` factors this same R once.
+the unitary U taking e_l and e_-l to the cos and sin columns of level
+l = |k_1| makes U^H W U real and leaves K as it is: S = P R P^H, P = E U,
+R = Re(U^H W U) * K (`_real_gramian`; `_pair` applies P^H or P).  R runs
+in level order, the cos levels 0 .. N/2 and then the sin levels
+1 .. N/2 - 1, so `_real_window_form` builds Re(U^H W U) from Toeplitz and
+Hankel views of the coefficients, and K, a function of the levels alone,
+multiplies each of its four blocks as a plain slice of one
+(N/2 + 1)^2 table (`_times_kernel`).  lambda_min is one real `eigvalsh`
+of R; the strip check in `tensor` runs one per transverse pair
+{k_2, -k_2}, whose blocks are forms of the same builder, and the
+resolvent sweep uses the window form itself.  Only `drive_linear` stays
+in the mode basis, so the certificate does not share the solve's
+representation; it sums its source by level, N x (N/2 + 1) entries read
+from the coefficients, and never builds W.  The NLS controlled solve
+adds each step's exact source, W times the kernel at T = dt (the Gramian
+of one step, `window_mode_matrix` in the mode basis), whose steps sum to
+S: `local_control_nls` factors this same R once.
 
 Every production path runs on numpy alone: real `eigvalsh`, and one real
 Cholesky factorization per form (`_cholesky`), whose inverse factor is
@@ -234,81 +237,42 @@ def window_mode_matrix(window: CutoffWindow) -> np.ndarray:
 
 
 def _real_window_form(c: np.ndarray) -> np.ndarray:
-    """Re(U^H W U), W_ab = c(k_a - k_b), over the N**dim modes in row-major
-    FFT order, for c on the modes -N .. N along each axis.
+    """Re(U^H W U), W_ab = c(k_a - k_b) over the N modes along one axis, for
+    c on the modes -N .. N along its last axis (leading axes stack forms),
+    in level order: rows and columns run over the cos levels l = 0 .. N/2,
+    then the sin levels 1 .. N/2 - 1 (`_pair`).
 
-    U pairs each mode k with -k: the slot first in row-major order holds
-    the cos column (e_k + e_-k)/sqrt2, the other the sin column
-    (e_k - e_-k)/(i sqrt2), and a self-paired mode (every component 0 or
-    N/2) keeps e_k.  c(-m) = conj c(m) (chi^2 is real), so with
-    d = k_a - k_b, s = k_a + k_b and p_a = +1 at a cos row, -1 at a sin row,
-    the entry is Re c(d) + p_a Re c(s) within a kind and Im c(s) - p_a Im c(d)
-    across, times 1/sqrt2 per self-paired index.  One strided view of c in
-    ascending mode order holds c(s) and c(d); one `ifftshift` makes FFT order.
+    U takes the modes +-l of level l to the cos column (e_l + e_-l)/sqrt2
+    and the sin column (e_l - e_-l)/(i sqrt2); the self-paired levels 0 and
+    N/2 (the mode -N/2 alone) keep one cos column.  c(-m) = conj c(m)
+    (chi^2 is real), so with T(l, l') = c(l - l') and H(l, l') = c(l + l'),
+    both strided views of the Hermitian part of c, the form is
+    [[Re T + Re H, Im T - Im H], [(Im T - Im H)^T, Re T - Re H]], the sin
+    blocks on levels 1 .. N/2 - 1 alone, and 1/sqrt2 on the row and the
+    column of each self-paired level.
     """
-    dim, n = c.ndim, c.shape[0] // 2
-    h, partner = _hermitian_part(c), _partners(n, dim)
-    slot = np.arange(partner.size)
-    sin = np.fft.fftshift((slot > partner).reshape((n,) * dim))
-    # view[i, j] = h(i + j - N) along each axis: at ascending slots a, b
-    # (k = a - N/2) view[a, b] = h(k_a + k_b), view[a, N - b] = h(k_a - k_b)
-    view = sliding_window_view(h, (n + 1,) * dim)
-    add = view[(slice(None, n),) * (2 * dim)]
-    sub = view[(slice(None, n),) * dim + (slice(n, 0, -1),) * dim]
-    rows = (Ellipsis,) + (None,) * dim
-    p = np.where(sin, -1.0, 1.0)[rows]
-    q = p * add.real
-    q += sub.real
-    across = p * sub.imag
-    np.subtract(add.imag, across, out=across)
-    np.copyto(q, across, where=sin[rows] != sin)
-    del across  # before the copy: it would raise lambda_min's peak
-    q = np.fft.ifftshift(q)
-    return _scale_self_paired(q.reshape(slot.size, slot.size), slot == partner)
-
-
-def _real_window_blocks(c: np.ndarray, blocks):
-    """`_real_window_form(c)[np.ix_(slots, slots)]` for each `slots` of
-    `blocks` in turn, by `take` from flat Re and Im tables of the Hermitian
-    part, built once (c is dropped), at the flat indices of s, then d."""
-    dim, n = c.ndim, c.shape[0] // 2
-    re, im = _hermitian_part(c).reshape(-1, 1).view(float).T.copy()
-    del c
-    partner = _partners(n, dim)
-    mode = (np.arange(n) + n // 2) % n - n // 2  # a slot's k along one axis
-    # c(m) is re[m . stride + mid]
-    stride, mid = (2 * n + 1) ** np.arange(dim - 1, -1, -1), re.size // 2
-    for slots in blocks:
-        f = stride @ mode[np.array(np.unravel_index(slots, (n,) * dim))]
-        sin = slots > partner[slots]
-        p = np.where(sin, -1.0, 1.0)[:, None]
-        index = np.add.outer(f + mid, f)  # of s, then of d
-        q = p * re.take(index)
-        across = im.take(index)
-        np.subtract.outer(f + mid, f, out=index)
-        q += re.take(index)
-        across -= p * im.take(index)
-        np.copyto(q, across, where=sin[:, None] != sin)
-        yield _scale_self_paired(q, slots == partner[slots])
-
-
-def _hermitian_part(c: np.ndarray) -> np.ndarray:
-    """(c(m) + conj c(-m)) / 2 for c on m = -N .. N along each axis:
-    exactly Hermitian, so that the real form is exactly symmetric."""
-    return 0.5 * (c + np.conj(c[(slice(None, None, -1),) * c.ndim]))
-
-
-def _partners(n: int, dim: int) -> np.ndarray:
-    """The row-major FFT-order slot of each slot's partner mode -k."""
-    neg = np.ix_(*[-np.arange(n) % n] * dim)
-    return np.arange(n ** dim).reshape((n,) * dim)[neg].ravel()
-
-
-def _scale_self_paired(q: np.ndarray, self_paired: np.ndarray) -> np.ndarray:
-    """q with the rows, then the columns, of self-paired slots times 1/sqrt2."""
-    q[self_paired] *= np.sqrt(0.5)
-    q[:, self_paired] *= np.sqrt(0.5)
+    n = c.shape[-1] // 2
+    h = n // 2
+    # view[..., i, j] = c(i + j - N): T(l, l') = view[h + l, h - l'], H = view[N + l, l']
+    view = sliding_window_view(0.5 * (c + np.conj(c[..., ::-1])), h + 1, axis=-1)
+    t, hk = view[..., h:n + 1, ::-1], view[..., n:n + h + 1, :]
+    q = np.empty(c.shape[:-1] + (n, n))
+    cos, sin = slice(None, h + 1), slice(h + 1, None)
+    np.add(t.real, hk.real, out=q[..., cos, cos])
+    np.subtract(t.real[..., 1:h, 1:h], hk.real[..., 1:h, 1:h], out=q[..., sin, sin])
+    np.subtract(t.imag[..., 1:h], hk.imag[..., 1:h], out=q[..., cos, sin])
+    q[..., sin, cos] = np.swapaxes(q[..., cos, sin], -1, -2)
+    q[..., [0, h], :] *= np.sqrt(0.5)
+    q[..., [0, h]] *= np.sqrt(0.5)
     return q
+
+
+def _level_slots(n: int) -> np.ndarray:
+    """The FFT-order slot of each row of the level-ordered real form: the
+    mode +l at cos level l (-N/2 at level N/2), the mode -l at sin level l.
+    It is an involution, so it also takes level order back to FFT order."""
+    h = n // 2
+    return np.r_[:h + 1, n - 1:h:-1]
 
 
 def _mode_energies(grid: GridSpec) -> np.ndarray:
@@ -345,49 +309,49 @@ def _centred_kernel(mu: np.ndarray, T: float) -> np.ndarray:
     return T * np.sinc(x / np.pi)
 
 
-def _times_kernel(q: np.ndarray, n: int, T: float) -> np.ndarray:
+def _times_kernel(q: np.ndarray, T: float) -> np.ndarray:
     """q times the time kernel of the first-axis energies, in place, for q
-    of shape (N*m, N*m) whose rows and columns run over k_1 in FFT order, m
-    slots each (a strip check's transverse pair has m = 2).  The kernel
-    depends on the levels |k_1| = 0 .. N/2 alone, so it is built on those
-    ((N/2 + 1)^2 entries) and read by four strided views, one per quadrant:
-    slots 0 .. N/2 hold levels 0 .. N/2 and slots N/2 + 1 .. N - 1 levels
-    N/2 - 1 .. 1."""
-    h, m = n // 2, len(q) // n
-    table = _centred_kernel(_level_energies(n), T)[:, None, :, None]
-    view = q.reshape(n, m, n, m)
-    parts = (slice(None, h + 1), slice(None)), (slice(h + 1, None), slice(h - 1, 0, -1))
-    for rows, row_levels in parts:
-        for cols, col_levels in parts:
-            view[rows, :, cols] *= table[row_levels, :, col_levels]
+    in the level order of `_real_window_form`.  The kernel depends on the
+    levels |k_1| = 0 .. N/2 alone, so it is built on those ((N/2 + 1)^2
+    entries), and each of q's four blocks takes a plain slice of it."""
+    n = len(q)
+    h = n // 2
+    table = _centred_kernel(_level_energies(n), T)
+    cos, sin = slice(None, h + 1), slice(h + 1, None)
+    q[cos, cos] *= table
+    q[cos, sin] *= table[:, 1:h]
+    q[sin, cos] *= table[1:h]
+    q[sin, sin] *= table[1:h, 1:h]
     return q
 
 
 def _real_gramian(spec: GramianSpec) -> np.ndarray:
     """R = Re(U^H W U) * `_centred_kernel` (by `_times_kernel`), S = P R P^H;
-    N x N, for every k_2 column alike.  Grids past check_dense_size raise
-    DenseSizeError."""
+    N x N in level order, for every k_2 column alike.  Grids past
+    check_dense_size raise DenseSizeError."""
     check_dense_size(spec.grid)
     n = spec.grid.modes_per_axis
-    r = _real_window_form(spec.window.coefficients(np.arange(-n, n + 1)))
-    return _times_kernel(r, n, spec.T)
+    return _times_kernel(_real_window_form(spec.window.coefficients(np.arange(-n, n + 1))),
+                         spec.T)
 
 
 def _pair(spec: GramianSpec, v: np.ndarray, back: bool = False) -> np.ndarray:
-    """P^H v, or P v given back, for v of shape (N, m) (one column per k_2
-    in 2D): P = E U, E = diag(exp(i*mu*T/2)), U the cos column at slot k,
-    0 < k < N/2, and the sin column at slot -k of `_real_window_form`."""
+    """P^H v, from FFT order to the level order of `_real_window_form`, or
+    P v given back, from level order to FFT order, for v of shape (N, m)
+    (one column per k_2 in 2D): P = E U, E = diag(exp(i*mu*T/2)), which
+    commutes with U.  Level l takes (v_l + v_-l)/sqrt2 on its cos row and
+    i (v_l - v_-l)/sqrt2 on its sin row: slices of v gathered into level
+    order (`_level_slots`)."""
     n = spec.grid.modes_per_axis
-    cos = np.arange(1, n // 2)
-    sin = n - cos
-    phase = np.exp(0.5j * spec.T * _mode_energies(spec.grid))[:, None]
-    out = v * (phase if back else phase.conj())
-    a, b = np.sqrt(0.5) * out[cos], np.sqrt(0.5) * out[sin]
+    h, slots = n // 2, _level_slots(n)
+    phase = np.exp(0.5j * spec.T * _mode_energies(spec.grid)[slots])[:, None]
+    out = v * phase if back else v[slots] * phase.conj()
+    a, b = np.sqrt(0.5) * out[1:h], np.sqrt(0.5) * out[h + 1:]
     if back:
         b *= 1j
-        out[cos], out[sin] = a - b, a + b
-    else:
-        out[cos], out[sin] = a + b, 1j * (a - b)
+        out[1:h], out[h + 1:] = a - b, a + b
+        return out[slots]
+    out[1:h], out[h + 1:] = a + b, 1j * (a - b)
     return out
 
 

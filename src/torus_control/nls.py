@@ -56,9 +56,9 @@ from functools import partial
 import numpy as np
 
 from .grid import FourierState, GridSpec, _check_same_grid, random_state, zero_state
-from .hum import (MAX_DENSE_POINTS, GramianSpec, _check_tol, _cholesky, _pair,
-                  _positive_int, _real_gramian, _solve, _times_kernel, check_dense_size,
-                  window_mode_matrix)
+from .hum import (MAX_DENSE_POINTS, GramianSpec, _centred_kernel, _check_tol, _cholesky,
+                  _mode_energies, _pair, _positive_int, _real_gramian, _solve,
+                  check_dense_size, window_mode_matrix)
 from .windows import CutoffWindow
 
 
@@ -178,11 +178,18 @@ def _fft_transforms(grid: GridSpec, half: np.ndarray, tail: np.ndarray):
     if grid.dim == 2:
         half, tail = np.outer(half, half), np.outer(tail, tail)
     tail_nl = tail / grid.n_points
+    # the propagator's factor broadcast to each batch shape, made once: a
+    # product with an operand broadcast along the batch makes numpy buffer a
+    # copy of it, on every step
     factor = tail_nl * half
+    factors = {factor.shape: factor}
 
     def across(phys, out=None, work=None):
         spectrum = fft(phys, out=work)
-        spectrum *= factor
+        batch = factors.get(phys.shape)
+        if batch is None:
+            batch = factors[phys.shape] = np.broadcast_to(factor, phys.shape).copy()
+        spectrum *= batch
         return ifft(spectrum, norm="forward", out=out)
 
     return ((lambda c: ifft(c * half, norm="forward")),
@@ -237,8 +244,10 @@ class _StrangStep:
     its square, kappa |u|^2 into the imaginary part of an exponent whose
     real part -chi^2 dt is fixed, one complex exponential and one product.
     A linear step (sigma = 0, no damping) has no sub-flow between its
-    propagators.  Each batch shape also keeps a spare array of grid values
-    and the propagator's scratch, so that `run` allocates nothing per step.
+    propagators.  Each batch shape also keeps a spare array of grid values,
+    the propagator's scratch and the damping factor broadcast to it, and
+    the FFT propagator its factor broadcast to it, so that `run` allocates
+    nothing per step.
 
     The transforms take one of two paths chosen from the grid alone.  Up
     to N = _DFT_MAX_N[dim] per axis they are products with dense N x N
@@ -267,9 +276,11 @@ class _StrangStep:
         """For one batch shape of grid values: |u|^2 and its flat view,
         kappa broadcast to the batch and the exponent's imaginary part (both
         flat: a product into a strided output takes numpy's fast path only
-        in 1D), the exponent, the factor and its flat view, the
-        propagator's scratch and the spare array `run` swaps with its
-        input."""
+        in 1D), the exponent, the factor and its flat view, the damping
+        factor of a linear step broadcast to the batch (a product with an
+        operand broadcast along the batch makes numpy buffer a copy of
+        it), the propagator's scratch and the spare array `run` swaps with
+        its input."""
         buffers = self._buffers.get(shape)
         if buffers is None:
             power, factor = np.empty(shape), np.empty(shape, dtype=complex)
@@ -278,9 +289,11 @@ class _StrangStep:
             exponent = exponent.reshape(-1)
             kappa = (None if self.kappa is None
                      else np.broadcast_to(self.kappa, shape).reshape(-1))
+            d2 = (None if self.d2 is None or self.kappa is not None
+                  else np.broadcast_to(self.d2, shape).copy())
             buffers = self._buffers[shape] = [
                 power, power.reshape(-1), kappa, exponent.imag, exponent,
-                factor, factor.reshape(-1), np.empty_like(factor), np.empty_like(factor)]
+                factor, factor.reshape(-1), d2, np.empty_like(factor), np.empty_like(factor)]
         return buffers
 
     def _nonlinear(self, phys: np.ndarray) -> None:
@@ -313,8 +326,8 @@ class _StrangStep:
         is consumed: it may be written, and it may come back as the output
         of a later run of the same shape; copy what must outlive the call."""
         buffers = self._buffers_for(phys.shape)
-        power, flat_power, kappa, phase, exponent, factor, flat_factor, work, out = buffers
-        across, d2 = self.across, self.d2
+        power, flat_power, kappa, phase, exponent, factor, flat_factor, d2, work, out = buffers
+        across = self.across
         # ufuncs bound here, outputs passed positionally: numpy's cheapest call
         absolute, square, multiply, exp = np.absolute, np.square, np.multiply, np.exp
         for j in range(n):
@@ -487,7 +500,8 @@ def _control_tables(spec: GramianSpec, sigma: int):
     n_steps = max(256, 4 * grid.modes_per_axis)
     dt, lap = spec.T / n_steps, grid.laplacian_symbol()
     t_mid = ((np.arange(n_steps) + 0.5) * dt).reshape((-1,) + (1,) * grid.dim)
-    source = _times_kernel(window_mode_matrix(spec.window), grid.modes_per_axis, dt)
+    source = window_mode_matrix(spec.window)
+    source *= _centred_kernel(_mode_energies(grid), dt)
     source *= -1j
     return (_cholesky(_real_gramian(spec), spec),
             _StrangStep(grid, NLSParams(sigma=sigma, dt=dt, dealias=False)),

@@ -14,10 +14,12 @@ block is eliminated by its Schur complement.
 
 In the real basis {1, sqrt2 cos 2 pi k x, sqrt2 sin 2 pi k x}, Q_r = Re(U^H Q U)
 is exact (chi^2 is real) and A stays diagonal (mu = (2 pi k)^2 is even in k), so
-a sweep builds Q_r = I - m * `hum._real_window_form` once, with the pairing U
-that lambda_min uses, and runs one real eigensolve per lambda (see `sweep`).
-The complex formula survives only as the test reference.  The constants
-describe one truncation, whose grid every entry point takes from the window.
+a sweep builds Q_r = I - m * `hum._real_window_form` once, in the level order
+that lambda_min uses (cos levels 0 .. N/2, then sin levels 1 .. N/2 - 1),
+takes the Laplacian symbol in the same order (`hum._level_slots`), and runs one
+real eigensolve per lambda (see `sweep`).  The complex formula survives only
+as the test reference.  The constants describe one truncation, whose grid
+every entry point takes from the window.
 
 Observability and resolvent constants convert both ways:
 forward  (M, m) = (2*C_T*T^3/3, 2*C_T*T);
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FourierState, GridSpec
-from .hum import _real_window_form, check_dense_size
+from .hum import _level_slots, _real_window_form, check_dense_size
 from .windows import CutoffWindow, multiply_window
 
 
@@ -59,8 +61,8 @@ class ResolventSweepResult:
 
 
 def _real_form(m: float, window: CutoffWindow) -> np.ndarray:
-    """Q_r = Re(U^H (I - m W) U) = I - m * Re(U^H W U), the pairing U of
-    `hum._real_window_form`."""
+    """Q_r = Re(U^H (I - m W) U) = I - m * Re(U^H W U), in the level order
+    of `hum._real_window_form`."""
     if not 0.0 <= m < np.inf:
         raise ValueError(f"m must be finite and >= 0, got {m}")
     if window.grid.dim != 1:
@@ -74,7 +76,8 @@ def _real_form(m: float, window: CutoffWindow) -> np.ndarray:
 
 
 def _best_constant(lam: float, q: np.ndarray, lap: np.ndarray) -> float:
-    """Smallest M >= 0 at lambda, from the real form q and the symbol lap."""
+    """Smallest M >= 0 at lambda, from the real form q and the symbol lap,
+    both in level order."""
     d = lap - lam  # Lap - lambda, diagonal in either basis
     scale = max(abs(lam), -lap.min(), 1.0)  # (2 pi N/2)^2 at the Nyquist mode
     kernel = np.abs(d) <= 1e-9 * scale
@@ -147,7 +150,10 @@ def default_lambda_grid(grid: GridSpec, n_points: int = 512) -> np.ndarray:
     Places points at each eigenvalue -(2*pi*k)^2, at small offsets around
     it, and fills every spectral gap, from 10% below the lowest eigenvalue
     to (2*pi)^2 above zero; M(lambda) peaks between eigenvalues, so uniform
-    grids miss the sup.
+    grids miss the sup.  n_points is a budget shared by the N/2 + 2 gaps:
+    each takes max(3, n_points // gaps) Chebyshev points, and the
+    eigenvalues and 4 offsets per gap come on top, so the default gives
+    593 points at N = 32 and 2063 at N = 512.
     """
     mu = np.unique(-grid.laplacian_symbol())  # 0 ... (2 pi N/2)^2
     eigs = np.sort(-mu)  # negative eigenvalues, ascending
@@ -204,7 +210,9 @@ def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow) -> ResolventS
         raise ValueError("lambda grid must be nonempty")
     if not np.isfinite(lambda_grid).all():
         raise ValueError("lambda_grid must be finite")
-    q, lap = _real_form(m, window), window.grid.laplacian_symbol()
+    q = _real_form(m, window)
+    # the Laplacian symbol in the form's level order
+    lap = window.grid.laplacian_symbol()[_level_slots(window.grid.modes_per_axis)]
     best = np.empty_like(lambda_grid)
     on = _on_spectrum(lambda_grid, lap)
     for i in np.flatnonzero(on):

@@ -8,13 +8,15 @@ lambda_min(S_2d) = lambda_min(S_1d) at truncation.  The production
 Gramian in `hum` relies on this and is N x N in 2D too.
 
 tensor-check verifies the identity on the genuinely 2D exact-time
-Gramian over all N^2 modes, in the real form of `hum` (each mode (k_1, k_2)
-paired with (-k_1, -k_2)), from the whole strip's `coefficients` on
-(-N .. N)^2.  A strip's chi^2 vanishes off k_2 = 0 (up to FFT
-rounding; `CutoffWindow` refuses 2D samples that vary along the second
-axis), so the form couples a slot only to slots of the same transverse
-pair {k_2, -k_2}: one real `eigvalsh` per pair, N/2 + 1 of them, of at
-most 2N modes each.  No N^2 x N^2 matrix is built.
+Gramian over all N^2 modes, in a real form of `hum`'s kind, from the
+whole strip's `coefficients` on (-N .. N)^2.  A strip's chi^2 vanishes
+off k_2 = 0 (up to FFT rounding; `CutoffWindow` refuses 2D samples that
+vary along the second axis), so the form couples a mode only to modes of
+the same transverse pair {k_2, -k_2}: one real `eigvalsh` per pair, N/2 + 1
+of them, of at most 2N modes each, in the real basis phi(x_1) psi(x_2),
+phi over the first-axis levels of `hum._real_window_form` and psi the cos
+and sin of 2 pi k_2 x_2 (`_transverse_form`).  No N^2 x N^2 matrix is
+built.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .grid import FourierState, _check_same_grid, make_grid
 from .hum import (GramianSpec, _check_entries, _floored_inverse, _pair, _real_gramian,
-                  _real_window_blocks, _times, _times_kernel, observability_constant)
+                  _real_window_form, _times, _times_kernel, observability_constant)
 
 
 def decompose_modes(u2d: FourierState) -> list[FourierState]:
@@ -45,18 +47,35 @@ def compose_modes(slices: list[FourierState]) -> FourierState:
                         np.stack([s.coeffs for s in slices], axis=1))
 
 
+def _transverse_form(c: np.ndarray, q: int) -> np.ndarray:
+    """The real form of chi^2 on the transverse pair {q, -q}, 0 <= q <= N/2,
+    for c the whole window's coefficients on (-N .. N)^2, in the basis
+    phi(x_1) psi(x_2): phi over the levels of `_real_window_form` (F) and
+    psi the cos, then the sin, of 2 pi q x_2.  With c_0 = c(., 0),
+    e = (c(., 2q) + c(., -2q))/2 and o = i (c(., 2q) - c(., -2q))/2, it is
+    [[F(c_0 + e), F(o)], [F(o), F(c_0 - e)]], 2N x 2N; at q = 0 and N/2,
+    where psi is e_q alone, F(c_0)."""
+    n = len(c) // 2
+    if q in (0, n // 2):
+        return _real_window_form(c[:, n])
+    up, down = c[:, n + 2 * q], c[:, n - 2 * q]
+    even = 0.5 * (up + down)
+    cos, cross, sin = _real_window_form(np.stack([c[:, n] + even, 0.5j * (up - down),
+                                                  c[:, n] - even]))
+    return np.block([[cos, cross], [cross, sin]])
+
+
 def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     """(C_2d, C_1d) for the strip omega_1 x T versus its 1D base window.
 
     C_2d is the least lambda_min of the 2D real form over the transverse
-    pairs (the slots whose row-major index is k_2 or -k_2 mod N; NaN passes
-    through), under the N^2 x N^2 size guard (N <= 44); C_1d comes from the
-    1D Gramian, and both go through the conditioning floor of
-    `observability_constant`.  The contract is |C_2d - C_1d| / C_1d at
-    roundoff (exact transfer at truncation).  The time kernel is built once
-    per pair size: the transverse share of mu_a - mu_b cancels within a
-    pair, so it is that of the first-axis energies (`_times_kernel`), taken
-    twice over in a pair of 2N slots.
+    pairs {k_2, -k_2} (`_transverse_form`; NaN passes through), under the
+    N^2 x N^2 size guard (N <= 44); C_1d comes from the 1D Gramian, and
+    both go through the conditioning floor of `observability_constant`.
+    The contract is |C_2d - C_1d| / C_1d at roundoff (exact transfer at
+    truncation).  The time kernel is built once: the transverse share of
+    mu_a - mu_b cancels within a pair, so each of a pair's N x N blocks
+    takes that of the first-axis levels (`_times_kernel`).
     """
     if base_spec.grid.dim != 1:
         raise ValueError("base_spec must be a 1D Gramian spec")
@@ -66,13 +85,13 @@ def strip_observability_constant(base_spec: GramianSpec) -> tuple[float, float]:
     spec2d = replace(base_spec, window=strip)
     grid = spec2d.grid
     _check_entries(grid, grid.n_points, "Gramian entries")
-    pairs = [sorted({q, -q % n}) for q in range(n // 2 + 1)]
-    slots = ((np.arange(n)[:, None] * n + k2).ravel() for k2 in pairs)
-    # the time kernel of a pair of 1 or 2 transverse modes, built once
-    kernels = {p: _times_kernel(np.ones((p * n, p * n)), n, spec2d.T) for p in (1, 2)}
+    kernel = _times_kernel(np.ones((n, n)), spec2d.T)
+    kernels = {1: kernel, 2: np.tile(kernel, (2, 2))}
     m = np.arange(-n, n + 1)
+    c = strip.coefficients(*np.ix_(m, m))
     lams = []
-    for block in _real_window_blocks(strip.coefficients(*np.ix_(m, m)), slots):
+    for q in range(n // 2 + 1):
+        block = _transverse_form(c, q)
         block *= kernels[len(block) // n]
         lams.append(np.linalg.eigvalsh(block)[0])
     return _floored_inverse(float(np.min(lams)), spec2d), observability_constant(base_spec)

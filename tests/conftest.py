@@ -28,7 +28,8 @@ def traced_peak(fn) -> int:
 
 def on_mode_range(c):
     """N-periodic coefficients c, in FFT order along every axis, read at
-    the modes -N .. N: the input of `hum._real_window_form`, for samples
-    that no `CutoffWindow` holds (of any sign, or varying along axis 2)."""
+    the modes -N .. N: the input of `hum._real_window_form` (1D) and of
+    `tensor._transverse_form` (2D), for samples that no `CutoffWindow`
+    holds (of any sign, or varying along axis 2)."""
     n = c.shape[0]
     return c[np.ix_(*[np.arange(-n, n + 1) % n] * c.ndim)]

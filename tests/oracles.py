@@ -1,7 +1,8 @@
 """Reference implementations the package is checked against.
 
 The phased complex Gramians are the references for the real centred form of
-`torus_control.hum`; `commutator_norm` is the FFT-order reference for
+`torus_control.hum`, and `level_basis` for the unitary it is built in;
+`commutator_norm` is the FFT-order reference for
 `torus_control.operators.commutator_operator_norm`.
 
 The package solves on S = P R P^H, R real (`hum._real_gramian`, `hum._pair`).
@@ -46,6 +47,32 @@ def dense_gramian_2d(spec):
     w = spec.window.coefficients(diff[:, None, :, None], diff[None, :, None, :])
     return time_kernel(w.reshape(grid.n_points, grid.n_points),
                        -grid.laplacian_symbol().ravel(), spec.T)
+
+
+def level_basis(n, dim=1):
+    """U column by column over the N**dim modes in row-major FFT order, for
+    the level order of `hum._real_window_form`: along one axis, column l
+    (cos level l) is (e_l + e_-l)/sqrt2, e_0 at l = 0 and e_-N/2 at
+    l = N/2, and column N/2 + l (sin level l, 0 < l < N/2) is
+    (e_l - e_-l)/(i sqrt2); in 2D column (a, b) is the product of column a
+    along the first axis and column b along the second."""
+    h = n // 2
+    u = np.zeros((n, n), dtype=complex)
+    u[0, 0] = u[h, h] = 1.0
+    for level in range(1, h):
+        u[level, level] = u[-level, level] = np.sqrt(0.5)
+        u[level, h + level], u[-level, h + level] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
+    assert np.allclose(u.conj().T @ u, np.eye(n), atol=1e-15)
+    return u if dim == 1 else np.kron(u, u)
+
+
+def pair_columns(n, q):
+    """The columns of the 2D `level_basis` that `tensor._transverse_form`
+    takes for the transverse pair {q, -q}, in its order: every first-axis
+    level times the cos (second-axis level q), then times the sin (level
+    N/2 + q, for 0 < q < N/2)."""
+    second = [q] if q in (0, n // 2) else [q, n // 2 + q]
+    return np.concatenate([np.arange(n) * n + b for b in second])
 
 
 def commutator_matrix(grid, r, s, f):

@@ -251,7 +251,8 @@ def test_config_errors_exit_2(tmp_path, base_cfg):
 
 @pytest.mark.parametrize("field,value", [("dt", -1), ("dt", "x"), ("sigma", 2),
                                          ("dealias", "false"), ("sigma", 1.5),
-                                         ("sigma", True), ("dt", True)])
+                                         ("sigma", True), ("dt", True),
+                                         ("dt", float("inf")), ("sigma", float("nan"))])
 def test_invalid_nls_field_exit_2(tmp_path, base_cfg, capsys, field, value):
     base_cfg["nls"] = {field: value}
     cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
@@ -325,6 +326,15 @@ STATE_INF = {"dim": 1, "N": 32, "coeffs": [[1.0, float("inf")]] + [[1.0, 0.0]] *
     ("simulate", "initial_state", "x"),
     ("global-control", "target", 0.2),
     ("observability", "grid", 16),
+    # a non-finite number anywhere, read or not, so the report's config echo
+    # stays JSON (json.load reads NaN, Infinity and 1e400 as floats)
+    ("observability", "extra", float("nan")),
+    ("observability", "window2.width", float("inf")),
+    ("observability", "horizon2.t", float("-inf")),
+    ("observability", "window.kind_note", float("nan")),
+    ("control", "initial_state.norm", float("inf")),
+    ("resolvent-sweep", "sweep.m", float("nan")),
+    ("global-control", "target.norm", float("inf")),
 ])
 def test_invalid_config_field_exit_2(tmp_path, base_cfg, capsys, sub, path, value):
     base_cfg["target"] = {"norm": 0.2, "max_mode": 8}
@@ -369,6 +379,24 @@ def test_boundary_error_names_field(tmp_path, base_cfg, capsys, sub, path, value
     assert f"config error: {parents[0] if parents else path}: {field}: " in \
         capsys.readouterr().err
     assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("text,field", [
+    ('"extra": NaN', "extra"),
+    ('"window2": {"width": Infinity}', "window2.width"),
+    ('"horizon": {"T": 1e400}', "horizon.T"),
+    ('"horizon": {"T": 1.0}, "notes": [0, [1, -Infinity]]', "notes[1]"),
+])
+def test_non_finite_config_number_exit_2(tmp_path, base_cfg, capsys, text, field):
+    # JSON text with literals that `json.load` reads as non-finite floats:
+    # refused before any work, naming the field, and no report is written
+    body = json.dumps({k: v for k, v in base_cfg.items() if k != "horizon"})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body[:-1] + ", " + text + "}")
+    out = tmp_path / "out"
+    assert main(["observability", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: {field}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_loads_no_scipy(tmp_path, base_cfg):

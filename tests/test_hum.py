@@ -12,19 +12,18 @@ from torus_control.grid import FourierState, zero_state
 from torus_control.hum import (MAX_DENSE_POINTS, DenseSizeError,
                                GramianSingularError, HUMConvergenceError,
                                _centred_kernel, _floored_inverse, _real_gramian,
-                               _real_window_blocks, _real_window_form,
-                               check_dense_size,
+                               _real_window_form, check_dense_size,
                                hum_regularity_ratio, lambda_min_dense,
                                lambda_min_iterative, quadrature_gramian,
                                quadrature_nodes, resolved_n_quad,
                                window_mode_matrix)
 from torus_control.operators import free_propagate
 from torus_control.resolvent import feasible_m
-from torus_control.tensor import strip_observability_constant
+from torus_control.tensor import _transverse_form, strip_observability_constant
 from torus_control.windows import CutoffWindow
 
 from conftest import on_mode_range, traced_peak
-from oracles import dense_gramian
+from oracles import dense_gramian, dense_gramian_2d, level_basis, pair_columns
 
 
 @pytest.fixture
@@ -62,45 +61,33 @@ def test_full_window_gramian_is_t_times_identity():
     assert np.allclose(s, 0.7 * np.eye(32), atol=1e-12)
 
 
-def paired_basis(n, dim):
-    """The modes of the N**dim slots, row-major FFT order, and U built
-    column by column: cos (e_k + e_-k)/sqrt2 at the first slot of the pair
-    {k, -k} in row-major order, sin (e_k - e_-k)/(i sqrt2) at the other,
-    e_k at a self-paired mode."""
-    modes = np.indices((n,) * dim).reshape(dim, -1).T
-    size = len(modes)
-    u = np.zeros((size, size), dtype=complex)
-    for slot, k in enumerate(modes):
-        partner = np.ravel_multi_index(tuple(-k % n), (n,) * dim)
-        if partner == slot:
-            u[slot, slot] = 1.0
-        elif slot < partner:
-            u[slot, slot] = u[partner, slot] = np.sqrt(0.5)
-        else:  # sin column of the mode at the partner slot
-            u[partner, slot], u[slot, slot] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
-    assert np.allclose(u.conj().T @ u, np.eye(size), atol=1e-15)
-    return modes, u
+def window_matrix(c, modes):
+    """W_ab = c(k_a - k_b) over the given modes (one row per mode), the
+    differences aliased per axis: W from its definition."""
+    n = c.shape[0]
+    diff = (modes[:, None, :] - modes[None, :, :]) % n
+    return c[tuple(np.moveaxis(diff, -1, 0))]
 
 
 @pytest.mark.parametrize("dim,n", [(1, 6), (1, 8), (2, 4), (2, 6)])
 def test_real_window_form_is_the_paired_basis_form(dim, n):
-    # U from `paired_basis`, W from its definition
+    # U from `level_basis`, W from its definition; in 2D every transverse
+    # pair's block, for samples that are not a strip's
     samples = np.random.default_rng(n).random((n,) * dim)
     c = np.fft.fftn(samples ** 2) / samples.size
-    modes, u = paired_basis(n, dim)
-    size = len(modes)
-    w = np.empty((size, size), dtype=complex)
-    for a, ka in enumerate(modes):
-        for b, kb in enumerate(modes):
-            w[a, b] = c[tuple((ka - kb) % n)]
-    reference = u.conj().T @ w @ u
-    q = _real_window_form(on_mode_range(c))
-    assert np.array_equal(q, q.T)
-    # the form built from strided views equals the gather over every slot
-    assert np.array_equal(q, next(_real_window_blocks(on_mode_range(c), [np.arange(size)])))
+    modes = np.indices((n,) * dim).reshape(dim, -1).T
+    u = level_basis(n, dim)
+    reference = u.conj().T @ window_matrix(c, modes) @ u
     # |c| <= 1: a product over n**dim terms is good to about n**dim * eps
     assert np.max(np.abs(reference.imag)) <= 1e-14
-    assert np.max(np.abs(q - reference.real)) <= 1e-14
+    if dim == 1:
+        blocks = [(_real_window_form(on_mode_range(c)), np.arange(n))]
+    else:
+        blocks = [(_transverse_form(on_mode_range(c), q), pair_columns(n, q))
+                  for q in range(n // 2 + 1)]
+    for q, columns in blocks:
+        assert np.array_equal(q, q.T)
+        assert np.max(np.abs(q - reference.real[np.ix_(columns, columns)])) <= 1e-14
 
 
 class IndicatorCoefficients(CutoffWindow):
@@ -127,14 +114,15 @@ class RampCoefficients(CutoffWindow):
 
 
 def paired_form(w, dim):
-    """Re(U^H W U) over the N**dim modes, U of `paired_basis` and W_ab the
+    """Re(U^H W U) over the N**dim modes, U of `level_basis` and W_ab the
     window's coefficients at the true mode differences k_a - k_b, and which
-    slots have no component -N/2."""
+    columns of U have no component on a mode with a component -N/2."""
     n = w.grid.modes_per_axis
-    slots, u = paired_basis(n, dim)
-    k = w.grid.mode_indices()[slots]
+    u = level_basis(n, dim)
+    k = w.grid.mode_indices()[np.indices((n,) * dim).reshape(dim, -1).T]
     w_ab = w.coefficients(*(np.subtract.outer(k[:, i], k[:, i]) for i in range(dim)))
-    return (u.conj().T @ w_ab @ u).real, np.all(k != -(n // 2), axis=1)
+    nyquist = np.any(k == -(n // 2), axis=1)
+    return (u.conj().T @ w_ab @ u).real, ~np.any(u[nyquist] != 0, axis=0)
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -142,8 +130,8 @@ def test_every_reader_takes_the_window_coefficients_at_true_modes(monkeypatch, n
     # coefficients that are not N-periodic: a reader that passes slot
     # indices, or wraps a mode index, reads other values.  The mode -N/2
     # has no partner +N/2 among the N modes, so U^H W U is real only for
-    # N-periodic coefficients: the real forms are compared off the slots
-    # with a component -N/2
+    # N-periodic coefficients: the real forms are compared off the levels
+    # whose column has a component on -N/2
     grid = make_grid(1, n)
     sharp = make_window(grid, (0.1, 0.45), kind="sharp")
     w = IndicatorCoefficients(grid, sharp.samples, sharp.omega, 0.0, "sharp")
@@ -162,36 +150,37 @@ def test_every_reader_takes_the_window_coefficients_at_true_modes(monkeypatch, n
 
     spec = GramianSpec(T=1.0, window=w)
     form, keep = paired_form(w, 1)
-    close(_real_gramian(spec), form * _centred_kernel((2.0 * np.pi * k) ** 2, 1.0), keep)
+    levels = np.r_[:n // 2 + 1, 1:n // 2]
+    close(_real_gramian(spec), form * _centred_kernel((2.0 * np.pi * levels) ** 2, 1.0),
+          keep)
     # the strip check's blocks as built, before its kernel multiplies them
     seen = []
 
-    def recording(coeffs, blocks):
-        blocks = list(blocks)
-        for slots, q in zip(blocks, _real_window_blocks(coeffs, blocks)):
-            seen.append((slots, q.copy()))
-            yield q
+    def recording(coeffs, q):
+        block = _transverse_form(coeffs, q)
+        seen.append((q, block.copy()))
+        return block
 
-    monkeypatch.setattr("torus_control.tensor._real_window_blocks", recording)
+    monkeypatch.setattr("torus_control.tensor._transverse_form", recording)
     strip_observability_constant(spec)
     form, keep = paired_form(w, 2)
-    assert len(seen) == n // 2 + 1
-    for slots, q in seen:
-        close(q, form[np.ix_(slots, slots)], keep[slots])
+    assert [q for q, _ in seen] == list(range(n // 2 + 1))
+    for q, block in seen:
+        columns = pair_columns(n, q)
+        close(block, form[np.ix_(columns, columns)], keep[columns])
 
 
 @pytest.mark.parametrize("n", [10, 14, 20])
 def test_strip_blocks_ignore_fft_rounding(n):
     # for N with a prime factor above 3 the FFT leaves about 1e-17 off
     # k_2 = 0; those coefficients are rounding, not coupling, so the
-    # transverse pairs give the lambda_min of the whole 2D real form
+    # transverse pairs give the lambda_min of the whole 2D Gramian
     profile = np.random.default_rng(n).random(n)
     strip = CutoffWindow(make_grid(2, n), np.tile(profile[:, None], n), ((0.0, 1.0),), 0.0)
     m = np.arange(-n, n + 1)
     c = strip.coefficients(m[:, None], m[None, :])
     assert np.count_nonzero(c[:, m != 0]) > 0
-    mu = -make_grid(2, n).laplacian_symbol().ravel()
-    whole = _real_window_form(c) * _centred_kernel(mu, 1.0)
+    whole = dense_gramian_2d(GramianSpec(T=1.0, window=strip))
     window = CutoffWindow(make_grid(1, n), profile, ((0.0, 1.0),), 0.0)
     c_2d, _ = strip_observability_constant(GramianSpec(T=1.0, window=window))
     assert c_2d == pytest.approx(1.0 / np.linalg.eigvalsh(whole)[0], rel=1e-12)

@@ -224,7 +224,7 @@ def test_bulk_sampling_matches_per_state_quantities(dim, n):
 # N = 48; B states in a batch, and one run with a control source
 @pytest.mark.parametrize("dim,n,b,sourced", [
     (1, 64, 1, False), (1, 64, 2, False), (1, 64, 8, False), (1, 128, 1, False),
-    (2, 16, 1, False), (2, 48, 1, False), (1, 64, 1, True)])
+    (2, 16, 1, False), (2, 48, 1, False), (2, 48, 2, False), (1, 64, 1, True)])
 def test_step_loop_allocates_nothing_per_step(dim, n, b, sourced):
     # the buffers of a batch shape are kept from the untraced first call,
     # so a run, however long, holds the copy of its input and a few kB of
@@ -238,6 +238,21 @@ def test_step_loop_allocates_nothing_per_step(dim, n, b, sourced):
     sources = np.full((2000,) + phys.shape, 1e-3 + 0j) if sourced else None
     short, long = (traced_peak(lambda: step.run(phys.copy(), k, sources))
                    for k in (10, 2000))
+    assert long - short <= 1024
+    assert long <= phys.nbytes + 4096
+
+
+@pytest.mark.parametrize("dim,n,b", [(1, 64, 8), (2, 16, 2)])
+def test_linear_damped_step_loop_allocates_nothing_per_step(dim, n, b):
+    # sigma = 0 with damping: the damping factor is the only sub-flow, and
+    # is broadcast to the batch once, not buffered by numpy on every step
+    g = make_grid(dim, n)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    rng = np.random.default_rng(5)
+    c = np.stack([random_state(g, rng, max_mode=n // 4).coeffs for _ in range(b)])
+    step = nls._StrangStep(g, NLSParams(sigma=0, dt=1e-3, damping=w))
+    phys = step.start(c)
+    short, long = (traced_peak(lambda: step.run(phys.copy(), k)) for k in (10, 2000))
     assert long - short <= 1024
     assert long <= phys.nbytes + 4096
 

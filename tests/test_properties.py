@@ -12,18 +12,21 @@ from hypothesis.extra.numpy import arrays
 
 from torus_control import GramianSpec, NLSParams, make_grid, make_window, nls, tensor
 from torus_control.grid import FourierState
-from torus_control.hum import (GramianSingularError, _centred_kernel, _cholesky, _pair,
-                               _real_gramian, _real_window_blocks, _real_window_form,
-                               _solve, lambda_min_dense, window_mode_matrix)
+from torus_control.hum import (GramianSingularError, _cholesky, _pair, _real_gramian,
+                               _real_window_form, _solve, lambda_min_dense,
+                               window_mode_matrix)
 from torus_control.operators import commutator_operator_norm, free_propagate
 from torus_control.resolvent import best_resolvent_constant
 from torus_control.io import state_from_json, state_to_json
+from torus_control.windows import CutoffWindow
 
 from conftest import on_mode_range
-from oracles import commutator_norm, dense_gramian, dense_gramian_2d
+from oracles import (commutator_norm, dense_gramian, dense_gramian_2d, level_basis,
+                     pair_columns)
 
 even_n = st.integers(2, 6).map(lambda h: 2 * h)  # N in {4, ..., 12}
 horizons = st.floats(0.1, 2.0)
+seeds = st.integers(0, 2 ** 32 - 1)
 # real chi^2 samples of any sign on a 1D or 2D grid
 real_samples = st.sampled_from([1, 2]).flatmap(
     lambda dim: even_n.flatmap(lambda n: arrays(
@@ -93,44 +96,88 @@ def aliased_window_matrix(c):
     return c[diff[:, None, :, None], diff[None, :, None, :]].reshape(n * n, n * n)
 
 
+def pair_slots(n, q):
+    """The row-major slots of the 2D modes (k_1, +-q): the transverse pair
+    {q, -q}."""
+    k2 = np.arange(n * n) % n
+    return np.flatnonzero((k2 == q) | (k2 == -q % n))
+
+
 @given(real_samples)
 def test_real_window_form_has_the_spectrum_of_w(chi2):
-    # the (cos, sin) pairing is unitary and chi^2 is real, so the real form
-    # is W in another basis, for any real samples
+    # the level basis is unitary and chi^2 is real, so the real form is W in
+    # another basis, for any real samples; in 2D each transverse pair's form
+    # is W compressed to the pair's modes
     c = np.fft.fftn(chi2) / chi2.size
     w = aliased_window_matrix(c)
-    q = _real_window_form(on_mode_range(c))
-    assert q.dtype == np.float64 and q.shape == w.shape
-    err = np.max(np.abs(np.linalg.eigvalsh(q) - np.linalg.eigvalsh(w)))
-    assert err <= 1e-12 * np.max(np.abs(w))
+    n = c.shape[0]
+    if c.ndim == 1:
+        pairs = [(_real_window_form(on_mode_range(c)), w)]
+    else:
+        pairs = [(tensor._transverse_form(on_mode_range(c), q),
+                  w[np.ix_(pair_slots(n, q), pair_slots(n, q))]) for q in range(n // 2 + 1)]
+    for q, sub in pairs:
+        assert q.dtype == np.float64 and q.shape == sub.shape
+        err = np.max(np.abs(np.linalg.eigvalsh(q) - np.linalg.eigvalsh(sub)))
+        assert err <= 1e-12 * np.max(np.abs(w))
+
+
+def table_window(c):
+    """A 1D window whose `coefficients` are the table c on the modes -N .. N
+    (a `CutoffWindow` of zero samples, which no reader here uses)."""
+    n = len(c) // 2
+
+    class Table(CutoffWindow):
+        def coefficients(self, *modes, p=2):
+            return c[np.asarray(modes[0]) + n]
+
+    return Table(make_grid(1, n), np.zeros(n), ((0.0, 0.5),), 0.0, "sharp")
+
+
+@given(even_n, seeds)
+def test_real_window_form_is_u_h_w_u_for_hermitian_coefficients(n, seed):
+    # random Hermitian c(-m) = conj c(m) on -N .. N, not N-periodic, W from
+    # `window_mode_matrix` and U from `level_basis`: U^H W U is real, and is
+    # the form, off the level N/2, whose mode -N/2 has no partner +N/2 for
+    # such coefficients; a product over N terms is good to N * eps * max|c|
+    g = np.random.default_rng(seed).standard_normal((2, 2 * n + 1))
+    c = g[0] + 1j * g[1]
+    c = 0.5 * (c + np.conj(c[::-1]))
+    u = level_basis(n)
+    reference = u.conj().T @ window_mode_matrix(table_window(c)) @ u
+    keep = np.ix_(*[np.arange(n) != n // 2] * 2)
+    scale = 1e-14 * np.max(np.abs(c))
+    assert np.max(np.abs(reference.imag[keep])) <= scale
+    assert np.max(np.abs(_real_window_form(c) - reference.real)[keep]) <= scale
 
 
 @given(real_samples, st.data())
-def test_real_window_form_of_slots_is_the_dense_sub_block(chi2, data):
+def test_real_window_forms_are_the_dense_sub_blocks(chi2, data):
+    # against Re(U^H W U), U of `level_basis`: the 1D form on any set of
+    # its levels, and in 2D the form of any transverse pair, for samples of
+    # any sign that need not be a strip's; W has |entries| <= max|w|, and
+    # the dense products are good to about N**dim * eps of that
     c = np.fft.fftn(chi2) / chi2.size
-    slots = np.array(data.draw(st.lists(st.integers(0, c.size - 1), min_size=1,
-                                        unique=True)))
-    c = on_mode_range(c)
-    assert np.array_equal(next(_real_window_blocks(c, [slots])),
-                          _real_window_form(c)[np.ix_(slots, slots)])
-
-
-def window_form_inputs(window):
-    """chi^2 coefficients of the whole window on the modes -N .. N along
-    each axis (a 2D strip's) and the mode energies mu = |2 pi k|^2."""
-    m = np.arange(-window.grid.modes_per_axis, window.grid.modes_per_axis + 1)
-    return (window.coefficients(m[:, None], m[None, :]),
-            -window.grid.laplacian_symbol().ravel())
+    n, dim = c.shape[0], c.ndim
+    w = aliased_window_matrix(c)
+    u = level_basis(n, dim)
+    dense = (u.conj().T @ w @ u).real
+    if dim == 1:
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True)))
+        form = _real_window_form(on_mode_range(c))[np.ix_(rows, rows)]
+    else:
+        q = data.draw(st.integers(0, n // 2))
+        rows, form = pair_columns(n, q), tensor._transverse_form(on_mode_range(c), q)
+    assert np.max(np.abs(form - dense[np.ix_(rows, rows)])) <= 1e-12 * np.max(np.abs(w))
 
 
 @given(windows(1), horizons)
 def test_block_lambda_min_matches_the_whole_form(window, T):
     # the strip check's least lambda_min over the transverse pairs, read
-    # before its floor, against one eigvalsh of the whole 2D real form
+    # before its floor, against one eigvalsh of the whole 2D Gramian
     n = window.grid.modes_per_axis
     strip = replace(window, grid=make_grid(2, n), samples=np.tile(window.samples[:, None], n))
-    c, mu = window_form_inputs(strip)
-    q = _real_window_form(c) * _centred_kernel(mu, T)
+    q = dense_gramian_2d(GramianSpec(T=T, window=strip))
     with mock.patch.object(tensor, "_floored_inverse", lambda lam, spec: lam), \
             mock.patch.object(tensor, "observability_constant", lambda spec: None):
         lam, _ = tensor.strip_observability_constant(GramianSpec(T=T, window=window))
@@ -140,13 +187,15 @@ def test_block_lambda_min_matches_the_whole_form(window, T):
 @given(windows(2))
 def test_strip_pairs_decouple_the_2d_form(window):
     # a strip's chi^2 vanishes off k_2 = 0 up to FFT rounding, so the 2D
-    # real form couples a slot only to the slots of its own transverse pair
-    # {k_2, -k_2}, k_2 the slot's row-major index mod N
-    c, _ = window_form_inputs(window)
+    # real form, Re(U^H W U) in the basis of `level_basis`, couples a column
+    # only to the columns of its own transverse pair {k_2, -k_2}, k_2 the
+    # level of the column's second-axis factor
     n = window.grid.modes_per_axis
-    k2 = np.arange(window.grid.n_points) % n
-    pair = np.minimum(k2, -k2 % n)
-    q = _real_window_form(c)
+    k = window.grid.mode_indices()[np.indices((n, n)).reshape(2, -1).T]
+    w = window.coefficients(*(np.subtract.outer(k[:, i], k[:, i]) for i in range(2)))
+    u = level_basis(n, 2)
+    q = (u.conj().T @ w @ u).real
+    pair = np.tile(np.r_[:n // 2 + 1, 1:n // 2], n)
     across = np.not_equal.outer(pair, pair)
     assert np.max(np.abs(q[across])) <= 1e-15 * np.max(np.abs(q))
 
@@ -167,7 +216,6 @@ def random_columns(grid, seed):
 
 
 any_windows = st.sampled_from([1, 2]).flatmap(windows)
-seeds = st.integers(0, 2 ** 32 - 1)
 
 
 @given(any_windows, horizons, seeds)

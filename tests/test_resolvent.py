@@ -8,7 +8,7 @@ from torus_control import (GramianSpec, constants_from_observability,
                            make_window, miller_cost_bound,
                            observability_constant, random_state, sweep,
                            verify_resolvent)
-from torus_control.hum import lambda_min_dense, window_mode_matrix
+from torus_control.hum import _level_slots, lambda_min_dense, window_mode_matrix
 from torus_control import resolvent
 from torus_control.resolvent import (InfeasibleResolventError, _best_constant,
                                      _real_form, best_resolvent_constant)
@@ -187,8 +187,9 @@ def test_full_window_resolvent_near_spectrum():
 
 def per_point_sweep(lam_grid, m, window):
     """M(lambda) from `_best_constant` one lambda at a time, in grid order,
-    raising as a sweep does."""
-    q, lap = _real_form(m, window), window.grid.laplacian_symbol()
+    raising as a sweep does; the symbol in the form's level order."""
+    q = _real_form(m, window)
+    lap = window.grid.laplacian_symbol()[_level_slots(window.grid.modes_per_axis)]
     best = np.empty(len(lam_grid))
     for i, lam in enumerate(lam_grid):
         try:
