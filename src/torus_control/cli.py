@@ -50,11 +50,6 @@ def _first_non_finite(node, path: str = ""):
             if found:
                 return found
     elif isinstance(node, list):
-        try:  # one pass in numpy for a list of numbers, such as a state's pairs
-            if np.isfinite(np.asarray(node, dtype=float)).all():
-                return None
-        except (TypeError, ValueError, OverflowError):
-            pass
         for i, item in enumerate(node):
             if _first_non_finite(item):
                 return f"{path or 'config'}[{i}]", item

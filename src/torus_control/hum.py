@@ -303,8 +303,9 @@ def _centred_kernel(mu: np.ndarray, T: float) -> np.ndarray:
     """The Gramian's real time kernel, time centred on [-T/2, T/2], for mode
     energies mu, d = mu_a - mu_b: int exp(i*d*t) dt = T sinc(d*T/2),
     sinc(y) = sin(y)/y; at T = dt, that of one step of the NLS controlled
-    solve.  The package takes it on the N/2 + 1 levels alone
-    (`_times_kernel`)."""
+    solve.  The real forms take it on the N/2 + 1 levels alone
+    (`_times_kernel`); the NLS source table, in FFT order, on the N modes
+    along the first axis."""
     x = np.subtract.outer(mu, mu) * (T / 2.0)
     return T * np.sinc(x / np.pi)
 

@@ -172,28 +172,24 @@ def _fft_transforms(grid: GridSpec, half: np.ndarray, tail: np.ndarray):
     (tail / N^dim after) and grid values -> grid values across the boundary
     of two steps (tail / N^dim and the next half-step phase as one factor),
     by FFT over the last grid.dim axes, given the per-axis `half` and
-    `tail` (separable: in 2D, outer products).  `across(phys, out, work)`
-    writes its spectrum into `work` and its result into `out` when given."""
+    `tail` (separable: in 2D, outer products), and the propagator's factor
+    (tail / N^dim times half).  `across(phys, out, work, factor)` writes its
+    spectrum into `work` and its result into `out` when given, and takes
+    `factor` in place of the propagator's factor when given: the factor
+    broadcast to the batch shape of phys, as `_StrangStep` keeps it."""
     fft, ifft = _TRANSFORMS[grid.dim]
     if grid.dim == 2:
         half, tail = np.outer(half, half), np.outer(tail, tail)
     tail_nl = tail / grid.n_points
-    # the propagator's factor broadcast to each batch shape, made once: a
-    # product with an operand broadcast along the batch makes numpy buffer a
-    # copy of it, on every step
-    factor = tail_nl * half
-    factors = {factor.shape: factor}
+    propagator = tail_nl * half
 
-    def across(phys, out=None, work=None):
+    def across(phys, out=None, work=None, factor=propagator):
         spectrum = fft(phys, out=work)
-        batch = factors.get(phys.shape)
-        if batch is None:
-            batch = factors[phys.shape] = np.broadcast_to(factor, phys.shape).copy()
-        spectrum *= batch
+        spectrum *= factor
         return ifft(spectrum, norm="forward", out=out)
 
     return ((lambda c: ifft(c * half, norm="forward")),
-            (lambda phys: fft(phys) * tail_nl), across)
+            (lambda phys: fft(phys) * tail_nl), across, propagator)
 
 
 def _dft_transforms(dim: int, half: np.ndarray, tail: np.ndarray):
@@ -203,8 +199,10 @@ def _dft_transforms(dim: int, half: np.ndarray, tail: np.ndarray):
     tail_k / N, and across = to_modes @ to_phys, both halves of the linear
     flow between two nonlinear sub-flows in one matrix.  All three factors
     are separable, so in 2D each side of the coefficient array takes one
-    matrix.  `across(phys, out, work)` writes into `out` as
-    `_fft_transforms`' does; in 2D `work` holds the left product."""
+    matrix.  `across(phys, out, work, factor)` writes into `out` as
+    `_fft_transforms`' does and ignores `factor`; in 2D `work` holds the
+    left product.  The propagator factor returned last is None: the
+    matrices carry it."""
     n = len(half)
     dft = np.exp(2j * np.pi / n * (np.outer(np.arange(n), np.arange(n)) % n))
     to_phys, to_modes = half[:, None] * dft, dft.conj() * (tail / n)
@@ -218,15 +216,15 @@ def _dft_transforms(dim: int, half: np.ndarray, tail: np.ndarray):
         # keep a unit axis before the grid axis.  One state's (1, N) values
         # take np.dot, matmul's BLAS product at less call overhead (dot's
         # loop over 3D values skips BLAS)
-        def propagate(phys, out=None, work=None):
+        def propagate(phys, out=None, work=None, factor=None):
             return (np.dot if phys.ndim == 2 else np.matmul)(phys, across, out)
 
         return ((lambda c: c[..., None, :] @ to_phys),
-                (lambda phys: (phys @ to_modes)[..., 0, :]), propagate)
+                (lambda phys: (phys @ to_modes)[..., 0, :]), propagate, None)
     return ((lambda c: to_phys.T @ c @ to_phys),
             (lambda phys: to_modes.T @ phys @ to_modes),
-            (lambda phys, out=None, work=None:
-             np.matmul(np.matmul(across.T, phys, out=work), across, out=out)))
+            (lambda phys, out=None, work=None, factor=None:
+             np.matmul(np.matmul(across.T, phys, out=work), across, out=out)), None)
 
 
 class _StrangStep:
@@ -245,9 +243,8 @@ class _StrangStep:
     real part -chi^2 dt is fixed, one complex exponential and one product.
     A linear step (sigma = 0, no damping) has no sub-flow between its
     propagators.  Each batch shape also keeps a spare array of grid values,
-    the propagator's scratch and the damping factor broadcast to it, and
-    the FFT propagator its factor broadcast to it, so that `run` allocates
-    nothing per step.
+    the propagator's scratch, and the damping and FFT propagator factors
+    broadcast to it, so that `run` allocates nothing per step.
 
     The transforms take one of two paths chosen from the grid alone.  Up
     to N = _DFT_MAX_N[dim] per axis they are products with dense N x N
@@ -270,17 +267,17 @@ class _StrangStep:
         transforms = (_dft_transforms(grid.dim, half, tail)
                       if grid.modes_per_axis <= _DFT_MAX_N[grid.dim]
                       else _fft_transforms(grid, half, tail))
-        self.to_phys, self.to_modes, self.across = transforms
+        self.to_phys, self.to_modes, self.across, self._propagator = transforms
 
     def _buffers_for(self, shape: tuple) -> list:
         """For one batch shape of grid values: |u|^2 and its flat view,
         kappa broadcast to the batch and the exponent's imaginary part (both
         flat: a product into a strided output takes numpy's fast path only
         in 1D), the exponent, the factor and its flat view, the damping
-        factor of a linear step broadcast to the batch (a product with an
-        operand broadcast along the batch makes numpy buffer a copy of
-        it), the propagator's scratch and the spare array `run` swaps with
-        its input."""
+        factor of a linear step and the FFT propagator's factor broadcast
+        to the batch (a product with an operand broadcast along the batch
+        makes numpy buffer a copy of it, on every step), the propagator's
+        scratch and the spare array `run` swaps with its input."""
         buffers = self._buffers.get(shape)
         if buffers is None:
             power, factor = np.empty(shape), np.empty(shape, dtype=complex)
@@ -291,9 +288,13 @@ class _StrangStep:
                      else np.broadcast_to(self.kappa, shape).reshape(-1))
             d2 = (None if self.d2 is None or self.kappa is not None
                   else np.broadcast_to(self.d2, shape).copy())
+            propagator = self._propagator
+            if propagator is not None and propagator.shape != shape:
+                propagator = np.broadcast_to(propagator, shape).copy()
             buffers = self._buffers[shape] = [
                 power, power.reshape(-1), kappa, exponent.imag, exponent,
-                factor, factor.reshape(-1), d2, np.empty_like(factor), np.empty_like(factor)]
+                factor, factor.reshape(-1), d2, propagator,
+                np.empty_like(factor), np.empty_like(factor)]
         return buffers
 
     def _nonlinear(self, phys: np.ndarray) -> None:
@@ -326,14 +327,15 @@ class _StrangStep:
         is consumed: it may be written, and it may come back as the output
         of a later run of the same shape; copy what must outlive the call."""
         buffers = self._buffers_for(phys.shape)
-        power, flat_power, kappa, phase, exponent, factor, flat_factor, d2, work, out = buffers
+        (power, flat_power, kappa, phase, exponent, factor, flat_factor, d2, propagator,
+         work, out) = buffers
         across = self.across
         # ufuncs bound here, outputs passed positionally: numpy's cheapest call
         absolute, square, multiply, exp = np.absolute, np.square, np.multiply, np.exp
         for j in range(n):
             if sources is not None:
                 phys += sources[j]
-            across(phys, out, work)
+            across(phys, out, work, propagator)
             if kappa is not None:
                 absolute(out, power)
                 square(power, power)

@@ -16,33 +16,19 @@ from torus_control.hum import (GramianSingularError, _cholesky, _pair, _real_gra
                                _real_window_form, _solve, lambda_min_dense,
                                window_mode_matrix)
 from torus_control.operators import commutator_operator_norm, free_propagate
-from torus_control.resolvent import best_resolvent_constant
+from torus_control.resolvent import (InfeasibleResolventError, best_resolvent_constant,
+                                     default_lambda_grid, feasible_m, sweep)
 from torus_control.io import state_from_json, state_to_json
 from torus_control.windows import CutoffWindow
 
-from conftest import on_mode_range
+from conftest import any_windows, even_n, horizons, on_mode_range, seeds, windows
 from oracles import (commutator_norm, dense_gramian, dense_gramian_2d, level_basis,
                      pair_columns)
 
-even_n = st.integers(2, 6).map(lambda h: 2 * h)  # N in {4, ..., 12}
-horizons = st.floats(0.1, 2.0)
-seeds = st.integers(0, 2 ** 32 - 1)
 # real chi^2 samples of any sign on a 1D or 2D grid
 real_samples = st.sampled_from([1, 2]).flatmap(
     lambda dim: even_n.flatmap(lambda n: arrays(
         float, (n,) * dim, elements=st.floats(-1e3, 1e3, allow_subnormal=False))))
-
-
-@st.composite
-def windows(draw, dim, min_length=0.05, sizes=even_n):
-    """A window on one interval (a, b) of the first axis, b - a at least
-    min_length, sharp or smooth, on a grid of N drawn from sizes."""
-    grid = make_grid(dim, draw(sizes))
-    a = draw(st.floats(0.0, 0.95 - min_length))
-    b = draw(st.floats(a + min_length, 1.0))
-    kind = draw(st.sampled_from(["sharp", "smooth"]))
-    width = draw(st.floats(0.05, 0.95)) * (b - a) / 2.0
-    return make_window(grid, (a, b), width, kind)
 
 
 @given(st.sampled_from([1, 2]).flatmap(windows), st.sampled_from([1, 2]), st.data())
@@ -215,9 +201,6 @@ def random_columns(grid, seed):
     return g[0] + 1j * g[1]
 
 
-any_windows = st.sampled_from([1, 2]).flatmap(windows)
-
-
 @given(any_windows, horizons, seeds)
 def test_pair_round_trip_is_the_identity_and_keeps_the_norm(window, T, seed):
     spec = GramianSpec(T=T, window=window)
@@ -354,8 +337,10 @@ def test_free_propagator_is_isometry(u, t):
     assert free_propagate(u, t).norm_l2() == pytest.approx(u.norm_l2(), rel=1e-12, abs=0.0)
 
 
-@given(windows(1), st.floats(0.0, 4.0), st.integers(0, 5), st.floats(0.1, 0.9))
-def test_resolvent_constant_invariant_under_translation_and_reflection(window, m, j, frac):
+@given(windows(1), st.floats(0.0, 4.0), st.integers(0, 5), st.floats(0.1, 0.9),
+       st.integers(1, 11))
+def test_resolvent_constant_invariant_under_translation_and_reflection(window, m, j, frac,
+                                                                       shift):
     # chi^2(x - 1/N) conjugates W by diag(exp(-2 pi i k / N)) and chi^2(-x) by
     # the permutation k -> -k; both commute with Lap - lambda, so M(lambda)
     # is unchanged.  lambda sits in a spectral gap, a tenth of a mode away
@@ -367,6 +352,27 @@ def test_resolvent_constant_invariant_under_translation_and_reflection(window, m
     for samples in (np.roll(window.samples, 1), np.roll(window.samples[::-1], 1)):
         moved = replace(window, samples=samples)
         assert abs(best_resolvent_constant(lam, m, moved) - base) <= tol
+    # the same on a 64-point default grid, near-spectrum points included,
+    # for a shift by `shift` grid steps and the reflection, at the feasible
+    # m: each M(lambda) moves by about 1e-16 (1 + m) / d^2, d the least
+    # |Lap - lambda| off the kernel, which near the spectrum is large next
+    # to M(lambda) itself.  Every M(lambda) is held to 1e-13 (1 + m) / d^2,
+    # and M_sup to that bound at its lambda
+    try:
+        m = feasible_m(window)
+    except InfeasibleResolventError:
+        return  # no m holds on the spectrum
+    lams = default_lambda_grid(grid, 64)
+    lap = grid.laplacian_symbol()
+    d = np.abs(lap - lams[:, None])
+    scale = np.maximum(np.abs(lams), max(-lap.min(), 1.0))  # as `sweep` takes it
+    d = np.where(d > 1e-9 * scale[:, None], d, np.inf)
+    bound = 1e-13 * (1.0 + m) / np.min(d, axis=1) ** 2
+    base = sweep(lams, m, window)
+    for samples in (np.roll(window.samples, shift), np.roll(window.samples[::-1], 1)):
+        other = sweep(lams, m, replace(window, samples=samples))
+        assert np.all(np.abs(other.M_of_lambda - base.M_of_lambda) <= bound)
+        assert abs(other.M_sup - base.M_sup) <= bound[np.argmax(base.M_of_lambda)]
 
 
 def three_sub_step_reference(c, params):
