@@ -8,7 +8,11 @@ the answers for the original, with no reference implementation.
   the moved control.  (The sweep's M(lambda) and M_sup under translation
   and reflection are checked in test_properties.)
 - Reflecting x -> -x leaves lambda_min the same.
-- The cubic NLS commutes with the gauge u -> exp(i theta) u.
+- The cubic NLS commutes with the gauge u -> exp(i theta) u, so the
+  local control of exp(i theta) u0 is exp(i theta) phi0, and global
+  control of (exp(i theta) u0, exp(i theta) u1) keeps its phase times,
+  with the forward leg's phi0 rotated by exp(i theta) and the
+  conjugate-reversed leg's (the control of conj(u1)) by exp(-i theta).
 
 Each comparison is at roundoff, with the tolerance stated where it is made.
 A sub-grid translation is not a symmetry of the sampled window convention
@@ -21,7 +25,9 @@ import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from torus_control import GramianSpec, NLSParams, evolve, random_state, solve_hum
+from torus_control import (GramianSpec, NLSParams, evolve, global_control,
+                           local_control_nls, make_grid, make_window, random_state,
+                           solve_hum)
 from torus_control.hum import lambda_min_dense
 from torus_control.resolvent import InfeasibleResolventError, feasible_m
 
@@ -126,3 +132,44 @@ def test_evolve_commutes_with_the_gauge(window, sigma, damped, dealias, theta, s
     for got, want in ((record_g.mass, record.mass), (record_g.energy, record.energy),
                       (record_g.observed, record.observed)):
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@given(st.sampled_from([(1, 32), (2, 16)]), st.sampled_from([-1, 1]),
+       st.floats(0.0, 2.0 * np.pi), seeds)
+def test_local_control_nls_commutes_with_the_gauge(shape, sigma, theta, seed):
+    # every Picard iterate of the rotated data is the rotated iterate up to
+    # roundoff (up to 3.5e-15 of ||phi0|| seen); the bound is 1e-13 ||phi0||
+    dim, n = shape
+    grid = make_grid(dim, n)
+    spec = GramianSpec(T=1.0, window=make_window(grid, (0.0, 0.3), 0.05, "smooth"))
+    u0 = random_state(grid, np.random.default_rng(seed), norm=0.05, max_mode=n // 4)
+    gauge = np.exp(1j * theta)
+    phi0, _, history = local_control_nls(u0, spec, sigma)
+    phi0_g, _, history_g = local_control_nls(u0 * gauge, spec, sigma)
+    assert history_g["iterations"] == history["iterations"]
+    assert np.linalg.norm(phi0_g.coeffs - gauge * phi0.coeffs) <= \
+        1e-13 * np.linalg.norm(phi0.coeffs)
+
+
+@given(st.floats(0.0, 2.0 * np.pi), seeds)
+def test_global_control_commutes_with_the_gauge(theta, seed):
+    # the damped legs stop at the same 10-step checks, so the phase times
+    # are equal; the controls agree as those of `local_control_nls` do, to
+    # roundoff (up to 1.8e-14 of ||phi0|| seen); the bound is 1e-12 ||phi0||
+    grid = make_grid(1, 32)
+    spec = GramianSpec(T=1.0, window=make_window(grid, (0.0, 0.3), 0.05, "smooth"))
+    rng = np.random.default_rng(seed)
+    u0, u1 = (random_state(grid, rng, norm=0.1, max_mode=8) for _ in range(2))
+    gauge = np.exp(1j * theta)
+    params = NLSParams(sigma=-1, dt=1e-3)
+    sched = global_control(u0, u1, spec, params, mass_threshold=0.05)
+    sched_g = global_control(u0 * gauge, u1 * gauge, spec, params, mass_threshold=0.05)
+    assert [(ph.kind, ph.t_start, ph.t_end, ph.conjugate_reversed) for ph in sched_g.phases] \
+        == [(ph.kind, ph.t_start, ph.t_end, ph.conjugate_reversed) for ph in sched.phases]
+    controls = [(ph, ph_g) for ph, ph_g in zip(sched.phases, sched_g.phases)
+                if ph.kind == "control"]
+    assert [ph.conjugate_reversed for ph, _ in controls] == [False, True]
+    for ph, ph_g in controls:
+        rotation = np.conj(gauge) if ph.conjugate_reversed else gauge
+        assert np.linalg.norm(ph_g.phi0.coeffs - rotation * ph.phi0.coeffs) <= \
+            1e-12 * np.linalg.norm(ph.phi0.coeffs)
