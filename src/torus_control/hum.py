@@ -32,9 +32,10 @@ resolvent sweep uses the window form itself.  Only `drive_linear` stays
 in the mode basis, so the certificate does not share the solve's
 representation; it sums its source by level, N x (N/2 + 1) entries read
 from the coefficients, and never builds W.  The NLS controlled solve
-adds each step's exact source, W times the kernel at T = dt (the Gramian
-of one step, `window_mode_matrix` in the mode basis), whose steps sum to
-S: `local_control_nls` factors this same R once.
+adds each step's exact source, the Gramian of one step centred on its
+midpoint, U R(dt) U^H: the same form at T = dt, taken to the mode basis
+by `_pair` (`nls._control_tables`).  Its steps sum to S, whose R
+`local_control_nls` factors once.
 
 Every production path runs on numpy alone: real `eigvalsh`, and one real
 Cholesky factorization per form (`_cholesky`), whose inverse factor is
@@ -225,17 +226,6 @@ def check_dense_size(grid: GridSpec) -> None:
     _check_entries(grid, grid.modes_per_axis, "mode-space entries")
 
 
-def window_mode_matrix(window: CutoffWindow) -> np.ndarray:
-    """W_ab = c(k_a - k_b), c the window's `coefficients`: multiplication by
-    chi^2 along the first axis, in FFT order (in 2D, on each k_2 column
-    alone), one `ifftshift` copy of a Toeplitz view in ascending order."""
-    check_dense_size(window.grid)
-    n = window.grid.modes_per_axis
-    # c(m) for m = N-1 down to 1-N: row a of the reversed view reads c(a - b)
-    c = window.coefficients(np.arange(n - 1, -n, -1))
-    return np.fft.ifftshift(sliding_window_view(c, n)[::-1])
-
-
 def _real_window_form(c: np.ndarray) -> np.ndarray:
     """Re(U^H W U), W_ab = c(k_a - k_b) over the N modes along one axis, for
     c on the modes -N .. N along its last axis (leading axes stack forms),
@@ -302,10 +292,9 @@ def quadrature_gramian(spec: GramianSpec, n_quad: int | None = None) -> np.ndarr
 def _centred_kernel(mu: np.ndarray, T: float) -> np.ndarray:
     """The Gramian's real time kernel, time centred on [-T/2, T/2], for mode
     energies mu, d = mu_a - mu_b: int exp(i*d*t) dt = T sinc(d*T/2),
-    sinc(y) = sin(y)/y; at T = dt, that of one step of the NLS controlled
-    solve.  The real forms take it on the N/2 + 1 levels alone
-    (`_times_kernel`); the NLS source table, in FFT order, on the N modes
-    along the first axis."""
+    sinc(y) = sin(y)/y.  Production takes it on the N/2 + 1 levels alone,
+    mu = `_level_energies` (`_times_kernel`), for every real form and for
+    the NLS step source (at T = dt)."""
     x = np.subtract.outer(mu, mu) * (T / 2.0)
     return T * np.sinc(x / np.pi)
 

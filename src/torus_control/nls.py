@@ -39,11 +39,11 @@ Local exact control near zero is a fixed point around the linear HUM
 control: phi0 <- phi0 - i S^{-1} exp(-i T Lap) u_phi0(T), with u_phi0(T)
 the final state of the controlled solve and S the exact-time Gramian of
 `solve_hum`.  Each step of the controlled solve adds the exact increment
-of the source (an integrating-factor step), and these sum to S, so the
-linear part of the discrete stepper is inverted exactly for every dt (at
-sigma = 0 phi0 is the HUM control).  A control run (both legs of global
-control, every candidate of `admissible_amplitude`) factors S and builds
-its tables once.  Control takes its grid from the Gramian spec alone, and
+of the source (an integrating-factor step), built from S's real form at
+T = dt, and these sum to S, so the linear part of the discrete stepper is
+inverted exactly for every dt (at sigma = 0 phi0 is the HUM control).  A
+control run (both legs of global control, every candidate of
+`admissible_amplitude`) factors S and builds its tables once.  Control takes its grid from the Gramian spec alone, and
 refuses a state on another grid (`grid._check_same_grid`).
 """
 
@@ -56,9 +56,8 @@ from functools import partial
 import numpy as np
 
 from .grid import FourierState, GridSpec, _check_same_grid, random_state, zero_state
-from .hum import (MAX_DENSE_POINTS, GramianSpec, _centred_kernel, _check_tol, _cholesky,
-                  _mode_energies, _pair, _positive_int, _real_gramian, _solve,
-                  check_dense_size, window_mode_matrix)
+from .hum import (MAX_DENSE_POINTS, GramianSpec, _check_tol, _cholesky, _mode_energies,
+                  _pair, _positive_int, _real_gramian, _solve, check_dense_size)
 from .windows import CutoffWindow
 
 
@@ -496,18 +495,26 @@ def _control_tables(spec: GramianSpec, sigma: int):
     """What the controlled solves of one control run share, built once: the
     inverse Cholesky factor of `solve_hum`'s real form, the stepper, the
     midpoint phases exp(i t_j Lap) of shape (n_steps, *grid.shape), the
-    source table -i G (G = W * the time kernel of one step, N x N), the end
-    phase exp(-i T Lap) and n_steps = max(256, 4N)."""
+    source table -i G, the end phase exp(-i T Lap) and n_steps = max(256, 4N).
+
+    G, the Gramian of one step centred on its midpoint (N x N, FFT order),
+    is U R(dt) U^H = E^H S_dt E: the real form of `solve_hum` at T = dt,
+    with S_dt = P R(dt) P^H and E = diag(exp(i mu dt/2)) as in `hum`.
+    `_pair` applies P to R and then to (U R)^H = R U^H (R is symmetric),
+    and each E^H takes a centring phase back."""
     grid = spec.grid
     n_steps = max(256, 4 * grid.modes_per_axis)
     dt, lap = spec.T / n_steps, grid.laplacian_symbol()
-    t_mid = ((np.arange(n_steps) + 0.5) * dt).reshape((-1,) + (1,) * grid.dim)
-    source = window_mode_matrix(spec.window)
-    source *= _centred_kernel(_mode_energies(grid), dt)
-    source *= -1j
-    return (_cholesky(_real_gramian(spec), spec),
-            _StrangStep(grid, NLSParams(sigma=sigma, dt=dt, dealias=False)),
-            np.exp(1j * t_mid * lap), source, np.exp(-1j * spec.T * lap), n_steps)
+    step_spec = replace(spec, T=dt)
+    back = np.exp(-0.5j * dt * _mode_energies(grid))[:, None]
+    source = _pair(step_spec, _real_gramian(step_spec), back=True) * back
+    source = _pair(step_spec, source.conj().T, back=True)
+    source *= -1j * back
+    factor = _cholesky(_real_gramian(spec), spec)
+    phases = 1j * ((np.arange(n_steps) + 0.5) * dt).reshape((-1,) + (1,) * grid.dim) * lap
+    np.exp(phases, out=phases)
+    return (factor, _StrangStep(grid, NLSParams(sigma=sigma, dt=dt, dealias=False)),
+            phases, source, np.exp(-1j * spec.T * lap), n_steps)
 
 
 def local_control_nls(u0: FourierState, spec: GramianSpec, sigma: int = -1,

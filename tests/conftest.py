@@ -2,7 +2,8 @@
 property tests draw the same examples on every run and stay cheap;
 the Hypothesis strategies that several test modules draw from (grid sizes,
 horizons, seeds, windows); `traced_peak`, the memory guard's instrument;
-and `on_mode_range`, the coefficient range the real window form reads."""
+`on_mode_range`, the coefficient range the real window form reads; and
+`pair_form`, the real form of any transverse pair of a 2D window."""
 
 import tracemalloc
 
@@ -11,6 +12,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from torus_control import make_grid, make_window
+from torus_control.hum import _real_window_form
+from torus_control.tensor import _transverse_form
 
 settings.register_profile("tier1", derandomize=True, deadline=None,
                           max_examples=15, database=None)
@@ -47,6 +50,15 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def pair_form(c, q):
+    """The real form of chi^2 on the transverse pair {q, -q}, 0 <= q <= N/2,
+    for c on the modes (-N .. N)^2: `tensor._transverse_form` for
+    0 < q < N/2, and at q = 0 and N/2, where the pair is the mode e_q
+    alone, the first-axis form of c(., 0)."""
+    n = len(c) // 2
+    return _real_window_form(c[:, n]) if q in (0, n // 2) else _transverse_form(c, q)
 
 
 def on_mode_range(c):

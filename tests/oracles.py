@@ -1,7 +1,9 @@
 """Reference implementations the package is checked against.
 
 The phased complex Gramians are the references for the real centred form of
-`torus_control.hum`, and `level_basis` for the unitary it is built in;
+`torus_control.hum`, `window_mode_matrix` (W in the mode basis) for the
+window forms and the NLS step source, and `level_basis` for the unitary
+the real forms are built in;
 `commutator_norm` is the FFT-order reference for
 `torus_control.operators.commutator_operator_norm`.
 
@@ -14,11 +16,23 @@ true mode differences.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from torus_control.grid import make_grid
-from torus_control.hum import _centred_kernel, window_mode_matrix
+from torus_control.hum import _centred_kernel, check_dense_size
 from torus_control.operators import fractional_multiplier, sobolev_weights
 from torus_control.windows import make_window
+
+
+def window_mode_matrix(window):
+    """W_ab = c(k_a - k_b), c the window's `coefficients`: multiplication by
+    chi^2 along the first axis, in FFT order (in 2D, on each k_2 column
+    alone), one `ifftshift` copy of a Toeplitz view in ascending order."""
+    check_dense_size(window.grid)
+    n = window.grid.modes_per_axis
+    # c(m) for m = N-1 down to 1-N: row a of the reversed view reads c(a - b)
+    c = window.coefficients(np.arange(n - 1, -n, -1))
+    return np.fft.ifftshift(sliding_window_view(c, n)[::-1])
 
 
 def time_kernel(w, mu, T):
@@ -67,8 +81,8 @@ def level_basis(n, dim=1):
 
 
 def pair_columns(n, q):
-    """The columns of the 2D `level_basis` that `tensor._transverse_form`
-    takes for the transverse pair {q, -q}, in its order: every first-axis
+    """The columns of the 2D `level_basis` that the form of the transverse
+    pair {q, -q} (`conftest.pair_form`) takes, in its order: every first-axis
     level times the cos (second-axis level q), then times the sin (level
     N/2 + q, for 0 < q < N/2)."""
     second = [q] if q in (0, n // 2) else [q, n // 2 + q]

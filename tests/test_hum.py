@@ -15,15 +15,15 @@ from torus_control.hum import (MAX_DENSE_POINTS, DenseSizeError,
                                _real_window_form, check_dense_size,
                                hum_regularity_ratio, lambda_min_dense,
                                lambda_min_iterative, quadrature_gramian,
-                               quadrature_nodes, resolved_n_quad,
-                               window_mode_matrix)
+                               quadrature_nodes, resolved_n_quad)
 from torus_control.operators import free_propagate
 from torus_control.resolvent import feasible_m
 from torus_control.tensor import _transverse_form, strip_observability_constant
 from torus_control.windows import CutoffWindow
 
-from conftest import on_mode_range, traced_peak
-from oracles import dense_gramian, dense_gramian_2d, level_basis, pair_columns
+from conftest import on_mode_range, pair_form, traced_peak
+from oracles import (dense_gramian, dense_gramian_2d, level_basis, pair_columns,
+                     window_mode_matrix)
 
 
 @pytest.fixture
@@ -83,7 +83,7 @@ def test_real_window_form_is_the_paired_basis_form(dim, n):
     if dim == 1:
         blocks = [(_real_window_form(on_mode_range(c)), np.arange(n))]
     else:
-        blocks = [(_transverse_form(on_mode_range(c), q), pair_columns(n, q))
+        blocks = [(pair_form(on_mode_range(c), q), pair_columns(n, q))
                   for q in range(n // 2 + 1)]
     for q, columns in blocks:
         assert np.array_equal(q, q.T)
@@ -164,7 +164,7 @@ def test_every_reader_takes_the_window_coefficients_at_true_modes(monkeypatch, n
     monkeypatch.setattr("torus_control.tensor._transverse_form", recording)
     strip_observability_constant(spec)
     form, keep = paired_form(w, 2)
-    assert [q for q, _ in seen] == list(range(n // 2 + 1))
+    assert [q for q, _ in seen] == list(range(1, n // 2))
     for q, block in seen:
         columns = pair_columns(n, q)
         close(block, form[np.ix_(columns, columns)], keep[columns])
@@ -189,9 +189,10 @@ def test_strip_blocks_ignore_fft_rounding(n):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_lambda_min_and_strip_check_run_real_eigensolves(monkeypatch, dim):
     # the eigensolves take float64 matrices of order N (lambda_min, in 1D
-    # and 2D alike), and N or 2N (the strip check: one per transverse pair
-    # {k_2, -k_2}, k_2 = 0 .. N/2): a fall-back to the complex Gramian
-    # changes the dtype, a fall-back to the whole 2D form the order
+    # and 2D alike), and 2N (the strip check: one per transverse pair
+    # {k_2, -k_2}, 0 < k_2 < N/2, then C_1d's of order N): a fall-back to
+    # the complex Gramian changes the dtype, a fall-back to the whole 2D
+    # form the order
     eigvalsh, calls = np.linalg.eigvalsh, []
 
     def recorder(a, *args, **kwargs):
@@ -206,8 +207,7 @@ def test_lambda_min_and_strip_check_run_real_eigensolves(monkeypatch, dim):
     if dim == 1:
         calls.clear()
         strip_observability_constant(GramianSpec(T=1.0, window=window))
-        strip = [n] + [2 * n] * (n // 2 - 1) + [n]
-        assert calls == [(np.float64, (m, m)) for m in strip + [n]]
+        assert calls == [(np.float64, (m, m)) for m in [2 * n] * (n // 2 - 1) + [n]]
 
 
 def test_dense_gramian_hermitian_psd(small_setup):
@@ -253,13 +253,6 @@ def test_window_mode_matrix_is_the_gathered_circulant(dim, n):
     c = w.coefficients(np.arange(n))
     gathered = c[np.subtract.outer(np.arange(n), np.arange(n)) % n]
     assert np.array_equal(window_mode_matrix(w), gathered)
-
-
-def test_window_mode_matrix_memory_is_bounded():
-    # the 1 MB result at N = 256 and O(N) vectors; the two int64 index
-    # tables of the gather held 1.6 MB
-    w = make_window(make_grid(1, 256), (0.0, 0.25), 0.05, "smooth")
-    assert traced_peak(lambda: window_mode_matrix(w)) <= 1.2e6
 
 
 def test_eigensolve_memory_is_bounded():

@@ -12,13 +12,14 @@ from torus_control import (GramianSpec, NLSParams, admissible_amplitude, evolve,
                            random_state, solve_hum)
 from torus_control import nls
 from torus_control.grid import FourierState, plane_wave, zero_state
+from torus_control.hum import _centred_kernel
 from torus_control.nls import (DecayRecord, PicardDivergenceError,
                                StabilizationStallError, _stabilize_to_threshold,
                                energy)
 from torus_control.operators import free_propagate
 
 from conftest import traced_peak
-from oracles import dense_gramian
+from oracles import dense_gramian, window_mode_matrix
 
 
 def test_params_validation():
@@ -587,27 +588,51 @@ def test_global_control_builds_one_control_stepper(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("kind", ["smooth", "sharp"])
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (1, 256), (2, 16)])
+def test_step_source_is_the_centred_one_step_gramian(dim, n, kind):
+    # -i G, built from the real form at T = dt, against the dense reference
+    # -i W * K(dt) in the mode basis, entry by entry (3.7-5.8e-16 of max|G|
+    # seen)
+    spec = GramianSpec(T=1.0, window=make_window(make_grid(dim, n), (0.0, 0.3), 0.05, kind))
+    *_, source, _, n_steps = nls._control_tables(spec, -1)
+    mu = (2.0 * np.pi * spec.grid.mode_indices()) ** 2
+    reference = -1j * window_mode_matrix(spec.window) * _centred_kernel(mu, 1.0 / n_steps)
+    assert np.max(np.abs(source - reference)) <= 1e-15 * np.max(np.abs(source))
+
+
+def test_control_tables_memory_is_bounded():
+    # the midpoint phase table (4.2 MB at 1D N = 256 and at 2D N = 32) is
+    # exponentiated in place, beside G and the factor: about 6.1 and 4.5 MB
+    # in all.  Out of place it takes a second table, as the mode-space build
+    # of G did (9.99 and 8.48 MB), which the bounds refuse
+    for dim, n, bound in ((1, 256, 7.0e6), (2, 32, 5.5e6)):
+        spec = GramianSpec(T=1.0, window=make_window(make_grid(dim, n), (0.0, 0.3), 0.05,
+                                                     "smooth"))
+        assert traced_peak(lambda: nls._control_tables(spec, -1)) <= bound
+
+
 def test_admissible_amplitude_factors_gramian_once(monkeypatch):
     # the three larger candidates diverge: all four share one factor of the
     # exact-time Gramian
-    assembled = []
-    real_gramian, picard = nls._real_gramian, nls._picard
+    factored = []
+    cholesky, picard = nls._cholesky, nls._picard
 
     def counting(*args):
-        assembled.append(args)
-        return real_gramian(*args)
+        factored.append(args)
+        return cholesky(*args)
 
     def small_only(u0, *args):
         if u0.norm_l2() > 0.06:
             raise PicardDivergenceError("too large")
         return picard(u0, *args)
 
-    monkeypatch.setattr(nls, "_real_gramian", counting)
+    monkeypatch.setattr(nls, "_cholesky", counting)
     monkeypatch.setattr(nls, "_picard", small_only)
     g = make_grid(1, 32)
     spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.3), 0.05, "smooth"))
     assert admissible_amplitude(spec, -1, np.random.default_rng(6)) == 0.05
-    assert len(assembled) == 1
+    assert len(factored) == 1
 
 
 def test_global_control_small_case():

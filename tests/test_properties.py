@@ -13,17 +13,16 @@ from hypothesis.extra.numpy import arrays
 from torus_control import GramianSpec, NLSParams, make_grid, make_window, nls, tensor
 from torus_control.grid import FourierState
 from torus_control.hum import (GramianSingularError, _cholesky, _pair, _real_gramian,
-                               _real_window_form, _solve, lambda_min_dense,
-                               window_mode_matrix)
+                               _real_window_form, _solve, lambda_min_dense)
 from torus_control.operators import commutator_operator_norm, free_propagate
 from torus_control.resolvent import (InfeasibleResolventError, best_resolvent_constant,
                                      default_lambda_grid, feasible_m, sweep)
 from torus_control.io import state_from_json, state_to_json
 from torus_control.windows import CutoffWindow
 
-from conftest import any_windows, even_n, horizons, on_mode_range, seeds, windows
+from conftest import any_windows, even_n, horizons, on_mode_range, pair_form, seeds, windows
 from oracles import (commutator_norm, dense_gramian, dense_gramian_2d, level_basis,
-                     pair_columns)
+                     pair_columns, window_mode_matrix)
 
 # real chi^2 samples of any sign on a 1D or 2D grid
 real_samples = st.sampled_from([1, 2]).flatmap(
@@ -100,7 +99,7 @@ def test_real_window_form_has_the_spectrum_of_w(chi2):
     if c.ndim == 1:
         pairs = [(_real_window_form(on_mode_range(c)), w)]
     else:
-        pairs = [(tensor._transverse_form(on_mode_range(c), q),
+        pairs = [(pair_form(on_mode_range(c), q),
                   w[np.ix_(pair_slots(n, q), pair_slots(n, q))]) for q in range(n // 2 + 1)]
     for q, sub in pairs:
         assert q.dtype == np.float64 and q.shape == sub.shape
@@ -153,7 +152,7 @@ def test_real_window_forms_are_the_dense_sub_blocks(chi2, data):
         form = _real_window_form(on_mode_range(c))[np.ix_(rows, rows)]
     else:
         q = data.draw(st.integers(0, n // 2))
-        rows, form = pair_columns(n, q), tensor._transverse_form(on_mode_range(c), q)
+        rows, form = pair_columns(n, q), pair_form(on_mode_range(c), q)
     assert np.max(np.abs(form - dense[np.ix_(rows, rows)])) <= 1e-12 * np.max(np.abs(w))
 
 

@@ -8,13 +8,14 @@ from torus_control import (GramianSpec, constants_from_observability,
                            make_window, miller_cost_bound,
                            observability_constant, random_state, sweep,
                            verify_resolvent)
-from torus_control.hum import _level_slots, lambda_min_dense, window_mode_matrix
+from torus_control.hum import _level_slots, lambda_min_dense
 from torus_control import resolvent
 from torus_control.resolvent import (InfeasibleResolventError, _best_constant,
                                      _real_form, best_resolvent_constant)
 from torus_control.windows import full_window
 
 from conftest import traced_peak
+from oracles import window_mode_matrix
 
 
 def complex_reference(lam, m, window, grid):
