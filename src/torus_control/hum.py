@@ -44,17 +44,17 @@ matrix products), after which `_solve` costs two real O(N^2) products per
 right-hand side.
 
 The matrix-free time quadrature (exact propagation between nodes) is kept
-only as an independent oracle that owns its nodes: `quadrature_gramian`
-takes the Gauss-Legendre node count, by default the resolved_n_quad nodes
-on which `lambda_min_iterative` runs Lanczos, with no inner solve.  These
-two oracles alone load scipy, on first call: scipy brings its own BLAS
-thread pool, which contends with numpy's when both are in use.
+only as an independent oracle that owns its nodes and its matrix:
+`quadrature_gramian` takes the node count of a composite Gauss-Legendre
+rule, equal panels of 20 nodes (`quadrature_nodes`), by default the
+resolved_n_quad nodes, and `lambda_min_iterative` is one `eigvalsh` of
+that matrix.  The oracles run on numpy alone too; scipy is loaded only
+when the module attribute `cg` is read (`__getattr__`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,6 +73,9 @@ MAX_DENSE_POINTS = 2048
 # complex entries of the node-by-basis block the quadrature oracle
 # transforms at once (4 MB; at least one node, 64 MB at the dense cap)
 _ORACLE_BLOCK = 1 << 18
+
+# Gauss-Legendre nodes per panel of the quadrature oracle's composite rule
+_PANEL_NODES = 20
 
 # order at and below which `_invert_lower` inverts a diagonal block by LU
 _TRIANGLE_BLOCK = 32
@@ -146,54 +149,57 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@lru_cache(maxsize=32)
-def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # scipy's routine is much faster than numpy's for large n, and the
-    # resolved node counts run into the thousands
-    from scipy.special import roots_legendre
-
-    return roots_legendre(n)
-
-
 def quadrature_nodes(T: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of n-point Gauss-Legendre quadrature on [0, T]."""
-    x, w = _legendre_nodes(n)
-    return 0.5 * T * (x + 1.0), 0.5 * T * w
+    """Nodes and weights of the composite Gauss-Legendre rule on [0, T]:
+    ceil(n / 20) equal panels of 20 nodes each, all from one
+    `leggauss(20)`, so at least n nodes, in increasing order."""
+    panels = _whole_panels(n) // _PANEL_NODES
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    length = T / panels
+    t = length * (np.arange(panels)[:, None] + 0.5 * (x + 1.0))
+    return t.ravel(), np.tile(0.5 * length * w, panels)
+
+
+def _whole_panels(n) -> int:
+    """A node count n >= 1 rounded up to whole panels of the composite rule."""
+    return -(-_positive_int(n, "n_quad") // _PANEL_NODES) * _PANEL_NODES
 
 
 def resolved_n_quad(grid: GridSpec, T: float) -> int:
     """Node count resolving every oscillation of the Gramian integrand.
 
-    Mode-pair phase differences reach mu_max = (2*pi*N/2)^2 (times dim in
-    2D); Gauss-Legendre resolves frequency delta once n exceeds about
-    delta*T/2, after which convergence is spectral.  The count takes a
-    margin of 1.25 over that and 64 nodes more.
+    Mode-pair phase differences reach delta = dim * (2*pi*N/2)^2.  On a
+    panel of length L the 20-node rule integrates exp(i*delta*t) with an
+    error of at most sqrt2 * (L/2) * 2^41 (20!)^4 / (41 (40!)^3) *
+    (delta*L/2)^40 (the Gauss-Legendre remainder, on the real and the
+    imaginary part), which is below 4e-17 * L once delta * L <= 24: so
+    ceil(delta * T / 24) panels put the rule's error under 4e-17 * T,
+    below roundoff.
     """
     k_max = grid.modes_per_axis // 2
     mu_max = grid.dim * (2.0 * np.pi * k_max) ** 2
-    return int(np.ceil(1.25 * mu_max * T / 2.0)) + 64
+    return _PANEL_NODES * int(np.ceil(mu_max * T / 24.0))
 
 
 class _GramianApplier:
-    """Matrix-free quadrature Gramian with precomputed node phases on n_quad
-    Gauss-Legendre nodes (default: resolved_n_quad of them).  A phase table
-    above MAX_DENSE_POINTS**2 entries (64 MB; the default reaches it above
-    N ~ 87 in 1D, N ~ 24 in 2D at T = 1) raises DenseSizeError: pass
-    quadrature_gramian an explicit, smaller n_quad."""
+    """Matrix-free quadrature Gramian with precomputed node phases on the
+    composite rule of `quadrature_nodes` (default: resolved_n_quad nodes).
+    A phase table above MAX_DENSE_POINTS**2 entries (64 MB; the default
+    reaches it above N = 78 in 1D, N = 22 in 2D at T = 1) raises
+    DenseSizeError: pass quadrature_gramian an explicit, smaller n_quad."""
 
     def __init__(self, spec: GramianSpec, n_quad: int | None = None):
         grid = spec.grid
         if n_quad is None:
             n_quad = resolved_n_quad(grid, spec.T)
-        if n_quad < 2:
-            raise ValueError("n_quad must be >= 2")
+        n_quad = _whole_panels(n_quad)
         _check_entries(grid, n_quad, "node phases")
+        t, self.weights = quadrature_nodes(spec.T, n_quad)
         self.grid = grid
         self.fft_axes = tuple(range(-grid.dim, 0))
         self.chi2 = spec.window.samples ** 2
         lam = grid.laplacian_symbol()
-        t, self.weights = quadrature_nodes(spec.T, n_quad)
-        # exp(i * t_j * Lap) for every node, shape (n_quad, *grid.shape)
+        # exp(i * t_j * Lap) for every node, shape (n_nodes, *grid.shape)
         self.phases = np.exp(1j * t.reshape((-1,) + (1,) * grid.dim) * lam)
 
     def apply_batch(self, batch: np.ndarray, chunk: int = 256) -> np.ndarray:
@@ -352,21 +358,12 @@ def lambda_min_dense(spec: GramianSpec) -> float:
 
 
 def lambda_min_iterative(spec: GramianSpec) -> float:
-    """Smallest Gramian eigenvalue by Lanczos on the oracle's quadrature
-    operator on resolved_n_quad nodes, applied matrix-free (see
-    _GramianApplier for its ceiling).  The Krylov space takes all n modes,
-    so Lanczos ends after n + 1 applications.  The start vector is a fixed
-    pseudo-random draw, so repeated calls return the same value."""
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    n, shape = spec.grid.n_points, spec.grid.shape
-    applier = _GramianApplier(spec)
-    op = LinearOperator((n, n), dtype=complex,
-                        matvec=lambda x: applier.apply_one(x.reshape(shape)).ravel())
-    draw = np.random.default_rng(0).standard_normal((2, n))
-    vals = eigsh(op, k=1, which="SA", ncv=n, tol=1e-10, return_eigenvectors=False,
-                 v0=draw[0] + 1j * draw[1])
-    return float(vals[0].real)
+    """Smallest Gramian eigenvalue of the oracle alone: `eigvalsh` of its
+    `quadrature_gramian` on resolved_n_quad nodes (see _GramianApplier for
+    its ceiling).  Building that matrix applies the quadrature operator
+    once per mode, N**dim times, as many as a Lanczos run whose Krylov
+    space takes every mode."""
+    return float(np.linalg.eigvalsh(quadrature_gramian(spec))[0])
 
 
 def observability_constant(spec: GramianSpec) -> float:

@@ -162,9 +162,7 @@ def default_lambda_grid(grid: GridSpec, n_points: int = 512) -> np.ndarray:
     hi = (2.0 * np.pi) ** 2  # positive side: M(lambda) decays like 1/lambda^2
     anchors = np.concatenate(([lo], eigs, [hi]))
     per_gap = max(3, n_points // max(1, len(anchors) - 1))
-    for a, b in zip(anchors[:-1], anchors[1:]):
-        if b - a <= 0:
-            continue
+    for a, b in zip(anchors[:-1], anchors[1:]):  # strictly increasing
         # Chebyshev-like clustering toward both gap ends
         theta = np.linspace(0.0, np.pi, per_gap + 2)[1:-1]
         pts.update((0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)).tolist())

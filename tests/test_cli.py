@@ -122,6 +122,17 @@ def test_tensor_check_exact_transfer(tmp_path, base_cfg):
     assert report["results"]["relative_gap"] <= 1e-10
 
 
+def test_observability_defaults_to_the_full_window(tmp_path, base_cfg):
+    # no window.omega: chi = 1 on the whole torus, so S = T I and C_T = 1/T
+    del base_cfg["window"]["omega"]
+    base_cfg["horizon"] = {"T": 0.4}
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["observability", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "observability.json").read_text())
+    assert report["results"]["C_T"] == pytest.approx(2.5, rel=1e-12)
+
+
 def test_observability_is_exact_dense(tmp_path, base_cfg):
     base_cfg["grid"]["N"] = 256
     base_cfg["window"] = {"omega": [[0.0, 0.2]], "transition_width": 0.05}
@@ -401,7 +412,7 @@ def test_non_finite_config_number_exit_2(tmp_path, base_cfg, capsys, text, field
 
 def test_cli_loads_no_scipy(tmp_path, base_cfg):
     # production solves run on numpy.linalg alone: scipy, with its own BLAS
-    # thread pool, is loaded only by the quadrature oracles
+    # thread pool, is loaded only when `hum.cg` is read
     base_cfg["grid"]["N"] = 16
     base_cfg["window"] = {"omega": [[0.0, 0.3]]}
     base_cfg["initial_state"] = {"norm": 0.3, "max_mode": 4}

@@ -1,5 +1,10 @@
 """Gramian assembly, observability constants, control synthesis."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,9 +39,36 @@ def small_setup():
 
 
 def test_quadrature_nodes_rules():
+    # a node count rounds up to whole panels of 20 nodes
     t, wts = quadrature_nodes(2.0, 16)
-    assert np.all((t > 0) & (t < 2.0))
+    assert len(t) == 20 and np.all((t > 0) & (t < 2.0))
     assert np.sum(wts) == pytest.approx(2.0)
+    t, wts = quadrature_nodes(2.0, 41)
+    assert len(t) == len(wts) == 60 and np.all(np.diff(t) > 0)
+    assert np.sum(wts) == pytest.approx(2.0)
+    with pytest.raises(ValueError, match="n_quad"):
+        quadrature_nodes(2.0, 0)
+
+
+@pytest.mark.parametrize("dim,n,T", [(1, 32, 1.0), (1, 64, 1.0), (1, 64, 0.3),
+                                     (2, 8, 1.0), (2, 22, 1.0)])
+def test_resolved_nodes_integrate_every_mode_pair_frequency(dim, n, T):
+    # the resolved panels integrate exp(i d t) over [0, T] at every phase
+    # difference d = mu_a - mu_b of the grid to roundoff, and 1D N = 64 and
+    # 2D N = 22 at T = 1 fit under the oracle's phase table cap.  The rule's
+    # own error is below 4e-17 T (`resolved_n_quad`); rounding a node t
+    # turns its phase by about eps d t, which averages down over the nodes:
+    # 1e-17 d T^2 allows for it (3.3e-14 measured at 1D N = 64, T = 1)
+    g = make_grid(dim, n)
+    t, wts = quadrature_nodes(T, resolved_n_quad(g, T))
+    assert len(t) * g.n_points <= MAX_DENSE_POINTS ** 2
+    lam = np.unique(-g.laplacian_symbol())
+    d = np.unique(np.subtract.outer(lam, lam))
+    d = d[d > 0]
+    for part in np.array_split(d, -(-len(d) // 16)):  # 16 x nodes at a time
+        exact = (np.exp(1j * part * T) - 1.0) / (1j * part)
+        ruled = np.exp(1j * np.outer(part, t)) @ wts
+        assert np.all(np.abs(ruled - exact) <= 1e-14 * T + 1e-17 * part * T ** 2)
 
 
 def test_gramian_spec_validation(small_setup):
@@ -291,10 +323,32 @@ def test_lambda_min_dense_vs_iterative(small_setup):
 
 
 def test_lambda_min_iterative_is_reproducible():
-    # a fixed Lanczos start vector: repeated calls agree bit for bit
+    # a dense eigensolve of the oracle's own matrix: no start vector, and
+    # repeated calls agree bit for bit
     g = make_grid(1, 16)
     spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.25), 0.05, "smooth"))
     assert lambda_min_iterative(spec) == lambda_min_iterative(spec)
+
+
+def test_quadrature_oracles_load_no_scipy():
+    # the oracle's nodes and its eigensolve run on numpy alone
+    code = "\n".join([
+        "import sys",
+        "from torus_control import GramianSpec, make_grid, make_window",
+        "from torus_control.hum import lambda_min_iterative, quadrature_gramian",
+        "w = make_window(make_grid(1, 16), (0.0, 0.3), 0.05, 'smooth')",
+        "spec = GramianSpec(T=1.0, window=w)",
+        "assert quadrature_gramian(spec).shape == (16, 16)",
+        "assert lambda_min_iterative(spec) > 0.0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(hum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_observability_constant_methods_agree(small_setup):
@@ -312,23 +366,21 @@ def test_observability_constant_full_window_is_inverse_t():
 
 
 @pytest.mark.parametrize("dim,n,omega", [(1, 32, (0.0, 0.25)), (2, 8, (0.0, 0.4))])
-def test_lambda_min_iterative_applies_the_gramian_n_plus_1_times(monkeypatch, dim, n,
-                                                                 omega):
-    # Lanczos on the quadrature operator itself, with a Krylov space of all
-    # n modes: about n + 1 applications, and no inner solve per application
-    from torus_control import hum
-
+def test_lambda_min_iterative_applies_the_gramian_once_per_mode(monkeypatch, dim, n,
+                                                                omega):
+    # the oracle's own matrix: the quadrature operator applied to each of
+    # the N**dim basis vectors once, and no inner solve
     g = make_grid(dim, n)
     spec = GramianSpec(T=1.0, window=make_window(g, omega, 0.05, "smooth"))
-    inner, calls = hum._GramianApplier.apply_one, []
+    inner, columns = hum._GramianApplier.apply_batch, []
 
-    def counting(self, coeffs):
-        calls.append(1)
-        return inner(self, coeffs)
+    def counting(self, batch, chunk=256):
+        columns.append(len(batch))
+        return inner(self, batch, chunk)
 
-    monkeypatch.setattr(hum._GramianApplier, "apply_one", counting)
+    monkeypatch.setattr(hum._GramianApplier, "apply_batch", counting)
     lam = lambda_min_iterative(spec)
-    assert len(calls) <= g.n_points + 2
+    assert columns == [g.n_points]
     assert lam == pytest.approx(lambda_min_dense(spec), rel=1e-8)
 
 

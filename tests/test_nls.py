@@ -104,6 +104,15 @@ def test_evolve_refuses_a_horizon_below_one_step():
     assert rec.times.tolist() == [0.0, 1e-3]
 
 
+def test_evolve_rounds_a_fractional_step_count_up():
+    # T / dt = 10.5 ends 5e-4 from T after 10 steps, so 11 steps run and the
+    # last record is at 11 dt, past T
+    g = make_grid(1, 32)
+    u0 = random_state(g, np.random.default_rng(9), max_mode=8)
+    _, rec = evolve(u0, 0.0105, NLSParams(dt=1e-3), record_stride=5)
+    assert rec.times.tolist() == pytest.approx([0.0, 5e-3, 10e-3, 11e-3], abs=1e-15)
+
+
 def _one_step_records(u0, T, params, stride):
     """The reference of `evolve`: one step at a time, modes to grid values
     and back in each, every record's quantities taken state by state."""

@@ -77,6 +77,19 @@ def test_infeasible_at_eigenvalue_with_zero_window():
         best_resolvent_constant(-((2 * np.pi) ** 2), 0.0, w)
 
 
+def test_vanishing_margin_that_couples_is_infeasible(setup32):
+    # at lambda = -(2 pi l)^2 the kernel is level l, where the real window
+    # form has the eigenvalues c(0) +- |c(2l)|; m = 1 / (c(0) - |c(2l)|)
+    # leaves the kernel block <= 0 with one direction of zero margin, which
+    # couples to the rest of the form: no finite M
+    _, w = setup32
+    level = 3
+    c0, c2l = w.coefficients(np.array([0, 2 * level]))
+    m = 1.0 / (c0.real - abs(c2l))
+    with pytest.raises(InfeasibleResolventError, match="vanishing margin"):
+        best_resolvent_constant(-(2 * np.pi * level) ** 2, m, w)
+
+
 def test_feasible_m_unlocks_eigenvalues(setup32):
     g, w = setup32
     m = feasible_m(w)

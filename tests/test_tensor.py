@@ -8,7 +8,7 @@ from torus_control import (GramianSpec, decompose_modes, make_grid,
                            strip_observability_constant)
 from torus_control.hum import (GramianSingularError, lambda_min_dense,
                                quadrature_gramian)
-from torus_control.tensor import compose_modes
+from torus_control.tensor import compose_modes, observed_energy_1d
 
 from oracles import dense_gramian, dense_gramian_2d
 
@@ -69,6 +69,18 @@ def test_strip_quadrature_oracle_matches_exact_2d():
     s_quad = quadrature_gramian(spec2d)
     s_exact = dense_gramian_2d(spec2d)
     assert np.max(np.abs(s_quad - s_exact)) < 1e-10 * np.max(np.abs(s_exact))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+def test_observed_energy_1d_is_the_gramian_quadratic_form(dim, n):
+    # <S c, c> with the dense oracle S, which a 2D strip applies to every
+    # k_2 column alike
+    g = make_grid(dim, n)
+    spec = GramianSpec(T=0.7, window=make_window(g, (0.1, 0.45), 0.05, "smooth"))
+    c = random_state(g, np.random.default_rng(n))
+    cols = c.coeffs.reshape(n, -1)
+    expect = np.vdot(cols, dense_gramian(spec) @ cols).real
+    assert observed_energy_1d(spec, c) == pytest.approx(expect, rel=1e-13)
 
 
 def test_strip_single_sample_window_is_singular():
