@@ -132,7 +132,7 @@ def _build_grid(cfg):
         grid = make_grid(dim, n)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    _check_entries(grid, 1, "grid points")  # the cap `evolve` puts on records
+    _check_entries(grid, 1, "grid points")  # caps one state's grid values
     return grid
 
 
@@ -242,7 +242,7 @@ def _cmd_resolvent_sweep(cfg, rng, grid, window):
         raise ConfigError("grid.dim: resolvent-sweep supports 1D grids only")
     scfg = _get(cfg, "sweep", {})
     n_points = _integer(cfg, "sweep.n_points", 512, minimum=1)
-    if n_points > MAX_DENSE_POINTS ** 2:  # the cap `evolve` puts on records
+    if n_points > MAX_DENSE_POINTS ** 2:  # caps the lambda grid and the CSV's rows
         raise ConfigError(f"sweep.n_points: expected at most {MAX_DENSE_POINTS}**2, "
                           f"got {n_points}")
     cross_check = _boolean(cfg, "sweep.cross_check", False)

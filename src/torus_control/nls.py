@@ -123,13 +123,13 @@ def _dealias_mask(grid: GridSpec) -> np.ndarray:
 # its `out` (numpy 2.4) and `_fft_transforms` writes into buffers
 _TRANSFORMS = {1: (np.fft.fft, np.fft.ifft),
                2: (np.fft.fft2, partial(np.fft.ifftn, axes=(-2, -1)))}
-# largest N per axis, by dimension, at which the Strang step transforms by
-# products with dense matrices rather than FFTs.  On a ladder of fused
-# 10-step runs and single steps (B = 1 and 2, damped, dealiased; 2-core
-# x86_64) a dense run took 0.2-0.8 of the FFT run's time up to the gate, a
-# single step at most 1.05 of it; above, single steps at B = 2 took 1.02-1.49
-# times as long at 1D N = 128, and 1.19 at 2D N = 48
-_DFT_MAX_N = {1: 96, 2: 40}
+# largest 1D N at which the Strang step transforms by products with dense
+# matrices rather than FFTs.  On a ladder of fused 10-step runs and single
+# steps (B = 1 and 2, damped, dealiased; 2-core x86_64) a dense run took
+# 0.2-0.8 of the FFT run's time up to the gate, a single step at most 1.05
+# of it; above, single steps at B = 2 took 1.02-1.49 times as long at
+# N = 128.  2D grids take FFTs at every N
+_DFT_MAX_N = 96
 # grid values of records `evolve` holds before sampling them in bulk
 _RECORD_BUFFER_POINTS = 4096
 
@@ -191,39 +191,32 @@ def _fft_transforms(grid: GridSpec, half: np.ndarray, tail: np.ndarray):
             (lambda phys: fft(phys) * tail_nl), across, propagator)
 
 
-def _dft_transforms(dim: int, half: np.ndarray, tail: np.ndarray):
-    """The transforms of `_fft_transforms` as products with N x N
-    matrices, given the per-axis phase `half` and `tail`:
+def _dft_transforms(half: np.ndarray, tail: np.ndarray):
+    """The 1D transforms of `_fft_transforms` as products with N x N
+    matrices, given the phase `half` and `tail`:
     to_phys[k, j] = half_k e^{2 pi i jk/N}, to_modes[j, k] = e^{-2 pi i jk/N}
     tail_k / N, and across = to_modes @ to_phys, both halves of the linear
-    flow between two nonlinear sub-flows in one matrix.  All three factors
-    are separable, so in 2D each side of the coefficient array takes one
-    matrix.  `across(phys, out, work, factor)` writes into `out` as
-    `_fft_transforms`' does and ignores `factor`; in 2D `work` holds the
-    left product.  The propagator factor returned last is None: the
-    matrices carry it."""
+    flow between two nonlinear sub-flows in one matrix.  Grid values keep a
+    unit axis before the grid axis.  `across(phys, out, work, factor)`
+    writes into `out` as `_fft_transforms`' does and ignores `work` and
+    `factor`.  The propagator factor returned last is None: the matrices
+    carry it."""
     n = len(half)
     dft = np.exp(2j * np.pi / n * (np.outer(np.arange(n), np.arange(n)) % n))
     to_phys, to_modes = half[:, None] * dft, dft.conj() * (tail / n)
-    # row by row, as vector-matrix products like the steps': a 1D run then
+    # row by row, as vector-matrix products like the steps': a run then
     # makes no matrix-matrix product, whose first call grows the BLAS
-    # buffers (peak RSS +0.3 MB at 1D N = 64)
+    # buffers (peak RSS +0.3 MB at N = 64)
     across = (to_modes[:, None, :] @ to_phys)[:, 0, :]
-    if dim == 1:
-        # one vector-matrix product per state, so a batch rounds as its
-        # members do alone (a (B, N) matrix product would not); grid values
-        # keep a unit axis before the grid axis.  One state's (1, N) values
-        # take np.dot, matmul's BLAS product at less call overhead (dot's
-        # loop over 3D values skips BLAS)
-        def propagate(phys, out=None, work=None, factor=None):
-            return (np.dot if phys.ndim == 2 else np.matmul)(phys, across, out)
+    # one vector-matrix product per state, so a batch rounds as its members
+    # do alone (a (B, N) matrix product would not).  One state's (1, N)
+    # values take np.dot, matmul's BLAS product at less call overhead (dot's
+    # loop over 3D values skips BLAS)
+    def propagate(phys, out=None, work=None, factor=None):
+        return (np.dot if phys.ndim == 2 else np.matmul)(phys, across, out)
 
-        return ((lambda c: c[..., None, :] @ to_phys),
-                (lambda phys: (phys @ to_modes)[..., 0, :]), propagate, None)
-    return ((lambda c: to_phys.T @ c @ to_phys),
-            (lambda phys: to_modes.T @ phys @ to_modes),
-            (lambda phys, out=None, work=None, factor=None:
-             np.matmul(np.matmul(across.T, phys, out=work), across, out=out)), None)
+    return ((lambda c: c[..., None, :] @ to_phys),
+            (lambda phys: (phys @ to_modes)[..., 0, :]), propagate, None)
 
 
 class _StrangStep:
@@ -236,35 +229,30 @@ class _StrangStep:
     nonlinear sub-flow; `run` takes further steps, each the propagator
     `across` (linear(dt/2) . linear(dt/2) and the dealias mask), preceded
     by a control source when one is given, and one nonlinear sub-flow;
-    `to_modes` ends the last step, into a new array.  The nonlinear
-    sub-flow is five numpy calls into buffers kept per batch shape: |u|,
-    its square, kappa |u|^2 into the imaginary part of an exponent whose
-    real part -chi^2 dt is fixed, one complex exponential and one product.
-    A linear step (sigma = 0, no damping) has no sub-flow between its
-    propagators.  Each batch shape also keeps a spare array of grid values,
-    the propagator's scratch, and the damping and FFT propagator factors
-    broadcast to it, so that `run` allocates nothing per step.
+    `to_modes` ends the last step, into a new array.  Every step runs the
+    one fused sub-flow u * exp(-chi^2 dt + i kappa |u|^2): without damping
+    the real part of the exponent is 0, and at sigma = 0 kappa is 0.  It is
+    five numpy calls into buffers kept per batch shape: |u|, its square,
+    kappa |u|^2 into the imaginary part of the exponent, one complex
+    exponential and one product.  Each batch shape also keeps a spare array
+    of grid values, the propagator's scratch and the FFT propagator's
+    factor broadcast to it, so that `run` allocates nothing per step.
 
-    The transforms take one of two paths chosen from the grid alone.  Up
-    to N = _DFT_MAX_N[dim] per axis they are products with dense N x N
-    matrices that carry the half-step phases, the dealias mask and 1/N (in
-    2D one on each side, as the phase and the mask are separable); above,
-    FFTs.  At small N an `np.fft` call costs mostly its Python wrapper,
-    while a dense product grows as N^2 per axis (see `_DFT_MAX_N`).  The
-    two paths give one step to about 2e-15 relative."""
+    The transforms take one of two paths chosen from the grid alone.  On a
+    1D grid of N <= _DFT_MAX_N they are products with dense N x N matrices
+    that carry the half-step phases, the dealias mask and 1/N; on larger 1D
+    grids and on every 2D grid, FFTs.  At small N an `np.fft` call costs
+    mostly its Python wrapper, while a dense product grows as N^2 (see
+    `_DFT_MAX_N`).  The two paths give one step to about 2e-15 relative."""
 
     def __init__(self, grid: GridSpec, params: NLSParams):
         half, tail = _axis_half_and_tail(grid.modes_per_axis, params)
-        damping = params.damping
-        # -chi^2 dt, never log(d2): d2 underflows to 0 at a coarse dt
-        decay = 0.0 if damping is None else -damping.samples ** 2 * params.dt
-        # complex, so that the product with grid values casts nothing
-        self.d2 = None if damping is None else np.exp(decay).astype(complex)
-        self.kappa = (None if params.sigma == 0
-                      else -params.sigma * params.dt * np.exp(decay))
+        # -chi^2 dt, never log(exp(-chi^2 dt)): that underflows at a coarse dt
+        decay = 0.0 if params.damping is None else -params.damping.samples ** 2 * params.dt
+        self.kappa = -params.sigma * params.dt * np.exp(decay)
         self._decay, self._buffers = decay, {}
-        transforms = (_dft_transforms(grid.dim, half, tail)
-                      if grid.modes_per_axis <= _DFT_MAX_N[grid.dim]
+        transforms = (_dft_transforms(half, tail)
+                      if grid.dim == 1 and grid.modes_per_axis <= _DFT_MAX_N
                       else _fft_transforms(grid, half, tail))
         self.to_phys, self.to_modes, self.across, self._propagator = transforms
 
@@ -272,36 +260,28 @@ class _StrangStep:
         """For one batch shape of grid values: |u|^2 and its flat view,
         kappa broadcast to the batch and the exponent's imaginary part (both
         flat: a product into a strided output takes numpy's fast path only
-        in 1D), the exponent, the factor and its flat view, the damping
-        factor of a linear step and the FFT propagator's factor broadcast
-        to the batch (a product with an operand broadcast along the batch
-        makes numpy buffer a copy of it, on every step), the propagator's
-        scratch and the spare array `run` swaps with its input."""
+        in 1D), the exponent, the factor and its flat view, the FFT
+        propagator's factor broadcast to the batch (a product with an
+        operand broadcast along the batch makes numpy buffer a copy of it,
+        on every step), the propagator's scratch and the spare array `run`
+        swaps with its input."""
         buffers = self._buffers.get(shape)
         if buffers is None:
             power, factor = np.empty(shape), np.empty(shape, dtype=complex)
             exponent = np.empty(shape, dtype=complex)
             exponent.real = self._decay
             exponent = exponent.reshape(-1)
-            kappa = (None if self.kappa is None
-                     else np.broadcast_to(self.kappa, shape).reshape(-1))
-            d2 = (None if self.d2 is None or self.kappa is not None
-                  else np.broadcast_to(self.d2, shape).copy())
             propagator = self._propagator
             if propagator is not None and propagator.shape != shape:
                 propagator = np.broadcast_to(propagator, shape).copy()
             buffers = self._buffers[shape] = [
-                power, power.reshape(-1), kappa, exponent.imag, exponent,
-                factor, factor.reshape(-1), d2, propagator,
+                power, power.reshape(-1), np.broadcast_to(self.kappa, shape).reshape(-1),
+                exponent.imag, exponent, factor, factor.reshape(-1), propagator,
                 np.empty_like(factor), np.empty_like(factor)]
         return buffers
 
     def _nonlinear(self, phys: np.ndarray) -> None:
         """The fused damping-rotation sub-flow on grid values, in place."""
-        if self.kappa is None:
-            if self.d2 is not None:
-                phys *= self.d2
-            return
         power, flat_power, kappa, phase, exponent, factor, flat_factor = (
             self._buffers_for(phys.shape)[:7])
         np.abs(phys, out=power)
@@ -326,7 +306,7 @@ class _StrangStep:
         is consumed: it may be written, and it may come back as the output
         of a later run of the same shape; copy what must outlive the call."""
         buffers = self._buffers_for(phys.shape)
-        (power, flat_power, kappa, phase, exponent, factor, flat_factor, d2, propagator,
+        (power, flat_power, kappa, phase, exponent, factor, flat_factor, propagator,
          work, out) = buffers
         across = self.across
         # ufuncs bound here, outputs passed positionally: numpy's cheapest call
@@ -335,14 +315,11 @@ class _StrangStep:
             if sources is not None:
                 phys += sources[j]
             across(phys, out, work, propagator)
-            if kappa is not None:
-                absolute(out, power)
-                square(power, power)
-                multiply(flat_power, kappa, phase)
-                exp(exponent, flat_factor)
-                out *= factor
-            elif d2 is not None:
-                out *= d2
+            absolute(out, power)
+            square(power, power)
+            multiply(flat_power, kappa, phase)
+            exp(exponent, flat_factor)
+            out *= factor
             phys, out = out, phys
         buffers[-1] = out
         return phys

@@ -63,7 +63,10 @@ def _commutator_products(grid: GridSpec, r: float, s: float, f):
     module's A = W_out (D T0 - T0 D) W_in^-1 in ascending mode order
     k = -N/2 ... N/2 - 1 (1D only).  Without the mean, a constant window
     gives exactly 0.  The symbol of T0's circulant embedding is transformed
-    once; the adjoint takes its conjugate."""
+    once; the adjoint takes its conjugate.  A window f on another grid
+    raises ValueError."""
+    if f.grid != grid:
+        raise ValueError(f"grid mismatch: {grid} vs the window's {f.grid}")
     if grid.dim != 1:
         raise ValueError("the commutator [D^r, f] is defined on the 1D torus only")
     n = grid.modes_per_axis

@@ -182,6 +182,24 @@ def test_tensor_check_2d_reference_size_guard(tmp_path, base_cfg, capsys):
     assert "config error: grid.N" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub,grid,message", [
+    ("observability", {"dim": 1, "N": 33},
+     "config error: grid: modes_per_axis must be even and >= 4, got 33"),
+    ("tensor-check", {"dim": 2, "N": 16},
+     "config error: grid.dim: tensor-check expects the 1D base grid"),
+], ids=["odd-N", "tensor-check-2D"])
+def test_grid_refused_exit_2(tmp_path, base_cfg, capsys, sub, grid, message):
+    # an odd N fails in `make_grid`; tensor-check builds its 2D strip
+    # from the 1D base grid and refuses a 2D one
+    base_cfg["grid"] = grid
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert not (out / "error.json").exists()
+
+
 def test_observability_2d_strip_is_1d_constant(tmp_path, base_cfg):
     base_cfg["grid"] = {"dim": 2, "N": 44}
     cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
@@ -410,6 +428,31 @@ def test_non_finite_config_number_exit_2(tmp_path, base_cfg, capsys, text, field
     assert not out.exists()
 
 
+def run_fresh_python(code):
+    """Run `code` in a new interpreter that imports this package's source."""
+    src = str(Path(torus_control.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def test_cli_import_loads_only_numpy_beside_the_standard_library():
+    # every CLI run pays for its imports before any work (the benchmark's
+    # setup_s): a fresh `import torus_control.cli` adds no top-level module
+    # but numpy, torus_control and the standard library's
+    code = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import torus_control.cli",
+        "added = {m.split('.')[0] for m in set(sys.modules) - before}",
+        "print(*sorted(added - set(sys.stdlib_module_names)))",
+    ])
+    proc = run_fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= {"numpy", "torus_control"}
+
+
 def test_cli_loads_no_scipy(tmp_path, base_cfg):
     # production solves run on numpy.linalg alone: scipy, with its own BLAS
     # thread pool, is loaded only when `hum.cg` is read
@@ -425,11 +468,7 @@ def test_cli_loads_no_scipy(tmp_path, base_cfg):
         f"    assert main([sub, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
-    src = str(Path(torus_control.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=300)
+    proc = run_fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert {"observability.json", "control.json", "global_control.json"} <= {

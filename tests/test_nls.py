@@ -131,7 +131,7 @@ def _one_step_records(u0, T, params, stride):
     return c, np.array(rows).T
 
 
-# dense transforms at 1D N = 64 and 2D N = 16, FFTs at 1D N = 128; 70 steps
+# dense transforms at 1D N = 64, FFTs at 1D N = 128 and 2D N = 16; 70 steps
 # make 71 records at stride 1, more than one sampling buffer on each grid
 @pytest.mark.parametrize("dim,n", [(1, 64), (1, 128), (2, 16)])
 def test_records_from_grid_values_match_one_step_at_a_time(dim, n):
@@ -179,7 +179,7 @@ def test_batched_step_matches_single_steps(dim, n):
         assert np.max(np.abs(run[b] - _advance(step, batch[b], 10))) <= 1e-15
 
 
-# dense transforms at 1D N = 64 and 2D N = 16, FFTs at 1D N = 128 and 2D N = 48
+# dense transforms at 1D N = 64, FFTs at 1D N = 128 and 2D N = 16 and 48
 @pytest.mark.parametrize("dim,n", [(1, 64), (1, 128), (2, 16), (2, 48)])
 def test_advance_matches_single_steps(dim, n):
     # a run of n fused steps against n calls of the one-step form: the same
@@ -230,32 +230,39 @@ def test_bulk_sampling_matches_per_state_quantities(dim, n):
     assert np.array_equal(final.coeffs, c)
 
 
-# dense transforms at 1D N = 64 and 2D N = 16, FFTs at 1D N = 128 and 2D
-# N = 48; B states in a batch, and one run with a control source
+# dense transforms at 1D N = 64, FFTs at 1D N = 128 and in 2D; B states in
+# a batch, and one run with a control source
 @pytest.mark.parametrize("dim,n,b,sourced", [
     (1, 64, 1, False), (1, 64, 2, False), (1, 64, 8, False), (1, 128, 1, False),
     (2, 16, 1, False), (2, 48, 1, False), (2, 48, 2, False), (1, 64, 1, True)])
 def test_step_loop_allocates_nothing_per_step(dim, n, b, sourced):
     # the buffers of a batch shape are kept from the untraced first call,
     # so a run, however long, holds the copy of its input and a few kB of
-    # numpy's call overhead, and no array of grid values per step
+    # numpy's call overhead, and no array of grid values per step.  The
+    # sourced run also takes the controlled solve's linear limit (sigma = 0,
+    # undamped, not dealiased), whose steps fill the sub-flow's buffers too
     g = make_grid(dim, n)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     rng = np.random.default_rng(5)
     c = np.stack([random_state(g, rng, max_mode=n // 4).coeffs for _ in range(b)])
-    step = nls._StrangStep(g, NLSParams(sigma=-1, dt=1e-3, damping=w))
-    phys = step.start(c)
-    sources = np.full((2000,) + phys.shape, 1e-3 + 0j) if sourced else None
-    short, long = (traced_peak(lambda: step.run(phys.copy(), k, sources))
-                   for k in (10, 2000))
-    assert long - short <= 1024
-    assert long <= phys.nbytes + 4096
+    steppers = [NLSParams(sigma=-1, dt=1e-3, damping=w)]
+    if sourced:
+        steppers.append(NLSParams(sigma=0, dt=1e-3, dealias=False))
+    for params in steppers:
+        step = nls._StrangStep(g, params)
+        phys = step.start(c)
+        sources = np.full((2000,) + phys.shape, 1e-3 + 0j) if sourced else None
+        short, long = (traced_peak(lambda: step.run(phys.copy(), k, sources))
+                       for k in (10, 2000))
+        assert long - short <= 1024
+        assert long <= phys.nbytes + 4096
 
 
 @pytest.mark.parametrize("dim,n,b", [(1, 64, 8), (2, 16, 2)])
 def test_linear_damped_step_loop_allocates_nothing_per_step(dim, n, b):
-    # sigma = 0 with damping: the damping factor is the only sub-flow, and
-    # is broadcast to the batch once, not buffered by numpy on every step
+    # sigma = 0 with damping: the fused sub-flow at kappa = 0, whose
+    # exponent keeps its real part -chi^2 dt per batch shape, so numpy
+    # buffers no copy of a factor broadcast along the batch on any step
     g = make_grid(dim, n)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     rng = np.random.default_rng(5)
@@ -351,6 +358,16 @@ def test_stabilization_stall_raises():
     u0 = random_state(g, np.random.default_rng(1), norm=0.5, max_mode=8)
     with pytest.raises(StabilizationStallError):
         _stabilize_to_threshold([u0], NLSParams(sigma=1, dt=1e-2, damping=w), 1e-6)
+
+
+def test_stabilization_stalls_at_the_horizon_cap():
+    # the decay rate stays above its floor, but the norm cannot reach a
+    # threshold of 1e-300 within 50 / gamma
+    g = make_grid(1, 32)
+    w = make_window(g, (0.0, 0.5), 0.05, "smooth")
+    u0 = random_state(g, np.random.default_rng(1), max_mode=8)
+    with pytest.raises(StabilizationStallError, match="not reached within horizon cap"):
+        _stabilize_to_threshold([u0], NLSParams(sigma=-1, dt=1e-2, damping=w), 1e-300)
 
 
 def test_stabilization_stops_at_first_check_below_threshold():
@@ -470,6 +487,27 @@ def test_picard_divergence_for_large_data():
         local_control_nls(u0, spec, sigma=-1, tol=1e-8)
 
 
+@pytest.mark.parametrize("sigma", [-1, 1])
+def test_picard_refuses_expanding_iterates(sigma):
+    # a narrow window at a short horizon: an update outgrows the last by
+    # more than 1.5 (3.57 at sigma = -1, 1.97 at +1), while the large data
+    # of the test above end in "no convergence in 30" instead
+    g = make_grid(1, 32)
+    spec = GramianSpec(T=0.05, window=make_window(g, (0.0, 0.1), 0.01, "smooth"))
+    u0 = random_state(g, np.random.default_rng(0), norm=5.0, max_mode=8)
+    with pytest.raises(PicardDivergenceError, match="iterates expanding"):
+        local_control_nls(u0, spec, sigma=sigma, tol=1e-8)
+
+
+def test_admissible_amplitude_refuses_when_no_candidate_contracts():
+    # T = 0.01 on a narrow window: no candidate from 0.4 down to 0.05
+    # converges with a contracting iteration
+    g = make_grid(1, 32)
+    spec = GramianSpec(T=0.01, window=make_window(g, (0.0, 0.1), 0.01, "smooth"))
+    with pytest.raises(PicardDivergenceError, match="no admissible amplitude"):
+        admissible_amplitude(spec, -1, np.random.default_rng(0))
+
+
 def test_admissible_amplitude_contracts_at_half():
     g = make_grid(1, 32)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
@@ -514,8 +552,7 @@ def _controlled_forward_on_grid_values(u0, spec, phi0, n_steps, step, phases, so
     return step.to_modes(phys)
 
 
-# dense transforms at 1D N = 32 and 2D N = 24, FFTs at 1D N = 128 and 2D
-# N = 48
+# dense transforms at 1D N = 32, FFTs at 1D N = 128 and 2D N = 24 and 48
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 24), (1, 128), (2, 48)])
 def test_controlled_solve_on_grid_values_matches_steps_in_modes(dim, n):
     g = make_grid(dim, n)

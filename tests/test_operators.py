@@ -100,6 +100,14 @@ def test_commutator_rejects_2d():
         commutator_operator_norm(g, 1.0, 0.0, w)
 
 
+def test_commutator_refuses_a_window_on_another_grid():
+    # an N = 64 window on an N = 32 grid gave the N = 32 window's norm
+    # (4.1709 at r = 1, s = 0; the N = 64 window's own grid gives 5.6668)
+    w = make_window(make_grid(1, 64), (0.0, 0.3), 0.05, "smooth")
+    with pytest.raises(ValueError, match="grid mismatch"):
+        commutator_operator_norm(make_grid(1, 32), 1.0, 0.0, w)
+
+
 def _window(g, kind):
     if kind == "full":
         return full_window(g)

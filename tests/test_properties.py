@@ -408,14 +408,14 @@ def step_on_each_path(grid, params):
     FFTs, by moving the gate to either side of the grid's N."""
     steps = []
     for gate in (grid.modes_per_axis, grid.modes_per_axis - 1):
-        with mock.patch.dict(nls._DFT_MAX_N, {grid.dim: gate}):
+        with mock.patch.object(nls, "_DFT_MAX_N", gate):
             steps.append(nls._StrangStep(grid, params))
     return steps
 
 
-# grids below and above the dense-transform gates `nls._DFT_MAX_N`; each
+# 1D grids below and above the dense-transform gate `nls._DFT_MAX_N`; each
 # grid builds both paths
-@pytest.mark.parametrize("dim,n", [(1, 32), (1, 96), (1, 192), (2, 8), (2, 32), (2, 48)])
+@pytest.mark.parametrize("dim,n", [(1, 32), (1, 96), (1, 192)])
 @given(st.sampled_from([(), (1,), (2,), (3,)]), st.sampled_from([-1, 0, 1]),
        st.booleans(), st.booleans(), st.floats(1e-4, 0.1), st.integers(0, 2 ** 32 - 1))
 def test_dense_and_fft_transforms_give_one_step(dim, n, batch, sigma, damped, dealias,
