@@ -13,8 +13,8 @@ import numpy as np
 from torus_control import (GramianSpec, constants_from_observability,
                            default_lambda_grid, feasible_m, make_grid,
                            make_window, miller_cost_bound,
-                           observability_constant, random_state, sweep,
-                           verify_resolvent)
+                           observability_constant, random_state,
+                           sup_resolvent_constant, sweep, verify_resolvent)
 
 g = make_grid(1, 32)
 w = make_window(g, (0.0, 0.25), transition_width=0.05, kind="smooth")
@@ -36,13 +36,17 @@ print(f"spot check: {bad} violations over 1000 state/frequency pairs")
 
 # ---- reverse direction -------------------------------------------------
 m_fixed = feasible_m(w)
-result = sweep(default_lambda_grid(g, 512), m_fixed, w)
-print(f"\nsweep: M(lambda) sup = {result.M_sup:.6f} at fixed m = {m_fixed:.2f}")
-print(f"minimal control time from the estimate: pi*sqrt(M_sup) = "
-      f"{result.miller_time:.4f}")
+lam = default_lambda_grid(g)
+sampled = sweep(lam, m_fixed, w)
+sup = sup_resolvent_constant(w, m_fixed, lam[0], lam[-1])
+print(f"\nM(lambda) at fixed m = {m_fixed:.2f}: sup = {sup.M_sup:.6f} at "
+      f"lambda = {sup.lam_star:.3f} (largest of {lam.size} samples: "
+      f"{sampled.M_sup:.6f})")
+miller_time = np.pi * np.sqrt(sup.M_sup)
+print(f"minimal control time from the estimate: pi*sqrt(M_sup) = {miller_time:.4f}")
 
-T_obs = 1.05 * result.miller_time
-bound = miller_cost_bound(result.M_sup, m_fixed, T_obs)
+T_obs = 1.05 * miller_time
+bound = miller_cost_bound(sup.M_sup, m_fixed, T_obs)
 c_obs = observability_constant(GramianSpec(T=T_obs, window=w))
 print(f"just above it, T = {T_obs:.4f}:")
 print(f"  predicted  C_T <= {bound:.2f}")

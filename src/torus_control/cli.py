@@ -30,8 +30,9 @@ from .io import (NonFiniteResultError, _integral, _real, state_from_json, state_
 from .nls import (NLSParams, NonFiniteStateError, PicardDivergenceError,
                   StabilizationStallError, _refit_span, _UnresolvedPhaseError, evolve,
                   fit_decay_rate, global_control)
-from .resolvent import (InfeasibleResolventError, default_lambda_grid,
-                        feasible_m, miller_cost_bound, sweep)
+from .resolvent import (InfeasibleResolventError, _check_linearization,
+                        default_lambda_grid, feasible_m, miller_cost_bound,
+                        sup_resolvent_constant, sweep)
 from .tensor import strip_observability_constant
 from .windows import full_window, make_window
 
@@ -240,8 +241,9 @@ def _cmd_observability(cfg, rng, grid, window):
 def _cmd_resolvent_sweep(cfg, rng, grid, window):
     if grid.dim != 1:
         raise ConfigError("grid.dim: resolvent-sweep supports 1D grids only")
+    _check_linearization(grid)  # before the sweep, not after it
     scfg = _get(cfg, "sweep", {})
-    n_points = _integer(cfg, "sweep.n_points", 512, minimum=1)
+    n_points = _integer(cfg, "sweep.n_points", 128, minimum=1)
     if n_points > MAX_DENSE_POINTS ** 2:  # caps the lambda grid and the CSV's rows
         raise ConfigError(f"sweep.n_points: expected at most {MAX_DENSE_POINTS}**2, "
                           f"got {n_points}")
@@ -264,14 +266,20 @@ def _cmd_resolvent_sweep(cfg, rng, grid, window):
                                         "sweep.lambda_max overflows")
     else:
         grid_lam = default_lambda_grid(grid, n_points)
+        lo, hi = grid_lam[0], grid_lam[-1]
     m = (feasible_m(window) if scfg.get("m") is None
          else _number(cfg, "sweep.m", None))
-    result = sweep(grid_lam, m, window)
+    sampled = sweep(grid_lam, m, window)
+    sup = sup_resolvent_constant(window, m, lo, hi,
+                                 start=grid_lam[np.argmax(sampled.M_of_lambda)])
+    # lambda* joins the curve, so the curve's maximum is M_sup
+    result = sampled.with_point(sup.lam_star, sup.M_sup)
     results = {"m": result.m_fixed, "M_sup": result.M_sup,
-               "miller_time": result.miller_time,
-               "grid_spec": {"n_points": len(grid_lam),
-                             "lambda_min": float(grid_lam[0]),
-                             "lambda_max": float(grid_lam[-1])}}
+               "miller_time": result.miller_time, "M_sup_sampled": sampled.M_sup,
+               "M_sup_upper": sup.upper, "lambda_star": sup.lam_star,
+               "grid_spec": {"n_points": result.lambda_grid.size,
+                             "lambda_min": float(result.lambda_grid[0]),
+                             "lambda_max": float(result.lambda_grid[-1])}}
     # Miller-loop cross-check: observability at T slightly above the Miller time
     if cross_check:
         T = 1.05 * result.miller_time

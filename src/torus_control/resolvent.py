@@ -21,6 +21,19 @@ real eigensolve per lambda (see `sweep`).  The complex formula survives only
 as the test reference.  The constants describe one truncation, whose grid
 every entry point takes from the window.
 
+The supremum of M(lambda) over an interval comes from a level set, not from
+a grid (`sup_resolvent_constant`).  Off the spectrum D = Lap - lambda is
+invertible and D^-1 Q D^-1 - theta I = D^-1 (Q - theta D^2) D^-1, so by
+Sylvester's law of inertia M(lambda) >= theta > 0 exactly when
+Q - theta (Lap - lambda)^2 has an eigenvalue >= 0.  On the spectrum, with
+the kernel block Q_kk < 0 that feasibility asks for, the same holds for
+the Schur complement that `_best_constant` keeps.  The lambda where some
+eigenvalue curve crosses theta are therefore the real eigenvalues of the
+quadratic problem (Q - theta (Lap - lambda)^2) v = 0, that is (with
+w = (Lap - lambda) v / sqrt(theta)) of the real 2N x 2N matrix
+[[Lap, -I/sqrt(theta)], [-Q/sqrt(theta), Lap]].  Q has no eigenvalue
+above 1 (W >= 0), so M(lambda) <= 1 / dist(lambda, spec)^2 everywhere.
+
 Observability and resolvent constants convert both ways:
 forward  (M, m) = (2*C_T*T^3/3, 2*C_T*T);
 reverse  controllability holds for T > pi*sqrt(M) with cost
@@ -34,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FourierState, GridSpec
-from .hum import _level_slots, _real_window_form, check_dense_size
+from .hum import _check_entries, _level_slots, _real_window_form, check_dense_size
 from .windows import CutoffWindow, multiply_window
 
 
@@ -58,6 +71,27 @@ class ResolventSweepResult:
     @property
     def miller_time(self) -> float:
         return float(np.pi * np.sqrt(self.M_sup))
+
+    def with_point(self, lam: float, M: float) -> ResolventSweepResult:
+        """This curve with (lam, M) inserted in its ascending lambda grid,
+        unless lam is already on it."""
+        i = np.searchsorted(self.lambda_grid, lam)
+        if i < self.lambda_grid.size and self.lambda_grid[i] == lam:
+            return self
+        return ResolventSweepResult(np.insert(self.lambda_grid, i, lam), self.m_fixed,
+                                    np.insert(self.M_of_lambda, i, M))
+
+
+@dataclass(frozen=True)
+class ResolventSup:
+    """The supremum of M(lambda) over an interval, from the level set:
+    M_sup = M(lam_star) is attained, and M(lambda) <= upper on the whole
+    interval."""
+
+    M_sup: float
+    lam_star: float
+    upper: float
+    iterations: int
 
 
 def _real_form(m: float, window: CutoffWindow) -> np.ndarray:
@@ -144,16 +178,17 @@ def best_resolvent_constant(lam: float, m: float, window: CutoffWindow) -> float
     return float(sweep([lam], m, window).M_of_lambda[0])
 
 
-def default_lambda_grid(grid: GridSpec, n_points: int = 512) -> np.ndarray:
+def default_lambda_grid(grid: GridSpec, n_points: int = 128) -> np.ndarray:
     """lambda samples concentrated near the truncated Laplacian spectrum.
 
     Places points at each eigenvalue -(2*pi*k)^2, at small offsets around
     it, and fills every spectral gap, from 10% below the lowest eigenvalue
-    to (2*pi)^2 above zero; M(lambda) peaks between eigenvalues, so uniform
-    grids miss the sup.  n_points is a budget shared by the N/2 + 2 gaps:
+    to (2*pi)^2 above zero: the curve M(lambda), which peaks between
+    eigenvalues.  Its supremum comes from `sup_resolvent_constant`, not
+    from these samples.  n_points is a budget shared by the N/2 + 2 gaps:
     each takes max(3, n_points // gaps) Chebyshev points, and the
     eigenvalues and 4 offsets per gap come on top, so the default gives
-    593 points at N = 32 and 2063 at N = 512.
+    215 / 271 / 399 points at N = 32 / 64 / 96 and 2063 at N = 512.
     """
     mu = np.unique(-grid.laplacian_symbol())  # 0 ... (2 pi N/2)^2
     eigs = np.sort(-mu)  # negative eigenvalues, ascending
@@ -209,8 +244,19 @@ def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow) -> ResolventS
     if not np.isfinite(lambda_grid).all():
         raise ValueError("lambda_grid must be finite")
     q = _real_form(m, window)
-    # the Laplacian symbol in the form's level order
-    lap = window.grid.laplacian_symbol()[_level_slots(window.grid.modes_per_axis)]
+    best = _constants(lambda_grid, m, q, _level_laplacian(window.grid))
+    return ResolventSweepResult(lambda_grid=lambda_grid, m_fixed=m, M_of_lambda=best)
+
+
+def _level_laplacian(grid: GridSpec) -> np.ndarray:
+    """The Laplacian symbol in the real form's level order."""
+    return grid.laplacian_symbol()[_level_slots(grid.modes_per_axis)]
+
+
+def _constants(lambda_grid: np.ndarray, m: float, q: np.ndarray,
+               lap: np.ndarray) -> np.ndarray:
+    """M(lambda) on a 1D array of finite lambda, from the real form q and the
+    symbol lap in level order: the body of `sweep`."""
     best = np.empty_like(lambda_grid)
     on = _on_spectrum(lambda_grid, lap)
     for i in np.flatnonzero(on):
@@ -232,7 +278,84 @@ def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow) -> ResolventS
         g *= inv_d[:, :, None]
         g *= inv_d[:, None, :]
         best[idx] = _clamped(np.linalg.eigvalsh(g)[:, -1], lambda_grid[idx])
-    return ResolventSweepResult(lambda_grid=lambda_grid, m_fixed=m, M_of_lambda=best)
+    return best
+
+
+def _check_linearization(grid: GridSpec) -> None:
+    """Refuse the level set's 2N x 2N matrix above the dense cap."""
+    _check_entries(grid, 4 * grid.modes_per_axis, "level-set linearization entries")
+
+
+def _crossings(level: float, q: np.ndarray, lap: np.ndarray, lam_lo: float,
+               lam_hi: float) -> np.ndarray:
+    """Where an eigenvalue curve of D^-1 Q D^-1 may cross level > 0 inside
+    (lam_lo, lam_hi): the sorted real parts of the eigenvalues of the
+    linearization [[Lap, -sI], [-sQ, Lap]], s = 1/sqrt(level), that lie
+    within 1e-6 of (a bound on) its infinity norm of the real axis."""
+    n = lap.size
+    s = 1.0 / np.sqrt(level)
+    lin = np.zeros((2 * n, 2 * n))
+    lin[np.diag_indices(2 * n)] = np.tile(lap, 2)
+    lin[:n, n:][np.diag_indices(n)] = -s
+    np.multiply(q, -s, out=lin[n:, :n])
+    ev = np.linalg.eigvals(lin)
+    norm_bound = -lap.min() + s * max(1.0, np.abs(q).sum(axis=1).max())
+    near = np.abs(ev.imag) <= 1e-6 * norm_bound
+    return np.sort(ev.real[near & (ev.real > lam_lo) & (ev.real < lam_hi)])
+
+
+def sup_resolvent_constant(window: CutoffWindow, m: float, lam_lo: float,
+                           lam_hi: float, start: float | None = None) -> ResolventSup:
+    """The supremum of M(lambda) over [lam_lo, lam_hi], by the Boyd-Balakrishnan
+    level set on the module's 2N x 2N linearization.
+
+    theta starts as the largest M at lam_lo, lam_hi, `start` (a lambda in
+    the interval where M is known to be large, such as a grid's argmax) and
+    the midpoint of the first spectral gap in the interval.  Each iteration
+    takes the crossings of the level theta (1 + 1e-8) (`_crossings`), and M
+    at the midpoints between consecutive ones raises theta to the largest
+    value found.  Near-real eigenvalues count as crossings: they only add
+    midpoints, a double crossing that roundoff splits stays among them, and
+    the pair a level just above a peak leaves puts a midpoint at its real
+    part, on the peak to O(level - peak).  When no midpoint exceeds the level,
+    M <= level on the interval: every component of {M > level} is bounded
+    by two crossings, since M is continuous and M(lam_lo), M(lam_hi) <=
+    theta, and the midpoint of the first two holds M > level.
+
+    At the off-spectrum gap midpoint M = 0 only if Q <= 0, and then M
+    vanishes everywhere: the result is 0 after no iteration.  An interval
+    reaching an infeasible eigenvalue, where M is unbounded, raises
+    InfeasibleResolventError once a midpoint lands on it; no convergence in
+    50 iterations raises LinAlgError.  The linearization counts against
+    the dense cap before anything is allocated (DenseSizeError above
+    N = 1024).
+    """
+    if not (np.isfinite(lam_lo) and np.isfinite(lam_hi) and lam_lo < lam_hi):
+        raise ValueError(f"need finite lam_lo < lam_hi, got {lam_lo}, {lam_hi}")
+    if start is not None and not lam_lo <= start <= lam_hi:
+        raise ValueError(f"start = {start} lies outside [{lam_lo}, {lam_hi}]")
+    _check_linearization(window.grid)
+    q, lap = _real_form(m, window), _level_laplacian(window.grid)
+    eigs = np.unique(lap)
+    gap_end = eigs[eigs > lam_lo].min(initial=lam_hi)
+    pts = np.array([lam_lo, lam_hi, 0.5 * (lam_lo + gap_end)]
+                   + ([] if start is None else [start]))
+    vals = _constants(pts, m, q, lap)
+    theta, lam = vals.max(), pts[vals.argmax()]
+    if theta == 0.0:
+        return ResolventSup(0.0, float(lam), 0.0, 0)
+    for it in range(1, 51):
+        level = theta * (1.0 + 1e-8)
+        x = _crossings(level, q, lap, lam_lo, lam_hi)
+        mids = 0.5 * (x[1:] + x[:-1])
+        vals = _constants(mids, m, q, lap)
+        if mids.size and vals.max() > theta:
+            theta, lam = vals.max(), mids[vals.argmax()]
+        if not mids.size or theta <= level:
+            return ResolventSup(float(theta), float(lam), float(level), it)
+    raise np.linalg.LinAlgError(
+        f"the level set for sup M(lambda) did not converge in 50 iterations "
+        f"(theta = {theta:.6g} at lambda = {lam:.6g})")
 
 
 def miller_cost_bound(M: float, m: float, T: float) -> float:

@@ -16,7 +16,7 @@ from torus_control import (GramianSpec, NLSParams, admissible_amplitude,
                            global_control, local_control_nls, make_grid,
                            make_window, mass_decay_residual, miller_cost_bound,
                            observability_constant, random_state, solve_hum,
-                           strip_observability_constant, sweep,
+                           strip_observability_constant, sup_resolvent_constant,
                            verify_resolvent, drive_linear)
 from torus_control.hum import (hum_regularity_ratio, lambda_min_dense,
                                lambda_min_iterative)
@@ -110,9 +110,10 @@ def test_05_resolvent_to_observability_time():
     g = make_grid(1, 32)
     w = make_window(g, (0.0, 0.25), 0.05, "smooth")
     m = feasible_m(w)
-    result = sweep(default_lambda_grid(g, 512), m, w)
-    t_obs = 1.05 * result.miller_time
-    bound = miller_cost_bound(result.M_sup, m, t_obs)
+    lam = default_lambda_grid(g)
+    M_sup = sup_resolvent_constant(w, m, lam[0], lam[-1]).M_sup
+    t_obs = 1.05 * np.pi * np.sqrt(M_sup)
+    bound = miller_cost_bound(M_sup, m, t_obs)
     c_t = 1.0 / lambda_min_dense(GramianSpec(T=t_obs, window=w))
     elapsed = time.time() - t0
     ok = np.isfinite(c_t) and c_t <= 1.5 * bound and elapsed < 120.0

@@ -102,6 +102,47 @@ def test_resolvent_sweep_artifacts(tmp_path, base_cfg):
     assert (out / "resolvent_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("sweep_cfg", [
+    {}, {"lambda_min": -500.0, "lambda_max": 50.0, "n_points": 40}],
+    ids=["default-grid", "lambda-range"])
+def test_resolvent_sweep_report_agrees_with_its_csv(tmp_path, base_cfg, sweep_cfg):
+    # what the spectral-sweep benchmark checks of every run: one CSV row per
+    # grid_spec.n_points, the CSV's largest M equal to M_sup to 1e-9, and
+    # miller_time = pi sqrt(M_sup); M_sup is the level set's supremum, at
+    # least the sampled maximum and at most its certified upper bound
+    base_cfg["window"]["omega"] = [[0.0, 0.2]]
+    base_cfg["sweep"] = sweep_cfg
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["resolvent-sweep", "--config", cfg, "--out", str(out)]) == 0
+    r = json.loads((out / "resolvent_sweep.json").read_text())["results"]
+    rows = np.loadtxt(out / "resolvent_sweep.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) == r["grid_spec"]["n_points"]
+    assert abs(rows[:, 1].max() - r["M_sup"]) <= 1e-9 * r["M_sup"]
+    assert abs(r["miller_time"] - np.pi * np.sqrt(r["M_sup"])) <= 1e-12 * r["miller_time"]
+    assert r["M_sup_sampled"] <= r["M_sup"] <= r["M_sup_upper"]
+    # the CSV prints 12 significant digits
+    lam_min, lam_max = r["grid_spec"]["lambda_min"], r["grid_spec"]["lambda_max"]
+    assert rows[0, 0] == pytest.approx(lam_min, rel=1e-11)
+    assert rows[-1, 0] == pytest.approx(lam_max, rel=1e-11)
+    assert np.abs(rows[:, 0] - r["lambda_star"]).min() <= 1e-11 * abs(r["lambda_star"])
+    # the supremum to its 10th decimal at N = 32, on either range
+    assert abs(r["M_sup"] - 0.0028376020) <= 5e-11
+    # the default grid: 215 points of the 128 budget and lambda*
+    assert len(rows) == (216 if not sweep_cfg else 41)
+
+
+def test_resolvent_sweep_refuses_a_linearization_past_the_cap(tmp_path, base_cfg, capsys):
+    # the level set's 2N x 2N matrix past 2048**2 entries (N > 1024) is
+    # refused before the window's coefficients or the lambda grid are made
+    base_cfg["grid"]["N"] = 1026
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["resolvent-sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid.N: ") and "level-set linearization" in err
+
+
 def test_tensor_check(tmp_path, base_cfg):
     base_cfg["grid"]["N"] = 8
     base_cfg["window"] = {"omega": [[0.0, 0.4]]}

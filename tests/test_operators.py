@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torus_control import full_window, make_grid, make_window, random_state
+from torus_control import full_window, make_grid, make_window, operators, random_state
 from torus_control.grid import plane_wave
 from torus_control.operators import (_commutator_products,
                                      commutator_operator_norm, free_propagate,
@@ -159,9 +159,32 @@ def test_commutator_rejects_non_finite_orders(r, s):
 
 def test_commutator_memory_is_bounded():
     # a k x N Lanczos basis and O(N) vectors, never an N x N matrix: 0.3 MB
-    # for (2, 1) in 8 steps, 1.0 MB for (1, 0) in 46 (the dense matrix and
+    # for (2, 1) in 8 steps, 0.6 MB for (1, 0) in 25 (the dense matrix and
     # its SVD held 4.9 MB)
     g = make_grid(1, 512)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     for r, s in ((2.0, 1.0), (1.0, 0.0)):
         assert traced_peak(lambda: commutator_operator_norm(g, r, s, w)) <= 1.5e6
+
+
+@pytest.mark.parametrize("r,s,steps", [(1.0, 0.0, 25), (2.0, 1.0, 8)])
+def test_lanczos_stops_once_the_top_ritz_value_settles(monkeypatch, r, s, steps):
+    # at (1, 0) the top singular value is a near-degenerate pair: the Ritz
+    # value is exact by step 22, but its residual stays near 1e-14 of it
+    # until the partner converges at step 46; the settled rule stops at 25.
+    # (2, 1) has a clear top and stops on the residual alone, as before
+    g = make_grid(1, 512)
+    w = make_window(g, (0.0, 0.3), 0.05, "smooth")
+    forward, adjoint = _commutator_products(g, r, s, w)
+    calls = []
+
+    def counted_forward(v):  # one product with A per Lanczos step
+        calls.append(v)
+        return forward(v)
+
+    monkeypatch.setattr(operators, "_commutator_products",
+                        lambda *args: (counted_forward, adjoint))
+    norm = commutator_operator_norm(g, r, s, w)
+    assert len(calls) == steps
+    ref = commutator_norm(g, r, s, w)
+    assert abs(norm - ref) <= 1e-13 * ref

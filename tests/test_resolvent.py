@@ -8,10 +8,11 @@ from torus_control import (GramianSpec, constants_from_observability,
                            make_window, miller_cost_bound,
                            observability_constant, random_state, sweep,
                            verify_resolvent)
-from torus_control.hum import _level_slots, lambda_min_dense
+from torus_control.hum import DenseSizeError, _level_slots, lambda_min_dense
 from torus_control import resolvent
 from torus_control.resolvent import (InfeasibleResolventError, _best_constant,
-                                     _real_form, best_resolvent_constant)
+                                     _crossings, _level_laplacian, _real_form,
+                                     best_resolvent_constant, sup_resolvent_constant)
 from torus_control.windows import full_window
 
 from conftest import traced_peak
@@ -142,7 +143,7 @@ def test_sweep_matches_complex_reference(n, omega, kind):
     g = make_grid(1, n)
     w = make_window(g, omega, 0.05, kind)
     m = feasible_m(w)
-    lam_grid = default_lambda_grid(g)
+    lam_grid = default_lambda_grid(g, 512)
     result = sweep(lam_grid, m, w)
     ref = np.array([complex_reference(lam, m, w, g) for lam in lam_grid])
     assert np.all(np.abs(result.M_of_lambda - ref[:, 0]) <= 1e-13 * ref[:, 1])
@@ -223,7 +224,7 @@ def test_stacked_sweep_matches_per_point_loop(n):
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     m = feasible_m(w)
     top = (2.0 * np.pi * n / 2.0) ** 2
-    for lam_grid in (default_lambda_grid(g), np.linspace(-1.1 * top, 50.0, 301)):
+    for lam_grid in (default_lambda_grid(g, 512), np.linspace(-1.1 * top, 50.0, 301)):
         expect = per_point_sweep(lam_grid, m, w)
         assert np.array_equal(sweep(lam_grid, m, w).M_of_lambda, expect)
 
@@ -233,7 +234,7 @@ def test_stacked_sweep_raises_the_per_point_infeasibility():
     # message, although the off-spectrum points are now solved after it
     g = make_grid(1, 32)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
-    lam_grid = default_lambda_grid(g)
+    lam_grid = default_lambda_grid(g, 512)
     with pytest.raises(InfeasibleResolventError) as expect:
         per_point_sweep(lam_grid, 0.5, w)
     with pytest.raises(InfeasibleResolventError) as got:
@@ -276,5 +277,146 @@ def test_sweep_memory_is_bounded():
     # vectors per lambda: 0.7 MB at N = 96
     g = make_grid(1, 96)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
-    m, lam_grid = feasible_m(w), default_lambda_grid(g)
+    m, lam_grid = feasible_m(w), default_lambda_grid(g, 512)
     assert traced_peak(lambda: sweep(lam_grid, m, w)) <= 2.5e6
+
+
+LEVEL_SET_WINDOWS = {"smooth": ((0.0, 0.2), "smooth"), "sharp": ((0.0, 0.2), "sharp"),
+                     "two-interval": (((0.1, 0.35), (0.6, 0.7)), "sharp")}
+
+
+def golden_section_max(f, a, b, width=1e-6):
+    """The largest f on [a, b] by golden section, f unimodal there."""
+    r = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > width:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return max(fc, fd)
+
+
+@pytest.fixture(scope="module", params=[(n, kind) for n in (32, 64, 96)
+                                        for kind in LEVEL_SET_WINDOWS],
+                ids=lambda p: f"{p[1]}-{p[0]}")
+def level_set(request):
+    n, kind = request.param
+    omega, shape = LEVEL_SET_WINDOWS[kind]
+    w = make_window(make_grid(1, n), omega, 0.05, shape)
+    m = feasible_m(w)
+    lam = default_lambda_grid(w.grid)
+    return w, m, lam, sup_resolvent_constant(w, m, lam[0], lam[-1])
+
+
+def test_level_set_bounds_a_denser_grid_and_golden_section(level_set):
+    # the supremum is at least M on every point of a grid 4.5x denser than
+    # the default, and a golden-section search between the neighbours of
+    # that grid's best point agrees with it to 1e-10
+    w, m, lam, sup = level_set
+    dense = default_lambda_grid(w.grid, 4 * lam.size)
+    curve = sweep(dense, m, w).M_of_lambda
+    assert curve.max() <= sup.M_sup
+    i = curve.argmax()
+    golden = golden_section_max(lambda x: best_resolvent_constant(x, m, w),
+                                dense[i - 1], dense[i + 1])
+    assert abs(sup.M_sup - golden) <= 1e-10 * golden
+    assert sup.M_sup <= sup.upper == pytest.approx(sup.M_sup, rel=2e-8)
+    assert 2 <= sup.iterations <= 6
+
+
+def test_level_set_value_is_attained_and_no_crossing_lies_above(level_set):
+    # M(lambda*) = theta; the linearization of the quadratic problem
+    # (Q - theta (Lap - lambda)^2) v = 0, built here unscaled, has no real
+    # eigenvalue in the interval at theta (1 + 1e-8), and two real ones
+    # around lambda* at theta (1 - 1e-10)
+    w, m, lam, sup = level_set
+    assert sweep([sup.lam_star], m, w).M_of_lambda[0] == sup.M_sup
+    q, lap = _real_form(m, w), _level_laplacian(w.grid)
+    n = lap.size
+
+    def real_crossings(theta):
+        lin = np.block([[np.diag(lap), -np.eye(n)], [-q / theta, np.diag(lap)]])
+        ev = np.linalg.eigvals(lin)
+        return ev.real[(ev.imag == 0.0) & (lam[0] < ev.real) & (ev.real < lam[-1])]
+
+    assert real_crossings(sup.M_sup * (1.0 + 1e-8)).size == 0
+    below = real_crossings(sup.M_sup * (1.0 - 1e-10))
+    assert below[below < sup.lam_star].max() > sup.lam_star - 1e-3
+    assert below[below > sup.lam_star].min() < sup.lam_star + 1e-3
+
+
+@pytest.mark.parametrize("n,printed", [(32, 0.0028376020), (64, 0.0028379598),
+                                       (96, 0.0028376535)])
+def test_level_set_supremum_on_the_benchmark_window(n, printed):
+    # smooth (0, 0.2) at m = feasible_m, over the default grid's range: the
+    # supremum to its 10th decimal (the largest of the 512-budget grid read
+    # 0.0028359 / 0.0028341 / 0.0028238)
+    w = make_window(make_grid(1, n), (0.0, 0.2), 0.05, "smooth")
+    lam = default_lambda_grid(w.grid)
+    assert abs(sup_resolvent_constant(w, feasible_m(w), lam[0], lam[-1]).M_sup
+               - printed) <= 5e-11
+
+
+@pytest.mark.parametrize("rel", [1e-6, 1e-10, 1e-14, -1e-8])
+def test_crossings_keep_the_pair_at_a_peak(rel):
+    # a level just below the peak crosses twice near lambda*, and roundoff
+    # may turn the pair complex; just above it the pair is complex.  Either
+    # way both count, so a midpoint lands on the peak
+    w = make_window(make_grid(1, 64), (0.0, 0.2), 0.05, "smooth")
+    m = feasible_m(w)
+    lam = default_lambda_grid(w.grid)
+    sup = sup_resolvent_constant(w, m, lam[0], lam[-1])
+    x = _crossings(sup.M_sup * (1.0 - rel), _real_form(m, w), _level_laplacian(w.grid),
+                   lam[0], lam[-1])
+    assert np.sum(np.abs(x - sup.lam_star) < 0.1) == 2
+
+
+def test_level_set_starts_from_a_given_point(setup32):
+    # a start at the sampled argmax gives the same supremum in fewer steps;
+    # a start outside the interval is refused
+    _, w = setup32
+    m = feasible_m(w)
+    lam = default_lambda_grid(w.grid)
+    sampled = sweep(lam, m, w).M_of_lambda
+    cold = sup_resolvent_constant(w, m, lam[0], lam[-1])
+    warm = sup_resolvent_constant(w, m, lam[0], lam[-1], start=lam[sampled.argmax()])
+    assert warm.M_sup == pytest.approx(cold.M_sup, rel=1e-14)
+    assert warm.iterations < cold.iterations
+    with pytest.raises(ValueError, match="outside"):
+        sup_resolvent_constant(w, m, lam[0], lam[-1], start=lam[-1] + 1.0)
+    with pytest.raises(ValueError, match="lam_lo < lam_hi"):
+        sup_resolvent_constant(w, m, 0.0, 0.0)
+
+
+def test_level_set_of_a_vanishing_constant():
+    # chi == 1 and m > 1: Q = (1 - m) I < 0, so M = 0 everywhere and the
+    # level set returns at once, with no linearization to divide by theta
+    w = full_window(make_grid(1, 16))
+    sup = sup_resolvent_constant(w, 1.5, -2000.0, 50.0)
+    assert (sup.M_sup, sup.upper, sup.iterations) == (0.0, 0.0, 0)
+
+
+def test_level_set_reaches_an_infeasible_eigenvalue_between_samples():
+    # m = 0 fails at every eigenvalue, where M is unbounded; ten samples on
+    # [-100, -1] miss -(2 pi)^2 and read at most 1, but the level set climbs
+    # to that eigenvalue and raises
+    w = make_window(make_grid(1, 32), (0.0, 0.2), 0.05, "smooth")
+    assert sweep(np.linspace(-100.0, -1.0, 10), 0.0, w).M_sup <= 1.0
+    with pytest.raises(InfeasibleResolventError, match="-39.4784"):
+        sup_resolvent_constant(w, 0.0, -100.0, -1.0)
+
+
+def test_level_set_refuses_the_linearization_past_the_dense_cap():
+    # 2N x 2N entries above 2048**2: N = 1026 is refused before the form
+    w = make_window(make_grid(1, 1026), (0.0, 0.3), 0.05, "smooth")
+    with pytest.raises(DenseSizeError, match="level-set linearization"):
+        sup_resolvent_constant(w, 1.0, -100.0, 0.0)
+    peak = traced_peak(lambda: pytest.raises(DenseSizeError, sup_resolvent_constant,
+                                              w, 1.0, -100.0, 0.0))
+    assert peak <= 1e5
