@@ -277,6 +277,7 @@ def _cmd_resolvent_sweep(cfg, rng, grid, window):
     results = {"m": result.m_fixed, "M_sup": result.M_sup,
                "miller_time": result.miller_time, "M_sup_sampled": sampled.M_sup,
                "M_sup_upper": sup.upper, "lambda_star": sup.lam_star,
+               "level_set_iterations": sup.iterations,
                "grid_spec": {"n_points": result.lambda_grid.size,
                              "lambda_min": float(result.lambda_grid[0]),
                              "lambda_max": float(result.lambda_grid[-1])}}

@@ -121,6 +121,8 @@ def test_resolvent_sweep_report_agrees_with_its_csv(tmp_path, base_cfg, sweep_cf
     assert abs(rows[:, 1].max() - r["M_sup"]) <= 1e-9 * r["M_sup"]
     assert abs(r["miller_time"] - np.pi * np.sqrt(r["M_sup"])) <= 1e-12 * r["miller_time"]
     assert r["M_sup_sampled"] <= r["M_sup"] <= r["M_sup_upper"]
+    # from the sampled argmax, refined to the peak, one crossing solve certifies
+    assert r["level_set_iterations"] == 1
     # the CSV prints 12 significant digits
     lam_min, lam_max = r["grid_spec"]["lambda_min"], r["grid_spec"]["lambda_max"]
     assert rows[0, 0] == pytest.approx(lam_min, rel=1e-11)

@@ -1,7 +1,11 @@
 """Resolvent-estimate constants, feasibility, time/frequency cost maps."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torus_control import (GramianSpec, constants_from_observability,
                            default_lambda_grid, feasible_m, make_grid,
@@ -392,6 +396,60 @@ def test_level_set_starts_from_a_given_point(setup32):
         sup_resolvent_constant(w, m, lam[0], lam[-1], start=lam[-1] + 1.0)
     with pytest.raises(ValueError, match="lam_lo < lam_hi"):
         sup_resolvent_constant(w, m, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [32, 64, 96])
+@pytest.mark.parametrize("kind", LEVEL_SET_WINDOWS)
+def test_level_set_certifies_the_refined_sampled_peak_in_one_solve(monkeypatch, n, kind):
+    # from the CLI's start (the argmax of the default grid's curve) the
+    # local refinement lands on the peak, so the first crossing solve is the
+    # certifying one; the refinement evaluates M only inside the interval
+    omega, shape = LEVEL_SET_WINDOWS[kind]
+    w = make_window(make_grid(1, n), omega, 0.05, shape)
+    m = feasible_m(w)
+    lam = default_lambda_grid(w.grid)
+    start = lam[sweep(lam, m, w).M_of_lambda.argmax()]
+    levels, seen = [], []
+    crossings, constants = resolvent._crossings, resolvent._constants
+    monkeypatch.setattr(resolvent, "_crossings",
+                        lambda level, *args: levels.append(level) or crossings(level, *args))
+    monkeypatch.setattr(resolvent, "_constants",
+                        lambda lams, *args: seen.extend(lams) or constants(lams, *args))
+    sup = sup_resolvent_constant(w, m, lam[0], lam[-1], start=start)
+    assert len(levels) == sup.iterations == 1
+    assert lam[0] <= min(seen) and max(seen) <= lam[-1]
+
+
+@given(st.sampled_from([16, 32]), st.sampled_from(sorted(LEVEL_SET_WINDOWS)),
+       st.floats(0.0, 1.0), st.floats(1e-3, 1.0), st.data())
+def test_level_set_on_any_sub_interval(n, kind, at, width, data):
+    # on [lo, hi] inside the default range (its ends inside gaps, or the
+    # whole range), from a start anywhere in it or on an eigenvalue: M_sup is
+    # at least the largest of 200 uniform samples, no midpoint between the
+    # crossings of the certified level exceeds it, every M the level set
+    # evaluates lies in [lo, hi], and warm and cold starts agree
+    omega, shape = LEVEL_SET_WINDOWS[kind]
+    w = make_window(make_grid(1, n), omega, 0.05, shape)
+    m = feasible_m(w)
+    full = default_lambda_grid(w.grid)
+    lo = full[0] + (full[-1] - full[0]) * (1.0 - width) * at
+    hi = min(lo + (full[-1] - full[0]) * width, full[-1])
+    eigs = np.unique(_level_laplacian(w.grid))
+    inside = eigs[(lo <= eigs) & (eigs <= hi)].tolist()
+    start = data.draw(st.sampled_from(inside) | st.floats(lo, hi) if inside
+                      else st.floats(lo, hi))
+    seen = []
+    constants = resolvent._constants
+    with mock.patch.object(resolvent, "_constants",
+                           lambda lams, *args: seen.extend(lams) or constants(lams, *args)):
+        warm = sup_resolvent_constant(w, m, lo, hi, start=start)
+    assert lo <= min(seen) and max(seen) <= hi
+    assert warm.M_sup >= sweep(np.linspace(lo, hi, 200), m, w).M_sup
+    x = _crossings(warm.upper, _real_form(m, w), _level_laplacian(w.grid), lo, hi)
+    mids = 0.5 * (x[1:] + x[:-1])
+    assert not mids.size or sweep(mids, m, w).M_sup <= warm.upper
+    cold = sup_resolvent_constant(w, m, lo, hi)
+    assert abs(warm.M_sup - cold.M_sup) <= 1e-12 * cold.M_sup
 
 
 def test_level_set_of_a_vanishing_constant():
