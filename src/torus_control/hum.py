@@ -300,9 +300,19 @@ def _centred_kernel(mu: np.ndarray, T: float) -> np.ndarray:
     energies mu, d = mu_a - mu_b: int exp(i*d*t) dt = T sinc(d*T/2),
     sinc(y) = sin(y)/y.  Production takes it on the N/2 + 1 levels alone,
     mu = `_level_energies` (`_times_kernel`), for every real form and for
-    the NLS step source (at T = dt)."""
-    x = np.subtract.outer(mu, mu) * (T / 2.0)
-    return T * np.sinc(x / np.pi)
+    the NLS step source (at T = dt).  It replays `np.sinc`'s steps in place
+    (x / pi, pi * x, eps at x = 0, sin, divide), so it keeps the bits of
+    T * np.sinc(x / pi) with one table beside x instead of a temporary per
+    step."""
+    x = np.subtract.outer(mu, mu)
+    x *= T / 2.0
+    x /= np.pi
+    x *= np.pi
+    x[x == 0.0] = np.finfo(x.dtype).eps
+    k = np.sin(x)
+    k /= x
+    k *= T
+    return k
 
 
 def _times_kernel(q: np.ndarray, T: float) -> np.ndarray:

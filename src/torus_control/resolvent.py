@@ -162,13 +162,13 @@ def _clamped(top, lam) -> np.ndarray:
     return np.where(top > 0.0, top, 0.0)
 
 
-def _on_spectrum(lam: np.ndarray, lap: np.ndarray) -> np.ndarray:
+def _on_spectrum(lam: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     """Which lambda lie within 1e-9 * scale of an eigenvalue of Lap: the
-    points where `_best_constant` finds a kernel."""
-    eigs = np.unique(lap)  # at least two: N >= 4
-    i = np.clip(np.searchsorted(eigs, lam), 1, len(eigs) - 1)
+    points where `_best_constant` finds a kernel.  eigs = np.unique(lap),
+    ascending, taken once per sweep or level set."""
+    i = np.clip(np.searchsorted(eigs, lam), 1, len(eigs) - 1)  # N >= 4: two eigs or more
     dist = np.minimum(np.abs(eigs[i - 1] - lam), np.abs(eigs[i] - lam))
-    return dist <= 1e-9 * np.maximum(np.abs(lam), max(-lap.min(), 1.0))
+    return dist <= 1e-9 * np.maximum(np.abs(lam), max(-eigs[0], 1.0))
 
 
 def best_resolvent_constant(lam: float, m: float, window: CutoffWindow) -> float:
@@ -181,18 +181,22 @@ def best_resolvent_constant(lam: float, m: float, window: CutoffWindow) -> float
 def default_lambda_grid(grid: GridSpec, n_points: int = 128) -> np.ndarray:
     """lambda samples concentrated near the truncated Laplacian spectrum.
 
-    Places points at each eigenvalue -(2*pi*k)^2, at small offsets around
-    it, and fills every spectral gap, from 10% below the lowest eigenvalue
-    to (2*pi)^2 above zero: the curve M(lambda), which peaks between
-    eigenvalues.  Its supremum comes from `sup_resolvent_constant`, not
-    from these samples.  n_points is a budget shared by the N/2 + 2 gaps:
-    each takes max(3, n_points // gaps) Chebyshev points, and the
-    eigenvalues and 4 offsets per gap come on top, so the default gives
-    215 / 271 / 399 points at N = 32 / 64 / 96 and 2063 at N = 512.
+    Places points at each eigenvalue -(2*pi*k)^2 and fills every spectral
+    gap, from 10% below the lowest eigenvalue to (2*pi)^2 above zero: the
+    curve M(lambda), which peaks between eigenvalues.  Its supremum comes
+    from `sup_resolvent_constant`, not from these samples.  n_points is a
+    budget shared by the N/2 + 2 gaps: each takes max(3, n_points // gaps)
+    Chebyshev points and one point 1e-2 of the gap from each of its ends,
+    and the eigenvalues come on top, so the default gives 179 / 203 / 299
+    points at N = 32 / 64 / 96, 779 at N = 256 and 1547 at N = 512.
 
-    At the offsets of 1e-4 of a gap the entries of D^-1 Q D^-1 reach
-    (1 + m) / d^2 while M(lambda) is far smaller, so M there carries only
-    about 7 of the 12 significant digits the CSV prints.
+    Nearer offsets would only repeat the eigenvalue's own M: where the
+    kernel block is feasible M is continuous across it (at 1e-4 of a gap
+    M matched it to 1.2e-3 relative).  At the 1e-2 offsets the entries of
+    D^-1 Q D^-1 reach (1 + m) / d^2 while M(lambda) is far smaller, so M
+    there carries about 10 of the 12 significant digits the CSV prints
+    (it moved by up to 6e-11 relative under exact shifts of the window by
+    whole grid steps, N = 32 ... 256).
     """
     mu = np.unique(-grid.laplacian_symbol())  # 0 ... (2 pi N/2)^2
     eigs = np.sort(-mu)  # negative eigenvalues, ascending
@@ -205,10 +209,7 @@ def default_lambda_grid(grid: GridSpec, n_points: int = 128) -> np.ndarray:
         # Chebyshev-like clustering toward both gap ends
         theta = np.linspace(0.0, np.pi, per_gap + 2)[1:-1]
         pts.update((0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)).tolist())
-        gap = b - a
-        for off in (1e-4, 1e-2):
-            pts.add(a + off * gap)
-            pts.add(b - off * gap)
+        pts.update((a + 1e-2 * (b - a), b - 1e-2 * (b - a)))
     return np.array(sorted(pts))
 
 
@@ -247,8 +248,8 @@ def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow) -> ResolventS
         raise ValueError("lambda grid must be nonempty")
     if not np.isfinite(lambda_grid).all():
         raise ValueError("lambda_grid must be finite")
-    q = _real_form(m, window)
-    best = _constants(lambda_grid, m, q, _level_laplacian(window.grid))
+    q, lap = _real_form(m, window), _level_laplacian(window.grid)
+    best = _constants(lambda_grid, m, q, lap, np.unique(lap))
     return ResolventSweepResult(lambda_grid=lambda_grid, m_fixed=m, M_of_lambda=best)
 
 
@@ -258,11 +259,12 @@ def _level_laplacian(grid: GridSpec) -> np.ndarray:
 
 
 def _constants(lambda_grid: np.ndarray, m: float, q: np.ndarray,
-               lap: np.ndarray) -> np.ndarray:
+               lap: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     """M(lambda) on a 1D array of finite lambda, from the real form q and the
-    symbol lap in level order: the body of `sweep`."""
+    symbol lap in level order, with eigs = np.unique(lap): the body of
+    `sweep`."""
     best = np.empty_like(lambda_grid)
-    on = _on_spectrum(lambda_grid, lap)
+    on = _on_spectrum(lambda_grid, eigs)
     for i in np.flatnonzero(on):
         lam = lambda_grid[i]
         try:
@@ -367,10 +369,13 @@ def sup_resolvent_constant(window: CutoffWindow, m: float, lam_lo: float,
     """The supremum of M(lambda) over [lam_lo, lam_hi], by the Boyd-Balakrishnan
     level set on the module's 2N x 2N linearization.
 
-    theta starts from the best of lam_lo, lam_hi, `start` (a lambda in the
-    interval where M is known to be large, such as a grid's argmax) and the
-    midpoint of the first spectral gap in the interval.  That point is then
-    refined to the local peak of M in its spectral gap, clipped to
+    theta starts from the best of M at lam_lo, at lam_hi and at the
+    midpoint of every spectral gap in the interval, taken in one stacked
+    evaluation, so that it starts in the gap of the highest peak.  A
+    `start` (a lambda in the interval where M is known to be large, such as
+    a grid's argmax, which has sampled the gaps already) replaces every
+    midpoint but the first gap's, saving N/2 + 1 eigensolves.  That point is
+    then refined to the local peak of M in its spectral gap, clipped to
     [lam_lo, lam_hi] (`_local_peak`, Brent's golden section with parabolic
     steps, to 1e-6 relative in lambda, each M from the sweep's own body), so
     that from a start in the peak's gap theta is already the supremum to
@@ -388,13 +393,12 @@ def sup_resolvent_constant(window: CutoffWindow, m: float, lam_lo: float,
     by two crossings, since M is continuous and M(lam_lo), M(lam_hi) <=
     theta, and the midpoint of the first two holds M > level.
 
-    At the off-spectrum gap midpoint M = 0 only if Q <= 0, and then M
-    vanishes everywhere: the result is 0 after no iteration.  An interval
-    reaching an infeasible eigenvalue, where M is unbounded, raises
+    At the first gap's midpoint, off the spectrum, M = 0 only if Q <= 0,
+    and then M vanishes everywhere: the result is 0 after no iteration.  An
+    interval reaching an infeasible eigenvalue, where M is unbounded, raises
     InfeasibleResolventError once a midpoint lands on it; no convergence in
-    50 iterations raises LinAlgError.  The linearization counts against
-    the dense cap before anything is allocated (DenseSizeError above
-    N = 1024).
+    50 iterations raises LinAlgError.  The linearization counts against the
+    dense cap before anything is allocated (DenseSizeError above N = 1024).
     """
     if not (np.isfinite(lam_lo) and np.isfinite(lam_hi) and lam_lo < lam_hi):
         raise ValueError(f"need finite lam_lo < lam_hi, got {lam_lo}, {lam_hi}")
@@ -403,22 +407,22 @@ def sup_resolvent_constant(window: CutoffWindow, m: float, lam_lo: float,
     _check_linearization(window.grid)
     q, lap = _real_form(m, window), _level_laplacian(window.grid)
     eigs = np.unique(lap)
-    gap_end = eigs[eigs > lam_lo].min(initial=lam_hi)
-    pts = np.array([lam_lo, lam_hi, 0.5 * (lam_lo + gap_end)]
-                   + ([] if start is None else [start]))
-    vals = _constants(pts, m, q, lap)
+    ends = np.concatenate(([lam_lo], eigs[(lam_lo < eigs) & (eigs < lam_hi)], [lam_hi]))
+    gaps = 0.5 * (ends[1:] + ends[:-1])  # the midpoint of each gap in the interval
+    pts = np.concatenate(([lam_lo, lam_hi], gaps if start is None else [gaps[0], start]))
+    vals = _constants(pts, m, q, lap, eigs)
     theta, lam = vals.max(), pts[vals.argmax()]
     if theta == 0.0:
         return ResolventSup(0.0, float(lam), 0.0, 0)
     a = max(lam_lo, eigs[eigs <= lam].max(initial=lam_lo))  # lam's gap
     b = min(lam_hi, eigs[eigs > lam].min(initial=lam_hi))
-    lam, theta = _local_peak(lambda x: _constants(np.array([x]), m, q, lap)[0],
+    lam, theta = _local_peak(lambda x: _constants(np.array([x]), m, q, lap, eigs)[0],
                              a, b, lam, theta)
     for it in range(1, 51):
         level = theta * (1.0 + 1e-8)
         x = _crossings(level, q, lap, lam_lo, lam_hi)
         mids = 0.5 * (x[1:] + x[:-1])
-        vals = _constants(mids, m, q, lap)
+        vals = _constants(mids, m, q, lap, eigs)
         if mids.size and vals.max() > theta:
             theta, lam = vals.max(), mids[vals.argmax()]
         if not mids.size or theta <= level:

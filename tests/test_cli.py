@@ -130,8 +130,8 @@ def test_resolvent_sweep_report_agrees_with_its_csv(tmp_path, base_cfg, sweep_cf
     assert np.abs(rows[:, 0] - r["lambda_star"]).min() <= 1e-11 * abs(r["lambda_star"])
     # the supremum to its 10th decimal at N = 32, on either range
     assert abs(r["M_sup"] - 0.0028376020) <= 5e-11
-    # the default grid: 215 points of the 128 budget and lambda*
-    assert len(rows) == (216 if not sweep_cfg else 41)
+    # the default grid: 179 points of the 128 budget and lambda*
+    assert len(rows) == (180 if not sweep_cfg else 41)
 
 
 def test_resolvent_sweep_refuses_a_linearization_past_the_cap(tmp_path, base_cfg, capsys):

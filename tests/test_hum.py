@@ -202,6 +202,16 @@ def test_every_reader_takes_the_window_coefficients_at_true_modes(monkeypatch, n
         close(block, form[np.ix_(columns, columns)], keep[columns])
 
 
+@pytest.mark.parametrize("n", [32, 96, 256])
+@pytest.mark.parametrize("T", [1.0, 1e-3, 0.37])
+def test_centred_kernel_has_the_bits_of_sinc(n, T):
+    # the in-place kernel replays np.sinc step by step: T sinc(d T / 2 / pi)
+    # bit for bit on the level energies, and on energies with repeats
+    for mu in (hum._level_energies(n), np.repeat(hum._level_energies(8), 2)):
+        x = np.subtract.outer(mu, mu) * (T / 2.0)
+        assert _centred_kernel(mu, T).tobytes() == (T * np.sinc(x / np.pi)).tobytes()
+
+
 @pytest.mark.parametrize("n", [10, 14, 20])
 def test_strip_blocks_ignore_fft_rounding(n):
     # for N with a prime factor above 3 the FFT leaves about 1e-17 off

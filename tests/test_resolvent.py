@@ -166,6 +166,26 @@ def test_default_lambda_grid_structure(setup32):
         assert np.min(np.abs(lam - e)) < 1e-9
 
 
+@pytest.mark.parametrize("n,n_points,size", [(32, 128, 179), (96, 128, 299),
+                                             (32, 400, 449)])
+def test_default_lambda_grid_make_up(n, n_points, size):
+    # every eigenvalue; in each of the N/2 + 2 gaps from 1.1 times the
+    # lowest eigenvalue to (2 pi)^2, max(3, n_points // gaps) Chebyshev
+    # points and one point 1e-2 of the gap from each of its ends; nothing else
+    lam = default_lambda_grid(make_grid(1, n), n_points)
+    eigs = -(2.0 * np.pi * np.arange(n // 2, -1, -1)) ** 2
+    ends = np.concatenate(([1.1 * eigs[0]], eigs, [(2.0 * np.pi) ** 2]))
+    per_gap = max(3, n_points // (ends.size - 1))
+    cos = np.cos(np.pi * np.arange(1, per_gap + 1) / (per_gap + 1))
+    expect = [eigs]
+    for a, b in zip(ends[:-1], ends[1:]):
+        expect += [0.5 * (a + b) + 0.5 * (b - a) * cos,
+                   [a + 1e-2 * (b - a), b - 1e-2 * (b - a)]]
+    expect = np.sort(np.concatenate(expect))
+    assert lam.size == expect.size == size
+    np.testing.assert_allclose(lam, expect, rtol=1e-13, atol=1e-12)
+
+
 def test_sweep_and_reverse_time_map(setup32):
     g, w = setup32
     m = feasible_m(w)
@@ -331,7 +351,8 @@ def test_level_set_bounds_a_denser_grid_and_golden_section(level_set):
                                 dense[i - 1], dense[i + 1])
     assert abs(sup.M_sup - golden) <= 1e-10 * golden
     assert sup.M_sup <= sup.upper == pytest.approx(sup.M_sup, rel=2e-8)
-    assert 2 <= sup.iterations <= 6
+    # cold, from the best gap midpoint refined to its peak: one solve
+    assert sup.iterations == 1
 
 
 def test_level_set_value_is_attained_and_no_crossing_lies_above(level_set):
@@ -382,8 +403,9 @@ def test_crossings_keep_the_pair_at_a_peak(rel):
 
 
 def test_level_set_starts_from_a_given_point(setup32):
-    # a start at the sampled argmax gives the same supremum in fewer steps;
-    # a start outside the interval is refused
+    # a start at the sampled argmax gives the same supremum in as few steps
+    # as the cold start from the gap midpoints; a start outside the interval
+    # is refused
     _, w = setup32
     m = feasible_m(w)
     lam = default_lambda_grid(w.grid)
@@ -391,7 +413,7 @@ def test_level_set_starts_from_a_given_point(setup32):
     cold = sup_resolvent_constant(w, m, lam[0], lam[-1])
     warm = sup_resolvent_constant(w, m, lam[0], lam[-1], start=lam[sampled.argmax()])
     assert warm.M_sup == pytest.approx(cold.M_sup, rel=1e-14)
-    assert warm.iterations < cold.iterations
+    assert warm.iterations == cold.iterations == 1
     with pytest.raises(ValueError, match="outside"):
         sup_resolvent_constant(w, m, lam[0], lam[-1], start=lam[-1] + 1.0)
     with pytest.raises(ValueError, match="lam_lo < lam_hi"):
@@ -418,6 +440,71 @@ def test_level_set_certifies_the_refined_sampled_peak_in_one_solve(monkeypatch, 
     sup = sup_resolvent_constant(w, m, lam[0], lam[-1], start=start)
     assert len(levels) == sup.iterations == 1
     assert lam[0] <= min(seen) and max(seen) <= lam[-1]
+
+
+COLD_START_WINDOWS = dict(LEVEL_SET_WINDOWS, wide=((0.0, 0.25), "smooth"))
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("kind", COLD_START_WINDOWS)
+def test_cold_level_set_starts_from_every_gap_midpoint(monkeypatch, n, kind):
+    # without a start, M at lam_lo, lam_hi and the midpoint of every gap
+    # between them comes from one stacked call; the best of them, refined
+    # to the peak in its gap, is certified by one crossing solve, and the
+    # supremum is the one from the sampled argmax
+    omega, shape = COLD_START_WINDOWS[kind]
+    w = make_window(make_grid(1, n), omega, 0.05, shape)
+    m = feasible_m(w)
+    lam = default_lambda_grid(w.grid)
+    lo, hi = lam[0], lam[-1]
+    levels, calls = [], []
+    crossings, constants = resolvent._crossings, resolvent._constants
+    monkeypatch.setattr(resolvent, "_crossings",
+                        lambda level, *args: levels.append(level) or crossings(level, *args))
+    monkeypatch.setattr(resolvent, "_constants",
+                        lambda lams, *args: calls.append(lams) or constants(lams, *args))
+    cold = sup_resolvent_constant(w, m, lo, hi)
+    assert len(levels) == cold.iterations == 1
+    ends = np.concatenate(([lo], np.unique(_level_laplacian(w.grid)), [hi]))
+    gaps = 0.5 * (ends[1:] + ends[:-1])
+    assert np.array_equal(np.sort(calls[0]), np.sort(np.concatenate(([lo, hi], gaps))))
+    start = lam[sweep(lam, m, w).M_of_lambda.argmax()]
+    warm = sup_resolvent_constant(w, m, lo, hi, start=start)
+    assert abs(cold.M_sup - warm.M_sup) <= 1e-12 * warm.M_sup
+
+
+def grid_with_near_offsets(grid):
+    """The default grid plus a point 1e-4 of the gap from each end of each
+    gap."""
+    eigs = np.unique(grid.laplacian_symbol())
+    ends = np.concatenate(([1.1 * eigs[0]], eigs, [(2.0 * np.pi) ** 2]))
+    a, b = ends[:-1], ends[1:]
+    return np.union1d(default_lambda_grid(grid),
+                      np.concatenate((a + 1e-4 * (b - a), b - 1e-4 * (b - a))))
+
+
+@pytest.mark.parametrize("n", [32, 64, 96])
+def test_near_offsets_give_the_same_supremum(n):
+    # M is continuous across a feasible eigenvalue, so offsets of 1e-4 of a
+    # gap only repeat the eigenvalue's own M: the grid with them, swept and
+    # certified as the CLI does, gives M_sup, lambda*, the level and
+    # M_sup_sampled bit for bit, and the same M on every lambda it shares
+    # with the default grid
+    w = make_window(make_grid(1, n), (0.0, 0.2), 0.05, "smooth")
+    m = feasible_m(w)
+    runs = []
+    for lam in (default_lambda_grid(w.grid), grid_with_near_offsets(w.grid)):
+        sampled = sweep(lam, m, w)
+        sup = sup_resolvent_constant(w, m, lam[0], lam[-1],
+                                     start=lam[sampled.M_of_lambda.argmax()])
+        runs.append((sampled, sup))
+    (plain, plain_sup), (near, near_sup) = runs
+    assert near.lambda_grid.size == plain.lambda_grid.size + 2 * (n // 2 + 2)
+    assert (plain_sup.M_sup, plain_sup.lam_star, plain_sup.upper, plain.M_sup) == (
+        near_sup.M_sup, near_sup.lam_star, near_sup.upper, near.M_sup)
+    shared = np.isin(near.lambda_grid, plain.lambda_grid)
+    assert shared.sum() == plain.lambda_grid.size
+    assert np.array_equal(near.M_of_lambda[shared], plain.M_of_lambda)
 
 
 @given(st.sampled_from([16, 32]), st.sampled_from(sorted(LEVEL_SET_WINDOWS)),
