@@ -16,10 +16,14 @@ In the real basis {1, sqrt2 cos 2 pi k x, sqrt2 sin 2 pi k x}, Q_r = Re(U^H Q U)
 is exact (chi^2 is real) and A stays diagonal (mu = (2 pi k)^2 is even in k), so
 a sweep builds Q_r = I - m * `hum._real_window_form` once, in the level order
 that lambda_min uses (cos levels 0 .. N/2, then sin levels 1 .. N/2 - 1),
-takes the Laplacian symbol in the same order (`hum._level_slots`), and runs one
-real eigensolve per lambda (see `sweep`).  The complex formula survives only
-as the test reference.  The constants describe one truncation, whose grid
-every entry point takes from the window.
+takes the Laplacian symbol in the same order (`hum._level_slots`), and takes
+the top eigenvalue of D^-1 Q_r D^-1 at every lambda off the spectrum from
+one kernel (`_top_eigenvalues`): from N = 48 on, Lanczos on a block of
+lambda at once, every value certified by a Cholesky factor or else taken
+from a dense eigensolve, and below N = 48 the dense eigensolve alone (see
+`sweep`).  The complex formula survives only as the test reference.  The
+constants describe one truncation, whose grid every entry point takes
+from the window.
 
 The supremum of M(lambda) over an interval comes from a level set, not from
 a grid (`sup_resolvent_constant`).  Off the spectrum D = Lap - lambda is
@@ -144,12 +148,10 @@ def _best_constant(lam: float, q: np.ndarray, lap: np.ndarray) -> float:
         if neg.any():
             v_neg = vecs[:, neg]
             q_eff = q_eff - (q_ck @ v_neg) @ np.diag(1.0 / vals[neg]) @ (q_ck @ v_neg).T
-    else:
-        q_eff = q
-
-    inv_d = 1.0 / d[comp]
-    g = inv_d[:, None] * q_eff * inv_d[None, :]  # eigvalsh reads one triangle
-    return float(_clamped(np.linalg.eigvalsh(g)[-1], lam)[0])
+        inv_d = 1.0 / d[comp]
+        g = inv_d[:, None] * q_eff * inv_d[None, :]  # eigvalsh reads one triangle
+        return float(_clamped(np.linalg.eigvalsh(g)[-1], lam)[0])
+    return float(_clamped(_top_eigenvalues(np.array([lam]), q, lap)[0], lam)[0])
 
 
 def _clamped(top, lam) -> np.ndarray:
@@ -194,9 +196,11 @@ def default_lambda_grid(grid: GridSpec, n_points: int = 128) -> np.ndarray:
     kernel block is feasible M is continuous across it (at 1e-4 of a gap
     M matched it to 1.2e-3 relative).  At the 1e-2 offsets the entries of
     D^-1 Q D^-1 reach (1 + m) / d^2 while M(lambda) is far smaller, so M
-    there carries about 10 of the 12 significant digits the CSV prints
-    (it moved by up to 6e-11 relative under exact shifts of the window by
-    whole grid steps, N = 32 ... 256).
+    there carries 9 to 10 of the 12 significant digits the CSV prints: it
+    moved by up to 4.4e-11 / 4.8e-11 / 9.3e-11 / 2.5e-10 relative under 12
+    exact shifts of the window by whole grid steps at N = 32 / 64 / 96 /
+    256, against 2e-12 / 2.1e-13 / 1.4e-13 / 7.8e-13 at the Chebyshev
+    points (smooth (0, 0.2)).
     """
     mu = np.unique(-grid.laplacian_symbol())  # 0 ... (2 pi N/2)^2
     eigs = np.sort(-mu)  # negative eigenvalues, ascending
@@ -236,12 +240,16 @@ def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow) -> ResolventS
     The lambda on the spectrum run first, one at a time through the kernel
     elimination of `_best_constant`, so an infeasible lambda raises before
     any other work.  Every other lambda needs only the top eigenvalue of
-    D^-1 Q_r D^-1: blocks of them, of at most 2^16 entries (one matrix
-    past N = 256), are filled in place in one buffer and go through one
-    stacked `eigvalsh`, with the bits of one lambda at a time.  Beside Q_r
-    and the few N x N arrays of one kernel elimination, the sweep holds
-    that buffer (512 kB) and O(N) numbers per lambda.  A NaN M(lambda),
-    from a form that overflows, raises LinAlgError.
+    D^-1 Q_r D^-1, which `_top_eigenvalues` takes for all of them at once:
+    from N = 48 on by Lanczos on blocks of 48 lambda, each value kept only
+    where a Cholesky factor certifies it to a stated delta (at most
+    4e-12 relative at the Chebyshev points of the default grid), and otherwise
+    (and below N = 48) by a dense `eigvalsh`.  Each M(lambda) has the bits
+    that lambda gets alone.  Beside Q_r and the few N x N arrays of one
+    kernel elimination, the sweep holds one buffer of at most 2^16 entries
+    (512 kB; one matrix past N = 256), six Lanczos vectors per lambda of a
+    block and O(N) numbers per lambda.  A NaN M(lambda), from a form that
+    overflows, raises LinAlgError.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
@@ -249,7 +257,7 @@ def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow) -> ResolventS
     if not np.isfinite(lambda_grid).all():
         raise ValueError("lambda_grid must be finite")
     q, lap = _real_form(m, window), _level_laplacian(window.grid)
-    best = _constants(lambda_grid, m, q, lap, np.unique(lap))
+    best = _constants(lambda_grid, m, q, lap, np.unique(lap))[0]
     return ResolventSweepResult(lambda_grid=lambda_grid, m_fixed=m, M_of_lambda=best)
 
 
@@ -258,11 +266,13 @@ def _level_laplacian(grid: GridSpec) -> np.ndarray:
     return grid.laplacian_symbol()[_level_slots(grid.modes_per_axis)]
 
 
-def _constants(lambda_grid: np.ndarray, m: float, q: np.ndarray,
-               lap: np.ndarray, eigs: np.ndarray) -> np.ndarray:
-    """M(lambda) on a 1D array of finite lambda, from the real form q and the
-    symbol lap in level order, with eigs = np.unique(lap): the body of
-    `sweep`."""
+def _constants(lambda_grid: np.ndarray, m: float, q: np.ndarray, lap: np.ndarray,
+               eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, upper): M(lambda) on a 1D array of finite lambda, from the real
+    form q and the symbol lap in level order, with eigs = np.unique(lap),
+    and an upper end of each M: the certified theta + delta of
+    `_top_eigenvalues` off the spectrum, M itself where a dense eigensolve
+    gave it.  The body of `sweep`."""
     best = np.empty_like(lambda_grid)
     on = _on_spectrum(lambda_grid, eigs)
     for i in np.flatnonzero(on):
@@ -273,18 +283,175 @@ def _constants(lambda_grid: np.ndarray, m: float, q: np.ndarray,
             raise InfeasibleResolventError(
                 f"infeasible at lambda = {lam:.6g}, m = {m:.6g}: {exc}"
             ) from exc
+    upper = best.copy()
     off = np.flatnonzero(~on)
-    per = max(1, 2 ** 16 // q.size)
-    buf = np.empty((min(per, off.size),) + q.shape)
-    for start in range(0, off.size, per):
-        idx = off[start:start + per]
-        g = buf[:len(idx)]
-        inv_d = 1.0 / (lap - lambda_grid[idx, None])  # no kernel: d != 0
+    if off.size:
+        top, top_upper = _top_eigenvalues(lambda_grid[off], q, lap)
+        best[off] = _clamped(top, lambda_grid[off])
+        upper[off] = np.maximum(top_upper, 0.0)
+    return best, upper
+
+
+# The top eigenvalue of G(lambda) = D^-1 Q_r D^-1 off the spectrum.  From
+# N = 48 on, Lanczos on blocks of lambda beats one dense eigvalsh per lambda
+# (time per off-spectrum lambda of the default grid, smooth (0, 0.2), 2-core
+# x86_64: 0.8x at N = 32, 1.4x at 48, 1.7-3x at 64 ... 256).
+_LANCZOS_MIN_N = 48
+_LANCZOS_STEPS = 24  # the first round; the rows it leaves get half as many again
+_LANCZOS_ROWS = 48   # lambda per block
+
+
+def _top_eigenvalues(lams: np.ndarray, q: np.ndarray,
+                     lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(top, upper): the top eigenvalue of G = D^-1 q D^-1, D = lap - lambda
+    != 0, at each lambda, and an upper end of it.
+
+    Below N = `_LANCZOS_MIN_N` every G goes through one dense `eigvalsh`,
+    and upper = top.  From there on, blocks of `_LANCZOS_ROWS` lambda run
+    three-term Lanczos together from one fixed start vector (Parlett, The
+    Symmetric Eigenvalue Problem, 1998, ch. 13): each step is one product
+    (V o D^-1) @ q of at least two rows, a second Gram-Schmidt pass against
+    the last vector, and theta is the top eigenvalue of the tridiagonal,
+    from one stacked `eigvalsh`.  A lambda keeps theta only where
+    `np.linalg.cholesky` factors (theta + delta) D^2 - q, which by
+    Sylvester's law is where (theta + delta) I - G is positive definite,
+    with
+
+        delta = max(1e-13 |theta|, 0.1 n eps ||G||),
+
+    ||G|| estimated by the largest |Ritz value|.  Then top = theta, and
+    upper = theta + delta bounds the top eigenvalue up to the factor's
+    backward error, which is invariant under the diagonal scaling D
+    (Demmel, Applied Numerical Linear Algebra, 1997, sec. 2.7).  A Ritz
+    value approaches the top eigenvalue from below; rounding can leave a
+    converged one above it by a few eps ||G||, well inside n eps ||G||,
+    the dense eigensolve's own backward error.  The rows that the first
+    `_LANCZOS_STEPS` steps leave uncertified go on for half as many steps
+    again, and the rest go to the dense `eigvalsh`.  Every row is computed
+    from its own lambda alone (a one-row product rounds differently from a
+    block, so a lone row runs twice), so no value depends on the other
+    lambda of its block.
+    """
+    n = lap.size
+    top, upper = np.empty_like(lams), np.empty_like(lams)
+    # one buffer for the stacked forms, tridiagonals and factors of a block
+    buf = np.empty(min(max(2 ** 16, n * n), max(2, lams.size) * n * n))
+    todo = np.arange(lams.size)
+    if n >= _LANCZOS_MIN_N:
+        done = np.zeros(lams.size, dtype=bool)
+        for start in range(0, lams.size, _LANCZOS_ROWS):
+            rows = np.arange(start, min(start + _LANCZOS_ROWS, lams.size))
+            _lanczos_block(lams, _two_rows(rows), q, lap, buf, top, upper, done)
+        todo = np.flatnonzero(~done)
+    for start, stop, g in _stacks(buf, todo.size, n):
+        idx = todo[start:stop]
+        inv_d = 1.0 / (lap - lams[idx, None])
         g[...] = q
         g *= inv_d[:, :, None]
         g *= inv_d[:, None, :]
-        best[idx] = _clamped(np.linalg.eigvalsh(g)[:, -1], lambda_grid[idx])
-    return best
+        top[idx] = upper[idx] = np.linalg.eigvalsh(g)[:, -1]
+    return top, upper
+
+
+def _two_rows(rows: np.ndarray) -> np.ndarray:
+    """rows, with a lone row repeated: a block product needs two rows to
+    round as it does in any larger block."""
+    return np.repeat(rows, 2) if rows.size == 1 else rows
+
+
+def _stacks(buf: np.ndarray, count: int, side: int):
+    """(start, stop, view): the flat buffer as stacks of side x side
+    matrices, covering count of them."""
+    per = buf.size // (side * side)
+    for start in range(0, count, per):
+        stop = min(start + per, count)
+        yield start, stop, buf[:(stop - start) * side * side].reshape(-1, side, side)
+
+
+def _lanczos_block(lams: np.ndarray, rows: np.ndarray, q: np.ndarray, lap: np.ndarray,
+                   buf: np.ndarray, top: np.ndarray, upper: np.ndarray,
+                   done: np.ndarray) -> None:
+    """Lanczos on G(lambda) for lams[rows] at once (at least two rows),
+    writing top, upper and done for every row it certifies."""
+    n = lap.size
+    d2 = lap - lams[rows, None]
+    inv_d = 1.0 / d2
+    d2 *= d2
+    v = np.empty((rows.size, n))
+    v[...] = np.cos(np.arange(1.0, n + 1.0) ** 2)  # fixed, and in no symmetry class
+    v /= np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
+    v_old = np.zeros_like(v)
+    w, t = np.empty_like(v), np.empty_like(v)
+    steps = (_LANCZOS_STEPS, _LANCZOS_STEPS * 3 // 2)
+    alpha, beta = np.empty((rows.size, steps[-1])), np.empty((rows.size, steps[-1]))
+    first = 0
+    with np.errstate(all="ignore"):  # a breakdown leaves NaN, which no factor certifies
+        for stop in steps:
+            for j in range(first, stop):
+                np.multiply(v, inv_d, out=t)
+                np.matmul(t, q, out=w)
+                w *= inv_d
+                if j:
+                    np.multiply(v_old, beta[:, j - 1, None], out=t)
+                    w -= t
+                alpha[:, j] = 0.0
+                for _ in range(2):  # the second pass restores w's orthogonality to v
+                    a = np.einsum("ij,ij->i", w, v)
+                    alpha[:, j] += a
+                    np.multiply(v, a[:, None], out=t)
+                    w -= t
+                beta[:, j] = np.sqrt(np.einsum("ij,ij->i", w, w))
+                np.divide(w, beta[:, j, None], out=v_old)
+                v, v_old = v_old, v
+            first = stop
+            theta, norm = _ritz(alpha[:, :stop], beta[:, :stop - 1], buf)
+            eps_norm = np.finfo(float).eps * norm
+            bound = theta + np.maximum(1e-13 * np.abs(theta), 0.1 * n * eps_norm)
+            good = _factors(bound, d2, q, buf)
+            kept = rows[good]
+            top[kept], upper[kept], done[kept] = theta[good], bound[good], True
+            left = _two_rows(np.flatnonzero(~good))
+            if not left.size:
+                return
+            rows, d2, inv_d, v, v_old, alpha, beta = (
+                x[left] for x in (rows, d2, inv_d, v, v_old, alpha, beta))
+            w, t = w[:left.size], t[:left.size]
+
+
+def _ritz(alpha: np.ndarray, beta: np.ndarray,
+          buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, norm): the top eigenvalue and the largest |eigenvalue| of
+    each tridiagonal (diagonal alpha, subdiagonal beta), stacked in buf.
+    A row with a non-finite entry reads NaN."""
+    k = alpha.shape[1]
+    finite = np.isfinite(alpha).all(axis=1) & np.isfinite(beta).all(axis=1)
+    theta, norm = np.full(len(alpha), np.nan), np.full(len(alpha), np.nan)
+    for start, stop, t in _stacks(buf, len(alpha), k):
+        ok = finite[start:stop]
+        t[...] = 0.0
+        t.reshape(-1, k * k)[:, ::k + 1] = np.where(ok[:, None], alpha[start:stop], 0.0)
+        t.reshape(-1, k * k)[:, k::k + 1] = np.where(ok[:, None], beta[start:stop], 0.0)
+        ev = np.linalg.eigvalsh(t)  # reads the lower triangle
+        theta[start:stop] = np.where(ok, ev[:, -1], np.nan)
+        norm[start:stop] = np.where(ok, np.maximum(-ev[:, 0], ev[:, -1]), np.nan)
+    return theta, norm
+
+
+def _factors(bound: np.ndarray, d2: np.ndarray, q: np.ndarray,
+             buf: np.ndarray) -> np.ndarray:
+    """Which rows' bound * D^2 - q (D^2 = d2, one row per lambda) has a
+    Cholesky factor; each is built in the buffer's first n^2 entries."""
+    n = q.shape[0]
+    h = buf[:n * n].reshape(n, n)
+    good = np.isfinite(bound)
+    for i in np.flatnonzero(good):
+        np.negative(q, out=h)
+        h.flat[::n + 1] += bound[i] * d2[i]
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            good[i] = False
+    return good
 
 
 def _check_linearization(grid: GridSpec) -> None:
@@ -391,7 +558,10 @@ def sup_resolvent_constant(window: CutoffWindow, m: float, lam_lo: float,
     part, on the peak to O(level - peak).  When no midpoint exceeds the level,
     M <= level on the interval: every component of {M > level} is bounded
     by two crossings, since M is continuous and M(lam_lo), M(lam_hi) <=
-    theta, and the midpoint of the first two holds M > level.
+    theta, and the midpoint of the first two holds M > level.  A midpoint's
+    M may carry a certified bracket [M, M + delta] (`_top_eigenvalues`), so
+    `upper` is the larger of the level and the upper ends of the last
+    midpoints; with delta near 1e-13 M the level is the larger.
 
     At the first gap's midpoint, off the spectrum, M = 0 only if Q <= 0,
     and then M vanishes everywhere: the result is 0 after no iteration.  An
@@ -410,23 +580,24 @@ def sup_resolvent_constant(window: CutoffWindow, m: float, lam_lo: float,
     ends = np.concatenate(([lam_lo], eigs[(lam_lo < eigs) & (eigs < lam_hi)], [lam_hi]))
     gaps = 0.5 * (ends[1:] + ends[:-1])  # the midpoint of each gap in the interval
     pts = np.concatenate(([lam_lo, lam_hi], gaps if start is None else [gaps[0], start]))
-    vals = _constants(pts, m, q, lap, eigs)
+    vals = _constants(pts, m, q, lap, eigs)[0]
     theta, lam = vals.max(), pts[vals.argmax()]
     if theta == 0.0:
         return ResolventSup(0.0, float(lam), 0.0, 0)
     a = max(lam_lo, eigs[eigs <= lam].max(initial=lam_lo))  # lam's gap
     b = min(lam_hi, eigs[eigs > lam].min(initial=lam_hi))
-    lam, theta = _local_peak(lambda x: _constants(np.array([x]), m, q, lap, eigs)[0],
+    lam, theta = _local_peak(lambda x: _constants(np.array([x]), m, q, lap, eigs)[0][0],
                              a, b, lam, theta)
     for it in range(1, 51):
         level = theta * (1.0 + 1e-8)
         x = _crossings(level, q, lap, lam_lo, lam_hi)
         mids = 0.5 * (x[1:] + x[:-1])
-        vals = _constants(mids, m, q, lap, eigs)
+        vals, uppers = _constants(mids, m, q, lap, eigs)
         if mids.size and vals.max() > theta:
             theta, lam = vals.max(), mids[vals.argmax()]
         if not mids.size or theta <= level:
-            return ResolventSup(float(theta), float(lam), float(level), it)
+            return ResolventSup(float(theta), float(lam),
+                                float(uppers.max(initial=level)), it)
     raise np.linalg.LinAlgError(
         f"the level set for sup M(lambda) did not converge in 50 iterations "
         f"(theta = {theta:.6g} at lambda = {lam:.6g})")

@@ -143,7 +143,7 @@ def test_06_spectral_gap_resolvent_oracle():
 
 def test_07_tensor_transfer_strip():
     t0 = time.time()
-    g = make_grid(1, 16)
+    g = make_grid(1, 24)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     spec = GramianSpec(T=1.0, window=w)
     c_2d, c_1d = strip_observability_constant(spec)

@@ -565,3 +565,113 @@ def test_level_set_refuses_the_linearization_past_the_dense_cap():
     peak = traced_peak(lambda: pytest.raises(DenseSizeError, sup_resolvent_constant,
                                               w, 1.0, -100.0, 0.0))
     assert peak <= 1e5
+
+
+def off_spectrum(lam, grid):
+    """The lambda of lam that no kernel elimination touches."""
+    return lam[~resolvent._on_spectrum(lam, np.unique(_level_laplacian(grid)))]
+
+
+@pytest.mark.parametrize("n", [64, 96])
+def test_each_lambda_has_the_bits_of_its_own_row(n):
+    # the Lanczos rows of a block share one matrix product per step; M at a
+    # lambda is the same bit for bit swept alone, in a pair, in a grid whose
+    # last block holds one lambda, and in the whole default grid
+    w = make_window(make_grid(1, n), (0.0, 0.2), 0.05, "smooth")
+    m = feasible_m(w)
+    lam = default_lambda_grid(w.grid)
+    full = dict(zip(lam, sweep(lam, m, w).M_of_lambda))
+    off = off_spectrum(lam, w.grid)
+    picks = off[[0, 7, off.size // 2, -1]]
+    q, lap = _real_form(m, w), _level_laplacian(w.grid)
+    top, upper = resolvent._top_eigenvalues(picks, q, lap)
+    assert np.all(upper > top)  # certified Lanczos values, not the dense fallback
+    for x in picks:
+        assert sweep([x], m, w).M_of_lambda[0] == full[x]
+    pair = picks[1:3]
+    assert np.array_equal(sweep(pair, m, w).M_of_lambda, [full[x] for x in pair])
+    ragged = off[:resolvent._LANCZOS_ROWS + 1]
+    assert np.array_equal(sweep(ragged, m, w).M_of_lambda, [full[x] for x in ragged])
+
+
+@pytest.mark.parametrize("n", [64, 96])
+def test_too_few_lanczos_steps_fall_back_to_the_dense_eigensolve(monkeypatch, n):
+    # two steps certify nothing: every lambda goes to eigvalsh, and the sweep
+    # is the dense one (the kernel switched off) bit for bit
+    w = make_window(make_grid(1, n), ((0.1, 0.35), (0.6, 0.7)), 0.05, "sharp")
+    m = feasible_m(w)
+    lam = default_lambda_grid(w.grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(resolvent, "_LANCZOS_MIN_N", n + 1)
+        dense = sweep(lam, m, w).M_of_lambda
+    monkeypatch.setattr(resolvent, "_LANCZOS_STEPS", 2)
+    off = off_spectrum(lam, w.grid)
+    q, lap = _real_form(m, w), _level_laplacian(w.grid)
+    top, upper = resolvent._top_eigenvalues(off, q, lap)
+    assert np.array_equal(top, upper)
+    assert np.array_equal(sweep(lam, m, w).M_of_lambda, dense)
+
+
+@given(st.sampled_from([48, 64]), st.sampled_from(["smooth", "sharp"]),
+       st.floats(0.0, 0.8), st.floats(0.15, 0.6), st.integers(0, 2 ** 32 - 1))
+def test_certified_bracket_holds_the_top_eigenvalue(n, kind, a, width, seed):
+    # on a random window and 12 random lambda off the spectrum, a certified
+    # value theta comes with upper = theta + delta, delta = max(1e-13 theta,
+    # 0.1 n eps ||G||), and the dense top eigenvalue lies in [theta, upper]
+    # up to eigvalsh's own backward error n eps ||G||; M(lambda) = max(0, theta)
+    w = make_window(make_grid(1, n), (a, min(a + width, 0.99)), 0.05, kind)
+    m = feasible_m(w)
+    q, lap = _real_form(m, w), _level_laplacian(w.grid)
+    lo = -1.1 * (np.pi * n) ** 2
+    lam = np.random.default_rng(seed).uniform(lo, (2.0 * np.pi) ** 2, 12)
+    lam = off_spectrum(lam, w.grid)
+    top, upper = resolvent._top_eigenvalues(lam, q, lap)
+    eps = np.finfo(float).eps
+    for x, theta, up in zip(lam, top, upper):
+        inv = 1.0 / (lap - x)
+        ev = np.linalg.eigvalsh(inv[:, None] * q * inv[None, :])
+        norm = np.abs(ev).max()
+        if up > theta:
+            delta = max(1e-13 * abs(theta), 0.1 * n * eps * norm)
+            assert up - theta <= delta + np.spacing(up)
+            assert theta - n * eps * norm <= ev[-1] <= up + n * eps * norm
+        else:
+            assert theta == ev[-1]
+    assert np.array_equal(sweep(lam, m, w).M_of_lambda, np.maximum(top, 0.0))
+
+
+def test_level_set_upper_covers_the_last_certified_ends(monkeypatch):
+    # the level set stops when no midpoint exceeds the level; its upper bound
+    # is the larger of the level and the certified upper ends of those
+    # midpoints, which a wider bracket (inflated here) shows
+    w = make_window(make_grid(1, 64), (0.0, 0.2), 0.05, "smooth")
+    m = feasible_m(w)
+    lam = default_lambda_grid(w.grid)
+    for widen in (1.0, 1.0 + 1e-6):
+        calls, top_eigenvalues = [], resolvent._top_eigenvalues
+
+        def widened(*args):
+            top, upper = top_eigenvalues(*args)
+            return top, upper * widen
+
+        monkeypatch.setattr(resolvent, "_top_eigenvalues", widened)
+        constants = resolvent._constants
+        monkeypatch.setattr(resolvent, "_constants",
+                            lambda *args: calls.append(constants(*args)) or calls[-1])
+        sup = sup_resolvent_constant(w, m, lam[0], lam[-1])
+        monkeypatch.undo()
+        last_upper = calls[-1][1]
+        assert sup.upper >= last_upper.max() >= sup.M_sup
+    # the level is at most M_sup (1 + 1e-8): here the widened end is the bound
+    assert sup.upper == last_upper.max() > sup.M_sup * (1.0 + 1e-7)
+
+
+def test_nan_form_raises_past_the_lanczos_crossover(monkeypatch):
+    # an infinite entry of the form leaves every Lanczos row NaN: no factor
+    # certifies it, the dense fallback returns NaN, and M(lambda) raises
+    w = make_window(make_grid(1, 64), (0.0, 0.3), 0.05, "smooth")
+    q = _real_form(feasible_m(w), w)
+    q[0, 0] = np.inf
+    monkeypatch.setattr(resolvent, "_real_form", lambda *args: q)
+    with pytest.raises(np.linalg.LinAlgError, match="NaN"):
+        sweep([-50.0, -20.0, 5.0], 1.0, w)
