@@ -30,7 +30,7 @@ from .io import (NonFiniteResultError, _integral, _real, state_from_json, state_
 from .nls import (NLSParams, NonFiniteStateError, PicardDivergenceError,
                   StabilizationStallError, _refit_span, _UnresolvedPhaseError, evolve,
                   fit_decay_rate, global_control)
-from .resolvent import (InfeasibleResolventError, _check_linearization,
+from .resolvent import (InfeasibleResolventError, _check_feasible, _check_linearization,
                         default_lambda_grid, feasible_m, miller_cost_bound,
                         sup_resolvent_constant, sweep)
 from .tensor import strip_observability_constant
@@ -269,6 +269,8 @@ def _cmd_resolvent_sweep(cfg, rng, grid, window):
         lo, hi = grid_lam[0], grid_lam[-1]
     m = (feasible_m(window) if scfg.get("m") is None
          else _number(cfg, "sweep.m", None))
+    if not given:  # the default grid has no eigenvalue of its own to raise at
+        _check_feasible(window, m, lo, hi)
     sampled = sweep(grid_lam, m, window)
     sup = sup_resolvent_constant(window, m, lo, hi,
                                  start=grid_lam[np.argmax(sampled.M_of_lambda)])

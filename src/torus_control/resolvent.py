@@ -15,25 +15,21 @@ block is eliminated by its Schur complement.
 In the real basis {1, sqrt2 cos 2 pi k x, sqrt2 sin 2 pi k x}, Q_r = Re(U^H Q U)
 is exact (chi^2 is real) and A stays diagonal (mu = (2 pi k)^2 is even in k), so
 a sweep builds Q_r = I - m * `hum._real_window_form` once, in the level order
-that lambda_min uses (cos levels 0 .. N/2, then sin levels 1 .. N/2 - 1),
-takes the Laplacian symbol in the same order (`hum._level_slots`), and takes
-the top eigenvalue of D^-1 Q_r D^-1 at every lambda off the spectrum from
-one kernel (`_top_eigenvalues`): from N = 48 on, Lanczos on a block of
-lambda at once, every value certified by a Cholesky factor or else taken
-from a dense eigensolve, and below N = 48 the dense eigensolve alone (see
-`sweep`).  The complex formula survives only as the test reference.  The
-constants describe one truncation, whose grid every entry point takes
-from the window.
+that lambda_min uses (cos levels 0 .. N/2, then sin levels 1 .. N/2 - 1): the
+kernel at -(2 pi k)^2 is the cos row k and the sin row N/2 + k, and its 2 x 2
+block decides feasibility in closed form (`_kernel_tops`).  Off the spectrum
+`_top_eigenvalues` takes the top eigenvalue of D^-1 Q_r D^-1 (see `sweep`).
+The complex formula survives only as the test reference.  The constants
+describe one truncation, whose grid every entry point takes from the window.
 
 The supremum of M(lambda) over an interval comes from a level set, not from
 a grid (`sup_resolvent_constant`).  Off the spectrum D = Lap - lambda is
 invertible and D^-1 Q D^-1 - theta I = D^-1 (Q - theta D^2) D^-1, so by
 Sylvester's law of inertia M(lambda) >= theta > 0 exactly when
-Q - theta (Lap - lambda)^2 has an eigenvalue >= 0.  On the spectrum, with
-the kernel block Q_kk < 0 that feasibility asks for, the same holds for
-the Schur complement that `_best_constant` keeps.  The lambda where some
-eigenvalue curve crosses theta are therefore the real eigenvalues of the
-quadratic problem (Q - theta (Lap - lambda)^2) v = 0, that is (with
+Q - theta (Lap - lambda)^2 has an eigenvalue >= 0 (on the spectrum, with
+Q_kk < 0, the same holds for `_best_constant`'s Schur complement).  The
+lambda where an eigenvalue curve crosses theta are therefore the real
+eigenvalues of (Q - theta (Lap - lambda)^2) v = 0, that is (with
 w = (Lap - lambda) v / sqrt(theta)) of the real 2N x 2N matrix
 [[Lap, -I/sqrt(theta)], [-Q/sqrt(theta), Lap]].  Q has no eigenvalue
 above 1 (W >= 0), so M(lambda) <= 1 / dist(lambda, spec)^2 everywhere.
@@ -77,8 +73,7 @@ class ResolventSweepResult:
         return float(np.pi * np.sqrt(self.M_sup))
 
     def with_point(self, lam: float, M: float) -> ResolventSweepResult:
-        """This curve with (lam, M) inserted in its ascending lambda grid,
-        unless lam is already on it."""
+        """This curve with (lam, M) in its ascending grid, unless lam is on it."""
         i = np.searchsorted(self.lambda_grid, lam)
         if i < self.lambda_grid.size and self.lambda_grid[i] == lam:
             return self
@@ -121,29 +116,23 @@ def _best_constant(lam: float, q: np.ndarray, lap: np.ndarray) -> float:
     kernel = np.abs(d) <= 1e-9 * scale
     comp = ~kernel
     if kernel.any():
-        q_kk = q[np.ix_(kernel, kernel)]
-        vals, vecs = np.linalg.eigh(q_kk)
-        # feasibility: m <W phi, phi> >= ||phi||^2 on the kernel, i.e. Q_kk <= 0
-        if vals.max() > 1e-12:
+        # feasibility: m <W phi, phi> >= ||phi||^2 on the kernel, i.e. Q_kk <= 0;
+        # the kernel's first row is the cos row of its level
+        top = _kernel_tops(q)[np.flatnonzero(kernel)[0]]
+        if top > 1e-12:
             raise InfeasibleResolventError(
                 f"lambda = {lam:.6g} hits the spectrum and m fails "
                 f"m*||chi phi||^2 >= ||phi||^2 on the eigenspace "
-                f"(max kernel eigenvalue {vals.max():.3e})"
-            )
-        if not comp.any():
-            return 0.0
+                f"(max kernel eigenvalue {top:.3e})")
+        vals, vecs = np.linalg.eigh(q[np.ix_(kernel, kernel)])
         q_ck = q[np.ix_(comp, kernel)]
         # eliminate strictly negative kernel directions by Schur complement;
         # near-zero directions must decouple or M is unbounded
         neg = vals < -1e-12
-        flat = ~neg
-        if flat.any():
-            coupling = q_ck @ vecs[:, flat]
-            if np.linalg.norm(coupling) > 1e-10:
-                raise InfeasibleResolventError(
-                    f"lambda = {lam:.6g}: kernel direction with vanishing "
-                    f"margin couples to the complement; no finite M"
-                )
+        if (~neg).any() and np.linalg.norm(q_ck @ vecs[:, ~neg]) > 1e-10:
+            raise InfeasibleResolventError(
+                f"lambda = {lam:.6g}: kernel direction with vanishing "
+                f"margin couples to the complement; no finite M")
         q_eff = q[np.ix_(comp, comp)]
         if neg.any():
             v_neg = vecs[:, neg]
@@ -152,6 +141,33 @@ def _best_constant(lam: float, q: np.ndarray, lap: np.ndarray) -> float:
         g = inv_d[:, None] * q_eff * inv_d[None, :]  # eigvalsh reads one triangle
         return float(_clamped(np.linalg.eigvalsh(g)[-1], lam)[0])
     return float(_clamped(_top_eigenvalues(np.array([lam]), q, lap)[0], lam)[0])
+
+
+def _kernel_tops(q: np.ndarray) -> np.ndarray:
+    """The top eigenvalue of q's block on each Laplacian eigenspace, by level
+    k = 0 .. N/2: q[k, k] at levels 0 and N/2 (one cos row), and between them
+    that of the 2 x 2 block on the cos row k and sin row N/2 + k, in closed
+    form.  m passes where it is at most 1e-12: the one feasibility rule."""
+    h = q.shape[0] // 2
+    k = np.arange(1, h)
+    a, c, b = q[k, k], q[h + k, h + k], q[k, h + k]
+    tops = np.diagonal(q)[:h + 1].copy()
+    tops[1:h] = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    return tops
+
+
+def _check_feasible(window: CutoffWindow, m: float, lam_lo: float, lam_hi: float) -> None:
+    """Raise what a sweep through every Laplacian eigenvalue in [lam_lo,
+    lam_hi] would raise, with no eigensolve where m passes: a level whose
+    kernel block is negative definite (`_kernel_tops` below -1e-12) passes at
+    once, and the others, infeasible or with a flat direction that may couple
+    to the rest of the form, go through `_best_constant` in ascending order."""
+    q, lap = _real_form(m, window), _level_laplacian(window.grid)
+    levels = np.arange(lap.size // 2, -1, -1)  # cos rows of the eigenvalues, ascending
+    lams = lap[levels]
+    doubt = (lam_lo <= lams) & (lams <= lam_hi) & (_kernel_tops(q)[levels] >= -1e-12)
+    if doubt.any():
+        _constants(lams[doubt], m, q, lap, np.unique(lap))
 
 
 def _clamped(top, lam) -> np.ndarray:
@@ -180,40 +196,44 @@ def best_resolvent_constant(lam: float, m: float, window: CutoffWindow) -> float
     return float(sweep([lam], m, window).M_of_lambda[0])
 
 
+# The default grid samples a gap densely only below this level: from level 15 on
+# M ~ c_hf / |lambda| is below 1e-3 of its peak (N = 256; smooth, sharp, two-interval).
+_DENSE_LEVELS = 16
+
+
 def default_lambda_grid(grid: GridSpec, n_points: int = 128) -> np.ndarray:
-    """lambda samples concentrated near the truncated Laplacian spectrum.
+    """lambda samples of the curve M(lambda), which peaks between eigenvalues.
 
-    Places points at each eigenvalue -(2*pi*k)^2 and fills every spectral
-    gap, from 10% below the lowest eigenvalue to (2*pi)^2 above zero: the
-    curve M(lambda), which peaks between eigenvalues.  Its supremum comes
-    from `sup_resolvent_constant`, not from these samples.  n_points is a
-    budget shared by the N/2 + 2 gaps: each takes max(3, n_points // gaps)
-    Chebyshev points and one point 1e-2 of the gap from each of its ends,
-    and the eigenvalues come on top, so the default gives 179 / 203 / 299
-    points at N = 32 / 64 / 96, 779 at N = 256 and 1547 at N = 512.
+    The gaps run from 10% below the lowest eigenvalue -(2*pi*N/2)^2 to
+    (2*pi)^2 above zero; the gap at level k lies between the eigenvalues of
+    levels k + 1 and k (k = -1: the positive side).  A gap below level
+    `_DENSE_LEVELS` takes max(3, n_points // (N/2 + 2)) Chebyshev points and
+    one point 1e-2 of the gap from each of its ends; a gap from that level up
+    takes its midpoint, which still draws the tail M ~ c_hf / |lambda| on a
+    log-log plot, and the lowest also its point 1e-2 above its lower end, so
+    the range stays.  The default gives 155 / 103 / 119 / 199 / 327 points at
+    N = 32 / 64 / 96 / 256 / 512.  No eigenvalue is a sample: where its
+    kernel block is feasible M is continuous across it (at 1e-4 of a gap M
+    matched it to 1.2e-3 relative), and feasibility is `_check_feasible`'s.
+    The supremum comes from `sup_resolvent_constant`, not from these samples.
 
-    Nearer offsets would only repeat the eigenvalue's own M: where the
-    kernel block is feasible M is continuous across it (at 1e-4 of a gap
-    M matched it to 1.2e-3 relative).  At the 1e-2 offsets the entries of
-    D^-1 Q D^-1 reach (1 + m) / d^2 while M(lambda) is far smaller, so M
-    there carries 9 to 10 of the 12 significant digits the CSV prints: it
-    moved by up to 4.4e-11 / 4.8e-11 / 9.3e-11 / 2.5e-10 relative under 12
-    exact shifts of the window by whole grid steps at N = 32 / 64 / 96 /
-    256, against 2e-12 / 2.1e-13 / 1.4e-13 / 7.8e-13 at the Chebyshev
-    points (smooth (0, 0.2)).
-    """
+    At the 1e-2 offsets D^-1 Q D^-1 reaches (1 + m) / d^2 while M is far
+    smaller, so M there keeps 9 to 10 of the CSV's 12 digits: under 12 whole
+    grid-step shifts of smooth (0, 0.2) it moved by up to 4.4e-11 / 4.8e-11 /
+    9.3e-11 / 2.5e-10 relative at N = 32 / 64 / 96 / 256, against 2e-12 /
+    2.1e-13 / 1.4e-13 / 7.8e-13 at the Chebyshev points."""
     mu = np.unique(-grid.laplacian_symbol())  # 0 ... (2 pi N/2)^2
     eigs = np.sort(-mu)  # negative eigenvalues, ascending
-    pts = set(eigs.tolist())
-    lo = eigs[0] * 1.1
-    hi = (2.0 * np.pi) ** 2  # positive side: M(lambda) decays like 1/lambda^2
-    anchors = np.concatenate(([lo], eigs, [hi]))
-    per_gap = max(3, n_points // max(1, len(anchors) - 1))
-    for a, b in zip(anchors[:-1], anchors[1:]):  # strictly increasing
-        # Chebyshev-like clustering toward both gap ends
-        theta = np.linspace(0.0, np.pi, per_gap + 2)[1:-1]
-        pts.update((0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)).tolist())
-        pts.update((a + 1e-2 * (b - a), b - 1e-2 * (b - a)))
+    anchors = np.concatenate(([eigs[0] * 1.1], eigs, [(2.0 * np.pi) ** 2]))
+    per_gap = max(3, n_points // (len(anchors) - 1))
+    cos = np.cos(np.linspace(0.0, np.pi, per_gap + 2)[1:-1])  # clusters toward both ends
+    pts = {anchors[0] + 1e-2 * (anchors[1] - anchors[0])}
+    for level, a, b in zip(range(grid.modes_per_axis // 2, -2, -1), anchors[:-1], anchors[1:]):
+        if level >= _DENSE_LEVELS:
+            pts.add(0.5 * (a + b))
+        else:
+            pts.update((0.5 * (a + b) + 0.5 * (b - a) * cos).tolist())
+            pts.update((a + 1e-2 * (b - a), b - 1e-2 * (b - a)))
     return np.array(sorted(pts))
 
 
@@ -240,16 +260,15 @@ def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow) -> ResolventS
     The lambda on the spectrum run first, one at a time through the kernel
     elimination of `_best_constant`, so an infeasible lambda raises before
     any other work.  Every other lambda needs only the top eigenvalue of
-    D^-1 Q_r D^-1, which `_top_eigenvalues` takes for all of them at once:
-    from N = 48 on by Lanczos on blocks of 48 lambda, each value kept only
-    where a Cholesky factor certifies it to a stated delta (at most
-    4e-12 relative at the Chebyshev points of the default grid), and otherwise
-    (and below N = 48) by a dense `eigvalsh`.  Each M(lambda) has the bits
-    that lambda gets alone.  Beside Q_r and the few N x N arrays of one
-    kernel elimination, the sweep holds one buffer of at most 2^16 entries
-    (512 kB; one matrix past N = 256), six Lanczos vectors per lambda of a
-    block and O(N) numbers per lambda.  A NaN M(lambda), from a form that
-    overflows, raises LinAlgError.
+    D^-1 Q_r D^-1, which `_top_eigenvalues` takes for all at once: from
+    N = 48 on by Lanczos on blocks of 48 lambda, each value certified by a
+    Cholesky factor to a stated delta (at most 4e-12 relative at the default
+    grid's Chebyshev points) or else, and below N = 48, by a dense `eigvalsh`.
+    Each M(lambda) has the bits that lambda gets alone.  Beside Q_r and one
+    kernel elimination's few N x N arrays, the sweep holds one buffer of at
+    most 2^16 entries (512 kB; one matrix past N = 256), six Lanczos vectors
+    per lambda of a block and O(N) numbers per lambda.  A NaN M(lambda), from
+    a form that overflows, raises LinAlgError.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
@@ -269,10 +288,9 @@ def _level_laplacian(grid: GridSpec) -> np.ndarray:
 def _constants(lambda_grid: np.ndarray, m: float, q: np.ndarray, lap: np.ndarray,
                eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(M, upper): M(lambda) on a 1D array of finite lambda, from the real
-    form q and the symbol lap in level order, with eigs = np.unique(lap),
-    and an upper end of each M: the certified theta + delta of
-    `_top_eigenvalues` off the spectrum, M itself where a dense eigensolve
-    gave it.  The body of `sweep`."""
+    form q and the symbol lap in level order, eigs = np.unique(lap), and an
+    upper end of each M: the certified theta + delta of `_top_eigenvalues`
+    off the spectrum, M itself where a dense eigensolve gave it."""
     best = np.empty_like(lambda_grid)
     on = _on_spectrum(lambda_grid, eigs)
     for i in np.flatnonzero(on):
@@ -281,8 +299,7 @@ def _constants(lambda_grid: np.ndarray, m: float, q: np.ndarray, lap: np.ndarray
             best[i] = _best_constant(lam, q, lap)
         except InfeasibleResolventError as exc:
             raise InfeasibleResolventError(
-                f"infeasible at lambda = {lam:.6g}, m = {m:.6g}: {exc}"
-            ) from exc
+                f"infeasible at lambda = {lam:.6g}, m = {m:.6g}: {exc}") from exc
     upper = best.copy()
     off = np.flatnonzero(~on)
     if off.size:
@@ -310,27 +327,19 @@ def _top_eigenvalues(lams: np.ndarray, q: np.ndarray,
     and upper = top.  From there on, blocks of `_LANCZOS_ROWS` lambda run
     three-term Lanczos together from one fixed start vector (Parlett, The
     Symmetric Eigenvalue Problem, 1998, ch. 13): each step is one product
-    (V o D^-1) @ q of at least two rows, a second Gram-Schmidt pass against
-    the last vector, and theta is the top eigenvalue of the tridiagonal,
-    from one stacked `eigvalsh`.  A lambda keeps theta only where
-    `np.linalg.cholesky` factors (theta + delta) D^2 - q, which by
-    Sylvester's law is where (theta + delta) I - G is positive definite,
-    with
-
-        delta = max(1e-13 |theta|, 0.1 n eps ||G||),
-
-    ||G|| estimated by the largest |Ritz value|.  Then top = theta, and
-    upper = theta + delta bounds the top eigenvalue up to the factor's
-    backward error, which is invariant under the diagonal scaling D
-    (Demmel, Applied Numerical Linear Algebra, 1997, sec. 2.7).  A Ritz
-    value approaches the top eigenvalue from below; rounding can leave a
-    converged one above it by a few eps ||G||, well inside n eps ||G||,
-    the dense eigensolve's own backward error.  The rows that the first
-    `_LANCZOS_STEPS` steps leave uncertified go on for half as many steps
-    again, and the rest go to the dense `eigvalsh`.  Every row is computed
-    from its own lambda alone (a one-row product rounds differently from a
-    block, so a lone row runs twice), so no value depends on the other
-    lambda of its block.
+    (V o D^-1) @ q of at least two rows and a second Gram-Schmidt pass, and
+    theta is the top eigenvalue of the tridiagonal.  A lambda keeps theta
+    only where `np.linalg.cholesky` factors (theta + delta) D^2 - q, that is
+    (Sylvester) where (theta + delta) I - G is positive definite, with
+    delta = max(1e-13 |theta|, 0.1 n eps ||G||), ||G|| estimated by the
+    largest |Ritz value|.  Then top = theta, and upper = theta + delta bounds
+    the top eigenvalue up to the factor's backward error, which is invariant
+    under the diagonal scaling D (Demmel, Applied Numerical Linear Algebra,
+    1997, sec. 2.7); a converged Ritz value lies above it by at most a few
+    eps ||G||, inside the dense eigensolve's own n eps ||G||.  The rows left
+    uncertified go on for half as many steps again, then to the dense
+    `eigvalsh`.  Every row is computed from its own lambda alone (a one-row
+    product rounds differently from a block, so a lone row runs twice).
     """
     n = lap.size
     top, upper = np.empty_like(lams), np.empty_like(lams)
@@ -478,57 +487,51 @@ def _crossings(level: float, q: np.ndarray, lap: np.ndarray, lam_lo: float,
 
 
 def _local_peak(f, a: float, b: float, x: float, fx: float) -> tuple[float, float]:
-    """A local maximum of f on [a, b] from x in it (f(x) = fx), by Brent's
-    golden section with parabolic steps (Algorithms for Minimization
-    without Derivatives, 1973, ch. 5), to 1e-6 relative in x: the best
-    point found and its value.  f is called only strictly inside (a, b).
-
-    Within 1e-6 relative in lambda of a smooth peak of M(lambda), M lies
-    within about 1e-13 relative of the peak value, so a finer tolerance
-    only spends evaluations on roundoff."""
+    """A local maximum of f on [a, b] from x in it (f(x) = fx): the best
+    point found and its value.  f takes the one or two points of a round,
+    strictly inside (a, b), as an array: a Lanczos block costs the same for
+    two lambda as for one, which it runs twice.  The best point x lies
+    between its nearest evaluated neighbours l < x < r (an end of [a, b]
+    where none is).  With both evaluated, a round takes the vertex u of the
+    parabola through l, x, r and the point 2 tol beyond u, away from x;
+    otherwise, or where u falls outside (l, r), the golden points of (l, x)
+    and (x, r).  With tol = 1e-6 |x| + 1e-10 (b - a), it stops when r - l <=
+    4 tol, or when a neighbour within 3 tol fixes the slope at x and the
+    parabola rises less than 1e-13 fx above x (or is flat to roundoff): M
+    carries about that much roundoff.  At most 50 rounds run."""
     golden = 0.5 * (3.0 - np.sqrt(5.0))
-    w = v = x
-    fw = fv = fx
-    d = e = 0.0
-    while True:
-        mid = 0.5 * (a + b)
+    xs, fs = np.array([x]), np.array([fx])
+    for _ in range(50):
+        i = int(fs.argmax())
+        x, fx = xs[i], fs[i]
         tol = 1e-6 * abs(x) + 1e-10 * (b - a)
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-            return x, fx
-        p = q = r = 0.0
-        if abs(e) > tol:  # a parabola through x, w, v (minimizing -f)
-            r = (x - w) * (fv - fx)
-            q = (x - v) * (fw - fx)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
-                d = tol if x < mid else -tol
-        else:  # golden section into the larger part
-            e = (b if x < mid else a) - x
-            d = golden * e
-        u = x + (d if abs(d) >= tol else np.copysign(tol, d))
-        fu = f(u)
-        if fu >= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v in (x, w):
-                v, fv = u, fu
+        lo = xs[i - 1] if i > 0 else a
+        hi = xs[i + 1] if i + 1 < xs.size else b
+        if hi - lo <= 4.0 * tol:
+            break
+        u = np.nan
+        if 0 < i < xs.size - 1:
+            u, gain = _vertex(xs[i - 1:i + 2], fs[i - 1:i + 2])
+            if min(x - lo, hi - x) <= 3.0 * tol and not gain > 1e-13 * abs(fx):
+                break
+        pair = [p for p in (u, u + np.copysign(2.0 * tol, u - x)) if lo < p < hi and p != x]
+        pair = np.array(pair or [p for p in (x - golden * (x - lo), x + golden * (hi - x))
+                                 if p != x])
+        xs, fs = np.append(xs, pair), np.append(fs, f(pair))
+        order = np.argsort(xs)
+        xs, fs = xs[order], fs[order]
+    i = int(fs.argmax())
+    return float(xs[i]), float(fs[i])
+
+
+def _vertex(x: np.ndarray, f: np.ndarray) -> tuple[float, float]:
+    """(u, gain): the vertex of the parabola through (x_i, f_i), x_0 < x_1 < x_2,
+    and how far it rises there above f_1; NaN where it is not strictly concave."""
+    s0, s1 = (f[1] - f[0]) / (x[1] - x[0]), (f[2] - f[1]) / (x[2] - x[1])
+    if not s1 < s0:
+        return np.nan, np.nan
+    u = 0.5 * (x[0] + x[1]) - 0.5 * s0 * (x[2] - x[0]) / (s1 - s0)
+    return float(u), float((s0 - s1) / (x[2] - x[0]) * (u - x[1]) ** 2)
 
 
 def sup_resolvent_constant(window: CutoffWindow, m: float, lam_lo: float,
@@ -540,35 +543,33 @@ def sup_resolvent_constant(window: CutoffWindow, m: float, lam_lo: float,
     midpoint of every spectral gap in the interval, taken in one stacked
     evaluation, so that it starts in the gap of the highest peak.  A
     `start` (a lambda in the interval where M is known to be large, such as
-    a grid's argmax, which has sampled the gaps already) replaces every
-    midpoint but the first gap's, saving N/2 + 1 eigensolves.  That point is
-    then refined to the local peak of M in its spectral gap, clipped to
-    [lam_lo, lam_hi] (`_local_peak`, Brent's golden section with parabolic
-    steps, to 1e-6 relative in lambda, each M from the sweep's own body), so
-    that from a start in the peak's gap theta is already the supremum to
-    roundoff and the first crossing solve is the certifying one.  The
-    refinement only raises theta to a value M attains in the interval; the
-    certificate does not rest on it: where it stops short of the supremum,
-    the iteration below goes on as from any attained theta.  Each iteration
+    a grid's argmax) replaces every midpoint but the first gap's.  That point
+    is refined to the local peak of M in its gap, clipped to [lam_lo, lam_hi]
+    (`_local_peak`, two points a round through the sweep's own body: 4 or 5
+    rounds from the CLI's start on the windows tried, where one point a round
+    took 8 or 9), so that theta is the supremum to roundoff and the first
+    crossing solve certifies it.  The certificate does not rest on the
+    refinement, which only raises theta to a value M attains: where it stops
+    short, the iteration goes on as from any attained theta.  Each iteration
     takes the crossings of the level theta (1 + 1e-8) (`_crossings`), and M
     at the midpoints between consecutive ones raises theta to the largest
     value found.  Near-real eigenvalues count as crossings: they only add
     midpoints, a double crossing that roundoff splits stays among them, and
-    the pair a level just above a peak leaves puts a midpoint at its real
-    part, on the peak to O(level - peak).  When no midpoint exceeds the level,
-    M <= level on the interval: every component of {M > level} is bounded
-    by two crossings, since M is continuous and M(lam_lo), M(lam_hi) <=
-    theta, and the midpoint of the first two holds M > level.  A midpoint's
-    M may carry a certified bracket [M, M + delta] (`_top_eigenvalues`), so
-    `upper` is the larger of the level and the upper ends of the last
-    midpoints; with delta near 1e-13 M the level is the larger.
+    the pair a level just above a peak leaves puts a midpoint on the peak,
+    to O(level - peak).  When no midpoint exceeds the level, M <= level on
+    the interval: M is continuous, M(lam_lo), M(lam_hi) <= theta, so each
+    component of {M > level} lies between two crossings and holds their
+    midpoint.  A midpoint's M may carry a certified bracket [M, M + delta]
+    (`_top_eigenvalues`), so `upper` is the larger of the level and the last
+    midpoints' upper ends; with delta near 1e-13 M the level is the larger.
 
-    At the first gap's midpoint, off the spectrum, M = 0 only if Q <= 0,
-    and then M vanishes everywhere: the result is 0 after no iteration.  An
-    interval reaching an infeasible eigenvalue, where M is unbounded, raises
-    InfeasibleResolventError once a midpoint lands on it; no convergence in
-    50 iterations raises LinAlgError.  The linearization counts against the
-    dense cap before anything is allocated (DenseSizeError above N = 1024).
+    M = 0 at the first gap's midpoint only if Q <= 0, and then everywhere:
+    the result is 0 after no iteration.  An interval reaching an infeasible
+    eigenvalue, where M is unbounded, raises InfeasibleResolventError once a
+    midpoint lands on it (`_check_feasible` raises it before any eigensolve,
+    as the CLI does); no convergence in 50 iterations raises LinAlgError.
+    The linearization counts against the dense cap before anything is
+    allocated (DenseSizeError above N = 1024).
     """
     if not (np.isfinite(lam_lo) and np.isfinite(lam_hi) and lam_lo < lam_hi):
         raise ValueError(f"need finite lam_lo < lam_hi, got {lam_lo}, {lam_hi}")
@@ -586,8 +587,7 @@ def sup_resolvent_constant(window: CutoffWindow, m: float, lam_lo: float,
         return ResolventSup(0.0, float(lam), 0.0, 0)
     a = max(lam_lo, eigs[eigs <= lam].max(initial=lam_lo))  # lam's gap
     b = min(lam_hi, eigs[eigs > lam].min(initial=lam_hi))
-    lam, theta = _local_peak(lambda x: _constants(np.array([x]), m, q, lap, eigs)[0][0],
-                             a, b, lam, theta)
+    lam, theta = _local_peak(lambda xs: _constants(xs, m, q, lap, eigs)[0], a, b, lam, theta)
     for it in range(1, 51):
         level = theta * (1.0 + 1e-8)
         x = _crossings(level, q, lap, lam_lo, lam_hi)
@@ -607,8 +607,7 @@ def miller_cost_bound(M: float, m: float, T: float) -> float:
     """Observability cost 2*m*T / (T^2 - M*pi^2), valid for T > pi*sqrt(M)."""
     if T <= np.pi * np.sqrt(M):
         raise ValueError(
-            f"T = {T} is at or below the Miller time pi*sqrt(M) = {np.pi * np.sqrt(M):.6g}"
-        )
+            f"T = {T} is at or below the Miller time pi*sqrt(M) = {np.pi * np.sqrt(M):.6g}")
     return 2.0 * m * T / (T ** 2 - M * np.pi ** 2)
 
 

@@ -2,8 +2,9 @@
 property tests draw the same examples on every run and stay cheap;
 the Hypothesis strategies that several test modules draw from (grid sizes,
 horizons, seeds, windows); `traced_peak`, the memory guard's instrument;
-`on_mode_range`, the coefficient range the real window form reads; and
-`pair_form`, the real form of any transverse pair of a 2D window."""
+`on_mode_range`, the coefficient range the real window form reads;
+`pair_form`, the real form of any transverse pair of a 2D window; and
+`with_eigenvalues`, a lambda grid that reaches the kernel elimination."""
 
 import tracemalloc
 
@@ -68,3 +69,10 @@ def on_mode_range(c):
     holds (of any sign, or varying along axis 2)."""
     n = c.shape[0]
     return c[np.ix_(*[np.arange(-n, n + 1) % n] * c.ndim)]
+
+
+def with_eigenvalues(lam, grid):
+    """The lambda grid lam and every Laplacian eigenvalue -(2 pi k)^2 of the
+    1D grid, ascending: the points where a sweep runs the kernel elimination
+    of `resolvent._best_constant`, which the default grid no longer holds."""
+    return np.union1d(lam, grid.laplacian_symbol())

@@ -130,8 +130,33 @@ def test_resolvent_sweep_report_agrees_with_its_csv(tmp_path, base_cfg, sweep_cf
     assert np.abs(rows[:, 0] - r["lambda_star"]).min() <= 1e-11 * abs(r["lambda_star"])
     # the supremum to its 10th decimal at N = 32, on either range
     assert abs(r["M_sup"] - 0.0028376020) <= 5e-11
-    # the default grid: 179 points of the 128 budget and lambda*
-    assert len(rows) == (180 if not sweep_cfg else 41)
+    # the default grid: 155 points of the 128 budget and lambda*
+    assert len(rows) == (156 if not sweep_cfg else 41)
+
+
+def test_resolvent_sweep_refuses_an_infeasible_m_before_any_eigensolve(tmp_path, base_cfg,
+                                                                      capsys, monkeypatch):
+    # sweep.m = 0.5 fails on every level of smooth (0, 0.3): the default
+    # grid holds no eigenvalue, yet the closed-form check names the lowest
+    # one, -(2 pi 16)^2, with the message a sweep through it gives, and no
+    # eigensolve runs
+    base_cfg["window"]["omega"] = [[0.0, 0.3]]
+    base_cfg["sweep"] = {"m": 0.5}
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, no_eigensolve)
+    cfg = write_cfg(tmp_path, "cfg.json", base_cfg)
+    out = tmp_path / "out"
+    assert main(["resolvent-sweep", "--config", cfg, "--out", str(out)]) == 3
+    message = ("infeasible at lambda = -10106.5, m = 0.5: lambda = -10106.5 hits the "
+               "spectrum and m fails m*||chi phi||^2 >= ||phi||^2 on the eigenspace "
+               "(max kernel eigenvalue 8.810e-01)")
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert json.loads((out / "error.json").read_text()) == {
+        "error": "InfeasibleResolventError", "message": message}
 
 
 def test_resolvent_sweep_refuses_a_linearization_past_the_cap(tmp_path, base_cfg, capsys):

@@ -20,7 +20,8 @@ from torus_control.resolvent import (InfeasibleResolventError, best_resolvent_co
 from torus_control.io import state_from_json, state_to_json
 from torus_control.windows import CutoffWindow
 
-from conftest import any_windows, even_n, horizons, on_mode_range, pair_form, seeds, windows
+from conftest import (any_windows, even_n, horizons, on_mode_range, pair_form, seeds, windows,
+                      with_eigenvalues)
 from oracles import (commutator_norm, dense_gramian, dense_gramian_2d, level_basis,
                      pair_columns, window_mode_matrix)
 
@@ -351,7 +352,8 @@ def test_resolvent_constant_invariant_under_translation_and_reflection(window, m
     for samples in (np.roll(window.samples, 1), np.roll(window.samples[::-1], 1)):
         moved = replace(window, samples=samples)
         assert abs(best_resolvent_constant(lam, m, moved) - base) <= tol
-    # the same on a 64-point default grid, near-spectrum points included,
+    # the same on a 64-point default grid with the eigenvalues (so the
+    # kernel elimination runs) and the points near them,
     # for a shift by `shift` grid steps and the reflection, at the feasible
     # m: each M(lambda) moves by about 1e-16 (1 + m) / d^2, d the least
     # |Lap - lambda| off the kernel, which near the spectrum is large next
@@ -361,7 +363,7 @@ def test_resolvent_constant_invariant_under_translation_and_reflection(window, m
         m = feasible_m(window)
     except InfeasibleResolventError:
         return  # no m holds on the spectrum
-    lams = default_lambda_grid(grid, 64)
+    lams = with_eigenvalues(default_lambda_grid(grid, 64), grid)
     lap = grid.laplacian_symbol()
     d = np.abs(lap - lams[:, None])
     scale = np.maximum(np.abs(lams), max(-lap.min(), 1.0))  # as `sweep` takes it

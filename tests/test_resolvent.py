@@ -19,7 +19,7 @@ from torus_control.resolvent import (InfeasibleResolventError, _best_constant,
                                      best_resolvent_constant, sup_resolvent_constant)
 from torus_control.windows import full_window
 
-from conftest import traced_peak
+from conftest import traced_peak, with_eigenvalues
 from oracles import window_mode_matrix
 
 
@@ -143,11 +143,11 @@ def test_best_constant_is_tight(setup32):
                                         (((0.1, 0.35), (0.6, 0.7)), "sharp")])
 def test_sweep_matches_complex_reference(n, omega, kind):
     # the real cos/sin form is exact: chi^2 is real and mu even in k; the
-    # default grid includes the kernel points, so the Schur path runs too
+    # grid includes the kernel points, so the Schur path runs too
     g = make_grid(1, n)
     w = make_window(g, omega, 0.05, kind)
     m = feasible_m(w)
-    lam_grid = default_lambda_grid(g, 512)
+    lam_grid = with_eigenvalues(default_lambda_grid(g, 512), g)
     result = sweep(lam_grid, m, w)
     ref = np.array([complex_reference(lam, m, w, g) for lam in lam_grid])
     assert np.all(np.abs(result.M_of_lambda - ref[:, 0]) <= 1e-13 * ref[:, 1])
@@ -161,26 +161,29 @@ def test_default_lambda_grid_structure(setup32):
     eigs = np.unique(g.laplacian_symbol())
     assert lam.min() <= eigs.min()
     assert np.all(np.diff(lam) > 0)
-    # every eigenvalue is represented in the grid
+    # no eigenvalue is in the grid, and every gap between them holds points
     for e in eigs:
-        assert np.min(np.abs(lam - e)) < 1e-9
+        assert np.min(np.abs(lam - e)) > 1e-2
+    assert np.all(np.histogram(lam, np.concatenate((eigs, [lam.max()])))[0] > 0)
 
 
-@pytest.mark.parametrize("n,n_points,size", [(32, 128, 179), (96, 128, 299),
-                                             (32, 400, 449)])
+@pytest.mark.parametrize("n,n_points,size", [(32, 128, 155), (96, 128, 119),
+                                             (32, 400, 410)])
 def test_default_lambda_grid_make_up(n, n_points, size):
-    # every eigenvalue; in each of the N/2 + 2 gaps from 1.1 times the
-    # lowest eigenvalue to (2 pi)^2, max(3, n_points // gaps) Chebyshev
-    # points and one point 1e-2 of the gap from each of its ends; nothing else
+    # of the N/2 + 2 gaps from 1.1 times the lowest eigenvalue to (2 pi)^2,
+    # each below level 16 takes max(3, n_points // gaps) Chebyshev points and
+    # one point 1e-2 of the gap from each of its ends, each from level 16 up
+    # its midpoint, and the lowest also its point 1e-2 above its lower end;
+    # nothing else
     lam = default_lambda_grid(make_grid(1, n), n_points)
     eigs = -(2.0 * np.pi * np.arange(n // 2, -1, -1)) ** 2
     ends = np.concatenate(([1.1 * eigs[0]], eigs, [(2.0 * np.pi) ** 2]))
     per_gap = max(3, n_points // (ends.size - 1))
     cos = np.cos(np.pi * np.arange(1, per_gap + 1) / (per_gap + 1))
-    expect = [eigs]
-    for a, b in zip(ends[:-1], ends[1:]):
-        expect += [0.5 * (a + b) + 0.5 * (b - a) * cos,
-                   [a + 1e-2 * (b - a), b - 1e-2 * (b - a)]]
+    expect = [[ends[0] + 1e-2 * (ends[1] - ends[0])]]
+    for level, a, b in zip(range(n // 2, -2, -1), ends[:-1], ends[1:]):
+        expect += ([[0.5 * (a + b)]] if level >= 16 else
+                   [0.5 * (a + b) + 0.5 * (b - a) * cos, [a + 1e-2 * (b - a), b - 1e-2 * (b - a)]])
     expect = np.sort(np.concatenate(expect))
     assert lam.size == expect.size == size
     np.testing.assert_allclose(lam, expect, rtol=1e-13, atol=1e-12)
@@ -242,13 +245,14 @@ def per_point_sweep(lam_grid, m, window):
 @pytest.mark.parametrize("n", [8, 32, 64, 96])
 def test_stacked_sweep_matches_per_point_loop(n):
     # stacked off-spectrum eigensolves give the per-lambda loop's M(lambda)
-    # bit for bit: on the default grid (with its eigenvalues and their close
-    # neighbours) and on a uniform grid crossing the eigenvalues
+    # bit for bit: on the default grid with the eigenvalues (and so their
+    # close neighbours) and on a uniform grid crossing the eigenvalues
     g = make_grid(1, n)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
     m = feasible_m(w)
     top = (2.0 * np.pi * n / 2.0) ** 2
-    for lam_grid in (default_lambda_grid(g, 512), np.linspace(-1.1 * top, 50.0, 301)):
+    for lam_grid in (with_eigenvalues(default_lambda_grid(g, 512), g),
+                     np.linspace(-1.1 * top, 50.0, 301)):
         expect = per_point_sweep(lam_grid, m, w)
         assert np.array_equal(sweep(lam_grid, m, w).M_of_lambda, expect)
 
@@ -258,12 +262,64 @@ def test_stacked_sweep_raises_the_per_point_infeasibility():
     # message, although the off-spectrum points are now solved after it
     g = make_grid(1, 32)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
-    lam_grid = default_lambda_grid(g, 512)
+    lam_grid = with_eigenvalues(default_lambda_grid(g, 512), g)
     with pytest.raises(InfeasibleResolventError) as expect:
         per_point_sweep(lam_grid, 0.5, w)
     with pytest.raises(InfeasibleResolventError) as got:
         sweep(lam_grid, 0.5, w)
     assert str(got.value) == str(expect.value)
+
+
+@st.composite
+def feasibility_windows(draw):
+    """A sharp window on a union of one to three intervals, or a smooth one
+    on one interval, on a grid of N = 16 .. 64."""
+    grid = make_grid(1, 2 * draw(st.integers(8, 32)))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        ends = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2 * k, max_size=2 * k,
+                                    unique=True)))
+        return make_window(grid, list(zip(ends[::2], ends[1::2])), kind="sharp")
+    a = draw(st.floats(0.0, 0.7))
+    b = draw(st.floats(a + 0.1, 1.0))
+    return make_window(grid, (a, b), draw(st.floats(0.05, 0.9)) * (b - a) / 2.0, "smooth")
+
+
+@given(feasibility_windows(), st.floats(0.25, 4.0))
+def test_one_feasibility_rule_at_every_level(window, factor):
+    # m from a quarter of `feasible_m` (infeasible: it keeps a margin of 2)
+    # to 4 times it.  At every level k the closed form of `_kernel_tops` is
+    # the top eigenvalue of a direct eigh of q's kernel block at -(2 pi k)^2,
+    # to 4 eps of the block's largest entry; `_best_constant` raises "hits
+    # the spectrum" exactly where it exceeds 1e-12; and `_check_feasible`
+    # raises what the first level in ascending order raises, or nothing
+    try:
+        m = factor * feasible_m(window)
+    except InfeasibleResolventError:  # an unobserved eigenspace: no m passes there
+        m = factor
+    q, lap = _real_form(m, window), _level_laplacian(window.grid)
+    tops, h = resolvent._kernel_tops(q), lap.size // 2
+    first = None
+    for k in range(h, -1, -1):
+        lam = lap[k]
+        kernel = np.abs(lap - lam) <= 1e-9 * max(abs(lam), -lap.min(), 1.0)
+        assert kernel.sum() == (1 if k in (0, h) else 2)
+        block = q[np.ix_(kernel, kernel)]
+        assert abs(tops[k] - np.linalg.eigvalsh(block)[-1]) <= (
+            4.0 * np.finfo(float).eps * np.abs(block).max())
+        try:
+            _best_constant(lam, q, lap)
+            raised = None
+        except InfeasibleResolventError as exc:
+            raised = str(exc)
+        assert (tops[k] > 1e-12) == (raised is not None and "hits the spectrum" in raised)
+        first = first or (raised and f"infeasible at lambda = {lam:.6g}, m = {m:.6g}: {raised}")
+    if first is None:
+        resolvent._check_feasible(window, m, 1.1 * lap.min(), (2.0 * np.pi) ** 2)
+    else:
+        with pytest.raises(InfeasibleResolventError) as got:
+            resolvent._check_feasible(window, m, 1.1 * lap.min(), (2.0 * np.pi) ** 2)
+        assert str(got.value) == first
 
 
 @pytest.mark.parametrize("lam", [-50.0, -((2 * np.pi) ** 2)])
@@ -301,7 +357,7 @@ def test_sweep_memory_is_bounded():
     # vectors per lambda: 0.7 MB at N = 96
     g = make_grid(1, 96)
     w = make_window(g, (0.0, 0.3), 0.05, "smooth")
-    m, lam_grid = feasible_m(w), default_lambda_grid(g, 512)
+    m, lam_grid = feasible_m(w), with_eigenvalues(default_lambda_grid(g, 512), g)
     assert traced_peak(lambda: sweep(lam_grid, m, w)) <= 2.5e6
 
 
@@ -339,8 +395,8 @@ def level_set(request):
 
 
 def test_level_set_bounds_a_denser_grid_and_golden_section(level_set):
-    # the supremum is at least M on every point of a grid 4.5x denser than
-    # the default, and a golden-section search between the neighbours of
+    # the supremum is at least M on every point of a grid 2.2-4x denser than
+    # the default below level 16, and a golden-section search between the neighbours of
     # that grid's best point agrees with it to 1e-10
     w, m, lam, sup = level_set
     dense = default_lambda_grid(w.grid, 4 * lam.size)

@@ -5,8 +5,9 @@ the answers for the original, with no reference implementation.
 - Translating window and state together by a whole grid step j/N shifts
   the samples exactly, so lambda_min (C_T = 1/lambda_min) and
   `feasible_m` stay the same, and the HUM control of the moved target is
-  the moved control.  (The sweep's M(lambda) and M_sup under translation
-  and reflection are checked in test_properties.)
+  the moved control, and the level set's certified M_sup and lambda*
+  stay the same.  (The sweep's M(lambda) and M_sup under translation and
+  reflection are checked in test_properties.)
 - Reflecting x -> -x leaves lambda_min the same.
 - The cubic NLS commutes with the gauge u -> exp(i theta) u, so the
   local control of exp(i theta) u0 is exp(i theta) phi0, and global
@@ -22,6 +23,7 @@ A sub-grid translation is not a symmetry of the sampled window convention
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +31,8 @@ from torus_control import (GramianSpec, NLSParams, evolve, global_control,
                            local_control_nls, make_grid, make_window, random_state,
                            solve_hum)
 from torus_control.hum import lambda_min_dense
-from torus_control.resolvent import InfeasibleResolventError, feasible_m
+from torus_control.resolvent import (InfeasibleResolventError, default_lambda_grid,
+                                     feasible_m, sup_resolvent_constant, sweep)
 
 from conftest import any_windows, horizons, seeds, windows
 
@@ -90,6 +93,28 @@ def test_translation_by_grid_steps_keeps_feasible_m(window, data):
     assume(m is not None and m < 1e6)
     c0 = float(np.mean(window.samples ** 2))
     assert abs(feasible_m(moved) - m) <= 1e-13 * m * m * c0
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("omega,kind", [((0.0, 0.2), "smooth"), ((0.0, 0.2), "sharp"),
+                                        (((0.1, 0.35), (0.6, 0.7)), "sharp")],
+                         ids=["smooth", "sharp", "two-interval"])
+def test_translation_by_a_grid_step_keeps_the_certified_supremum(n, omega, kind):
+    # the CLI's level set, from the default grid's argmax refined to the
+    # peak: each M(lambda) moves by roundoff, so M_sup by at most 1e-12
+    # relative (M's own roundoff near the peak reaches 2e-12 on the
+    # two-interval window), and lambda* by at most 1e-6 relative, the
+    # refinement's tolerance
+    w = make_window(make_grid(1, n), omega, 0.05, kind)
+    m = feasible_m(w)
+    lam = default_lambda_grid(w.grid)
+    sups = []
+    for window in (w, translated(w, 1)):
+        start = lam[sweep(lam, m, window).M_of_lambda.argmax()]
+        sups.append(sup_resolvent_constant(window, m, lam[0], lam[-1], start=start))
+    base, moved = sups
+    assert abs(moved.M_sup - base.M_sup) <= 1e-12 * base.M_sup
+    assert abs(moved.lam_star - base.lam_star) <= 1e-6 * abs(base.lam_star)
 
 
 @given(st.sampled_from([1, 2]).flatmap(lambda dim: windows(dim, min_length=0.5)),
