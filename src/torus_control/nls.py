@@ -17,7 +17,7 @@ isometry, so mass is conserved to roundoff; energy drifts at O(dt^2).
 run this one step through one loop, `_StrangStep.run`, on grid values:
 since linear(dt/2) . linear(dt/2) = linear(dt), one propagator joins
 consecutive nonlinear sub-flows, and the loop allocates nothing per step.
-`evolve` goes back to modes in batched transforms at its records; the
+`evolve` goes back to modes in batched FFTs at its records; the
 damped legs stay on grid values too, taking a copy to modes at each
 10-step norm check, so a leg stopped at a check holds exactly the state of
 `evolve` after as many steps; the controlled solve hands `run` its
@@ -340,9 +340,10 @@ def evolve(u0: FourierState, T: float, params: NLSParams,
     than MAX_DENSE_POINTS**2 records and a record_stride that is not a
     positive integer (an integral float runs as its int), before anything
     is allocated.  The steps run on grid values from the first to the last;
-    each record keeps its grid values, and a full buffer of them goes back
-    to modes in one batched transform.  A record whose mass, energy or observed mass is
-    not finite raises NonFiniteStateError, checked a buffer at a time.
+    each record keeps its grid values, and a full buffer of them goes to
+    modes in one batched FFT (the returned state by the step's `to_modes`).
+    A record whose mass, energy or observed mass is not finite raises
+    NonFiniteStateError, checked a buffer at a time.
     For sigma != 0 a u0 whose nonlinear phase per step is unresolved
     (`_check_phase`) raises ValueError, after the t = 0 record's check.
     """
@@ -364,6 +365,7 @@ def evolve(u0: FourierState, T: float, params: NLSParams,
 
     grid = u0.grid
     step = _StrangStep(grid, params)
+    to_modes = _fft_transforms(grid, *_axis_half_and_tail(grid.modes_per_axis, params))[1]
     samples = np.empty((3, len(rec_steps)))
     n_buf = min(len(rec_steps) - 1, max(1, _RECORD_BUFFER_POINTS // grid.n_points))
     # overflow is caught at its record, as a non-finite sample
@@ -377,12 +379,12 @@ def evolve(u0: FourierState, T: float, params: NLSParams,
             for j, target in enumerate(chunk):
                 phys, done = step.run(phys, target - done), target
                 values[j] = phys
-            coeffs = step.to_modes(values[:len(chunk)])
+            coeffs = to_modes(values[:len(chunk)]).reshape((-1,) + grid.shape)
             samples[:, start:start + len(chunk)] = _finite_samples(grid, coeffs, params,
                                                                    chunk)
     record = DecayRecord(times=rec_steps * params.dt, mass=samples[0],
                          energy=samples[1], observed=samples[2])
-    return FourierState(grid, coeffs[-1].copy()), record
+    return FourierState(grid, step.to_modes(phys).reshape(grid.shape)), record
 
 
 def _finite_samples(grid: GridSpec, coeffs: np.ndarray, params: NLSParams,

@@ -261,7 +261,7 @@ def sweep(lambda_grid: np.ndarray, m: float, window: CutoffWindow) -> ResolventS
     elimination of `_best_constant`, so an infeasible lambda raises before
     any other work.  Every other lambda needs only the top eigenvalue of
     D^-1 Q_r D^-1, which `_top_eigenvalues` takes for all at once: from
-    N = 48 on by Lanczos on blocks of 48 lambda, each value certified by a
+    N = 48 on by Lanczos on blocks of 2^14 / N lambda, each certified by a
     Cholesky factor to a stated delta (at most 4e-12 relative at the default
     grid's Chebyshev points) or else, and below N = 48, by a dense `eigvalsh`.
     Each M(lambda) has the bits that lambda gets alone.  Beside Q_r and one
@@ -315,7 +315,7 @@ def _constants(lambda_grid: np.ndarray, m: float, q: np.ndarray, lap: np.ndarray
 # x86_64: 0.8x at N = 32, 1.4x at 48, 1.7-3x at 64 ... 256).
 _LANCZOS_MIN_N = 48
 _LANCZOS_STEPS = 24  # the first round; the rows it leaves get half as many again
-_LANCZOS_ROWS = 48   # lambda per block
+_LANCZOS_ENTRIES = 1 << 14  # lambda per block times N: 256 lambda at N = 64, 64 at 256
 
 
 def _top_eigenvalues(lams: np.ndarray, q: np.ndarray,
@@ -324,7 +324,7 @@ def _top_eigenvalues(lams: np.ndarray, q: np.ndarray,
     != 0, at each lambda, and an upper end of it.
 
     Below N = `_LANCZOS_MIN_N` every G goes through one dense `eigvalsh`,
-    and upper = top.  From there on, blocks of `_LANCZOS_ROWS` lambda run
+    and upper = top.  From there on, blocks of 2^14 / N lambda run
     three-term Lanczos together from one fixed start vector (Parlett, The
     Symmetric Eigenvalue Problem, 1998, ch. 13): each step is one product
     (V o D^-1) @ q of at least two rows and a second Gram-Schmidt pass, and
@@ -348,8 +348,9 @@ def _top_eigenvalues(lams: np.ndarray, q: np.ndarray,
     todo = np.arange(lams.size)
     if n >= _LANCZOS_MIN_N:
         done = np.zeros(lams.size, dtype=bool)
-        for start in range(0, lams.size, _LANCZOS_ROWS):
-            rows = np.arange(start, min(start + _LANCZOS_ROWS, lams.size))
+        per = _LANCZOS_ENTRIES // n
+        for start in range(0, lams.size, per):
+            rows = np.arange(start, min(start + per, lams.size))
             _lanczos_block(lams, _two_rows(rows), q, lap, buf, top, upper, done)
         todo = np.flatnonzero(~done)
     for start, stop, g in _stacks(buf, todo.size, n):

@@ -185,13 +185,14 @@ def test_every_reader_takes_the_window_coefficients_at_true_modes(monkeypatch, n
     levels = np.r_[:n // 2 + 1, 1:n // 2]
     close(_real_gramian(spec), form * _centred_kernel((2.0 * np.pi * levels) ** 2, 1.0),
           keep)
-    # the strip check's blocks as built, before its kernel multiplies them
+    # the strip check's blocks as built, before its kernel multiplies them:
+    # stacks of transverse pairs, one block per pair
     seen = []
 
     def recording(coeffs, q):
-        block = _transverse_form(coeffs, q)
-        seen.append((q, block.copy()))
-        return block
+        stack = _transverse_form(coeffs, q)
+        seen.extend(zip(q, stack.copy()))
+        return stack
 
     monkeypatch.setattr("torus_control.tensor._transverse_form", recording)
     strip_observability_constant(spec)
@@ -231,10 +232,10 @@ def test_strip_blocks_ignore_fft_rounding(n):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_lambda_min_and_strip_check_run_real_eigensolves(monkeypatch, dim):
     # the eigensolves take float64 matrices of order N (lambda_min, in 1D
-    # and 2D alike), and 2N (the strip check: one per transverse pair
-    # {k_2, -k_2}, 0 < k_2 < N/2, then C_1d's of order N): a fall-back to
-    # the complex Gramian changes the dtype, a fall-back to the whole 2D
-    # form the order
+    # and 2D alike), and 2N (the strip check: one stack of every transverse
+    # pair {k_2, -k_2}, 0 < k_2 < N/2, at N = 8, then C_1d's of order N): a
+    # fall-back to the complex Gramian changes the dtype, a fall-back to the
+    # whole 2D form the order
     eigvalsh, calls = np.linalg.eigvalsh, []
 
     def recorder(a, *args, **kwargs):
@@ -249,7 +250,7 @@ def test_lambda_min_and_strip_check_run_real_eigensolves(monkeypatch, dim):
     if dim == 1:
         calls.clear()
         strip_observability_constant(GramianSpec(T=1.0, window=window))
-        assert calls == [(np.float64, (m, m)) for m in [2 * n] * (n // 2 - 1) + [n]]
+        assert calls == [(np.float64, (n // 2 - 1, 2 * n, 2 * n)), (np.float64, (n, n))]
 
 
 def test_dense_gramian_hermitian_psd(small_setup):
@@ -300,7 +301,7 @@ def test_window_mode_matrix_is_the_gathered_circulant(dim, n):
 def test_eigensolve_memory_is_bounded():
     # lambda_min holds the real form R (0.5 MB at N = 256) and eigvalsh's
     # workspace, about 1.75 MB in all; the strip check at N = 32 holds one
-    # transverse pair (2N x 2N) at a time, about 0.37 MB
+    # stack of three transverse pairs (2N x 2N each) at a time, 0.39 MB
     w = make_window(make_grid(1, 256), (0.0, 0.25), 0.05, "smooth")
     assert traced_peak(lambda: lambda_min_dense(GramianSpec(T=1.0, window=w))) <= 2.0e6
     w = make_window(make_grid(1, 32), (0.0, 0.25), 0.05, "smooth")
@@ -490,6 +491,27 @@ def test_drive_linear_blocks_match_one_block(monkeypatch, dim, n):
         assert np.array_equal(blocked.mass, other.mass)
         assert np.array_equal(blocked.observed_mass, other.observed_mass)
         assert final == other_final
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+def test_drive_linear_phase_table_factoring(monkeypatch, dim, n):
+    # exp(-i mu t) as a coarse times a fine factor, for fine tables of 1, 7
+    # and all sample steps: the last sample, taken at exp(-i mu T) itself,
+    # keeps its bits, and the others move within the roundoff of mu t
+    # (eps mu_max T = 9e-12 rad at N = 64): the mass, a sum of squared
+    # moduli, at 1e-14 of mass(0), the observed mass at 1e-12
+    g = make_grid(dim, n)
+    spec = GramianSpec(T=1.0, window=make_window(g, (0.0, 0.25), 0.05, "smooth"))
+    rng = np.random.default_rng(11)
+    u0, phi0 = random_state(g, rng), random_state(g, rng)
+    record, final = drive_linear(u0, spec, phi0)
+    for steps in (1, 7, 1 << 20):
+        monkeypatch.setattr(hum, "_PHASE_STEPS", steps)
+        other, other_final = drive_linear(u0, spec, phi0)
+        assert other_final == final
+        assert np.max(np.abs(other.mass - record.mass)) <= 1e-14 * record.mass[0]
+        assert (np.max(np.abs(other.observed_mass - record.observed_mass))
+                <= 1e-12 * record.mass[0])
 
 
 def test_drive_linear_memory_is_bounded():

@@ -629,10 +629,10 @@ def off_spectrum(lam, grid):
 
 
 @pytest.mark.parametrize("n", [64, 96])
-def test_each_lambda_has_the_bits_of_its_own_row(n):
+def test_each_lambda_has_the_bits_of_its_own_row(monkeypatch, n):
     # the Lanczos rows of a block share one matrix product per step; M at a
     # lambda is the same bit for bit swept alone, in a pair, in a grid whose
-    # last block holds one lambda, and in the whole default grid
+    # last block of 48 lambda holds one lambda, and in the whole default grid
     w = make_window(make_grid(1, n), (0.0, 0.2), 0.05, "smooth")
     m = feasible_m(w)
     lam = default_lambda_grid(w.grid)
@@ -646,7 +646,8 @@ def test_each_lambda_has_the_bits_of_its_own_row(n):
         assert sweep([x], m, w).M_of_lambda[0] == full[x]
     pair = picks[1:3]
     assert np.array_equal(sweep(pair, m, w).M_of_lambda, [full[x] for x in pair])
-    ragged = off[:resolvent._LANCZOS_ROWS + 1]
+    ragged = off[:49]
+    monkeypatch.setattr(resolvent, "_LANCZOS_ENTRIES", 48 * n)
     assert np.array_equal(sweep(ragged, m, w).M_of_lambda, [full[x] for x in ragged])
 
 

@@ -5,10 +5,11 @@ import pytest
 
 from torus_control import (GramianSpec, decompose_modes, make_grid,
                            make_window, random_state,
-                           strip_observability_constant)
+                           strip_observability_constant, tensor)
 from torus_control.hum import (GramianSingularError, lambda_min_dense,
                                quadrature_gramian)
 from torus_control.tensor import compose_modes, observed_energy_1d
+from torus_control.windows import CutoffWindow
 
 from oracles import dense_gramian, dense_gramian_2d
 
@@ -59,6 +60,41 @@ def test_strip_transfer_gap_is_roundoff(n):
     base = make_window(make_grid(1, n), (0.0, 0.3), 0.05, "smooth")
     c2, c1 = strip_observability_constant(GramianSpec(T=1.0, window=base))
     assert abs(c2 - c1) / c1 <= 1e-12
+
+
+class CorrugatedCoefficients(CutoffWindow):
+    """A window whose 2D `coefficients` are those of chi^p times
+    1 + 0.9 cos(12 pi x_2), as no strip's are: the pair {3, -3} then has
+    its own least eigenvalue, below the other pairs'."""
+
+    def coefficients(self, *modes, p=2):
+        if len(modes) == 1:
+            return super().coefficients(*modes, p=p)
+        n = self.grid.modes_per_axis
+        field = self.samples ** p * (1.0 + 0.9 * np.cos(12.0 * np.pi * np.arange(n) / n))
+        return (np.fft.fftn(field) / field.size)[tuple(np.asarray(m) % n for m in modes)]
+
+
+@pytest.mark.parametrize("n", [16, 24, 32, 44])
+@pytest.mark.parametrize("omega,kind", [((0.0, 0.3), "smooth"), ((0.1, 0.35), "sharp"),
+                                        (((0.1, 0.35), (0.6, 0.7)), "sharp"),
+                                        ((0.0, 0.3), "corrugated")],
+                         ids=["smooth", "sharp", "two-interval", "corrugated"])
+def test_strip_check_does_not_depend_on_its_stacks(monkeypatch, n, omega, kind):
+    # the transverse pairs eigensolved one per stack, in stacks of the
+    # default entry budget (all 7 pairs at N = 16, 6 at N = 24, 3 at N = 32,
+    # 1 at N = 44), and all in one stack give C_2d and C_1d bit for bit.  On
+    # a strip every pair has the 1D form's spectrum; the corrugated window
+    # puts the least eigenvalue at the third pair alone
+    window = make_window(make_grid(1, n), omega, 0.05, kind.replace("corrugated", "smooth"))
+    if kind == "corrugated":
+        window = CorrugatedCoefficients(window.grid, window.samples, window.omega, 0.05)
+    spec = GramianSpec(T=1.0, window=window)
+    stacked = strip_observability_constant(spec)
+    assert (stacked[0] > 1.5 * stacked[1]) == (kind == "corrugated")
+    for entries in (1, 1 << 30):
+        monkeypatch.setattr(tensor, "_STACK_ENTRIES", entries)
+        assert strip_observability_constant(spec) == stacked
 
 
 def test_strip_quadrature_oracle_matches_exact_2d():
